@@ -36,6 +36,7 @@ from .linalg import SpanSolver
 from .omega import (
     AlgebraSpec,
     OmegaElement,
+    Scalar,
     ScalarLike,
     StabilizationError,
     StructureError,
@@ -53,12 +54,12 @@ def _acc(d: Dict, k, v) -> None:
         d.pop(k, None)
 
 
-def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Fraction]:
+def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
     """Merge two basis words at the junction; sparse result over basis words."""
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("current-algebra words must be nonempty")
-    out: Dict[Word, Fraction] = {}
+    out: Dict[Word, Scalar] = {}
     for k, c in spec.product(x[-1], y[0]).items():
         _acc(out, x[:-1] + (k,) + y[1:], c)
     return out
@@ -71,7 +72,7 @@ class AlElement:
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Word, ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Word, Fraction] = {}
+        cleaned: Dict[Word, Scalar] = {}
         for w, c in terms.items():
             w = tuple(w)
             if not w:
@@ -86,7 +87,7 @@ class AlElement:
 
     @classmethod
     def from_word(cls, spec: AlgebraSpec, word: Word) -> "AlElement":
-        return cls(spec, {tuple(word): Fraction(1)})
+        return cls(spec, {tuple(word): 1})
 
     def _check(self, other: "AlElement") -> None:
         if self.spec is not other.spec:
@@ -115,7 +116,7 @@ class AlElement:
         if not isinstance(other, AlElement):
             return NotImplemented
         self._check(other)
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, Scalar] = {}
         for wx, cx in self.terms.items():
             for wy, cy in other.terms.items():
                 for w, c in odot_words(self.spec, wx, wy).items():
@@ -224,7 +225,7 @@ class CurrentElement:
             raise StructureError("d must be positive")
         self.spec = spec
         self.d = d
-        cleaned: Dict[CKey, Fraction] = {}
+        cleaned: Dict[CKey, Scalar] = {}
         for (i, j, w), c in terms.items():
             if not (1 <= i <= d and 1 <= j <= d):
                 raise StructureError("matrix indices out of range for d=%d" % d)
@@ -238,7 +239,7 @@ class CurrentElement:
 
     @classmethod
     def basis(cls, spec: AlgebraSpec, d: int, i: int, j: int, word: Word) -> "CurrentElement":
-        return cls(spec, d, {(i, j, tuple(word)): Fraction(1)})
+        return cls(spec, d, {(i, j, tuple(word)): 1})
 
     def _check(self, other: "CurrentElement") -> None:
         if self.spec is not other.spec or self.d != other.d:
@@ -280,7 +281,7 @@ def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
     """[X(x)x, Y(x)y] = XY (x) (x(.)y) - YX (x) (y(.)x), bilinear in both slots."""
     a._check(b)
     spec = a.spec
-    out: Dict[CKey, Fraction] = {}
+    out: Dict[CKey, Scalar] = {}
     for (i, j, x), cx in a.terms.items():
         for (k, l, y), cy in b.terms.items():
             cc = cx * cy
@@ -296,9 +297,9 @@ def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
 def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey]]:
     keys = current_basis_keys(spec, d, maxgrade)
     for ka in keys:
-        a = CurrentElement(spec, d, {ka: Fraction(1)})
+        a = CurrentElement(spec, d, {ka: 1})
         for kb in keys:
-            b = CurrentElement(spec, d, {kb: Fraction(1)})
+            b = CurrentElement(spec, d, {kb: 1})
             if gl_current_bracket(a, b) != -gl_current_bracket(b, a):
                 return (ka, kb)
     return None
@@ -307,7 +308,7 @@ def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[
 def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey, CKey]]:
     """Jacobi over all basis triples up to the grade bound; needs an associative table."""
     keys = current_basis_keys(spec, d, maxgrade)
-    elems = [CurrentElement(spec, d, {k: Fraction(1)}) for k in keys]
+    elems = [CurrentElement(spec, d, {k: 1}) for k in keys]
     for ia, a in enumerate(elems):
         for ib, b in enumerate(elems):
             ab = gl_current_bracket(a, b)
@@ -377,7 +378,7 @@ def path_algebra_iso_check(L: int, maxgrade: int) -> bool:
                 continue
             for p in itertools.product(range(L), repeat=la):
                 for q in itertools.product(range(L), repeat=lb):
-                    expected = {p + q[1:]: Fraction(1)} if p[-1] == q[0] else {}
+                    expected = {p + q[1:]: 1} if p[-1] == q[0] else {}
                     if odot_words(spec, p, q) != expected:
                         return False
     return True
@@ -405,7 +406,7 @@ def _balancing_solver(spec: AlgebraSpec, k: int) -> SpanSolver:
                 for w in letters:
                     for z in letters:
                         for rest_right in basis_words(spec, 2 * k - 2 * t - 3):
-                            vec: Dict[Word, Fraction] = {}
+                            vec: Dict[Word, Scalar] = {}
                             for c, coeff in spec.product(y, w).items():
                                 _acc(vec, rest_left + (c, z) + rest_right, coeff)
                             for c, coeff in spec.product(w, z).items():
@@ -415,7 +416,7 @@ def _balancing_solver(spec: AlgebraSpec, k: int) -> SpanSolver:
     return solver
 
 
-def _phi(spec: AlgebraSpec, unit: OmegaElement, word: Word) -> Dict[Word, Fraction]:
+def _phi(spec: AlgebraSpec, unit: OmegaElement, word: Word) -> Dict[Word, Scalar]:
     """Embed a (k+1)-letter current word as a 2k-letter balanced representative.
 
     phi(x_0, ..., x_k) = (x_0 (x) x_1) (x) (1 (x) x_2) (x) ... (x) (1 (x) x_k),
@@ -424,9 +425,9 @@ def _phi(spec: AlgebraSpec, unit: OmegaElement, word: Word) -> Dict[Word, Fracti
     k = len(word) - 1
     if k == 0:
         raise StructureError("phi is defined on grades >= 1")
-    out: Dict[Word, Fraction] = {tuple(word[:2]): Fraction(1)}
+    out: Dict[Word, Scalar] = {tuple(word[:2]): 1}
     for letter in word[2:]:
-        nxt: Dict[Word, Fraction] = {}
+        nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
             for e_idx, e_c in unit.coeffs.items():
                 _acc(nxt, w + (e_idx, letter), c * e_c)
@@ -468,7 +469,7 @@ def bimodule_iso_check(spec: AlgebraSpec, maxgrade: int) -> bool:
                 pa = _phi(spec, unit, wa)
                 for wb in basis_words(spec, kb + 1):
                     pb = _phi(spec, unit, wb)
-                    concat: Dict[Word, Fraction] = {}
+                    concat: Dict[Word, Scalar] = {}
                     for u, cu in pa.items():
                         for v, cv in pb.items():
                             _acc(concat, u + v, cu * cv)
@@ -568,7 +569,7 @@ def _eval_pgen_mono(ctx: Enveloping, mono: Tuple[PGen, ...], s) -> UElement:
 
 def t_expansion(
     ctx: Enveloping, u: UElement, d: int, s: ScalarLike
-) -> Optional[List[Tuple[Tuple[PGen, ...], Fraction]]]:
+) -> Optional[List[Tuple[Tuple[PGen, ...], Scalar]]]:
     """Canonical expansion over ordered t-monomials, or None if not expressible.
 
     Peels the top filtration degree: the top part is matched against the
@@ -576,7 +577,7 @@ def t_expansion(
     here), the solved combination of full t-monomials is subtracted, and the
     degree strictly drops.
     """
-    out: List[Tuple[Tuple[PGen, ...], Fraction]] = []
+    out: List[Tuple[Tuple[PGen, ...], Scalar]] = []
     cur = u
     while not cur.is_zero():
         deg = cur.degree()

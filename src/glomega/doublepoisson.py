@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement
-from .omega import AlgebraSpec, ScalarLike, StructureError, as_scalar, check_associativity
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, check_associativity
 from .words import CyclicWord, Word, words_up_to
 
 
@@ -60,7 +60,7 @@ class DoubleTensor:
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Tuple[Word, Word], ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Tuple[Word, Word], Fraction] = {}
+        cleaned: Dict[Tuple[Word, Word], Scalar] = {}
         for (u, v), c in terms.items():
             c = as_scalar(c)
             if c:
@@ -137,7 +137,7 @@ class TripleTensor:
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Tuple[Word, Word, Word], ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Tuple[Word, Word, Word], Fraction] = {}
+        cleaned: Dict[Tuple[Word, Word, Word], Scalar] = {}
         for key, c in terms.items():
             c = as_scalar(c)
             if c:
@@ -166,7 +166,7 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> DoubleTensor:
     """The linear double bracket of two basis words (zero if either is empty)."""
     x = tuple(x)
     y = tuple(y)
-    out: Dict[Tuple[Word, Word], Fraction] = {}
+    out: Dict[Tuple[Word, Word], Scalar] = {}
     for r in range(len(x)):
         for s in range(len(y)):
             for k, c in spec.product(x[r], y[s]).items():
@@ -178,7 +178,7 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> DoubleTensor:
 
 def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> DoubleTensor:
     """1 (x) mu(x_i, x_j) - mu(x_j, x_i) (x) 1, the defining formula on letters."""
-    out: Dict[Tuple[Word, Word], Fraction] = {}
+    out: Dict[Tuple[Word, Word], Scalar] = {}
     for k, c in spec.product(i, j).items():
         _acc(out, ((), (k,)), c)
     for k, c in spec.product(j, i).items():
@@ -243,7 +243,7 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
 
 def _bracket_into_first(spec: AlgebraSpec, a: Word, dt: DoubleTensor) -> TripleTensor:
     """<<a, ->>_L: bracket a into the first slot, third slot rides along."""
-    out: Dict[Tuple[Word, Word, Word], Fraction] = {}
+    out: Dict[Tuple[Word, Word, Word], Scalar] = {}
     for (u, v), c in dt.terms.items():
         inner = double_bracket(spec, a, u)
         for (p, q), c2 in inner.terms.items():
@@ -275,15 +275,20 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
     return None
 
 
-def pvdw_equivalence(spec: AlgebraSpec, maxlen: int) -> Dict[str, object]:
-    """Double Jacobi holds iff the table is associative; report both sides."""
-    assoc = check_associativity(spec)
-    jacobi = check_double_jacobi(spec, maxlen)
+def pvdw_verdict(
+    assoc: Optional[Tuple[int, int, int]], jacobi: Optional[Tuple[Word, Word, Word]]
+) -> Dict[str, object]:
+    """The equivalence report from an associator witness and a Jacobi witness."""
     return {
         "assoc_witness": assoc,
         "jacobi_witness": jacobi,
         "equivalent": (assoc is None) == (jacobi is None),
     }
+
+
+def pvdw_equivalence(spec: AlgebraSpec, maxlen: int) -> Dict[str, object]:
+    """Double Jacobi holds iff the table is associative; report both sides."""
+    return pvdw_verdict(check_associativity(spec), check_double_jacobi(spec, maxlen))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +314,7 @@ class SPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[SMono, ScalarLike]):
-        cleaned: Dict[SMono, Fraction] = {}
+        cleaned: Dict[SMono, Scalar] = {}
         for mono, c in terms.items():
             mono = tuple(sorted(mono, key=pgen_key))
             c = as_scalar(c)
@@ -325,7 +330,7 @@ class SPoly:
 
     @classmethod
     def generator(cls, p: PGen) -> "SPoly":
-        return cls({(p,): Fraction(1)})
+        return cls({(p,): 1})
 
     def __add__(self, other: "SPoly") -> "SPoly":
         out = dict(self.terms)
@@ -353,7 +358,7 @@ class SPoly:
             return self.scale(other)
         if not isinstance(other, SPoly):
             return NotImplemented
-        out: Dict[SMono, Fraction] = {}
+        out: Dict[SMono, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(out, tuple(sorted(m1 + m2, key=pgen_key)), c1 * c2)
@@ -390,7 +395,7 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
     an empty slot contributes the scalar delta (p_ab of the empty word).
     """
     (i, j, x), (k, l, y) = p, q
-    out: Dict[SMono, Fraction] = {}
+    out: Dict[SMono, Scalar] = {}
     for (u, v), c in double_bracket(spec, x, y).terms.items():
         factors: List[PGen] = []
         if u:
@@ -424,14 +429,14 @@ def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
 # the trace (necklace) bracket on cyclic coinvariants
 
 
-def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict[CyclicWord, Fraction]:
+def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict[CyclicWord, Scalar]:
     """Bracket two cyclic classes: bracket lifts, multiply slots, project.
 
     The result does not depend on the chosen lifts; the tests rotate the
     inputs to confirm.
     """
     wa, wb = tuple(a), tuple(b)
-    out: Dict[CyclicWord, Fraction] = {}
+    out: Dict[CyclicWord, Scalar] = {}
     for (u, v), c in double_bracket(spec, wa, wb).terms.items():
         w = u + v
         _acc(out, CyclicWord(w), c)
@@ -447,7 +452,7 @@ class NecklacePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[NMono, ScalarLike]):
-        cleaned: Dict[NMono, Fraction] = {}
+        cleaned: Dict[NMono, Scalar] = {}
         for mono, c in terms.items():
             mono = tuple(sorted(CyclicWord(w) for w in mono))
             c = as_scalar(c)
@@ -459,7 +464,7 @@ class NecklacePoly:
 
     @classmethod
     def cls_of(cls, word: Iterable[int]) -> "NecklacePoly":
-        return cls({(CyclicWord(word),): Fraction(1)})
+        return cls({(CyclicWord(word),): 1})
 
     def __add__(self, other: "NecklacePoly") -> "NecklacePoly":
         out = dict(self.terms)
@@ -482,7 +487,7 @@ class NecklacePoly:
             return self.scale(other)
         if not isinstance(other, NecklacePoly):
             return NotImplemented
-        out: Dict[NMono, Fraction] = {}
+        out: Dict[NMono, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(out, tuple(sorted(m1 + m2)), c1 * c2)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
-from .omega import AlgebraSpec, ScalarLike, StructureError, as_scalar, check_associativity
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, check_associativity
 from .words import Word, compositions, coagulate_word
 
 # generator E_ij(x_b) as a plain tuple (i, j, b); i, j are 1-based, b indexes
@@ -35,7 +35,7 @@ from .words import Word, compositions, coagulate_word
 Gen = Tuple[int, int, int]
 Mono = Tuple[Gen, ...]
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class Enveloping:
@@ -53,8 +53,8 @@ class Enveloping:
             )
         self.omega = omega
         self.n = n
-        self._nf: Dict[Mono, Dict[Mono, Fraction]] = {}
-        self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Fraction], ...]] = {}
+        self._nf: Dict[Mono, Dict[Mono, Scalar]] = {}
+        self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Scalar], ...]] = {}
         self._keys: Dict[Gen, Tuple[int, int, int, int]] = {}
         self._e: Dict = {}
         self._t: Dict = {}
@@ -96,14 +96,14 @@ class Enveloping:
             )
         return self._gens
 
-    def commutator_terms(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Fraction], ...]:
+    def commutator_terms(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Scalar], ...]:
         """[E_g, E_h] as a tuple of (generator, coefficient) pairs."""
         key = (g, h)
         terms = self._comm.get(key)
         if terms is None:
             i1, j1, b1 = g
             i2, j2, b2 = h
-            out: Dict[Gen, Fraction] = {}
+            out: Dict[Gen, Scalar] = {}
             if i2 == j1:
                 for k, c in self.omega.product(b1, b2).items():
                     gen = (i1, j2, k)
@@ -122,7 +122,7 @@ class Enveloping:
 
     # -- normal form --------------------------------------------------------
 
-    def normal_form(self, seq: Sequence[Gen]) -> Dict[Mono, Fraction]:
+    def normal_form(self, seq: Sequence[Gen]) -> Dict[Mono, Scalar]:
         """PBW expansion of a product of generators (memoized; do not mutate)."""
         seq = tuple(seq)
         cached = self._nf.get(seq)
@@ -135,7 +135,7 @@ class Enveloping:
                 p = a
                 break
         if p < 0:
-            res: Dict[Mono, Fraction] = {seq: _ONE}
+            res: Dict[Mono, Scalar] = {seq: _ONE}
         else:
             g, h = seq[p], seq[p + 1]
             res = {}
@@ -157,15 +157,15 @@ class Enveloping:
         self._nf[seq] = res
         return res
 
-    def normal_form_random(self, seq: Sequence[Gen], rng) -> Dict[Mono, Fraction]:
+    def normal_form_random(self, seq: Sequence[Gen], rng) -> Dict[Mono, Scalar]:
         """Normal form resolving a *random* inversion each step (no cache).
 
         Used to test confluence of the rewriting: any swap schedule must
         produce the same expansion as the leftmost-first strategy.
         """
         key = self.sort_key
-        out: Dict[Mono, Fraction] = {}
-        stack: List[Tuple[Mono, Fraction]] = [(tuple(seq), _ONE)]
+        out: Dict[Mono, Scalar] = {}
+        stack: List[Tuple[Mono, Scalar]] = [(tuple(seq), _ONE)]
         while stack:
             cur, coeff = stack.pop()
             inversions = [
@@ -203,7 +203,7 @@ class Enveloping:
     def multiply(self, u: "UElement", v: "UElement") -> "UElement":
         u._compat(self)
         v._compat(self)
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Scalar] = {}
         for m1, c1 in u.terms.items():
             for m2, c2 in v.terms.items():
                 cc = c1 * c2
@@ -217,9 +217,9 @@ class Enveloping:
 
     # -- gl(N, C) action ----------------------------------------------------
 
-    def _ad_mono(self, i: int, j: int, mono: Mono) -> Dict[Mono, Fraction]:
+    def _ad_mono(self, i: int, j: int, mono: Mono) -> Dict[Mono, Scalar]:
         """[E_ij, mono] as a derivation, re-expanded to normal form."""
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Scalar] = {}
         for pos, (k, l, b) in enumerate(mono):
             repl: List[Tuple[Gen, int]] = []
             if k == j:
@@ -241,7 +241,7 @@ class Enveloping:
         u._compat(self)
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise StructureError("ad index (%d, %d) out of range" % (i, j))
-        out: Dict[Mono, Fraction] = {}
+        out: Dict[Mono, Scalar] = {}
         for mono, c in u.terms.items():
             for m2, c2 in self._ad_mono(i, j, mono).items():
                 s = out.get(m2, 0) + c * c2
@@ -290,7 +290,7 @@ class Enveloping:
         m = len(word)
         if m < 1:
             raise StructureError("e_elem needs a nonempty word")
-        acc: Dict[Mono, Fraction] = {}
+        acc: Dict[Mono, Scalar] = {}
         for chain in itertools.product(range(1, self.n + 1), repeat=m - 1):
             idx = (i,) + chain + (j,)
             seq = tuple((idx[r], idx[r + 1], word[r]) for r in range(m))
@@ -318,8 +318,8 @@ class Enveloping:
         if cached is not None:
             return cached
         m = len(word)
-        base = Fraction(-self.n) - s
-        acc: Dict[Mono, Fraction] = {}
+        base = -self.n - s
+        acc: Dict[Mono, Scalar] = {}
         for nu in compositions(m):
             coeff = base ** (m - len(nu))
             if not coeff:
@@ -372,7 +372,7 @@ class Enveloping:
             target = Enveloping.get(self.omega, self.n - 1)
         if target.omega is not self.omega or target.n != self.n - 1:
             raise StructureError("target context must be one size down, same algebra")
-        acc: Dict[Mono, Fraction] = {}
+        acc: Dict[Mono, Scalar] = {}
         for mono, c in u.terms.items():
             if any(i == self.n or j == self.n for (i, j, _b) in mono):
                 if not any(j == self.n for (_i, j, _b) in mono):
@@ -515,7 +515,7 @@ class UElement:
 
     def __init__(self, ctx: Enveloping, terms: Mapping[Mono, ScalarLike]):
         self.ctx = ctx
-        cleaned: Dict[Mono, Fraction] = {}
+        cleaned: Dict[Mono, Scalar] = {}
         for mono, c in terms.items():
             c = as_scalar(c)
             if c:

@@ -1,11 +1,14 @@
-"""Sparse exact linear algebra over Fraction.
+"""Sparse exact linear algebra over Q.
 
-Vectors are dicts mapping hashable, mutually comparable keys to nonzero
-Fractions.  This is all the package needs: incremental row reduction with
-dependency tracking (:class:`SpanSolver`), canonical reduced bases
-(:func:`rref`), kernels of sparse constraint systems (:func:`kernel_basis`),
-and intersections with coordinate subspaces.  Everything is deterministic:
-pivots are always the smallest key under the configured ordering.
+Vectors are dicts mapping hashable, mutually comparable keys to nonzero exact
+scalars, ``int`` or ``fractions.Fraction`` mixed freely (see
+:mod:`glomega.omega`).  Pivots are inverted through ``Fraction``, never with
+``/`` between two ints, so every result stays exact.  This is all the package
+needs: incremental row reduction with dependency tracking
+(:class:`SpanSolver`), canonical reduced bases (:func:`rref`), kernels of
+sparse constraint systems (:func:`kernel_basis`), and intersections with
+coordinate subspaces.  Everything is deterministic: pivots are always the
+smallest key under the configured ordering.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-Vec = Dict[Hashable, Fraction]
+from .omega import Scalar
+
+Vec = Dict[Hashable, Scalar]
 
 
-def vec_add(target: Vec, src: Vec, scale: Fraction) -> None:
+def vec_add(target: Vec, src: Vec, scale: Scalar) -> None:
     """target += scale * src, pruning zeros in place."""
     if not scale:
         return
@@ -152,7 +157,7 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v: Vec = {f: Fraction(1)}
+        v: Vec = {f: 1}
         for p, row in pivots.items():
             c = row.get(f)
             if c:
@@ -162,7 +167,12 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:
 
 
 def primitive(vec: Vec, key_order: Optional[Callable] = None) -> Vec:
-    """Scale to coprime integers with positive leading coefficient."""
+    """Scale to coprime integers with positive leading coefficient.
+
+    The entries are returned as ``Fraction`` values: the pbw suite prints this
+    vector with ``%r`` in its witnesses, and that text is part of a report's
+    fingerprint.
+    """
     if not vec:
         return {}
     keys = sorted(vec, key=key_order if key_order else (lambda k: k))
@@ -174,7 +184,8 @@ def primitive(vec: Vec, key_order: Optional[Callable] = None) -> Vec:
     for v in ints.values():
         g = gcd(g, int(v))
     if g:
-        ints = {k: v / g for k, v in ints.items()}
+        # g divides every entry; ``/`` on two ints would round through a float
+        ints = {k: v // g for k, v in ints.items()}
     lead = ints[keys[0]]
     if lead < 0:
         ints = {k: -v for k, v in ints.items()}

@@ -7,8 +7,16 @@ zero.  Nothing here assumes associativity or a unit; both are decidable
 properties of a finite table and are checked on demand
 (:func:`check_associativity`, :func:`detect_unit`).
 
-All coefficients are ``fractions.Fraction`` values, so every computation in
-this package is exact.
+Scalars are exact rationals in one of two types: an integral value is a
+Python ``int`` and any other value is a ``fractions.Fraction``.
+:func:`as_scalar` is the one place that normalises a value to that form, and
+every element constructor in the package calls it.  An ``int`` and the equal
+``Fraction`` compare and hash alike, so results do not depend on which type an
+intermediate sum happens to have.  A table keeps a ``Fraction`` structure
+constant as it was given, so it reads back unchanged; the builtin tables and
+tables loaded from JSON hold ``int`` constants wherever they are integral.
+Nothing divides two ints with ``/``, which would give a float: exact division
+goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
 """
 
 from __future__ import annotations
@@ -17,18 +25,32 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 
-ScalarLike = Union[Scalar, int, str]
+ScalarLike = Union[int, Fraction, str]
 
 
 def as_scalar(value: ScalarLike) -> Scalar:
-    """Coerce ints, strings like '-7/2', or Fractions to an exact Scalar."""
-    if isinstance(value, Fraction):
+    """Coerce ints, strings like '-7/2', or Fractions to an exact Scalar.
+
+    Integral values come back as ``int`` (``bool`` as plain ``0``/``1``), all
+    others as ``Fraction``.  The exact-type tests come first: this runs once
+    per stored coefficient, and ``isinstance`` against ``Fraction`` goes
+    through the ABC machinery.
+    """
+    kind = type(value)
+    if kind is int:
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError("exact scalar expected, got %r (floats are not allowed)" % (value,))
+    if kind is not Fraction:
+        if not isinstance(value, (int, str, Fraction)):
+            raise TypeError("exact scalar expected, got %r (floats are not allowed)" % (value,))
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: the type of dimensions, indices, numerators, denominators."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class StructureError(ValueError):
@@ -60,7 +82,7 @@ class AlgebraSpec:
         table: Optional[Mapping[Tuple[int, int], Mapping[int, ScalarLike]]] = None,
         name: str = "",
     ):
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise StructureError("dim must be a positive integer")
         if basis is None:
             basis = tuple("u%d" % (i + 1) for i in range(dim))
@@ -71,15 +93,16 @@ class AlgebraSpec:
             raise StructureError("basis labels must be distinct")
         clean: dict = {}
         for (i, j), terms in (table or {}).items():
-            if not (0 <= i < dim and 0 <= j < dim):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
                 raise StructureError("table index (%r, %r) out of range" % (i, j))
             entry = {}
             for k, c in terms.items():
-                if not (0 <= k < dim):
+                if not (_is_int(k) and 0 <= k < dim):
                     raise StructureError("table target index %r out of range" % (k,))
-                c = as_scalar(c)
-                if c:
-                    entry[k] = c
+                exact = as_scalar(c)
+                if exact:
+                    # a Fraction is kept as given, so the table reads back as it was built
+                    entry[k] = c if type(c) is Fraction else exact
             if entry:
                 clean[(i, j)] = entry
         self.dim = dim
@@ -95,7 +118,7 @@ class AlgebraSpec:
         return OmegaElement(self, coeffs)
 
     def basis_element(self, i: int) -> "OmegaElement":
-        return OmegaElement(self, {i: Fraction(1)})
+        return OmegaElement(self, {i: 1})
 
     def zero(self) -> "OmegaElement":
         return OmegaElement(self, {})
@@ -232,8 +255,8 @@ def detect_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
         solver.add({key: v for key, v in col.items() if v}, i)
     rhs: dict = {}
     for j in range(spec.dim):
-        rhs[("L", j, j)] = Fraction(1)
-        rhs[("R", j, j)] = Fraction(1)
+        rhs[("L", j, j)] = 1
+        rhs[("R", j, j)] = 1
     combo = solver.solve(rhs)
     if combo is None:
         return None
@@ -254,7 +277,7 @@ def direct_sum_C(L: int) -> AlgebraSpec:
     """C^(+L): L orthogonal idempotents u1, ..., uL (ui*ui = ui, ui*uj = 0)."""
     if L < 1:
         raise StructureError("L must be >= 1")
-    table = {(i, i): {i: Fraction(1)} for i in range(L)}
+    table = {(i, i): {i: 1} for i in range(L)}
     return AlgebraSpec(L, ["u%d" % (i + 1) for i in range(L)], table, name="C^+%d" % L)
 
 
@@ -276,7 +299,7 @@ def matrix_algebra(k: int) -> AlgebraSpec:
         for b in range(k):
             for c in range(k):
                 # e_{ab} e_{bc} = e_{ac}
-                table[(idx(a, b), idx(b, c))] = {idx(a, c): Fraction(1)}
+                table[(idx(a, b), idx(b, c))] = {idx(a, c): 1}
     return AlgebraSpec(k * k, labels, table, name="Mat(%d)" % k)
 
 
@@ -286,7 +309,7 @@ def nonassoc_witness() -> AlgebraSpec:
     (x x) x = y x = 0 while x (x x) = x y = x, so (0, 0, 0) witnesses the
     failure of associativity.
     """
-    table = {(0, 0): {1: Fraction(1)}, (0, 1): {0: Fraction(1)}}
+    table = {(0, 0): {1: 1}, (0, 1): {0: 1}}
     return AlgebraSpec(2, ["x", "y"], table, name="nonassoc-witness")
 
 
@@ -326,19 +349,24 @@ def from_dict(data: Mapping, name: str = "") -> AlgebraSpec:
         if not isinstance(row, Mapping) or not {"i", "j", "terms"} <= set(row):
             raise StructureError("table rows must have fields i, j, terms")
         i, j = row["i"], row["j"]
+        if not (_is_int(i) and _is_int(j)):
+            raise StructureError("table row indices must be integers, got (%r, %r)" % (i, j))
         if (i, j) in table:
             raise StructureError("duplicate table entry for (%r, %r)" % (i, j))
+        if not isinstance(row["terms"], list):
+            raise StructureError("'terms' must be a list of {k, num[, den]} objects")
         entry: dict = {}
         for term in row["terms"]:
-            if "k" not in term or "num" not in term:
+            if not isinstance(term, Mapping) or "k" not in term or "num" not in term:
                 raise StructureError("terms must have fields k, num[, den]")
-            den = term.get("den", 1)
+            k, num, den = term["k"], term["num"], term.get("den", 1)
+            if not (_is_int(k) and _is_int(num) and _is_int(den)):
+                raise StructureError("term fields k, num and den must be integers, got %r" % (term,))
             if den == 0:
                 raise StructureError("zero denominator in table term")
-            k = term["k"]
             if k in entry:
                 raise StructureError("duplicate term index %r in table entry" % (k,))
-            entry[k] = Fraction(term["num"], den)
+            entry[k] = as_scalar(Fraction(num, den))
         table[(i, j)] = entry
     return AlgebraSpec(dim, basis, table, name=name or str(data.get("name", "")))
 
@@ -349,7 +377,9 @@ def load_algebra(path: str) -> AlgebraSpec:
             data = json.load(fh)
     except OSError as exc:
         raise StructureError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and oversized
+        # int literals; RecursionError comes from arrays nested too deep
         raise StructureError("invalid JSON in %s: %s" % (path, exc))
     return from_dict(data, name=path)
 

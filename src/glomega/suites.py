@@ -248,6 +248,19 @@ def _ok(flag: bool, witness: str = "") -> Tuple[str, str]:
     return ("pass", "") if flag else ("fail", witness)
 
 
+def _none_ok(counterexample) -> Tuple[str, str]:
+    """Pass when a search found no counterexample; else report it."""
+    return _ok(counterexample is None, repr(counterexample))
+
+
+def _pvdw_status(rep: Dict[str, object]) -> Tuple[str, str]:
+    """Pass when associativity and double Jacobi hold or fail together."""
+    return _ok(
+        bool(rep["equivalent"]),
+        "assoc=%r jacobi=%r" % (rep["assoc_witness"], rep["jacobi_witness"]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # projection suite
 
@@ -454,24 +467,9 @@ def _random_table(dim: int, rng: random.Random) -> AlgebraSpec:
 
 def _double_axiom_records(records: List[CheckRecord], token: str, spec: AlgebraSpec, maxlen: int) -> None:
     base = "omega=%s maxlen=%d" % (token, maxlen)
-    _timed(
-        records,
-        "double.letters",
-        base,
-        lambda: _ok(dp.check_letter_bracket(spec) is None, repr(dp.check_letter_bracket(spec))),
-    )
-    _timed(
-        records,
-        "double.skew",
-        base,
-        lambda: _ok(dp.check_skew(spec, maxlen) is None, repr(dp.check_skew(spec, maxlen))),
-    )
-    _timed(
-        records,
-        "double.leibniz",
-        base,
-        lambda: _ok(dp.check_leibniz(spec, maxlen) is None, repr(dp.check_leibniz(spec, maxlen))),
-    )
+    _timed(records, "double.letters", base, lambda: _none_ok(dp.check_letter_bracket(spec)))
+    _timed(records, "double.skew", base, lambda: _none_ok(dp.check_skew(spec, maxlen)))
+    _timed(records, "double.leibniz", base, lambda: _none_ok(dp.check_leibniz(spec, maxlen)))
 
 
 def _suite_double(cfg: SuiteConfig) -> List[CheckRecord]:
@@ -494,19 +492,18 @@ def _suite_double(cfg: SuiteConfig) -> List[CheckRecord]:
             lambda assoc=assoc: _ok(assoc is None, "associator at %r" % (assoc,)),
         )
         jac_len = min(maxlen, 2)
+        found: list = []  # the Jacobi witness, shared by double.jacobi and double.pvdw
 
-        def jacobi(spec=spec, jac_len=jac_len):
-            w = dp.check_double_jacobi(spec, jac_len)
-            return _ok(w is None, "jacobi witness %r" % (w,))
+        def jacobi(spec=spec, jac_len=jac_len, found=found):
+            found.append(dp.check_double_jacobi(spec, jac_len))
+            return _ok(found[0] is None, "jacobi witness %r" % (found[0],))
 
         _timed(records, "double.jacobi", "omega=%s maxlen=%d" % (token, jac_len), jacobi)
 
-        def pvdw(spec=spec, jac_len=jac_len):
-            rep = dp.pvdw_equivalence(spec, jac_len)
-            return _ok(
-                bool(rep["equivalent"]),
-                "assoc=%r jacobi=%r" % (rep["assoc_witness"], rep["jacobi_witness"]),
-            )
+        def pvdw(spec=spec, jac_len=jac_len, found=found, assoc=assoc):
+            # a Jacobi check that raised is run again, so pvdw reports the same error
+            witness = found[0] if found else dp.check_double_jacobi(spec, jac_len)
+            return _pvdw_status(dp.pvdw_verdict(assoc, witness))
 
         _timed(records, "double.pvdw", "omega=%s" % token, pvdw)
     if not cfg.omega:
@@ -514,15 +511,12 @@ def _suite_double(cfg: SuiteConfig) -> List[CheckRecord]:
         tables = [_random_table(rng.randint(1, 3), rng) for _ in range(_FUZZ_TABLES - 1)]
         tables.append(nonassoc_witness())
         for idx, tbl in enumerate(tables):
-
-            def fuzz(tbl=tbl):
-                rep = dp.pvdw_equivalence(tbl, 2)
-                return _ok(
-                    bool(rep["equivalent"]),
-                    "assoc=%r jacobi=%r" % (rep["assoc_witness"], rep["jacobi_witness"]),
-                )
-
-            _timed(records, "double.pvdw_fuzz", "index=%02d dim=%d" % (idx, tbl.dim), fuzz)
+            _timed(
+                records,
+                "double.pvdw_fuzz",
+                "index=%02d dim=%d" % (idx, tbl.dim),
+                lambda tbl=tbl: _pvdw_status(dp.pvdw_equivalence(tbl, 2)),
+            )
     return records
 
 
@@ -684,14 +678,12 @@ def _suite_current(cfg: SuiteConfig) -> List[CheckRecord]:
     rng = random.Random(cfg.seed + 1)
     for token, spec in _specs(cfg, "current"):
         total_len = 5 if spec.dim <= 2 else 4
+        unital = detect_unit(spec) is not None
         _timed(
             records,
             "current.odot_assoc",
             "omega=%s total_len=%d" % (token, total_len),
-            lambda spec=spec, total_len=total_len: _ok(
-                cur.check_odot_assoc(spec, total_len) is None,
-                repr(cur.check_odot_assoc(spec, total_len)),
-            ),
+            lambda spec=spec, total_len=total_len: _none_ok(cur.check_odot_assoc(spec, total_len)),
         )
 
         def grade0(spec=spec):
@@ -704,16 +696,13 @@ def _suite_current(cfg: SuiteConfig) -> List[CheckRecord]:
             return "pass", ""
 
         _timed(records, "current.grade0", "omega=%s" % token, grade0)
-        _timed(
-            records,
-            "current.unit",
-            "omega=%s" % token,
-            lambda spec=spec: _ok(
-                bool(cur.current_unit_check(spec)["passed"]),
-                repr(cur.current_unit_check(spec)),
-            ),
-        )
-        if spec.dim >= 2 and detect_unit(spec) is not None:
+
+        def unit(spec=spec):
+            rep = cur.current_unit_check(spec)
+            return _ok(bool(rep["passed"]), repr(rep))
+
+        _timed(records, "current.unit", "omega=%s" % token, unit)
+        if spec.dim >= 2 and unital:
             # any unital table of dim >= 2 has a junction-order witness:
             # (a) (.) (1,1) = (a,1) differs from (1,1) (.) (a) = (1,a)
             _timed(
@@ -749,7 +738,7 @@ def _suite_current(cfg: SuiteConfig) -> List[CheckRecord]:
 
         _timed(records, "current.graded_dim", "omega=%s" % token, gdim)
         bi_grade = 3 if spec.dim == 1 else (2 if spec.dim <= 3 else 1)
-        if detect_unit(spec) is None:
+        if not unital:
             _skip(records, "current.bimodule", "omega=%s" % token, "non-unital table")
         else:
             _timed(

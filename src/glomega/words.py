@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .omega import AlgebraSpec, OmegaElement, ScalarLike, StructureError, as_scalar, multiply
+from .omega import AlgebraSpec, OmegaElement, Scalar, ScalarLike, StructureError, as_scalar, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -48,7 +48,7 @@ class TensorElement:
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Word, ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Word, Fraction] = {}
+        cleaned: Dict[Word, Scalar] = {}
         for w, c in terms.items():
             w = tuple(w)
             for letter in w:
@@ -120,13 +120,13 @@ class TensorElement:
 
 
 def tensor_word(spec: AlgebraSpec, word: Iterable[int]) -> TensorElement:
-    return TensorElement(spec, {tuple(word): Fraction(1)})
+    return TensorElement(spec, {tuple(word): 1})
 
 
 def concat(a: TensorElement, b: TensorElement) -> TensorElement:
     """Concatenation product on T(Omega)."""
     a._check(b)
-    out: Dict[Word, Fraction] = {}
+    out: Dict[Word, Scalar] = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             w = wa + wb
@@ -176,11 +176,11 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> TensorElem
     """
     factors = [spec.basis_element(i) for i in word]
     blocks = coagulate(factors, nu)
-    out: Dict[Word, Fraction] = {(): Fraction(1)}
+    out: Dict[Word, Scalar] = {(): 1}
     for block in blocks:
         if block.is_zero():
             return TensorElement(spec, {})
-        nxt: Dict[Word, Fraction] = {}
+        nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
             for k, ck in block.coeffs.items():
                 nw = w + (k,)
@@ -209,13 +209,13 @@ def cyclic_canonical(word: Iterable[int]) -> CyclicWord:
     return CyclicWord(word)
 
 
-def project_cyclic(t: TensorElement) -> Dict[CyclicWord, Fraction]:
+def project_cyclic(t: TensorElement) -> Dict[CyclicWord, Scalar]:
     """Push a tensor element to the cyclic coinvariants T(Omega)/[rotation].
 
     Words of length 0 have no cyclic class here; the projection is only
     applied to elements supported in positive length.
     """
-    out: Dict[CyclicWord, Fraction] = {}
+    out: Dict[CyclicWord, Scalar] = {}
     for w, c in t.terms.items():
         if not w:
             raise StructureError("cannot project the empty word cyclically")

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, ScalarLike, StructureError, as_scalar
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar
 from .words import Word, compositions, coagulate_word, words_up_to
 
 
@@ -32,7 +32,7 @@ class TGen(NamedTuple):
     i: int
     j: int
     word: Word
-    s: Fraction
+    s: Scalar
 
 
 def t_gen(i: int, j: int, word: Iterable[int], s: ScalarLike) -> TGen:
@@ -72,7 +72,7 @@ class YExpression:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[OrderedMonomial, ScalarLike]):
-        cleaned: Dict[OrderedMonomial, Fraction] = {}
+        cleaned: Dict[OrderedMonomial, Scalar] = {}
         for mono, c in terms.items():
             mono = ordered_monomial(mono)
             c = as_scalar(c)
@@ -82,7 +82,7 @@ class YExpression:
 
     @classmethod
     def generator(cls, g: TGen) -> "YExpression":
-        return cls({(g,): Fraction(1)})
+        return cls({(g,): 1})
 
     def __add__(self, other: "YExpression") -> "YExpression":
         out = dict(self.terms)
@@ -131,7 +131,7 @@ class YExpression:
 def shift(y: YExpression, c: ScalarLike) -> YExpression:
     """The substitution s -> s + c on every generator."""
     c = as_scalar(c)
-    out: Dict[OrderedMonomial, Fraction] = {}
+    out: Dict[OrderedMonomial, Scalar] = {}
     for mono, coeff in y.terms.items():
         shifted = tuple(TGen(g.i, g.j, g.word, g.s + c) for g in mono)
         out[shifted] = out.get(shifted, 0) + coeff
@@ -166,7 +166,7 @@ def reexpress(spec: AlgebraSpec, g: TGen, s2: ScalarLike) -> YExpression:
     """
     s2 = as_scalar(s2)
     base = s2 - g.s
-    out: Dict[OrderedMonomial, Fraction] = {}
+    out: Dict[OrderedMonomial, Scalar] = {}
     m = len(g.word)
     for nu in compositions(m):
         coeff = base ** (m - len(nu))
@@ -218,7 +218,7 @@ def pbw_monomials(
 
 def independence_check(
     monomials: Sequence[OrderedMonomial], omega: AlgebraSpec, n: int
-) -> Tuple[str, Optional[Dict[int, Fraction]]]:
+) -> Tuple[str, Optional[Dict[int, Scalar]]]:
     """Certify independence at N, or a dependency vector stable at N and N+1.
 
     Returns ("independent", None) when the evaluations at N have full rank
@@ -238,8 +238,8 @@ def independence_check(
     if dep is None:
         return ("independent", None)
     idx, combo = dep
-    vec: Dict[int, Fraction] = {c: v for c, v in combo.items() if v}
-    vec[idx] = Fraction(-1)
+    vec: Dict[int, Scalar] = {c: v for c, v in combo.items() if v}
+    vec[idx] = -1
     ctx2 = Enveloping.get(omega, n + 1)
     acc: Dict = {}
     for pos, coeff in vec.items():
@@ -369,8 +369,8 @@ def multiply_y(
     )
 
 
-def y_scalar(y: YExpression) -> Fraction:
-    return y.terms.get((), Fraction(0))
+def y_scalar(y: YExpression) -> Scalar:
+    return y.terms.get((), 0)
 
 
 def shift_automorphism_check(

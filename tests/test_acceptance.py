@@ -201,4 +201,6 @@ def test_criterion_11_full_default_run():
     assert rep1.summary["not-stabilized"] == 0
     assert rep1.exit_code() == 0
     assert rep1.fingerprint() == rep2.fingerprint()
+    # the behaviour anchor: statuses, witnesses, configs and VERSION of the default run
+    assert rep1.fingerprint() == "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959"
     assert elapsed < 900

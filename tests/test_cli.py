@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from glomega import direct_sum_C, nonassoc_witness, save_algebra
 from glomega.cli import main
 
@@ -31,6 +33,37 @@ def test_check_malformed_file(tmp_path, capsys):
     with open(path, "w") as fh:
         fh.write("{not json")
     assert main(["check", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_ROW = {"i": 0, "j": 0, "terms": [{"k": 0, "num": 1}]}
+_MALFORMED = {
+    "index-string": {"dim": 1, "basis": ["a"], "table": [dict(_ROW, i="0")]},
+    "num-float": {"dim": 1, "basis": ["a"], "table": [dict(_ROW, terms=[{"k": 0, "num": 1.5}])]},
+    "num-string": {"dim": 1, "basis": ["a"], "table": [dict(_ROW, terms=[{"k": 0, "num": "1/2"}])]},
+    "terms-int": {"dim": 1, "basis": ["a"], "table": [dict(_ROW, terms=5)]},
+    "dim-bool": {"dim": True, "basis": ["a"], "table": [_ROW]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_check_malformed_table_exits_2(tmp_path, capsys, case):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(_MALFORMED[case], fh)
+    assert main(["check", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"dim": 1, "basis": ["\xe9"], "table": []}', b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_check_unparsable_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["check", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

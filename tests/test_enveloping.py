@@ -52,12 +52,12 @@ def test_normal_form_sorts_and_is_idempotent():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 4))
-def test_normal_form_confluence(seed, length):
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from((C2, matrix_algebra(2))))
+def test_normal_form_confluence(seed, length, spec):
     # rewriting with randomized inversion choices must agree with the
-    # deterministic leftmost strategy
+    # deterministic leftmost strategy; Mat(2) brings noncommuting letters
     rng = random.Random(seed)
-    ctx = Enveloping.get(C2, 3)
+    ctx = Enveloping.get(spec, 3)
     gens = ctx.gens()
     seq = tuple(rng.choice(gens) for _ in range(length))
     assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)

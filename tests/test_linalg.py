@@ -118,3 +118,10 @@ def test_primitive_normalization():
     v = {0: Fraction(-2, 3), 1: Fraction(4, 3)}
     assert primitive(v) == {0: Fraction(1), 1: Fraction(-2)}
     assert primitive({}) == {}
+
+
+def test_primitive_is_exact_on_large_ints():
+    # int / int would round through a float: 2 * 3**40 / 2 is off by 33
+    got = primitive({0: 2 * 3 ** 40, 1: 2})
+    assert got == {0: 3 ** 40, 1: 1}
+    assert all(type(v) is Fraction for v in got.values())

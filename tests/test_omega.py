@@ -1,12 +1,16 @@
 """Coefficient tables: construction, builtin algebras, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glomega import (
     AlgebraSpec,
     StructureError,
+    as_scalar,
     check_associativity,
     detect_unit,
     direct_sum_C,
@@ -103,6 +107,10 @@ def test_table_validation():
         AlgebraSpec(2, table={(0, 0): {7: Fraction(1)}})
     with pytest.raises(StructureError):
         AlgebraSpec(2, basis=["a"])  # wrong label count
+    with pytest.raises(StructureError):
+        AlgebraSpec(True)  # a bool is not a dimension
+    with pytest.raises(StructureError):
+        AlgebraSpec(2, table={("0", 0): {0: 1}})
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -155,3 +163,76 @@ def test_to_dict_uses_fraction_terms():
     spec = AlgebraSpec(1, table={(0, 0): {0: Fraction(1, 2)}})
     data = to_dict(spec)
     assert data["table"][0]["terms"] == [{"k": 0, "num": 1, "den": 2}]
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(5, 5), (Fraction(4, 2), 2), ("6/3", 2), ("-7", -7), (True, 1), (False, 0)],
+)
+def test_as_scalar_integral_values_are_ints(value, want):
+    got = as_scalar(value)
+    assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), "-7/2", Fraction(9, 6)])
+def test_as_scalar_other_values_are_fractions(value):
+    got = as_scalar(value)
+    assert type(got) is Fraction and got == Fraction(value)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, None, [1]])
+def test_as_scalar_rejects_floats_and_non_numbers(value):
+    with pytest.raises(TypeError):
+        as_scalar(value)
+
+
+def test_builtin_and_loaded_tables_hold_ints(tmp_path):
+    path = str(tmp_path / "mat2.json")
+    save_algebra(matrix_algebra(2), path)
+    for spec in (direct_sum_C(2), matrix_algebra(2), nonassoc_witness(), load_algebra(path)):
+        assert all(type(c) is int for entry in spec.table.values() for c in entry.values())
+    # a table built from Fractions reads back as given
+    spec = AlgebraSpec(1, table={(0, 0): {0: Fraction(2)}})
+    assert type(spec.table[(0, 0)][0]) is Fraction
+
+
+_JSON_LEAF = st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False) | st.text(max_size=3)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _table_files(draw):
+    """A valid table file, then maybe one field set to any JSON value."""
+    dim = draw(st.integers(1, 2))
+    index = st.integers(0, dim - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 2))):
+        terms = [
+            {"k": draw(index), "num": draw(st.integers(-2, 2)), "den": draw(st.integers(1, 3))}
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        rows.append({"i": draw(index), "j": draw(index), "terms": terms})
+    data = {"dim": dim, "basis": ["x%d" % a for a in range(dim)], "table": rows}
+    fields = [(data, key) for key in data]
+    fields += [(row, key) for row in rows for key in row]
+    fields += [(term, key) for row in rows for term in row["terms"] for key in term]
+    holder, key = draw(st.sampled_from(fields))
+    if draw(st.booleans()):
+        holder[key] = draw(_JSON)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_files() | _JSON)
+def test_from_dict_any_json_gives_spec_or_structure_error(data):
+    data = json.loads(json.dumps(data))  # exactly what a table file can hold
+    try:
+        spec = from_dict(data)
+    except StructureError:
+        return
+    assert isinstance(spec, AlgebraSpec)
+    assert from_dict(to_dict(spec)).table == spec.table

@@ -131,3 +131,71 @@ def test_human_summary_mentions_counts():
     text = rep.human_summary()
     assert "suite=pbw" in text
     assert "fingerprint=" in text
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _records(rep, name):
+    return sum(1 for r in rep.records if r.name == name)
+
+
+def test_double_suite_runs_each_check_once(monkeypatch):
+    from glomega import doublepoisson as dp
+
+    counts = _count_calls(
+        monkeypatch,
+        dp,
+        ("check_letter_bracket", "check_skew", "check_leibniz", "check_double_jacobi"),
+    )
+    rep = run_suite(SuiteConfig(suite="double"))
+    assert counts["check_letter_bracket"] == _records(rep, "double.letters") == 4
+    assert counts["check_skew"] == _records(rep, "double.skew") == 4
+    assert counts["check_leibniz"] == _records(rep, "double.leibniz") == 4
+    # double.pvdw reuses the double.jacobi witness; each fuzz table runs Jacobi once
+    jacobi_records = _records(rep, "double.jacobi") + _records(rep, "double.pvdw_fuzz")
+    assert counts["check_double_jacobi"] == jacobi_records == 54
+    assert rep.exit_code() == 0
+
+
+def test_current_suite_runs_each_check_once(monkeypatch):
+    from glomega import current as cur
+    from glomega import suites
+
+    counts = _count_calls(monkeypatch, cur, ("check_odot_assoc", "current_unit_check"))
+    units = _count_calls(monkeypatch, suites, ("detect_unit",))
+    rep = run_suite(SuiteConfig(suite="current"))
+    assert counts["check_odot_assoc"] == _records(rep, "current.odot_assoc") == 4
+    assert counts["current_unit_check"] == _records(rep, "current.unit") == 4
+    assert units["detect_unit"] == 4  # once per table
+    assert rep.exit_code() == 0
+
+
+def test_nonassoc_double_report_is_pinned():
+    # the witnesses and the fingerprint of `omega run double --omega nonassoc`
+    rep = run_suite(SuiteConfig(suite="double", omega="nonassoc"))
+    got = {r.name: (r.status, r.witness) for r in rep.records}
+    assert got["double.jacobi"] == ("fail", "jacobi witness ((0,), (0,), (0,))")
+    assert got["double.pvdw"] == ("pass", "")
+    assert got["double.assoc"] == ("fail", "associator at (0, 0, 0)")
+    assert rep.fingerprint() == "7cc8f7a032992de1579a99882e6d8db1b103fa07d2c63b2dd5cdacc33cc45c92"
+
+
+def test_pbw_dependency_witness_is_pinned():
+    # at N=2 the ordered monomials collide; the witness prints the primitive
+    # dependency vector, and its text is part of the fingerprint
+    rep = run_suite(SuiteConfig(suite="pbw", omega="C", n_max=2))
+    got = {r.config: (r.status, r.witness) for r in rep.records if r.name == "pbw.rank"}
+    assert got["omega=C d=2 maxlen=3 maxdeg=2 N=2"] == (
+        "fail",
+        "count=39 rank=28 dependency={1: Fraction(2, 1), 2: Fraction(-1, 1), 10: Fraction(1, 1), 18: Fraction(-1, 1)}",
+    )
