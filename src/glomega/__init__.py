@@ -51,7 +51,6 @@ from .yangian import (
     necklace_count,
     pbw_monomials,
     pbw_suite,
-    reexpress,
     shift,
     shift_automorphism_check,
     splitting_expected,

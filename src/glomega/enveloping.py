@@ -14,10 +14,19 @@ U(gl(N-1)): an E_NN-invariant monomial touching index N always ends in an
 E(*, N) factor, hence lies in the two-sided piece L(N) that the projection
 kills.
 
-Normal forms are computed by repeatedly swapping the leftmost out-of-order
-adjacent pair and inserting the bracket correction; confluence of this
-strategy against randomized swap schedules is exercised in the tests rather
-than assumed.
+A normal form rewrites the leftmost out-of-order adjacent pair g h as
+h g + [g, h].  The swaps of one word form a chain of words of the same
+length, walked in a loop; walking it back adds the bracket corrections,
+which are normal forms of words one generator shorter, so the recursion
+depth is bounded by the word length, not by the number of swaps.  Every
+word met is memoized per context.  Confluence of this strategy against
+randomized swap schedules is exercised in the tests rather than assumed.
+
+Commutators [u, v] do not expand u v - v u: since gr U(gl) is commutative,
+the degree deg u + deg v parts of the two products cancel.  The derivation
+rule expands [g_1...g_l, h_1...h_k] as a sum of words of length l + k - 1,
+each with one pair g_p, h_q replaced by their bracket, and normal-forms only
+those.
 """
 
 from __future__ import annotations
@@ -123,38 +132,52 @@ class Enveloping:
     # -- normal form --------------------------------------------------------
 
     def normal_form(self, seq: Sequence[Gen]) -> Dict[Mono, Scalar]:
-        """PBW expansion of a product of generators (memoized; do not mutate)."""
+        """PBW expansion of a product of generators (memoized; do not mutate).
+
+        The leftmost inversion g h at position p is rewritten as
+        h g + [g, h].  The swaps form a chain of words of the same length,
+        walked in a loop until a sorted or memoized word; each later scan
+        starts at p - 1, since nothing left of it changed.  Walking the chain
+        back adds each bracket correction, the normal form of a word one
+        generator shorter, and memoizes every word on the chain.  Only those
+        shorter words recurse, so the recursion depth is at most len(seq).
+        """
         seq = tuple(seq)
-        cached = self._nf.get(seq)
-        if cached is not None:
-            return cached
+        memo = self._nf
+        res = memo.get(seq)
+        if res is not None:
+            return res
         key = self.sort_key
-        p = -1
-        for a in range(len(seq) - 1):
-            if key(seq[a]) > key(seq[a + 1]):
-                p = a
+        chain: List[Tuple[Mono, int]] = []
+        cur = seq
+        start = 0
+        while True:
+            p = -1
+            for a in range(start, len(cur) - 1):
+                if key(cur[a]) > key(cur[a + 1]):
+                    p = a
+                    break
+            if p < 0:
+                res = {cur: _ONE}
+                memo[cur] = res
                 break
-        if p < 0:
-            res: Dict[Mono, Scalar] = {seq: _ONE}
-        else:
-            g, h = seq[p], seq[p + 1]
-            res = {}
-            swapped = seq[:p] + (h, g) + seq[p + 2 :]
-            for mono, c in self.normal_form(swapped).items():
-                s = res.get(mono, 0) + c
-                if s:
-                    res[mono] = s
-                else:
-                    res.pop(mono, None)
-            for gen, c2 in self.commutator_terms(g, h):
-                shorter = seq[:p] + (gen,) + seq[p + 2 :]
+            chain.append((cur, p))
+            cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2 :]
+            res = memo.get(cur)
+            if res is not None:
+                break
+            start = max(p - 1, 0)
+        for word, p in reversed(chain):
+            res = dict(res)
+            for gen, c2 in self.commutator_terms(word[p], word[p + 1]):
+                shorter = word[:p] + (gen,) + word[p + 2 :]
                 for mono, c in self.normal_form(shorter).items():
                     s = res.get(mono, 0) + c2 * c
                     if s:
                         res[mono] = s
                     else:
                         res.pop(mono, None)
-        self._nf[seq] = res
+            memo[word] = res
         return res
 
     def normal_form_random(self, seq: Sequence[Gen], rng) -> Dict[Mono, Scalar]:
@@ -213,6 +236,35 @@ class Enveloping:
                         out[mono] = s
                     else:
                         out.pop(mono, None)
+        return UElement(self, out)
+
+    def commutator(self, u: "UElement", v: "UElement") -> "UElement":
+        """[u, v] by the derivation rule of an associative algebra.
+
+        For monomials m1 = g_1...g_l and m2 = h_1...h_k,
+        [m1, m2] = sum over q, p of
+        h_1...h_{q-1} g_1...g_{p-1} [g_p, h_q] g_{p+1}...g_l h_{q+1}...h_k,
+        so only words of length l + k - 1 are normal-formed; the degree
+        l + k part of u v - v u, which cancels, is never built.
+        """
+        u._compat(self)
+        v._compat(self)
+        out: Dict[Mono, Scalar] = {}
+        for m1, c1 in u.terms.items():
+            for m2, c2 in v.terms.items():
+                cc = c1 * c2
+                for q, h in enumerate(m2):
+                    left, right = m2[:q], m2[q + 1 :]
+                    for p, g in enumerate(m1):
+                        for gen, c3 in self.commutator_terms(g, h):
+                            word = left + m1[:p] + (gen,) + m1[p + 1 :] + right
+                            c4 = cc * c3
+                            for mono, c in self.normal_form(word).items():
+                                s = out.get(mono, 0) + c4 * c
+                                if s:
+                                    out[mono] = s
+                                else:
+                                    out.pop(mono, None)
         return UElement(self, out)
 
     # -- gl(N, C) action ----------------------------------------------------
@@ -560,7 +612,7 @@ class UElement:
         return NotImplemented
 
     def commutator(self, other: "UElement") -> "UElement":
-        return self * other - other * self
+        return self.ctx.commutator(self, other)
 
     def is_zero(self) -> bool:
         return not self.terms

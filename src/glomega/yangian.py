@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
 from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar
-from .words import Word, compositions, coagulate_word, words_up_to
+from .words import Word, words_up_to
 
 
 class TGen(NamedTuple):
@@ -154,32 +154,6 @@ def evaluate(y, ctx: Enveloping) -> UElement:
             got = ctx.multiply(got, ctx.t_elem(g.i, g.j, g.word, g.s))
         cache[mono] = got
     return got
-
-
-def reexpress(spec: AlgebraSpec, g: TGen, s2: ScalarLike) -> YExpression:
-    """Rewrite one generator at a new parameter value via coagulation.
-
-    t_ij(x; s) = sum over compositions nu of (s2 - s)^(len(x) - len(nu))
-    t_ij(x * nu; s2); evaluation at any N must agree, which the tests check
-    against the enveloping-level identity.  The coefficient algebra is needed
-    to expand the block products.
-    """
-    s2 = as_scalar(s2)
-    base = s2 - g.s
-    out: Dict[OrderedMonomial, Scalar] = {}
-    m = len(g.word)
-    for nu in compositions(m):
-        coeff = base ** (m - len(nu))
-        if not coeff:
-            continue
-        for w2, c2 in coagulate_word(spec, g.word, nu).terms.items():
-            mono = (TGen(g.i, g.j, w2, s2),)
-            s = out.get(mono, 0) + coeff * c2
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return YExpression(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, direct_sum_C, matrix_algebra, null_algebra
+from glomega.doublepoisson import symbol_match_stc
 from glomega.words import words_up_to
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "anchor.txt")
@@ -61,6 +62,76 @@ def test_normal_form_confluence(seed, length, spec):
     gens = ctx.gens()
     seq = tuple(rng.choice(gens) for _ in range(length))
     assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 6), st.sampled_from((C2, matrix_algebra(2))))
+def test_normal_form_matches_random_rewriting_at_n2(seed, length, spec):
+    rng = random.Random(seed)
+    ctx = Enveloping.get(spec, 2)
+    seq = tuple(rng.choice(ctx.gens()) for _ in range(length))
+    assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)
+
+
+def test_normal_form_long_word_has_no_recursion_limit():
+    # E22^40 E11^40 needs 1600 swaps; a Python frame per swap overflowed
+    ctx = Enveloping(C1, 2)
+    k = 40
+    seq = ((2, 2, 0),) * k + ((1, 1, 0),) * k
+    assert ctx.normal_form(seq) == {((1, 1, 0),) * k + ((2, 2, 0),) * k: 1}
+
+
+_COMM_SPECS = (C1, C2, null_algebra(2), matrix_algebra(2))
+
+
+def _random_element(ctx, rng):
+    gens = ctx.gens()
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        mono = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+        terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return ctx.element(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(_COMM_SPECS), st.integers(1, 3))
+def test_commutator_matches_product_difference(seed, spec, n):
+    # multiply is the reference; monomials of degree 0 give constant terms
+    rng = random.Random(seed)
+    ctx = Enveloping.get(spec, n)
+    u = _random_element(ctx, rng)
+    v = _random_element(ctx, rng)
+    for a, b in ((u, v), (u, ctx.zero()), (ctx.one(), v), (u + ctx.one(), v.scale(Fraction(1, 2)))):
+        assert ctx.commutator(a, b) == ctx.multiply(a, b) - ctx.multiply(b, a)
+        assert a.commutator(b) == ctx.commutator(a, b)
+
+
+def test_symbol_match_builds_no_cancelling_top_degree(monkeypatch):
+    # [t(x), t(y)] for words of length 2 needs normal forms of length 3 only
+    longest = [0]
+    normal_form = Enveloping.normal_form
+
+    def spy(self, seq):
+        longest[0] = max(longest[0], len(seq))
+        return normal_form(self, seq)
+
+    def no_multiply(self, u, v):
+        raise AssertionError("multiply called")
+
+    monkeypatch.setattr(Enveloping, "normal_form", spy)
+    monkeypatch.setattr(Enveloping, "multiply", no_multiply)
+    rep = symbol_match_stc(matrix_algebra(2), (0, 1), (2, 3), 4)
+    assert rep["match"]
+    assert longest[0] == 3
+
+
+def test_commutator_rejects_foreign_context():
+    a = Enveloping.get(C1, 2)
+    b = Enveloping.get(C1, 3)
+    with pytest.raises(StructureError):
+        a.commutator(a.gen(1, 2), b.gen(1, 2))
+    with pytest.raises(StructureError):
+        a.gen(1, 2).commutator(Enveloping.get(C2, 2).gen(1, 2))
 
 
 def test_multiply_associative_spot():
