@@ -27,7 +27,6 @@ Structural checks implemented here:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .doublepoisson import PGen, pgen_key
@@ -38,20 +37,14 @@ from .omega import (
     OmegaElement,
     Scalar,
     ScalarLike,
+    SparseVector,
     StabilizationError,
     StructureError,
+    _acc,
     as_scalar,
     detect_unit,
 )
 from .words import Word, basis_words, words_up_to
-
-
-def _acc(d: Dict, k, v) -> None:
-    s = d.get(k, 0) + v
-    if s:
-        d[k] = s
-    else:
-        d.pop(k, None)
 
 
 def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
@@ -65,84 +58,46 @@ def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
     return out
 
 
-class AlElement:
+class AlElement(SparseVector):
     """Element of the graded current algebra; words of length n+1 sit in grade n."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _mixed = "elements over different tables"
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Word, ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Word, Scalar] = {}
-        for w, c in terms.items():
-            w = tuple(w)
-            if not w:
-                raise StructureError("current-algebra words must be nonempty")
-            for letter in w:
-                if not 0 <= letter < spec.dim:
-                    raise StructureError("letter %r out of range" % (letter,))
-            c = as_scalar(c)
-            if c:
-                cleaned[w] = c
-        self.terms = cleaned
+        super().__init__(terms)
+
+    def _owner(self) -> AlgebraSpec:
+        return self.spec
+
+    def _key(self, w: Iterable[int]) -> Word:
+        w = tuple(w)
+        if not w:
+            raise StructureError("current-algebra words must be nonempty")
+        for letter in w:
+            if not 0 <= letter < self.spec.dim:
+                raise StructureError("letter %r out of range" % (letter,))
+        return w
 
     @classmethod
     def from_word(cls, spec: AlgebraSpec, word: Word) -> "AlElement":
         return cls(spec, {tuple(word): 1})
 
-    def _check(self, other: "AlElement") -> None:
-        if self.spec is not other.spec:
-            raise StructureError("elements over different tables")
-
-    def __add__(self, other: "AlElement") -> "AlElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        return AlElement(self.spec, out)
-
-    def __neg__(self) -> "AlElement":
-        return AlElement(self.spec, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "AlElement") -> "AlElement":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "AlElement":
-        c = as_scalar(c)
-        return AlElement(self.spec, {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, AlElement):
-            return NotImplemented
+    def _product(self, other: "AlElement") -> "AlElement":
         self._check(other)
         out: Dict[Word, Scalar] = {}
         for wx, cx in self.terms.items():
             for wy, cy in other.terms.items():
                 for w, c in odot_words(self.spec, wx, wy).items():
                     _acc(out, w, cx * cy * c)
-        return AlElement(self.spec, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self._like(out)
 
     def grade_part(self, n: int) -> "AlElement":
-        return AlElement(self.spec, {w: c for w, c in self.terms.items() if len(w) == n + 1})
+        return self._like({w: c for w, c in self.terms.items() if len(w) == n + 1})
 
     def grades(self) -> List[int]:
         return sorted({len(w) - 1 for w in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlElement)
-            and self.spec is other.spec
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -198,7 +153,7 @@ def current_unit_check(spec: AlgebraSpec, maxgrade: int = 2) -> Dict[str, object
     e = detect_unit(spec)
     if e is None:
         return {"omega_has_unit": False, "acts_as_unit": None, "passed": True}
-    unit = AlElement(spec, {(i,): c for i, c in e.coeffs.items()})
+    unit = AlElement(spec, {(i,): c for i, c in e.terms.items()})
     ok = True
     for w in words_up_to(spec, maxgrade + 1):
         x = AlElement.from_word(spec, w)
@@ -215,63 +170,34 @@ def current_unit_check(spec: AlgebraSpec, maxgrade: int = 2) -> Dict[str, object
 CKey = Tuple[int, int, Word]
 
 
-class CurrentElement:
+class CurrentElement(SparseVector):
     """Element of gl(d) over the current algebra: sparse (i, j, word) -> scalar."""
 
-    __slots__ = ("spec", "d", "terms")
+    __slots__ = ("spec", "d")
+    _mixed = "current elements over different gl(d) currents"
 
     def __init__(self, spec: AlgebraSpec, d: int, terms: Mapping[CKey, ScalarLike]):
         if d < 1:
             raise StructureError("d must be positive")
         self.spec = spec
         self.d = d
-        cleaned: Dict[CKey, Scalar] = {}
-        for (i, j, w), c in terms.items():
-            if not (1 <= i <= d and 1 <= j <= d):
-                raise StructureError("matrix indices out of range for d=%d" % d)
-            w = tuple(w)
-            if not w:
-                raise StructureError("current-algebra words must be nonempty")
-            c = as_scalar(c)
-            if c:
-                cleaned[(i, j, w)] = c
-        self.terms = cleaned
+        super().__init__(terms)
+
+    def _owner(self) -> Tuple[AlgebraSpec, int]:
+        return (self.spec, self.d)
+
+    def _key(self, key: Tuple[int, int, Iterable[int]]) -> CKey:
+        i, j, w = key
+        if not (1 <= i <= self.d and 1 <= j <= self.d):
+            raise StructureError("matrix indices out of range for d=%d" % self.d)
+        w = tuple(w)
+        if not w:
+            raise StructureError("current-algebra words must be nonempty")
+        return (i, j, w)
 
     @classmethod
     def basis(cls, spec: AlgebraSpec, d: int, i: int, j: int, word: Word) -> "CurrentElement":
         return cls(spec, d, {(i, j, tuple(word)): 1})
-
-    def _check(self, other: "CurrentElement") -> None:
-        if self.spec is not other.spec or self.d != other.d:
-            raise StructureError("current elements over different gl(d) currents")
-
-    def __add__(self, other: "CurrentElement") -> "CurrentElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return CurrentElement(self.spec, self.d, out)
-
-    def __neg__(self) -> "CurrentElement":
-        return CurrentElement(self.spec, self.d, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "CurrentElement") -> "CurrentElement":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "CurrentElement":
-        c = as_scalar(c)
-        return CurrentElement(self.spec, self.d, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CurrentElement)
-            and self.spec is other.spec
-            and self.d == other.d
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         return "<Cur %r>" % (self.terms,)
@@ -291,7 +217,7 @@ def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
             if l == i:
                 for w, c in odot_words(spec, y, x).items():
                     _acc(out, (k, j, w), -cc * c)
-    return CurrentElement(spec, a.d, out)
+    return CurrentElement._trusted(spec, a.d, out)
 
 
 def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey]]:
@@ -429,7 +355,7 @@ def _phi(spec: AlgebraSpec, unit: OmegaElement, word: Word) -> Dict[Word, Scalar
     for letter in word[2:]:
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
-            for e_idx, e_c in unit.coeffs.items():
+            for e_idx, e_c in unit.terms.items():
                 _acc(nxt, w + (e_idx, letter), c * e_c)
         out = nxt
     return out
@@ -542,7 +468,7 @@ def _pgen_monomials_total(omega: AlgebraSpec, d: int, total: int) -> List[Tuple[
 
 def _symbol_solver(ctx: Enveloping, d: int, total: int):
     """Solver matching top-degree parts against e-products of the monomial list."""
-    cache = ctx.__dict__.setdefault("_degeneration_solvers", {})
+    cache = ctx._degeneration_solvers
     key = (d, total)
     if key not in cache:
         monos = _pgen_monomials_total(ctx.omega, d, total)
@@ -557,7 +483,7 @@ def _symbol_solver(ctx: Enveloping, d: int, total: int):
 
 
 def _eval_pgen_mono(ctx: Enveloping, mono: Tuple[PGen, ...], s) -> UElement:
-    cache = ctx.__dict__.setdefault("_degeneration_evals", {})
+    cache = ctx._degeneration_evals
     key = (mono, as_scalar(s))
     if key not in cache:
         cur = ctx.one()

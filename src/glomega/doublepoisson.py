@@ -37,87 +37,50 @@ at two consecutive sizes N and N+1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .enveloping import Enveloping, UElement
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, check_associativity
+from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, check_associativity
 from .words import CyclicWord, Word, words_up_to
 
 
-def _acc(d: Dict, k, v) -> None:
-    s = d.get(k, 0) + v
-    if s:
-        d[k] = s
-    else:
-        d.pop(k, None)
-
-
-class DoubleTensor:
+class DoubleTensor(SparseVector):
     """Sparse element of T(Omega) (x) T(Omega); keys are pairs of words."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _mixed = "double tensors over different algebras"
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Tuple[Word, Word], ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Tuple[Word, Word], Scalar] = {}
-        for (u, v), c in terms.items():
-            c = as_scalar(c)
-            if c:
-                cleaned[(tuple(u), tuple(v))] = c
-        self.terms = cleaned
+        super().__init__(terms)
 
-    def _check(self, other: "DoubleTensor") -> None:
-        if self.spec is not other.spec:
-            raise StructureError("double tensors over different algebras")
+    def _owner(self) -> AlgebraSpec:
+        return self.spec
 
-    def __add__(self, other: "DoubleTensor") -> "DoubleTensor":
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return DoubleTensor(self.spec, out)
-
-    def __neg__(self) -> "DoubleTensor":
-        return DoubleTensor(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "DoubleTensor") -> "DoubleTensor":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "DoubleTensor":
-        c = as_scalar(c)
-        return DoubleTensor(self.spec, {k: c * v for k, v in self.terms.items()})
+    def _key(self, key: Tuple[Iterable[int], Iterable[int]]) -> Tuple[Word, Word]:
+        u, v = key
+        return (tuple(u), tuple(v))
 
     def flip(self) -> "DoubleTensor":
-        return DoubleTensor(self.spec, {(v, u): c for (u, v), c in self.terms.items()})
+        return self._like({(v, u): c for (u, v), c in self.terms.items()})
 
     # outer bimodule actions: b . (u (x) v) = bu (x) v and (u (x) v) . c = u (x) vc
     def outer_left(self, w: Word) -> "DoubleTensor":
         w = tuple(w)
-        return DoubleTensor(self.spec, {(w + u, v): c for (u, v), c in self.terms.items()})
+        return self._like({(w + u, v): c for (u, v), c in self.terms.items()})
 
     def outer_right(self, w: Word) -> "DoubleTensor":
         w = tuple(w)
-        return DoubleTensor(self.spec, {(u, v + w): c for (u, v), c in self.terms.items()})
+        return self._like({(u, v + w): c for (u, v), c in self.terms.items()})
 
     # inner bimodule actions: a * (u (x) v) = u (x) av and (u (x) v) * b = ub (x) v
     def inner_left(self, w: Word) -> "DoubleTensor":
         w = tuple(w)
-        return DoubleTensor(self.spec, {(u, tuple(w) + v): c for (u, v), c in self.terms.items()})
+        return self._like({(u, w + v): c for (u, v), c in self.terms.items()})
 
     def inner_right(self, w: Word) -> "DoubleTensor":
         w = tuple(w)
-        return DoubleTensor(self.spec, {(u + w, v): c for (u, v), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DoubleTensor)
-            and self.spec is other.spec
-            and self.terms == other.terms
-        )
+        return self._like({(u + w, v): c for (u, v), c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -130,36 +93,25 @@ class DoubleTensor:
         return "<DT " + " + ".join(bits) + ">"
 
 
-class TripleTensor:
+class TripleTensor(SparseVector):
     """Sparse element of T(Omega)^(x3); used by the double Jacobi sum."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _mixed = "triple tensors over different algebras"
 
     def __init__(self, spec: AlgebraSpec, terms: Mapping[Tuple[Word, Word, Word], ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Tuple[Word, Word, Word], Scalar] = {}
-        for key, c in terms.items():
-            c = as_scalar(c)
-            if c:
-                cleaned[tuple(map(tuple, key))] = c
-        self.terms = cleaned
+        super().__init__(terms)
 
-    def __add__(self, other: "TripleTensor") -> "TripleTensor":
-        if self.spec is not other.spec:
-            raise StructureError("triple tensors over different algebras")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        return TripleTensor(self.spec, out)
+    def _owner(self) -> AlgebraSpec:
+        return self.spec
+
+    def _key(self, key: Tuple[Iterable[int], ...]) -> Tuple[Word, Word, Word]:
+        return tuple(map(tuple, key))
 
     def rotate(self) -> "TripleTensor":
         """u1 (x) u2 (x) u3  ->  u3 (x) u1 (x) u2."""
-        return TripleTensor(
-            self.spec, {(u3, u1, u2): c for (u1, u2, u3), c in self.terms.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like({(u3, u1, u2): c for (u1, u2, u3), c in self.terms.items()})
 
 
 def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> DoubleTensor:
@@ -173,7 +125,7 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> DoubleTensor:
                 _acc(out, (y[:s] + x[r + 1 :], x[:r] + (k,) + y[s + 1 :]), c)
             for k, c in spec.product(y[s], x[r]).items():
                 _acc(out, (y[:s] + (k,) + x[r + 1 :], x[:r] + y[s + 1 :]), -c)
-    return DoubleTensor(spec, out)
+    return DoubleTensor._trusted(spec, out)
 
 
 def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> DoubleTensor:
@@ -183,7 +135,7 @@ def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> DoubleTensor:
         _acc(out, ((), (k,)), c)
     for k, c in spec.product(j, i).items():
         _acc(out, ((k,), ()), -c)
-    return DoubleTensor(spec, out)
+    return DoubleTensor._trusted(spec, out)
 
 
 def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
@@ -248,7 +200,7 @@ def _bracket_into_first(spec: AlgebraSpec, a: Word, dt: DoubleTensor) -> TripleT
         inner = double_bracket(spec, a, u)
         for (p, q), c2 in inner.terms.items():
             _acc(out, (p, q, v), c * c2)
-    return TripleTensor(spec, out)
+    return TripleTensor._trusted(spec, out)
 
 
 def triple_jacobi_sum(spec: AlgebraSpec, a: Word, b: Word, c: Word) -> TripleTensor:
@@ -308,21 +260,13 @@ def pgen_key(p: PGen) -> Tuple[int, int, int, Word]:
 SMono = Tuple[PGen, ...]  # sorted by pgen_key; commutative monomial
 
 
-class SPoly:
+class SPoly(SparseVector):
     """Polynomial in the symbols p_ij(word), exact coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[SMono, ScalarLike]):
-        cleaned: Dict[SMono, Scalar] = {}
-        for mono, c in terms.items():
-            mono = tuple(sorted(mono, key=pgen_key))
-            c = as_scalar(c)
-            if c:
-                cleaned[mono] = cleaned.get(mono, 0) + c
-                if not cleaned[mono]:
-                    del cleaned[mono]
-        self.terms = cleaned
+    def _key(self, mono: Iterable[PGen]) -> SMono:
+        return tuple(sorted(mono, key=pgen_key))
 
     @classmethod
     def zero(cls) -> "SPoly":
@@ -332,49 +276,18 @@ class SPoly:
     def generator(cls, p: PGen) -> "SPoly":
         return cls({(p,): 1})
 
-    def __add__(self, other: "SPoly") -> "SPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            _acc(out, mono, c)
-        return SPoly(out)
-
-    def __neg__(self) -> "SPoly":
-        return SPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "SPoly") -> "SPoly":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "SPoly":
-        c = as_scalar(c)
-        return SPoly({m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, SPoly):
-            return NotImplemented
+    def _product(self, other: "SPoly") -> "SPoly":
         out: Dict[SMono, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(out, tuple(sorted(m1 + m2, key=pgen_key)), c1 * c2)
-        return SPoly(out)
+        return SPoly._trusted(out)
 
     def part(self, factor_count: int) -> "SPoly":
-        return SPoly({m: c for m, c in self.terms.items() if len(m) == factor_count})
+        return self._like({m: c for m, c in self.terms.items() if len(m) == factor_count})
 
     def part_at_least(self, factor_count: int) -> "SPoly":
-        return SPoly({m: c for m, c in self.terms.items() if len(m) >= factor_count})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SPoly) and self.terms == other.terms
+        return self._like({m: c for m, c in self.terms.items() if len(m) >= factor_count})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -407,12 +320,12 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
         elif i != l:
             continue
         _acc(out, tuple(sorted(factors, key=pgen_key)), c)
-    return SPoly(out)
+    return SPoly._trusted(out)
 
 
 def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
     """Leibniz extension of poisson_pgen to polynomials in the symbols."""
-    out = SPoly.zero()
+    out: Dict[SMono, Scalar] = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
             cc = c1 * c2
@@ -421,8 +334,8 @@ def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
                     rest = m1[:r] + m1[r + 1 :] + m2[:t] + m2[t + 1 :]
                     bracket = poisson_pgen(spec, m1[r], m2[t])
                     for mb, cb in bracket.terms.items():
-                        out = out + SPoly({tuple(sorted(rest + mb, key=pgen_key)): cc * cb})
-    return out
+                        _acc(out, tuple(sorted(rest + mb, key=pgen_key)), cc * cb)
+    return SPoly._trusted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -446,60 +359,24 @@ def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict
 NMono = Tuple[CyclicWord, ...]  # sorted tuple
 
 
-class NecklacePoly:
+class NecklacePoly(SparseVector):
     """Polynomial in cyclic-word classes with the trace bracket."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[NMono, ScalarLike]):
-        cleaned: Dict[NMono, Scalar] = {}
-        for mono, c in terms.items():
-            mono = tuple(sorted(CyclicWord(w) for w in mono))
-            c = as_scalar(c)
-            if c:
-                cleaned[mono] = cleaned.get(mono, 0) + c
-                if not cleaned[mono]:
-                    del cleaned[mono]
-        self.terms = cleaned
+    def _key(self, mono: Iterable[Iterable[int]]) -> NMono:
+        return tuple(sorted(CyclicWord(w) for w in mono))
 
     @classmethod
     def cls_of(cls, word: Iterable[int]) -> "NecklacePoly":
         return cls({(CyclicWord(word),): 1})
 
-    def __add__(self, other: "NecklacePoly") -> "NecklacePoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            _acc(out, mono, c)
-        return NecklacePoly(out)
-
-    def __neg__(self) -> "NecklacePoly":
-        return NecklacePoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "NecklacePoly") -> "NecklacePoly":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "NecklacePoly":
-        c = as_scalar(c)
-        return NecklacePoly({m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, NecklacePoly):
-            return NotImplemented
+    def _product(self, other: "NecklacePoly") -> "NecklacePoly":
         out: Dict[NMono, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(out, tuple(sorted(m1 + m2)), c1 * c2)
-        return NecklacePoly(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NecklacePoly) and self.terms == other.terms
+        return NecklacePoly._trusted(out)
 
     def __repr__(self) -> str:
         return "<NecklacePoly %r>" % (self.terms,)
@@ -507,7 +384,7 @@ class NecklacePoly:
 
 def poisson_stc(spec: AlgebraSpec, f: NecklacePoly, g: NecklacePoly) -> NecklacePoly:
     """Leibniz extension of the trace bracket to necklace polynomials."""
-    out = NecklacePoly({})
+    out: Dict[NMono, Scalar] = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
             cc = c1 * c2
@@ -515,8 +392,8 @@ def poisson_stc(spec: AlgebraSpec, f: NecklacePoly, g: NecklacePoly) -> Necklace
                 for t in range(len(m2)):
                     rest = m1[:r] + m1[r + 1 :] + m2[:t] + m2[t + 1 :]
                     for w, cb in trace_bracket(spec, m1[r], m2[t]).items():
-                        out = out + NecklacePoly({tuple(sorted(rest + (w,))): cc * cb})
-    return out
+                        _acc(out, tuple(sorted(rest + (w,))), cc * cb)
+    return NecklacePoly._trusted(out)
 
 
 # ---------------------------------------------------------------------------

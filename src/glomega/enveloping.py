@@ -32,11 +32,20 @@ those.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, check_associativity
+from .omega import (
+    AlgebraSpec,
+    Scalar,
+    ScalarLike,
+    SparseVector,
+    StructureError,
+    _acc,
+    as_scalar,
+    check_associativity,
+    vec_add,
+)
 from .words import Word, compositions, coagulate_word
 
 # generator E_ij(x_b) as a plain tuple (i, j, b); i, j are 1-based, b indexes
@@ -67,6 +76,11 @@ class Enveloping:
         self._keys: Dict[Gen, Tuple[int, int, int, int]] = {}
         self._e: Dict = {}
         self._t: Dict = {}
+        # ordered t-monomials evaluated by yangian.evaluate
+        self._y_eval_cache: Dict = {}
+        # symbol solvers and evaluated t-monomials of current.t_expansion
+        self._degeneration_solvers: Dict = {}
+        self._degeneration_evals: Dict = {}
         self._gens: Optional[List[Gen]] = None
 
     @classmethod
@@ -115,17 +129,11 @@ class Enveloping:
             out: Dict[Gen, Scalar] = {}
             if i2 == j1:
                 for k, c in self.omega.product(b1, b2).items():
-                    gen = (i1, j2, k)
-                    out[gen] = out.get(gen, 0) + c
+                    _acc(out, (i1, j2, k), c)
             if i1 == j2:
                 for k, c in self.omega.product(b2, b1).items():
-                    gen = (i2, j1, k)
-                    s = out.get(gen, 0) - c
-                    if s:
-                        out[gen] = s
-                    else:
-                        out.pop(gen, None)
-            terms = tuple((gen, c) for gen, c in out.items() if c)
+                    _acc(out, (i2, j1, k), -c)
+            terms = tuple(out.items())
             self._comm[key] = terms
         return terms
 
@@ -170,13 +178,7 @@ class Enveloping:
         for word, p in reversed(chain):
             res = dict(res)
             for gen, c2 in self.commutator_terms(word[p], word[p + 1]):
-                shorter = word[:p] + (gen,) + word[p + 2 :]
-                for mono, c in self.normal_form(shorter).items():
-                    s = res.get(mono, 0) + c2 * c
-                    if s:
-                        res[mono] = s
-                    else:
-                        res.pop(mono, None)
+                vec_add(res, self.normal_form(word[:p] + (gen,) + word[p + 2 :]), c2)
             memo[word] = res
         return res
 
@@ -195,11 +197,7 @@ class Enveloping:
                 a for a in range(len(cur) - 1) if key(cur[a]) > key(cur[a + 1])
             ]
             if not inversions:
-                s = out.get(cur, 0) + coeff
-                if s:
-                    out[cur] = s
-                else:
-                    out.pop(cur, None)
+                _acc(out, cur, coeff)
                 continue
             p = rng.choice(inversions)
             g, h = cur[p], cur[p + 1]
@@ -229,14 +227,8 @@ class Enveloping:
         out: Dict[Mono, Scalar] = {}
         for m1, c1 in u.terms.items():
             for m2, c2 in v.terms.items():
-                cc = c1 * c2
-                for mono, c in self.normal_form(m1 + m2).items():
-                    s = out.get(mono, 0) + cc * c
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-        return UElement(self, out)
+                vec_add(out, self.normal_form(m1 + m2), c1 * c2)
+        return UElement._trusted(self, out)
 
     def commutator(self, u: "UElement", v: "UElement") -> "UElement":
         """[u, v] by the derivation rule of an associative algebra.
@@ -258,14 +250,8 @@ class Enveloping:
                     for p, g in enumerate(m1):
                         for gen, c3 in self.commutator_terms(g, h):
                             word = left + m1[:p] + (gen,) + m1[p + 1 :] + right
-                            c4 = cc * c3
-                            for mono, c in self.normal_form(word).items():
-                                s = out.get(mono, 0) + c4 * c
-                                if s:
-                                    out[mono] = s
-                                else:
-                                    out.pop(mono, None)
-        return UElement(self, out)
+                            vec_add(out, self.normal_form(word), cc * c3)
+        return UElement._trusted(self, out)
 
     # -- gl(N, C) action ----------------------------------------------------
 
@@ -279,13 +265,7 @@ class Enveloping:
             if l == i:
                 repl.append(((k, j, b), -1))
             for gen, sign in repl:
-                seq = mono[:pos] + (gen,) + mono[pos + 1 :]
-                for m2, c in self.normal_form(seq).items():
-                    s = out.get(m2, 0) + sign * c
-                    if s:
-                        out[m2] = s
-                    else:
-                        out.pop(m2, None)
+                vec_add(out, self.normal_form(mono[:pos] + (gen,) + mono[pos + 1 :]), sign)
         return out
 
     def ad_E(self, i: int, j: int, u: "UElement") -> "UElement":
@@ -295,13 +275,8 @@ class Enveloping:
             raise StructureError("ad index (%d, %d) out of range" % (i, j))
         out: Dict[Mono, Scalar] = {}
         for mono, c in u.terms.items():
-            for m2, c2 in self._ad_mono(i, j, mono).items():
-                s = out.get(m2, 0) + c * c2
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
-        return UElement(self, out)
+            vec_add(out, self._ad_mono(i, j, mono), c)
+        return UElement._trusted(self, out)
 
     def mono_weight(self, mono: Mono, a: Optional[int] = None) -> int:
         """Eigenvalue of ad E_aa on a monomial (default a = N)."""
@@ -345,14 +320,8 @@ class Enveloping:
         acc: Dict[Mono, Scalar] = {}
         for chain in itertools.product(range(1, self.n + 1), repeat=m - 1):
             idx = (i,) + chain + (j,)
-            seq = tuple((idx[r], idx[r + 1], word[r]) for r in range(m))
-            for mono, c in self.normal_form(seq).items():
-                s = acc.get(mono, 0) + c
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        el = UElement(self, acc)
+            vec_add(acc, self.normal_form(tuple((idx[r], idx[r + 1], word[r]) for r in range(m))))
+        el = UElement._trusted(self, acc)
         self._e[key] = el
         return el
 
@@ -377,14 +346,8 @@ class Enveloping:
             if not coeff:
                 continue
             for w2, c2 in coagulate_word(self.omega, word, nu).terms.items():
-                cc = coeff * c2
-                for mono, c in self.e_elem(i, j, w2).terms.items():
-                    val = acc.get(mono, 0) + cc * c
-                    if val:
-                        acc[mono] = val
-                    else:
-                        acc.pop(mono, None)
-        el = UElement(self, acc)
+                vec_add(acc, self.e_elem(i, j, w2).terms, coeff * c2)
+        el = UElement._trusted(self, acc)
         self._t[key] = el
         return el
 
@@ -433,13 +396,8 @@ class Enveloping:
                         "monomial %r touches index N without an E(*,N) factor" % (mono,)
                     )
                 continue
-            for m2, c2 in target.normal_form(mono).items():
-                s = acc.get(m2, 0) + c * c2
-                if s:
-                    acc[m2] = s
-                else:
-                    acc.pop(m2, None)
-        return UElement(target, acc)
+            vec_add(acc, target.normal_form(mono), c)
+        return UElement._trusted(target, acc)
 
     # -- enumeration and invariants ------------------------------------------
 
@@ -467,11 +425,8 @@ class Enveloping:
                     if i == j:
                         continue  # torus already accounted for by the column filter
                     for m2, c in self._ad_mono(i, j, mono).items():
-                        row = rows.setdefault((i, j, m2), {})
-                        row[ci] = row.get(ci, 0) + c
-        return [
-            {k: v for k, v in row.items() if v} for row in rows.values() if any(row.values())
-        ]
+                        _acc(rows.setdefault((i, j, m2), {}), ci, c)
+        return [row for row in rows.values() if row]
 
     def invariant_dim(self, d: int, maxdeg: int) -> int:
         """Dimension of the gl_d(N, C)-invariants of filtration degree <= maxdeg."""
@@ -488,7 +443,7 @@ class Enveloping:
             return []
         kern = kernel_basis(self._invariant_constraints(d, cols), len(cols))
         return [
-            UElement(self, {cols[ci]: c for ci, c in vec.items()}) for vec in kern
+            UElement._trusted(self, {cols[ci]: c for ci, c in vec.items()}) for vec in kern
         ]
 
     # -- the two ideals -----------------------------------------------------
@@ -560,80 +515,38 @@ class Enveloping:
         }
 
 
-class UElement:
+class UElement(SparseVector):
     """Sparse element of U(gl(n, omega)) in PBW coordinates."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+    _mixed = "element belongs to a different enveloping context"
 
-    def __init__(self, ctx: Enveloping, terms: Mapping[Mono, ScalarLike]):
+    def __init__(self, ctx: Enveloping, terms: Mapping[Iterable[Gen], ScalarLike]):
         self.ctx = ctx
-        cleaned: Dict[Mono, Scalar] = {}
-        for mono, c in terms.items():
-            c = as_scalar(c)
-            if c:
-                cleaned[tuple(mono)] = c
-        self.terms = cleaned
+        super().__init__(terms)
+
+    def _key(self, mono: Iterable[Gen]) -> Mono:
+        return tuple(mono)
+
+    def _owner(self) -> tuple:
+        return (self.ctx.omega, self.ctx.n)
 
     def _compat(self, ctx: Enveloping) -> None:
-        if self.ctx.omega is not ctx.omega or self.ctx.n != ctx.n:
-            raise StructureError("element belongs to a different enveloping context")
+        if self._owner() != (ctx.omega, ctx.n):
+            raise StructureError(self._mixed)
 
-    def __add__(self, other: "UElement") -> "UElement":
-        other._compat(self.ctx)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return UElement(self.ctx, out)
-
-    def __neg__(self) -> "UElement":
-        return UElement(self.ctx, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "UElement") -> "UElement":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "UElement":
-        c = as_scalar(c)
-        return UElement(self.ctx, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, UElement):
-            return self.ctx.multiply(self, other)
-        return NotImplemented
+    def _product(self, other: "UElement") -> "UElement":
+        return self.ctx.multiply(self, other)
 
     def commutator(self, other: "UElement") -> "UElement":
         return self.ctx.commutator(self, other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Filtration degree; -1 for the zero element."""
         return max((len(m) for m in self.terms), default=-1)
 
     def homogeneous(self, k: int) -> "UElement":
-        return UElement(self.ctx, {m: c for m, c in self.terms.items() if len(m) == k})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UElement)
-            and self.ctx.omega is other.ctx.omega
-            and self.ctx.n == other.ctx.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx.omega), self.ctx.n, tuple(sorted(self.terms.items()))))
+        return self._like({m: c for m, c in self.terms.items() if len(m) == k})
 
     def canonical_str(self) -> str:
         """Deterministic text form: terms sorted by (degree, monomial)."""

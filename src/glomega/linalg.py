@@ -17,21 +17,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .omega import Scalar
+from .omega import Scalar, vec_add
 
 Vec = Dict[Hashable, Scalar]
-
-
-def vec_add(target: Vec, src: Vec, scale: Scalar) -> None:
-    """target += scale * src, pruning zeros in place."""
-    if not scale:
-        return
-    for k, v in src.items():
-        s = target.get(k, 0) + scale * v
-        if s:
-            target[k] = s
-        else:
-            target.pop(k, None)
 
 
 class SpanSolver:

@@ -17,13 +17,33 @@ constant as it was given, so it reads back unchanged; the builtin tables and
 tables loaded from JSON hold ``int`` constants wherever they are integral.
 Nothing divides two ints with ``/``, which would give a float: exact division
 goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
+
+Every element class of the package is a :class:`SparseVector`: a dict
+``terms`` from keys to nonzero scalars, with addition, subtraction,
+negation, scaling, equality and hashing written once here.  A subclass adds
+only its owner, its key hook, its product, its text form and its own
+methods.  There are two constructors:
+
+* the public one, ``Cls(*owner, terms)``, runs the subclass's key hook on
+  every key (validation and canonical form), normalises every coefficient
+  with :func:`as_scalar`, sums keys that collide and drops zeros;
+* the trusted one, ``Cls._trusted(*owner, terms)``, is for dicts that the
+  package's own arithmetic built: it skips the key hook, but still passes
+  every coefficient through :func:`as_scalar` and drops zeros.
+
+The owner is what ties elements together: a table ``spec``, ``(spec, d)``,
+the ``(omega, n)`` of an enveloping context, or nothing.  Owners compare by
+identity of the table; combining elements of different owners raises
+:class:`StructureError`, and elements of different owners are never equal.
+All accumulation goes through :func:`vec_add` (a whole dict) and
+:func:`_acc` (one key), which drop a key as soon as its sum is zero.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -63,6 +83,141 @@ class StabilizationError(StructureError):
     Kept apart from plain failures: a headroom shortfall is not a
     counterexample, and reports track it under its own status.
     """
+
+
+def _acc(d: Dict, key, value: Scalar) -> None:
+    """d[key] += value, dropping the key when the sum is zero."""
+    s = d.get(key, 0) + value
+    if s:
+        d[key] = s
+    else:
+        d.pop(key, None)
+
+
+def vec_add(target: Dict, src: Mapping, scale: Scalar = 1) -> None:
+    """target += scale * src, pruning zeros in place."""
+    if not scale:
+        return
+    one = scale == 1
+    get = target.get
+    for k, v in src.items():
+        s = get(k, 0) + (v if one else scale * v)
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
+def _nonzero(terms: Mapping) -> Dict:
+    """The terms of a trusted dict with every coefficient through as_scalar, zeros dropped."""
+    out = {}
+    for k, c in terms.items():
+        c = as_scalar(c)
+        if c:
+            out[k] = c
+    return out
+
+
+class SparseVector:
+    """A sparse exact linear combination: ``terms`` maps keys to nonzero scalars.
+
+    A subclass's own ``__slots__`` are its owner attributes, in the order its
+    constructor takes them before the terms; its ``__init__`` binds them and
+    then calls this one.  A subclass with an owner overrides ``_owner`` (what
+    owners compare by); any subclass may override ``_key`` (the key hook),
+    ``_product`` (the product of two elements) and ``_mixed`` (the message
+    for mixed owners).
+    """
+
+    __slots__ = ("terms",)
+    _mixed = "elements of different owners"
+
+    def __init__(self, terms: Mapping):
+        """Key hook on every key, as_scalar on every coefficient; collisions summed, zeros dropped."""
+        key = self._key
+        out: Dict[Hashable, Scalar] = {}
+        for k, c in terms.items():
+            _acc(out, key(k), as_scalar(c))
+        self.terms = out
+
+    @classmethod
+    def _trusted(cls, *owner_and_terms):
+        """Build from a dict with canonical keys; only the coefficients are normalised."""
+        new = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, owner_and_terms):
+            setattr(new, name, value)
+        new.terms = _nonzero(owner_and_terms[-1])
+        return new
+
+    def _like(self, terms: Mapping) -> "SparseVector":
+        """A trusted element with the same owner."""
+        cls = type(self)
+        new = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.terms = _nonzero(terms)
+        return new
+
+    def _key(self, key):
+        return key
+
+    def _owner(self):
+        return None
+
+    def _check(self, other: "SparseVector") -> None:
+        if self._owner() != other._owner():
+            raise StructureError(self._mixed)
+
+    def _product(self, other):
+        return NotImplemented
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        vec_add(out, other.terms)
+        return self._like(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        vec_add(out, other.terms, -1)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c: ScalarLike):
+        c = as_scalar(c)
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if type(other) is type(self):
+            return self._product(other)
+        return NotImplemented
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._owner() == other._owner()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._owner(), frozenset(self.terms.items())))
 
 
 class AlgebraSpec:
@@ -127,77 +282,32 @@ class AlgebraSpec:
         return "<AlgebraSpec %s>" % self.name
 
 
-class OmegaElement:
+class OmegaElement(SparseVector):
     """A sparse vector in an AlgebraSpec, with the table-induced product."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec",)
+    _mixed = "elements belong to different algebras"
 
     def __init__(self, spec: AlgebraSpec, coeffs: Mapping[int, ScalarLike]):
         self.spec = spec
-        cleaned = {}
-        for k, c in coeffs.items():
-            if not (0 <= k < spec.dim):
-                raise StructureError("coefficient index %r out of range" % (k,))
-            c = as_scalar(c)
-            if c:
-                cleaned[k] = c
-        self.coeffs = cleaned
+        super().__init__(coeffs)
 
-    def _check(self, other: "OmegaElement") -> None:
-        if self.spec is not other.spec:
-            raise StructureError("elements belong to different algebras")
+    def _owner(self) -> AlgebraSpec:
+        return self.spec
 
-    def __add__(self, other: "OmegaElement") -> "OmegaElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return OmegaElement(self.spec, out)
+    def _key(self, k: int) -> int:
+        if not (0 <= k < self.spec.dim):
+            raise StructureError("coefficient index %r out of range" % (k,))
+        return k
 
-    def __neg__(self) -> "OmegaElement":
-        return OmegaElement(self.spec, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "OmegaElement") -> "OmegaElement":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "OmegaElement":
-        c = as_scalar(c)
-        return OmegaElement(self.spec, {k: c * v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, OmegaElement):
-            return multiply(self, other)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OmegaElement)
-            and self.spec is other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), tuple(sorted(self.coeffs.items()))))
+    def _product(self, other: "OmegaElement") -> "OmegaElement":
+        return multiply(self, other)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = [
-            "%s*%s" % (c, self.spec.basis[k]) for k, c in sorted(self.coeffs.items())
+            "%s*%s" % (c, self.spec.basis[k]) for k, c in sorted(self.terms.items())
         ]
         return " + ".join(parts)
 
@@ -206,16 +316,10 @@ def multiply(a: OmegaElement, b: OmegaElement) -> OmegaElement:
     """Bilinear product through the structure table."""
     a._check(b)
     out: dict = {}
-    for i, ca in a.coeffs.items():
-        for j, cb in b.coeffs.items():
-            scale = ca * cb
-            for k, c in a.spec.product(i, j).items():
-                s = out.get(k, 0) + scale * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return OmegaElement(a.spec, out)
+    for i, ca in a.terms.items():
+        for j, cb in b.terms.items():
+            vec_add(out, a.spec.product(i, j), ca * cb)
+    return OmegaElement._trusted(a.spec, out)
 
 
 def check_associativity(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
@@ -249,10 +353,10 @@ def detect_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
         col: dict = {}
         for j in range(spec.dim):
             for k, c in spec.product(i, j).items():
-                col[("L", j, k)] = col.get(("L", j, k), 0) + c
+                _acc(col, ("L", j, k), c)
             for k, c in spec.product(j, i).items():
-                col[("R", j, k)] = col.get(("R", j, k), 0) + c
-        solver.add({key: v for key, v in col.items() if v}, i)
+                _acc(col, ("R", j, k), c)
+        solver.add(col, i)
     rhs: dict = {}
     for j in range(spec.dim):
         rhs[("L", j, j)] = 1

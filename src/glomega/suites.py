@@ -5,10 +5,14 @@ tables and returns a :class:`Report`.  A check that would exceed the
 configured size caps is recorded as ``skipped`` rather than aborting the run,
 and a two-size certificate whose verdicts disagree is recorded as
 ``not-stabilized`` (a headroom problem, never silently merged with ``fail``).
+A check that raises any other exception, a violated precondition included,
+is recorded as ``error`` with the exception's type and message, and the run
+goes on; ``fail`` is kept for counterexamples.  The summary carries an
+``error`` count only when it is nonzero, so clean reports keep their keys.
 
 Reports are plain JSON-compatible dicts.  The fingerprint hashes everything
-except wall times, so identical configs and seeds produce identical
-fingerprints across runs.
+except wall times and tracebacks, so identical configs and seeds produce
+identical fingerprints across runs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import random
 import re
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -102,9 +107,10 @@ class SuiteConfig:
 class CheckRecord:
     name: str
     config: str
-    status: str  # pass | fail | skipped | not-stabilized
+    status: str  # pass | fail | skipped | not-stabilized | error
     witness: str = ""
     seconds: float = 0.0
+    traceback: str = ""  # error records only; kept out of the fingerprint
 
     def key(self) -> Tuple[str, str]:
         return (self.name, self.config)
@@ -115,14 +121,20 @@ class Report:
         self.cfg = cfg
         self.records = sorted(records, key=CheckRecord.key)
         self.summary = {"pass": 0, "fail": 0, "skipped": 0, "not-stabilized": 0}
+        errors = 0
         for r in self.records:
-            if r.status not in self.summary:
+            if r.status == "error":
+                errors += 1
+            elif r.status in self.summary:
+                self.summary[r.status] += 1
+            else:
                 raise StructureError("unknown record status %r" % r.status)
-            self.summary[r.status] += 1
+        if errors:
+            self.summary["error"] = errors
 
     @property
     def failed(self) -> bool:
-        return self.summary["fail"] > 0 or self.summary["not-stabilized"] > 0
+        return any(self.summary.get(k) for k in ("fail", "not-stabilized", "error"))
 
     def exit_code(self) -> int:
         return 1 if self.failed else 0
@@ -165,6 +177,7 @@ class Report:
                 "status": r.status,
                 "witness": r.witness,
                 "seconds": round(r.seconds, 6),
+                **({"traceback": r.traceback} if r.traceback else {}),
             }
             for r in self.records
         ]
@@ -185,6 +198,7 @@ class Report:
                 self.summary["skipped"],
                 self.summary["not-stabilized"],
             )
+            + (" error=%d" % self.summary["error"] if "error" in self.summary else "")
         )
         lines.append("fingerprint=" + self.fingerprint())
         return "\n".join(lines)
@@ -231,13 +245,16 @@ def _specs(cfg: SuiteConfig, suite: str) -> List[Tuple[str, AlgebraSpec]]:
 
 def _timed(records: List[CheckRecord], name: str, config: str, fn: Callable) -> None:
     start = time.perf_counter()
+    trace = ""
     try:
         status, witness = fn()
     except StabilizationError as exc:
         status, witness = "not-stabilized", str(exc)
-    except StructureError as exc:
-        status, witness = "fail", "error: %s" % exc
-    records.append(CheckRecord(name, config, status, witness, time.perf_counter() - start))
+    except Exception as exc:
+        # one check that raised is not a counterexample and must not end the run
+        status, witness = "error", "error: %s: %s" % (type(exc).__name__, exc)
+        trace = traceback.format_exc()
+    records.append(CheckRecord(name, config, status, witness, time.perf_counter() - start, trace))
 
 
 def _skip(records: List[CheckRecord], name: str, config: str, why: str) -> None:

@@ -15,10 +15,9 @@ inside the coefficient algebra; blocks of length >= 3 associate to the left
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .omega import AlgebraSpec, OmegaElement, Scalar, ScalarLike, StructureError, as_scalar, multiply
+from .omega import AlgebraSpec, OmegaElement, Scalar, ScalarLike, SparseVector, StructureError, _acc, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -41,73 +40,28 @@ def compositions(m: int) -> List[Composition]:
     return out
 
 
-class TensorElement:
+class TensorElement(SparseVector):
     """Sparse element of the tensor algebra T(Omega) over the basis words."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _mixed = "tensor elements over different algebras"
 
-    def __init__(self, spec: AlgebraSpec, terms: Mapping[Word, ScalarLike]):
+    def __init__(self, spec: AlgebraSpec, terms: Mapping[Iterable[int], ScalarLike]):
         self.spec = spec
-        cleaned: Dict[Word, Scalar] = {}
-        for w, c in terms.items():
-            w = tuple(w)
-            for letter in w:
-                if not (0 <= letter < spec.dim):
-                    raise StructureError("letter %r out of range" % (letter,))
-            c = as_scalar(c)
-            if c:
-                cleaned[w] = c
-        self.terms = cleaned
+        super().__init__(terms)
 
-    def _check(self, other: "TensorElement") -> None:
-        if self.spec is not other.spec:
-            raise StructureError("tensor elements over different algebras")
+    def _owner(self) -> AlgebraSpec:
+        return self.spec
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return TensorElement(self.spec, out)
+    def _key(self, w: Iterable[int]) -> Word:
+        w = tuple(w)
+        for letter in w:
+            if not (0 <= letter < self.spec.dim):
+                raise StructureError("letter %r out of range" % (letter,))
+        return w
 
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.spec, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "TensorElement":
-        c = as_scalar(c)
-        return TensorElement(self.spec, {w: c * v for w, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, TensorElement):
-            return concat(self, other)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.spec is other.spec
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), tuple(sorted(self.terms.items()))))
+    def _product(self, other: "TensorElement") -> "TensorElement":
+        return concat(self, other)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -129,13 +83,8 @@ def concat(a: TensorElement, b: TensorElement) -> TensorElement:
     out: Dict[Word, Scalar] = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            w = wa + wb
-            s = out.get(w, 0) + ca * cb
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return TensorElement(a.spec, out)
+            _acc(out, wa + wb, ca * cb)
+    return TensorElement._trusted(a.spec, out)
 
 
 def basis_words(spec: AlgebraSpec, length: int) -> Iterator[Word]:
@@ -182,13 +131,10 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> TensorElem
             return TensorElement(spec, {})
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
-            for k, ck in block.coeffs.items():
-                nw = w + (k,)
-                s = nxt.get(nw, 0) + c * ck
-                if s:
-                    nxt[nw] = s
+            for k, ck in block.terms.items():
+                _acc(nxt, w + (k,), c * ck)
         out = nxt
-    return TensorElement(spec, out)
+    return TensorElement._trusted(spec, out)
 
 
 class CyclicWord(tuple):
@@ -219,10 +165,5 @@ def project_cyclic(t: TensorElement) -> Dict[CyclicWord, Scalar]:
     for w, c in t.terms.items():
         if not w:
             raise StructureError("cannot project the empty word cyclically")
-        key = CyclicWord(w)
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        _acc(out, CyclicWord(w), c)
     return out

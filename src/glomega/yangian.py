@@ -18,13 +18,12 @@ dependency vector is confirmed at N and N+1.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar
+from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, as_scalar, vec_add
 from .words import Word, words_up_to
 
 
@@ -66,54 +65,17 @@ def mono_word_length(mono: OrderedMonomial) -> int:
     return sum(len(g.word) for g in mono)
 
 
-class YExpression:
+class YExpression(SparseVector):
     """Sparse combination of ordered monomials (a vector, not yet a product)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[OrderedMonomial, ScalarLike]):
-        cleaned: Dict[OrderedMonomial, Scalar] = {}
-        for mono, c in terms.items():
-            mono = ordered_monomial(mono)
-            c = as_scalar(c)
-            if c:
-                cleaned[mono] = c
-        self.terms = cleaned
+    def _key(self, mono: Sequence[TGen]) -> OrderedMonomial:
+        return ordered_monomial(mono)
 
     @classmethod
     def generator(cls, g: TGen) -> "YExpression":
         return cls({(g,): 1})
-
-    def __add__(self, other: "YExpression") -> "YExpression":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return YExpression(out)
-
-    def __neg__(self) -> "YExpression":
-        return YExpression({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "YExpression") -> "YExpression":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "YExpression":
-        c = as_scalar(c)
-        return YExpression({m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, YExpression) and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -133,14 +95,13 @@ def shift(y: YExpression, c: ScalarLike) -> YExpression:
     c = as_scalar(c)
     out: Dict[OrderedMonomial, Scalar] = {}
     for mono, coeff in y.terms.items():
-        shifted = tuple(TGen(g.i, g.j, g.word, g.s + c) for g in mono)
-        out[shifted] = out.get(shifted, 0) + coeff
+        _acc(out, tuple(TGen(g.i, g.j, g.word, g.s + c) for g in mono), coeff)
     return YExpression(out)
 
 
 def evaluate(y, ctx: Enveloping) -> UElement:
     """Evaluate an ordered monomial or expression in U(gl(N, Omega))."""
-    cache = ctx.__dict__.setdefault("_y_eval_cache", {})
+    cache = ctx._y_eval_cache
     if isinstance(y, YExpression):
         out = ctx.zero()
         for mono, c in y.terms.items():
@@ -217,12 +178,7 @@ def independence_check(
     ctx2 = Enveloping.get(omega, n + 1)
     acc: Dict = {}
     for pos, coeff in vec.items():
-        for mono2, c in evaluate(monomials[pos], ctx2).terms.items():
-            s = acc.get(mono2, 0) + coeff * c
-            if s:
-                acc[mono2] = s
-            else:
-                acc.pop(mono2, None)
+        vec_add(acc, evaluate(monomials[pos], ctx2).terms, coeff)
     vec = primitive(vec)
     if acc:
         return ("not-stabilized", vec)

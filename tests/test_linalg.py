@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +126,51 @@ def test_primitive_is_exact_on_large_ints():
     got = primitive({0: 2 * 3 ** 40, 1: 2})
     assert got == {0: 3 ** 40, 1: 1}
     assert all(type(v) is Fraction for v in got.values())
+
+
+def _sparse_system(rng, nkeys):
+    vecs = []
+    for _ in range(rng.randint(1, 8)):
+        v = {}
+        for k in range(nkeys):
+            if rng.random() < 0.4:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if c:
+                    v[k] = c
+        vecs.append(v)
+    return vecs
+
+
+def test_span_solver_agrees_with_sympy_domain_matrix():
+    # a second, independent exact solver: sympy's DomainMatrix over QQ
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import QQ
+
+    def dm(vecs, keys):
+        rows = [[QQ(v.get(k, 0).numerator, v.get(k, 0).denominator) for k in keys] for v in vecs]
+        return matrices.DomainMatrix(rows, (len(rows), len(keys)), QQ)
+
+    rng = random.Random(20240)
+    for _ in range(150):
+        nkeys = rng.randint(1, 7)
+        vecs = _sparse_system(rng, nkeys)
+        keys = list(range(nkeys))
+        assert rank(vecs) == dm(vecs, keys).rank()
+        for order, cols in ((None, keys), (lambda k: -k, keys[::-1])):
+            reduced, _pivots = dm(vecs, cols).rref()
+            want = [
+                {k: Fraction(int(x.numerator), int(x.denominator)) for k, x in zip(cols, row) if x}
+                for row in reduced.to_list()
+            ]
+            assert rref(vecs, key_order=order) == [r for r in want if r]
+        solver = SpanSolver()
+        for ci, v in enumerate(vecs):
+            dep = solver.add(dict(v), ci)
+            if dep is not None:
+                assert _combine(vecs, dep) == v
+        for rhs in (_sparse_system(rng, nkeys)[0], _combine(vecs, {0: Fraction(3, 2), len(vecs) - 1: -1})):
+            sol = solver.solve(dict(rhs))
+            solvable = dm(vecs + [rhs], keys).rank() == dm(vecs, keys).rank()
+            assert (sol is not None) == solvable
+            if sol is not None:
+                assert _combine(vecs, sol) == rhs

@@ -59,14 +59,14 @@ def test_matrix_algebra_units():
     assert check_associativity(spec) is None
     unit = detect_unit(spec)
     assert unit is not None
-    assert dict(unit.coeffs) == {0: Fraction(1), 3: Fraction(1)}
+    assert dict(unit.terms) == {0: Fraction(1), 3: Fraction(1)}
 
 
 def test_unit_of_direct_sum_is_sum_of_idempotents():
     spec = direct_sum_C(2)
     unit = detect_unit(spec)
     assert unit is not None
-    assert dict(unit.coeffs) == {0: Fraction(1), 1: Fraction(1)}
+    assert dict(unit.terms) == {0: Fraction(1), 1: Fraction(1)}
 
 
 def test_nonassoc_witness_fails_associativity():

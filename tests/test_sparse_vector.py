@@ -1,0 +1,165 @@
+"""The vector laws every element class obeys, and the one place they are written."""
+
+import ast
+import pathlib
+from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
+
+import pytest
+
+import glomega
+from glomega import (
+    AlElement,
+    CurrentElement,
+    DoubleTensor,
+    Enveloping,
+    NecklacePoly,
+    OmegaElement,
+    PGen,
+    SPoly,
+    StructureError,
+    TensorElement,
+    TripleTensor,
+    UElement,
+    YExpression,
+    direct_sum_C,
+    t_gen,
+)
+
+SPEC = direct_sum_C(2)
+OTHER = direct_sum_C(2)  # equal content, a different owner
+
+
+class Case(NamedTuple):
+    make: Callable  # (use the other owner?, terms) -> element
+    keys: tuple  # two distinct keys in canonical form
+    has_owner: bool = True
+    collide: Optional[tuple] = None  # two raw keys with one canonical form, and that form
+
+
+def _owned(cls):
+    return lambda alt, terms: cls(OTHER if alt else SPEC, terms)
+
+
+_T1 = t_gen(1, 1, (0,), 0)
+_T2 = t_gen(1, 2, (0, 1), 0)
+_P1, _P2 = PGen(1, 1, (1,)), PGen(1, 2, (0,))
+
+CASES = {
+    "OmegaElement": Case(_owned(OmegaElement), (0, 1)),
+    "TensorElement": Case(_owned(TensorElement), ((0,), (0, 1))),
+    "UElement": Case(
+        lambda alt, terms: UElement(Enveloping.get(OTHER if alt else SPEC, 2), terms),
+        (((1, 1, 0),), ((1, 2, 0), (2, 1, 1))),
+    ),
+    "YExpression": Case(lambda alt, terms: YExpression(terms), ((_T1,), (_T1, _T2)), has_owner=False),
+    "DoubleTensor": Case(_owned(DoubleTensor), (((0,), ()), ((), (1, 0)))),
+    "TripleTensor": Case(_owned(TripleTensor), (((0,), (), (1,)), ((), (), (0,)))),
+    "SPoly": Case(
+        lambda alt, terms: SPoly(terms),
+        ((_P1,), (_P1, _P2)),
+        has_owner=False,
+        collide=((_P2, _P1), (_P1, _P2), (_P1, _P2)),
+    ),
+    "NecklacePoly": Case(
+        lambda alt, terms: NecklacePoly(terms),
+        (((0,),), ((0,), (0, 1))),
+        has_owner=False,
+        collide=(((1, 0),), ((0, 1),), ((0, 1),)),
+    ),
+    "AlElement": Case(_owned(AlElement), ((0,), (0, 1))),
+    "CurrentElement": Case(
+        lambda alt, terms: CurrentElement(SPEC, 3 if alt else 2, terms),
+        ((1, 1, (0,)), (1, 2, (0, 1))),
+    ),
+}
+
+
+def _defines(x, name: str) -> bool:
+    """Whether the element's class implements ``name`` (object's default does not count)."""
+    return getattr(type(x), name, None) not in (None, getattr(object, name, None))
+
+
+def _terms(x) -> dict:
+    # ``coeffs`` is the older name of an OmegaElement's terms
+    return x.terms if hasattr(x, "terms") else x.coeffs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_vector_laws(name):
+    """A law whose operation a class does not define is not checked for it."""
+    case = CASES[name]
+    k1, k2 = case.keys
+    make = lambda terms: case.make(False, terms)
+    a = make({k1: 2, k2: Fraction(-1, 3)})
+    b = make({k1: Fraction(5, 2)})
+    zero = make({})
+    if _defines(a, "__sub__"):
+        assert a + b - b == a
+        assert (a - a).is_zero()
+        assert a - a == zero
+    if _defines(a, "__neg__"):
+        assert -(-a) == a
+        assert (a + (-a)).is_zero()
+    if _defines(a, "scale"):
+        assert a.scale(0).is_zero()
+        assert a.scale("1/2") == make({k1: 1, k2: Fraction(-1, 6)})
+    if _defines(a, "__eq__"):
+        same = make({k2: Fraction(-2, 6), k1: Fraction(4, 2)})
+        assert a == same and a is not same
+        assert a != b and a != zero
+        if type(a).__hash__ is not None:
+            assert hash(a) == hash(same)
+    assert (a + b).is_zero() is False and zero.is_zero()
+    # an integral sum of two Fractions is stored as an int
+    half = make({k1: Fraction(1, 2)})
+    total = _terms(half + half)[k1]
+    assert total == 1 and type(total) is int
+    if case.has_owner:
+        with pytest.raises(StructureError):
+            a + case.make(True, {k1: 1})
+        assert a != case.make(True, _terms(a))
+    if case.collide is not None:
+        raw1, raw2, canon = case.collide
+        assert _terms(make({raw1: 1, raw2: Fraction(1, 2)})) == {canon: Fraction(3, 2)}
+        assert make({raw1: 1, raw2: -1}).is_zero()
+
+
+_CORE_METHODS = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__"}
+
+
+def _sources():
+    src = pathlib.Path(glomega.__file__).parent
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def test_vector_arithmetic_is_written_once():
+    where = []
+    for fname, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = [item.name] if isinstance(item, ast.FunctionDef) else [
+                        t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)
+                    ]
+                    where += [(fname, node.name, n) for n in names if n in _CORE_METHODS]
+            elif isinstance(node, ast.FunctionDef) and node.name in ("_acc", "vec_add"):
+                assert fname == "omega.py", "%s defines %s" % (fname, node.name)
+    assert sorted(where) == sorted(("omega.py", "SparseVector", n) for n in _CORE_METHODS)
+
+
+def test_no_hand_written_accumulation_outside_omega():
+    """``d.get(k, 0) + v`` is the accumulate step that _acc and vec_add own."""
+    for fname, tree in _sources():
+        if fname == "omega.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Call):
+                func, args = node.left.func, node.left.args
+                assert not (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "get"
+                    and len(args) == 2
+                    and isinstance(args[1], ast.Constant)
+                    and args[1].value == 0
+                ), "%s:%d accumulates by hand" % (fname, node.lineno)

@@ -199,3 +199,40 @@ def test_pbw_dependency_witness_is_pinned():
         "fail",
         "count=39 rank=28 dependency={1: Fraction(2, 1), 2: Fraction(-1, 1), 10: Fraction(1, 1), 18: Fraction(-1, 1)}",
     )
+
+
+def test_check_that_raises_is_an_error_record(tmp_path, monkeypatch, capsys):
+    from glomega import doublepoisson as dp
+    from glomega.cli import main
+
+    def broken(spec, maxlen):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(dp, "check_skew", broken)
+    out = tmp_path / "report.json"
+    assert main(["run", "double", "--omega", "C", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    by_name = {r["name"]: r for r in data["records"]}
+    skew = by_name.pop("double.skew")
+    assert (skew["status"], skew["witness"]) == ("error", "error: RuntimeError: boom")
+    assert "RuntimeError: boom" in skew["traceback"]
+    # the run went on: every other check still ran and passed
+    assert {r["status"] for r in by_name.values()} == {"pass"}
+    assert len(by_name) == 5
+    assert data["summary"] == {"pass": 5, "fail": 0, "skipped": 0, "not-stabilized": 0, "error": 1}
+    assert "[error] double.skew" in capsys.readouterr().out
+
+
+def test_precondition_is_an_error_not_a_fail():
+    # `omega run symbols --d 3 --n-max 3`: the smd grid needs d <= N-1
+    rep = run_suite(SuiteConfig(suite="symbols", d=3, n_max=3))
+    errors = [r for r in rep.records if r.status == "error"]
+    assert len(errors) == 6 and all(r.name == "symbols.smd" for r in errors)
+    assert all(
+        r.witness == "error: StructureError: need d <= N-1 so the acting block is nontrivial"
+        for r in errors
+    )
+    assert rep.summary == {"pass": 6, "fail": 0, "skipped": 0, "not-stabilized": 0, "error": 6}
+    assert "error=6" in rep.human_summary()
+    assert rep.exit_code() == 1
+    assert rep.fingerprint() == "71ed4562325eb520ad9c6ef3209eebda84098d6bedf2da468cf502d2bef4654c"
