@@ -12,7 +12,6 @@ for statements about the inverse limit.
 from .omega import (
     AlgebraSpec,
     OmegaElement,
-    Scalar,
     StabilizationError,
     StructureError,
     as_scalar,
@@ -28,31 +27,14 @@ from .omega import (
     save_algebra,
     to_dict,
 )
-from .words import (
-    CyclicWord,
-    TensorElement,
-    basis_words,
-    coagulate,
-    coagulate_word,
-    compositions,
-    cyclic_canonical,
-    project_cyclic,
-    tensor_word,
-    words_up_to,
-)
-from .linalg import SpanSolver, kernel_basis, primitive, rank, rref, subspace_equal
+from .words import TensorElement
 from .enveloping import Enveloping, UElement
 from .yangian import (
-    TGen,
     YExpression,
-    evaluate,
     independence_check,
-    multiply_y,
     necklace_count,
     pbw_monomials,
     pbw_suite,
-    shift,
-    shift_automorphism_check,
     splitting_expected,
     splitting_probe,
     t_gen,
@@ -69,33 +51,21 @@ from .doublepoisson import (
     check_skew,
     double_bracket,
     poisson_pgen,
-    poisson_smd,
     poisson_stc,
     pvdw_equivalence,
     symbol_match_smd,
     symbol_match_stc,
     trace_bracket,
-    trace_elem,
-    triple_jacobi_sum,
 )
 from .current import (
     AlElement,
     CurrentElement,
     bimodule_iso_check,
-    check_current_antisym,
-    check_current_jacobi,
-    check_odot_assoc,
-    current_unit_check,
     degeneration_check,
-    find_noncommutative_pair,
-    generator_bracket_display_check,
     gl_current_bracket,
-    graded_basis,
     graded_dim,
     odot_words,
     path_algebra_iso_check,
-    t_expansion,
 )
-from .suites import Report, SuiteConfig, resolve_omega, run_suite
 
 __version__ = "0.1.0"

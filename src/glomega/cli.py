@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .current import graded_dim
 from .omega import StructureError, check_associativity, detect_unit, load_algebra
-from .suites import SUITES, SuiteConfig, Report, resolve_omega, run_suite
+from .suites import SUITES, SuiteConfig, resolve_omega, run_suite
 
 
 def _parse_s(text: str):

@@ -93,9 +93,6 @@ class AlElement(SparseVector):
                     _acc(out, w, cx * cy * c)
         return self._like(out)
 
-    def grade_part(self, n: int) -> "AlElement":
-        return self._like({w: c for w, c in self.terms.items() if len(w) == n + 1})
-
     def grades(self) -> List[int]:
         return sorted({len(w) - 1 for w in self.terms})
 

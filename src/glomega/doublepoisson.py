@@ -286,9 +286,6 @@ class SPoly(SparseVector):
     def part(self, factor_count: int) -> "SPoly":
         return self._like({m: c for m, c in self.terms.items() if len(m) == factor_count})
 
-    def part_at_least(self, factor_count: int) -> "SPoly":
-        return self._like({m: c for m, c in self.terms.items() if len(m) >= factor_count})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "<SPoly 0>"

@@ -59,8 +59,6 @@ _ONE = 1
 class Enveloping:
     """Computation context for U(gl(n, omega)) with a fixed PBW order."""
 
-    _registry: Dict[Tuple[int, int], "Enveloping"] = {}
-
     def __init__(self, omega: AlgebraSpec, n: int):
         if n < 1:
             raise StructureError("n must be >= 1")
@@ -85,12 +83,14 @@ class Enveloping:
 
     @classmethod
     def get(cls, omega: AlgebraSpec, n: int) -> "Enveloping":
-        """Shared context per (omega, n); keeps caches warm across callers."""
-        key = (id(omega), n)
-        ctx = cls._registry.get(key)
-        if ctx is None or ctx.omega is not omega:
-            ctx = cls(omega, n)
-            cls._registry[key] = ctx
+        """The table's own context for size n, built on first use.
+
+        It is kept in ``omega.contexts``, so every caller with the same table
+        object shares its caches, and it is released with the table.
+        """
+        ctx = omega.contexts.get(n)
+        if ctx is None:
+            ctx = omega.contexts[n] = cls(omega, n)
         return ctx
 
     # -- generator order ----------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .omega import Scalar, vec_add
 
@@ -42,8 +42,13 @@ class SpanSolver:
         return len(self.rows)
 
     def _reduce(self, vec: Vec) -> Tuple[Vec, Vec]:
-        """Return (residual, combo) with residual = vec - sum combo[c] * col_c."""
-        residual = dict(vec)
+        """Return (residual, combo) with residual = vec - sum combo[c] * col_c.
+
+        Explicit zeros in vec are dropped here, where every public input
+        enters: a zero at a pivot key would otherwise be eliminated forever,
+        and a zero could never serve as a pivot.
+        """
+        residual = {k: v for k, v in vec.items() if v}
         combo: Vec = {}
         while True:
             live = [k for k in residual if k in self.rows]

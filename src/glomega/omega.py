@@ -4,8 +4,8 @@ An :class:`AlgebraSpec` fixes a basis ``x_0, ..., x_{dim-1}`` and structure
 constants ``c[i][j][k]`` so that ``x_i * x_j = sum_k c[i][j][k] x_k``.  Tables
 are stored sparsely: a pair ``(i, j)`` absent from the table multiplies to
 zero.  Nothing here assumes associativity or a unit; both are decidable
-properties of a finite table and are checked on demand
-(:func:`check_associativity`, :func:`detect_unit`).
+properties of a finite table, computed on first demand and then kept on the
+table (:func:`check_associativity`, :func:`detect_unit`).
 
 Scalars are exact rationals in one of two types: an integral value is a
 Python ``int`` and any other value is a ``fractions.Fraction``.
@@ -35,6 +35,8 @@ The owner is what ties elements together: a table ``spec``, ``(spec, d)``,
 the ``(omega, n)`` of an enveloping context, or nothing.  Owners compare by
 identity of the table; combining elements of different owners raises
 :class:`StructureError`, and elements of different owners are never equal.
+Two tables with equal content are still two owners, each holding its own
+enveloping contexts and computed facts (see :class:`AlgebraSpec`).
 All accumulation goes through :func:`vec_add` (a whole dict) and
 :func:`_acc` (one key), which drop a key as soon as its sum is zero.
 """
@@ -226,9 +228,15 @@ class AlgebraSpec:
     The table maps ``(i, j)`` to a sparse ``{k: coefficient}`` dict.  Identity
     of the spec object is what ties elements together: operations refuse to
     combine elements whose ``spec`` attributes are different objects.
+
+    A spec is not modified after construction, so it owns what is derived
+    from it, for exactly its own lifetime: ``contexts`` (size n -> enveloping
+    context, filled by ``Enveloping.get``) and ``facts`` (the associator
+    witness and the unit, kept by :func:`check_associativity` and
+    :func:`detect_unit`).
     """
 
-    __slots__ = ("dim", "basis", "table", "name")
+    __slots__ = ("dim", "basis", "table", "name", "contexts", "facts")
 
     def __init__(
         self,
@@ -264,6 +272,8 @@ class AlgebraSpec:
         self.basis = basis
         self.table = clean
         self.name = name or ("algebra(dim=%d)" % dim)
+        self.contexts: dict = {}
+        self.facts: dict = {}
 
     def product(self, i: int, j: int) -> Mapping[int, Scalar]:
         """Structure constants of x_i * x_j as a sparse dict."""
@@ -326,8 +336,15 @@ def check_associativity(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
     """Return None if the table is associative, else the first bad triple.
 
     Triples (i, j, k) of basis indices are scanned in lexicographic order and
-    the first one with (x_i x_j) x_k != x_i (x_j x_k) is returned.
+    the first one with (x_i x_j) x_k != x_i (x_j x_k) is returned.  The scan
+    runs once per table; its result is kept in ``spec.facts``.
     """
+    if "associator" not in spec.facts:
+        spec.facts["associator"] = _first_associator(spec)
+    return spec.facts["associator"]
+
+
+def _first_associator(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
     basis = [spec.basis_element(i) for i in range(spec.dim)]
     for i in range(spec.dim):
         for j in range(spec.dim):
@@ -344,8 +361,15 @@ def detect_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
     """Solve for a two-sided unit; None when the linear system has no solution.
 
     A unit e = sum_i e_i x_i must satisfy e * x_j = x_j = x_j * e for every j,
-    which is a linear system in the e_i.
+    which is a linear system in the e_i.  The system is solved once per table;
+    its result is kept in ``spec.facts``.
     """
+    if "unit" not in spec.facts:
+        spec.facts["unit"] = _solve_unit(spec)
+    return spec.facts["unit"]
+
+
+def _solve_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
     from .linalg import SpanSolver
 
     solver = SpanSolver()

@@ -73,6 +73,9 @@ _DEFAULT_TOKENS: Dict[str, Tuple[str, ...]] = {
 
 _FUZZ_TABLES = 50
 
+# the (token, table) pairs one suite runs on
+Tables = Sequence[Tuple[str, AlgebraSpec]]
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -237,12 +240,6 @@ def _word_cap(spec: AlgebraSpec, cfg: SuiteConfig) -> int:
     return min(cfg.max_len, 2) if spec.dim >= 4 else cfg.max_len
 
 
-def _specs(cfg: SuiteConfig, suite: str) -> List[Tuple[str, AlgebraSpec]]:
-    if cfg.omega:
-        return [(cfg.omega, resolve_omega(cfg.omega))]
-    return [(tok, resolve_omega(tok)) for tok in _DEFAULT_TOKENS[suite]]
-
-
 def _timed(records: List[CheckRecord], name: str, config: str, fn: Callable) -> None:
     start = time.perf_counter()
     trace = ""
@@ -293,9 +290,9 @@ def _s_pairs(s_values: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
     return seen
 
 
-def _suite_projection(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_projection(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
-    for token, spec in _specs(cfg, "projection"):
+    for token, spec in specs:
         cap = _word_cap(spec, cfg)
         if cap < cfg.max_len:
             _skip(
@@ -378,10 +375,10 @@ def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:
 # pbw suite
 
 
-def _suite_pbw(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     s0 = cfg.s_values[0]
-    for token, spec in _specs(cfg, "pbw"):
+    for token, spec in specs:
         total_cap = cfg.max_len if spec.dim == 1 else min(cfg.max_len, 2)
         if total_cap < cfg.max_len:
             _skip(
@@ -425,10 +422,10 @@ def _suite_pbw(cfg: SuiteConfig) -> List[CheckRecord]:
 # splitting suite
 
 
-def _suite_splitting(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_splitting(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     sizes = (max(cfg.n_min, cfg.n_max - 1), cfg.n_max, cfg.n_max + 1)
-    for token, spec in _specs(cfg, "splitting"):
+    for token, spec in specs:
         for d in range(0, min(cfg.d, 1) + 1):
 
             def deg1(spec=spec, d=d):
@@ -489,9 +486,9 @@ def _double_axiom_records(records: List[CheckRecord], token: str, spec: AlgebraS
     _timed(records, "double.leibniz", base, lambda: _none_ok(dp.check_leibniz(spec, maxlen)))
 
 
-def _suite_double(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_double(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
-    for token, spec in _specs(cfg, "double"):
+    for token, spec in specs:
         maxlen = _word_cap(spec, cfg)
         if maxlen < cfg.max_len:
             _skip(
@@ -551,11 +548,10 @@ def _index_tuples(d: int) -> List[Tuple[int, int, int, int]]:
     ]
 
 
-def _suite_symbols(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     s0 = cfg.s_values[0]
-    tokens = _specs(cfg, "symbols")
-    for token, spec in tokens:
+    for token, spec in specs:
         if spec.dim >= 4:
             continue  # matrix tables are covered by the trace grid below
         for lx in range(1, cfg.max_len):
@@ -583,7 +579,7 @@ def _suite_symbols(cfg: SuiteConfig) -> List[CheckRecord]:
                     "omega=%s lx=%d ly=%d N=%d d=%d" % (token, lx, ly, cfg.n_max, cfg.d),
                     smd,
                 )
-    for token, spec in tokens:
+    for token, spec in specs:
         if spec.dim == 2:
             continue  # trace grid runs on the 1-dim and matrix tables
         cap = min(cfg.max_len, 2)
@@ -627,10 +623,10 @@ def _degeneration_tuples(d: int) -> List[Tuple[int, int, int, int]]:
     return [(1, 1, 1, 1), (1, 2, 2, 1), (2, 1, 1, 2), (1, 2, 1, 2), (1, 1, 2, 2), (2, 2, 2, 2)]
 
 
-def _suite_degeneration(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     s0 = cfg.s_values[0]
-    for token, spec in _specs(cfg, "degeneration"):
+    for token, spec in specs:
         _timed(
             records,
             "degeneration.letters",
@@ -690,10 +686,10 @@ def _sampled_jacobi(
     return None
 
 
-def _suite_current(cfg: SuiteConfig) -> List[CheckRecord]:
+def _suite_current(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     rng = random.Random(cfg.seed + 1)
-    for token, spec in _specs(cfg, "current"):
+    for token, spec in specs:
         total_len = 5 if spec.dim <= 2 else 4
         unital = detect_unit(spec) is not None
         _timed(
@@ -803,18 +799,22 @@ _SUITE_FNS = {
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Execute one named suite (or all of them) and assemble the report."""
+    """Execute one named suite (or all of them) and assemble the report.
+
+    Each table token is resolved once per run, so every suite shares its
+    table object, and with it the table's contexts and facts.
+    """
+    names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
+    rosters = {name: (cfg.omega,) if cfg.omega else _DEFAULT_TOKENS[name] for name in names}
+    tables = {tok: resolve_omega(tok) for tok in dict.fromkeys(t for r in rosters.values() for t in r)}
     if cfg.omega and cfg.suite != "double":
-        spec = resolve_omega(cfg.omega)
-        witness = check_associativity(spec)
+        witness = check_associativity(tables[cfg.omega])
         if witness is not None:
             raise StructureError(
                 "table %s is not associative (witness %r); only the double suite accepts it"
                 % (cfg.omega, witness)
             )
-    if cfg.suite == "all":
-        records: List[CheckRecord] = []
-        for name in SUITES[:-1]:
-            records.extend(_SUITE_FNS[name](cfg))
-        return Report(cfg, records)
-    return Report(cfg, _SUITE_FNS[cfg.suite](cfg))
+    records: List[CheckRecord] = []
+    for name in names:
+        records.extend(_SUITE_FNS[name](cfg, [(tok, tables[tok]) for tok in rosters[name]]))
+    return Report(cfg, records)

@@ -17,7 +17,6 @@ dependency vector is confirmed at N and N+1.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 

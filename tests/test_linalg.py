@@ -1,6 +1,9 @@
 """Exact sparse linear algebra: spans, dependencies, kernels."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,16 +132,19 @@ def test_primitive_is_exact_on_large_ints():
 
 
 def _sparse_system(rng, nkeys):
+    # a drawn zero is kept as an explicit entry, as public input may hold one
     vecs = []
     for _ in range(rng.randint(1, 8)):
         v = {}
         for k in range(nkeys):
             if rng.random() < 0.4:
-                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                if c:
-                    v[k] = c
+                v[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         vecs.append(v)
     return vecs
+
+
+def _nonzero(v):
+    return {k: c for k, c in v.items() if c}
 
 
 def test_span_solver_agrees_with_sympy_domain_matrix():
@@ -167,10 +173,34 @@ def test_span_solver_agrees_with_sympy_domain_matrix():
         for ci, v in enumerate(vecs):
             dep = solver.add(dict(v), ci)
             if dep is not None:
-                assert _combine(vecs, dep) == v
+                assert _combine(vecs, dep) == _nonzero(v)
         for rhs in (_sparse_system(rng, nkeys)[0], _combine(vecs, {0: Fraction(3, 2), len(vecs) - 1: -1})):
             sol = solver.solve(dict(rhs))
             solvable = dm(vecs + [rhs], keys).rank() == dm(vecs, keys).rank()
             assert (sol is not None) == solvable
             if sol is not None:
-                assert _combine(vecs, sol) == rhs
+                assert _combine(vecs, sol) == _nonzero(rhs)
+
+
+# explicit zeros in public input; at a fault these loop forever or divide by zero
+_ZERO_CASES = [
+    ("add-after-pivot", "s = SpanSolver(); s.add({0: 1}); r = (s.add({0: 0, 1: 1}), sorted(s.rows))", (None, [0, 1])),
+    ("add-to-empty", "s = SpanSolver(); r = (s.add({0: 0, 1: 1}), sorted(s.rows))", (None, [1])),
+    ("contains", "s = SpanSolver(); s.add({0: 1}); r = (s.contains({0: 0}), s.contains({0: 0, 1: 1}))", (True, False)),
+    ("solve", "s = SpanSolver(); s.add({0: 1}, 'a'); s.add({1: 1}, 'b'); r = s.solve({0: 0, 1: 2})", {"b": 2}),
+    ("rank", "r = rank([{0: 1}, {0: 0, 1: 1}])", 2),
+    ("rref", "r = rref([{0: 1}, {0: 0, 1: 1}])", [{0: 1}, {1: 1}]),
+    ("kernel_basis", "r = kernel_basis([{0: 1}, {0: 0, 1: 1}], 3)", [{2: 1}]),
+]
+
+
+@pytest.mark.parametrize("code, expected", [c[1:] for c in _ZERO_CASES], ids=[c[0] for c in _ZERO_CASES])
+def test_explicit_zeros_terminate(code, expected):
+    # a separate interpreter, so a loop that never ends is cut by the time bound
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    script = "from glomega.linalg import SpanSolver, kernel_basis, rank, rref\n%s\nassert r == %r, r\n" % (code, expected)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,111 @@
+"""A table owns what is derived from it: its enveloping contexts and its facts."""
+
+import ast
+import gc
+import pathlib
+import weakref
+
+import pytest
+
+from glomega import AlgebraSpec, Enveloping, check_associativity, detect_unit, direct_sum_C, save_algebra
+from glomega import omega, suites
+from glomega.suites import SuiteConfig, run_suite
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
+
+ALL_FINGERPRINT = "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959"
+
+
+@pytest.fixture(scope="module")
+def all_run():
+    """One default ``all`` run, counting contexts built and table facts computed."""
+    seen = {"contexts": [], "alive": [], "associators": 0, "units": 0}
+    init = Enveloping.__init__
+    first_associator, solve_unit = omega._first_associator, omega._solve_unit
+
+    def counted_init(self, spec, n):
+        seen["contexts"].append((spec.name, n))  # the name only: no reference to the table
+        seen["alive"].append(weakref.ref(self))
+        init(self, spec, n)
+
+    def counted_associator(spec):
+        seen["associators"] += 1
+        return first_associator(spec)
+
+    def counted_unit(spec):
+        seen["units"] += 1
+        return solve_unit(spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Enveloping, "__init__", counted_init)
+        mp.setattr(omega, "_first_associator", counted_associator)
+        mp.setattr(omega, "_solve_unit", counted_unit)
+        seen["fingerprint"] = run_suite(SuiteConfig("all")).fingerprint()
+    gc.collect()
+    return seen
+
+
+def test_all_run_builds_one_context_per_table_and_size(all_run):
+    assert all_run["fingerprint"] == ALL_FINGERPRINT
+    assert len(all_run["contexts"]) == len(set(all_run["contexts"])) == 23
+
+
+def test_all_run_computes_each_table_fact_once(all_run):
+    # 4 builtin tables and the double suite's 50 fuzz tables; only the
+    # current suite's 4 tables need a unit
+    assert all_run["associators"] == 54
+    assert all_run["units"] == 4
+
+
+def test_finished_run_leaves_no_context_alive(all_run):
+    assert [ref for ref in all_run["alive"] if ref() is not None] == []
+
+
+def test_table_facts_are_computed_once_per_table_object(monkeypatch):
+    calls = []
+    first_associator, solve_unit = omega._first_associator, omega._solve_unit
+    monkeypatch.setattr(omega, "_first_associator", lambda spec: calls.append("assoc") or first_associator(spec))
+    monkeypatch.setattr(omega, "_solve_unit", lambda spec: calls.append("unit") or solve_unit(spec))
+    spec, twin = direct_sum_C(2), direct_sum_C(2)
+    for _ in range(3):
+        assert check_associativity(spec) is None
+        assert detect_unit(spec).terms == {0: 1, 1: 1}
+    assert calls == ["assoc", "unit"]
+    # an equal table is a different owner with facts of its own
+    assert detect_unit(twin) is not detect_unit(spec)
+    assert calls == ["assoc", "unit", "unit"]
+
+
+def test_context_belongs_to_its_table_and_dies_with_it():
+    spec = direct_sum_C(1)
+    ctx = Enveloping.get(spec, 2)
+    assert Enveloping.get(spec, 2) is ctx is spec.contexts[2]
+    assert Enveloping.get(direct_sum_C(1), 2) is not ctx
+    ref = weakref.ref(ctx)
+    del spec, ctx
+    gc.collect()
+    assert ref() is None
+
+
+def test_all_with_a_table_file_reads_it_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "c1.json")
+    save_algebra(direct_sum_C(1), path)
+    loads = []
+    load = suites.load_algebra
+    monkeypatch.setattr(suites, "load_algebra", lambda p: loads.append(p) or load(p))
+    cfg = SuiteConfig("all", omega=path, n_max=2, d=1, max_len=2, max_deg=1, s_values=(0,))
+    assert run_suite(cfg).exit_code() == 0
+    assert loads == [path]
+
+
+def test_no_identity_keyed_state():
+    # tables compare by identity, but nothing is keyed by id(): state hangs off its owner
+    calls = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert calls == []
+    assert [name for name, value in vars(Enveloping).items() if isinstance(value, dict)] == []
+    assert AlgebraSpec.__eq__ is object.__eq__ and AlgebraSpec.__hash__ is object.__hash__

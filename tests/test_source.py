@@ -1,0 +1,44 @@
+"""Guards on the package source itself."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
+
+
+def _imported(tree):
+    """(name bound, line) for every import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _read(tree):
+    """Every name the module reads, quoted annotations such as -> "UElement" included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_import_is_read():
+    # __init__.py imports to re-export; every other module must use what it imports
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _read(tree)
+        unused += ["%s:%d %s" % (path.name, line, name) for name, line in _imported(tree) if name not in read]
+    assert unused == []
