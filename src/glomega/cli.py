@@ -91,7 +91,6 @@ def _cmd_run(args) -> int:
         max_deg=args.max_deg,
         s_values=_parse_s(args.s),
         seed=args.seed,
-        out=args.out,
     )
     report = run_suite(cfg)
     print(report.human_summary())

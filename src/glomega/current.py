@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .doublepoisson import PGen, pgen_key
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver
 from .omega import (
@@ -45,6 +44,7 @@ from .omega import (
     detect_unit,
 )
 from .words import Word, basis_words, words_up_to
+from .yangian import OrderedMonomial, TGen, evaluate, mono_word_length, pbw_monomials
 
 
 def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
@@ -247,13 +247,8 @@ def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[T
 
 
 def current_basis_keys(spec: AlgebraSpec, d: int, maxgrade: int) -> List[CKey]:
-    keys: List[CKey] = []
-    for n in range(maxgrade + 1):
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                for w in basis_words(spec, n + 1):
-                    keys.append((i, j, w))
-    return keys
+    """The graded bases of grades 0..maxgrade, concatenated in grade order."""
+    return [key for n in range(maxgrade + 1) for key in graded_basis(spec, d, n)]
 
 
 def graded_dim(spec: AlgebraSpec, d: int, n: int) -> int:
@@ -436,39 +431,16 @@ def generator_bracket_display_check(omega: AlgebraSpec, d: int, s: ScalarLike, n
     return True
 
 
-def _pgen_monomials_total(omega: AlgebraSpec, d: int, total: int) -> List[Tuple[PGen, ...]]:
-    """Weakly increasing generator monomials with total word length exactly `total`."""
-    gens: List[PGen] = [
-        PGen(i, j, w)
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        for w in words_up_to(omega, total)
-    ]
-    gens.sort(key=pgen_key)
-    out: List[Tuple[PGen, ...]] = []
-    stack: List[PGen] = []
+def _symbol_solver(ctx: Enveloping, d: int, total: int, s: Scalar):
+    """Solver matching top-degree parts against the e-symbols of ordered t-monomials.
 
-    def rec(start: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(stack))
-            return
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            if len(g.word) <= remaining:
-                stack.append(g)
-                rec(idx, remaining - len(g.word))
-                stack.pop()
-
-    rec(0, total)
-    return out
-
-
-def _symbol_solver(ctx: Enveloping, d: int, total: int):
-    """Solver matching top-degree parts against e-products of the monomial list."""
+    The columns are the monomials of yangian.pbw_monomials whose total word
+    length is exactly ``total``, in its order; cached per (d, total, s).
+    """
     cache = ctx._degeneration_solvers
-    key = (d, total)
+    key = (d, total, s)
     if key not in cache:
-        monos = _pgen_monomials_total(ctx.omega, d, total)
+        monos = [m for m in pbw_monomials(ctx.omega, d, total, total, s) if mono_word_length(m) == total]
         solver = SpanSolver()
         for idx, mono in enumerate(monos):
             cur = ctx.one()
@@ -479,49 +451,41 @@ def _symbol_solver(ctx: Enveloping, d: int, total: int):
     return cache[key]
 
 
-def _eval_pgen_mono(ctx: Enveloping, mono: Tuple[PGen, ...], s) -> UElement:
-    cache = ctx._degeneration_evals
-    key = (mono, as_scalar(s))
-    if key not in cache:
-        cur = ctx.one()
-        for g in mono:
-            cur = ctx.multiply(cur, ctx.t_elem(g.i, g.j, g.word, s))
-        cache[key] = cur
-    return cache[key]
-
-
 def t_expansion(
     ctx: Enveloping, u: UElement, d: int, s: ScalarLike
-) -> Optional[List[Tuple[Tuple[PGen, ...], Scalar]]]:
+) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
     """Canonical expansion over ordered t-monomials, or None if not expressible.
 
+    Returns (monomial, coefficient) pairs, where each monomial is a tuple of
+    yangian.TGen factors at parameter s, top filtration degree first.
     Peels the top filtration degree: the top part is matched against the
     e-symbol images of ordered monomials (independent at the sizes used
     here), the solved combination of full t-monomials is subtracted, and the
     degree strictly drops.
     """
-    out: List[Tuple[Tuple[PGen, ...], Scalar]] = []
+    s = as_scalar(s)
+    out: List[Tuple[OrderedMonomial, Scalar]] = []
     cur = u
     while not cur.is_zero():
         deg = cur.degree()
         if deg == 0:
             out.append(((), cur.terms[()]))
             break
-        solver, monos = _symbol_solver(ctx, d, deg)
+        solver, monos = _symbol_solver(ctx, d, deg, s)
         combo = solver.solve(cur.homogeneous(deg).terms)
         if combo is None:
             return None
         removed = ctx.zero()
         for idx, c in sorted(combo.items()):
             out.append((monos[idx], c))
-            removed = removed + _eval_pgen_mono(ctx, monos[idx], s).scale(c)
+            removed = removed + evaluate(monos[idx], ctx).scale(c)
         cur = cur - removed
         if not cur.is_zero() and cur.degree() >= deg:
             return None
     return out
 
 
-def shifted_degree(mono: Sequence[PGen]) -> int:
+def shifted_degree(mono: Sequence[TGen]) -> int:
     return sum(len(g.word) - 1 for g in mono)
 
 

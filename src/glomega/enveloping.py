@@ -76,9 +76,9 @@ class Enveloping:
         self._t: Dict = {}
         # ordered t-monomials evaluated by yangian.evaluate
         self._y_eval_cache: Dict = {}
-        # symbol solvers and evaluated t-monomials of current.t_expansion
+        # symbol solvers of current.t_expansion, by (d, total word length, s);
+        # the t-monomials it subtracts are evaluated into _y_eval_cache
         self._degeneration_solvers: Dict = {}
-        self._degeneration_evals: Dict = {}
         self._gens: Optional[List[Gen]] = None
 
     @classmethod

@@ -164,8 +164,9 @@ def primitive(vec: Vec, key_order: Optional[Callable] = None) -> Vec:
 
     The entries are returned as ``Fraction`` values: the pbw suite prints this
     vector with ``%r`` in its witnesses, and that text is part of a report's
-    fingerprint.
+    fingerprint.  Explicit zeros are dropped first, so they never lead.
     """
+    vec = {k: v for k, v in vec.items() if v}
     if not vec:
         return {}
     keys = sorted(vec, key=key_order if key_order else (lambda k: k))

@@ -10,6 +10,13 @@ is recorded as ``error`` with the exception's type and message, and the run
 goes on; ``fail`` is kept for counterexamples.  The summary carries an
 ``error`` count only when it is nonzero, so clean reports keep their keys.
 
+Each ``_suite_*`` is a generator of checks ``(name, config, thunk)``; a
+thunk takes no arguments and returns ``(status, witness)``.  :func:`run_suite`
+runs every thunk through one timed runner the moment its suite yields it, so
+a suite never gets ahead of its checks: a thunk may read the suite's loop
+variables late, and checks that share state (the current suite's random
+draws, the Jacobi witness that ``double.pvdw`` reuses) see it in order.
+
 Reports are plain JSON-compatible dicts.  The fingerprint hashes everything
 except wall times and tracebacks, so identical configs and seeds produce
 identical fingerprints across runs.
@@ -18,6 +25,7 @@ identical fingerprints across runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -25,7 +33,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import current as cur
 from . import doublepoisson as dp
@@ -76,6 +84,13 @@ _FUZZ_TABLES = 50
 # the (token, table) pairs one suite runs on
 Tables = Sequence[Tuple[str, AlgebraSpec]]
 
+# A check is (name, config, thunk) and its thunk returns (status, witness).
+# run_suite runs each thunk before the suite that yielded it resumes, so a
+# thunk may read the suite's loop variables late, and needs no default
+# arguments to bind them.
+Thunk = Callable[[], Tuple[str, str]]
+Checks = Iterator[Tuple[str, str, Thunk]]
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -88,7 +103,6 @@ class SuiteConfig:
     max_deg: int = 2
     s_values: Tuple[Fraction, ...] = DEFAULT_S
     seed: int = 20240
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -240,22 +254,32 @@ def _word_cap(spec: AlgebraSpec, cfg: SuiteConfig) -> int:
     return min(cfg.max_len, 2) if spec.dim >= 4 else cfg.max_len
 
 
-def _timed(records: List[CheckRecord], name: str, config: str, fn: Callable) -> None:
+def _run(name: str, config: str, thunk: Thunk) -> CheckRecord:
+    """Run one check, timed; a raise becomes not-stabilized or error, never fail."""
     start = time.perf_counter()
     trace = ""
     try:
-        status, witness = fn()
+        status, witness = thunk()
     except StabilizationError as exc:
         status, witness = "not-stabilized", str(exc)
     except Exception as exc:
         # one check that raised is not a counterexample and must not end the run
         status, witness = "error", "error: %s: %s" % (type(exc).__name__, exc)
         trace = traceback.format_exc()
-    records.append(CheckRecord(name, config, status, witness, time.perf_counter() - start, trace))
+    return CheckRecord(name, config, status, witness, time.perf_counter() - start, trace)
 
 
-def _skip(records: List[CheckRecord], name: str, config: str, why: str) -> None:
-    records.append(CheckRecord(name, config, "skipped", why))
+def _skipped(why: str) -> Thunk:
+    return lambda: ("skipped", why)
+
+
+def _budget(
+    name: str, token: str, spec: AlgebraSpec, cap: int, cfg: SuiteConfig, what: str = "word"
+) -> Checks:
+    """The skipped check for the words a table's budget cap leaves out, if any."""
+    if cap < cfg.max_len:
+        why = "budget: dim-%d table capped at %s length %d" % (spec.dim, what, cap)
+        yield name, "omega=%s len>%d" % (token, cap), _skipped(why)
 
 
 def _ok(flag: bool, witness: str = "") -> Tuple[str, str]:
@@ -275,6 +299,14 @@ def _pvdw_status(rep: Dict[str, object]) -> Tuple[str, str]:
     )
 
 
+def _stable(what: str, rep: Dict[str, object], witness: str) -> Tuple[str, str]:
+    """A failed symbol match: not-stabilized when it differs across N and N+1, else fail."""
+    by = rep["by_n"]
+    if len(set(by.values())) > 1:
+        return "not-stabilized", "%s match differs across %r" % (what, by)
+    return "fail", witness
+
+
 # ---------------------------------------------------------------------------
 # projection suite
 
@@ -290,58 +322,39 @@ def _s_pairs(s_values: Sequence[Fraction]) -> List[Tuple[Fraction, Fraction]]:
     return seen
 
 
-def _suite_projection(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
+def _suite_projection(cfg: SuiteConfig, specs: Tables) -> Checks:
     for token, spec in specs:
         cap = _word_cap(spec, cfg)
-        if cap < cfg.max_len:
-            _skip(
-                records,
-                "projection.theorem",
-                "omega=%s len>%d" % (token, cap),
-                "budget: dim-%d table capped at word length %d" % (spec.dim, cap),
-            )
+        yield from _budget("projection.theorem", token, spec, cap, cfg)
         for n in range(max(cfg.n_min, 2), cfg.n_max + 1):
             dd = min(cfg.d, n - 1)
             ctx = Enveloping.get(spec, n)
             low = Enveloping.get(spec, n - 1)
+
+            def cells():
+                return itertools.product(range(1, dd + 1), range(1, dd + 1), words_up_to(spec, cap))
+
             for s in cfg.s_values:
 
-                def point(ctx=ctx, low=low, dd=dd, s=s, cap=cap):
-                    for i in range(1, dd + 1):
-                        for j in range(1, dd + 1):
-                            for w in words_up_to(spec, cap):
-                                got = ctx.project_down(ctx.t_elem(i, j, w, s), low)
-                                if got != low.t_elem(i, j, w, s):
-                                    return "fail", "i=%d j=%d w=%r" % (i, j, w)
+                def point():
+                    for i, j, w in cells():
+                        if ctx.project_down(ctx.t_elem(i, j, w, s), low) != low.t_elem(i, j, w, s):
+                            return "fail", "i=%d j=%d w=%r" % (i, j, w)
                     return "pass", ""
 
-                _timed(records, "projection.theorem", "omega=%s N=%d s=%s" % (token, n, s), point)
+                yield "projection.theorem", "omega=%s N=%d s=%s" % (token, n, s), point
             for s_a, s_b in _s_pairs(cfg.s_values):
 
-                def reparam(ctx=ctx, dd=dd, s_a=s_a, s_b=s_b, cap=cap):
-                    for i in range(1, dd + 1):
-                        for j in range(1, dd + 1):
-                            for w in words_up_to(spec, cap):
-                                if not ctx.reparametrize_check(i, j, w, s_a, s_b):
-                                    return "fail", "i=%d j=%d w=%r" % (i, j, w)
+                def reparam():
+                    for i, j, w in cells():
+                        if not ctx.reparametrize_check(i, j, w, s_a, s_b):
+                            return "fail", "i=%d j=%d w=%r" % (i, j, w)
                     return "pass", ""
 
-                _timed(
-                    records,
-                    "projection.reparametrize",
-                    "omega=%s N=%d s=%s s2=%s" % (token, n, s_a, s_b),
-                    reparam,
-                )
+                yield "projection.reparametrize", "omega=%s N=%d s=%s s2=%s" % (token, n, s_a, s_b), reparam
         if spec.dim == 1 and cfg.n_max >= 2 and cap >= 2:
             for s in cfg.s_values:
-                _timed(
-                    records,
-                    "projection.anchor",
-                    "omega=%s s=%s" % (token, s),
-                    lambda s=s, spec=spec: _anchor_check(spec, s),
-                )
-    return records
+                yield "projection.anchor", "omega=%s s=%s" % (token, s), lambda: _anchor_check(spec, s)
 
 
 def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:
@@ -375,21 +388,14 @@ def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:
 # pbw suite
 
 
-def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
+def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> Checks:
     s0 = cfg.s_values[0]
     for token, spec in specs:
         total_cap = cfg.max_len if spec.dim == 1 else min(cfg.max_len, 2)
-        if total_cap < cfg.max_len:
-            _skip(
-                records,
-                "pbw.rank",
-                "omega=%s len>%d" % (token, total_cap),
-                "budget: dim-%d table capped at total length %d" % (spec.dim, total_cap),
-            )
+        yield from _budget("pbw.rank", token, spec, total_cap, cfg, "total")
         for d in range(1, cfg.d + 1):
 
-            def point(spec=spec, d=d, total_cap=total_cap):
+            def point():
                 rep = yg.pbw_suite(spec, d, total_cap, cfg.max_deg, cfg.n_max, s0)
                 if rep["full_rank"]:
                     return "pass", "count=%d" % rep["count"]
@@ -399,14 +405,10 @@ def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
                     rep.get("dependency"),
                 )
 
-            _timed(
-                records,
-                "pbw.rank",
-                "omega=%s d=%d maxlen=%d maxdeg=%d N=%d" % (token, d, total_cap, cfg.max_deg, cfg.n_max),
-                point,
-            )
+            config = "omega=%s d=%d maxlen=%d maxdeg=%d N=%d" % (token, d, total_cap, cfg.max_deg, cfg.n_max)
+            yield "pbw.rank", config, point
 
-        def planted(spec=spec):
+        def planted():
             g = yg.t_gen(1, 1, (0,), s0)
             status, vec = yg.independence_check([(g,), (g,)], spec, cfg.n_max)
             expected = {0: Fraction(1), 1: Fraction(-1)}
@@ -414,51 +416,33 @@ def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
                 return "pass", ""
             return "fail", "status=%s vec=%r" % (status, vec)
 
-        _timed(records, "pbw.planted_dependency", "omega=%s N=%d" % (token, cfg.n_max), planted)
-    return records
+        yield "pbw.planted_dependency", "omega=%s N=%d" % (token, cfg.n_max), planted
 
 
 # ---------------------------------------------------------------------------
 # splitting suite
 
 
-def _suite_splitting(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
+def _suite_splitting(cfg: SuiteConfig, specs: Tables) -> Checks:
     sizes = (max(cfg.n_min, cfg.n_max - 1), cfg.n_max, cfg.n_max + 1)
     for token, spec in specs:
-        for d in range(0, min(cfg.d, 1) + 1):
+        rows = [("splitting.degree1", d, 1) for d in range(0, min(cfg.d, 1) + 1)]
+        if spec.dim == 1 and cfg.max_deg >= 2:
+            rows.append(("splitting.degree2", 0, 2))
+        for name, d, deg in rows:
 
-            def deg1(spec=spec, d=d):
-                expected = yg.splitting_expected(spec.dim, d, 1)
-                dims = {n: Enveloping.get(spec, n).invariant_dim(d, 1) for n in sizes}
+            def invariants():
+                expected = yg.splitting_expected(spec.dim, d, deg)
+                dims = {n: Enveloping.get(spec, n).invariant_dim(d, deg) for n in sizes}
                 vals = set(dims.values())
                 if vals != {expected}:
                     status = "not-stabilized" if len(vals) > 1 else "fail"
                     return status, "expected=%d dims=%r" % (expected, dims)
                 return "pass", "dim=%d" % expected
 
-            _timed(
-                records,
-                "splitting.degree1",
-                "omega=%s d=%d N=%s" % (token, d, list(sizes)),
-                deg1,
-            )
-        if spec.dim == 1:
-            if cfg.max_deg < 2:
-                _skip(records, "splitting.degree2", "omega=%s" % token, "budget: max_deg < 2")
-            else:
-
-                def deg2(spec=spec):
-                    expected = yg.splitting_expected(spec.dim, 0, 2)
-                    dims = {n: Enveloping.get(spec, n).invariant_dim(0, 2) for n in sizes}
-                    vals = set(dims.values())
-                    if vals != {expected}:
-                        status = "not-stabilized" if len(vals) > 1 else "fail"
-                        return status, "expected=%d dims=%r" % (expected, dims)
-                    return "pass", "dim=%d" % expected
-
-                _timed(records, "splitting.degree2", "omega=%s d=0 N=%s" % (token, list(sizes)), deg2)
-    return records
+            yield name, "omega=%s d=%d N=%s" % (token, d, list(sizes)), invariants
+        if spec.dim == 1 and cfg.max_deg < 2:
+            yield "splitting.degree2", "omega=%s" % token, _skipped("budget: max_deg < 2")
 
 
 # ---------------------------------------------------------------------------
@@ -479,77 +463,46 @@ def _random_table(dim: int, rng: random.Random) -> AlgebraSpec:
     return AlgebraSpec(dim, table=table, name="fuzz(dim=%d)" % dim)
 
 
-def _double_axiom_records(records: List[CheckRecord], token: str, spec: AlgebraSpec, maxlen: int) -> None:
-    base = "omega=%s maxlen=%d" % (token, maxlen)
-    _timed(records, "double.letters", base, lambda: _none_ok(dp.check_letter_bracket(spec)))
-    _timed(records, "double.skew", base, lambda: _none_ok(dp.check_skew(spec, maxlen)))
-    _timed(records, "double.leibniz", base, lambda: _none_ok(dp.check_leibniz(spec, maxlen)))
-
-
-def _suite_double(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
+def _suite_double(cfg: SuiteConfig, specs: Tables) -> Checks:
     for token, spec in specs:
         maxlen = _word_cap(spec, cfg)
-        if maxlen < cfg.max_len:
-            _skip(
-                records,
-                "double.axioms",
-                "omega=%s len>%d" % (token, maxlen),
-                "budget: dim-%d table capped at word length %d" % (spec.dim, maxlen),
-            )
-        _double_axiom_records(records, token, spec, maxlen)
+        yield from _budget("double.axioms", token, spec, maxlen, cfg)
+        base = "omega=%s maxlen=%d" % (token, maxlen)
+        yield "double.letters", base, lambda: _none_ok(dp.check_letter_bracket(spec))
+        yield "double.skew", base, lambda: _none_ok(dp.check_skew(spec, maxlen))
+        yield "double.leibniz", base, lambda: _none_ok(dp.check_leibniz(spec, maxlen))
         assoc = check_associativity(spec)
-        _timed(
-            records,
-            "double.assoc",
-            "omega=%s" % token,
-            lambda assoc=assoc: _ok(assoc is None, "associator at %r" % (assoc,)),
-        )
+        yield "double.assoc", "omega=%s" % token, lambda: _ok(assoc is None, "associator at %r" % (assoc,))
         jac_len = min(maxlen, 2)
         found: list = []  # the Jacobi witness, shared by double.jacobi and double.pvdw
 
-        def jacobi(spec=spec, jac_len=jac_len, found=found):
+        def jacobi():
             found.append(dp.check_double_jacobi(spec, jac_len))
             return _ok(found[0] is None, "jacobi witness %r" % (found[0],))
 
-        _timed(records, "double.jacobi", "omega=%s maxlen=%d" % (token, jac_len), jacobi)
+        yield "double.jacobi", "omega=%s maxlen=%d" % (token, jac_len), jacobi
 
-        def pvdw(spec=spec, jac_len=jac_len, found=found, assoc=assoc):
+        def pvdw():
             # a Jacobi check that raised is run again, so pvdw reports the same error
             witness = found[0] if found else dp.check_double_jacobi(spec, jac_len)
             return _pvdw_status(dp.pvdw_verdict(assoc, witness))
 
-        _timed(records, "double.pvdw", "omega=%s" % token, pvdw)
+        yield "double.pvdw", "omega=%s" % token, pvdw
     if not cfg.omega:
         rng = random.Random(cfg.seed)
         tables = [_random_table(rng.randint(1, 3), rng) for _ in range(_FUZZ_TABLES - 1)]
         tables.append(nonassoc_witness())
         for idx, tbl in enumerate(tables):
-            _timed(
-                records,
-                "double.pvdw_fuzz",
-                "index=%02d dim=%d" % (idx, tbl.dim),
-                lambda tbl=tbl: _pvdw_status(dp.pvdw_equivalence(tbl, 2)),
+            yield "double.pvdw_fuzz", "index=%02d dim=%d" % (idx, tbl.dim), lambda: _pvdw_status(
+                dp.pvdw_equivalence(tbl, 2)
             )
-    return records
 
 
 # ---------------------------------------------------------------------------
 # symbols suite
 
 
-def _index_tuples(d: int) -> List[Tuple[int, int, int, int]]:
-    return [
-        (i, j, k, l)
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        for k in range(1, d + 1)
-        for l in range(1, d + 1)
-    ]
-
-
-def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
+def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> Checks:
     s0 = cfg.s_values[0]
     for token, spec in specs:
         if spec.dim >= 4:
@@ -557,28 +510,16 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
         for lx in range(1, cfg.max_len):
             for ly in range(1, cfg.max_len - lx + 1):
 
-                def smd(spec=spec, lx=lx, ly=ly):
+                def smd():
                     for x in basis_words(spec, lx):
                         for y in basis_words(spec, ly):
-                            for (i, j, k, l) in _index_tuples(cfg.d):
-                                rep = dp.symbol_match_smd(
-                                    spec, i, j, k, l, x, y, cfg.d, s0, cfg.n_max
-                                )
+                            for idx in itertools.product(range(1, cfg.d + 1), repeat=4):
+                                rep = dp.symbol_match_smd(spec, *idx, x, y, cfg.d, s0, cfg.n_max)
                                 if not rep["match"]:
-                                    by = rep["by_n"]
-                                    if len(set(by.values())) > 1:
-                                        raise StabilizationError(
-                                            "smd match differs across %r" % (by,)
-                                        )
-                                    return "fail", "x=%r y=%r idx=%r" % (x, y, (i, j, k, l))
+                                    return _stable("smd", rep, "x=%r y=%r idx=%r" % (x, y, idx))
                     return "pass", ""
 
-                _timed(
-                    records,
-                    "symbols.smd",
-                    "omega=%s lx=%d ly=%d N=%d d=%d" % (token, lx, ly, cfg.n_max, cfg.d),
-                    smd,
-                )
+                yield "symbols.smd", "omega=%s lx=%d ly=%d N=%d d=%d" % (token, lx, ly, cfg.n_max, cfg.d), smd
     for token, spec in specs:
         if spec.dim == 2:
             continue  # trace grid runs on the 1-dim and matrix tables
@@ -590,7 +531,7 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
         for lx in range(1, cap + 1):
             for ly in range(lx, cap + 1):
 
-                def stc(spec=spec, lx=lx, ly=ly):
+                def stc():
                     base_n = max(2, min(cfg.n_max, lx + ly))
                     for x in reps_by_len[lx]:
                         for y in reps_by_len[ly]:
@@ -598,19 +539,10 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
                                 continue
                             rep = dp.symbol_match_stc(spec, x, y, base_n)
                             if not rep["match"]:
-                                by = rep["by_n"]
-                                if len(set(by.values())) > 1:
-                                    raise StabilizationError("stc match differs across %r" % (by,))
-                                return "fail", "x=%r y=%r" % (x, y)
+                                return _stable("stc", rep, "x=%r y=%r" % (x, y))
                     return "pass", ""
 
-                _timed(
-                    records,
-                    "symbols.stc",
-                    "omega=%s lx=%d ly=%d" % (token, lx, ly),
-                    stc,
-                )
-    return records
+                yield "symbols.stc", "omega=%s lx=%d ly=%d" % (token, lx, ly), stc
 
 
 # ---------------------------------------------------------------------------
@@ -623,40 +555,25 @@ def _degeneration_tuples(d: int) -> List[Tuple[int, int, int, int]]:
     return [(1, 1, 1, 1), (1, 2, 2, 1), (2, 1, 1, 2), (1, 2, 1, 2), (1, 1, 2, 2), (2, 2, 2, 2)]
 
 
-def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
+def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> Checks:
     s0 = cfg.s_values[0]
+    d_letters = min(cfg.d, 2)
+    cap = min(cfg.max_len, 2)
     for token, spec in specs:
-        _timed(
-            records,
-            "degeneration.letters",
-            "omega=%s d=%d N=%d" % (token, min(cfg.d, 2), min(cfg.d, 2) + 2),
-            lambda spec=spec: _ok(
-                cur.generator_bracket_display_check(spec, min(cfg.d, 2), s0, min(cfg.d, 2) + 2)
-            ),
+        yield "degeneration.letters", "omega=%s d=%d N=%d" % (token, d_letters, d_letters + 2), lambda: _ok(
+            cur.generator_bracket_display_check(spec, d_letters, s0, d_letters + 2)
         )
-        cap = min(cfg.max_len, 2)
-        for d in range(1, cfg.d + 1):
-            for lx in range(1, cap + 1):
-                for ly in range(1, cap + 1):
+        for d, lx, ly in itertools.product(range(1, cfg.d + 1), range(1, cap + 1), range(1, cap + 1)):
 
-                    def grid(spec=spec, d=d, lx=lx, ly=ly):
-                        for x in basis_words(spec, lx):
-                            for y in basis_words(spec, ly):
-                                for tup in _degeneration_tuples(d):
-                                    if not cur.degeneration_check(
-                                        spec, *tup, x, y, d, s0
-                                    ):
-                                        return "fail", "x=%r y=%r idx=%r" % (x, y, tup)
-                        return "pass", ""
+            def grid():
+                for x in basis_words(spec, lx):
+                    for y in basis_words(spec, ly):
+                        for tup in _degeneration_tuples(d):
+                            if not cur.degeneration_check(spec, *tup, x, y, d, s0):
+                                return "fail", "x=%r y=%r idx=%r" % (x, y, tup)
+                return "pass", ""
 
-                    _timed(
-                        records,
-                        "degeneration.grid",
-                        "omega=%s d=%d lx=%d ly=%d" % (token, d, lx, ly),
-                        grid,
-                    )
-    return records
+            yield "degeneration.grid", "omega=%s d=%d lx=%d ly=%d" % (token, d, lx, ly), grid
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +603,17 @@ def _sampled_jacobi(
     return None
 
 
-def _suite_current(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
-    records: List[CheckRecord] = []
-    rng = random.Random(cfg.seed + 1)
+def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
+    rng = random.Random(cfg.seed + 1)  # shared by the tables' sampled Jacobi checks, in order
+    d2 = min(cfg.d, 2)
     for token, spec in specs:
         total_len = 5 if spec.dim <= 2 else 4
         unital = detect_unit(spec) is not None
-        _timed(
-            records,
-            "current.odot_assoc",
-            "omega=%s total_len=%d" % (token, total_len),
-            lambda spec=spec, total_len=total_len: _none_ok(cur.check_odot_assoc(spec, total_len)),
+        yield "current.odot_assoc", "omega=%s total_len=%d" % (token, total_len), lambda: _none_ok(
+            cur.check_odot_assoc(spec, total_len)
         )
 
-        def grade0(spec=spec):
+        def grade0():
             for a in range(spec.dim):
                 for b in range(spec.dim):
                     got = cur.AlElement.from_word(spec, (a,)) * cur.AlElement.from_word(spec, (b,))
@@ -708,68 +622,50 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
                         return "fail", "letters (%d, %d)" % (a, b)
             return "pass", ""
 
-        _timed(records, "current.grade0", "omega=%s" % token, grade0)
+        yield "current.grade0", "omega=%s" % token, grade0
 
-        def unit(spec=spec):
+        def unit():
             rep = cur.current_unit_check(spec)
             return _ok(bool(rep["passed"]), repr(rep))
 
-        _timed(records, "current.unit", "omega=%s" % token, unit)
+        yield "current.unit", "omega=%s" % token, unit
         if spec.dim >= 2 and unital:
             # any unital table of dim >= 2 has a junction-order witness:
             # (a) (.) (1,1) = (a,1) differs from (1,1) (.) (a) = (1,a)
-            _timed(
-                records,
-                "current.noncommutative",
-                "omega=%s" % token,
-                lambda spec=spec: _ok(
-                    cur.find_noncommutative_pair(spec, 3) is not None, "no witness found"
-                ),
+            yield "current.noncommutative", "omega=%s" % token, lambda: _ok(
+                cur.find_noncommutative_pair(spec, 3) is not None, "no witness found"
             )
         grade_cap = 1 if spec.dim > 1 else 2
-        _timed(
-            records,
-            "current.antisym",
-            "omega=%s d=%d grade<=%d" % (token, min(cfg.d, 2), grade_cap),
-            lambda spec=spec, grade_cap=grade_cap: _ok(
-                cur.check_current_antisym(spec, min(cfg.d, 2), grade_cap) is None
-            ),
+        yield "current.antisym", "omega=%s d=%d grade<=%d" % (token, d2, grade_cap), lambda: _ok(
+            cur.check_current_antisym(spec, d2, grade_cap) is None
         )
 
-        def jacobi(spec=spec):
-            w = _sampled_jacobi(spec, min(cfg.d, 2), 2, 200, rng)
+        def jacobi():
+            w = _sampled_jacobi(spec, d2, 2, 200, rng)
             return _ok(w is None, w or "")
 
-        _timed(records, "current.jacobi_sampled", "omega=%s d=%d" % (token, min(cfg.d, 2)), jacobi)
+        yield "current.jacobi_sampled", "omega=%s d=%d" % (token, d2), jacobi
 
-        def gdim(spec=spec):
+        def gdim():
             for d in range(1, min(cfg.d, 3) + 1):
                 for n in range(0, 3):
                     if cur.graded_dim(spec, d, n) != len(cur.graded_basis(spec, d, n)):
                         return "fail", "d=%d n=%d" % (d, n)
             return "pass", ""
 
-        _timed(records, "current.graded_dim", "omega=%s" % token, gdim)
-        bi_grade = 3 if spec.dim == 1 else (2 if spec.dim <= 3 else 1)
+        yield "current.graded_dim", "omega=%s" % token, gdim
         if not unital:
-            _skip(records, "current.bimodule", "omega=%s" % token, "non-unital table")
+            yield "current.bimodule", "omega=%s" % token, _skipped("non-unital table")
         else:
-            _timed(
-                records,
-                "current.bimodule",
-                "omega=%s maxgrade=%d" % (token, bi_grade),
-                lambda spec=spec, bi_grade=bi_grade: _ok(cur.bimodule_iso_check(spec, bi_grade)),
+            bi_grade = 3 if spec.dim == 1 else (2 if spec.dim <= 3 else 1)
+            yield "current.bimodule", "omega=%s maxgrade=%d" % (token, bi_grade), lambda: _ok(
+                cur.bimodule_iso_check(spec, bi_grade)
             )
     if not cfg.omega:
         for L in range(1, 4):
-            _timed(
-                records,
-                "current.path_iso",
-                "L=%d maxgrade=3" % L,
-                lambda L=L: _ok(cur.path_algebra_iso_check(L, 3)),
-            )
+            yield "current.path_iso", "L=%d maxgrade=3" % L, lambda: _ok(cur.path_algebra_iso_check(L, 3))
 
-            def dims_formula(L=L):
+            def dims_formula():
                 spec = direct_sum_C(L)
                 for d in range(1, 4):
                     for n in range(0, 4):
@@ -779,8 +675,7 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> List[CheckRecord]:
                             return "fail", "enumeration L=%d d=%d n=%d" % (L, d, n)
                 return "pass", ""
 
-            _timed(records, "current.dim_formula", "L=%d d<=3 n<=3" % L, dims_formula)
-    return records
+            yield "current.dim_formula", "L=%d d<=3 n<=3" % L, dims_formula
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +709,5 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 "table %s is not associative (witness %r); only the double suite accepts it"
                 % (cfg.omega, witness)
             )
-    records: List[CheckRecord] = []
-    for name in names:
-        records.extend(_SUITE_FNS[name](cfg, [(tok, tables[tok]) for tok in rosters[name]]))
-    return Report(cfg, records)
+    suites = (_SUITE_FNS[name](cfg, [(tok, tables[tok]) for tok in rosters[name]]) for name in names)
+    return Report(cfg, [_run(*check) for checks in suites for check in checks])

@@ -20,6 +20,7 @@ from glomega.linalg import (
     subspace_equal,
     vec_add,
 )
+from glomega.omega import AlgebraSpec, OmegaElement, direct_sum_C
 
 
 def _combine(cols, combo):
@@ -204,3 +205,22 @@ def test_explicit_zeros_terminate(code, expected):
     script = "from glomega.linalg import SpanSolver, kernel_basis, rank, rref\n%s\nassert r == %r, r\n" % (code, expected)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# an explicit zero reads as the absent key at every public entry point that takes a raw dict
+_ABSENT_CASES = [
+    ("primitive", lambda z: primitive({**z, 1: -2})),
+    ("primitive-all-zero", lambda z: primitive(z)),
+    ("rank", lambda z: rank([{**z, 1: 1}, {0: 1}])),
+    ("rref", lambda z: rref([{**z, 1: 1}, {0: 1, 1: 1}])),
+    ("kernel_basis", lambda z: kernel_basis([{**z, 1: 1}], 3)),
+    ("coordinate_intersection", lambda z: coordinate_intersection([{**z, 1: 1, 2: 1}, {2: 1}], lambda k: k >= 1)),
+    ("subspace_equal", lambda z: subspace_equal([{**z, 1: 1}], [{1: 2}])),
+    ("table-entry", lambda z: AlgebraSpec(2, table={(0, 0): {**z, 1: 1}}).table),
+    ("sparse-vector", lambda z: OmegaElement(direct_sum_C(2), {**z, 1: 3}).terms),
+]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in _ABSENT_CASES], ids=[c[0] for c in _ABSENT_CASES])
+def test_explicit_zero_reads_as_absent_key(build):
+    assert build({0: 0}) == build({})

@@ -42,3 +42,16 @@ def test_every_import_is_read():
         read = _read(tree)
         unused += ["%s:%d %s" % (path.name, line, name) for name, line in _imported(tree) if name not in read]
     assert unused == []
+
+
+def test_suites_bind_no_closure_by_default_arguments():
+    # a suite's thunk runs before the suite resumes, so it reads its loop variables late
+    tree = ast.parse((SRC / "suites.py").read_text())
+    bound = set()
+    for outer in ast.walk(tree):
+        if isinstance(outer, ast.FunctionDef):
+            for node in ast.walk(outer):
+                if node is not outer and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    if node.args.defaults or any(d is not None for d in node.args.kw_defaults):
+                        bound.add(node.lineno)
+    assert sorted(bound) == []

@@ -236,3 +236,36 @@ def test_precondition_is_an_error_not_a_fail():
     assert "error=6" in rep.human_summary()
     assert rep.exit_code() == 1
     assert rep.fingerprint() == "71ed4562325eb520ad9c6ef3209eebda84098d6bedf2da468cf502d2bef4654c"
+
+
+# `omega run` configs under 1.6 s each: exit code and fingerprint, unchanged
+# since these reports were first checked by hand
+_PINNED = [
+    ("double --omega nonassoc --seed 7", dict(suite="double", omega="nonassoc", seed=7), 1,
+     "1c23f8185fd1160df20b333d9de2355f9cb0430cc33111567cd94564bd8e095e"),
+    ("degeneration --omega mat(2) --d 1", dict(suite="degeneration", omega="mat(2)", d=1), 0,
+     "45658af4a70dc1665bda6492c3b2c42c94ee2d4657c57ee78b7277d8fde0b557"),
+    ("projection --omega mat(2) --n-max 3", dict(suite="projection", omega="mat(2)", n_max=3), 0,
+     "9af62d8134c7c5640bfddea1fbb5e3ed764d7cc3fcdb18027e84c3defd788810"),
+    ("symbols --omega null(2)", dict(suite="symbols", omega="null(2)"), 0,
+     "dc58875615a3af28f8573ad785e6444d925ffecdfda2cacc0b74940a356a19be"),
+    ("symbols --omega C --max-len 4", dict(suite="symbols", omega="C", max_len=4), 0,
+     "3650d007e001e83cb9e56c2e3947ae07d95fcaf1393379fd17b524098d80e247"),
+    ("pbw --omega C --n-max 2", dict(suite="pbw", omega="C", n_max=2), 1,
+     "406990cb8804f2ad441686468486786b31e07c274538d9f7ae09e77b8ede6b9f"),
+    ("splitting --n-max 5", dict(suite="splitting", n_max=5), 0,
+     "ca37b62b483567dca013aae5b07908e3522e3a44d9634c9b5e75ce58d2453ab4"),
+    ("current --omega C^3 --d 3 --n-max 3", dict(suite="current", omega="C^3", d=3, n_max=3), 0,
+     "1fe5ae24d51b078883c13d2ba1af6d7be015af81bc1e8ac12301fbdb70914ac6"),
+    ("all --n-min 1 --n-max 1 --d 1 --max-len 1 --max-deg 1",
+     dict(suite="all", n_min=1, n_max=1, d=1, max_len=1, max_deg=1), 1,
+     "ffa75ec4d0ca9ed73ba7791b9e027f40620682e4b6d8c5c3eceb4393329b20fa"),
+    ("double --seed 99", dict(suite="double", seed=99), 0,
+     "cc529901853c1e6b8ffa5e4745babbedbad100e8085ce1aa77ac760be6e402ef"),
+]
+
+
+@pytest.mark.parametrize("kwargs, code, fingerprint", [c[1:] for c in _PINNED], ids=[c[0] for c in _PINNED])
+def test_report_is_pinned(kwargs, code, fingerprint):
+    rep = run_suite(SuiteConfig(**kwargs))
+    assert (rep.exit_code(), rep.fingerprint()) == (code, fingerprint)
