@@ -42,6 +42,7 @@ from .omega import (
     _acc,
     as_scalar,
     detect_unit,
+    direct_sum_C,
 )
 from .words import Word, basis_words, words_up_to
 from .yangian import OrderedMonomial, TGen, evaluate, mono_word_length, pbw_monomials
@@ -61,22 +62,15 @@ def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
 class AlElement(SparseVector):
     """Element of the graded current algebra; words of length n+1 sit in grade n."""
 
-    __slots__ = ("spec",)
+    __slots__ = ()
     _mixed = "elements over different tables"
-
-    def __init__(self, spec: AlgebraSpec, terms: Mapping[Word, ScalarLike]):
-        self.spec = spec
-        super().__init__(terms)
-
-    def _owner(self) -> AlgebraSpec:
-        return self.spec
 
     def _key(self, w: Iterable[int]) -> Word:
         w = tuple(w)
         if not w:
             raise StructureError("current-algebra words must be nonempty")
         for letter in w:
-            if not 0 <= letter < self.spec.dim:
+            if not 0 <= letter < self.owner.dim:
                 raise StructureError("letter %r out of range" % (letter,))
         return w
 
@@ -89,7 +83,7 @@ class AlElement(SparseVector):
         out: Dict[Word, Scalar] = {}
         for wx, cx in self.terms.items():
             for wy, cy in other.terms.items():
-                for w, c in odot_words(self.spec, wx, wy).items():
+                for w, c in odot_words(self.owner, wx, wy).items():
                     _acc(out, w, cx * cy * c)
         return self._like(out)
 
@@ -100,7 +94,7 @@ class AlElement(SparseVector):
         if not self.terms:
             return "<Al 0>"
         bits = [
-            "%s*(%s)" % (c, ",".join(self.spec.basis[i] for i in w))
+            "%s*(%s)" % (c, ",".join(self.owner.basis[i] for i in w))
             for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
         ]
         return "<Al " + " + ".join(bits) + ">"
@@ -170,23 +164,19 @@ CKey = Tuple[int, int, Word]
 class CurrentElement(SparseVector):
     """Element of gl(d) over the current algebra: sparse (i, j, word) -> scalar."""
 
-    __slots__ = ("spec", "d")
+    __slots__ = ()
     _mixed = "current elements over different gl(d) currents"
 
     def __init__(self, spec: AlgebraSpec, d: int, terms: Mapping[CKey, ScalarLike]):
         if d < 1:
             raise StructureError("d must be positive")
-        self.spec = spec
-        self.d = d
-        super().__init__(terms)
-
-    def _owner(self) -> Tuple[AlgebraSpec, int]:
-        return (self.spec, self.d)
+        super().__init__((spec, d), terms)
 
     def _key(self, key: Tuple[int, int, Iterable[int]]) -> CKey:
         i, j, w = key
-        if not (1 <= i <= self.d and 1 <= j <= self.d):
-            raise StructureError("matrix indices out of range for d=%d" % self.d)
+        d = self.owner[1]
+        if not (1 <= i <= d and 1 <= j <= d):
+            raise StructureError("matrix indices out of range for d=%d" % d)
         w = tuple(w)
         if not w:
             raise StructureError("current-algebra words must be nonempty")
@@ -203,7 +193,7 @@ class CurrentElement(SparseVector):
 def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
     """[X(x)x, Y(x)y] = XY (x) (x(.)y) - YX (x) (y(.)x), bilinear in both slots."""
     a._check(b)
-    spec = a.spec
+    spec = a.owner[0]
     out: Dict[CKey, Scalar] = {}
     for (i, j, x), cx in a.terms.items():
         for (k, l, y), cy in b.terms.items():
@@ -214,7 +204,7 @@ def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
             if l == i:
                 for w, c in odot_words(spec, y, x).items():
                     _acc(out, (k, j, w), -cc * c)
-    return CurrentElement._trusted(spec, a.d, out)
+    return CurrentElement._trusted(a.owner, out)
 
 
 def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey]]:
@@ -282,8 +272,6 @@ def path_algebra_iso_check(L: int, maxgrade: int) -> bool:
     """
     if L < 1:
         raise StructureError("need at least one vertex")
-    from .omega import direct_sum_C
-
     spec = direct_sum_C(L)
     for n in range(maxgrade + 1):
         paths = set(itertools.product(range(L), repeat=n + 1))
@@ -404,30 +392,32 @@ def bimodule_iso_check(spec: AlgebraSpec, maxgrade: int) -> bool:
 # the degeneration certificate
 
 
+def _bracket_remainder(
+    ctx: Enveloping, i: int, j: int, k: int, l: int, x: Word, y: Word, s: ScalarLike
+) -> UElement:
+    """[t_ij(x; s), t_kl(y; s)] - delta_kj t_il(x(.)y; s) + delta_il t_kj(y(.)x; s) at the context's N."""
+    rem = ctx.t_elem(i, j, x, s).commutator(ctx.t_elem(k, l, y, s))
+    if k == j:
+        for w, c in odot_words(ctx.omega, x, y).items():
+            rem = rem - ctx.t_elem(i, l, w, s).scale(c)
+    if i == l:
+        for w, c in odot_words(ctx.omega, y, x).items():
+            rem = rem + ctx.t_elem(k, j, w, s).scale(c)
+    return rem
+
+
 def generator_bracket_display_check(omega: AlgebraSpec, d: int, s: ScalarLike, n: int) -> bool:
     """On single letters the commutator IS the current bracket, exactly.
 
-    [t_ij(a; s), t_kl(b; s)] = delta_kj t_il(ab) - delta_il t_kj(ba) holds on
-    the nose in U(gl(N, Omega)) since length-1 t-elements are plain
-    generators.
+    The bracket remainder of two letters a, b is zero on the nose in
+    U(gl(N, Omega)), since length-1 t-elements are plain generators:
+    [t_ij(a; s), t_kl(b; s)] = delta_kj t_il(ab) - delta_il t_kj(ba).
     """
     ctx = Enveloping.get(omega, n)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                for l in range(1, d + 1):
-                    for a in range(omega.dim):
-                        for b in range(omega.dim):
-                            lhs = ctx.t_elem(i, j, (a,), s).commutator(ctx.t_elem(k, l, (b,), s))
-                            rhs = ctx.zero()
-                            if k == j:
-                                for w, c in odot_words(omega, (a,), (b,)).items():
-                                    rhs = rhs + ctx.t_elem(i, l, w, s).scale(c)
-                            if i == l:
-                                for w, c in odot_words(omega, (b,), (a,)).items():
-                                    rhs = rhs - ctx.t_elem(k, j, w, s).scale(c)
-                            if lhs != rhs:
-                                return False
+    for i, j, k, l in itertools.product(range(1, d + 1), repeat=4):
+        for a, b in itertools.product(range(omega.dim), repeat=2):
+            if not _bracket_remainder(ctx, i, j, k, l, (a,), (b,), s).is_zero():
+                return False
     return True
 
 
@@ -522,14 +512,7 @@ def degeneration_check(
     verdicts: List[bool] = []
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
-        rem = ctx.t_elem(i, j, x, s).commutator(ctx.t_elem(k, l, y, s))
-        if k == j:
-            for w, c in odot_words(omega, x, y).items():
-                rem = rem - ctx.t_elem(i, l, w, s).scale(c)
-        if i == l:
-            for w, c in odot_words(omega, y, x).items():
-                rem = rem + ctx.t_elem(k, j, w, s).scale(c)
-        expansion = t_expansion(ctx, rem, d, s)
+        expansion = t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, s), d, s)
         if expansion is None:
             verdicts.append(False)
         else:

@@ -47,15 +47,8 @@ from .words import CyclicWord, Word, words_up_to
 class DoubleTensor(SparseVector):
     """Sparse element of T(Omega) (x) T(Omega); keys are pairs of words."""
 
-    __slots__ = ("spec",)
+    __slots__ = ()
     _mixed = "double tensors over different algebras"
-
-    def __init__(self, spec: AlgebraSpec, terms: Mapping[Tuple[Word, Word], ScalarLike]):
-        self.spec = spec
-        super().__init__(terms)
-
-    def _owner(self) -> AlgebraSpec:
-        return self.spec
 
     def _key(self, key: Tuple[Iterable[int], Iterable[int]]) -> Tuple[Word, Word]:
         u, v = key
@@ -85,7 +78,7 @@ class DoubleTensor(SparseVector):
     def __repr__(self) -> str:
         if not self.terms:
             return "<DT 0>"
-        word = lambda w: "(" + ",".join(self.spec.basis[i] for i in w) + ")" if w else "1"
+        word = lambda w: "(" + ",".join(self.owner.basis[i] for i in w) + ")" if w else "1"
         bits = [
             "%s*%s|%s" % (c, word(u), word(v))
             for (u, v), c in sorted(self.terms.items())
@@ -96,15 +89,8 @@ class DoubleTensor(SparseVector):
 class TripleTensor(SparseVector):
     """Sparse element of T(Omega)^(x3); used by the double Jacobi sum."""
 
-    __slots__ = ("spec",)
+    __slots__ = ()
     _mixed = "triple tensors over different algebras"
-
-    def __init__(self, spec: AlgebraSpec, terms: Mapping[Tuple[Word, Word, Word], ScalarLike]):
-        self.spec = spec
-        super().__init__(terms)
-
-    def _owner(self) -> AlgebraSpec:
-        return self.spec
 
     def _key(self, key: Tuple[Iterable[int], ...]) -> Tuple[Word, Word, Word]:
         return tuple(map(tuple, key))
@@ -147,15 +133,9 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _word_list(spec: AlgebraSpec, maxlen: int, include_empty: bool) -> List[Word]:
-    out: List[Word] = [()] if include_empty else []
-    out.extend(words_up_to(spec, maxlen))
-    return out
-
-
 def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
     """<<x, y>> must equal -flip(<<y, x>>); pairs with an empty word vanish."""
-    words = _word_list(spec, maxlen, include_empty=True)
+    words = [()] + list(words_up_to(spec, maxlen))
     for a in words:
         for b in words:
             if double_bracket(spec, a, b) != (-(double_bracket(spec, b, a).flip())):
@@ -172,7 +152,7 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
         <<ab, c>> = a * <<b, c>> + <<a, c>> * b.
     Returns ("outer"|"inner", a, b, c) for the first failure.
     """
-    heads = _word_list(spec, maxlen, include_empty=True)
+    heads = [()] + list(words_up_to(spec, maxlen))
     for a in heads:
         for b in heads:
             for c in heads:
@@ -218,7 +198,6 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
     non-associative table a witness always exists already at length one.
     """
     words = list(words_up_to(spec, maxlen))
-    words.sort(key=lambda w: (len(w), w))
     for a in words:
         for b in words:
             for c in words:
@@ -265,6 +244,9 @@ class SPoly(SparseVector):
 
     __slots__ = ()
 
+    def __init__(self, terms: Mapping[Iterable[PGen], ScalarLike]):
+        super().__init__(None, terms)
+
     def _key(self, mono: Iterable[PGen]) -> SMono:
         return tuple(sorted(mono, key=pgen_key))
 
@@ -281,7 +263,7 @@ class SPoly(SparseVector):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(out, tuple(sorted(m1 + m2, key=pgen_key)), c1 * c2)
-        return SPoly._trusted(out)
+        return SPoly._trusted(None, out)
 
     def part(self, factor_count: int) -> "SPoly":
         return self._like({m: c for m, c in self.terms.items() if len(m) == factor_count})
@@ -317,7 +299,7 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
         elif i != l:
             continue
         _acc(out, tuple(sorted(factors, key=pgen_key)), c)
-    return SPoly._trusted(out)
+    return SPoly._trusted(None, out)
 
 
 def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
@@ -332,7 +314,7 @@ def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
                     bracket = poisson_pgen(spec, m1[r], m2[t])
                     for mb, cb in bracket.terms.items():
                         _acc(out, tuple(sorted(rest + mb, key=pgen_key)), cc * cb)
-    return SPoly._trusted(out)
+    return SPoly._trusted(None, out)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +343,9 @@ class NecklacePoly(SparseVector):
 
     __slots__ = ()
 
+    def __init__(self, terms: Mapping[Iterable[Iterable[int]], ScalarLike]):
+        super().__init__(None, terms)
+
     def _key(self, mono: Iterable[Iterable[int]]) -> NMono:
         return tuple(sorted(CyclicWord(w) for w in mono))
 
@@ -373,7 +358,7 @@ class NecklacePoly(SparseVector):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _acc(out, tuple(sorted(m1 + m2)), c1 * c2)
-        return NecklacePoly._trusted(out)
+        return NecklacePoly._trusted(None, out)
 
     def __repr__(self) -> str:
         return "<NecklacePoly %r>" % (self.terms,)
@@ -390,7 +375,7 @@ def poisson_stc(spec: AlgebraSpec, f: NecklacePoly, g: NecklacePoly) -> Necklace
                     rest = m1[:r] + m1[r + 1 :] + m2[:t] + m2[t + 1 :]
                     for w, cb in trace_bracket(spec, m1[r], m2[t]).items():
                         _acc(out, tuple(sorted(rest + (w,))), cc * cb)
-    return NecklacePoly._trusted(out)
+    return NecklacePoly._trusted(None, out)
 
 
 # ---------------------------------------------------------------------------

@@ -401,9 +401,9 @@ class Enveloping:
 
     # -- enumeration and invariants ------------------------------------------
 
-    def monomials(self, maxdeg: int, gens: Optional[Sequence[Gen]] = None) -> Iterator[Mono]:
+    def monomials(self, maxdeg: int) -> Iterator[Mono]:
         """All PBW monomials of degree <= maxdeg, degree by degree."""
-        pool = self.gens() if gens is None else sorted(gens, key=self.sort_key)
+        pool = self.gens()
         for deg in range(maxdeg + 1):
             for mono in itertools.combinations_with_replacement(pool, deg):
                 yield mono
@@ -518,28 +518,21 @@ class Enveloping:
 class UElement(SparseVector):
     """Sparse element of U(gl(n, omega)) in PBW coordinates."""
 
-    __slots__ = ("ctx",)
+    __slots__ = ()
     _mixed = "element belongs to a different enveloping context"
-
-    def __init__(self, ctx: Enveloping, terms: Mapping[Iterable[Gen], ScalarLike]):
-        self.ctx = ctx
-        super().__init__(terms)
 
     def _key(self, mono: Iterable[Gen]) -> Mono:
         return tuple(mono)
 
-    def _owner(self) -> tuple:
-        return (self.ctx.omega, self.ctx.n)
-
     def _compat(self, ctx: Enveloping) -> None:
-        if self._owner() != (ctx.omega, ctx.n):
+        if self.owner is not ctx:
             raise StructureError(self._mixed)
 
     def _product(self, other: "UElement") -> "UElement":
-        return self.ctx.multiply(self, other)
+        return self.owner.multiply(self, other)
 
     def commutator(self, other: "UElement") -> "UElement":
-        return self.ctx.commutator(self, other)
+        return self.owner.commutator(self, other)
 
     def degree(self) -> int:
         """Filtration degree; -1 for the zero element."""
@@ -552,7 +545,7 @@ class UElement(SparseVector):
         """Deterministic text form: terms sorted by (degree, monomial)."""
         if not self.terms:
             return "0"
-        labels = self.ctx.omega.basis
+        labels = self.owner.omega.basis
         bits = []
         for mono in sorted(self.terms, key=lambda m: (len(m), m)):
             body = "".join("E(%d,%d,%s)" % (i, j, labels[b]) for (i, j, b) in mono)
@@ -560,4 +553,4 @@ class UElement(SparseVector):
         return " + ".join(bits)
 
     def __repr__(self) -> str:
-        return "<U(gl(%d)) %s>" % (self.ctx.n, self.canonical_str())
+        return "<U(gl(%d)) %s>" % (self.owner.n, self.canonical_str())

@@ -159,7 +159,7 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:
     return basis
 
 
-def primitive(vec: Vec, key_order: Optional[Callable] = None) -> Vec:
+def primitive(vec: Vec) -> Vec:
     """Scale to coprime integers with positive leading coefficient.
 
     The entries are returned as ``Fraction`` values: the pbw suite prints this
@@ -169,7 +169,7 @@ def primitive(vec: Vec, key_order: Optional[Callable] = None) -> Vec:
     vec = {k: v for k, v in vec.items() if v}
     if not vec:
         return {}
-    keys = sorted(vec, key=key_order if key_order else (lambda k: k))
+    keys = sorted(vec)
     denom = 1
     for k in keys:
         denom = denom * vec[k].denominator // gcd(denom, vec[k].denominator)

@@ -18,25 +18,33 @@ tables loaded from JSON hold ``int`` constants wherever they are integral.
 Nothing divides two ints with ``/``, which would give a float: exact division
 goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
 
-Every element class of the package is a :class:`SparseVector`: a dict
-``terms`` from keys to nonzero scalars, with addition, subtraction,
-negation, scaling, equality and hashing written once here.  A subclass adds
-only its owner, its key hook, its product, its text form and its own
-methods.  There are two constructors:
+Every element class of the package is a :class:`SparseVector`: an
+``owner`` and a dict ``terms`` from keys to nonzero scalars, with
+addition, subtraction, negation, scaling, equality and hashing written once
+here.  A subclass adds only its key hook, its product, its text form and its
+own methods.  There are two constructors:
 
-* the public one, ``Cls(*owner, terms)``, runs the subclass's key hook on
+* the public one, ``Cls(owner, terms)``, runs the subclass's key hook on
   every key (validation and canonical form), normalises every coefficient
   with :func:`as_scalar`, sums keys that collide and drops zeros;
-* the trusted one, ``Cls._trusted(*owner, terms)``, is for dicts that the
+* the trusted one, ``Cls._trusted(owner, terms)``, is for dicts that the
   package's own arithmetic built: it skips the key hook, but still passes
   every coefficient through :func:`as_scalar` and drops zeros.
 
-The owner is what ties elements together: a table ``spec``, ``(spec, d)``,
-the ``(omega, n)`` of an enveloping context, or nothing.  Owners compare by
-identity of the table; combining elements of different owners raises
+The owner is what ties elements together.  It is the table for
+``OmegaElement``, ``TensorElement``, ``DoubleTensor``, ``TripleTensor`` and
+``AlElement``; the enveloping context for ``UElement``; ``(spec, d)`` for
+``CurrentElement``; and ``None`` for ``SPoly``, ``NecklacePoly`` and
+``YExpression``, which are built as ``Cls(terms)``.  ``CurrentElement`` is
+built as ``CurrentElement(spec, d, terms)``.  Owners compare by identity
+first, then by ``==``; tables and contexts define no ``==``, so they compare
+by identity alone.  Combining elements of different owners raises
 :class:`StructureError`, and elements of different owners are never equal.
 Two tables with equal content are still two owners, each holding its own
-enveloping contexts and computed facts (see :class:`AlgebraSpec`).
+enveloping contexts and computed facts (see :class:`AlgebraSpec`).  An
+enveloping element belongs to its context object: ``Enveloping.get`` keeps
+one context per table and size, so all of its callers share owners, while a
+context built directly with ``Enveloping(omega, n)`` is an owner of its own.
 All accumulation goes through :func:`vec_add` (a whole dict) and
 :func:`_acc` (one key), which drop a key as soon as its sum is zero.
 """
@@ -123,19 +131,20 @@ def _nonzero(terms: Mapping) -> Dict:
 class SparseVector:
     """A sparse exact linear combination: ``terms`` maps keys to nonzero scalars.
 
-    A subclass's own ``__slots__`` are its owner attributes, in the order its
-    constructor takes them before the terms; its ``__init__`` binds them and
-    then calls this one.  A subclass with an owner overrides ``_owner`` (what
-    owners compare by); any subclass may override ``_key`` (the key hook),
-    ``_product`` (the product of two elements) and ``_mixed`` (the message
-    for mixed owners).
+    ``owner`` is what ties elements together (a table, an enveloping context,
+    ``(spec, d)`` or ``None``); it is set here, copied by ``_trusted`` and
+    ``_like``, and compared here, by identity first and then by ``==``.  A
+    subclass declares ``__slots__ = ()`` and may override ``_key`` (the key
+    hook), ``_product`` (the product of two elements) and ``_mixed`` (the
+    message for mixed owners).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("owner", "terms")
     _mixed = "elements of different owners"
 
-    def __init__(self, terms: Mapping):
+    def __init__(self, owner, terms: Mapping):
         """Key hook on every key, as_scalar on every coefficient; collisions summed, zeros dropped."""
+        self.owner = owner
         key = self._key
         out: Dict[Hashable, Scalar] = {}
         for k, c in terms.items():
@@ -143,31 +152,26 @@ class SparseVector:
         self.terms = out
 
     @classmethod
-    def _trusted(cls, *owner_and_terms):
+    def _trusted(cls, owner, terms: Mapping):
         """Build from a dict with canonical keys; only the coefficients are normalised."""
         new = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, owner_and_terms):
-            setattr(new, name, value)
-        new.terms = _nonzero(owner_and_terms[-1])
+        new.owner = owner
+        new.terms = _nonzero(terms)
         return new
 
     def _like(self, terms: Mapping) -> "SparseVector":
         """A trusted element with the same owner."""
         cls = type(self)
         new = cls.__new__(cls)
-        for name in cls.__slots__:
-            setattr(new, name, getattr(self, name))
+        new.owner = self.owner
         new.terms = _nonzero(terms)
         return new
 
     def _key(self, key):
         return key
 
-    def _owner(self):
-        return None
-
     def _check(self, other: "SparseVector") -> None:
-        if self._owner() != other._owner():
+        if self.owner is not other.owner and self.owner != other.owner:
             raise StructureError(self._mixed)
 
     def _product(self, other):
@@ -214,12 +218,12 @@ class SparseVector:
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
-            and self._owner() == other._owner()
+            and (self.owner is other.owner or self.owner == other.owner)
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self._owner(), frozenset(self.terms.items())))
+        return hash((self.owner, frozenset(self.terms.items())))
 
 
 class AlgebraSpec:
@@ -227,7 +231,7 @@ class AlgebraSpec:
 
     The table maps ``(i, j)`` to a sparse ``{k: coefficient}`` dict.  Identity
     of the spec object is what ties elements together: operations refuse to
-    combine elements whose ``spec`` attributes are different objects.
+    combine elements whose owners are different tables.
 
     A spec is not modified after construction, so it owns what is derived
     from it, for exactly its own lifetime: ``contexts`` (size n -> enveloping
@@ -295,18 +299,11 @@ class AlgebraSpec:
 class OmegaElement(SparseVector):
     """A sparse vector in an AlgebraSpec, with the table-induced product."""
 
-    __slots__ = ("spec",)
+    __slots__ = ()
     _mixed = "elements belong to different algebras"
 
-    def __init__(self, spec: AlgebraSpec, coeffs: Mapping[int, ScalarLike]):
-        self.spec = spec
-        super().__init__(coeffs)
-
-    def _owner(self) -> AlgebraSpec:
-        return self.spec
-
     def _key(self, k: int) -> int:
-        if not (0 <= k < self.spec.dim):
+        if not (0 <= k < self.owner.dim):
             raise StructureError("coefficient index %r out of range" % (k,))
         return k
 
@@ -317,7 +314,7 @@ class OmegaElement(SparseVector):
         if not self.terms:
             return "0"
         parts = [
-            "%s*%s" % (c, self.spec.basis[k]) for k, c in sorted(self.terms.items())
+            "%s*%s" % (c, self.owner.basis[k]) for k, c in sorted(self.terms.items())
         ]
         return " + ".join(parts)
 
@@ -328,8 +325,8 @@ def multiply(a: OmegaElement, b: OmegaElement) -> OmegaElement:
     out: dict = {}
     for i, ca in a.terms.items():
         for j, cb in b.terms.items():
-            vec_add(out, a.spec.product(i, j), ca * cb)
-    return OmegaElement._trusted(a.spec, out)
+            vec_add(out, a.owner.product(i, j), ca * cb)
+    return OmegaElement._trusted(a.owner, out)
 
 
 def check_associativity(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:

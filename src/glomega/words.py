@@ -15,9 +15,9 @@ inside the coefficient algebra; blocks of length >= 3 associate to the left
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .omega import AlgebraSpec, OmegaElement, Scalar, ScalarLike, SparseVector, StructureError, _acc, multiply
+from .omega import AlgebraSpec, OmegaElement, Scalar, SparseVector, StructureError, _acc, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -43,20 +43,13 @@ def compositions(m: int) -> List[Composition]:
 class TensorElement(SparseVector):
     """Sparse element of the tensor algebra T(Omega) over the basis words."""
 
-    __slots__ = ("spec",)
+    __slots__ = ()
     _mixed = "tensor elements over different algebras"
-
-    def __init__(self, spec: AlgebraSpec, terms: Mapping[Iterable[int], ScalarLike]):
-        self.spec = spec
-        super().__init__(terms)
-
-    def _owner(self) -> AlgebraSpec:
-        return self.spec
 
     def _key(self, w: Iterable[int]) -> Word:
         w = tuple(w)
         for letter in w:
-            if not (0 <= letter < self.spec.dim):
+            if not (0 <= letter < self.owner.dim):
                 raise StructureError("letter %r out of range" % (letter,))
         return w
 
@@ -68,7 +61,7 @@ class TensorElement(SparseVector):
             return "0"
         bits = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            label = "#".join(self.spec.basis[i] for i in w) if w else "1"
+            label = "#".join(self.owner.basis[i] for i in w) if w else "1"
             bits.append("%s*%s" % (self.terms[w], label))
         return " + ".join(bits)
 
@@ -84,7 +77,7 @@ def concat(a: TensorElement, b: TensorElement) -> TensorElement:
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             _acc(out, wa + wb, ca * cb)
-    return TensorElement._trusted(a.spec, out)
+    return TensorElement._trusted(a.owner, out)
 
 
 def basis_words(spec: AlgebraSpec, length: int) -> Iterator[Word]:
@@ -92,8 +85,9 @@ def basis_words(spec: AlgebraSpec, length: int) -> Iterator[Word]:
     return itertools.product(range(spec.dim), repeat=length)
 
 
-def words_up_to(spec: AlgebraSpec, maxlen: int, minlen: int = 1) -> Iterator[Word]:
-    for n in range(minlen, maxlen + 1):
+def words_up_to(spec: AlgebraSpec, maxlen: int) -> Iterator[Word]:
+    """All nonempty words of length <= maxlen, ordered by (length, word)."""
+    for n in range(1, maxlen + 1):
         for w in basis_words(spec, n):
             yield w
 

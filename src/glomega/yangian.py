@@ -18,7 +18,7 @@ dependency vector is confirmed at N and N+1.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
@@ -68,6 +68,9 @@ class YExpression(SparseVector):
     """Sparse combination of ordered monomials (a vector, not yet a product)."""
 
     __slots__ = ()
+
+    def __init__(self, terms: Mapping[Sequence[TGen], ScalarLike]):
+        super().__init__(None, terms)
 
     def _key(self, mono: Sequence[TGen]) -> OrderedMonomial:
         return ordered_monomial(mono)

@@ -163,3 +163,52 @@ def test_no_hand_written_accumulation_outside_omega():
                     and isinstance(args[1], ast.Constant)
                     and args[1].value == 0
                 ), "%s:%d accumulates by hand" % (fname, node.lineno)
+
+
+def test_owner_lives_only_in_the_core():
+    """Subclasses add no slots, and only the core binds or compares owners."""
+    subclasses, owners, binders, inits = [], [], [], []
+    for fname, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "_owner" in methods:
+                owners.append(node.name)
+            if any(isinstance(b, ast.Name) and b.id == "SparseVector" for b in node.bases):
+                slots = [
+                    item.value
+                    for item in node.body
+                    if isinstance(item, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+                ]
+                empty = len(slots) == 1 and isinstance(slots[0], ast.Tuple) and not slots[0].elts
+                subclasses.append((node.name, empty))
+                if "__init__" in methods:
+                    inits.append(node.name)
+            if node.name != "SparseVector":
+                binders += [
+                    node.name
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and sub.attr == "owner" and isinstance(sub.ctx, ast.Store)
+                ]
+    assert len(subclasses) == len(CASES)
+    assert [name for name, empty in subclasses if not empty] == []
+    assert owners == [] and binders == []
+    # the three owner-less classes keep Cls(terms); CurrentElement checks d >= 1
+    assert sorted(inits) == ["CurrentElement", "NecklacePoly", "SPoly", "YExpression"]
+
+
+def test_enveloping_elements_belong_to_their_context_object():
+    # Enveloping.get returns the table's one context per size; a context built
+    # directly is a separate owner even for the same (table, size)
+    shared, direct = Enveloping.get(SPEC, 2), Enveloping(SPEC, 2)
+    assert Enveloping.get(SPEC, 2) is shared
+    a, b = shared.gen(1, 2), direct.gen(1, 2)
+    assert a.terms == b.terms and a != b
+    with pytest.raises(StructureError):
+        a + b
+    with pytest.raises(StructureError):
+        a * b
+    with pytest.raises(StructureError):
+        shared.commutator(a, b)

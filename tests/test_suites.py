@@ -191,14 +191,28 @@ def test_nonassoc_double_report_is_pinned():
 
 
 def test_pbw_dependency_witness_is_pinned():
-    # at N=2 the ordered monomials collide; the witness prints the primitive
+    # at N=2 the ordered monomials collide, and the collision disappears at
+    # N=3, so the check did not stabilize; the witness prints the primitive
     # dependency vector, and its text is part of the fingerprint
     rep = run_suite(SuiteConfig(suite="pbw", omega="C", n_max=2))
     got = {r.config: (r.status, r.witness) for r in rep.records if r.name == "pbw.rank"}
     assert got["omega=C d=2 maxlen=3 maxdeg=2 N=2"] == (
-        "fail",
+        "not-stabilized",
         "count=39 rank=28 dependency={1: Fraction(2, 1), 2: Fraction(-1, 1), 10: Fraction(1, 1), 18: Fraction(-1, 1)}",
     )
+    assert rep.exit_code() == 1
+
+
+def test_pbw_dependency_confirmed_at_both_sizes_is_a_failure(monkeypatch):
+    from glomega import yangian as yg
+
+    def dependent(omega, d, maxlen, maxdeg, n, s):
+        return {"count": 3, "rank": 2, "full_rank": False, "dependency_status": "dependent", "dependency": {0: 1, 2: -1}}
+
+    monkeypatch.setattr(yg, "pbw_suite", dependent)
+    rep = run_suite(SuiteConfig(suite="pbw", omega="C", n_max=2, d=1))
+    got = {r.config: (r.status, r.witness) for r in rep.records if r.name == "pbw.rank"}
+    assert got == {"omega=C d=1 maxlen=3 maxdeg=2 N=2": ("fail", "count=3 rank=2 dependency={0: 1, 2: -1}")}
 
 
 def test_check_that_raises_is_an_error_record(tmp_path, monkeypatch, capsys):
@@ -252,7 +266,7 @@ _PINNED = [
     ("symbols --omega C --max-len 4", dict(suite="symbols", omega="C", max_len=4), 0,
      "3650d007e001e83cb9e56c2e3947ae07d95fcaf1393379fd17b524098d80e247"),
     ("pbw --omega C --n-max 2", dict(suite="pbw", omega="C", n_max=2), 1,
-     "406990cb8804f2ad441686468486786b31e07c274538d9f7ae09e77b8ede6b9f"),
+     "51493da12c851cdced1e6a93e0385c926125a1d5751b5da5d0dcd22f7608c42d"),
     ("splitting --n-max 5", dict(suite="splitting", n_max=5), 0,
      "ca37b62b483567dca013aae5b07908e3522e3a44d9634c9b5e75ce58d2453ab4"),
     ("current --omega C^3 --d 3 --n-max 3", dict(suite="current", omega="C^3", d=3, n_max=3), 0,
