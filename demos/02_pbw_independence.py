@@ -50,7 +50,7 @@ def main() -> None:
 
     print()
     print("== the probe agrees with the count ==")
-    probe = splitting_probe(direct_sum_C(2), 1, 1, 5)
+    probe = splitting_probe(direct_sum_C(2), 1, 1, (5, 6))
     print("expected:", probe["expected"], "observed:", probe["dims"], "match:", probe["match"])
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import List, Optional
 
@@ -27,6 +28,12 @@ def _parse_s(text: str):
         raise StructureError("bad s list %r: %s" % (text, exc))
 
 
+_RUN_HELP = {
+    "omega": "builtin name (C, C^2, null(2), mat(2), nonassoc) or file path",
+    "s_values": "comma-separated rationals",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega",
@@ -39,14 +46,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a named verification suite")
     p_run.add_argument("suite", choices=SUITES)
-    p_run.add_argument("--omega", default="", help="builtin name (C, C^2, null(2), mat(2), nonassoc) or file path")
-    p_run.add_argument("--n-min", type=int, default=2, dest="n_min")
-    p_run.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p_run.add_argument("--d", type=int, default=2)
-    p_run.add_argument("--max-len", type=int, default=3, dest="max_len")
-    p_run.add_argument("--max-deg", type=int, default=2, dest="max_deg")
-    p_run.add_argument("--s", default="0,1,-1,5/2", help="comma-separated rationals")
-    p_run.add_argument("--seed", type=int, default=20240)
+    for f in fields(SuiteConfig)[1:]:  # one flag per field after the suite, with its default
+        # --s takes the s values as one comma-separated string, which _cmd_run parses
+        name, default = ("s", ",".join(map(str, f.default))) if f.name == "s_values" else (f.name, f.default)
+        p_run.add_argument(
+            "--" + name.replace("_", "-"),
+            type=type(default),
+            default=default,
+            dest=f.name,
+            metavar=name.upper(),
+            help=_RUN_HELP.get(f.name),
+        )
     p_run.add_argument("--out", default=None, help="path for the JSON report")
 
     p_dims = sub.add_parser("dims", help="graded dimensions of the gl(d) current algebra")
@@ -81,17 +91,8 @@ def _report_path(args) -> Optional[str]:
 
 
 def _cmd_run(args) -> int:
-    cfg = SuiteConfig(
-        suite=args.suite,
-        omega=args.omega,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        d=args.d,
-        max_len=args.max_len,
-        max_deg=args.max_deg,
-        s_values=_parse_s(args.s),
-        seed=args.seed,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)}
+    cfg = SuiteConfig(**dict(values, s_values=_parse_s(args.s_values)))
     report = run_suite(cfg)
     print(report.human_summary())
     path = _report_path(args)

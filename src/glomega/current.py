@@ -37,12 +37,12 @@ from .omega import (
     Scalar,
     ScalarLike,
     SparseVector,
-    StabilizationError,
     StructureError,
     _acc,
     as_scalar,
     detect_unit,
     direct_sum_C,
+    stable,
 )
 from .words import Word, basis_words, words_up_to
 from .yangian import OrderedMonomial, TGen, evaluate, mono_word_length, pbw_monomials
@@ -497,7 +497,7 @@ def degeneration_check(
     + delta_il t_kj(y(.)x;N;s), expands R over ordered t-monomials and
     checks every surviving monomial has shifted degree at most
     len(x)+len(y)-3 (for single letters that forces R = 0 on the nose).
-    Runs at N and N+1; disagreement raises.
+    Runs at N and N+1; verdicts that differ raise through :func:`stable`.
     """
     x, y = tuple(x), tuple(y)
     if not x or not y:
@@ -509,14 +509,9 @@ def degeneration_check(
     if n < d + len(x) + len(y):
         raise StructureError("need N >= d + len(x) + len(y) for a faithful check")
     bound = len(x) + len(y) - 3
-    verdicts: List[bool] = []
+    by_n: Dict[int, bool] = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
         expansion = t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, s), d, s)
-        if expansion is None:
-            verdicts.append(False)
-        else:
-            verdicts.append(all(shifted_degree(m) <= bound for m, _c in expansion))
-    if verdicts[0] != verdicts[1]:
-        raise StabilizationError("degeneration verdicts differ at N=%d and N=%d" % (n, n + 1))
-    return verdicts[0]
+        by_n[size] = expansion is not None and all(shifted_degree(m) <= bound for m, _c in expansion)
+    return stable(by_n, "degeneration verdicts differ at N=%d and N=%d" % (n, n + 1))

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .enveloping import Enveloping, UElement
-from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, check_associativity
+from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, check_associativity, stable
 from .words import CyclicWord, Word, words_up_to
 
 
@@ -421,7 +421,7 @@ def symbol_match_smd(
         lhs = tx.commutator(ty).homogeneous(deg)
         rhs = spoly_symbol_image(p, ctx).homogeneous(deg)
         by_n[size] = lhs == rhs
-    return {"degree": deg, "by_n": by_n, "match": all(by_n.values())}
+    return {"degree": deg, "by_n": by_n, "match": stable(by_n, "smd match differs across %r" % by_n)}
 
 
 def trace_elem(ctx: Enveloping, word: Word) -> UElement:
@@ -445,4 +445,4 @@ def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> Dict[str, 
         for w, c in classes.items():
             rhs = rhs + trace_elem(ctx, tuple(w)).scale(c)
         by_n[size] = lhs == rhs.homogeneous(deg)
-    return {"degree": deg, "by_n": by_n, "match": all(by_n.values())}
+    return {"degree": deg, "by_n": by_n, "match": stable(by_n, "stc match differs across %r" % by_n)}

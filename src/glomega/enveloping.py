@@ -32,7 +32,7 @@ those.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
 from .omega import (
@@ -338,16 +338,7 @@ class Enveloping:
         cached = self._t.get(key)
         if cached is not None:
             return cached
-        m = len(word)
-        base = -self.n - s
-        acc: Dict[Mono, Scalar] = {}
-        for nu in compositions(m):
-            coeff = base ** (m - len(nu))
-            if not coeff:
-                continue
-            for w2, c2 in coagulate_word(self.omega, word, nu).terms.items():
-                vec_add(acc, self.e_elem(i, j, w2).terms, coeff * c2)
-        el = UElement._trusted(self, acc)
+        el = self._coagulation_sum(word, -self.n - s, lambda w: self.e_elem(i, j, w))
         self._t[key] = el
         return el
 
@@ -356,16 +347,23 @@ class Enveloping:
         word = tuple(word)
         s = as_scalar(s)
         s2 = as_scalar(s2)
-        lhs = self.t_elem(i, j, word, s)
-        base = s2 - s
-        rhs = self.zero()
-        for nu in compositions(len(word)):
-            coeff = base ** (len(word) - len(nu))
+        rhs = self._coagulation_sum(word, s2 - s, lambda w: self.t_elem(i, j, w, s2))
+        return self.t_elem(i, j, word, s) == rhs
+
+    def _coagulation_sum(self, word: Word, base: Scalar, image: Callable[[Word], "UElement"]) -> "UElement":
+        """Sum over compositions nu of len(word) of base^(len(word) - len(nu)) image(word * nu).
+
+        0^0 = 1, so base = 0 keeps only the finest composition.
+        """
+        m = len(word)
+        acc: Dict[Mono, Scalar] = {}
+        for nu in compositions(m):
+            coeff = base ** (m - len(nu))
             if not coeff:
                 continue
             for w2, c2 in coagulate_word(self.omega, word, nu).terms.items():
-                rhs = rhs + self.t_elem(i, j, w2, s2).scale(coeff * c2)
-        return lhs == rhs
+                vec_add(acc, image(w2).terms, coeff * c2)
+        return UElement._trusted(self, acc)
 
     # -- projection ---------------------------------------------------------
 

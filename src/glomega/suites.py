@@ -2,9 +2,11 @@
 
 Each suite walks a deterministic grid of checks over one or more coefficient
 tables and returns a :class:`Report`.  A check that would exceed the
-configured size caps is recorded as ``skipped`` rather than aborting the run,
-and a two-size certificate whose verdicts disagree is recorded as
-``not-stabilized`` (a headroom problem, never silently merged with ``fail``).
+configured size caps is recorded as ``skipped`` rather than aborting the run.
+A certificate checked at several sizes N gets its verdict from
+:func:`glomega.omega.stable`, which raises :class:`StabilizationError` when
+two sizes disagree; the runner records that, and only that, as
+``not-stabilized`` (a headroom problem, never merged with ``fail``).
 A check that raises any other exception, a violated precondition included,
 is recorded as ``error`` with the exception's type and message, and the run
 goes on; ``fail`` is kept for counterexamples.  The summary carries an
@@ -31,7 +33,7 @@ import random
 import re
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -169,16 +171,11 @@ class Report:
         }
 
     def config_dict(self) -> dict:
-        return {
-            "omega": self.cfg.omega,
-            "n_min": self.cfg.n_min,
-            "n_max": self.cfg.n_max,
-            "d": self.cfg.d,
-            "max_len": self.cfg.max_len,
-            "max_deg": self.cfg.max_deg,
-            "s_values": [str(s) for s in self.cfg.s_values],
-            "seed": self.cfg.seed,
-        }
+        """Every SuiteConfig field but the suite, with s values as strings."""
+        out = asdict(self.cfg)
+        del out["suite"]
+        out["s_values"] = [str(s) for s in self.cfg.s_values]
+        return out
 
     def fingerprint(self) -> str:
         blob = json.dumps(self._stable_payload(), sort_keys=True).encode()
@@ -187,17 +184,10 @@ class Report:
     def to_dict(self) -> dict:
         payload = self._stable_payload()
         payload["fingerprint"] = self.fingerprint()
-        payload["records"] = [
-            {
-                "name": r.name,
-                "config": r.config,
-                "status": r.status,
-                "witness": r.witness,
-                "seconds": round(r.seconds, 6),
-                **({"traceback": r.traceback} if r.traceback else {}),
-            }
-            for r in self.records
-        ]
+        for rec, r in zip(payload["records"], self.records):
+            rec["seconds"] = round(r.seconds, 6)
+            if r.traceback:
+                rec["traceback"] = r.traceback
         return payload
 
     def human_summary(self) -> str:
@@ -299,14 +289,6 @@ def _pvdw_status(rep: Dict[str, object]) -> Tuple[str, str]:
     )
 
 
-def _stable(what: str, rep: Dict[str, object], witness: str) -> Tuple[str, str]:
-    """A failed symbol match: not-stabilized when it differs across N and N+1, else fail."""
-    by = rep["by_n"]
-    if len(set(by.values())) > 1:
-        return "not-stabilized", "%s match differs across %r" % (what, by)
-    return "fail", witness
-
-
 # ---------------------------------------------------------------------------
 # projection suite
 
@@ -399,13 +381,11 @@ def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> Checks:
                 rep = yg.pbw_suite(spec, d, total_cap, cfg.max_deg, cfg.n_max, s0)
                 if rep["full_rank"]:
                     return "pass", "count=%d" % rep["count"]
+                witness = "count=%d rank=%d dependency=%r" % (rep["count"], rep["rank"], rep["dependency"])
+                if rep["dependency_status"] == "dependent":
+                    return "fail", witness
                 # a collision at N that disappears at N+1 is a headroom shortfall, not a counterexample
-                status = "not-stabilized" if rep["dependency_status"] == "not-stabilized" else "fail"
-                return status, "count=%d rank=%d dependency=%r" % (
-                    rep["count"],
-                    rep["rank"],
-                    rep.get("dependency"),
-                )
+                raise StabilizationError(witness)
 
             config = "omega=%s d=%d maxlen=%d maxdeg=%d N=%d" % (token, d, total_cap, cfg.max_deg, cfg.n_max)
             yield "pbw.rank", config, point
@@ -434,13 +414,10 @@ def _suite_splitting(cfg: SuiteConfig, specs: Tables) -> Checks:
         for name, d, deg in rows:
 
             def invariants():
-                expected = yg.splitting_expected(spec.dim, d, deg)
-                dims = {n: Enveloping.get(spec, n).invariant_dim(d, deg) for n in sizes}
-                vals = set(dims.values())
-                if vals != {expected}:
-                    status = "not-stabilized" if len(vals) > 1 else "fail"
-                    return status, "expected=%d dims=%r" % (expected, dims)
-                return "pass", "dim=%d" % expected
+                rep = yg.splitting_probe(spec, d, deg, sizes)
+                if rep["match"]:
+                    return "pass", "dim=%d" % rep["expected"]
+                return "fail", "expected=%d dims=%r" % (rep["expected"], rep["dims"])
 
             yield name, "omega=%s d=%d N=%s" % (token, d, list(sizes)), invariants
         if spec.dim == 1 and cfg.max_deg < 2:
@@ -518,7 +495,7 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> Checks:
                             for idx in itertools.product(range(1, cfg.d + 1), repeat=4):
                                 rep = dp.symbol_match_smd(spec, *idx, x, y, cfg.d, s0, cfg.n_max)
                                 if not rep["match"]:
-                                    return _stable("smd", rep, "x=%r y=%r idx=%r" % (x, y, idx))
+                                    return "fail", "x=%r y=%r idx=%r" % (x, y, idx)
                     return "pass", ""
 
                 yield "symbols.smd", "omega=%s lx=%d ly=%d N=%d d=%d" % (token, lx, ly, cfg.n_max, cfg.d), smd
@@ -541,7 +518,7 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> Checks:
                                 continue
                             rep = dp.symbol_match_stc(spec, x, y, base_n)
                             if not rep["match"]:
-                                return _stable("stc", rep, "x=%r y=%r" % (x, y))
+                                return "fail", "x=%r y=%r" % (x, y)
                     return "pass", ""
 
                 yield "symbols.stc", "omega=%s lx=%d ly=%d" % (token, lx, ly), stc

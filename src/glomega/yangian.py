@@ -12,7 +12,9 @@ U(gl(N, Omega)) at finite N, and products of expressions are re-expanded in
 the ordered basis by exact linear solves at two consecutive N (the
 "evaluation-faithful" product).  Linear independence claims are certified by
 rank at a single N; linear *dependence* is only reported when the same
-dependency vector is confirmed at N and N+1.
+dependency vector is confirmed at N and N+1.  Products and splitting probes
+compare their per-size results through :func:`~glomega.omega.stable`, which
+raises ``StabilizationError`` when two sizes disagree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, as_scalar, vec_add
+from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, as_scalar, stable, vec_add
 from .words import Word, words_up_to
 
 
@@ -239,17 +241,15 @@ def splitting_expected(dim_omega: int, d: int, deg: int) -> int:
     return sum(coeffs)
 
 
-def splitting_probe(omega: AlgebraSpec, d: int, deg: int, n: int) -> Dict[str, object]:
-    """Compare invariant dimensions at N, N+1 with the stable prediction."""
-    v1 = Enveloping.get(omega, n).invariant_dim(d, deg)
-    v2 = Enveloping.get(omega, n + 1).invariant_dim(d, deg)
+def splitting_probe(omega: AlgebraSpec, d: int, deg: int, sizes: Sequence[int]) -> Dict[str, object]:
+    """Compare the invariant dimension shared by every N in sizes with the stable prediction.
+
+    Dimensions that differ across sizes raise ``StabilizationError``.
+    """
+    dims = {n: Enveloping.get(omega, n).invariant_dim(d, deg) for n in sizes}
     expected = splitting_expected(omega.dim, d, deg)
-    return {
-        "expected": expected,
-        "dims": {n: v1, n + 1: v2},
-        "stabilized": v1 == v2,
-        "match": v1 == v2 == expected,
-    }
+    dim = stable(dims, "expected=%d dims=%r" % (expected, dims))
+    return {"expected": expected, "dims": dims, "match": dim == expected}
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +263,10 @@ def multiply_y(
 
     The product is computed by evaluating into U(gl(N)) and U(gl(N+1)) and
     solving for ordered-monomial coordinates; identical coordinates at both
-    sizes are required ("ok").  Returns ("ambiguous", None) when the
-    candidate monomials already collide at N, ("not-stabilized", None) when
-    the two solves disagree, ("not-expressible", None) when a solve fails.
+    sizes are required ("ok"), and coordinates that differ raise
+    ``StabilizationError``.  Returns ("ambiguous", None) when the candidate
+    monomials already collide at N, ("not-expressible", None) when a solve
+    fails.
     """
     factors = [g for mono in list(y1.terms) + list(y2.terms) for g in mono]
     if not factors:
@@ -281,7 +282,7 @@ def multiply_y(
     )
     maxdeg = max((len(m1) + len(m2)) for m1 in y1.terms for m2 in y2.terms)
     candidates = pbw_monomials(omega, d, maxlen, maxdeg, s)
-    solutions = []
+    solutions = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
         solver = SpanSolver()
@@ -292,13 +293,9 @@ def multiply_y(
         combo = solver.solve(target.terms)
         if combo is None:
             return ("not-expressible", None)
-        solutions.append(combo)
-    if solutions[0] != solutions[1]:
-        return ("not-stabilized", None)
-    return (
-        "ok",
-        YExpression({candidates[idx]: c for idx, c in solutions[0].items()}),
-    )
+        solutions[size] = combo
+    combo = stable(solutions, "product coordinates differ at N=%d and N=%d" % (n, n + 1))
+    return ("ok", YExpression({candidates[idx]: c for idx, c in combo.items()}))
 
 
 def y_scalar(y: YExpression) -> Scalar:

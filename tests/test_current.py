@@ -33,6 +33,7 @@ from glomega.current import (
     shifted_degree,
     t_expansion,
 )
+from glomega.omega import stable
 from glomega.yangian import t_gen
 
 
@@ -182,3 +183,11 @@ def test_degeneration_check_argument_validation():
 
 def test_stabilization_error_is_distinct():
     assert issubclass(StabilizationError, StructureError)
+
+
+def test_stable_returns_the_shared_verdict_or_raises():
+    assert stable({3: True, 4: True}, "unused") is True
+    assert stable({3: 5, 4: 5, 5: 5}, "unused") == 5
+    with pytest.raises(StabilizationError) as exc:
+        stable({3: 5, 4: 5, 5: 6}, "dims differ")
+    assert str(exc.value) == "dims differ"

@@ -55,3 +55,35 @@ def test_suites_bind_no_closure_by_default_arguments():
                     if node.args.defaults or any(d is not None for d in node.args.kw_defaults):
                         bound.add(node.lineno)
     assert sorted(bound) == []
+
+
+def _raised_names(tree):
+    """(name, line) of every ``raise Name(...)`` or ``raise Name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id, node.lineno
+
+
+def test_one_stabilization_rule():
+    # a multi-size verdict goes through omega.stable, and a report gets
+    # not-stabilized only from the runner's except StabilizationError
+    suites = ast.parse((SRC / "suites.py").read_text())
+    defined = {n.name for n in ast.walk(suites) if isinstance(n, ast.FunctionDef)}
+    assert "_stable" not in defined
+    literal = [
+        "%s:%d" % (fn.name, node.lineno)
+        for fn in suites.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and node.value == "not-stabilized"
+    ]
+    assert literal == []
+    raised = [
+        "%s:%d" % (name, line)
+        for name in ("doublepoisson.py", "current.py", "yangian.py")
+        for exc, line in _raised_names(ast.parse((SRC / name).read_text()))
+        if exc == "StabilizationError"
+    ]
+    assert raised == []

@@ -203,6 +203,66 @@ def test_pbw_dependency_witness_is_pinned():
     assert rep.exit_code() == 1
 
 
+def test_symbol_match_smd_not_stabilized_record(monkeypatch):
+    # the symbol side is zero at N+1 only, so the top parts match at N alone
+    from glomega import doublepoisson as dp
+
+    image = dp.spoly_symbol_image
+    monkeypatch.setattr(dp, "spoly_symbol_image", lambda p, ctx: ctx.zero() if ctx.n == 4 else image(p, ctx))
+    rep = run_suite(SuiteConfig(suite="symbols", omega="C", n_max=3, max_len=2))
+    got = {r.key(): (r.status, r.witness) for r in rep.records}
+    assert got[("symbols.smd", "omega=C lx=1 ly=1 N=3 d=2")] == (
+        "not-stabilized",
+        "smd match differs across {3: True, 4: False}",
+    )
+    assert rep.exit_code() == 1
+
+
+def test_symbol_match_stc_not_stabilized_record(monkeypatch):
+    # the trace of the letter (1,) is zero at N+1 only
+    from glomega import doublepoisson as dp
+
+    trace = dp.trace_elem
+    monkeypatch.setattr(
+        dp, "trace_elem", lambda ctx, w: ctx.zero() if ctx.n == 3 and w == (1,) else trace(ctx, w)
+    )
+    rep = run_suite(SuiteConfig(suite="symbols", omega="mat(2)", n_max=3, max_len=1))
+    got = {r.key(): (r.status, r.witness) for r in rep.records}
+    assert got == {("symbols.stc", "omega=mat(2) lx=1 ly=1"): (
+        "not-stabilized",
+        "stc match differs across {2: True, 3: False}",
+    )}
+    assert rep.exit_code() == 1
+
+
+def test_degeneration_not_stabilized_record(monkeypatch):
+    # the remainder has no t-expansion at N+1 only
+    from glomega import current as cur
+
+    expand = cur.t_expansion
+    monkeypatch.setattr(cur, "t_expansion", lambda ctx, r, d, s: None if ctx.n == 4 else expand(ctx, r, d, s))
+    rep = run_suite(SuiteConfig(suite="degeneration", omega="C", d=1, max_len=1))
+    got = {r.key(): (r.status, r.witness) for r in rep.records}
+    assert got[("degeneration.grid", "omega=C d=1 lx=1 ly=1")] == (
+        "not-stabilized",
+        "degeneration verdicts differ at N=3 and N=4",
+    )
+    assert rep.summary == {"pass": 1, "fail": 0, "skipped": 0, "not-stabilized": 1}
+
+
+def test_splitting_not_stabilized_record(monkeypatch):
+    # the invariant dimension grows with N, so no two sizes agree
+    from glomega import Enveloping
+
+    monkeypatch.setattr(Enveloping, "invariant_dim", lambda ctx, d, deg: ctx.n)
+    rep = run_suite(SuiteConfig(suite="splitting", omega="C", n_max=3, max_deg=1))
+    got = {r.key(): (r.status, r.witness) for r in rep.records if r.name == "splitting.degree1"}
+    assert got == {
+        ("splitting.degree1", "omega=C d=0 N=[2, 3, 4]"): ("not-stabilized", "expected=2 dims={2: 2, 3: 3, 4: 4}"),
+        ("splitting.degree1", "omega=C d=1 N=[2, 3, 4]"): ("not-stabilized", "expected=3 dims={2: 2, 3: 3, 4: 4}"),
+    }
+
+
 def test_pbw_dependency_confirmed_at_both_sizes_is_a_failure(monkeypatch):
     from glomega import yangian as yg
 

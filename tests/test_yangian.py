@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from glomega import StructureError, direct_sum_C
+from glomega import StabilizationError, StructureError, direct_sum_C
 from glomega.yangian import (
     YExpression,
     euler_phi,
@@ -77,10 +77,10 @@ def test_splitting_expected_small_values():
 
 
 def test_splitting_probe_matches():
-    rep = splitting_probe(direct_sum_C(1), 0, 2, 3)
-    assert rep["stabilized"] and rep["match"]
+    rep = splitting_probe(direct_sum_C(1), 0, 2, (3, 4))
+    assert rep["match"]
     assert rep["expected"] == 4
-    rep2 = splitting_probe(direct_sum_C(2), 1, 1, 3)
+    rep2 = splitting_probe(direct_sum_C(2), 1, 1, (3, 4))
     assert rep2["match"] and rep2["expected"] == 5
 
 
@@ -92,6 +92,22 @@ def test_multiply_y_stable_product():
     # the square re-expands with the squared monomial present
     sq = (t_gen(1, 1, (0,), S0), t_gen(1, 1, (0,), S0))
     assert prod.terms.get(sq) == Fraction(1)
+
+
+def test_multiply_y_not_stabilized(monkeypatch):
+    # the product's coordinates double at N+1 only, so the two solves disagree
+    import glomega.yangian as yg
+
+    evaluate = yg.evaluate
+    monkeypatch.setattr(
+        yg,
+        "evaluate",
+        lambda y, ctx: evaluate(y, ctx).scale(2) if isinstance(y, YExpression) and ctx.n == 4 else evaluate(y, ctx),
+    )
+    g = YExpression.generator(t_gen(1, 1, (0,), S0))
+    with pytest.raises(StabilizationError) as exc:
+        multiply_y(g, g, direct_sum_C(1), 3)
+    assert str(exc.value) == "product coordinates differ at N=3 and N=4"
 
 
 def test_multiply_y_mixed_parameters_rejected():
