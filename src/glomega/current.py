@@ -19,9 +19,10 @@ Structural checks implemented here:
 * :func:`degeneration_check` certifies that the commutator of two
   t-elements agrees with the current bracket up to terms of lower shifted
   degree.  The shifted degree of t_ij(x; s) is len(x) - 1 and is additive
-  on products; the certificate computes the canonical t-expansion of the
-  remainder degree by degree (solve at the top symbol, subtract, repeat)
-  and demands every extracted monomial stay below the bound.
+  on products; the certificate expands the remainder in ordered
+  t-monomials with :func:`glomega.yangian.t_expansion` (solve at the top
+  symbol, subtract, repeat) and demands every extracted monomial stay
+  below the bound.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ from .omega import (
     SparseVector,
     StructureError,
     _acc,
-    as_scalar,
     detect_unit,
     direct_sum_C,
     stable,
 )
 from .words import Word, basis_words, words_up_to
-from .yangian import OrderedMonomial, TGen, evaluate, mono_word_length, pbw_monomials
+from .yangian import TGen, t_expansion
 
 
 def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
@@ -421,60 +421,6 @@ def generator_bracket_display_check(omega: AlgebraSpec, d: int, s: ScalarLike, n
     return True
 
 
-def _symbol_solver(ctx: Enveloping, d: int, total: int, s: Scalar):
-    """Solver matching top-degree parts against the e-symbols of ordered t-monomials.
-
-    The columns are the monomials of yangian.pbw_monomials whose total word
-    length is exactly ``total``, in its order; cached per (d, total, s).
-    """
-    cache = ctx._degeneration_solvers
-    key = (d, total, s)
-    if key not in cache:
-        monos = [m for m in pbw_monomials(ctx.omega, d, total, total, s) if mono_word_length(m) == total]
-        solver = SpanSolver()
-        for idx, mono in enumerate(monos):
-            cur = ctx.one()
-            for g in mono:
-                cur = ctx.multiply(cur, ctx.e_elem(g.i, g.j, g.word))
-            solver.add(cur.homogeneous(total).terms, col_id=idx)
-        cache[key] = (solver, monos)
-    return cache[key]
-
-
-def t_expansion(
-    ctx: Enveloping, u: UElement, d: int, s: ScalarLike
-) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
-    """Canonical expansion over ordered t-monomials, or None if not expressible.
-
-    Returns (monomial, coefficient) pairs, where each monomial is a tuple of
-    yangian.TGen factors at parameter s, top filtration degree first.
-    Peels the top filtration degree: the top part is matched against the
-    e-symbol images of ordered monomials (independent at the sizes used
-    here), the solved combination of full t-monomials is subtracted, and the
-    degree strictly drops.
-    """
-    s = as_scalar(s)
-    out: List[Tuple[OrderedMonomial, Scalar]] = []
-    cur = u
-    while not cur.is_zero():
-        deg = cur.degree()
-        if deg == 0:
-            out.append(((), cur.terms[()]))
-            break
-        solver, monos = _symbol_solver(ctx, d, deg, s)
-        combo = solver.solve(cur.homogeneous(deg).terms)
-        if combo is None:
-            return None
-        removed = ctx.zero()
-        for idx, c in sorted(combo.items()):
-            out.append((monos[idx], c))
-            removed = removed + evaluate(monos[idx], ctx).scale(c)
-        cur = cur - removed
-        if not cur.is_zero() and cur.degree() >= deg:
-            return None
-    return out
-
-
 def shifted_degree(mono: Sequence[TGen]) -> int:
     return sum(len(g.word) - 1 for g in mono)
 
@@ -489,7 +435,6 @@ def degeneration_check(
     y: Word,
     d: int,
     s: ScalarLike,
-    n: Optional[int] = None,
 ) -> bool:
     """Commutator of t-elements = current bracket + lower shifted degree.
 
@@ -497,17 +442,15 @@ def degeneration_check(
     + delta_il t_kj(y(.)x;N;s), expands R over ordered t-monomials and
     checks every surviving monomial has shifted degree at most
     len(x)+len(y)-3 (for single letters that forces R = 0 on the nose).
-    Runs at N and N+1; verdicts that differ raise through :func:`stable`.
+    Runs at N = d + len(x) + len(y), the least faithful size, and at N+1;
+    verdicts that differ raise through :func:`stable`.
     """
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("words must be nonempty")
     if d < 1 or max(i, j, k, l) > d or min(i, j, k, l) < 1:
         raise StructureError("matrix indices must lie in 1..d")
-    if n is None:
-        n = d + len(x) + len(y)
-    if n < d + len(x) + len(y):
-        raise StructureError("need N >= d + len(x) + len(y) for a faithful check")
+    n = d + len(x) + len(y)
     bound = len(x) + len(y) - 3
     by_n: Dict[int, bool] = {}
     for size in (n, n + 1):

@@ -76,9 +76,9 @@ class Enveloping:
         self._t: Dict = {}
         # ordered t-monomials evaluated by yangian.evaluate
         self._y_eval_cache: Dict = {}
-        # symbol solvers of current.t_expansion, by (d, total word length, s);
+        # symbol solvers of yangian.t_expansion, by (d, total word length, s);
         # the t-monomials it subtracts are evaluated into _y_eval_cache
-        self._degeneration_solvers: Dict = {}
+        self._symbol_solvers: Dict = {}
         self._gens: Optional[List[Gen]] = None
 
     @classmethod
@@ -367,24 +367,21 @@ class Enveloping:
 
     # -- projection ---------------------------------------------------------
 
-    def project_down(self, u: "UElement", target: Optional["Enveloping"] = None) -> "UElement":
+    def project_down(self, u: "UElement") -> "UElement":
         """Delete index-N monomials and re-express in U(gl(N-1, Omega)).
 
         Requires ad E_NN u = 0.  Deletion is justified monomial by monomial:
         a weight-zero monomial containing index N must contain an E(*, N)
         factor (checked at runtime), so it lies in L(N) = ker of the
-        projection.  Surviving monomials are re-sorted in the context one
-        size down, whose PBW order differs.
+        projection.  Surviving monomials are re-sorted in the table's own
+        context one size down (:meth:`get`), whose PBW order differs.
         """
         u._compat(self)
         if self.n < 2:
             raise StructureError("cannot project below n = 1")
         if self.weight(u) != 0:
             raise StructureError("project_down needs an E_NN-invariant element")
-        if target is None:
-            target = Enveloping.get(self.omega, self.n - 1)
-        if target.omega is not self.omega or target.n != self.n - 1:
-            raise StructureError("target context must be one size down, same algebra")
+        target = Enveloping.get(self.omega, self.n - 1)
         acc: Dict[Mono, Scalar] = {}
         for mono, c in u.terms.items():
             if any(i == self.n or j == self.n for (i, j, _b) in mono):

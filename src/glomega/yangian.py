@@ -8,23 +8,26 @@ increasing products of TGens under the order
 
 and YExpression is a sparse rational combination of ordered monomials.  These
 are formal objects; all actual multiplication happens through evaluation into
-U(gl(N, Omega)) at finite N, and products of expressions are re-expanded in
-the ordered basis by exact linear solves at two consecutive N (the
-"evaluation-faithful" product).  Linear independence claims are certified by
-rank at a single N; linear *dependence* is only reported when the same
-dependency vector is confirmed at N and N+1.  Products and splitting probes
-compare their per-size results through :func:`~glomega.omega.stable`, which
-raises ``StabilizationError`` when two sizes disagree.
+U(gl(N, Omega)) at finite N.  :func:`t_expansion` is the one way back: it
+expands an element of U(gl(N, Omega)) in ordered t-monomials by peeling top
+symbols, and :func:`multiply_y` re-expands a product with it at N and N+1.
+One loop, ``_span``, row-reduces every span of monomial columns.  Linear
+independence claims are certified by rank at a single N; a linear
+*dependence* found at N must also hold at N+1.  Products, dependencies and
+splitting probes compare their per-size results through
+:func:`~glomega.omega.stable`, which raises ``StabilizationError`` when two
+sizes disagree.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, as_scalar, stable, vec_add
+from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, as_scalar, stable
 from .words import Word, words_up_to
 
 
@@ -114,10 +117,7 @@ def evaluate(y, ctx: Enveloping) -> UElement:
     mono = ordered_monomial(y)
     got = cache.get(mono)
     if got is None:
-        got = ctx.one()
-        for g in mono:
-            got = ctx.multiply(got, ctx.t_elem(g.i, g.j, g.word, g.s))
-        cache[mono] = got
+        got = cache[mono] = reduce(ctx.multiply, (ctx.t_elem(g.i, g.j, g.word, g.s) for g in mono), ctx.one())
     return got
 
 
@@ -155,58 +155,67 @@ def pbw_monomials(
     return out
 
 
+def _span(columns: Iterable[Mapping]) -> Tuple[SpanSolver, Optional[Dict[int, Scalar]]]:
+    """Row-reduce the columns in order, with ids 0, 1, ...
+
+    Returns the solver and the first dependency as a primitive integer
+    vector over column positions, or None when the columns are independent.
+    """
+    solver = SpanSolver()
+    dep = None
+    for idx, col in enumerate(columns):
+        combo = solver.add(col, idx)
+        if combo is not None and dep is None:
+            combo[idx] = -1
+            dep = primitive(combo)
+    return solver, dep
+
+
+def _confirm(
+    monomials: Sequence[OrderedMonomial], dep: Dict[int, Scalar], omega: AlgebraSpec, n: int, witness: str
+) -> None:
+    """The dependency found at N must hold at N and N+1, compared through :func:`stable`."""
+    holds = {}
+    for size in (n, n + 1):
+        ctx = Enveloping.get(omega, size)
+        holds[size] = sum((evaluate(monomials[pos], ctx).scale(c) for pos, c in dep.items()), ctx.zero()).is_zero()
+    stable(holds, witness)
+
+
 def independence_check(
     monomials: Sequence[OrderedMonomial], omega: AlgebraSpec, n: int
 ) -> Tuple[str, Optional[Dict[int, Scalar]]]:
-    """Certify independence at N, or a dependency vector stable at N and N+1.
+    """Certify independence at N, or a dependency that holds at N and N+1.
 
     Returns ("independent", None) when the evaluations at N have full rank
     (which already proves independence in the stable algebra), or
-    ("dependent", vector) with a primitive integer vector over the input
-    positions confirmed at both N and N+1, or ("not-stabilized", vector)
-    when the collision at N disappears one size up.
+    ("dependent", vector) with the first dependency at N as a primitive
+    integer vector over the input positions.  A dependency that fails at N+1
+    raises ``StabilizationError``.
     """
     ctx = Enveloping.get(omega, n)
-    solver = SpanSolver()
-    dep: Optional[Tuple[int, Dict]] = None
-    for idx, mono in enumerate(monomials):
-        combo = solver.add(evaluate(mono, ctx).terms, idx)
-        if combo is not None:
-            dep = (idx, combo)
-            break
+    _solver, dep = _span(evaluate(mono, ctx).terms for mono in monomials)
     if dep is None:
         return ("independent", None)
-    idx, combo = dep
-    vec: Dict[int, Scalar] = {c: v for c, v in combo.items() if v}
-    vec[idx] = -1
-    ctx2 = Enveloping.get(omega, n + 1)
-    acc: Dict = {}
-    for pos, coeff in vec.items():
-        vec_add(acc, evaluate(monomials[pos], ctx2).terms, coeff)
-    vec = primitive(vec)
-    if acc:
-        return ("not-stabilized", vec)
-    return ("dependent", vec)
+    _confirm(monomials, dep, omega, n, "dependency %r at N=%d fails at N=%d" % (dep, n, n + 1))
+    return ("dependent", dep)
 
 
 def pbw_suite(
     omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int, n: int, s: ScalarLike
 ) -> Dict[str, object]:
-    """Rank-vs-count check for the ordered monomial basis at finite N."""
+    """Rank-vs-count check for the ordered monomial basis at finite N.
+
+    A short rank reports the first dependency, which must also hold at N+1;
+    one that does not raises ``StabilizationError``.
+    """
     monos = pbw_monomials(omega, d, maxlen, maxdeg, s)
     ctx = Enveloping.get(omega, n)
-    solver = SpanSolver()
-    for idx, mono in enumerate(monos):
-        solver.add(evaluate(mono, ctx).terms, idx)
-    report: Dict[str, object] = {
-        "count": len(monos),
-        "rank": solver.rank,
-        "full_rank": solver.rank == len(monos),
-    }
-    if not report["full_rank"]:
-        status, vec = independence_check(monos, omega, n)
-        report["dependency_status"] = status
-        report["dependency"] = vec
+    solver, dep = _span(evaluate(mono, ctx).terms for mono in monos)
+    report: Dict[str, object] = {"count": len(monos), "rank": solver.rank, "full_rank": dep is None}
+    if dep is not None:
+        _confirm(monos, dep, omega, n, "count=%d rank=%d dependency=%r" % (len(monos), solver.rank, dep))
+        report["dependency"] = dep
     return report
 
 
@@ -253,7 +262,61 @@ def splitting_probe(omega: AlgebraSpec, d: int, deg: int, sizes: Sequence[int]) 
 
 
 # ---------------------------------------------------------------------------
-# evaluation-faithful products
+# expansion in ordered t-monomials
+
+
+def _symbol_solver(ctx: Enveloping, d: int, total: int, s: Scalar) -> Tuple[SpanSolver, List[OrderedMonomial]]:
+    """Solver matching top-degree parts against the e-symbols of ordered t-monomials.
+
+    The columns are the monomials of :func:`pbw_monomials` whose total word
+    length is exactly ``total``, in its order; cached per (d, total, s).
+    Symbols that are dependent at the context's N would make the expansion
+    non-canonical, so they raise ``StructureError``.
+    """
+    cache = ctx._symbol_solvers
+    key = (d, total, s)
+    if key not in cache:
+        monos = [m for m in pbw_monomials(ctx.omega, d, total, total, s) if mono_word_length(m) == total]
+        symbols = (reduce(ctx.multiply, (ctx.e_elem(g.i, g.j, g.word) for g in m), ctx.one()) for m in monos)
+        solver, dep = _span(sym.homogeneous(total).terms for sym in symbols)
+        if dep is not None:
+            raise StructureError("t-monomial symbols of word length %d are dependent at N=%d" % (total, ctx.n))
+        cache[key] = (solver, monos)
+    return cache[key]
+
+
+def t_expansion(
+    ctx: Enveloping, u: UElement, d: int, s: ScalarLike
+) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
+    """Canonical expansion over ordered t-monomials, or None if not expressible.
+
+    Returns (monomial, coefficient) pairs, where each monomial is a tuple of
+    TGen factors with indices in 1..d at parameter s, top filtration degree
+    first.  Peels the top filtration degree: the top part is matched against
+    the e-symbols of ordered monomials (checked independent), the solved
+    combination of full t-monomials is subtracted, and the degree strictly
+    drops.
+    """
+    s = as_scalar(s)
+    out: List[Tuple[OrderedMonomial, Scalar]] = []
+    cur = u
+    while not cur.is_zero():
+        deg = cur.degree()
+        if deg == 0:
+            out.append(((), cur.terms[()]))
+            break
+        solver, monos = _symbol_solver(ctx, d, deg, s)
+        combo = solver.solve(cur.homogeneous(deg).terms)
+        if combo is None:
+            return None
+        removed = ctx.zero()
+        for idx, c in sorted(combo.items()):
+            out.append((monos[idx], c))
+            removed = removed + evaluate(monos[idx], ctx).scale(c)
+        cur = cur - removed
+        if not cur.is_zero() and cur.degree() >= deg:
+            return None
+    return out
 
 
 def multiply_y(
@@ -261,45 +324,24 @@ def multiply_y(
 ) -> Tuple[str, Optional[YExpression]]:
     """Product of two expressions, re-expanded in the ordered basis.
 
-    The product is computed by evaluating into U(gl(N)) and U(gl(N+1)) and
-    solving for ordered-monomial coordinates; identical coordinates at both
-    sizes are required ("ok"), and coordinates that differ raise
-    ``StabilizationError``.  Returns ("ambiguous", None) when the candidate
-    monomials already collide at N, ("not-expressible", None) when a solve
-    fails.
+    The product is evaluated in U(gl(N)) and U(gl(N+1)) and expanded there
+    by :func:`t_expansion`; expansions that differ raise
+    ``StabilizationError`` through :func:`stable`.  Returns ("ok", product),
+    or ("not-expressible", None) when the product has no expansion.
     """
     factors = [g for mono in list(y1.terms) + list(y2.terms) for g in mono]
-    if not factors:
-        return ("ok", YExpression({(): y_scalar(y1) * y_scalar(y2)}))
-    d = max(max(g.i, g.j) for g in factors)
-    s = factors[0].s
-    if any(g.s != s for g in factors):
+    if len({g.s for g in factors}) > 1:
         raise StructureError("product factors must share the parameter s")
-    maxlen = max(
-        (mono_word_length(m1) + mono_word_length(m2))
-        for m1 in y1.terms
-        for m2 in y2.terms
-    )
-    maxdeg = max((len(m1) + len(m2)) for m1 in y1.terms for m2 in y2.terms)
-    candidates = pbw_monomials(omega, d, maxlen, maxdeg, s)
-    solutions = {}
+    d = max((max(g.i, g.j) for g in factors), default=1)
+    s = factors[0].s if factors else 0
+    by_n = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
-        solver = SpanSolver()
-        for idx, mono in enumerate(candidates):
-            if solver.add(evaluate(mono, ctx).terms, idx) is not None:
-                return ("ambiguous", None)
-        target = ctx.multiply(evaluate(y1, ctx), evaluate(y2, ctx))
-        combo = solver.solve(target.terms)
-        if combo is None:
-            return ("not-expressible", None)
-        solutions[size] = combo
-    combo = stable(solutions, "product coordinates differ at N=%d and N=%d" % (n, n + 1))
-    return ("ok", YExpression({candidates[idx]: c for idx, c in combo.items()}))
-
-
-def y_scalar(y: YExpression) -> Scalar:
-    return y.terms.get((), 0)
+        by_n[size] = t_expansion(ctx, ctx.multiply(evaluate(y1, ctx), evaluate(y2, ctx)), d, s)
+    expansion = stable(by_n, "product coordinates differ at N=%d and N=%d" % (n, n + 1))
+    if expansion is None:
+        return ("not-expressible", None)
+    return ("ok", YExpression(dict(expansion)))
 
 
 def shift_automorphism_check(

@@ -44,7 +44,7 @@ def test_criterion_01_projection_consistency_grid():
                 for i in range(1, top + 1):
                     for j in range(1, top + 1):
                         for w in words_up_to(spec, 3):
-                            got = ctx.project_down(ctx.t_elem(i, j, w, s), low)
+                            got = ctx.project_down(ctx.t_elem(i, j, w, s))
                             assert got == low.t_elem(i, j, w, s), (spec.name, n, s, i, j, w)
     assert time.monotonic() - start < 120
 
@@ -77,7 +77,7 @@ def test_criterion_03_hand_derived_anchor():
             }
         )
         assert got == expected
-        proj = ctx.project_down(got, low)
+        proj = ctx.project_down(got)
         assert proj == low.element({((1, 1, 0), (1, 1, 0)): 1, ((1, 1, 0),): Fraction(-1) - s})
 
 

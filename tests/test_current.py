@@ -177,8 +177,6 @@ def test_degeneration_check_argument_validation():
     C = direct_sum_C(1)
     with pytest.raises(StructureError):
         degeneration_check(C, 1, 3, 1, 1, (0,), (0,), 2, Fraction(0))
-    with pytest.raises(StructureError):
-        degeneration_check(C, 1, 1, 1, 1, (0,), (0,), 1, Fraction(0), n=1)
 
 
 def test_stabilization_error_is_distinct():

@@ -87,3 +87,28 @@ def test_one_stabilization_rule():
         if exc == "StabilizationError"
     ]
     assert raised == []
+
+
+def test_one_dependency_rule():
+    # a dependency is confirmed through omega.stable, and yangian row-reduces
+    # every span of monomial columns in one loop
+    literals = [
+        "%s:%d %s" % (path.name, node.lineno, node.value)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and (
+            node.value == "dependency_status"
+            or node.value in ("not-stabilized", "ambiguous") and path.name != "suites.py"
+        )
+    ]
+    assert literals == []
+    yangian = ast.parse((SRC / "yangian.py").read_text())
+    builders = [
+        fn.name
+        for fn in ast.walk(yangian)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SpanSolver"
+    ]
+    assert builders == ["_span"]

@@ -267,7 +267,7 @@ def test_pbw_dependency_confirmed_at_both_sizes_is_a_failure(monkeypatch):
     from glomega import yangian as yg
 
     def dependent(omega, d, maxlen, maxdeg, n, s):
-        return {"count": 3, "rank": 2, "full_rank": False, "dependency_status": "dependent", "dependency": {0: 1, 2: -1}}
+        return {"count": 3, "rank": 2, "full_rank": False, "dependency": {0: 1, 2: -1}}
 
     monkeypatch.setattr(yg, "pbw_suite", dependent)
     rep = run_suite(SuiteConfig(suite="pbw", omega="C", n_max=2, d=1))

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from glomega import StabilizationError, StructureError, direct_sum_C
+from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C
 from glomega.yangian import (
     YExpression,
     euler_phi,
+    evaluate,
     independence_check,
     multiply_y,
     necklace_count,
@@ -16,6 +17,7 @@ from glomega.yangian import (
     shift_automorphism_check,
     splitting_expected,
     splitting_probe,
+    t_expansion,
     t_gen,
 )
 
@@ -59,6 +61,33 @@ def test_independent_set_certified():
     assert (status, vec) == ("independent", None)
 
 
+def test_pbw_collision_that_vanishes_one_size_up_raises():
+    # the pbw.rank record of `omega run pbw --omega C --n-max 2`
+    with pytest.raises(StabilizationError) as exc:
+        pbw_suite(direct_sum_C(1), 2, 3, 2, 2, S0)
+    assert str(exc.value) == (
+        "count=39 rank=28 dependency={1: Fraction(2, 1), 2: Fraction(-1, 1), 10: Fraction(1, 1), 18: Fraction(-1, 1)}"
+    )
+
+
+def test_independence_check_raises_on_a_dependency_that_fails_at_n_plus_1():
+    monos = pbw_monomials(direct_sum_C(1), 2, 3, 2, S0)
+    with pytest.raises(StabilizationError) as exc:
+        independence_check(monos, direct_sum_C(1), 2)
+    assert str(exc.value) == (
+        "dependency {1: Fraction(2, 1), 2: Fraction(-1, 1), 10: Fraction(1, 1), 18: Fraction(-1, 1)} at N=2 fails at N=3"
+    )
+    assert independence_check(monos, direct_sum_C(1), 4) == ("independent", None)
+
+
+def test_t_expansion_rejects_dependent_symbols():
+    # at N=1 the symbols of t11(0) t11(0) and t11(0,0) are both E11^2, so
+    # an expansion would not be canonical
+    ctx = Enveloping.get(direct_sum_C(1), 1)
+    with pytest.raises(StructureError):
+        t_expansion(ctx, ctx.t_elem(1, 1, (0, 0), S0), 1, S0)
+
+
 def test_necklace_and_phi():
     assert [euler_phi(k) for k in (1, 2, 3, 4, 6)] == [1, 1, 2, 2, 2]
     assert necklace_count(2, 1) == 2
@@ -92,6 +121,25 @@ def test_multiply_y_stable_product():
     # the square re-expands with the squared monomial present
     sq = (t_gen(1, 1, (0,), S0), t_gen(1, 1, (0,), S0))
     assert prod.terms.get(sq) == Fraction(1)
+
+
+def test_multiply_y_expansion_evaluates_to_the_product():
+    spec = direct_sum_C(2)
+    gens = [t_gen(1, 2, (0,), S0), t_gen(2, 1, (1,), S0), t_gen(1, 1, (0, 1), S0)]
+    for a in gens:
+        for b in gens:
+            ya, yb = YExpression.generator(a), YExpression.generator(b)
+            status, prod = multiply_y(ya, yb, spec, 4)
+            assert status == "ok"
+            for n in (4, 5):
+                ctx = Enveloping.get(spec, n)
+                assert evaluate(prod, ctx) == ctx.multiply(evaluate(ya, ctx), evaluate(yb, ctx)), (a, b, n)
+
+
+def test_multiply_y_of_scalars():
+    two, three = YExpression({(): 2}), YExpression({(): 3})
+    assert multiply_y(two, three, direct_sum_C(1), 3) == ("ok", YExpression({(): 6}))
+    assert multiply_y(two, YExpression({}), direct_sum_C(1), 3) == ("ok", YExpression({}))
 
 
 def test_multiply_y_not_stabilized(monkeypatch):
