@@ -37,7 +37,7 @@ at two consecutive sizes N and N+1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .enveloping import Enveloping, UElement
 from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, check_associativity, stable
@@ -173,21 +173,32 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
     return None
 
 
-def _bracket_into_first(spec: AlgebraSpec, a: Word, dt: DoubleTensor) -> TripleTensor:
+Bracket = Callable[[Word, Word], DoubleTensor]
+
+
+def _bracket_into_first(bracket: Bracket, a: Word, dt: DoubleTensor) -> TripleTensor:
     """<<a, ->>_L: bracket a into the first slot, third slot rides along."""
     out: Dict[Tuple[Word, Word, Word], Scalar] = {}
     for (u, v), c in dt.terms.items():
-        inner = double_bracket(spec, a, u)
-        for (p, q), c2 in inner.terms.items():
+        for (p, q), c2 in bracket(a, u).terms.items():
             _acc(out, (p, q, v), c * c2)
-    return TripleTensor._trusted(spec, out)
+    return TripleTensor._trusted(dt.owner, out)
 
 
-def triple_jacobi_sum(spec: AlgebraSpec, a: Word, b: Word, c: Word) -> TripleTensor:
-    """Cyclic sum <<a,<<b,c>>>>_L + rot <<b,<<c,a>>>>_L + rot^2 <<c,<<a,b>>>>_L."""
-    t1 = _bracket_into_first(spec, a, double_bracket(spec, b, c))
-    t2 = _bracket_into_first(spec, b, double_bracket(spec, c, a)).rotate()
-    t3 = _bracket_into_first(spec, c, double_bracket(spec, a, b)).rotate().rotate()
+def triple_jacobi_sum(
+    spec: AlgebraSpec, a: Word, b: Word, c: Word, *, bracket: Optional[Bracket] = None
+) -> TripleTensor:
+    """Cyclic sum <<a,<<b,c>>>>_L + rot <<b,<<c,a>>>>_L + rot^2 <<c,<<a,b>>>>_L.
+
+    ``bracket(x, y)`` computes the double bracket of two words; it defaults
+    to :func:`double_bracket` on ``spec``, and :func:`check_double_jacobi`
+    passes its memo of it.
+    """
+    if bracket is None:
+        bracket = lambda x, y: double_bracket(spec, x, y)
+    t1 = _bracket_into_first(bracket, a, bracket(b, c))
+    t2 = _bracket_into_first(bracket, b, bracket(c, a)).rotate()
+    t3 = _bracket_into_first(bracket, c, bracket(a, b)).rotate().rotate()
     return t1 + t2 + t3
 
 
@@ -196,13 +207,37 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
 
     The letter-level sum carries exactly the associator values, so for a
     non-associative table a witness always exists already at length one.
+
+    Triples are scanned in the order of their index triples (i, j, k) in the
+    list of words, and one triple per cyclic orbit is checked.  The sum is
+    t1 + rot t2 + rot^2 t3 for any bilinear table, so J(b, c, a) is
+    rot^2 J(a, b, c): every rotation of a failing triple fails too.  The
+    first failing triple of the full scan is therefore the least of its
+    rotations, and skipping each (i, j, k) that has a smaller rotation
+    returns the same witness.
+
+    The double brackets of one first word ``i`` are memoized in a dict that
+    is dropped when the scan moves on to the next ``i``, so the memo never
+    holds more than one first word's brackets.
     """
     words = list(words_up_to(spec, maxlen))
-    for a in words:
-        for b in words:
-            for c in words:
-                if not triple_jacobi_sum(spec, a, b, c).is_zero():
-                    return (a, b, c)
+    n = len(words)
+    for i in range(n):
+        memo: Dict[Tuple[Word, Word], DoubleTensor] = {}
+
+        def bracket(x: Word, y: Word) -> DoubleTensor:
+            hit = memo.get((x, y))
+            if hit is None:
+                hit = memo[(x, y)] = double_bracket(spec, x, y)
+            return hit
+
+        # a least rotation has its least index first
+        for j in range(i, n):
+            for k in range(i, n):
+                if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
+                    continue
+                if not triple_jacobi_sum(spec, words[i], words[j], words[k], bracket=bracket).is_zero():
+                    return (words[i], words[j], words[k])
     return None
 
 

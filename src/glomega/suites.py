@@ -673,7 +673,9 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """Execute one named suite (or all of them) and assemble the report.
 
     Each table token is resolved once per run, so every suite shares its
-    table object, and with it the table's contexts and facts.
+    table object, and with it the table's contexts and facts.  A
+    configuration that yields no check raises :class:`StructureError`: a
+    run that checked nothing must not pass.
     """
     names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
     rosters = {name: (cfg.omega,) if cfg.omega else _DEFAULT_TOKENS[name] for name in names}
@@ -686,4 +688,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 % (cfg.omega, witness)
             )
     suites = (_SUITE_FNS[name](cfg, [(tok, tables[tok]) for tok in rosters[name]]) for name in names)
-    return Report(cfg, [_run(*check) for checks in suites for check in checks])
+    records = [_run(*check) for checks in suites for check in checks]
+    if not records:
+        raise StructureError("suite %s has no checks for this configuration" % cfg.suite)
+    return Report(cfg, records)

@@ -108,6 +108,14 @@ def test_run_other_suite_on_nonassociative_table_is_an_error(capsys):
     assert "associative" in capsys.readouterr().err
 
 
+def test_run_with_no_checks_is_an_error(capsys):
+    # N=1 leaves the projection suite nothing to check; a run that checked nothing must not pass
+    assert main(["run", "projection", "--omega", "C", "--n-min", "1", "--n-max", "1", "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "no checks" in captured.err
+    assert "checks=0" not in captured.out
+
+
 def test_dims_output(capsys):
     assert main(["dims", "--omega", "C^3", "--d", "2", "--grade", "2"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glomega import (
@@ -17,6 +17,7 @@ from glomega.doublepoisson import (
     NecklacePoly,
     PGen,
     SPoly,
+    TripleTensor,
     check_double_jacobi,
     check_leibniz,
     check_letter_bracket,
@@ -30,8 +31,10 @@ from glomega.doublepoisson import (
     symbol_match_smd,
     symbol_match_stc,
     trace_bracket,
+    triple_jacobi_sum,
 )
-from glomega.words import CyclicWord
+from glomega.suites import _random_table
+from glomega.words import CyclicWord, words_up_to
 
 TABLES = (direct_sum_C(1), direct_sum_C(2), null_algebra(2), matrix_algebra(2))
 
@@ -61,6 +64,70 @@ def test_double_jacobi_on_associative_tables():
     for spec in TABLES:
         cap = 2 if spec.dim >= 4 else 3
         assert check_double_jacobi(spec, cap) is None
+
+
+def _full_jacobi_scan(spec, maxlen):
+    """The first triple of the whole W^3 scan, in index order, with a nonzero sum."""
+    words = list(words_up_to(spec, maxlen))
+    for a in words:
+        for b in words:
+            for c in words:
+                if not triple_jacobi_sum(spec, a, b, c).is_zero():
+                    return (a, b, c)
+    return None
+
+
+# the fuzz draw _random_table(3, random.Random(16)), written out; its first
+# witness starts at the second letter, after every triple of the first
+_FUZZ_FAILING = AlgebraSpec(
+    3,
+    table={(1, 2): {2: -1, 0: -1}, (2, 1): {0: Fraction(1, 2)}, (2, 2): {0: 1, 1: 1}},
+)
+# a table whose first witness (i, j, k) has i < k < j
+_SHUFFLED_FAILING = AlgebraSpec(3, table={(1, 2): {2: 1}, (2, 0): {1: 1}})
+
+
+def test_orbit_scan_returns_the_full_scan_witness():
+    cases = (
+        (nonassoc_witness(), ((0,), (0,), (0,))),
+        (_FUZZ_FAILING, ((1,), (1,), (2,))),
+        (_SHUFFLED_FAILING, ((0,), (2,), (1,))),
+        (matrix_algebra(2), None),
+        (direct_sum_C(2), None),
+        (null_algebra(2), None),
+    )
+    for spec, witness in cases:
+        assert _full_jacobi_scan(spec, 2) == witness
+        assert check_double_jacobi(spec, 2) == witness
+
+
+def _outer_left(w, t):
+    return TripleTensor(t.owner, {(w + u1, u2, u3): x for (u1, u2, u3), x in t.terms.items()})
+
+
+def _outer_right(t, w):
+    return TripleTensor(t.owner, {(u1, u2, u3 + w): x for (u1, u2, u3), x in t.terms.items()})
+
+
+_LETTERS = st.lists(st.integers(0, 2), min_size=1, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.none(), st.integers(0, 2**32)), _LETTERS, _LETTERS, _LETTERS, _LETTERS)
+@example(None, [0], [0], [0], [0])  # nonassoc's witness: both sides nonzero
+def test_jacobi_sum_is_a_derivation_in_its_last_argument(seed, wa, wb, wc, wd):
+    # Van den Bergh, Double Poisson algebras, Prop. 2.3.1, for the outer
+    # bimodule structure: J(a, b, cd) = (c (x) 1 (x) 1) J(a, b, d) + J(a, b, c) (1 (x) 1 (x) d),
+    # for any bilinear table; a table drawn by the fuzz suite, or nonassoc
+    if seed is None:
+        spec = nonassoc_witness()
+    else:
+        rng = random.Random(seed)
+        spec = _random_table(rng.randint(1, 3), rng)
+    a, b, c, d = (tuple(x % spec.dim for x in w) for w in (wa, wb, wc, wd))
+    lhs = triple_jacobi_sum(spec, a, b, c + d)
+    rhs = _outer_left(c, triple_jacobi_sum(spec, a, b, d)) + _outer_right(triple_jacobi_sum(spec, a, b, c), d)
+    assert lhs == rhs
 
 
 @settings(max_examples=40, deadline=None)

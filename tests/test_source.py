@@ -112,3 +112,38 @@ def test_one_dependency_rule():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SpanSolver"
     ]
     assert builders == ["_span"]
+
+
+_CACHE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "WeakValueDictionary", "lru_cache", "cache"}
+
+
+def _cache_like(node):
+    """A container display, or a name or call of a container or memo decorator."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None)) in _CACHE_CALLS
+
+
+def test_double_bracket_memo_lives_in_one_check():
+    # check_double_jacobi memoizes double brackets for one first word only; a
+    # cache that outlives the check would hold every bracket of the run
+    tree = ast.parse((SRC / "doublepoisson.py").read_text())
+    held = []
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        for node in scope.body:  # module and class attributes
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and _cache_like(node.value):
+                held.append("%d attribute" % node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            held.append("%d global" % node.lineno)
+        elif isinstance(node, ast.Assign) and _cache_like(node.value):
+            # state stored on an object, such as the table, outlives the check
+            held += ["%d on an object" % node.lineno for t in node.targets if isinstance(t, ast.Attribute)]
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            held += ["%d default" % node.lineno for d in defaults if _cache_like(d)]
+            decorators = getattr(node, "decorator_list", [])
+            held += ["%d decorator" % node.lineno for d in decorators if _cache_like(d)]
+    assert held == []
