@@ -30,7 +30,6 @@ from .omega import (
 from .words import TensorElement
 from .enveloping import Enveloping, UElement
 from .yangian import (
-    YExpression,
     independence_check,
     necklace_count,
     pbw_monomials,

@@ -155,19 +155,16 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
     heads = [()] + list(words_up_to(spec, maxlen))
     for a in heads:
         for b in heads:
+            ab, ba = double_bracket(spec, a, b), double_bracket(spec, b, a)
             for c in heads:
                 if len(b) + len(c) > maxlen:
                     continue
                 lhs = double_bracket(spec, a, b + c)
-                rhs = double_bracket(spec, a, b).outer_right(c) + double_bracket(
-                    spec, a, c
-                ).outer_left(b)
+                rhs = ab.outer_right(c) + double_bracket(spec, a, c).outer_left(b)
                 if lhs != rhs:
                     return ("outer", a, b, c)
                 lhs2 = double_bracket(spec, b + c, a)
-                rhs2 = double_bracket(spec, c, a).inner_left(b) + double_bracket(
-                    spec, b, a
-                ).inner_right(c)
+                rhs2 = double_bracket(spec, c, a).inner_left(b) + ba.inner_right(c)
                 if lhs2 != rhs2:
                     return ("inner", b, c, a)
     return None

@@ -317,6 +317,8 @@ class Enveloping:
         m = len(word)
         if m < 1:
             raise StructureError("e_elem needs a nonempty word")
+        for b in word:  # normal_form never sorts a one-letter word, so it would not validate it
+            self.sort_key((i, j, b))
         acc: Dict[Mono, Scalar] = {}
         for chain in itertools.product(range(1, self.n + 1), repeat=m - 1):
             idx = (i,) + chain + (j,)

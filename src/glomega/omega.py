@@ -34,9 +34,9 @@ own methods.  There are two constructors:
 The owner is what ties elements together.  It is the table for
 ``OmegaElement``, ``TensorElement``, ``DoubleTensor``, ``TripleTensor`` and
 ``AlElement``; the enveloping context for ``UElement``; ``(spec, d)`` for
-``CurrentElement``; and ``None`` for ``SPoly``, ``NecklacePoly`` and
-``YExpression``, which are built as ``Cls(terms)``.  ``CurrentElement`` is
-built as ``CurrentElement(spec, d, terms)``.  Owners compare by identity
+``CurrentElement``; and ``None`` for ``SPoly`` and ``NecklacePoly``, which
+are built as ``Cls(terms)``.  ``CurrentElement`` is built as
+``CurrentElement(spec, d, terms)``.  Owners compare by identity
 first, then by ``==``; tables and contexts define no ``==``, so they compare
 by identity alone.  Combining elements of different owners raises
 :class:`StructureError`, and elements of different owners are never equal.

@@ -4,17 +4,16 @@ A TGen is a formal t_ij(x; s) with 1 <= i, j <= d, x a nonempty word over the
 coefficient algebra and s a rational parameter.  Ordered monomials are weakly
 increasing products of TGens under the order
 
-    (i, j, len(word), word)  lexicographically,
+    (i, j, len(word), word)  lexicographically.
 
-and YExpression is a sparse rational combination of ordered monomials.  These
-are formal objects; all actual multiplication happens through evaluation into
-U(gl(N, Omega)) at finite N.  :func:`t_expansion` is the one way back: it
-expands an element of U(gl(N, Omega)) in ordered t-monomials by peeling top
-symbols, and :func:`multiply_y` re-expands a product with it at N and N+1.
-One loop, ``_span``, row-reduces every span of monomial columns.  Linear
-independence claims are certified by rank at a single N; a linear
-*dependence* found at N must also hold at N+1.  Products, dependencies and
-splitting probes compare their per-size results through
+These are formal objects; all actual multiplication happens through
+evaluation into U(gl(N, Omega)) at finite N.  :func:`t_expansion` is the one
+way back: it expands an element of U(gl(N, Omega)) in ordered t-monomials by
+peeling top symbols, and :func:`shift_automorphism_check` compares two such
+expansions.  One loop, ``_span``, row-reduces every span of monomial columns.
+Linear independence claims are certified by rank at a single N; a linear
+*dependence* found at N must also hold at N+1.  Shift checks, dependencies
+and splitting probes compare their per-size results through
 :func:`~glomega.omega.stable`, which raises ``StabilizationError`` when two
 sizes disagree.
 """
@@ -27,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, as_scalar, stable
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, stable
 from .words import Word, words_up_to
 
 
@@ -69,52 +68,10 @@ def mono_word_length(mono: OrderedMonomial) -> int:
     return sum(len(g.word) for g in mono)
 
 
-class YExpression(SparseVector):
-    """Sparse combination of ordered monomials (a vector, not yet a product)."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Sequence[TGen], ScalarLike]):
-        super().__init__(None, terms)
-
-    def _key(self, mono: Sequence[TGen]) -> OrderedMonomial:
-        return ordered_monomial(mono)
-
-    @classmethod
-    def generator(cls, g: TGen) -> "YExpression":
-        return cls({(g,): 1})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<Y 0>"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), tuple(map(tgen_key, m)))):
-            body = "".join(
-                "t(%d,%d;%s;s=%s)" % (g.i, g.j, ",".join(map(str, g.word)), g.s)
-                for g in mono
-            )
-            bits.append("%s*%s" % (self.terms[mono], body or "1"))
-        return "<Y " + " + ".join(bits) + ">"
-
-
-def shift(y: YExpression, c: ScalarLike) -> YExpression:
-    """The substitution s -> s + c on every generator."""
-    c = as_scalar(c)
-    out: Dict[OrderedMonomial, Scalar] = {}
-    for mono, coeff in y.terms.items():
-        _acc(out, tuple(TGen(g.i, g.j, g.word, g.s + c) for g in mono), coeff)
-    return YExpression(out)
-
-
-def evaluate(y, ctx: Enveloping) -> UElement:
-    """Evaluate an ordered monomial or expression in U(gl(N, Omega))."""
+def evaluate(mono: Sequence[TGen], ctx: Enveloping) -> UElement:
+    """Evaluate an ordered monomial in U(gl(N, Omega))."""
     cache = ctx._y_eval_cache
-    if isinstance(y, YExpression):
-        out = ctx.zero()
-        for mono, c in y.terms.items():
-            out = out + evaluate(mono, ctx).scale(c)
-        return out
-    mono = ordered_monomial(y)
+    mono = ordered_monomial(mono)
     got = cache.get(mono)
     if got is None:
         got = cache[mono] = reduce(ctx.multiply, (ctx.t_elem(g.i, g.j, g.word, g.s) for g in mono), ctx.one())
@@ -319,47 +276,30 @@ def t_expansion(
     return out
 
 
-def multiply_y(
-    y1: YExpression, y2: YExpression, omega: AlgebraSpec, n: int
-) -> Tuple[str, Optional[YExpression]]:
-    """Product of two expressions, re-expanded in the ordered basis.
-
-    The product is evaluated in U(gl(N)) and U(gl(N+1)) and expanded there
-    by :func:`t_expansion`; expansions that differ raise
-    ``StabilizationError`` through :func:`stable`.  Returns ("ok", product),
-    or ("not-expressible", None) when the product has no expansion.
-    """
-    factors = [g for mono in list(y1.terms) + list(y2.terms) for g in mono]
-    if len({g.s for g in factors}) > 1:
-        raise StructureError("product factors must share the parameter s")
-    d = max((max(g.i, g.j) for g in factors), default=1)
-    s = factors[0].s if factors else 0
-    by_n = {}
-    for size in (n, n + 1):
-        ctx = Enveloping.get(omega, size)
-        by_n[size] = t_expansion(ctx, ctx.multiply(evaluate(y1, ctx), evaluate(y2, ctx)), d, s)
-    expansion = stable(by_n, "product coordinates differ at N=%d and N=%d" % (n, n + 1))
-    if expansion is None:
-        return ("not-expressible", None)
-    return ("ok", YExpression(dict(expansion)))
-
-
 def shift_automorphism_check(
     g: TGen, h: TGen, c: ScalarLike, omega: AlgebraSpec, n: int
 ) -> Dict[str, object]:
-    """Structure constants at s match those at s+c after shifting the basis."""
+    """Whether s -> s + c carries the expansion of g h at s to the one at s + c.
+
+    At N and N+1, t(g) t(h) is expanded by :func:`t_expansion` at s and at
+    s + c; the verdict at each size is whether the first expansion, with
+    every factor's parameter moved by c, equals the second.  Verdicts that
+    differ raise ``StabilizationError`` through :func:`stable`.
+    """
+    if g.s != h.s:
+        raise StructureError("product factors must share the parameter s")
     c = as_scalar(c)
-    status1, prod = multiply_y(YExpression.generator(g), YExpression.generator(h), omega, n)
-    gs = TGen(g.i, g.j, g.word, g.s + c)
-    hs = TGen(h.i, h.j, h.word, h.s + c)
-    status2, prod_shifted = multiply_y(
-        YExpression.generator(gs), YExpression.generator(hs), omega, n
-    )
-    ok = (
-        status1 == "ok"
-        and status2 == "ok"
-        and prod is not None
-        and prod_shifted is not None
-        and shift(prod, c) == prod_shifted
-    )
-    return {"status": (status1, status2), "match": ok}
+    d = max(g.i, g.j, h.i, h.j)
+
+    def expand(ctx: Enveloping, s: Scalar) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
+        prod = ctx.multiply(ctx.t_elem(g.i, g.j, g.word, s), ctx.t_elem(h.i, h.j, h.word, s))
+        return t_expansion(ctx, prod, d, s)
+
+    matches = {}
+    for size in (n, n + 1):
+        ctx = Enveloping.get(omega, size)
+        at_s, at_sc = expand(ctx, g.s), expand(ctx, g.s + c)
+        matches[size] = at_s is not None and at_sc == [
+            (tuple(f._replace(s=f.s + c) for f in mono), coeff) for mono, coeff in at_s
+        ]
+    return {"match": stable(matches, "shift by %s differs at N=%d and N=%d" % (c, n, n + 1))}

@@ -13,7 +13,9 @@ from glomega import (
     nonassoc_witness,
     null_algebra,
 )
+import glomega.doublepoisson as dp
 from glomega.doublepoisson import (
+    DoubleTensor,
     NecklacePoly,
     PGen,
     SPoly,
@@ -58,6 +60,39 @@ def test_skew_and_leibniz_exhaustive():
         cap = 2 if spec.dim >= 4 else 3
         assert check_skew(spec, cap) is None
         assert check_leibniz(spec, cap) is None
+
+
+def _triple_loop_leibniz(spec, maxlen):
+    """check_leibniz as a plain triple loop that brackets afresh for every c."""
+    bracket = dp.double_bracket
+    heads = [()] + list(words_up_to(spec, maxlen))
+    for a in heads:
+        for b in heads:
+            for c in heads:
+                if len(b) + len(c) > maxlen:
+                    continue
+                rhs = bracket(spec, a, b).outer_right(c) + bracket(spec, a, c).outer_left(b)
+                if bracket(spec, a, b + c) != rhs:
+                    return ("outer", a, b, c)
+                rhs2 = bracket(spec, c, a).inner_left(b) + bracket(spec, b, a).inner_right(c)
+                if bracket(spec, b + c, a) != rhs2:
+                    return ("inner", b, c, a)
+    return None
+
+
+def test_leibniz_witness_matches_the_triple_loop(monkeypatch):
+    # a bracket that breaks Leibniz at one word pair only
+    spec = direct_sum_C(2)
+    honest = dp.double_bracket
+    for planted in (((0,), (1,)), ((1,), (0,)), ((0, 1), (1,)), ((), (0,)), ((1,), ())):
+        def bracket(spec, x, y, planted=planted):
+            got = honest(spec, x, y)
+            return got + DoubleTensor(spec, {((0,), (1,)): 1}) if (tuple(x), tuple(y)) == planted else got
+
+        monkeypatch.setattr(dp, "double_bracket", bracket)
+        witness = _triple_loop_leibniz(spec, 2)
+        assert witness is not None
+        assert check_leibniz(spec, 2) == witness, planted
 
 
 def test_double_jacobi_on_associative_tables():

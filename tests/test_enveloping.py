@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from glomega import Enveloping, StructureError, direct_sum_C, matrix_algebra, null_algebra
 from glomega.doublepoisson import symbol_match_stc
 from glomega.words import words_up_to
+from glomega.yangian import evaluate, t_gen
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "anchor.txt")
 
@@ -156,6 +157,23 @@ def test_e_elem_chain_sum():
     assert got == expected
     with pytest.raises(StructureError):
         ctx.e_elem(1, 1, ())
+
+
+def test_special_elements_reject_out_of_range_input():
+    # a one-letter word is never sorted, so its letter is checked on its own
+    for spec in (C1, C2):
+        ctx = Enveloping.get(spec, 2)
+        for i, j, word in (
+            (3, 3, (0,)), (0, 1, (0,)), (1, 1, (5,)),
+            (1, 3, (0, 0)), (0, 1, (0, 0)), (1, 1, (0, 5)), (1, 1, (5, 0)),
+        ):
+            with pytest.raises(StructureError):
+                ctx.e_elem(i, j, word)
+            with pytest.raises(StructureError):
+                ctx.t_elem(i, j, word, 0)
+            if i >= 1:  # t_gen itself rejects index 0
+                with pytest.raises(StructureError):
+                    evaluate((t_gen(i, j, word, 0),), ctx)
 
 
 def test_t_elem_reduces_to_e_elem_at_minus_n():

@@ -21,9 +21,7 @@ from glomega import (
     TensorElement,
     TripleTensor,
     UElement,
-    YExpression,
     direct_sum_C,
-    t_gen,
 )
 
 SPEC = direct_sum_C(2)
@@ -41,8 +39,6 @@ def _owned(cls):
     return lambda alt, terms: cls(OTHER if alt else SPEC, terms)
 
 
-_T1 = t_gen(1, 1, (0,), 0)
-_T2 = t_gen(1, 2, (0, 1), 0)
 _P1, _P2 = PGen(1, 1, (1,)), PGen(1, 2, (0,))
 
 CASES = {
@@ -52,7 +48,6 @@ CASES = {
         lambda alt, terms: UElement(Enveloping.get(OTHER if alt else SPEC, 2), terms),
         (((1, 1, 0),), ((1, 2, 0), (2, 1, 1))),
     ),
-    "YExpression": Case(lambda alt, terms: YExpression(terms), ((_T1,), (_T1, _T2)), has_owner=False),
     "DoubleTensor": Case(_owned(DoubleTensor), (((0,), ()), ((), (1, 0)))),
     "TripleTensor": Case(_owned(TripleTensor), (((0,), (), (1,)), ((), (), (0,)))),
     "SPoly": Case(
@@ -195,8 +190,8 @@ def test_owner_lives_only_in_the_core():
     assert len(subclasses) == len(CASES)
     assert [name for name, empty in subclasses if not empty] == []
     assert owners == [] and binders == []
-    # the three owner-less classes keep Cls(terms); CurrentElement checks d >= 1
-    assert sorted(inits) == ["CurrentElement", "NecklacePoly", "SPoly", "YExpression"]
+    # the two owner-less classes keep Cls(terms); CurrentElement checks d >= 1
+    assert sorted(inits) == ["CurrentElement", "NecklacePoly", "SPoly"]
 
 
 def test_enveloping_elements_belong_to_their_context_object():

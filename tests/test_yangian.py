@@ -6,11 +6,9 @@ import pytest
 
 from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C
 from glomega.yangian import (
-    YExpression,
     euler_phi,
     evaluate,
     independence_check,
-    multiply_y,
     necklace_count,
     pbw_monomials,
     pbw_suite,
@@ -113,56 +111,56 @@ def test_splitting_probe_matches():
     assert rep2["match"] and rep2["expected"] == 5
 
 
-def test_multiply_y_stable_product():
-    g = YExpression.generator(t_gen(1, 1, (0,), S0))
-    status, prod = multiply_y(g, g, direct_sum_C(1), 3)
-    assert status == "ok"
-    assert prod is not None
-    # the square re-expands with the squared monomial present
-    sq = (t_gen(1, 1, (0,), S0), t_gen(1, 1, (0,), S0))
-    assert prod.terms.get(sq) == Fraction(1)
+def _expand_product(ctx, a, b, d):
+    return t_expansion(ctx, ctx.multiply(evaluate((a,), ctx), evaluate((b,), ctx)), d, S0)
 
 
-def test_multiply_y_expansion_evaluates_to_the_product():
+def test_t_expansion_keeps_the_square():
+    g = t_gen(1, 1, (0,), S0)
+    expansion = dict(_expand_product(Enveloping.get(direct_sum_C(1), 3), g, g, 1))
+    assert expansion[(g, g)] == 1
+
+
+def test_t_expansion_evaluates_to_the_product():
     spec = direct_sum_C(2)
     gens = [t_gen(1, 2, (0,), S0), t_gen(2, 1, (1,), S0), t_gen(1, 1, (0, 1), S0)]
     for a in gens:
         for b in gens:
-            ya, yb = YExpression.generator(a), YExpression.generator(b)
-            status, prod = multiply_y(ya, yb, spec, 4)
-            assert status == "ok"
             for n in (4, 5):
                 ctx = Enveloping.get(spec, n)
-                assert evaluate(prod, ctx) == ctx.multiply(evaluate(ya, ctx), evaluate(yb, ctx)), (a, b, n)
+                expansion = _expand_product(ctx, a, b, 2)
+                total = sum((evaluate(mono, ctx).scale(c) for mono, c in expansion), ctx.zero())
+                assert total == ctx.multiply(evaluate((a,), ctx), evaluate((b,), ctx)), (a, b, n)
 
 
-def test_multiply_y_of_scalars():
-    two, three = YExpression({(): 2}), YExpression({(): 3})
-    assert multiply_y(two, three, direct_sum_C(1), 3) == ("ok", YExpression({(): 6}))
-    assert multiply_y(two, YExpression({}), direct_sum_C(1), 3) == ("ok", YExpression({}))
+def test_t_expansion_of_scalars_and_zero():
+    ctx = Enveloping.get(direct_sum_C(1), 3)
+    assert t_expansion(ctx, ctx.one().scale(6), 1, S0) == [((), 6)]
+    assert t_expansion(ctx, ctx.zero(), 1, S0) == []
 
 
-def test_multiply_y_not_stabilized(monkeypatch):
-    # the product's coordinates double at N+1 only, so the two solves disagree
+def test_shift_check_not_stabilized(monkeypatch):
+    # the unshifted coordinates double at N+1 only, so the two verdicts disagree
     import glomega.yangian as yg
 
-    evaluate = yg.evaluate
-    monkeypatch.setattr(
-        yg,
-        "evaluate",
-        lambda y, ctx: evaluate(y, ctx).scale(2) if isinstance(y, YExpression) and ctx.n == 4 else evaluate(y, ctx),
-    )
-    g = YExpression.generator(t_gen(1, 1, (0,), S0))
+    t_expansion = yg.t_expansion
+
+    def planted(ctx, u, d, s):
+        got = t_expansion(ctx, u, d, s)
+        return [(mono, 2 * c) for mono, c in got] if ctx.n == 4 and s == 0 else got
+
+    monkeypatch.setattr(yg, "t_expansion", planted)
+    g, h = t_gen(1, 2, (0,), S0), t_gen(2, 1, (0,), S0)
     with pytest.raises(StabilizationError) as exc:
-        multiply_y(g, g, direct_sum_C(1), 3)
-    assert str(exc.value) == "product coordinates differ at N=3 and N=4"
+        shift_automorphism_check(g, h, Fraction(1), direct_sum_C(1), 3)
+    assert str(exc.value) == "shift by 1 differs at N=3 and N=4"
 
 
-def test_multiply_y_mixed_parameters_rejected():
-    a = YExpression.generator(t_gen(1, 1, (0,), S0))
-    b = YExpression.generator(t_gen(1, 1, (0,), Fraction(1)))
+def test_shift_check_rejects_mixed_parameters():
+    a = t_gen(1, 1, (0,), S0)
+    b = t_gen(1, 1, (0,), Fraction(1))
     with pytest.raises(StructureError):
-        multiply_y(a, b, direct_sum_C(1), 3)
+        shift_automorphism_check(a, b, Fraction(1), direct_sum_C(1), 3)
 
 
 def test_shift_automorphism():
@@ -172,3 +170,6 @@ def test_shift_automorphism():
     assert rep["match"] is True
     rep2 = shift_automorphism_check(g, h, Fraction(-3, 2), direct_sum_C(1), 3)
     assert rep2["match"] is True
+    g2, h2 = t_gen(1, 2, (0,), S0), t_gen(1, 1, (0, 1), S0)
+    rep3 = shift_automorphism_check(g2, h2, Fraction(5, 2), direct_sum_C(2), 3)
+    assert rep3["match"] is True
