@@ -27,7 +27,6 @@ from .omega import (
     save_algebra,
     to_dict,
 )
-from .words import TensorElement
 from .enveloping import Enveloping, UElement
 from .yangian import (
     independence_check,

@@ -133,12 +133,24 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
     return None
 
 
+def _bracket_table(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Dict[Tuple[Word, Word], DoubleTensor]]:
+    """The heads ``[()] + words_up_to(spec, maxlen)`` and their brackets.
+
+    Returns ``(heads, table)``, where ``table[x, y]`` is
+    ``double_bracket(spec, x, y)`` for every ordered pair of heads.
+    Skew-symmetry and both Leibniz rules up to ``maxlen`` relate only these
+    brackets.
+    """
+    heads: List[Word] = [()] + list(words_up_to(spec, maxlen))
+    return heads, {(x, y): double_bracket(spec, x, y) for x in heads for y in heads}
+
+
 def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
     """<<x, y>> must equal -flip(<<y, x>>); pairs with an empty word vanish."""
-    words = [()] + list(words_up_to(spec, maxlen))
-    for a in words:
-        for b in words:
-            if double_bracket(spec, a, b) != (-(double_bracket(spec, b, a).flip())):
+    heads, br = _bracket_table(spec, maxlen)
+    for a in heads:
+        for b in heads:
+            if br[a, b] != -br[b, a].flip():
                 return (a, b)
     return None
 
@@ -152,20 +164,15 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
         <<ab, c>> = a * <<b, c>> + <<a, c>> * b.
     Returns ("outer"|"inner", a, b, c) for the first failure.
     """
-    heads = [()] + list(words_up_to(spec, maxlen))
+    heads, br = _bracket_table(spec, maxlen)
     for a in heads:
         for b in heads:
-            ab, ba = double_bracket(spec, a, b), double_bracket(spec, b, a)
             for c in heads:
                 if len(b) + len(c) > maxlen:
                     continue
-                lhs = double_bracket(spec, a, b + c)
-                rhs = ab.outer_right(c) + double_bracket(spec, a, c).outer_left(b)
-                if lhs != rhs:
+                if br[a, b + c] != br[a, b].outer_right(c) + br[a, c].outer_left(b):
                     return ("outer", a, b, c)
-                lhs2 = double_bracket(spec, b + c, a)
-                rhs2 = double_bracket(spec, c, a).inner_left(b) + ba.inner_right(c)
-                if lhs2 != rhs2:
+                if br[b + c, a] != br[c, a].inner_left(b) + br[b, a].inner_right(c):
                     return ("inner", b, c, a)
     return None
 

@@ -363,7 +363,7 @@ class Enveloping:
             coeff = base ** (m - len(nu))
             if not coeff:
                 continue
-            for w2, c2 in coagulate_word(self.omega, word, nu).terms.items():
+            for w2, c2 in coagulate_word(self.omega, word, nu).items():
                 vec_add(acc, image(w2).terms, coeff * c2)
         return UElement._trusted(self, acc)
 

@@ -119,10 +119,6 @@ def rref(vectors: Iterable[Vec], key_order: Optional[Callable] = None) -> List[V
     return [dict(solver.rows[k][0]) for k in sorted(solver.rows, key=order)]
 
 
-def subspace_equal(a: Iterable[Vec], b: Iterable[Vec]) -> bool:
-    return rref(a) == rref(b)
-
-
 def coordinate_intersection(vectors: Iterable[Vec], inside: Callable) -> List[Vec]:
     """Basis of span(vectors) intersected with {v : support(v) in inside}.
 

@@ -1,9 +1,8 @@
-"""Words, tensor elements, compositions, coagulation, and cyclic words.
+"""Words, compositions, coagulation, and cyclic words.
 
 A word is a tuple of basis indices of some AlgebraSpec; the empty tuple is
-the unit of the tensor algebra.  TensorElement is a sparse rational linear
-combination of words with concatenation as product.  Compositions of m are
-enumerated lexicographically, e.g. for m = 3:
+the unit of the tensor algebra.  Compositions of m are enumerated
+lexicographically, e.g. for m = 3:
 
     (1, 1, 1), (1, 2), (2, 1), (3)
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .omega import AlgebraSpec, OmegaElement, Scalar, SparseVector, StructureError, _acc, multiply
+from .omega import AlgebraSpec, OmegaElement, Scalar, StructureError, _acc, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -38,46 +37,6 @@ def compositions(m: int) -> List[Composition]:
 
     build((), m)
     return out
-
-
-class TensorElement(SparseVector):
-    """Sparse element of the tensor algebra T(Omega) over the basis words."""
-
-    __slots__ = ()
-    _mixed = "tensor elements over different algebras"
-
-    def _key(self, w: Iterable[int]) -> Word:
-        w = tuple(w)
-        for letter in w:
-            if not (0 <= letter < self.owner.dim):
-                raise StructureError("letter %r out of range" % (letter,))
-        return w
-
-    def _product(self, other: "TensorElement") -> "TensorElement":
-        return concat(self, other)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            label = "#".join(self.owner.basis[i] for i in w) if w else "1"
-            bits.append("%s*%s" % (self.terms[w], label))
-        return " + ".join(bits)
-
-
-def tensor_word(spec: AlgebraSpec, word: Iterable[int]) -> TensorElement:
-    return TensorElement(spec, {tuple(word): 1})
-
-
-def concat(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Concatenation product on T(Omega)."""
-    a._check(b)
-    out: Dict[Word, Scalar] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            _acc(out, wa + wb, ca * cb)
-    return TensorElement._trusted(a.owner, out)
 
 
 def basis_words(spec: AlgebraSpec, length: int) -> Iterator[Word]:
@@ -111,24 +70,23 @@ def coagulate(factors: Sequence[OmegaElement], nu: Composition) -> List[OmegaEle
     return out
 
 
-def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> TensorElement:
+def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word, Scalar]:
     """Coagulate a basis word, expanding block products through the table.
 
-    The result is a combination of words of length len(nu); it can vanish
-    when some block multiplies to zero.
+    Returns ``{word: coefficient}`` over words of length len(nu), with no
+    zero coefficients; it is ``{}`` when some block multiplies to zero.
     """
     factors = [spec.basis_element(i) for i in word]
-    blocks = coagulate(factors, nu)
     out: Dict[Word, Scalar] = {(): 1}
-    for block in blocks:
+    for block in coagulate(factors, nu):
         if block.is_zero():
-            return TensorElement(spec, {})
+            return {}
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
             for k, ck in block.terms.items():
                 _acc(nxt, w + (k,), c * ck)
         out = nxt
-    return TensorElement._trusted(spec, out)
+    return out
 
 
 class CyclicWord(tuple):
@@ -143,21 +101,3 @@ class CyclicWord(tuple):
 
     def __repr__(self) -> str:
         return "Cyc" + super().__repr__()
-
-
-def cyclic_canonical(word: Iterable[int]) -> CyclicWord:
-    return CyclicWord(word)
-
-
-def project_cyclic(t: TensorElement) -> Dict[CyclicWord, Scalar]:
-    """Push a tensor element to the cyclic coinvariants T(Omega)/[rotation].
-
-    Words of length 0 have no cyclic class here; the projection is only
-    applied to elements supported in positive length.
-    """
-    out: Dict[CyclicWord, Scalar] = {}
-    for w, c in t.terms.items():
-        if not w:
-            raise StructureError("cannot project the empty word cyclically")
-        _acc(out, CyclicWord(w), c)
-    return out

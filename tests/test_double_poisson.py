@@ -95,6 +95,41 @@ def test_leibniz_witness_matches_the_triple_loop(monkeypatch):
         assert check_leibniz(spec, 2) == witness, planted
 
 
+def _double_loop_skew(spec, maxlen):
+    """check_skew as a plain double loop that brackets afresh for every pair."""
+    bracket = dp.double_bracket
+    heads = [()] + list(words_up_to(spec, maxlen))
+    for a in heads:
+        for b in heads:
+            if bracket(spec, a, b) != -bracket(spec, b, a).flip():
+                return (a, b)
+    return None
+
+
+def test_skew_witness_matches_the_double_loop(monkeypatch):
+    # a bracket that breaks skew-symmetry at a few word pairs only; a fault at
+    # (x, y) also fails at (y, x), so two faults are needed to pin the order
+    spec = direct_sum_C(2)
+    honest = dp.double_bracket
+    for planted in (
+        {((0,), (1,))},
+        {((1,), (0,))},
+        {((1, 1), (1, 1))},
+        {((), (0,))},
+        {((0,), (1,)), ((0,), (1, 1))},
+        {((0,), (1,)), ((1, 1), (0, 1))},
+        {((1,), ()), ((0, 1), (0,))},
+    ):
+        def bracket(spec, x, y, planted=planted):
+            got = honest(spec, x, y)
+            return got + DoubleTensor(spec, {((0,), (1,)): 1}) if (tuple(x), tuple(y)) in planted else got
+
+        monkeypatch.setattr(dp, "double_bracket", bracket)
+        witness = _double_loop_skew(spec, 2)
+        assert witness is not None
+        assert check_skew(spec, 2) == witness, planted
+
+
 def test_double_jacobi_on_associative_tables():
     for spec in TABLES:
         cap = 2 if spec.dim >= 4 else 3

@@ -1,9 +1,11 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "glomega"
 
 
 def _imported(tree):
@@ -147,3 +149,32 @@ def test_double_bracket_memo_lives_in_one_check():
             decorators = getattr(node, "decorator_list", [])
             held += ["%d decorator" % node.lineno for d in decorators if _cache_like(d)]
     assert held == []
+
+
+def _assigned(tree, name):
+    """The literal value assigned to a module-level ``name``."""
+    for node in tree.body:
+        targets = [node.target] if isinstance(node, ast.AnnAssign) else getattr(node, "targets", [])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("%s is not assigned" % name)
+
+
+def test_every_benchmark_entry_point_resolves():
+    # the benchmark tracer wraps these names; one that is deleted or renamed
+    # must fail here, resolved the way Tracer.install resolves it
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    package, entry_points = _assigned(tracer, "PACKAGE"), _assigned(tracer, "ENTRY_POINTS")
+    assert entry_points
+    missing = []
+    for layer, target, _workload in entry_points:
+        module = importlib.import_module("%s.%s" % (package, layer))
+        if "." in target:
+            cls_name, attr = target.split(".")
+            cls = getattr(module, cls_name, None)
+            found = isinstance(cls, type) and attr in vars(cls)
+        else:
+            found = callable(getattr(module, target, None))
+        if not found:
+            missing.append("%s.%s" % (layer, target))
+    assert missing == []

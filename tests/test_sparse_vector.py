@@ -18,7 +18,6 @@ from glomega import (
     PGen,
     SPoly,
     StructureError,
-    TensorElement,
     TripleTensor,
     UElement,
     direct_sum_C,
@@ -43,7 +42,6 @@ _P1, _P2 = PGen(1, 1, (1,)), PGen(1, 2, (0,))
 
 CASES = {
     "OmegaElement": Case(_owned(OmegaElement), (0, 1)),
-    "TensorElement": Case(_owned(TensorElement), ((0,), (0, 1))),
     "UElement": Case(
         lambda alt, terms: UElement(Enveloping.get(OTHER if alt else SPEC, 2), terms),
         (((1, 1, 0),), ((1, 2, 0), (2, 1, 1))),
@@ -187,7 +185,7 @@ def test_owner_lives_only_in_the_core():
                     for sub in ast.walk(node)
                     if isinstance(sub, ast.Attribute) and sub.attr == "owner" and isinstance(sub.ctx, ast.Store)
                 ]
-    assert len(subclasses) == len(CASES)
+    assert len(subclasses) == len(CASES) == 8
     assert [name for name, empty in subclasses if not empty] == []
     assert owners == [] and binders == []
     # the two owner-less classes keep Cls(terms); CurrentElement checks d >= 1
