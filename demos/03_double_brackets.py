@@ -30,7 +30,7 @@ def main() -> None:
 
     print("== the bracket on single letters ==")
     db = double_bracket(c2, (0,), (0,))
-    print("<<u1, u1>> =", db)
+    print("<<u1, u1>> =", dict(sorted(db.items())), "(keys: left word, right word)")
     print("letter-level closure violations:", check_letter_bracket(c2))
 
     print()

@@ -38,11 +38,9 @@ from .yangian import (
     t_gen,
 )
 from .doublepoisson import (
-    DoubleTensor,
     NecklacePoly,
     PGen,
     SPoly,
-    TripleTensor,
     check_double_jacobi,
     check_leibniz,
     check_letter_bracket,

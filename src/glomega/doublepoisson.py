@@ -21,6 +21,11 @@ the double Jacobi identity holds precisely when :math:`\mu` is associative.
 That equivalence is checked, not assumed (:func:`pvdw_equivalence`), and the
 module deliberately accepts non-associative tables.
 
+A double bracket is a plain dict ``{(u, v): c}`` from pairs of words to
+scalars, and a double Jacobi sum a dict ``{(u1, u2, u3): c}``.  Both are
+built only through ``_acc``, so no zero is ever stored and two of them are
+equal exactly when they are equal as dicts.
+
 The bracket descends to two quotients, both realized here:
 
 * the polynomial algebra on matrix-entry symbols ``p_ij(word)`` with the
@@ -44,84 +49,32 @@ from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError
 from .words import CyclicWord, Word, words_up_to
 
 
-class DoubleTensor(SparseVector):
-    """Sparse element of T(Omega) (x) T(Omega); keys are pairs of words."""
-
-    __slots__ = ()
-    _mixed = "double tensors over different algebras"
-
-    def _key(self, key: Tuple[Iterable[int], Iterable[int]]) -> Tuple[Word, Word]:
-        u, v = key
-        return (tuple(u), tuple(v))
-
-    def flip(self) -> "DoubleTensor":
-        return self._like({(v, u): c for (u, v), c in self.terms.items()})
-
-    # outer bimodule actions: b . (u (x) v) = bu (x) v and (u (x) v) . c = u (x) vc
-    def outer_left(self, w: Word) -> "DoubleTensor":
-        w = tuple(w)
-        return self._like({(w + u, v): c for (u, v), c in self.terms.items()})
-
-    def outer_right(self, w: Word) -> "DoubleTensor":
-        w = tuple(w)
-        return self._like({(u, v + w): c for (u, v), c in self.terms.items()})
-
-    # inner bimodule actions: a * (u (x) v) = u (x) av and (u (x) v) * b = ub (x) v
-    def inner_left(self, w: Word) -> "DoubleTensor":
-        w = tuple(w)
-        return self._like({(u, w + v): c for (u, v), c in self.terms.items()})
-
-    def inner_right(self, w: Word) -> "DoubleTensor":
-        w = tuple(w)
-        return self._like({(u + w, v): c for (u, v), c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<DT 0>"
-        word = lambda w: "(" + ",".join(self.owner.basis[i] for i in w) + ")" if w else "1"
-        bits = [
-            "%s*%s|%s" % (c, word(u), word(v))
-            for (u, v), c in sorted(self.terms.items())
-        ]
-        return "<DT " + " + ".join(bits) + ">"
+Double = Dict[Tuple[Word, Word], Scalar]  # u (x) v -> coefficient, no zero stored
+Triple = Dict[Tuple[Word, Word, Word], Scalar]  # u1 (x) u2 (x) u3 -> coefficient, no zero stored
 
 
-class TripleTensor(SparseVector):
-    """Sparse element of T(Omega)^(x3); used by the double Jacobi sum."""
-
-    __slots__ = ()
-    _mixed = "triple tensors over different algebras"
-
-    def _key(self, key: Tuple[Iterable[int], ...]) -> Tuple[Word, Word, Word]:
-        return tuple(map(tuple, key))
-
-    def rotate(self) -> "TripleTensor":
-        """u1 (x) u2 (x) u3  ->  u3 (x) u1 (x) u2."""
-        return self._like({(u3, u1, u2): c for (u1, u2, u3), c in self.terms.items()})
-
-
-def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> DoubleTensor:
-    """The linear double bracket of two basis words (zero if either is empty)."""
+def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> Double:
+    """The linear double bracket of two basis words (``{}`` if either is empty)."""
     x = tuple(x)
     y = tuple(y)
-    out: Dict[Tuple[Word, Word], Scalar] = {}
+    out: Double = {}
     for r in range(len(x)):
         for s in range(len(y)):
             for k, c in spec.product(x[r], y[s]).items():
                 _acc(out, (y[:s] + x[r + 1 :], x[:r] + (k,) + y[s + 1 :]), c)
             for k, c in spec.product(y[s], x[r]).items():
                 _acc(out, (y[:s] + (k,) + x[r + 1 :], x[:r] + y[s + 1 :]), -c)
-    return DoubleTensor._trusted(spec, out)
+    return out
 
 
-def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> DoubleTensor:
+def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> Double:
     """1 (x) mu(x_i, x_j) - mu(x_j, x_i) (x) 1, the defining formula on letters."""
-    out: Dict[Tuple[Word, Word], Scalar] = {}
+    out: Double = {}
     for k, c in spec.product(i, j).items():
         _acc(out, ((), (k,)), c)
     for k, c in spec.product(j, i).items():
         _acc(out, ((k,), ()), -c)
-    return DoubleTensor._trusted(spec, out)
+    return out
 
 
 def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
@@ -133,7 +86,7 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _bracket_table(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Dict[Tuple[Word, Word], DoubleTensor]]:
+def _bracket_table(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Dict[Tuple[Word, Word], Double]]:
     """The heads ``[()] + words_up_to(spec, maxlen)`` and their brackets.
 
     Returns ``(heads, table)``, where ``table[x, y]`` is
@@ -146,11 +99,11 @@ def _bracket_table(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Dict[Tup
 
 
 def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
-    """<<x, y>> must equal -flip(<<y, x>>); pairs with an empty word vanish."""
+    """<<x, y>> must equal -flip(<<y, x>>), flip(u (x) v) = v (x) u; pairs with an empty word vanish."""
     heads, br = _bracket_table(spec, maxlen)
     for a in heads:
         for b in heads:
-            if br[a, b] != -br[b, a].flip():
+            if br[a, b] != {(v, u): -c for (u, v), c in br[b, a].items()}:
                 return (a, b)
     return None
 
@@ -158,10 +111,12 @@ def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
 def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, Word, Word]]:
     """Both Leibniz rules, with concatenation products.
 
-    Outer rule in the second argument:
+    Outer rule in the second argument, with the outer bimodule actions
+    b . (u (x) v) = bu (x) v and (u (x) v) . c = u (x) vc:
         <<a, bc>> = <<a, b>> . c + b . <<a, c>>,
-    inner rule in the first (equivalent via skew-symmetry):
-        <<ab, c>> = a * <<b, c>> + <<a, c>> * b.
+    inner rule in the first (equivalent via skew-symmetry), with the inner
+    actions b * (u (x) v) = u (x) bv and (u (x) v) * c = uc (x) v:
+        <<bc, a>> = b * <<c, a>> + <<b, a>> * c.
     Returns ("outer"|"inner", a, b, c) for the first failure.
     """
     heads, br = _bracket_table(spec, maxlen)
@@ -170,40 +125,43 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
             for c in heads:
                 if len(b) + len(c) > maxlen:
                     continue
-                if br[a, b + c] != br[a, b].outer_right(c) + br[a, c].outer_left(b):
+                outer = {(u, v + c): x for (u, v), x in br[a, b].items()}
+                for (u, v), x in br[a, c].items():
+                    _acc(outer, (b + u, v), x)
+                if br[a, b + c] != outer:
                     return ("outer", a, b, c)
-                if br[b + c, a] != br[c, a].inner_left(b) + br[b, a].inner_right(c):
+                inner = {(u, b + v): x for (u, v), x in br[c, a].items()}
+                for (u, v), x in br[b, a].items():
+                    _acc(inner, (u + c, v), x)
+                if br[b + c, a] != inner:
                     return ("inner", b, c, a)
     return None
 
 
-Bracket = Callable[[Word, Word], DoubleTensor]
-
-
-def _bracket_into_first(bracket: Bracket, a: Word, dt: DoubleTensor) -> TripleTensor:
-    """<<a, ->>_L: bracket a into the first slot, third slot rides along."""
-    out: Dict[Tuple[Word, Word, Word], Scalar] = {}
-    for (u, v), c in dt.terms.items():
-        for (p, q), c2 in bracket(a, u).terms.items():
-            _acc(out, (p, q, v), c * c2)
-    return TripleTensor._trusted(dt.owner, out)
+Bracket = Callable[[Word, Word], Double]
 
 
 def triple_jacobi_sum(
     spec: AlgebraSpec, a: Word, b: Word, c: Word, *, bracket: Optional[Bracket] = None
-) -> TripleTensor:
+) -> Triple:
     """Cyclic sum <<a,<<b,c>>>>_L + rot <<b,<<c,a>>>>_L + rot^2 <<c,<<a,b>>>>_L.
 
-    ``bracket(x, y)`` computes the double bracket of two words; it defaults
-    to :func:`double_bracket` on ``spec``, and :func:`check_double_jacobi`
-    passes its memo of it.
+    <<a, u (x) v>>_L = <<a, u>> (x) v brackets ``a`` into the first slot,
+    and rot(u1 (x) u2 (x) u3) = u3 (x) u1 (x) u2.  All three terms are added
+    into one dict.  ``bracket(x, y)`` computes the double bracket of two
+    words; it defaults to :func:`double_bracket` on ``spec``, and
+    :func:`check_double_jacobi` passes its memo of it.
     """
     if bracket is None:
         bracket = lambda x, y: double_bracket(spec, x, y)
-    t1 = _bracket_into_first(bracket, a, bracket(b, c))
-    t2 = _bracket_into_first(bracket, b, bracket(c, a)).rotate()
-    t3 = _bracket_into_first(bracket, c, bracket(a, b)).rotate().rotate()
-    return t1 + t2 + t3
+    out: Triple = {}
+    for turns, (x, y, z) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+        cut = 3 - turns  # t[cut:] + t[:cut] is rot^turns t
+        for (u, v), c1 in bracket(y, z).items():
+            for (p, q), c2 in bracket(x, u).items():
+                t = (p, q, v)
+                _acc(out, t[cut:] + t[:cut], c1 * c2)
+    return out
 
 
 def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word, Word]]:
@@ -227,9 +185,9 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
     words = list(words_up_to(spec, maxlen))
     n = len(words)
     for i in range(n):
-        memo: Dict[Tuple[Word, Word], DoubleTensor] = {}
+        memo: Dict[Tuple[Word, Word], Double] = {}
 
-        def bracket(x: Word, y: Word) -> DoubleTensor:
+        def bracket(x: Word, y: Word) -> Double:
             hit = memo.get((x, y))
             if hit is None:
                 hit = memo[(x, y)] = double_bracket(spec, x, y)
@@ -240,7 +198,7 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
             for k in range(i, n):
                 if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
                     continue
-                if not triple_jacobi_sum(spec, words[i], words[j], words[k], bracket=bracket).is_zero():
+                if triple_jacobi_sum(spec, words[i], words[j], words[k], bracket=bracket):
                     return (words[i], words[j], words[k])
     return None
 
@@ -327,7 +285,7 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
     """
     (i, j, x), (k, l, y) = p, q
     out: Dict[SMono, Scalar] = {}
-    for (u, v), c in double_bracket(spec, x, y).terms.items():
+    for (u, v), c in double_bracket(spec, x, y).items():
         factors: List[PGen] = []
         if u:
             factors.append(PGen(k, j, u))
@@ -341,19 +299,29 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
     return SPoly._trusted(None, out)
 
 
-def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
-    """Leibniz extension of poisson_pgen to polynomials in the symbols."""
-    out: Dict[SMono, Scalar] = {}
+def _leibniz(f: SparseVector, g: SparseVector, bracket: Callable, key: Optional[Callable]) -> Dict[tuple, Scalar]:
+    """The Leibniz extension to two polynomials of a bracket of their generators.
+
+    For every factor of a monomial of ``f`` and every factor of a monomial of
+    ``g``, the other factors of both are multiplied by ``bracket(p, q)`` of
+    the two (a dict from monomials to scalars) and sorted again by ``key``.
+    """
+    out: Dict[tuple, Scalar] = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
             cc = c1 * c2
             for r in range(len(m1)):
                 for t in range(len(m2)):
                     rest = m1[:r] + m1[r + 1 :] + m2[:t] + m2[t + 1 :]
-                    bracket = poisson_pgen(spec, m1[r], m2[t])
-                    for mb, cb in bracket.terms.items():
-                        _acc(out, tuple(sorted(rest + mb, key=pgen_key)), cc * cb)
-    return SPoly._trusted(None, out)
+                    for mb, cb in bracket(m1[r], m2[t]).items():
+                        _acc(out, tuple(sorted(rest + mb, key=key)), cc * cb)
+    return out
+
+
+def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
+    """Leibniz extension of poisson_pgen to polynomials in the symbols."""
+    bracket = lambda p, q: poisson_pgen(spec, p, q).terms
+    return SPoly._trusted(None, _leibniz(f, g, bracket, pgen_key))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +336,7 @@ def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict
     """
     wa, wb = tuple(a), tuple(b)
     out: Dict[CyclicWord, Scalar] = {}
-    for (u, v), c in double_bracket(spec, wa, wb).terms.items():
+    for (u, v), c in double_bracket(spec, wa, wb).items():
         w = u + v
         _acc(out, CyclicWord(w), c)
     return out
@@ -405,16 +373,8 @@ class NecklacePoly(SparseVector):
 
 def poisson_stc(spec: AlgebraSpec, f: NecklacePoly, g: NecklacePoly) -> NecklacePoly:
     """Leibniz extension of the trace bracket to necklace polynomials."""
-    out: Dict[NMono, Scalar] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            cc = c1 * c2
-            for r in range(len(m1)):
-                for t in range(len(m2)):
-                    rest = m1[:r] + m1[r + 1 :] + m2[:t] + m2[t + 1 :]
-                    for w, cb in trace_bracket(spec, m1[r], m2[t]).items():
-                        _acc(out, tuple(sorted(rest + (w,))), cc * cb)
-    return NecklacePoly._trusted(None, out)
+    bracket = lambda x, y: {(w,): c for w, c in trace_bracket(spec, x, y).items()}
+    return NecklacePoly._trusted(None, _leibniz(f, g, bracket, None))
 
 
 # ---------------------------------------------------------------------------

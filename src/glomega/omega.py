@@ -32,11 +32,12 @@ own methods.  There are two constructors:
   every coefficient through :func:`as_scalar` and drops zeros.
 
 The owner is what ties elements together.  It is the table for
-``OmegaElement``, ``DoubleTensor``, ``TripleTensor`` and ``AlElement``; the
-enveloping context for ``UElement``; ``(spec, d)`` for ``CurrentElement``;
-and ``None`` for ``SPoly`` and ``NecklacePoly``, which are built as
-``Cls(terms)``.  ``CurrentElement`` is built as
-``CurrentElement(spec, d, terms)``.  Owners compare by identity
+``OmegaElement`` and ``AlElement``; the enveloping context for ``UElement``;
+``(spec, d)`` for ``CurrentElement``; and ``None`` for ``SPoly`` and
+``NecklacePoly``, which are built as ``Cls(terms)``.  ``CurrentElement`` is
+built as ``CurrentElement(spec, d, terms)``.  Word-level expansions that live
+inside one computation (double brackets, coagulations, ``odot`` products)
+are plain ``{key: scalar}`` dicts, not elements.  Owners compare by identity
 first, then by ``==``; tables and contexts define no ``==``, so they compare
 by identity alone.  Combining elements of different owners raises
 :class:`StructureError`, and elements of different owners are never equal.

@@ -45,6 +45,7 @@ from .omega import (
     AlgebraSpec,
     StabilizationError,
     StructureError,
+    as_scalar,
     check_associativity,
     detect_unit,
     direct_sum_C,
@@ -119,7 +120,12 @@ class SuiteConfig:
             raise StructureError("word length and degree caps must be positive")
         if not self.s_values:
             raise StructureError("need at least one s value")
-        object.__setattr__(self, "s_values", tuple(Fraction(s) for s in self.s_values))
+        try:
+            # as_scalar refuses floats, which Fraction would take as given
+            s_values = tuple(Fraction(as_scalar(s)) for s in self.s_values)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise StructureError("s values must be exact rationals: %s" % exc)
+        object.__setattr__(self, "s_values", s_values)
 
 
 @dataclass

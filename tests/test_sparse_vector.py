@@ -11,14 +11,12 @@ import glomega
 from glomega import (
     AlElement,
     CurrentElement,
-    DoubleTensor,
     Enveloping,
     NecklacePoly,
     OmegaElement,
     PGen,
     SPoly,
     StructureError,
-    TripleTensor,
     UElement,
     direct_sum_C,
 )
@@ -46,8 +44,6 @@ CASES = {
         lambda alt, terms: UElement(Enveloping.get(OTHER if alt else SPEC, 2), terms),
         (((1, 1, 0),), ((1, 2, 0), (2, 1, 1))),
     ),
-    "DoubleTensor": Case(_owned(DoubleTensor), (((0,), ()), ((), (1, 0)))),
-    "TripleTensor": Case(_owned(TripleTensor), (((0,), (), (1,)), ((), (), (0,)))),
     "SPoly": Case(
         lambda alt, terms: SPoly(terms),
         ((_P1,), (_P1, _P2)),
@@ -185,7 +181,7 @@ def test_owner_lives_only_in_the_core():
                     for sub in ast.walk(node)
                     if isinstance(sub, ast.Attribute) and sub.attr == "owner" and isinstance(sub.ctx, ast.Store)
                 ]
-    assert len(subclasses) == len(CASES) == 8
+    assert len(subclasses) == len(CASES) == 6
     assert [name for name, empty in subclasses if not empty] == []
     assert owners == [] and binders == []
     # the two owner-less classes keep Cls(terms); CurrentElement checks d >= 1

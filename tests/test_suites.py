@@ -1,6 +1,7 @@
 """Suite plumbing: configs, reports, determinism, budgets, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,16 @@ def test_config_validation():
         SuiteConfig(suite="pbw", s_values=())
     cfg = SuiteConfig(suite="pbw", s_values=(0, 1))
     assert all(hasattr(s, "denominator") for s in cfg.s_values)
+
+
+def test_config_refuses_float_s_values():
+    # a float is never a scalar: Fraction(0.1) would keep its binary expansion
+    for bad in ((0.1,), (0, 1.0), ("x",), ("1/0",)):
+        with pytest.raises(StructureError):
+            SuiteConfig(suite="pbw", s_values=bad)
+    cfg = SuiteConfig(suite="pbw", s_values=(2, Fraction(-3, 2), "1/3"))
+    assert cfg.s_values == (Fraction(2), Fraction(-3, 2), Fraction(1, 3))
+    assert all(type(s) is Fraction for s in cfg.s_values)
 
 
 def test_report_summary_and_exit_codes():
