@@ -5,7 +5,6 @@
 # shows both directions on a 2-dimensional witness.
 
 from glomega import (
-    NecklacePoly,
     PGen,
     check_double_jacobi,
     check_leibniz,
@@ -22,6 +21,16 @@ from glomega import (
     symbol_match_stc,
     trace_bracket,
 )
+from glomega.words import CyclicWord
+
+
+def show_symbols(poly) -> str:
+    """A symbol polynomial {sorted monomial of PGen: c} as text, shortest monomials first."""
+    bits = []
+    for mono, c in sorted(poly.items(), key=lambda t: (len(t[0]), t[0])):
+        body = "".join("p(%d,%d;%s)" % (g.i, g.j, ",".join(map(str, g.word))) for g in mono)
+        bits.append("%s*%s" % (c, body or "1"))
+    return " + ".join(bits) or "0"
 
 
 def main() -> None:
@@ -60,7 +69,7 @@ def main() -> None:
     print("== induced Poisson bracket on matrix symbols ==")
     p = PGen(1, 1, (0, 1))
     q = PGen(1, 1, (1, 0))
-    print("{p(1,1;01), p(1,1;10)} =", poisson_pgen(c2, p, q))
+    print("{p(1,1;01), p(1,1;10)} =", show_symbols(poisson_pgen(c2, p, q)))
     smd = symbol_match_smd(c2, 1, 1, 1, 1, (0, 1), (1, 0), 2, 0, 4)
     print("matches the top symbol of the commutator:", smd["match"])
 
@@ -68,9 +77,9 @@ def main() -> None:
     print("== induced Poisson bracket on necklaces ==")
     tb = trace_bracket(m2, (1,), (2,))
     print("{tr(e12), tr(e21)} =", {str(k): v for k, v in sorted(tb.items(), key=str)})
-    f = NecklacePoly.cls_of((1,))
-    g = NecklacePoly.cls_of((2,))
-    print("as necklace polynomials:", poisson_stc(m2, f, g))
+    f = {(CyclicWord((1,)),): 1}
+    g = {(CyclicWord((2,)),): 1}
+    print("as necklace polynomials:", poisson_stc(m2, f, g), "(keys: sorted monomials of classes)")
     stc = symbol_match_stc(m2, (1,), (2,), 3)
     print("matches the trace-element commutator:", stc["match"])
 

@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from glomega import (
-    CurrentElement,
     bimodule_iso_check,
     degeneration_check,
     direct_sum_C,
@@ -41,9 +40,9 @@ def main() -> None:
 
     print()
     print("== the bracket on currents ==")
-    a = CurrentElement.basis(c2, 2, 1, 1, (0,))
-    b = CurrentElement.basis(c2, 2, 1, 2, (0, 1))
-    print("[E11(0), E12(01)] =", gl_current_bracket(a, b))
+    a = {(1, 1, (0,)): 1}
+    b = {(1, 2, (0, 1)): 1}
+    print("[E11(0), E12(01)] =", gl_current_bracket(c2, a, b), "(keys: i, j, word)")
 
     print()
     print("== degeneration certificate ==")

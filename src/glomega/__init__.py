@@ -38,9 +38,7 @@ from .yangian import (
     t_gen,
 )
 from .doublepoisson import (
-    NecklacePoly,
     PGen,
-    SPoly,
     check_double_jacobi,
     check_leibniz,
     check_letter_bracket,
@@ -54,8 +52,6 @@ from .doublepoisson import (
     trace_bracket,
 )
 from .current import (
-    AlElement,
-    CurrentElement,
     bimodule_iso_check,
     degeneration_check,
     gl_current_bracket,

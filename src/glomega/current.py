@@ -10,6 +10,12 @@ Grades add, grade 0 multiplies like the table itself, and the whole thing
 is associative exactly when the table is.  gl(d) valued currents carry the
 bracket [X(x)x, Y(x)y] = XY(x)(x(.)y) - YX(x)(y(.)x).
 
+Both live inside one computation, so they are plain dicts, built only
+through ``_acc`` and ``vec_add`` and never holding a zero: an element of
+the current algebra is ``{word: c}`` (:func:`odot` multiplies two of them)
+and a gl(d) current is ``{(i, j, word): c}`` (:func:`gl_current_bracket`
+brackets two of them).
+
 Structural checks implemented here:
 
 * :func:`path_algebra_iso_check` identifies the current algebra of C^(+)L
@@ -28,7 +34,7 @@ Structural checks implemented here:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver
@@ -37,12 +43,12 @@ from .omega import (
     OmegaElement,
     Scalar,
     ScalarLike,
-    SparseVector,
     StructureError,
     _acc,
     detect_unit,
     direct_sum_C,
     stable,
+    vec_add,
 )
 from .words import Word, basis_words, words_up_to
 from .yangian import TGen, t_expansion
@@ -59,45 +65,14 @@ def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
     return out
 
 
-class AlElement(SparseVector):
-    """Element of the graded current algebra; words of length n+1 sit in grade n."""
-
-    __slots__ = ()
-    _mixed = "elements over different tables"
-
-    def _key(self, w: Iterable[int]) -> Word:
-        w = tuple(w)
-        if not w:
-            raise StructureError("current-algebra words must be nonempty")
-        for letter in w:
-            if not 0 <= letter < self.owner.dim:
-                raise StructureError("letter %r out of range" % (letter,))
-        return w
-
-    @classmethod
-    def from_word(cls, spec: AlgebraSpec, word: Word) -> "AlElement":
-        return cls(spec, {tuple(word): 1})
-
-    def _product(self, other: "AlElement") -> "AlElement":
-        self._check(other)
-        out: Dict[Word, Scalar] = {}
-        for wx, cx in self.terms.items():
-            for wy, cy in other.terms.items():
-                for w, c in odot_words(self.owner, wx, wy).items():
-                    _acc(out, w, cx * cy * c)
-        return self._like(out)
-
-    def grades(self) -> List[int]:
-        return sorted({len(w) - 1 for w in self.terms})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<Al 0>"
-        bits = [
-            "%s*(%s)" % (c, ",".join(self.owner.basis[i] for i in w))
-            for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        ]
-        return "<Al " + " + ".join(bits) + ">"
+def odot(spec: AlgebraSpec, a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
+    """The junction product of two ``{word: c}`` dicts, bilinear in both slots."""
+    out: Dict[Word, Scalar] = {}
+    for wx, cx in a.items():
+        for wy, cy in b.items():
+            for w, c in odot_words(spec, wx, wy).items():
+                _acc(out, w, cx * cy * c)
+    return out
 
 
 def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Word, Word, Word]]:
@@ -110,10 +85,8 @@ def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Wo
             for wz in words:
                 if len(wx) + len(wy) + len(wz) > max_total_len:
                     continue
-                x = AlElement.from_word(spec, wx)
-                y = AlElement.from_word(spec, wy)
-                z = AlElement.from_word(spec, wz)
-                if (x * y) * z != x * (y * z):
+                x, y, z = {wx: 1}, {wy: 1}, {wz: 1}
+                if odot(spec, odot(spec, x, y), z) != odot(spec, x, odot(spec, y, z)):
                     return (wx, wy, wz)
     return None
 
@@ -125,9 +98,7 @@ def find_noncommutative_pair(spec: AlgebraSpec, max_total_len: int) -> Optional[
         for wy in words:
             if len(wx) + len(wy) > max_total_len:
                 continue
-            x = AlElement.from_word(spec, wx)
-            y = AlElement.from_word(spec, wy)
-            if x * y != y * x:
+            if odot_words(spec, wx, wy) != odot_words(spec, wy, wx):
                 return (wx, wy)
     return None
 
@@ -144,11 +115,11 @@ def current_unit_check(spec: AlgebraSpec, maxgrade: int = 2) -> Dict[str, object
     e = detect_unit(spec)
     if e is None:
         return {"omega_has_unit": False, "acts_as_unit": None, "passed": True}
-    unit = AlElement(spec, {(i,): c for i, c in e.terms.items()})
+    unit = {(i,): c for i, c in e.terms.items()}
     ok = True
     for w in words_up_to(spec, maxgrade + 1):
-        x = AlElement.from_word(spec, w)
-        if unit * x != x or x * unit != x:
+        x = {w: 1}
+        if odot(spec, unit, x) != x or odot(spec, x, unit) != x:
             ok = False
             break
     return {"omega_has_unit": True, "acts_as_unit": ok, "passed": ok}
@@ -159,44 +130,14 @@ def current_unit_check(spec: AlgebraSpec, maxgrade: int = 2) -> Dict[str, object
 
 
 CKey = Tuple[int, int, Word]
+Current = Dict[CKey, Scalar]  # (i, j, word) -> coefficient, no zero stored
 
 
-class CurrentElement(SparseVector):
-    """Element of gl(d) over the current algebra: sparse (i, j, word) -> scalar."""
-
-    __slots__ = ()
-    _mixed = "current elements over different gl(d) currents"
-
-    def __init__(self, spec: AlgebraSpec, d: int, terms: Mapping[CKey, ScalarLike]):
-        if d < 1:
-            raise StructureError("d must be positive")
-        super().__init__((spec, d), terms)
-
-    def _key(self, key: Tuple[int, int, Iterable[int]]) -> CKey:
-        i, j, w = key
-        d = self.owner[1]
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise StructureError("matrix indices out of range for d=%d" % d)
-        w = tuple(w)
-        if not w:
-            raise StructureError("current-algebra words must be nonempty")
-        return (i, j, w)
-
-    @classmethod
-    def basis(cls, spec: AlgebraSpec, d: int, i: int, j: int, word: Word) -> "CurrentElement":
-        return cls(spec, d, {(i, j, tuple(word)): 1})
-
-    def __repr__(self) -> str:
-        return "<Cur %r>" % (self.terms,)
-
-
-def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
+def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
     """[X(x)x, Y(x)y] = XY (x) (x(.)y) - YX (x) (y(.)x), bilinear in both slots."""
-    a._check(b)
-    spec = a.owner[0]
-    out: Dict[CKey, Scalar] = {}
-    for (i, j, x), cx in a.terms.items():
-        for (k, l, y), cy in b.terms.items():
+    out: Current = {}
+    for (i, j, x), cx in a.items():
+        for (k, l, y), cy in b.items():
             cc = cx * cy
             if j == k:
                 for w, c in odot_words(spec, x, y).items():
@@ -204,16 +145,23 @@ def gl_current_bracket(a: CurrentElement, b: CurrentElement) -> CurrentElement:
             if l == i:
                 for w, c in odot_words(spec, y, x).items():
                     _acc(out, (k, j, w), -cc * c)
-    return CurrentElement._trusted(a.owner, out)
+    return out
+
+
+def current_jacobi_sum(spec: AlgebraSpec, a: Current, b: Current, c: Current) -> Current:
+    """[[a, b], c] + [[b, c], a] + [[c, a], b], added into one dict."""
+    out: Current = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        vec_add(out, gl_current_bracket(spec, gl_current_bracket(spec, x, y), z))
+    return out
 
 
 def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey]]:
     keys = current_basis_keys(spec, d, maxgrade)
     for ka in keys:
-        a = CurrentElement(spec, d, {ka: 1})
         for kb in keys:
-            b = CurrentElement(spec, d, {kb: 1})
-            if gl_current_bracket(a, b) != -gl_current_bracket(b, a):
+            ba = gl_current_bracket(spec, {kb: 1}, {ka: 1})
+            if gl_current_bracket(spec, {ka: 1}, {kb: 1}) != {k: -c for k, c in ba.items()}:
                 return (ka, kb)
     return None
 
@@ -221,18 +169,11 @@ def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[
 def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey, CKey]]:
     """Jacobi over all basis triples up to the grade bound; needs an associative table."""
     keys = current_basis_keys(spec, d, maxgrade)
-    elems = [CurrentElement(spec, d, {k: 1}) for k in keys]
-    for ia, a in enumerate(elems):
-        for ib, b in enumerate(elems):
-            ab = gl_current_bracket(a, b)
-            for ic, c in enumerate(elems):
-                total = (
-                    gl_current_bracket(ab, c)
-                    + gl_current_bracket(gl_current_bracket(b, c), a)
-                    + gl_current_bracket(gl_current_bracket(c, a), b)
-                )
-                if not total.is_zero():
-                    return (keys[ia], keys[ib], keys[ic])
+    for ka in keys:
+        for kb in keys:
+            for kc in keys:
+                if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}):
+                    return (ka, kb, kc)
     return None
 
 

@@ -22,7 +22,8 @@ That equivalence is checked, not assumed (:func:`pvdw_equivalence`), and the
 module deliberately accepts non-associative tables.
 
 A double bracket is a plain dict ``{(u, v): c}`` from pairs of words to
-scalars, and a double Jacobi sum a dict ``{(u1, u2, u3): c}``.  Both are
+scalars, a double Jacobi sum a dict ``{(u1, u2, u3): c}``, and a polynomial
+in symbols or necklaces a dict from sorted monomials to scalars.  All are
 built only through ``_acc``, so no zero is ever stored and two of them are
 equal exactly when they are equal as dicts.
 
@@ -30,10 +31,12 @@ The bracket descends to two quotients, both realized here:
 
 * the polynomial algebra on matrix-entry symbols ``p_ij(word)`` with the
   bracket :func:`poisson_smd` obtained by contracting Sweedler slots
-  (``p_ab`` of the empty word is the scalar ``delta_ab``), and
+  (``p_ab`` of the empty word is the scalar ``delta_ab``); a monomial is a
+  tuple of :class:`PGen` sorted by :func:`pgen_key`, and
 * cyclic coinvariants (necklaces) with the trace bracket
   :func:`trace_bracket`: bracket the lifts, multiply the two slots, project
-  cyclically.
+  cyclically; :func:`poisson_stc` extends it to polynomials whose monomials
+  are sorted tuples of :class:`~glomega.words.CyclicWord`.
 
 Both are matched against top filtration parts of honest commutators in
 U(gl(N, Omega)) by :func:`symbol_match_smd` and :func:`symbol_match_stc`,
@@ -42,10 +45,10 @@ at two consecutive sizes N and N+1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .enveloping import Enveloping, UElement
-from .omega import AlgebraSpec, Scalar, ScalarLike, SparseVector, StructureError, _acc, check_associativity, stable
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, stable
 from .words import CyclicWord, Word, words_up_to
 
 
@@ -233,58 +236,17 @@ def pgen_key(p: PGen) -> Tuple[int, int, int, Word]:
     return (p.i, p.j, len(p.word), p.word)
 
 
-SMono = Tuple[PGen, ...]  # sorted by pgen_key; commutative monomial
+Poly = Dict[tuple, Scalar]  # commutative monomial (a sorted tuple) -> coefficient, no zero stored
 
 
-class SPoly(SparseVector):
-    """Polynomial in the symbols p_ij(word), exact coefficients."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Iterable[PGen], ScalarLike]):
-        super().__init__(None, terms)
-
-    def _key(self, mono: Iterable[PGen]) -> SMono:
-        return tuple(sorted(mono, key=pgen_key))
-
-    @classmethod
-    def zero(cls) -> "SPoly":
-        return cls({})
-
-    @classmethod
-    def generator(cls, p: PGen) -> "SPoly":
-        return cls({(p,): 1})
-
-    def _product(self, other: "SPoly") -> "SPoly":
-        out: Dict[SMono, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(out, tuple(sorted(m1 + m2, key=pgen_key)), c1 * c2)
-        return SPoly._trusted(None, out)
-
-    def part(self, factor_count: int) -> "SPoly":
-        return self._like({m: c for m, c in self.terms.items() if len(m) == factor_count})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<SPoly 0>"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), tuple(map(pgen_key, m)))):
-            body = "".join(
-                "p(%d,%d;%s)" % (g.i, g.j, ",".join(map(str, g.word))) for g in mono
-            )
-            bits.append("%s*%s" % (self.terms[mono], body or "1"))
-        return "<SPoly " + " + ".join(bits) + ">"
-
-
-def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
+def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> Poly:
     """{p_ij(x), p_kl(y)} = sum p_kj(first slot) p_il(second slot).
 
     Sweedler slots of the double bracket are contracted through the symbols;
     an empty slot contributes the scalar delta (p_ab of the empty word).
     """
     (i, j, x), (k, l, y) = p, q
-    out: Dict[SMono, Scalar] = {}
+    out: Poly = {}
     for (u, v), c in double_bracket(spec, x, y).items():
         factors: List[PGen] = []
         if u:
@@ -296,19 +258,19 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> SPoly:
         elif i != l:
             continue
         _acc(out, tuple(sorted(factors, key=pgen_key)), c)
-    return SPoly._trusted(None, out)
+    return out
 
 
-def _leibniz(f: SparseVector, g: SparseVector, bracket: Callable, key: Optional[Callable]) -> Dict[tuple, Scalar]:
+def _leibniz(f: Poly, g: Poly, bracket: Callable, key: Optional[Callable]) -> Poly:
     """The Leibniz extension to two polynomials of a bracket of their generators.
 
     For every factor of a monomial of ``f`` and every factor of a monomial of
     ``g``, the other factors of both are multiplied by ``bracket(p, q)`` of
     the two (a dict from monomials to scalars) and sorted again by ``key``.
     """
-    out: Dict[tuple, Scalar] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    out: Poly = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
             cc = c1 * c2
             for r in range(len(m1)):
                 for t in range(len(m2)):
@@ -318,10 +280,9 @@ def _leibniz(f: SparseVector, g: SparseVector, bracket: Callable, key: Optional[
     return out
 
 
-def poisson_smd(spec: AlgebraSpec, f: SPoly, g: SPoly) -> SPoly:
+def poisson_smd(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
     """Leibniz extension of poisson_pgen to polynomials in the symbols."""
-    bracket = lambda p, q: poisson_pgen(spec, p, q).terms
-    return SPoly._trusted(None, _leibniz(f, g, bracket, pgen_key))
+    return _leibniz(f, g, lambda p, q: poisson_pgen(spec, p, q), pgen_key)
 
 
 # ---------------------------------------------------------------------------
@@ -342,49 +303,24 @@ def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict
     return out
 
 
-NMono = Tuple[CyclicWord, ...]  # sorted tuple
+def poisson_stc(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
+    """Leibniz extension of the trace bracket to necklace polynomials.
 
-
-class NecklacePoly(SparseVector):
-    """Polynomial in cyclic-word classes with the trace bracket."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Iterable[Iterable[int]], ScalarLike]):
-        super().__init__(None, terms)
-
-    def _key(self, mono: Iterable[Iterable[int]]) -> NMono:
-        return tuple(sorted(CyclicWord(w) for w in mono))
-
-    @classmethod
-    def cls_of(cls, word: Iterable[int]) -> "NecklacePoly":
-        return cls({(CyclicWord(word),): 1})
-
-    def _product(self, other: "NecklacePoly") -> "NecklacePoly":
-        out: Dict[NMono, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(out, tuple(sorted(m1 + m2)), c1 * c2)
-        return NecklacePoly._trusted(None, out)
-
-    def __repr__(self) -> str:
-        return "<NecklacePoly %r>" % (self.terms,)
-
-
-def poisson_stc(spec: AlgebraSpec, f: NecklacePoly, g: NecklacePoly) -> NecklacePoly:
-    """Leibniz extension of the trace bracket to necklace polynomials."""
+    A monomial of ``f``, ``g`` and the result is a sorted tuple of
+    :class:`CyclicWord` classes.
+    """
     bracket = lambda x, y: {(w,): c for w, c in trace_bracket(spec, x, y).items()}
-    return NecklacePoly._trusted(None, _leibniz(f, g, bracket, None))
+    return _leibniz(f, g, bracket, None)
 
 
 # ---------------------------------------------------------------------------
 # symbol matches against honest commutators
 
 
-def spoly_symbol_image(p: SPoly, ctx: Enveloping) -> UElement:
+def spoly_symbol_image(p: Poly, ctx: Enveloping) -> UElement:
     """Evaluate p through p_ab(w) -> e_ab(w; N) products (symbol level)."""
     out = ctx.zero()
-    for mono, c in p.terms.items():
+    for mono, c in p.items():
         cur = ctx.one()
         for g in mono:
             cur = ctx.multiply(cur, ctx.e_elem(g.i, g.j, g.word))

@@ -18,11 +18,12 @@ tables loaded from JSON hold ``int`` constants wherever they are integral.
 Nothing divides two ints with ``/``, which would give a float: exact division
 goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
 
-Every element class of the package is a :class:`SparseVector`: an
-``owner`` and a dict ``terms`` from keys to nonzero scalars, with
-addition, subtraction, negation, scaling, equality and hashing written once
-here.  A subclass adds only its key hook, its product, its text form and its
-own methods.  There are two constructors:
+The package's two element classes, ``OmegaElement`` and ``UElement``, are
+:class:`SparseVector` subclasses: an ``owner`` and a dict ``terms`` from
+keys to nonzero scalars, with addition, subtraction, negation, scaling,
+equality and hashing written once here.  A subclass adds only its key hook,
+its product, its text form and its own methods.  There are two
+constructors:
 
 * the public one, ``Cls(owner, terms)``, runs the subclass's key hook on
   every key (validation and canonical form), normalises every coefficient
@@ -31,21 +32,18 @@ own methods.  There are two constructors:
   package's own arithmetic built: it skips the key hook, but still passes
   every coefficient through :func:`as_scalar` and drops zeros.
 
-The owner is what ties elements together.  It is the table for
-``OmegaElement`` and ``AlElement``; the enveloping context for ``UElement``;
-``(spec, d)`` for ``CurrentElement``; and ``None`` for ``SPoly`` and
-``NecklacePoly``, which are built as ``Cls(terms)``.  ``CurrentElement`` is
-built as ``CurrentElement(spec, d, terms)``.  Word-level expansions that live
-inside one computation (double brackets, coagulations, ``odot`` products)
-are plain ``{key: scalar}`` dicts, not elements.  Owners compare by identity
-first, then by ``==``; tables and contexts define no ``==``, so they compare
-by identity alone.  Combining elements of different owners raises
-:class:`StructureError`, and elements of different owners are never equal.
-Two tables with equal content are still two owners, each holding its own
-enveloping contexts and computed facts (see :class:`AlgebraSpec`).  An
-enveloping element belongs to its context object: ``Enveloping.get`` keeps
-one context per table and size, so all of its callers share owners, while a
-context built directly with ``Enveloping(omega, n)`` is an owner of its own.
+The owner is what ties elements together: the table for ``OmegaElement``
+and the enveloping context for ``UElement``.  Values that live inside one
+computation (words, double brackets, coagulations, current-algebra elements,
+gl(d) currents, symbol and necklace polynomials) are plain
+``{key: scalar}`` dicts, not elements.  Owners compare by identity alone.
+Combining elements of different owners raises :class:`StructureError`, and
+elements of different owners are never equal.  Two tables with equal
+content are still two owners, each holding its own enveloping contexts and
+computed facts (see :class:`AlgebraSpec`).  An enveloping element belongs
+to its context object: ``Enveloping.get`` keeps one context per table and
+size, so all of its callers share owners, while a context built directly
+with ``Enveloping(omega, n)`` is an owner of its own.
 All accumulation goes through :func:`vec_add` (a whole dict) and
 :func:`_acc` (one key), which drop a key as soon as its sum is zero.
 """
@@ -145,12 +143,11 @@ def _nonzero(terms: Mapping) -> Dict:
 class SparseVector:
     """A sparse exact linear combination: ``terms`` maps keys to nonzero scalars.
 
-    ``owner`` is what ties elements together (a table, an enveloping context,
-    ``(spec, d)`` or ``None``); it is set here, copied by ``_trusted`` and
-    ``_like``, and compared here, by identity first and then by ``==``.  A
-    subclass declares ``__slots__ = ()`` and may override ``_key`` (the key
-    hook), ``_product`` (the product of two elements) and ``_mixed`` (the
-    message for mixed owners).
+    ``owner`` is what ties elements together (a table or an enveloping
+    context); it is set here, copied by ``_trusted`` and ``_like``, and
+    compared here, by identity.  A subclass declares ``__slots__ = ()`` and
+    may override ``_key`` (the key hook), ``_product`` (the product of two
+    elements) and ``_mixed`` (the message for mixed owners).
     """
 
     __slots__ = ("owner", "terms")
@@ -185,7 +182,7 @@ class SparseVector:
         return key
 
     def _check(self, other: "SparseVector") -> None:
-        if self.owner is not other.owner and self.owner != other.owner:
+        if self.owner is not other.owner:
             raise StructureError(self._mixed)
 
     def _product(self, other):
@@ -232,7 +229,7 @@ class SparseVector:
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
-            and (self.owner is other.owner or self.owner == other.owner)
+            and self.owner is other.owner
             and self.terms == other.terms
         )
 

@@ -5,6 +5,8 @@ and must pass with zero tolerance.  Runtime-bounded criteria assert their
 budgets explicitly so a regression in asymptotics fails loudly.
 """
 
+import importlib.util
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -20,6 +22,7 @@ from glomega.current import (
 from glomega.doublepoisson import (
     check_double_jacobi,
     check_leibniz,
+    check_letter_bracket,
     check_skew,
     pvdw_equivalence,
     symbol_match_smd,
@@ -30,7 +33,16 @@ from glomega.words import CyclicWord, basis_words, words_up_to
 from glomega.yangian import independence_check, pbw_suite, t_gen
 
 S_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 2))
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 GRID_TABLES = (direct_sum_C(1), direct_sum_C(2), null_algebra(2))
+
+
+def _benchmark_expected():
+    """``perfbench/expected.py`` as a module, read only and kept out of ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("perfbench_expected", PERFBENCH / "expected.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_criterion_01_projection_consistency_grid():
@@ -106,10 +118,18 @@ def test_criterion_05_double_bracket_axioms_and_equivalence():
     assert check_double_jacobi(m, 2) is None
     rng = random.Random(20240)
     tables = [_random_table(rng.randint(1, 3), rng) for _ in range(49)]
+    # the draw is the one the benchmark replays to name its expected fuzz checks
+    drawn = [(t.dim, tuple(sorted((ij, tuple(sorted(e.items()))) for ij, e in t.table.items()))) for t in tables]
+    assert drawn == _benchmark_expected().fuzz_tables(20240)
     tables.append(nonassoc_witness())
     for tbl in tables:
         rep = pvdw_equivalence(tbl, 2)
         assert rep["equivalent"] is True, tbl.name
+        # skew-symmetry and both Leibniz rules hold for any bilinear table
+        maxlen = 2 if tbl.dim <= 2 else 1
+        assert check_letter_bracket(tbl) is None, tbl.name
+        assert check_skew(tbl, maxlen) is None, tbl.name
+        assert check_leibniz(tbl, maxlen) is None, tbl.name
     witness_rep = pvdw_equivalence(nonassoc_witness(), 2)
     assert witness_rep["assoc_witness"] is not None
     assert witness_rep["jacobi_witness"] is not None

@@ -94,6 +94,13 @@ def test_run_bad_s_list_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s_list", ["1,1", "1,1/1"])
+def test_run_repeated_s_value_is_usage_error(capsys, s_list):
+    assert main(["run", "projection", "--omega", "C", "--s", s_list, "--n-max", "2"]) == 2
+    out = capsys.readouterr()
+    assert "distinct" in out.err and "projection.theorem" not in out.out
+
+
 def test_run_double_on_nonassociative_table_fails_checks(capsys):
     # documented semantics: the fuzz-capable suite accepts the table but its
     # associativity and Jacobi records fail, so the exit code is 1

@@ -3,23 +3,12 @@
 import ast
 import pathlib
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import pytest
 
 import glomega
-from glomega import (
-    AlElement,
-    CurrentElement,
-    Enveloping,
-    NecklacePoly,
-    OmegaElement,
-    PGen,
-    SPoly,
-    StructureError,
-    UElement,
-    direct_sum_C,
-)
+from glomega import Enveloping, OmegaElement, StructureError, UElement, direct_sum_C
 
 SPEC = direct_sum_C(2)
 OTHER = direct_sum_C(2)  # equal content, a different owner
@@ -28,38 +17,13 @@ OTHER = direct_sum_C(2)  # equal content, a different owner
 class Case(NamedTuple):
     make: Callable  # (use the other owner?, terms) -> element
     keys: tuple  # two distinct keys in canonical form
-    has_owner: bool = True
-    collide: Optional[tuple] = None  # two raw keys with one canonical form, and that form
 
-
-def _owned(cls):
-    return lambda alt, terms: cls(OTHER if alt else SPEC, terms)
-
-
-_P1, _P2 = PGen(1, 1, (1,)), PGen(1, 2, (0,))
 
 CASES = {
-    "OmegaElement": Case(_owned(OmegaElement), (0, 1)),
+    "OmegaElement": Case(lambda alt, terms: OmegaElement(OTHER if alt else SPEC, terms), (0, 1)),
     "UElement": Case(
         lambda alt, terms: UElement(Enveloping.get(OTHER if alt else SPEC, 2), terms),
         (((1, 1, 0),), ((1, 2, 0), (2, 1, 1))),
-    ),
-    "SPoly": Case(
-        lambda alt, terms: SPoly(terms),
-        ((_P1,), (_P1, _P2)),
-        has_owner=False,
-        collide=((_P2, _P1), (_P1, _P2), (_P1, _P2)),
-    ),
-    "NecklacePoly": Case(
-        lambda alt, terms: NecklacePoly(terms),
-        (((0,),), ((0,), (0, 1))),
-        has_owner=False,
-        collide=(((1, 0),), ((0, 1),), ((0, 1),)),
-    ),
-    "AlElement": Case(_owned(AlElement), ((0,), (0, 1))),
-    "CurrentElement": Case(
-        lambda alt, terms: CurrentElement(SPEC, 3 if alt else 2, terms),
-        ((1, 1, (0,)), (1, 2, (0, 1))),
     ),
 }
 
@@ -104,14 +68,9 @@ def test_vector_laws(name):
     half = make({k1: Fraction(1, 2)})
     total = _terms(half + half)[k1]
     assert total == 1 and type(total) is int
-    if case.has_owner:
-        with pytest.raises(StructureError):
-            a + case.make(True, {k1: 1})
-        assert a != case.make(True, _terms(a))
-    if case.collide is not None:
-        raw1, raw2, canon = case.collide
-        assert _terms(make({raw1: 1, raw2: Fraction(1, 2)})) == {canon: Fraction(3, 2)}
-        assert make({raw1: 1, raw2: -1}).is_zero()
+    with pytest.raises(StructureError):
+        a + case.make(True, {k1: 1})
+    assert a != case.make(True, _terms(a))
 
 
 _CORE_METHODS = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__"}
@@ -181,11 +140,9 @@ def test_owner_lives_only_in_the_core():
                     for sub in ast.walk(node)
                     if isinstance(sub, ast.Attribute) and sub.attr == "owner" and isinstance(sub.ctx, ast.Store)
                 ]
-    assert len(subclasses) == len(CASES) == 6
+    assert len(subclasses) == len(CASES) == 2
     assert [name for name, empty in subclasses if not empty] == []
-    assert owners == [] and binders == []
-    # the two owner-less classes keep Cls(terms); CurrentElement checks d >= 1
-    assert sorted(inits) == ["CurrentElement", "NecklacePoly", "SPoly"]
+    assert owners == [] and binders == [] and inits == []
 
 
 def test_enveloping_elements_belong_to_their_context_object():

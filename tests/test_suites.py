@@ -57,6 +57,14 @@ def test_config_refuses_float_s_values():
     assert all(type(s) is Fraction for s in cfg.s_values)
 
 
+def test_config_refuses_repeated_s_values():
+    # equal after normalisation: each would give the same records twice
+    for bad in ((1, 1), (1, Fraction(1)), ("1", "2/2"), (0, "1/2", Fraction(1, 2))):
+        with pytest.raises(StructureError):
+            SuiteConfig(suite="projection", s_values=bad)
+    assert SuiteConfig(suite="projection", s_values=(1, -1)).s_values == (Fraction(1), Fraction(-1))
+
+
 def test_report_summary_and_exit_codes():
     cfg = SuiteConfig(suite="pbw")
     ok = Report(cfg, [CheckRecord("a", "x", "pass"), CheckRecord("b", "y", "skipped")])
