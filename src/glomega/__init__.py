@@ -11,7 +11,6 @@ for statements about the inverse limit.
 
 from .omega import (
     AlgebraSpec,
-    OmegaElement,
     StabilizationError,
     StructureError,
     as_scalar,

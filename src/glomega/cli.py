@@ -77,7 +77,8 @@ def _cmd_check(args) -> int:
     else:
         print("associative: no (witness triple %r)" % (witness,))
     unit = detect_unit(spec)
-    print("unit: %s" % (unit if unit is not None else "none"))
+    terms = ["%s*%s" % (c, spec.basis[k]) for k, c in sorted(unit.items())] if unit is not None else []
+    print("unit: %s" % (" + ".join(terms) or "none"))
     return 0
 
 

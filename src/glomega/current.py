@@ -40,7 +40,6 @@ from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver
 from .omega import (
     AlgebraSpec,
-    OmegaElement,
     Scalar,
     ScalarLike,
     StructureError,
@@ -115,7 +114,7 @@ def current_unit_check(spec: AlgebraSpec, maxgrade: int = 2) -> Dict[str, object
     e = detect_unit(spec)
     if e is None:
         return {"omega_has_unit": False, "acts_as_unit": None, "passed": True}
-    unit = {(i,): c for i, c in e.terms.items()}
+    unit = {(i,): c for i, c in e.items()}
     ok = True
     for w in words_up_to(spec, maxgrade + 1):
         x = {w: 1}
@@ -263,7 +262,7 @@ def _balancing_solver(spec: AlgebraSpec, k: int) -> SpanSolver:
     return solver
 
 
-def _phi(spec: AlgebraSpec, unit: OmegaElement, word: Word) -> Dict[Word, Scalar]:
+def _phi(spec: AlgebraSpec, unit: Dict[int, Scalar], word: Word) -> Dict[Word, Scalar]:
     """Embed a (k+1)-letter current word as a 2k-letter balanced representative.
 
     phi(x_0, ..., x_k) = (x_0 (x) x_1) (x) (1 (x) x_2) (x) ... (x) (1 (x) x_k),
@@ -276,7 +275,7 @@ def _phi(spec: AlgebraSpec, unit: OmegaElement, word: Word) -> Dict[Word, Scalar
     for letter in word[2:]:
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
-            for e_idx, e_c in unit.terms.items():
+            for e_idx, e_c in unit.items():
                 _acc(nxt, w + (e_idx, letter), c * e_c)
         out = nxt
     return out

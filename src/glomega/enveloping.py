@@ -27,19 +27,23 @@ the degree deg u + deg v parts of the two products cancel.  The derivation
 rule expands [g_1...g_l, h_1...h_k] as a sum of words of length l + k - 1,
 each with one pair g_p, h_q replaced by their bracket, and normal-forms only
 those.
+
+:class:`UElement` is the package's one element class, with its arithmetic
+written once, in it.  Values that live inside one computation, table
+elements and the unit among them, are plain dicts (see ``omega``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
 from .omega import (
     AlgebraSpec,
     Scalar,
     ScalarLike,
-    SparseVector,
     StructureError,
     _acc,
     as_scalar,
@@ -512,21 +516,91 @@ class Enveloping:
         }
 
 
-class UElement(SparseVector):
-    """Sparse element of U(gl(n, omega)) in PBW coordinates."""
+class UElement:
+    """Sparse element of U(gl(n, omega)) in PBW coordinates.
 
-    __slots__ = ()
-    _mixed = "element belongs to a different enveloping context"
+    ``terms`` maps sorted monomials to nonzero scalars, and ``owner`` is the
+    enveloping context the element belongs to.  Owners compare by identity:
+    combining elements of different contexts raises :class:`StructureError`,
+    and such elements are never equal.  There are two constructors:
 
-    def _key(self, mono: Iterable[Gen]) -> Mono:
-        return tuple(mono)
+    * the public one, ``UElement(ctx, terms)``, makes every key a tuple,
+      normalises every coefficient with :func:`as_scalar`, sums keys that
+      collide and drops zeros;
+    * the trusted one, ``UElement._trusted(ctx, terms)``, is for dicts that
+      the context's own arithmetic built: keys are taken as they are, but
+      every coefficient still passes through :func:`as_scalar` and zeros are
+      dropped.
+    """
+
+    __slots__ = ("owner", "terms")
+
+    def __init__(self, owner: Enveloping, terms: Mapping):
+        self.owner = owner
+        out: Dict[Mono, Scalar] = {}
+        for mono, c in terms.items():
+            _acc(out, tuple(mono), as_scalar(c))
+        self.terms = out
+
+    @classmethod
+    def _trusted(cls, owner: Enveloping, terms: Mapping) -> "UElement":
+        out = {}
+        for mono, c in terms.items():
+            c = as_scalar(c)
+            if c:
+                out[mono] = c
+        new = cls.__new__(cls)
+        new.owner = owner
+        new.terms = out
+        return new
 
     def _compat(self, ctx: Enveloping) -> None:
         if self.owner is not ctx:
-            raise StructureError(self._mixed)
+            raise StructureError("element belongs to a different enveloping context")
 
-    def _product(self, other: "UElement") -> "UElement":
-        return self.owner.multiply(self, other)
+    def __add__(self, other):
+        if type(other) is not UElement:
+            return NotImplemented
+        other._compat(self.owner)
+        out = dict(self.terms)
+        vec_add(out, other.terms)
+        return UElement._trusted(self.owner, out)
+
+    def __sub__(self, other):
+        if type(other) is not UElement:
+            return NotImplemented
+        other._compat(self.owner)
+        out = dict(self.terms)
+        vec_add(out, other.terms, -1)
+        return UElement._trusted(self.owner, out)
+
+    def __neg__(self) -> "UElement":
+        return UElement._trusted(self.owner, {m: -c for m, c in self.terms.items()})
+
+    def scale(self, c: ScalarLike) -> "UElement":
+        c = as_scalar(c)
+        return UElement._trusted(self.owner, {m: c * v for m, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if type(other) is UElement:
+            return self.owner.multiply(self, other)
+        return NotImplemented
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is UElement and self.owner is other.owner and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.owner, frozenset(self.terms.items())))
 
     def commutator(self, other: "UElement") -> "UElement":
         return self.owner.commutator(self, other)
@@ -536,7 +610,7 @@ class UElement(SparseVector):
         return max((len(m) for m in self.terms), default=-1)
 
     def homogeneous(self, k: int) -> "UElement":
-        return self._like({m: c for m, c in self.terms.items() if len(m) == k})
+        return UElement._trusted(self.owner, {m: c for m, c in self.terms.items() if len(m) == k})
 
     def canonical_str(self) -> str:
         """Deterministic text form: terms sorted by (degree, monomial)."""

@@ -10,7 +10,7 @@ table (:func:`check_associativity`, :func:`detect_unit`).
 Scalars are exact rationals in one of two types: an integral value is a
 Python ``int`` and any other value is a ``fractions.Fraction``.
 :func:`as_scalar` is the one place that normalises a value to that form, and
-every element constructor in the package calls it.  An ``int`` and the equal
+both constructors of the element class call it.  An ``int`` and the equal
 ``Fraction`` compare and hash alike, so results do not depend on which type an
 intermediate sum happens to have.  A table keeps a ``Fraction`` structure
 constant as it was given, so it reads back unchanged; the builtin tables and
@@ -18,32 +18,16 @@ tables loaded from JSON hold ``int`` constants wherever they are integral.
 Nothing divides two ints with ``/``, which would give a float: exact division
 goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
 
-The package's two element classes, ``OmegaElement`` and ``UElement``, are
-:class:`SparseVector` subclasses: an ``owner`` and a dict ``terms`` from
-keys to nonzero scalars, with addition, subtraction, negation, scaling,
-equality and hashing written once here.  A subclass adds only its key hook,
-its product, its text form and its own methods.  There are two
-constructors:
-
-* the public one, ``Cls(owner, terms)``, runs the subclass's key hook on
-  every key (validation and canonical form), normalises every coefficient
-  with :func:`as_scalar`, sums keys that collide and drops zeros;
-* the trusted one, ``Cls._trusted(owner, terms)``, is for dicts that the
-  package's own arithmetic built: it skips the key hook, but still passes
-  every coefficient through :func:`as_scalar` and drops zeros.
-
-The owner is what ties elements together: the table for ``OmegaElement``
-and the enveloping context for ``UElement``.  Values that live inside one
-computation (words, double brackets, coagulations, current-algebra elements,
-gl(d) currents, symbol and necklace polynomials) are plain
-``{key: scalar}`` dicts, not elements.  Owners compare by identity alone.
-Combining elements of different owners raises :class:`StructureError`, and
-elements of different owners are never equal.  Two tables with equal
-content are still two owners, each holding its own enveloping contexts and
-computed facts (see :class:`AlgebraSpec`).  An enveloping element belongs
-to its context object: ``Enveloping.get`` keeps one context per table and
-size, so all of its callers share owners, while a context built directly
-with ``Enveloping(omega, n)`` is an owner of its own.
+The package has one element class, ``enveloping.UElement``: an element of
+U(gl(N, Omega)) that belongs to its enveloping context (its ``owner``).
+Values that live inside one computation are plain ``{key: scalar}`` dicts
+with no zero coefficient: a table element is ``{k: c}`` over basis indices
+and is multiplied by :func:`multiply`, and words, double brackets,
+coagulations, current-algebra elements, gl(d) currents, symbol and necklace
+polynomials are dicts too.  The unit that :func:`detect_unit` returns is kept
+in ``spec.facts`` and shared by every caller, so it must not be mutated.
+Two tables with equal content are still two tables, each holding its own
+enveloping contexts and computed facts (see :class:`AlgebraSpec`).
 All accumulation goes through :func:`vec_add` (a whole dict) and
 :func:`_acc` (one key), which drop a key as soon as its sum is zero.
 """
@@ -52,7 +36,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -130,119 +114,11 @@ def vec_add(target: Dict, src: Mapping, scale: Scalar = 1) -> None:
             target.pop(k, None)
 
 
-def _nonzero(terms: Mapping) -> Dict:
-    """The terms of a trusted dict with every coefficient through as_scalar, zeros dropped."""
-    out = {}
-    for k, c in terms.items():
-        c = as_scalar(c)
-        if c:
-            out[k] = c
-    return out
-
-
-class SparseVector:
-    """A sparse exact linear combination: ``terms`` maps keys to nonzero scalars.
-
-    ``owner`` is what ties elements together (a table or an enveloping
-    context); it is set here, copied by ``_trusted`` and ``_like``, and
-    compared here, by identity.  A subclass declares ``__slots__ = ()`` and
-    may override ``_key`` (the key hook), ``_product`` (the product of two
-    elements) and ``_mixed`` (the message for mixed owners).
-    """
-
-    __slots__ = ("owner", "terms")
-    _mixed = "elements of different owners"
-
-    def __init__(self, owner, terms: Mapping):
-        """Key hook on every key, as_scalar on every coefficient; collisions summed, zeros dropped."""
-        self.owner = owner
-        key = self._key
-        out: Dict[Hashable, Scalar] = {}
-        for k, c in terms.items():
-            _acc(out, key(k), as_scalar(c))
-        self.terms = out
-
-    @classmethod
-    def _trusted(cls, owner, terms: Mapping):
-        """Build from a dict with canonical keys; only the coefficients are normalised."""
-        new = cls.__new__(cls)
-        new.owner = owner
-        new.terms = _nonzero(terms)
-        return new
-
-    def _like(self, terms: Mapping) -> "SparseVector":
-        """A trusted element with the same owner."""
-        cls = type(self)
-        new = cls.__new__(cls)
-        new.owner = self.owner
-        new.terms = _nonzero(terms)
-        return new
-
-    def _key(self, key):
-        return key
-
-    def _check(self, other: "SparseVector") -> None:
-        if self.owner is not other.owner:
-            raise StructureError(self._mixed)
-
-    def _product(self, other):
-        return NotImplemented
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        vec_add(out, other.terms)
-        return self._like(out)
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        vec_add(out, other.terms, -1)
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: ScalarLike):
-        c = as_scalar(c)
-        return self._like({k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if type(other) is type(self):
-            return self._product(other)
-        return NotImplemented
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.owner is other.owner
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.owner, frozenset(self.terms.items())))
-
-
 class AlgebraSpec:
     """A finite-dimensional algebra over Q, not assumed associative or unital.
 
-    The table maps ``(i, j)`` to a sparse ``{k: coefficient}`` dict.  Identity
-    of the spec object is what ties elements together: operations refuse to
-    combine elements whose owners are different tables.
+    The table maps ``(i, j)`` to a sparse ``{k: coefficient}`` dict.  Specs
+    compare by identity: equal tables are still two tables.
 
     A spec is not modified after construction, so it owns what is derived
     from it, for exactly its own lifetime: ``contexts`` (size n -> enveloping
@@ -294,50 +170,17 @@ class AlgebraSpec:
         """Structure constants of x_i * x_j as a sparse dict."""
         return self.table.get((i, j), {})
 
-    def element(self, coeffs: Mapping[int, ScalarLike]) -> "OmegaElement":
-        return OmegaElement(self, coeffs)
-
-    def basis_element(self, i: int) -> "OmegaElement":
-        return OmegaElement(self, {i: 1})
-
-    def zero(self) -> "OmegaElement":
-        return OmegaElement(self, {})
-
     def __repr__(self) -> str:
         return "<AlgebraSpec %s>" % self.name
 
 
-class OmegaElement(SparseVector):
-    """A sparse vector in an AlgebraSpec, with the table-induced product."""
-
-    __slots__ = ()
-    _mixed = "elements belong to different algebras"
-
-    def _key(self, k: int) -> int:
-        if not (0 <= k < self.owner.dim):
-            raise StructureError("coefficient index %r out of range" % (k,))
-        return k
-
-    def _product(self, other: "OmegaElement") -> "OmegaElement":
-        return multiply(self, other)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [
-            "%s*%s" % (c, self.owner.basis[k]) for k, c in sorted(self.terms.items())
-        ]
-        return " + ".join(parts)
-
-
-def multiply(a: OmegaElement, b: OmegaElement) -> OmegaElement:
-    """Bilinear product through the structure table."""
-    a._check(b)
-    out: dict = {}
-    for i, ca in a.terms.items():
-        for j, cb in b.terms.items():
-            vec_add(out, a.owner.product(i, j), ca * cb)
-    return OmegaElement._trusted(a.owner, out)
+def multiply(spec: AlgebraSpec, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
+    """Bilinear product of two table elements ``{k: c}`` through the structure table."""
+    out: Dict[int, Scalar] = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            vec_add(out, spec.product(i, j), ca * cb)
+    return out
 
 
 def check_associativity(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
@@ -353,31 +196,29 @@ def check_associativity(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
 
 
 def _first_associator(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
-    basis = [spec.basis_element(i) for i in range(spec.dim)]
     for i in range(spec.dim):
         for j in range(spec.dim):
-            ij = multiply(basis[i], basis[j])
+            ij = spec.product(i, j)
             for k in range(spec.dim):
-                left = multiply(ij, basis[k])
-                right = multiply(basis[i], multiply(basis[j], basis[k]))
-                if left != right:
+                if multiply(spec, ij, {k: 1}) != multiply(spec, {i: 1}, spec.product(j, k)):
                     return (i, j, k)
     return None
 
 
-def detect_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
-    """Solve for a two-sided unit; None when the linear system has no solution.
+def detect_unit(spec: AlgebraSpec) -> Optional[Dict[int, Scalar]]:
+    """Solve for a two-sided unit ``{k: c}``; None when the linear system has no solution.
 
     A unit e = sum_i e_i x_i must satisfy e * x_j = x_j = x_j * e for every j,
     which is a linear system in the e_i.  The system is solved once per table;
-    its result is kept in ``spec.facts``.
+    its result is kept in ``spec.facts`` and shared, so callers must not
+    mutate it.
     """
     if "unit" not in spec.facts:
         spec.facts["unit"] = _solve_unit(spec)
     return spec.facts["unit"]
 
 
-def _solve_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
+def _solve_unit(spec: AlgebraSpec) -> Optional[Dict[int, Scalar]]:
     from .linalg import SpanSolver
 
     solver = SpanSolver()
@@ -396,11 +237,11 @@ def _solve_unit(spec: AlgebraSpec) -> Optional[OmegaElement]:
     combo = solver.solve(rhs)
     if combo is None:
         return None
-    unit = OmegaElement(spec, combo)
+    unit = {k: as_scalar(c) for k, c in combo.items()}
     # defensive: confirm the solution really is a two-sided unit
     for j in range(spec.dim):
-        bj = spec.basis_element(j)
-        if multiply(unit, bj) != bj or multiply(bj, unit) != bj:
+        bj = {j: 1}
+        if multiply(spec, unit, bj) != bj or multiply(spec, bj, unit) != bj:
             return None
     return unit
 

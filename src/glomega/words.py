@@ -14,9 +14,9 @@ inside the coefficient algebra; blocks of length >= 3 associate to the left
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .omega import AlgebraSpec, OmegaElement, Scalar, StructureError, _acc, multiply
+from .omega import AlgebraSpec, Scalar, StructureError, _acc, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -51,20 +51,22 @@ def words_up_to(spec: AlgebraSpec, maxlen: int) -> Iterator[Word]:
             yield w
 
 
-def coagulate(factors: Sequence[OmegaElement], nu: Composition) -> List[OmegaElement]:
-    """Block products of a list of algebra elements along a composition.
+def coagulate(
+    spec: AlgebraSpec, factors: Sequence[Mapping[int, Scalar]], nu: Composition
+) -> List[Dict[int, Scalar]]:
+    """Block products of a list of table elements ``{k: c}`` along a composition.
 
     The list has length m = sum(nu); block r collects nu[r] consecutive
     factors and multiplies them left to right inside the algebra.
     """
     if sum(nu) != len(factors) or any(p < 1 for p in nu):
         raise StructureError("composition %r does not fit %d factors" % (nu, len(factors)))
-    out: List[OmegaElement] = []
+    out: List[Dict[int, Scalar]] = []
     pos = 0
     for part in nu:
         block = factors[pos]
         for q in range(pos + 1, pos + part):
-            block = multiply(block, factors[q])
+            block = multiply(spec, block, factors[q])
         out.append(block)
         pos += part
     return out
@@ -76,14 +78,13 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
     Returns ``{word: coefficient}`` over words of length len(nu), with no
     zero coefficients; it is ``{}`` when some block multiplies to zero.
     """
-    factors = [spec.basis_element(i) for i in word]
     out: Dict[Word, Scalar] = {(): 1}
-    for block in coagulate(factors, nu):
-        if block.is_zero():
+    for block in coagulate(spec, [{i: 1} for i in word], nu):
+        if not block:
             return {}
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
-            for k, ck in block.terms.items():
+            for k, ck in block.items():
                 _acc(nxt, w + (k,), c * ck)
         out = nxt
     return out

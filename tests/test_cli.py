@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from glomega import direct_sum_C, nonassoc_witness, save_algebra
+from glomega import AlgebraSpec, direct_sum_C, nonassoc_witness, null_algebra, save_algebra
 from glomega.cli import main
 
 
@@ -15,10 +15,15 @@ def test_check_reports_table_properties(tmp_path, capsys):
     path = str(tmp_path / "c2.json")
     save_algebra(direct_sum_C(2), path)
     assert main(["check", path]) == 0
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert "dim: 2" in out
     assert "associative: yes" in out
-    assert "unit:" in out
+    assert "unit: 1*u1 + 1*u2" in out
+    # x x = 2x is isomorphic to C, with unit x/2; null(2) has no unit
+    for spec, line in ((AlgebraSpec(1, ["x"], {(0, 0): {0: 2}}), "unit: 1/2*x"), (null_algebra(2), "unit: none")):
+        save_algebra(spec, path)
+        assert main(["check", path]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 def test_check_nonassociative_table(tmp_path, capsys):

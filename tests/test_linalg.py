@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glomega.enveloping import Enveloping, UElement
 from glomega.linalg import (
     SpanSolver,
     coordinate_intersection,
@@ -19,7 +20,7 @@ from glomega.linalg import (
     rref,
     vec_add,
 )
-from glomega.omega import AlgebraSpec, OmegaElement, direct_sum_C
+from glomega.omega import AlgebraSpec, direct_sum_C
 
 
 def _combine(cols, combo):
@@ -206,6 +207,11 @@ def test_explicit_zeros_terminate(code, expected):
     assert proc.returncode == 0, proc.stderr
 
 
+def _element_terms(coeffs):
+    """The terms of the PBW element sum_k c_k E_11(x_k) of U(gl(2, C^2))."""
+    return UElement(Enveloping.get(direct_sum_C(2), 2), {((1, 1, k),): c for k, c in coeffs.items()}).terms
+
+
 # an explicit zero reads as the absent key at every public entry point that takes a raw dict
 _ABSENT_CASES = [
     ("primitive", lambda z: primitive({**z, 1: -2})),
@@ -215,7 +221,7 @@ _ABSENT_CASES = [
     ("kernel_basis", lambda z: kernel_basis([{**z, 1: 1}], 3)),
     ("coordinate_intersection", lambda z: coordinate_intersection([{**z, 1: 1, 2: 1}, {2: 1}], lambda k: k >= 1)),
     ("table-entry", lambda z: AlgebraSpec(2, table={(0, 0): {**z, 1: 1}}).table),
-    ("sparse-vector", lambda z: OmegaElement(direct_sum_C(2), {**z, 1: 3}).terms),
+    ("sparse-vector", lambda z: _element_terms({**z, 1: 3})),
 ]
 
 

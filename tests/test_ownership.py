@@ -7,8 +7,18 @@ import weakref
 
 import pytest
 
-from glomega import AlgebraSpec, Enveloping, check_associativity, detect_unit, direct_sum_C, save_algebra
-from glomega import omega, suites
+from glomega import (
+    AlgebraSpec,
+    Enveloping,
+    bimodule_iso_check,
+    check_associativity,
+    detect_unit,
+    direct_sum_C,
+    matrix_algebra,
+    save_algebra,
+)
+from glomega import cli, omega, suites
+from glomega.current import current_unit_check
 from glomega.suites import SuiteConfig, run_suite
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
@@ -69,11 +79,26 @@ def test_table_facts_are_computed_once_per_table_object(monkeypatch):
     spec, twin = direct_sum_C(2), direct_sum_C(2)
     for _ in range(3):
         assert check_associativity(spec) is None
-        assert detect_unit(spec).terms == {0: 1, 1: 1}
+        assert detect_unit(spec) == {0: 1, 1: 1}
     assert calls == ["assoc", "unit"]
     # an equal table is a different owner with facts of its own
     assert detect_unit(twin) is not detect_unit(spec)
     assert calls == ["assoc", "unit", "unit"]
+
+
+def test_shared_unit_is_left_as_it_was(tmp_path, monkeypatch, capsys):
+    # detect_unit hands every caller the one dict kept in the table's facts
+    spec = matrix_algebra(2)
+    unit = detect_unit(spec)
+    path = str(tmp_path / "mat2.json")
+    save_algebra(spec, path)
+    monkeypatch.setattr(cli, "load_algebra", lambda p: spec)  # so the command reads the same table object
+    assert current_unit_check(spec)["passed"]
+    assert bimodule_iso_check(spec, 1)
+    assert cli.main(["check", path]) == 0
+    assert "unit: 1*e11 + 1*e22" in capsys.readouterr().out
+    assert detect_unit(spec) is unit
+    assert unit == {0: 1, 3: 1}
 
 
 def test_context_belongs_to_its_table_and_dies_with_it():

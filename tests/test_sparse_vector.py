@@ -1,76 +1,47 @@
-"""The vector laws every element class obeys, and the one place they are written."""
+"""The vector laws of the element class, and the one place they are written."""
 
 import ast
 import pathlib
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import pytest
 
 import glomega
-from glomega import Enveloping, OmegaElement, StructureError, UElement, direct_sum_C
+from glomega import Enveloping, StructureError, UElement, direct_sum_C
 
 SPEC = direct_sum_C(2)
 OTHER = direct_sum_C(2)  # equal content, a different owner
+K1, K2 = ((1, 1, 0),), ((1, 2, 0), (2, 1, 1))  # two distinct monomials in canonical form
 
 
-class Case(NamedTuple):
-    make: Callable  # (use the other owner?, terms) -> element
-    keys: tuple  # two distinct keys in canonical form
+def _make(terms, spec=SPEC):
+    return UElement(Enveloping.get(spec, 2), terms)
 
 
-CASES = {
-    "OmegaElement": Case(lambda alt, terms: OmegaElement(OTHER if alt else SPEC, terms), (0, 1)),
-    "UElement": Case(
-        lambda alt, terms: UElement(Enveloping.get(OTHER if alt else SPEC, 2), terms),
-        (((1, 1, 0),), ((1, 2, 0), (2, 1, 1))),
-    ),
-}
-
-
-def _defines(x, name: str) -> bool:
-    """Whether the element's class implements ``name`` (object's default does not count)."""
-    return getattr(type(x), name, None) not in (None, getattr(object, name, None))
-
-
-def _terms(x) -> dict:
-    # ``coeffs`` is the older name of an OmegaElement's terms
-    return x.terms if hasattr(x, "terms") else x.coeffs
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_vector_laws(name):
-    """A law whose operation a class does not define is not checked for it."""
-    case = CASES[name]
-    k1, k2 = case.keys
-    make = lambda terms: case.make(False, terms)
-    a = make({k1: 2, k2: Fraction(-1, 3)})
-    b = make({k1: Fraction(5, 2)})
-    zero = make({})
-    if _defines(a, "__sub__"):
-        assert a + b - b == a
-        assert (a - a).is_zero()
-        assert a - a == zero
-    if _defines(a, "__neg__"):
-        assert -(-a) == a
-        assert (a + (-a)).is_zero()
-    if _defines(a, "scale"):
-        assert a.scale(0).is_zero()
-        assert a.scale("1/2") == make({k1: 1, k2: Fraction(-1, 6)})
-    if _defines(a, "__eq__"):
-        same = make({k2: Fraction(-2, 6), k1: Fraction(4, 2)})
-        assert a == same and a is not same
-        assert a != b and a != zero
-        if type(a).__hash__ is not None:
-            assert hash(a) == hash(same)
+def test_vector_laws():
+    a = _make({K1: 2, K2: Fraction(-1, 3)})
+    b = _make({K1: Fraction(5, 2)})
+    zero = _make({})
+    assert a + b - b == a
+    assert (a - a).is_zero()
+    assert a - a == zero
+    assert -(-a) == a
+    assert (a + (-a)).is_zero()
+    assert a.scale(0).is_zero()
+    assert a.scale("1/2") == _make({K1: 1, K2: Fraction(-1, 6)})
+    assert 2 * b == b * 2 == _make({K1: 5})
+    same = _make({K2: Fraction(-2, 6), K1: Fraction(4, 2)})
+    assert a == same and a is not same
+    assert a != b and a != zero
+    assert hash(a) == hash(same)
     assert (a + b).is_zero() is False and zero.is_zero()
     # an integral sum of two Fractions is stored as an int
-    half = make({k1: Fraction(1, 2)})
-    total = _terms(half + half)[k1]
+    half = _make({K1: Fraction(1, 2)})
+    total = (half + half).terms[K1]
     assert total == 1 and type(total) is int
     with pytest.raises(StructureError):
-        a + case.make(True, {k1: 1})
-    assert a != case.make(True, _terms(a))
+        a + _make({K1: 1}, OTHER)
+    assert a != _make(a.terms, OTHER)
 
 
 _CORE_METHODS = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__"}
@@ -93,7 +64,7 @@ def test_vector_arithmetic_is_written_once():
                     where += [(fname, node.name, n) for n in names if n in _CORE_METHODS]
             elif isinstance(node, ast.FunctionDef) and node.name in ("_acc", "vec_add"):
                 assert fname == "omega.py", "%s defines %s" % (fname, node.name)
-    assert sorted(where) == sorted(("omega.py", "SparseVector", n) for n in _CORE_METHODS)
+    assert sorted(where) == sorted(("enveloping.py", "UElement", n) for n in _CORE_METHODS)
 
 
 def test_no_hand_written_accumulation_outside_omega():
@@ -114,35 +85,18 @@ def test_no_hand_written_accumulation_outside_omega():
 
 
 def test_owner_lives_only_in_the_core():
-    """Subclasses add no slots, and only the core binds or compares owners."""
-    subclasses, owners, binders, inits = [], [], [], []
+    """UElement is the one class that binds an ``owner`` or declares one in its slots."""
+    binders = set()
     for fname, tree in _sources():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
-            if "_owner" in methods:
-                owners.append(node.name)
-            if any(isinstance(b, ast.Name) and b.id == "SparseVector" for b in node.bases):
-                slots = [
-                    item.value
-                    for item in node.body
-                    if isinstance(item, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
-                ]
-                empty = len(slots) == 1 and isinstance(slots[0], ast.Tuple) and not slots[0].elts
-                subclasses.append((node.name, empty))
-                if "__init__" in methods:
-                    inits.append(node.name)
-            if node.name != "SparseVector":
-                binders += [
-                    node.name
-                    for sub in ast.walk(node)
-                    if isinstance(sub, ast.Attribute) and sub.attr == "owner" and isinstance(sub.ctx, ast.Store)
-                ]
-    assert len(subclasses) == len(CASES) == 2
-    assert [name for name, empty in subclasses if not empty] == []
-    assert owners == [] and binders == [] and inits == []
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == "owner" and isinstance(sub.ctx, ast.Store):
+                    binders.add((fname, node.name))
+                if isinstance(sub, ast.Constant) and sub.value == "owner":
+                    binders.add((fname, node.name))
+    assert binders == {("enveloping.py", "UElement")}
 
 
 def test_enveloping_elements_belong_to_their_context_object():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from glomega import StructureError, save_algebra, direct_sum_C
+from glomega import AlgebraSpec, StructureError, save_algebra, direct_sum_C
 from glomega.suites import (
     SUITES,
     CheckRecord,
@@ -133,10 +133,14 @@ def test_budget_exhaustion_recorded_as_skip():
     assert rep.summary["fail"] == 0
 
 
-def test_projection_anchor_runs_for_dim_one():
-    rep = run_suite(SuiteConfig(suite="projection", omega="C", n_max=2, s_values=(0,)))
-    names = {r.name for r in rep.records}
-    assert "projection.anchor" in names
+@pytest.mark.parametrize("table", ["C", "null(1)", "xx=2x"])
+def test_projection_anchor_runs_for_dim_one(table, tmp_path):
+    # the anchor reads c from x x = c x: 1 for C, 0 for null(1), 2 for the file table
+    if table == "xx=2x":
+        table = str(tmp_path / "two.json")
+        save_algebra(AlgebraSpec(1, ["x"], {(0, 0): {0: 2}}), table)
+    rep = run_suite(SuiteConfig(suite="projection", omega=table, n_max=2, d=1))
+    assert [r.status for r in rep.records if r.name == "projection.anchor"] == ["pass"] * len(rep.cfg.s_values)
     assert rep.summary["fail"] == 0 and rep.summary["not-stabilized"] == 0
 
 
