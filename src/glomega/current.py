@@ -336,7 +336,7 @@ def _bracket_remainder(
     ctx: Enveloping, i: int, j: int, k: int, l: int, x: Word, y: Word, s: ScalarLike
 ) -> UElement:
     """[t_ij(x; s), t_kl(y; s)] - delta_kj t_il(x(.)y; s) + delta_il t_kj(y(.)x; s) at the context's N."""
-    rem = ctx.t_elem(i, j, x, s).commutator(ctx.t_elem(k, l, y, s))
+    rem = ctx.commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s))
     if k == j:
         for w, c in odot_words(ctx.omega, x, y).items():
             rem = rem - ctx.t_elem(i, l, w, s).scale(c)

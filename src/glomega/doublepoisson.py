@@ -45,6 +45,7 @@ at two consecutive sizes N and N+1.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .enveloping import Enveloping, UElement
@@ -321,9 +322,8 @@ def spoly_symbol_image(p: Poly, ctx: Enveloping) -> UElement:
     """Evaluate p through p_ab(w) -> e_ab(w; N) products (symbol level)."""
     out = ctx.zero()
     for mono, c in p.items():
-        cur = ctx.one()
-        for g in mono:
-            cur = ctx.multiply(cur, ctx.e_elem(g.i, g.j, g.word))
+        factors = [ctx.e_elem(g.i, g.j, g.word) for g in mono]
+        cur = reduce(ctx.multiply, factors) if factors else ctx.one()
         out = out + cur.scale(c)
     return out
 
@@ -353,7 +353,7 @@ def symbol_match_smd(
         ctx = Enveloping.get(omega, size)
         tx = ctx.t_elem(i, j, x, s)
         ty = ctx.t_elem(k, l, y, s)
-        lhs = tx.commutator(ty).homogeneous(deg)
+        lhs = ctx.commutator(tx, ty).homogeneous(deg)
         rhs = spoly_symbol_image(p, ctx).homogeneous(deg)
         by_n[size] = lhs == rhs
     return {"degree": deg, "by_n": by_n, "match": stable(by_n, "smd match differs across %r" % by_n)}
@@ -375,7 +375,7 @@ def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> Dict[str, 
     by_n: Dict[int, bool] = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
-        lhs = trace_elem(ctx, x).commutator(trace_elem(ctx, y)).homogeneous(deg)
+        lhs = ctx.commutator(trace_elem(ctx, x), trace_elem(ctx, y)).homogeneous(deg)
         rhs = ctx.zero()
         for w, c in classes.items():
             rhs = rhs + trace_elem(ctx, tuple(w)).scale(c)

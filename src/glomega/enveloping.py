@@ -29,14 +29,17 @@ each with one pair g_p, h_q replaced by their bracket, and normal-forms only
 those.
 
 :class:`UElement` is the package's one element class, with its arithmetic
-written once, in it.  Values that live inside one computation, table
-elements and the unit among them, are plain dicts (see ``omega``).
+written once, in it, and one spelling per operation: build with
+``UElement(ctx, terms)``, multiply and bracket with ``ctx.multiply(u, v)``
+and ``ctx.commutator(u, v)``, scale with ``u.scale(c)``, and add, subtract
+and compare with ``+``, ``-`` and ``==``.  Elements are not hashable.
+Values that live inside one computation, table elements and the unit among
+them, are plain dicts (see ``omega``).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
@@ -212,9 +215,6 @@ class Enveloping:
 
     # -- elements -----------------------------------------------------------
 
-    def element(self, terms: Mapping[Mono, ScalarLike]) -> "UElement":
-        return UElement(self, terms)
-
     def zero(self) -> "UElement":
         return UElement(self, {})
 
@@ -286,18 +286,6 @@ class Enveloping:
         """Eigenvalue of ad E_aa on a monomial (default a = N)."""
         a = self.n if a is None else a
         return sum((1 if i == a else 0) - (1 if j == a else 0) for (i, j, _b) in mono)
-
-    def weight(self, u: "UElement") -> Optional[int]:
-        """Common E_NN-weight of the terms: 0 for the zero element, None if mixed."""
-        u._compat(self)
-        w: Optional[int] = None
-        for mono in u.terms:
-            mw = self.mono_weight(mono)
-            if w is None:
-                w = mw
-            elif w != mw:
-                return None
-        return 0 if w is None else w
 
     def is_in_centralizer(self, u: "UElement", d: int) -> bool:
         """Does u commute with all E_ij, d+1 <= i, j <= N, of gl_d(N, C)?"""
@@ -385,7 +373,7 @@ class Enveloping:
         u._compat(self)
         if self.n < 2:
             raise StructureError("cannot project below n = 1")
-        if self.weight(u) != 0:
+        if any(self.mono_weight(m) for m in u.terms):
             raise StructureError("project_down needs an E_NN-invariant element")
         target = Enveloping.get(self.omega, self.n - 1)
         acc: Dict[Mono, Scalar] = {}
@@ -500,7 +488,7 @@ class Enveloping:
             membership.add(row)
         wz_gens = [g for g in self.gens() if self.mono_weight((g,)) == 0]
         two_sided = True
-        small = [self.element(r) for r in plus if all(len(m) < maxdeg for m in r)]
+        small = [UElement(self, r) for r in plus if all(len(m) < maxdeg for m in r)]
         for v in small:
             for g in wz_gens:
                 gu = UElement(self, {(g,): _ONE})
@@ -574,36 +562,15 @@ class UElement:
         vec_add(out, other.terms, -1)
         return UElement._trusted(self.owner, out)
 
-    def __neg__(self) -> "UElement":
-        return UElement._trusted(self.owner, {m: -c for m, c in self.terms.items()})
-
     def scale(self, c: ScalarLike) -> "UElement":
         c = as_scalar(c)
         return UElement._trusted(self.owner, {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if type(other) is UElement:
-            return self.owner.multiply(self, other)
-        return NotImplemented
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
         return type(other) is UElement and self.owner is other.owner and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.owner, frozenset(self.terms.items())))
-
-    def commutator(self, other: "UElement") -> "UElement":
-        return self.owner.commutator(self, other)
 
     def degree(self) -> int:
         """Filtration degree; -1 for the zero element."""

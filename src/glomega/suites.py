@@ -40,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from . import current as cur
 from . import doublepoisson as dp
 from . import yangian as yg
-from .enveloping import Enveloping
+from .enveloping import Enveloping, UElement
 from .omega import (
     AlgebraSpec,
     StabilizationError,
@@ -356,7 +356,8 @@ def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:
     ctx = Enveloping.get(spec, 2)
     low = Enveloping.get(spec, 1)
     got = ctx.t_elem(1, 1, (0, 0), s)
-    expected = ctx.element(
+    expected = UElement(
+        ctx,
         {
             ((1, 1, 0), (1, 1, 0)): 1,
             ((2, 1, 0), (1, 2, 0)): 1,
@@ -367,7 +368,7 @@ def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:
     if got != expected:
         return "fail", "normal form: %s" % got.canonical_str()
     proj = ctx.project_down(got)
-    expected_low = low.element({((1, 1, 0), (1, 1, 0)): 1, ((1, 1, 0),): c * (-1 - s)})
+    expected_low = UElement(low, {((1, 1, 0), (1, 1, 0)): 1, ((1, 1, 0),): c * (-1 - s)})
     if proj != expected_low:
         return "fail", "projection: %s" % proj.canonical_str()
     return "pass", ""
@@ -410,7 +411,7 @@ def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> Checks:
 
 
 def _suite_splitting(cfg: SuiteConfig, specs: Tables) -> Checks:
-    sizes = (max(cfg.n_min, cfg.n_max - 1), cfg.n_max, cfg.n_max + 1)
+    sizes = tuple(range(max(cfg.n_min, cfg.n_max - 1), cfg.n_max + 2))
     for token, spec in specs:
         rows = [("splitting.degree1", d, 1) for d in range(0, min(cfg.d, 1) + 1)]
         if spec.dim == 1 and cfg.max_deg >= 2:

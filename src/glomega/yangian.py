@@ -74,7 +74,8 @@ def evaluate(mono: Sequence[TGen], ctx: Enveloping) -> UElement:
     mono = ordered_monomial(mono)
     got = cache.get(mono)
     if got is None:
-        got = cache[mono] = reduce(ctx.multiply, (ctx.t_elem(g.i, g.j, g.word, g.s) for g in mono), ctx.one())
+        factors = [ctx.t_elem(g.i, g.j, g.word, g.s) for g in mono]
+        got = cache[mono] = reduce(ctx.multiply, factors) if factors else ctx.one()
     return got
 
 
@@ -234,7 +235,8 @@ def _symbol_solver(ctx: Enveloping, d: int, total: int, s: Scalar) -> Tuple[Span
     key = (d, total, s)
     if key not in cache:
         monos = [m for m in pbw_monomials(ctx.omega, d, total, total, s) if mono_word_length(m) == total]
-        symbols = (reduce(ctx.multiply, (ctx.e_elem(g.i, g.j, g.word) for g in m), ctx.one()) for m in monos)
+        factors = ([ctx.e_elem(g.i, g.j, g.word) for g in m] for m in monos)
+        symbols = (reduce(ctx.multiply, f) if f else ctx.one() for f in factors)
         solver, dep = _span(sym.homogeneous(total).terms for sym in symbols)
         if dep is not None:
             raise StructureError("t-monomial symbols of word length %d are dependent at N=%d" % (total, ctx.n))

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from glomega import Enveloping, direct_sum_C, matrix_algebra, nonassoc_witness, null_algebra
+from glomega import Enveloping, UElement, direct_sum_C, matrix_algebra, nonassoc_witness, null_algebra
 from glomega.current import (
     degeneration_check,
     generator_bracket_display_check,
@@ -80,7 +80,8 @@ def test_criterion_03_hand_derived_anchor():
     for s in S_VALUES:
         got = ctx.t_elem(1, 1, (0, 0), s)
         # E11^2 + E21 E12 + E11 - E22 + (-2-s) E11, PBW-sorted by hand
-        expected = ctx.element(
+        expected = UElement(
+            ctx,
             {
                 ((1, 1, 0), (1, 1, 0)): 1,
                 ((2, 1, 0), (1, 2, 0)): 1,
@@ -90,7 +91,7 @@ def test_criterion_03_hand_derived_anchor():
         )
         assert got == expected
         proj = ctx.project_down(got)
-        assert proj == low.element({((1, 1, 0), (1, 1, 0)): 1, ((1, 1, 0),): Fraction(-1) - s})
+        assert proj == UElement(low, {((1, 1, 0), (1, 1, 0)): 1, ((1, 1, 0),): Fraction(-1) - s})
 
 
 def test_criterion_04_pbw_rank_equals_count():

@@ -178,3 +178,59 @@ def test_every_benchmark_entry_point_resolves():
         if not found:
             missing.append("%s.%s" % (layer, target))
     assert missing == []
+
+
+# Functions and methods that no code in src/ or demos/, and no benchmark entry
+# point, calls: each is kept for a test, with the reason.
+_CALLED_ONLY_BY_TESTS = {
+    "Enveloping.normal_form_random": "the random-order reference of the confluence tests",
+    "Enveloping.is_in_centralizer": "the one check that t-elements lie in the centralizer",
+    "Enveloping.invariant_basis": "the one check that computed invariants lie in the centralizer",
+    "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
+    "omega.save_algebra": "the README's file round-trip",
+    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 5)",
+    "current.check_current_jacobi": "waits on a suite record (ROADMAP item 5)",
+    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 5)",
+}
+
+
+def _definitions(path, tree):
+    """(qualified name, bare name, first line, last line) of every function and method."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield "%s.%s" % (prefix, child.name), child.name, child.lineno, child.end_lineno
+                yield from visit(child, prefix)
+            else:
+                yield from visit(child, prefix)
+
+    return visit(tree, path.stem)
+
+
+def _name_reads(tree):
+    """(name, line) of every name or attribute read; a docstring is no read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_no_function_is_called_only_by_tests():
+    # a new helper that only tests call fails here until it is listed with a reason
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    reads = [(None, target.split(".")[-1], 0) for _layer, target, _w in _assigned(tracer, "ENTRY_POINTS")]
+    trees = {}
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        trees[path] = ast.parse(path.read_text())
+        reads += [(path, name, line) for name, line in _name_reads(trees[path])]
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualified, name, first, last in _definitions(path, trees[path]):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(n == name and (p != path or not first <= line <= last) for p, n, line in reads):
+                unread.append(qualified)
+    assert sorted(unread) == sorted(_CALLED_ONLY_BY_TESTS)

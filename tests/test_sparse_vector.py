@@ -25,15 +25,16 @@ def test_vector_laws():
     assert a + b - b == a
     assert (a - a).is_zero()
     assert a - a == zero
-    assert -(-a) == a
-    assert (a + (-a)).is_zero()
+    assert a.scale(-1).scale(-1) == a
+    assert (a + a.scale(-1)).is_zero()
     assert a.scale(0).is_zero()
     assert a.scale("1/2") == _make({K1: 1, K2: Fraction(-1, 6)})
-    assert 2 * b == b * 2 == _make({K1: 5})
+    assert b.scale(2) == _make({K1: 5})
     same = _make({K2: Fraction(-2, 6), K1: Fraction(4, 2)})
     assert a == same and a is not same
     assert a != b and a != zero
-    assert hash(a) == hash(same)
+    with pytest.raises(TypeError):
+        hash(a)  # terms is a dict, so an element is unhashable
     assert (a + b).is_zero() is False and zero.is_zero()
     # an integral sum of two Fractions is stored as an int
     half = _make({K1: Fraction(1, 2)})
@@ -44,7 +45,7 @@ def test_vector_laws():
     assert a != _make(a.terms, OTHER)
 
 
-_CORE_METHODS = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__"}
+_CORE_METHODS = {"__add__", "__sub__", "scale", "is_zero", "__eq__"}
 
 
 def _sources():
@@ -109,6 +110,6 @@ def test_enveloping_elements_belong_to_their_context_object():
     with pytest.raises(StructureError):
         a + b
     with pytest.raises(StructureError):
-        a * b
+        shared.multiply(a, b)
     with pytest.raises(StructureError):
         shared.commutator(a, b)

@@ -286,6 +286,43 @@ def test_splitting_not_stabilized_record(monkeypatch):
     }
 
 
+def test_splitting_visits_each_size_once(monkeypatch):
+    # with n_min = n_max the sizes are N and N + 1, each computed once per check
+    from glomega import Enveloping
+
+    calls = []
+    invariant_dim = Enveloping.invariant_dim
+
+    def spy(ctx, d, deg):
+        calls.append((ctx.omega.name, d, deg, ctx.n))
+        return invariant_dim(ctx, d, deg)
+
+    monkeypatch.setattr(Enveloping, "invariant_dim", spy)
+    rep = run_suite(SuiteConfig(suite="splitting", n_min=4, n_max=4))
+    configs = [r.config for r in rep.records if r.name.startswith("splitting.")]
+    assert configs and all(c.endswith(" N=[4, 5]") for c in configs)
+    checks = {call[:3] for call in calls}
+    assert sorted(calls) == sorted(check + (n,) for check in checks for n in (4, 5))
+    assert len(checks) == len(configs)
+
+
+def test_no_product_is_seeded_with_the_unit(monkeypatch):
+    # a product starts from its first factor; the unit stands only for the empty monomial
+    from glomega import Enveloping
+
+    unit_factors = []
+    multiply = Enveloping.multiply
+
+    def spy(ctx, u, v):
+        unit_factors.extend(f for f in (u, v) if f == ctx.one())
+        return multiply(ctx, u, v)
+
+    monkeypatch.setattr(Enveloping, "multiply", spy)
+    rep = run_suite(SuiteConfig("symbols", omega="C", n_max=3, max_len=2))
+    assert rep.summary["pass"] > 0
+    assert unit_factors == []
+
+
 def test_pbw_dependency_confirmed_at_both_sizes_is_a_failure(monkeypatch):
     from glomega import yangian as yg
 
@@ -356,7 +393,7 @@ _PINNED = [
      "1fe5ae24d51b078883c13d2ba1af6d7be015af81bc1e8ac12301fbdb70914ac6"),
     ("all --n-min 1 --n-max 1 --d 1 --max-len 1 --max-deg 1",
      dict(suite="all", n_min=1, n_max=1, d=1, max_len=1, max_deg=1), 1,
-     "ffa75ec4d0ca9ed73ba7791b9e027f40620682e4b6d8c5c3eceb4393329b20fa"),
+     "b24b2025d3242d80adf09f017caac7d141cdd5e85c81bb5943a9a37ec6a46a16"),
     ("double --seed 99", dict(suite="double", seed=99), 0,
      "cc529901853c1e6b8ffa5e4745babbedbad100e8085ce1aa77ac760be6e402ef"),
 ]
