@@ -1,9 +1,11 @@
 """Ordered products of the stable generators stay linearly independent.
 
-Evaluating every ordered monomial in the t_ij(w; s) inside a large enough
-U(gl(N, Omega)) and row reducing shows full rank, which is the finite
-evidence behind treating them as a PBW-style basis.  A deliberately
-planted relation is caught by the same machinery.
+An ordered monomial is a sorted tuple of generator labels (i, j, w), one
+per factor t_ij(w); the parameter s is given when the monomial is evaluated.
+Evaluating every ordered monomial inside a large enough U(gl(N, Omega)) at
+one s and row reducing shows full rank, which is the finite evidence behind
+treating them as a PBW-style basis.  A deliberately planted relation is
+caught by the same machinery.
 """
 
 from fractions import Fraction
@@ -24,15 +26,15 @@ def main() -> None:
     s = Fraction(0)
 
     print("== full rank for d = 2, words of length <= 3, degree <= 2 ==")
-    monos = pbw_monomials(omega, 2, 3, 2, s)
-    print("ordered monomials:", len(monos))
+    monos = pbw_monomials(omega, 2, 3, 2)
+    print("ordered monomials:", len(monos), "for example", monos[5])
     report = pbw_suite(omega, 2, 3, 2, 6, s)
     print("rank at N = 6:", report["rank"], "full_rank:", report["full_rank"])
 
     print()
     print("== a planted dependency is flagged ==")
     # repeat one monomial; the solver must return the obvious relation
-    status, combo = independence_check(monos + [monos[3]], omega, 6)
+    status, combo = independence_check(monos + [monos[3]], omega, 6, s)
     print("status:", status)
     print("witness coefficients:", combo)
 

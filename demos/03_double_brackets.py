@@ -2,10 +2,11 @@
 # slots), its three axioms, and the Poisson brackets it induces on symbols
 # and on necklace words.  The Jacobi identity for the bracket holds exactly
 # when the underlying product on letters is associative, and the script
-# shows both directions on a 2-dimensional witness.
+# shows both directions on a 2-dimensional witness.  A matrix symbol
+# p_ij(w) is the plain tuple (i, j, w), and a necklace class is its least
+# rotation, a plain tuple built by glomega.words.cyclic.
 
 from glomega import (
-    PGen,
     check_double_jacobi,
     check_leibniz,
     check_letter_bracket,
@@ -21,14 +22,14 @@ from glomega import (
     symbol_match_stc,
     trace_bracket,
 )
-from glomega.words import CyclicWord
+from glomega.words import cyclic
 
 
 def show_symbols(poly) -> str:
-    """A symbol polynomial {sorted monomial of PGen: c} as text, shortest monomials first."""
+    """A symbol polynomial {sorted monomial of (i, j, w) symbols: c} as text, shortest monomials first."""
     bits = []
     for mono, c in sorted(poly.items(), key=lambda t: (len(t[0]), t[0])):
-        body = "".join("p(%d,%d;%s)" % (g.i, g.j, ",".join(map(str, g.word))) for g in mono)
+        body = "".join("p(%d,%d;%s)" % (i, j, ",".join(map(str, w))) for i, j, w in mono)
         bits.append("%s*%s" % (c, body or "1"))
     return " + ".join(bits) or "0"
 
@@ -67,21 +68,21 @@ def main() -> None:
 
     print()
     print("== induced Poisson bracket on matrix symbols ==")
-    p = PGen(1, 1, (0, 1))
-    q = PGen(1, 1, (1, 0))
+    p = (1, 1, (0, 1))
+    q = (1, 1, (1, 0))
     print("{p(1,1;01), p(1,1;10)} =", show_symbols(poisson_pgen(c2, p, q)))
     smd = symbol_match_smd(c2, 1, 1, 1, 1, (0, 1), (1, 0), 2, 0, 4)
-    print("matches the top symbol of the commutator:", smd["match"])
+    print("matches the top symbol of the commutator:", smd)
 
     print()
     print("== induced Poisson bracket on necklaces ==")
     tb = trace_bracket(m2, (1,), (2,))
     print("{tr(e12), tr(e21)} =", {str(k): v for k, v in sorted(tb.items(), key=str)})
-    f = {(CyclicWord((1,)),): 1}
-    g = {(CyclicWord((2,)),): 1}
+    f = {(cyclic((1,)),): 1}
+    g = {(cyclic((2,)),): 1}
     print("as necklace polynomials:", poisson_stc(m2, f, g), "(keys: sorted monomials of classes)")
     stc = symbol_match_stc(m2, (1,), (2,), 3)
-    print("matches the trace-element commutator:", stc["match"])
+    print("matches the trace-element commutator:", stc)
 
 
 if __name__ == "__main__":

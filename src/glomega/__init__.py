@@ -37,7 +37,6 @@ from .yangian import (
     t_gen,
 )
 from .doublepoisson import (
-    PGen,
     check_double_jacobi,
     check_leibniz,
     check_letter_bracket,

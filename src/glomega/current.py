@@ -49,8 +49,8 @@ from .omega import (
     stable,
     vec_add,
 )
-from .words import Word, basis_words, words_up_to
-from .yangian import TGen, t_expansion
+from .words import Label, Word, basis_words, words_up_to
+from .yangian import t_expansion
 
 
 def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
@@ -361,8 +361,8 @@ def generator_bracket_display_check(omega: AlgebraSpec, d: int, s: ScalarLike, n
     return True
 
 
-def shifted_degree(mono: Sequence[TGen]) -> int:
-    return sum(len(g.word) - 1 for g in mono)
+def shifted_degree(mono: Sequence[Label]) -> int:
+    return sum(len(word) - 1 for _i, _j, word in mono)
 
 
 def degeneration_check(

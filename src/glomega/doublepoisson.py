@@ -31,12 +31,15 @@ The bracket descends to two quotients, both realized here:
 
 * the polynomial algebra on matrix-entry symbols ``p_ij(word)`` with the
   bracket :func:`poisson_smd` obtained by contracting Sweedler slots
-  (``p_ab`` of the empty word is the scalar ``delta_ab``); a monomial is a
-  tuple of :class:`PGen` sorted by :func:`pgen_key`, and
+  (``p_ab`` of the empty word is the scalar ``delta_ab``); a symbol is the
+  plain label ``(i, j, word)`` (:data:`~glomega.words.Label`), the same
+  label as the t-generator it is the symbol of, and a monomial is a tuple
+  of labels sorted by :func:`pgen_key`, and
 * cyclic coinvariants (necklaces) with the trace bracket
   :func:`trace_bracket`: bracket the lifts, multiply the two slots, project
-  cyclically; :func:`poisson_stc` extends it to polynomials whose monomials
-  are sorted tuples of :class:`~glomega.words.CyclicWord`.
+  cyclically; a necklace class is its least rotation, a plain tuple built by
+  :func:`~glomega.words.cyclic`, and :func:`poisson_stc` extends the bracket
+  to polynomials whose monomials are sorted tuples of classes.
 
 Both are matched against top filtration parts of honest commutators in
 U(gl(N, Omega)) by :func:`symbol_match_smd` and :func:`symbol_match_stc`,
@@ -45,12 +48,11 @@ at two consecutive sizes N and N+1.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .enveloping import Enveloping, UElement
 from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, stable
-from .words import CyclicWord, Word, words_up_to
+from .words import Label, Word, cyclic, words_up_to
 
 
 Double = Dict[Tuple[Word, Word], Scalar]  # u (x) v -> coefficient, no zero stored
@@ -227,20 +229,14 @@ def pvdw_equivalence(spec: AlgebraSpec, maxlen: int) -> Dict[str, object]:
 # the bracket on matrix-entry symbols
 
 
-class PGen(NamedTuple):
-    i: int
-    j: int
-    word: Word
-
-
-def pgen_key(p: PGen) -> Tuple[int, int, int, Word]:
-    return (p.i, p.j, len(p.word), p.word)
+def pgen_key(p: Label) -> Tuple[int, int, int, Word]:
+    return (p[0], p[1], len(p[2]), p[2])
 
 
 Poly = Dict[tuple, Scalar]  # commutative monomial (a sorted tuple) -> coefficient, no zero stored
 
 
-def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> Poly:
+def poisson_pgen(spec: AlgebraSpec, p: Label, q: Label) -> Poly:
     """{p_ij(x), p_kl(y)} = sum p_kj(first slot) p_il(second slot).
 
     Sweedler slots of the double bracket are contracted through the symbols;
@@ -249,13 +245,13 @@ def poisson_pgen(spec: AlgebraSpec, p: PGen, q: PGen) -> Poly:
     (i, j, x), (k, l, y) = p, q
     out: Poly = {}
     for (u, v), c in double_bracket(spec, x, y).items():
-        factors: List[PGen] = []
+        factors: List[Label] = []
         if u:
-            factors.append(PGen(k, j, u))
+            factors.append((k, j, u))
         elif k != j:
             continue
         if v:
-            factors.append(PGen(i, l, v))
+            factors.append((i, l, v))
         elif i != l:
             continue
         _acc(out, tuple(sorted(factors, key=pgen_key)), c)
@@ -290,25 +286,24 @@ def poisson_smd(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
 # the trace (necklace) bracket on cyclic coinvariants
 
 
-def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict[CyclicWord, Scalar]:
+def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict[Word, Scalar]:
     """Bracket two cyclic classes: bracket lifts, multiply slots, project.
 
-    The result does not depend on the chosen lifts; the tests rotate the
-    inputs to confirm.
+    The result is keyed by least rotations (:func:`~glomega.words.cyclic`).
+    It does not depend on the chosen lifts; the tests rotate the inputs to
+    confirm.
     """
-    wa, wb = tuple(a), tuple(b)
-    out: Dict[CyclicWord, Scalar] = {}
-    for (u, v), c in double_bracket(spec, wa, wb).items():
-        w = u + v
-        _acc(out, CyclicWord(w), c)
+    out: Dict[Word, Scalar] = {}
+    for (u, v), c in double_bracket(spec, tuple(a), tuple(b)).items():
+        _acc(out, cyclic(u + v), c)
     return out
 
 
 def poisson_stc(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
     """Leibniz extension of the trace bracket to necklace polynomials.
 
-    A monomial of ``f``, ``g`` and the result is a sorted tuple of
-    :class:`CyclicWord` classes.
+    A monomial of ``f``, ``g`` and the result is a sorted tuple of least
+    rotations (:func:`~glomega.words.cyclic`).
     """
     bracket = lambda x, y: {(w,): c for w, c in trace_bracket(spec, x, y).items()}
     return _leibniz(f, g, bracket, None)
@@ -322,9 +317,7 @@ def spoly_symbol_image(p: Poly, ctx: Enveloping) -> UElement:
     """Evaluate p through p_ab(w) -> e_ab(w; N) products (symbol level)."""
     out = ctx.zero()
     for mono, c in p.items():
-        factors = [ctx.e_elem(g.i, g.j, g.word) for g in mono]
-        cur = reduce(ctx.multiply, factors) if factors else ctx.one()
-        out = out + cur.scale(c)
+        out = out + ctx.e_symbol(mono).scale(c)
     return out
 
 
@@ -339,15 +332,19 @@ def symbol_match_smd(
     d: int,
     s: ScalarLike,
     n: int,
-) -> Dict[str, object]:
-    """Top part of [t_ij(x;N;s), t_kl(y;N;s)] vs the symbol bracket, at N, N+1."""
+) -> bool:
+    """Top part of [t_ij(x;N;s), t_kl(y;N;s)] vs the symbol bracket, at N and N+1.
+
+    The top degree is len(x) + len(y) - 1.  Verdicts that differ raise
+    ``StabilizationError`` through :func:`stable`.
+    """
     x, y = tuple(x), tuple(y)
     if max(i, j, k, l) > d:
         raise StructureError("generator indices must be <= d")
     if d > n - 1:
         raise StructureError("need d <= N-1 so the acting block is nontrivial")
     deg = len(x) + len(y) - 1
-    p = poisson_pgen(omega, PGen(i, j, x), PGen(k, l, y))
+    p = poisson_pgen(omega, (i, j, x), (k, l, y))
     by_n: Dict[int, bool] = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
@@ -356,7 +353,7 @@ def symbol_match_smd(
         lhs = ctx.commutator(tx, ty).homogeneous(deg)
         rhs = spoly_symbol_image(p, ctx).homogeneous(deg)
         by_n[size] = lhs == rhs
-    return {"degree": deg, "by_n": by_n, "match": stable(by_n, "smd match differs across %r" % by_n)}
+    return stable(by_n, "smd match differs across %r" % by_n)
 
 
 def trace_elem(ctx: Enveloping, word: Word) -> UElement:
@@ -367,8 +364,11 @@ def trace_elem(ctx: Enveloping, word: Word) -> UElement:
     return out
 
 
-def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> Dict[str, object]:
-    """Top part of the full-trace commutator vs the necklace bracket, at N, N+1."""
+def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> bool:
+    """Top part of the full-trace commutator vs the necklace bracket, at N and N+1.
+
+    Verdicts that differ raise ``StabilizationError`` through :func:`stable`.
+    """
     x, y = tuple(x), tuple(y)
     deg = len(x) + len(y) - 1
     classes = trace_bracket(omega, x, y)
@@ -378,6 +378,6 @@ def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> Dict[str, 
         lhs = ctx.commutator(trace_elem(ctx, x), trace_elem(ctx, y)).homogeneous(deg)
         rhs = ctx.zero()
         for w, c in classes.items():
-            rhs = rhs + trace_elem(ctx, tuple(w)).scale(c)
+            rhs = rhs + trace_elem(ctx, w).scale(c)
         by_n[size] = lhs == rhs.homogeneous(deg)
-    return {"degree": deg, "by_n": by_n, "match": stable(by_n, "stc match differs across %r" % by_n)}
+    return stable(by_n, "stc match differs across %r" % by_n)

@@ -40,6 +40,7 @@ them, are plain dicts (see ``omega``).
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
@@ -53,7 +54,7 @@ from .omega import (
     check_associativity,
     vec_add,
 )
-from .words import Word, compositions, coagulate_word
+from .words import Label, Word, compositions, coagulate_word
 
 # generator E_ij(x_b) as a plain tuple (i, j, b); i, j are 1-based, b indexes
 # the Omega basis
@@ -81,10 +82,11 @@ class Enveloping:
         self._keys: Dict[Gen, Tuple[int, int, int, int]] = {}
         self._e: Dict = {}
         self._t: Dict = {}
-        # ordered t-monomials evaluated by yangian.evaluate
+        # ordered t-monomials evaluated by yangian.evaluate, by (monomial, s)
         self._y_eval_cache: Dict = {}
-        # symbol solvers of yangian.t_expansion, by (d, total word length, s);
-        # the t-monomials it subtracts are evaluated into _y_eval_cache
+        # symbol solvers of yangian.t_expansion, by (d, total word length);
+        # e-symbols carry no s, so every s shares them, and the t-monomials
+        # the expansion subtracts are evaluated into _y_eval_cache
         self._symbol_solvers: Dict = {}
         self._gens: Optional[List[Gen]] = None
 
@@ -272,28 +274,25 @@ class Enveloping:
                 vec_add(out, self.normal_form(mono[:pos] + (gen,) + mono[pos + 1 :]), sign)
         return out
 
-    def ad_E(self, i: int, j: int, u: "UElement") -> "UElement":
-        """Action of E_ij in gl(N, C) on U(gl(N, Omega)) by derivations."""
-        u._compat(self)
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise StructureError("ad index (%d, %d) out of range" % (i, j))
-        out: Dict[Mono, Scalar] = {}
-        for mono, c in u.terms.items():
-            vec_add(out, self._ad_mono(i, j, mono), c)
-        return UElement._trusted(self, out)
-
     def mono_weight(self, mono: Mono, a: Optional[int] = None) -> int:
         """Eigenvalue of ad E_aa on a monomial (default a = N)."""
         a = self.n if a is None else a
         return sum((1 if i == a else 0) - (1 if j == a else 0) for (i, j, _b) in mono)
 
     def is_in_centralizer(self, u: "UElement", d: int) -> bool:
-        """Does u commute with all E_ij, d+1 <= i, j <= N, of gl_d(N, C)?"""
+        """Does u commute with all E_ij, d+1 <= i, j <= N, of gl_d(N, C)?
+
+        E_ij acts on U(gl(N, Omega)) by derivations, monomial by monomial.
+        """
+        u._compat(self)
         if not (0 <= d <= self.n):
             raise StructureError("need 0 <= d <= n")
         for i in range(d + 1, self.n + 1):
             for j in range(d + 1, self.n + 1):
-                if self.ad_E(i, j, u).terms:
+                out: Dict[Mono, Scalar] = {}
+                for mono, c in u.terms.items():
+                    vec_add(out, self._ad_mono(i, j, mono), c)
+                if out:
                     return False
         return True
 
@@ -318,6 +317,11 @@ class Enveloping:
         el = UElement._trusted(self, acc)
         self._e[key] = el
         return el
+
+    def e_symbol(self, mono: Sequence[Label]) -> "UElement":
+        """The product of e_ij(x; N) over the labels (i, j, x) of a monomial; 1 if it is empty."""
+        factors = [self.e_elem(i, j, word) for i, j, word in mono]
+        return reduce(self.multiply, factors) if factors else self.one()
 
     def t_elem(self, i: int, j: int, word: Word, s: ScalarLike) -> "UElement":
         """Coagulation-corrected element; reduces to e_elem at s = -N.

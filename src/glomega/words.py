@@ -1,7 +1,10 @@
 """Words, compositions, coagulation, and cyclic words.
 
 A word is a tuple of basis indices of some AlgebraSpec; the empty tuple is
-the unit of the tensor algebra.  Compositions of m are enumerated
+the unit of the tensor algebra.  A matrix-entry label ``(i, j, word)``,
+:data:`Label`, names both a t-generator t_ij(x) and a matrix symbol
+p_ij(x).  A cyclic word (a necklace class) is stored as its least rotation,
+a plain tuple built by :func:`cyclic`.  Compositions of m are enumerated
 lexicographically, e.g. for m = 3:
 
     (1, 1, 1), (1, 2), (2, 1), (3)
@@ -14,12 +17,14 @@ inside the coefficient algebra; blocks of length >= 3 associate to the left
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .omega import AlgebraSpec, Scalar, StructureError, _acc, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
+# (i, j, word): the label of t_ij(word) and of p_ij(word); i, j are 1-based
+Label = Tuple[int, int, Word]
 
 
 def compositions(m: int) -> List[Composition]:
@@ -90,15 +95,9 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
     return out
 
 
-class CyclicWord(tuple):
-    """A word up to rotation, stored as its lexicographically least rotation."""
-
-    def __new__(cls, word: Iterable[int]):
-        w = tuple(word)
-        if not w:
-            raise StructureError("cyclic words must be nonempty")
-        least = min(w[r:] + w[:r] for r in range(len(w)))
-        return super().__new__(cls, least)
-
-    def __repr__(self) -> str:
-        return "Cyc" + super().__repr__()
+def cyclic(word: Sequence[int]) -> Word:
+    """A word up to rotation: its lexicographically least rotation."""
+    w = tuple(word)
+    if not w:
+        raise StructureError("cyclic words must be nonempty")
+    return min(w[r:] + w[:r] for r in range(len(w)))

@@ -1,8 +1,11 @@
 """The stable (large-N) algebra spanned by ordered monomials in t-generators.
 
-A TGen is a formal t_ij(x; s) with 1 <= i, j <= d, x a nonempty word over the
-coefficient algebra and s a rational parameter.  Ordered monomials are weakly
-increasing products of TGens under the order
+A t-generator t_ij(x) is the plain label ``(i, j, x)`` (:data:`~glomega.words.Label`)
+with 1 <= i, j <= d and x a nonempty word over the coefficient algebra.  The
+algebra is generated by the t_ij(x; s) for one fixed rational parameter s,
+so s belongs to the evaluation, not to the factors: :func:`evaluate` and
+:func:`t_expansion` take it as an argument.  Ordered monomials are weakly
+increasing tuples of labels under the order
 
     (i, j, len(word), word)  lexicographically.
 
@@ -22,60 +25,48 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement
 from .linalg import SpanSolver, primitive
 from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, stable
-from .words import Word, words_up_to
+from .words import Label, Word, words_up_to
 
 
-class TGen(NamedTuple):
-    i: int
-    j: int
-    word: Word
-    s: Scalar
-
-
-def t_gen(i: int, j: int, word: Iterable[int], s: ScalarLike) -> TGen:
+def t_gen(i: int, j: int, word: Iterable[int]) -> Label:
+    """The label (i, j, word) of t_ij(word), validated."""
     word = tuple(word)
     if i < 1 or j < 1:
         raise StructureError("t-generator indices are 1-based")
     if not word:
         raise StructureError("t-generator words must be nonempty")
-    return TGen(i, j, word, as_scalar(s))
+    return (i, j, word)
 
 
-def tgen_key(g: TGen) -> Tuple[int, int, int, Word]:
-    return (g.i, g.j, len(g.word), g.word)
+def tgen_key(g: Label) -> Tuple[int, int, int, Word]:
+    return (g[0], g[1], len(g[2]), g[2])
 
 
-OrderedMonomial = Tuple[TGen, ...]
+OrderedMonomial = Tuple[Label, ...]
 
 
-def ordered_monomial(gens: Sequence[TGen]) -> OrderedMonomial:
-    """Validate weak increase and uniform parameter; return the tuple."""
+def ordered_monomial(gens: Sequence[Label]) -> OrderedMonomial:
+    """Validate weak increase; return the tuple."""
     gens = tuple(gens)
     for a in range(len(gens) - 1):
         if tgen_key(gens[a]) > tgen_key(gens[a + 1]):
             raise StructureError("monomial factors must be weakly increasing")
-        if gens[a].s != gens[a + 1].s:
-            raise StructureError("monomial factors must share the parameter s")
     return gens
 
 
-def mono_word_length(mono: OrderedMonomial) -> int:
-    return sum(len(g.word) for g in mono)
-
-
-def evaluate(mono: Sequence[TGen], ctx: Enveloping) -> UElement:
-    """Evaluate an ordered monomial in U(gl(N, Omega))."""
+def evaluate(mono: Sequence[Label], ctx: Enveloping, s: ScalarLike) -> UElement:
+    """Evaluate an ordered monomial at parameter s in U(gl(N, Omega))."""
     cache = ctx._y_eval_cache
-    mono = ordered_monomial(mono)
-    got = cache.get(mono)
+    mono, s = ordered_monomial(mono), as_scalar(s)
+    got = cache.get((mono, s))
     if got is None:
-        factors = [ctx.t_elem(g.i, g.j, g.word, g.s) for g in mono]
-        got = cache[mono] = reduce(ctx.multiply, factors) if factors else ctx.one()
+        factors = [ctx.t_elem(i, j, word, s) for i, j, word in mono]
+        got = cache[mono, s] = reduce(ctx.multiply, factors) if factors else ctx.one()
     return got
 
 
@@ -83,30 +74,22 @@ def evaluate(mono: Sequence[TGen], ctx: Enveloping) -> UElement:
 # enumeration and rank checks
 
 
-def pbw_monomials(
-    omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int, s: ScalarLike
-) -> List[OrderedMonomial]:
+def pbw_monomials(omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int) -> List[OrderedMonomial]:
     """All ordered monomials with total word length <= maxlen, <= maxdeg factors."""
-    s = as_scalar(s)
-    gens = [
-        TGen(i, j, w, s)
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        for w in words_up_to(omega, maxlen)
-    ]
+    gens = [(i, j, w) for i in range(1, d + 1) for j in range(1, d + 1) for w in words_up_to(omega, maxlen)]
     gens.sort(key=tgen_key)
     out: List[OrderedMonomial] = []
 
-    def rec(start: int, cur: List[TGen], used: int) -> None:
+    def rec(start: int, cur: List[Label], used: int) -> None:
         out.append(tuple(cur))
         if len(cur) == maxdeg:
             return
         for gi in range(start, len(gens)):
             g = gens[gi]
-            if used + len(g.word) > maxlen:
+            if used + len(g[2]) > maxlen:
                 continue
             cur.append(g)
-            rec(gi, cur, used + len(g.word))
+            rec(gi, cur, used + len(g[2]))
             cur.pop()
 
     rec(0, [], 0)
@@ -130,20 +113,26 @@ def _span(columns: Iterable[Mapping]) -> Tuple[SpanSolver, Optional[Dict[int, Sc
 
 
 def _confirm(
-    monomials: Sequence[OrderedMonomial], dep: Dict[int, Scalar], omega: AlgebraSpec, n: int, witness: str
+    monomials: Sequence[OrderedMonomial],
+    dep: Dict[int, Scalar],
+    omega: AlgebraSpec,
+    n: int,
+    s: ScalarLike,
+    witness: str,
 ) -> None:
     """The dependency found at N must hold at N and N+1, compared through :func:`stable`."""
     holds = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
-        holds[size] = sum((evaluate(monomials[pos], ctx).scale(c) for pos, c in dep.items()), ctx.zero()).is_zero()
+        total = sum((evaluate(monomials[pos], ctx, s).scale(c) for pos, c in dep.items()), ctx.zero())
+        holds[size] = total.is_zero()
     stable(holds, witness)
 
 
 def independence_check(
-    monomials: Sequence[OrderedMonomial], omega: AlgebraSpec, n: int
+    monomials: Sequence[OrderedMonomial], omega: AlgebraSpec, n: int, s: ScalarLike
 ) -> Tuple[str, Optional[Dict[int, Scalar]]]:
-    """Certify independence at N, or a dependency that holds at N and N+1.
+    """Certify independence at N, or a dependency that holds at N and N+1, at parameter s.
 
     Returns ("independent", None) when the evaluations at N have full rank
     (which already proves independence in the stable algebra), or
@@ -152,10 +141,10 @@ def independence_check(
     raises ``StabilizationError``.
     """
     ctx = Enveloping.get(omega, n)
-    _solver, dep = _span(evaluate(mono, ctx).terms for mono in monomials)
+    _solver, dep = _span(evaluate(mono, ctx, s).terms for mono in monomials)
     if dep is None:
         return ("independent", None)
-    _confirm(monomials, dep, omega, n, "dependency %r at N=%d fails at N=%d" % (dep, n, n + 1))
+    _confirm(monomials, dep, omega, n, s, "dependency %r at N=%d fails at N=%d" % (dep, n, n + 1))
     return ("dependent", dep)
 
 
@@ -167,12 +156,12 @@ def pbw_suite(
     A short rank reports the first dependency, which must also hold at N+1;
     one that does not raises ``StabilizationError``.
     """
-    monos = pbw_monomials(omega, d, maxlen, maxdeg, s)
+    monos = pbw_monomials(omega, d, maxlen, maxdeg)
     ctx = Enveloping.get(omega, n)
-    solver, dep = _span(evaluate(mono, ctx).terms for mono in monos)
+    solver, dep = _span(evaluate(mono, ctx, s).terms for mono in monos)
     report: Dict[str, object] = {"count": len(monos), "rank": solver.rank, "full_rank": dep is None}
     if dep is not None:
-        _confirm(monos, dep, omega, n, "count=%d rank=%d dependency=%r" % (len(monos), solver.rank, dep))
+        _confirm(monos, dep, omega, n, s, "count=%d rank=%d dependency=%r" % (len(monos), solver.rank, dep))
         report["dependency"] = dep
     return report
 
@@ -223,20 +212,20 @@ def splitting_probe(omega: AlgebraSpec, d: int, deg: int, sizes: Sequence[int]) 
 # expansion in ordered t-monomials
 
 
-def _symbol_solver(ctx: Enveloping, d: int, total: int, s: Scalar) -> Tuple[SpanSolver, List[OrderedMonomial]]:
+def _symbol_solver(ctx: Enveloping, d: int, total: int) -> Tuple[SpanSolver, List[OrderedMonomial]]:
     """Solver matching top-degree parts against the e-symbols of ordered t-monomials.
 
     The columns are the monomials of :func:`pbw_monomials` whose total word
-    length is exactly ``total``, in its order; cached per (d, total, s).
+    length is exactly ``total``, in its order.  The e-symbols do not depend
+    on s, so the solver is cached per (d, total) and shared by every s.
     Symbols that are dependent at the context's N would make the expansion
     non-canonical, so they raise ``StructureError``.
     """
     cache = ctx._symbol_solvers
-    key = (d, total, s)
+    key = (d, total)
     if key not in cache:
-        monos = [m for m in pbw_monomials(ctx.omega, d, total, total, s) if mono_word_length(m) == total]
-        factors = ([ctx.e_elem(g.i, g.j, g.word) for g in m] for m in monos)
-        symbols = (reduce(ctx.multiply, f) if f else ctx.one() for f in factors)
+        monos = [m for m in pbw_monomials(ctx.omega, d, total, total) if sum(len(w) for _i, _j, w in m) == total]
+        symbols = (ctx.e_symbol(m) for m in monos)
         solver, dep = _span(sym.homogeneous(total).terms for sym in symbols)
         if dep is not None:
             raise StructureError("t-monomial symbols of word length %d are dependent at N=%d" % (total, ctx.n))
@@ -249,12 +238,12 @@ def t_expansion(
 ) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
     """Canonical expansion over ordered t-monomials, or None if not expressible.
 
-    Returns (monomial, coefficient) pairs, where each monomial is a tuple of
-    TGen factors with indices in 1..d at parameter s, top filtration degree
-    first.  Peels the top filtration degree: the top part is matched against
-    the e-symbols of ordered monomials (checked independent), the solved
-    combination of full t-monomials is subtracted, and the degree strictly
-    drops.
+    Returns (monomial, coefficient) pairs, where each monomial is an ordered
+    tuple of labels (i, j, word) with indices in 1..d, to be evaluated at
+    parameter s, top filtration degree first.  Peels the top filtration
+    degree: the top part is matched against the e-symbols of ordered
+    monomials (checked independent), the solved combination of full
+    t-monomials at s is subtracted, and the degree strictly drops.
     """
     s = as_scalar(s)
     out: List[Tuple[OrderedMonomial, Scalar]] = []
@@ -264,44 +253,38 @@ def t_expansion(
         if deg == 0:
             out.append(((), cur.terms[()]))
             break
-        solver, monos = _symbol_solver(ctx, d, deg, s)
+        solver, monos = _symbol_solver(ctx, d, deg)
         combo = solver.solve(cur.homogeneous(deg).terms)
         if combo is None:
             return None
         removed = ctx.zero()
         for idx, c in sorted(combo.items()):
             out.append((monos[idx], c))
-            removed = removed + evaluate(monos[idx], ctx).scale(c)
+            removed = removed + evaluate(monos[idx], ctx, s).scale(c)
         cur = cur - removed
         if not cur.is_zero() and cur.degree() >= deg:
             return None
     return out
 
 
-def shift_automorphism_check(
-    g: TGen, h: TGen, c: ScalarLike, omega: AlgebraSpec, n: int
-) -> Dict[str, object]:
+def shift_automorphism_check(g: Label, h: Label, s: ScalarLike, c: ScalarLike, omega: AlgebraSpec, n: int) -> bool:
     """Whether s -> s + c carries the expansion of g h at s to the one at s + c.
 
     At N and N+1, t(g) t(h) is expanded by :func:`t_expansion` at s and at
-    s + c; the verdict at each size is whether the first expansion, with
-    every factor's parameter moved by c, equals the second.  Verdicts that
-    differ raise ``StabilizationError`` through :func:`stable`.
+    s + c; the verdict at each size is whether the two expansions are equal,
+    term by term.  Verdicts that differ raise ``StabilizationError`` through
+    :func:`stable`.
     """
-    if g.s != h.s:
-        raise StructureError("product factors must share the parameter s")
-    c = as_scalar(c)
-    d = max(g.i, g.j, h.i, h.j)
+    s, c = as_scalar(s), as_scalar(c)
+    d = max(g[0], g[1], h[0], h[1])
 
-    def expand(ctx: Enveloping, s: Scalar) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
-        prod = ctx.multiply(ctx.t_elem(g.i, g.j, g.word, s), ctx.t_elem(h.i, h.j, h.word, s))
-        return t_expansion(ctx, prod, d, s)
+    def expand(ctx: Enveloping, at: Scalar) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
+        prod = ctx.multiply(ctx.t_elem(*g, at), ctx.t_elem(*h, at))
+        return t_expansion(ctx, prod, d, at)
 
     matches = {}
     for size in (n, n + 1):
         ctx = Enveloping.get(omega, size)
-        at_s, at_sc = expand(ctx, g.s), expand(ctx, g.s + c)
-        matches[size] = at_s is not None and at_sc == [
-            (tuple(f._replace(s=f.s + c) for f in mono), coeff) for mono, coeff in at_s
-        ]
-    return {"match": stable(matches, "shift by %s differs at N=%d and N=%d" % (c, n, n + 1))}
+        at_s = expand(ctx, s)
+        matches[size] = at_s is not None and at_s == expand(ctx, s + c)
+    return stable(matches, "shift by %s differs at N=%d and N=%d" % (c, n, n + 1))

@@ -29,7 +29,7 @@ from glomega.doublepoisson import (
     symbol_match_stc,
 )
 from glomega.suites import SuiteConfig, _random_table, run_suite
-from glomega.words import CyclicWord, basis_words, words_up_to
+from glomega.words import basis_words, cyclic, words_up_to
 from glomega.yangian import independence_check, pbw_suite, t_gen
 
 S_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 2))
@@ -102,8 +102,8 @@ def test_criterion_04_pbw_rank_equals_count():
     assert rep["count"] == 39 and rep["rank"] == 39
     rep = pbw_suite(direct_sum_C(2), 2, 2, 2, 4, Fraction(0))
     assert rep["count"] == 61 and rep["rank"] == 61
-    g = t_gen(1, 1, (0,), Fraction(0))
-    status, vec = independence_check([(g,), (g,)], direct_sum_C(1), 4)
+    g = t_gen(1, 1, (0,))
+    status, vec = independence_check([(g,), (g,)], direct_sum_C(1), 4, Fraction(0))
     assert status == "dependent"
     assert vec == {0: Fraction(1), 1: Fraction(-1)}
 
@@ -149,17 +149,15 @@ def test_criterion_06_symbol_match_linear_bracket():
                             for j in (1, 2):
                                 for k in (1, 2):
                                     for l in (1, 2):
-                                        rep = symbol_match_smd(
-                                            spec, i, j, k, l, x, y, 2, Fraction(0), 4
-                                        )
-                                        assert rep["by_n"] == {4: True, 5: True}
+                                        # a verdict that differs at N=5 raises
+                                        assert symbol_match_smd(spec, i, j, k, l, x, y, 2, Fraction(0), 4) is True
     assert time.monotonic() - start < 300
 
 
 def test_criterion_07_symbol_match_trace_bracket():
     for spec in (direct_sum_C(1), matrix_algebra(2)):
         reps = {
-            ln: sorted({tuple(CyclicWord(w)) for w in basis_words(spec, ln)}) for ln in (1, 2)
+            ln: sorted({cyclic(w) for w in basis_words(spec, ln)}) for ln in (1, 2)
         }
         for lx in (1, 2):
             for ly in range(lx, 3):
@@ -168,8 +166,7 @@ def test_criterion_07_symbol_match_trace_bracket():
                     for y in reps[ly]:
                         if lx == ly and y < x:
                             continue
-                        rep = symbol_match_stc(spec, x, y, n)
-                        assert rep["match"] is True, (spec.name, x, y)
+                        assert symbol_match_stc(spec, x, y, n) is True, (spec.name, x, y)
 
 
 def test_criterion_08_degeneration_to_current_bracket():

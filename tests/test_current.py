@@ -190,9 +190,9 @@ def test_t_expansion_recovers_single_generator():
     s = Fraction(0)
     u = ctx.t_elem(1, 1, (0, 0), s)
     exp = t_expansion(ctx, u, 1, s)
-    assert exp == [((t_gen(1, 1, (0, 0), s),), Fraction(1))]
-    assert shifted_degree((t_gen(1, 1, (0, 0), s),)) == 1
-    assert shifted_degree((t_gen(1, 1, (0,), s), t_gen(1, 1, (0,), s))) == 0
+    assert exp == [((t_gen(1, 1, (0, 0)),), Fraction(1))]
+    assert shifted_degree((t_gen(1, 1, (0, 0)),)) == 1
+    assert shifted_degree((t_gen(1, 1, (0,)), t_gen(1, 1, (0,)))) == 0
 
 
 def test_degeneration_check_basic_cases():

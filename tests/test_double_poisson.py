@@ -15,7 +15,6 @@ from glomega import (
 )
 import glomega.doublepoisson as dp
 from glomega.doublepoisson import (
-    PGen,
     check_double_jacobi,
     check_leibniz,
     check_letter_bracket,
@@ -34,7 +33,7 @@ from glomega.doublepoisson import (
 )
 from glomega.omega import vec_add
 from glomega.suites import _random_table
-from glomega.words import CyclicWord, words_up_to
+from glomega.words import cyclic, words_up_to
 
 TABLES = (direct_sum_C(1), direct_sum_C(2), null_algebra(2), matrix_algebra(2))
 
@@ -327,12 +326,12 @@ def _gen(p):
 def test_poisson_pgen_hand_oracle():
     # {p_11(u1 u2), p_11(u2 u1)} over the two-idempotent table
     spec = direct_sum_C(2)
-    got = poisson_pgen(spec, PGen(1, 1, (0, 1)), PGen(1, 1, (1, 0)))
+    got = poisson_pgen(spec, (1, 1, (0, 1)), (1, 1, (1, 0)))
     expected = {
-        (PGen(1, 1, (0, 1, 0)),): 1,
-        (PGen(1, 1, (1, 0, 1)),): -1,
-        (PGen(1, 1, (0,)), PGen(1, 1, (1, 1))): 1,
-        (PGen(1, 1, (1,)), PGen(1, 1, (0, 0))): -1,
+        ((1, 1, (0, 1, 0)),): 1,
+        ((1, 1, (1, 0, 1)),): -1,
+        ((1, 1, (0,)), (1, 1, (1, 1))): 1,
+        ((1, 1, (1,)), (1, 1, (0, 0))): -1,
     }
     assert got == expected
 
@@ -340,17 +339,17 @@ def test_poisson_pgen_hand_oracle():
 def test_poisson_pgen_delta_gating():
     spec = direct_sum_C(1)
     # k != j and i != l kills every term with an empty slot
-    got = poisson_pgen(spec, PGen(1, 2, (0,)), PGen(1, 2, (0,)))
+    got = poisson_pgen(spec, (1, 2, (0,)), (1, 2, (0,)))
     for mono in got:
         assert len(mono) == 2  # only purely quadratic terms survive
     # while matching deltas re-create the linear part
-    lin = {m: c for m, c in poisson_pgen(spec, PGen(1, 2, (0,)), PGen(2, 1, (0,))).items() if len(m) == 1}
+    lin = {m: c for m, c in poisson_pgen(spec, (1, 2, (0,)), (2, 1, (0,))).items() if len(m) == 1}
     assert lin
 
 
 def test_poisson_antisymmetry():
     spec = direct_sum_C(2)
-    pgens = [PGen(1, 1, (0, 1)), PGen(2, 1, (1,)), PGen(1, 2, (0,)), PGen(2, 2, (1, 0))]
+    pgens = [(1, 1, (0, 1)), (2, 1, (1,)), (1, 2, (0,)), (2, 2, (1, 0))]
     for p in pgens:
         for q in pgens:
             assert poisson_pgen(spec, p, q) == {m: -c for m, c in poisson_pgen(spec, q, p).items()}
@@ -358,9 +357,9 @@ def test_poisson_antisymmetry():
 
 def test_poisson_smd_leibniz():
     spec = direct_sum_C(2)
-    f = _gen(PGen(1, 1, (0,)))
-    g = _gen(PGen(1, 2, (1,)))
-    h = _gen(PGen(2, 1, (0, 1)))
+    f = _gen((1, 1, (0,)))
+    g = _gen((1, 2, (1,)))
+    h = _gen((2, 1, (0, 1)))
     lhs = poisson_smd(spec, f, _mul(g, h, pgen_key))
     rhs = _sum(_mul(poisson_smd(spec, f, g), h, pgen_key), _mul(g, poisson_smd(spec, f, h), pgen_key))
     assert lhs and lhs == rhs
@@ -369,7 +368,7 @@ def test_poisson_smd_leibniz():
 def test_poisson_jacobi_on_symbols():
     spec = direct_sum_C(2)
     for words in (((0,), (1,), (1,)), ((0, 1), (1,), (1, 0))):
-        f, g, h = (_gen(PGen(i, j, w)) for (i, j), w in zip(((1, 1), (1, 2), (2, 1)), words))
+        f, g, h = (_gen((i, j, w)) for (i, j), w in zip(((1, 1), (1, 2), (2, 1)), words))
         terms = [
             poisson_smd(spec, f, poisson_smd(spec, g, h)),
             poisson_smd(spec, g, poisson_smd(spec, h, f)),
@@ -380,15 +379,15 @@ def test_poisson_jacobi_on_symbols():
 
 
 def test_sorted_monomials_commute():
-    p = _gen(PGen(2, 1, (0,)))
-    q = _gen(PGen(1, 1, (0, 0)))
+    p = _gen((2, 1, (0,)))
+    q = _gen((1, 1, (0, 0)))
     assert _mul(p, q, pgen_key) == _mul(q, p, pgen_key)
-    assert pgen_key(PGen(1, 1, (0,))) < pgen_key(PGen(1, 1, (0, 0)))
+    assert pgen_key((1, 1, (0,))) < pgen_key((1, 1, (0, 0)))
     # the bracket's monomials come out sorted by pgen_key
     spec = direct_sum_C(2)
     for x in words_up_to(spec, 2):
         for y in words_up_to(spec, 2):
-            for mono in poisson_pgen(spec, PGen(1, 2, x), PGen(2, 1, y)):
+            for mono in poisson_pgen(spec, (1, 2, x), (2, 1, y)):
                 assert list(mono) == sorted(mono, key=pgen_key)
 
 
@@ -408,26 +407,22 @@ def test_trace_bracket_antisymmetry_and_grading():
             b2 = trace_bracket(spec, y, x)
             assert {w: -c for w, c in b2.items()} == b1
             for w in b1:
-                assert isinstance(w, CyclicWord)
+                assert type(w) is tuple and w == cyclic(w)
                 assert len(w) == len(x) + len(y) - 1
 
 
 def test_poisson_stc_leibniz():
     spec = matrix_algebra(2)
-    f, g, h = ({(CyclicWord(w),): 1} for w in ((1,), (2,), (0,)))
+    f, g, h = ({(cyclic(w),): 1} for w in ((1,), (2,), (0,)))
     lhs = poisson_stc(spec, f, _mul(g, h))
     rhs = _sum(_mul(poisson_stc(spec, f, g), h), _mul(g, poisson_stc(spec, f, h)))
     assert lhs and lhs == rhs
 
 
 def test_symbol_match_smd_smoke():
-    rep = symbol_match_smd(direct_sum_C(2), 1, 1, 1, 1, (0,), (1,), 2, Fraction(0), 3)
-    assert rep["match"] is True
-    assert rep["by_n"] == {3: True, 4: True}
-    assert rep["degree"] == 1
+    # the verdict holds at N=3 and N=4; one that differed would raise
+    assert symbol_match_smd(direct_sum_C(2), 1, 1, 1, 1, (0,), (1,), 2, Fraction(0), 3) is True
 
 
 def test_symbol_match_stc_smoke():
-    rep = symbol_match_stc(direct_sum_C(1), (0,), (0, 0), 3)
-    assert rep["match"] is True
-    assert rep["by_n"] == {3: True, 4: True}
+    assert symbol_match_stc(direct_sum_C(1), (0,), (0, 0), 3) is True

@@ -120,8 +120,7 @@ def test_symbol_match_builds_no_cancelling_top_degree(monkeypatch):
 
     monkeypatch.setattr(Enveloping, "normal_form", spy)
     monkeypatch.setattr(Enveloping, "multiply", no_multiply)
-    rep = symbol_match_stc(matrix_algebra(2), (0, 1), (2, 3), 4)
-    assert rep["match"]
+    assert symbol_match_stc(matrix_algebra(2), (0, 1), (2, 3), 4)
     assert longest[0] == 3
 
 
@@ -173,7 +172,7 @@ def test_special_elements_reject_out_of_range_input():
                 ctx.t_elem(i, j, word, 0)
             if i >= 1:  # t_gen itself rejects index 0
                 with pytest.raises(StructureError):
-                    evaluate((t_gen(i, j, word, 0),), ctx)
+                    evaluate((t_gen(i, j, word),), ctx, 0)
 
 
 def test_t_elem_reduces_to_e_elem_at_minus_n():

@@ -181,7 +181,8 @@ def test_every_benchmark_entry_point_resolves():
 
 
 # Functions and methods that no code in src/ or demos/, and no benchmark entry
-# point, calls: each is kept for a test, with the reason.
+# point, calls, or that only such functions call: each is kept for a test,
+# with the reason.
 _CALLED_ONLY_BY_TESTS = {
     "Enveloping.normal_form_random": "the random-order reference of the confluence tests",
     "Enveloping.is_in_centralizer": "the one check that t-elements lie in the centralizer",
@@ -191,6 +192,9 @@ _CALLED_ONLY_BY_TESTS = {
     "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 5)",
     "current.check_current_jacobi": "waits on a suite record (ROADMAP item 5)",
     "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 5)",
+    "linalg.kernel_basis": "invariant_basis solves its constraints with it",
+    "linalg.coordinate_intersection": "ideal_intersection_check intersects the two ideals with it",
+    "linalg.rref": "ideal_intersection_check compares the two intersections by it",
 }
 
 
@@ -219,18 +223,62 @@ def _name_reads(tree):
 
 
 def test_no_function_is_called_only_by_tests():
-    # a new helper that only tests call fails here until it is listed with a reason
+    # a new helper that only tests call fails here until it is listed with a
+    # reason; so does one that only such helpers call, and a def nested in a
+    # listed function goes with it
     tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     reads = [(None, target.split(".")[-1], 0) for _layer, target, _w in _assigned(tracer, "ENTRY_POINTS")]
     trees = {}
     for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
         trees[path] = ast.parse(path.read_text())
         reads += [(path, name, line) for name, line in _name_reads(trees[path])]
+    defs = [
+        (path, qualified, name, first, last)
+        for path in sorted(SRC.glob("*.py"))
+        for qualified, name, first, last in _definitions(path, trees[path])
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+    listed = []  # (path, first, last) of the functions found so far
+
+    def inside(path, line):
+        return any(p == path and first <= line <= last for p, first, last in listed)
+
     unread = []
-    for path in sorted(SRC.glob("*.py")):
-        for qualified, name, first, last in _definitions(path, trees[path]):
-            if name.startswith("__") and name.endswith("__"):
+    grew = True
+    while grew:
+        grew = False
+        for path, qualified, name, first, last in defs:
+            if qualified in unread or inside(path, first):
                 continue
-            if not any(n == name and (p != path or not first <= line <= last) for p, n, line in reads):
+            if not any(
+                n == name and (p != path or not first <= line <= last) and not inside(p, line)
+                for p, n, line in reads
+            ):
                 unread.append(qualified)
+                listed.append((path, first, last))
+                grew = True
     assert sorted(unread) == sorted(_CALLED_ONLY_BY_TESTS)
+
+
+# The classes of the package; every other value is a plain tuple or dict.
+_CLASSES = {
+    "AlgebraSpec",
+    "Enveloping",
+    "UElement",
+    "SpanSolver",
+    "SuiteConfig",
+    "CheckRecord",
+    "Report",
+    "StructureError",
+    "StabilizationError",
+}
+
+
+def test_only_the_listed_classes_are_defined():
+    defined = [
+        (node.name, "%s:%d" % (path.name, node.lineno))
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert sorted(name for name, _where in defined) == sorted(_CLASSES), defined

@@ -241,6 +241,36 @@ def test_symbol_match_smd_not_stabilized_record(monkeypatch):
     assert rep.exit_code() == 1
 
 
+def test_symbol_match_smd_needs_room_for_the_acting_block():
+    # N >= d + 1 fails at n_max = 2, d = 2: one skipped record per table, not six errors
+    rep = run_suite(SuiteConfig(suite="symbols", n_max=2))
+    assert rep.exit_code() == 0
+    assert "error" not in rep.summary
+    got = {r.key(): (r.status, r.witness) for r in rep.records if r.name == "symbols.smd"}
+    why = "needs N >= d + 1 so the acting block is nontrivial"
+    assert got == {
+        ("symbols.smd", "omega=C N=2 d=2"): ("skipped", why),
+        ("symbols.smd", "omega=C^2 N=2 d=2"): ("skipped", why),
+    }
+
+
+def test_current_antisym_names_the_failing_pair(monkeypatch):
+    from glomega import current as cur
+
+    ka, kb = cur.current_basis_keys(direct_sum_C(1), 2, 2)[:2]
+    bracket = cur.gl_current_bracket
+
+    def planted(spec, a, b):
+        # no true bracket has index 9, so [ka, kb] and -[kb, ka] differ
+        out = bracket(spec, a, b)
+        return {**out, (9, 9, (0,)): 1} if (a, b) == ({ka: 1}, {kb: 1}) else out
+
+    monkeypatch.setattr(cur, "gl_current_bracket", planted)
+    rep = run_suite(SuiteConfig(suite="current", omega="C"))
+    got = {r.key(): (r.status, r.witness) for r in rep.records if r.name == "current.antisym"}
+    assert got == {("current.antisym", "omega=C d=2 grade<=2"): ("fail", repr((ka, kb)))}
+
+
 def test_symbol_match_stc_not_stabilized_record(monkeypatch):
     # the trace of the letter (1,) is zero at N+1 only
     from glomega import doublepoisson as dp
@@ -357,9 +387,15 @@ def test_check_that_raises_is_an_error_record(tmp_path, monkeypatch, capsys):
     assert "[error] double.skew" in capsys.readouterr().out
 
 
-def test_precondition_is_an_error_not_a_fail():
-    # `omega run symbols --d 3 --n-max 3`: the smd grid needs d <= N-1
-    rep = run_suite(SuiteConfig(suite="symbols", d=3, n_max=3))
+def test_precondition_is_an_error_not_a_fail(monkeypatch):
+    # symbol_match_smd needs d <= N-1, and the symbols suite skips its grid
+    # when n_max < d + 1 (test_symbol_match_smd_needs_room_for_the_acting_block);
+    # here each call is made at N = d, so every smd check breaks the precondition
+    from glomega import doublepoisson as dp
+
+    smd = dp.symbol_match_smd
+    monkeypatch.setattr(dp, "symbol_match_smd", lambda *args: smd(*args[:-1], args[-3]))
+    rep = run_suite(SuiteConfig(suite="symbols", n_max=3))
     errors = [r for r in rep.records if r.status == "error"]
     assert len(errors) == 6 and all(r.name == "symbols.smd" for r in errors)
     assert all(
@@ -369,7 +405,7 @@ def test_precondition_is_an_error_not_a_fail():
     assert rep.summary == {"pass": 6, "fail": 0, "skipped": 0, "not-stabilized": 0, "error": 6}
     assert "error=6" in rep.human_summary()
     assert rep.exit_code() == 1
-    assert rep.fingerprint() == "71ed4562325eb520ad9c6ef3209eebda84098d6bedf2da468cf502d2bef4654c"
+    assert rep.fingerprint() == "47ad26a0edd5bde00c6e7076c3bb7d23033cd6a4798404ecdc436a1c1867e698"
 
 
 # `omega run` configs under 1.6 s each: exit code and fingerprint, unchanged
