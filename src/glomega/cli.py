@@ -13,19 +13,11 @@ import json
 import os
 import sys
 from dataclasses import fields
-from fractions import Fraction
 from typing import List, Optional
 
 from .current import graded_dim
 from .omega import StructureError, check_associativity, detect_unit, load_algebra
 from .suites import SUITES, SuiteConfig, resolve_omega, run_suite
-
-
-def _parse_s(text: str):
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructureError("bad s list %r: %s" % (text, exc))
 
 
 _RUN_HELP = {
@@ -47,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a named verification suite")
     p_run.add_argument("suite", choices=SUITES)
     for f in fields(SuiteConfig)[1:]:  # one flag per field after the suite, with its default
-        # --s takes the s values as one comma-separated string, which _cmd_run parses
+        # --s takes the s values as one comma-separated string, which _cmd_run splits
         name, default = ("s", ",".join(map(str, f.default))) if f.name == "s_values" else (f.name, f.default)
         p_run.add_argument(
             "--" + name.replace("_", "-"),
@@ -93,7 +85,9 @@ def _report_path(args) -> Optional[str]:
 
 def _cmd_run(args) -> int:
     values = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)}
-    cfg = SuiteConfig(**dict(values, s_values=_parse_s(args.s_values)))
+    # SuiteConfig parses each value and refuses what is not an exact rational
+    s_values = tuple(tok.strip() for tok in args.s_values.split(",") if tok.strip())
+    cfg = SuiteConfig(**dict(values, s_values=s_values))
     report = run_suite(cfg)
     print(report.human_summary())
     path = _report_path(args)

@@ -128,8 +128,7 @@ def current_unit_check(spec: AlgebraSpec, maxgrade: int = 2) -> Dict[str, object
 # gl(d) valued currents
 
 
-CKey = Tuple[int, int, Word]
-Current = Dict[CKey, Scalar]  # (i, j, word) -> coefficient, no zero stored
+Current = Dict[Label, Scalar]  # (i, j, word) -> coefficient, no zero stored
 
 
 def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
@@ -155,7 +154,7 @@ def current_jacobi_sum(spec: AlgebraSpec, a: Current, b: Current, c: Current) ->
     return out
 
 
-def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey]]:
+def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[Label, Label]]:
     keys = current_basis_keys(spec, d, maxgrade)
     for ka in keys:
         for kb in keys:
@@ -165,7 +164,7 @@ def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[
     return None
 
 
-def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[CKey, CKey, CKey]]:
+def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[Label, Label, Label]]:
     """Jacobi over all basis triples up to the grade bound; needs an associative table."""
     keys = current_basis_keys(spec, d, maxgrade)
     for ka in keys:
@@ -176,7 +175,7 @@ def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[T
     return None
 
 
-def current_basis_keys(spec: AlgebraSpec, d: int, maxgrade: int) -> List[CKey]:
+def current_basis_keys(spec: AlgebraSpec, d: int, maxgrade: int) -> List[Label]:
     """The graded bases of grades 0..maxgrade, concatenated in grade order."""
     return [key for n in range(maxgrade + 1) for key in graded_basis(spec, d, n)]
 
@@ -188,7 +187,7 @@ def graded_dim(spec: AlgebraSpec, d: int, n: int) -> int:
     return d * d * spec.dim ** (n + 1)
 
 
-def graded_basis(spec: AlgebraSpec, d: int, n: int) -> List[CKey]:
+def graded_basis(spec: AlgebraSpec, d: int, n: int) -> List[Label]:
     """Explicit basis of the grade-n piece; its length realizes graded_dim."""
     return [
         (i, j, w)

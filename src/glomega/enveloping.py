@@ -224,7 +224,6 @@ class Enveloping:
         return UElement(self, {(): _ONE})
 
     def gen(self, i: int, j: int, b: int = 0) -> "UElement":
-        self.sort_key((i, j, b))  # validates
         return UElement(self, {((i, j, b),): _ONE})
 
     def multiply(self, u: "UElement", v: "UElement") -> "UElement":
@@ -516,13 +515,16 @@ class UElement:
     combining elements of different contexts raises :class:`StructureError`,
     and such elements are never equal.  There are two constructors:
 
-    * the public one, ``UElement(ctx, terms)``, makes every key a tuple,
-      normalises every coefficient with :func:`as_scalar`, sums keys that
-      collide and drops zeros;
+    * the public one, ``UElement(ctx, terms)``, reads every key as a product
+      of generators: each generator is checked against the context (an
+      index or letter out of range raises :class:`StructureError`), and the
+      product is added in its PBW normal form, so keys in any order spell
+      the element they name; coefficients pass through :func:`as_scalar`,
+      and zeros are dropped;
     * the trusted one, ``UElement._trusted(ctx, terms)``, is for dicts that
-      the context's own arithmetic built: keys are taken as they are, but
-      every coefficient still passes through :func:`as_scalar` and zeros are
-      dropped.
+      the context's own arithmetic built: keys are sorted monomials already
+      and are taken as they are, but every coefficient still passes through
+      :func:`as_scalar` and zeros are dropped.
     """
 
     __slots__ = ("owner", "terms")
@@ -531,7 +533,10 @@ class UElement:
         self.owner = owner
         out: Dict[Mono, Scalar] = {}
         for mono, c in terms.items():
-            _acc(out, tuple(mono), as_scalar(c))
+            mono = tuple(mono)
+            for g in mono:  # normal_form never sorts a one-letter word, so it would not validate it
+                owner.sort_key(g)
+            vec_add(out, owner.normal_form(mono), as_scalar(c))
         self.terms = out
 
     @classmethod

@@ -45,20 +45,19 @@ class SpanSolver:
         """Return (residual, combo) with residual = vec - sum combo[c] * col_c.
 
         Explicit zeros in vec are dropped here, where every public input
-        enters: a zero at a pivot key would otherwise be eliminated forever,
-        and a zero could never serve as a pivot.
+        enters, so a zero never counts as a pivot to clear.  ``add`` keeps
+        every row fully reduced (1 at its pivot, 0 at every other pivot), so
+        clearing one pivot leaves the others' entries as they were: the
+        pivots to clear are those present in vec, in any order, once each.
         """
         residual = {k: v for k, v in vec.items() if v}
         combo: Vec = {}
-        while True:
-            live = [k for k in residual if k in self.rows]
-            if not live:
-                return residual, combo
-            k = min(live, key=self._order)
+        for k in [k for k in residual if k in self.rows]:
             row, row_combo = self.rows[k]
             c = residual[k]
             vec_add(residual, row, -c)
             vec_add(combo, row_combo, c)
+        return residual, combo
 
     def add(self, vec: Vec, col_id: Hashable = None) -> Optional[Vec]:
         """Add a column; return a dependency combo if it is already spanned.

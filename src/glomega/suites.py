@@ -18,6 +18,8 @@ runs every thunk through one timed runner the moment its suite yields it, so
 a suite never gets ahead of its checks: a thunk may read the suite's loop
 variables late, and checks that share state (the current suite's random
 draws, the Jacobi witness that ``double.pvdw`` reuses) see it in order.
+A grid check scans its cases through one loop, ``_search``, which fails at
+the first case its predicate refuses and names that case in the witness.
 
 Reports are plain JSON-compatible dicts.  The fingerprint hashes everything
 except wall times and tracebacks, so identical configs and seeds produce
@@ -35,7 +37,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import current as cur
 from . import doublepoisson as dp
@@ -58,29 +60,7 @@ from .words import basis_words, cyclic, words_up_to
 
 VERSION = "0.1.0"
 
-SUITES = (
-    "projection",
-    "pbw",
-    "splitting",
-    "double",
-    "symbols",
-    "degeneration",
-    "current",
-    "all",
-)
-
 DEFAULT_S = (Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 2))
-
-# default table roster; big tables are capped at shorter words by _word_cap
-_DEFAULT_TOKENS: Dict[str, Tuple[str, ...]] = {
-    "projection": ("C", "C^2", "null(2)", "mat(2)"),
-    "pbw": ("C", "C^2"),
-    "splitting": ("C", "C^2"),
-    "double": ("C", "C^2", "null(2)", "mat(2)"),
-    "symbols": ("C", "C^2", "mat(2)"),
-    "degeneration": ("C", "C^2"),
-    "current": ("C", "C^2", "null(2)", "mat(2)"),
-}
 
 _FUZZ_TABLES = 50
 
@@ -148,24 +128,16 @@ class Report:
     def __init__(self, cfg: SuiteConfig, records: Sequence[CheckRecord]):
         self.cfg = cfg
         self.records = sorted(records, key=CheckRecord.key)
-        self.summary = {"pass": 0, "fail": 0, "skipped": 0, "not-stabilized": 0}
-        errors = 0
+        self.summary = dict.fromkeys(("pass", "fail", "skipped", "not-stabilized", "error"), 0)
         for r in self.records:
-            if r.status == "error":
-                errors += 1
-            elif r.status in self.summary:
-                self.summary[r.status] += 1
-            else:
+            if r.status not in self.summary:
                 raise StructureError("unknown record status %r" % r.status)
-        if errors:
-            self.summary["error"] = errors
-
-    @property
-    def failed(self) -> bool:
-        return any(self.summary.get(k) for k in ("fail", "not-stabilized", "error"))
+            self.summary[r.status] += 1
+        if not self.summary["error"]:
+            del self.summary["error"]
 
     def exit_code(self) -> int:
-        return 1 if self.failed else 0
+        return 1 if any(self.summary.get(k) for k in ("fail", "not-stabilized", "error")) else 0
 
     def _stable_payload(self) -> dict:
         return {
@@ -204,18 +176,8 @@ class Report:
         for r in self.records:
             if r.status != "pass":
                 lines.append("[%s] %s %s  %s" % (r.status, r.name, r.config, r.witness))
-        lines.append(
-            "suite=%s checks=%d pass=%d fail=%d skipped=%d not-stabilized=%d"
-            % (
-                self.cfg.suite,
-                len(self.records),
-                self.summary["pass"],
-                self.summary["fail"],
-                self.summary["skipped"],
-                self.summary["not-stabilized"],
-            )
-            + (" error=%d" % self.summary["error"] if "error" in self.summary else "")
-        )
+        counts = " ".join("%s=%d" % item for item in self.summary.items())
+        lines.append("suite=%s checks=%d %s" % (self.cfg.suite, len(self.records), counts))
         lines.append("fingerprint=" + self.fingerprint())
         return "\n".join(lines)
 
@@ -281,6 +243,14 @@ def _budget(
         yield name, "omega=%s len>%d" % (token, cap), _skipped(why)
 
 
+def _search(cases: Iterable[tuple], holds: Callable[..., bool], witness: str) -> Tuple[str, str]:
+    """Fail with ``witness % case`` at the first case where ``holds(*case)`` is false."""
+    for case in cases:
+        if not holds(*case):
+            return "fail", witness % case
+    return "pass", ""
+
+
 def _ok(flag: bool, witness: str = "") -> Tuple[str, str]:
     return ("pass", "") if flag else ("fail", witness)
 
@@ -319,27 +289,17 @@ def _suite_projection(cfg: SuiteConfig, specs: Tables) -> Checks:
             ctx = Enveloping.get(spec, n)
             low = Enveloping.get(spec, n - 1)
 
-            def cells():
-                return itertools.product(range(1, dd + 1), range(1, dd + 1), words_up_to(spec, cap))
-
+            cells = list(itertools.product(range(1, dd + 1), range(1, dd + 1), words_up_to(spec, cap)))
             for s in cfg.s_values:
-
-                def point():
-                    for i, j, w in cells():
-                        if ctx.project_down(ctx.t_elem(i, j, w, s)) != low.t_elem(i, j, w, s):
-                            return "fail", "i=%d j=%d w=%r" % (i, j, w)
-                    return "pass", ""
-
-                yield "projection.theorem", "omega=%s N=%d s=%s" % (token, n, s), point
+                yield "projection.theorem", "omega=%s N=%d s=%s" % (token, n, s), lambda: _search(
+                    cells,
+                    lambda i, j, w: ctx.project_down(ctx.t_elem(i, j, w, s)) == low.t_elem(i, j, w, s),
+                    "i=%d j=%d w=%r",
+                )
             for s_a, s_b in _s_pairs(cfg.s_values):
-
-                def reparam():
-                    for i, j, w in cells():
-                        if not ctx.reparametrize_check(i, j, w, s_a, s_b):
-                            return "fail", "i=%d j=%d w=%r" % (i, j, w)
-                    return "pass", ""
-
-                yield "projection.reparametrize", "omega=%s N=%d s=%s s2=%s" % (token, n, s_a, s_b), reparam
+                yield "projection.reparametrize", "omega=%s N=%d s=%s s2=%s" % (token, n, s_a, s_b), lambda: _search(
+                    cells, lambda i, j, w: ctx.reparametrize_check(i, j, w, s_a, s_b), "i=%d j=%d w=%r"
+                )
         if spec.dim == 1 and cfg.n_max >= 2 and cap >= 2:
             for s in cfg.s_values:
                 yield "projection.anchor", "omega=%s s=%s" % (token, s), lambda: _anchor_check(spec, s)
@@ -488,6 +448,7 @@ def _suite_double(cfg: SuiteConfig, specs: Tables) -> Checks:
 
 def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> Checks:
     s0 = cfg.s_values[0]
+    indices = list(itertools.product(range(1, cfg.d + 1), repeat=4))
     for token, spec in specs:
         if spec.dim >= 4 or cfg.max_len < 2:
             continue  # matrix tables are covered by the trace grid below; one-letter caps leave no pair
@@ -497,16 +458,12 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> Checks:
             continue
         for lx in range(1, cfg.max_len):
             for ly in range(1, cfg.max_len - lx + 1):
-
-                def smd():
-                    for x in basis_words(spec, lx):
-                        for y in basis_words(spec, ly):
-                            for idx in itertools.product(range(1, cfg.d + 1), repeat=4):
-                                if not dp.symbol_match_smd(spec, *idx, x, y, cfg.d, s0, cfg.n_max):
-                                    return "fail", "x=%r y=%r idx=%r" % (x, y, idx)
-                    return "pass", ""
-
-                yield "symbols.smd", "omega=%s lx=%d ly=%d N=%d d=%d" % (token, lx, ly, cfg.n_max, cfg.d), smd
+                config = "omega=%s lx=%d ly=%d N=%d d=%d" % (token, lx, ly, cfg.n_max, cfg.d)
+                yield "symbols.smd", config, lambda: _search(
+                    itertools.product(basis_words(spec, lx), basis_words(spec, ly), indices),
+                    lambda x, y, idx: dp.symbol_match_smd(spec, *idx, x, y, cfg.d, s0, cfg.n_max),
+                    "x=%r y=%r idx=%r",
+                )
     for token, spec in specs:
         if spec.dim == 2:
             continue  # trace grid runs on the 1-dim and matrix tables
@@ -517,18 +474,12 @@ def _suite_symbols(cfg: SuiteConfig, specs: Tables) -> Checks:
         }
         for lx in range(1, cap + 1):
             for ly in range(lx, cap + 1):
-
-                def stc():
-                    base_n = max(2, min(cfg.n_max, lx + ly))
-                    for x in reps_by_len[lx]:
-                        for y in reps_by_len[ly]:
-                            if lx == ly and y < x:
-                                continue
-                            if not dp.symbol_match_stc(spec, x, y, base_n):
-                                return "fail", "x=%r y=%r" % (x, y)
-                    return "pass", ""
-
-                yield "symbols.stc", "omega=%s lx=%d ly=%d" % (token, lx, ly), stc
+                base_n = max(2, min(cfg.n_max, lx + ly))
+                yield "symbols.stc", "omega=%s lx=%d ly=%d" % (token, lx, ly), lambda: _search(
+                    ((x, y) for x in reps_by_len[lx] for y in reps_by_len[ly] if lx < ly or x <= y),
+                    lambda x, y: dp.symbol_match_stc(spec, x, y, base_n),
+                    "x=%r y=%r",
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +501,11 @@ def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> Checks:
             cur.generator_bracket_display_check(spec, d_letters, s0, d_letters + 2)
         )
         for d, lx, ly in itertools.product(range(1, cfg.d + 1), range(1, cap + 1), range(1, cap + 1)):
-
-            def grid():
-                for x in basis_words(spec, lx):
-                    for y in basis_words(spec, ly):
-                        for tup in _degeneration_tuples(d):
-                            if not cur.degeneration_check(spec, *tup, x, y, d, s0):
-                                return "fail", "x=%r y=%r idx=%r" % (x, y, tup)
-                return "pass", ""
-
-            yield "degeneration.grid", "omega=%s d=%d lx=%d ly=%d" % (token, d, lx, ly), grid
+            yield "degeneration.grid", "omega=%s d=%d lx=%d ly=%d" % (token, d, lx, ly), lambda: _search(
+                itertools.product(basis_words(spec, lx), basis_words(spec, ly), _degeneration_tuples(d)),
+                lambda x, y, tup: cur.degeneration_check(spec, *tup, x, y, d, s0),
+                "x=%r y=%r idx=%r",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +539,11 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
         yield "current.odot_assoc", "omega=%s total_len=%d" % (token, total_len), lambda: _none_ok(
             cur.check_odot_assoc(spec, total_len)
         )
-
-        def grade0():
-            for a in range(spec.dim):
-                for b in range(spec.dim):
-                    want = {(k,): c for k, c in spec.product(a, b).items()}
-                    if cur.odot_words(spec, (a,), (b,)) != want:
-                        return "fail", "letters (%d, %d)" % (a, b)
-            return "pass", ""
-
-        yield "current.grade0", "omega=%s" % token, grade0
+        yield "current.grade0", "omega=%s" % token, lambda: _search(
+            itertools.product(range(spec.dim), repeat=2),
+            lambda a, b: cur.odot_words(spec, (a,), (b,)) == {(k,): c for k, c in spec.product(a, b).items()},
+            "letters (%d, %d)",
+        )
 
         def unit():
             rep = cur.current_unit_check(spec)
@@ -625,15 +566,11 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
             return _ok(w is None, w or "")
 
         yield "current.jacobi_sampled", "omega=%s d=%d" % (token, d2), jacobi
-
-        def gdim():
-            for d in range(1, min(cfg.d, 3) + 1):
-                for n in range(0, 3):
-                    if cur.graded_dim(spec, d, n) != len(cur.graded_basis(spec, d, n)):
-                        return "fail", "d=%d n=%d" % (d, n)
-            return "pass", ""
-
-        yield "current.graded_dim", "omega=%s" % token, gdim
+        yield "current.graded_dim", "omega=%s" % token, lambda: _search(
+            itertools.product(range(1, min(cfg.d, 3) + 1), range(0, 3)),
+            lambda d, n: cur.graded_dim(spec, d, n) == len(cur.graded_basis(spec, d, n)),
+            "d=%d n=%d",
+        )
         if not unital:
             yield "current.bimodule", "omega=%s" % token, _skipped("non-unital table")
         else:
@@ -646,14 +583,14 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
             yield "current.path_iso", "L=%d maxgrade=3" % L, lambda: _ok(cur.path_algebra_iso_check(L, 3))
 
             def dims_formula():
+                # at each (d, n), the closed formula first, then the enumeration
                 spec = direct_sum_C(L)
-                for d in range(1, 4):
-                    for n in range(0, 4):
-                        if cur.graded_dim(spec, d, n) != d * d * L ** (n + 1):
-                            return "fail", "L=%d d=%d n=%d" % (L, d, n)
-                        if cur.graded_dim(spec, d, n) != len(cur.graded_basis(spec, d, n)):
-                            return "fail", "enumeration L=%d d=%d n=%d" % (L, d, n)
-                return "pass", ""
+                return _search(
+                    ((kind, L, d, n) for d in range(1, 4) for n in range(0, 4) for kind in ("", "enumeration ")),
+                    lambda kind, L, d, n: cur.graded_dim(spec, d, n)
+                    == (len(cur.graded_basis(spec, d, n)) if kind else d * d * L ** (n + 1)),
+                    "%sL=%d d=%d n=%d",
+                )
 
             yield "current.dim_formula", "L=%d d<=3 n<=3" % L, dims_formula
 
@@ -662,15 +599,19 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
 # dispatch
 
 
-_SUITE_FNS = {
-    "projection": _suite_projection,
-    "pbw": _suite_pbw,
-    "splitting": _suite_splitting,
-    "double": _suite_double,
-    "symbols": _suite_symbols,
-    "degeneration": _suite_degeneration,
-    "current": _suite_current,
+# suite -> (check generator, default table roster), in the order `all` runs
+# them; big tables are capped at shorter words by _word_cap
+_SUITES: Dict[str, Tuple[Callable[[SuiteConfig, Tables], Checks], Tuple[str, ...]]] = {
+    "projection": (_suite_projection, ("C", "C^2", "null(2)", "mat(2)")),
+    "pbw": (_suite_pbw, ("C", "C^2")),
+    "splitting": (_suite_splitting, ("C", "C^2")),
+    "double": (_suite_double, ("C", "C^2", "null(2)", "mat(2)")),
+    "symbols": (_suite_symbols, ("C", "C^2", "mat(2)")),
+    "degeneration": (_suite_degeneration, ("C", "C^2")),
+    "current": (_suite_current, ("C", "C^2", "null(2)", "mat(2)")),
 }
+
+SUITES = (*_SUITES, "all")
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -681,8 +622,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
     configuration that yields no check raises :class:`StructureError`: a
     run that checked nothing must not pass.
     """
-    names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
-    rosters = {name: (cfg.omega,) if cfg.omega else _DEFAULT_TOKENS[name] for name in names}
+    names = tuple(_SUITES) if cfg.suite == "all" else (cfg.suite,)
+    rosters = {name: (cfg.omega,) if cfg.omega else _SUITES[name][1] for name in names}
     tables = {tok: resolve_omega(tok) for tok in dict.fromkeys(t for r in rosters.values() for t in r)}
     if cfg.omega and cfg.suite != "double":
         witness = check_associativity(tables[cfg.omega])
@@ -691,7 +632,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 "table %s is not associative (witness %r); only the double suite accepts it"
                 % (cfg.omega, witness)
             )
-    suites = (_SUITE_FNS[name](cfg, [(tok, tables[tok]) for tok in rosters[name]]) for name in names)
+    suites = (_SUITES[name][0](cfg, [(tok, tables[tok]) for tok in rosters[name]]) for name in names)
     records = [_run(*check) for checks in suites for check in checks]
     if not records:
         raise StructureError("suite %s has no checks for this configuration" % cfg.suite)

@@ -149,3 +149,9 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "grade=1 dim=1" in proc.stdout
+
+
+@pytest.mark.parametrize("s_list", ["x", "", " , ", "1/2,y"])
+def test_run_s_list_that_is_not_rational_is_usage_error(capsys, s_list):
+    assert main(["run", "pbw", "--omega", "C", "--s", s_list]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -91,6 +91,27 @@ def test_one_stabilization_rule():
     assert raised == []
 
 
+def _fail_returns_in_loops(node, fn=None, in_loop=False):
+    """(function, line) of every ``return "fail", ...`` inside a loop of that function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            yield from _fail_returns_in_loops(child, getattr(child, "name", "<lambda>"))
+            continue
+        value = child.value if isinstance(child, ast.Return) else None
+        if in_loop and isinstance(value, ast.Tuple) and value.elts:
+            first = value.elts[0]
+            if isinstance(first, ast.Constant) and first.value == "fail":
+                yield fn, child.lineno
+        yield from _fail_returns_in_loops(child, fn, in_loop or isinstance(child, (ast.For, ast.While)))
+
+
+def test_one_counterexample_search():
+    # a grid check scans its cases through suites._search, which reports the
+    # first failing case; no thunk writes that loop again
+    found = list(_fail_returns_in_loops(ast.parse((SRC / "suites.py").read_text())))
+    assert [fn for fn, _line in found] == ["_search"], found
+
+
 def test_one_dependency_rule():
     # a dependency is confirmed through omega.stable, and yangian row-reduces
     # every span of monomial columns in one loop

@@ -11,7 +11,7 @@ from glomega import Enveloping, StructureError, UElement, direct_sum_C
 
 SPEC = direct_sum_C(2)
 OTHER = direct_sum_C(2)  # equal content, a different owner
-K1, K2 = ((1, 1, 0),), ((1, 2, 0), (2, 1, 1))  # two distinct monomials in canonical form
+K1, K2 = ((1, 1, 0),), ((2, 1, 1), (1, 2, 0))  # two distinct monomials in canonical (PBW) form at N = 2
 
 
 def _make(terms, spec=SPEC):
@@ -20,6 +20,7 @@ def _make(terms, spec=SPEC):
 
 def test_vector_laws():
     a = _make({K1: 2, K2: Fraction(-1, 3)})
+    assert a.terms == {K1: 2, K2: Fraction(-1, 3)}  # canonical keys are their own normal forms
     b = _make({K1: Fraction(5, 2)})
     zero = _make({})
     assert a + b - b == a
@@ -43,6 +44,27 @@ def test_vector_laws():
     with pytest.raises(StructureError):
         a + _make({K1: 1}, OTHER)
     assert a != _make(a.terms, OTHER)
+
+
+def test_public_constructor_reads_each_key_as_a_product():
+    # at N = 2 the PBW order puts E21 before E12, so E12 E21 = E21 E12 + E11 - E22
+    ctx = Enveloping.get(direct_sum_C(1), 2)
+    e12, e21 = ctx.gen(1, 2), ctx.gen(2, 1)
+    assert UElement(ctx, {((1, 2, 0), (2, 1, 0)): 1}) == ctx.multiply(e12, e21)
+    assert ctx.multiply(e12, e21).terms == {((2, 1, 0), (1, 2, 0)): 1, ((1, 1, 0),): 1, ((2, 2, 0),): -1}
+    assert UElement(ctx, {((1, 2, 0), (2, 1, 0)): 1, ((1, 1, 0),): -1, ((2, 2, 0),): 1}) == ctx.multiply(e21, e12)
+    assert UElement(ctx, {((1, 2, 0), (2, 1, 0)): 1, ((2, 1, 0), (1, 2, 0)): -1}) == ctx.commutator(e12, e21)
+
+
+@pytest.mark.parametrize("gen", [(9, 9, 0), (1, 3, 0), (0, 1, 0), (1, 1, 1)])
+def test_public_constructor_refuses_a_generator_out_of_range(gen):
+    # N = 2 over C: indices run over 1..2 and letters over 0..0, in a word of any length
+    ctx = Enveloping.get(direct_sum_C(1), 2)
+    for mono in ((gen,), ((1, 1, 0), gen), (gen, (2, 2, 0))):
+        with pytest.raises(StructureError):
+            UElement(ctx, {mono: 1})
+    with pytest.raises(StructureError):
+        ctx.gen(*gen)
 
 
 _CORE_METHODS = {"__add__", "__sub__", "scale", "is_zero", "__eq__"}

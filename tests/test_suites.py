@@ -439,3 +439,128 @@ _PINNED = [
 def test_report_is_pinned(kwargs, code, fingerprint):
     rep = run_suite(SuiteConfig(**kwargs))
     assert (rep.exit_code(), rep.fingerprint()) == (code, fingerprint)
+
+
+def _planted(original, bad, corrupt):
+    """``original``, except that its result goes through ``corrupt`` wherever ``bad(*args)`` holds."""
+
+    def planted(*args):
+        out = original(*args)
+        return corrupt(out) if bad(*args) else out
+
+    return planted
+
+
+def _false(out):
+    return False
+
+
+_C_PROJECTION = dict(suite="projection", omega="C", n_max=3, max_len=2, s_values=(0, 1))
+
+# (id, module or class, attribute, where the fault sits, what it does, config, the records of
+# the checks it reaches): each fault makes one grid predicate wrong at one case, and the record
+# names the first failing case of the grid, as the grid is scanned
+_FAULTS = [
+    (
+        "projection.theorem",
+        "Enveloping", "project_down",
+        # t_21(x) is the only cell of weight -1 under ad E_11
+        lambda ctx, u: ctx.n == 3 and any(ctx.mono_weight(m, 1) == -1 for m in u.terms),
+        lambda out: out.scale(2),
+        _C_PROJECTION,
+        {
+            ("projection.theorem", "omega=C N=2 s=0"): ("pass", ""),
+            ("projection.theorem", "omega=C N=2 s=1"): ("pass", ""),
+            ("projection.theorem", "omega=C N=3 s=0"): ("fail", "i=2 j=1 w=(0,)"),
+            ("projection.theorem", "omega=C N=3 s=1"): ("fail", "i=2 j=1 w=(0,)"),
+        },
+    ),
+    (
+        "projection.reparametrize",
+        "Enveloping", "reparametrize_check",
+        lambda ctx, i, j, w, s, s2: (i, j, w) == (1, 2, (0, 0)),
+        _false,
+        _C_PROJECTION,
+        {
+            # at N = 2 the grid has i = j = 1 only
+            ("projection.reparametrize", "omega=C N=2 s=0 s2=1"): ("pass", ""),
+            ("projection.reparametrize", "omega=C N=3 s=0 s2=1"): ("fail", "i=1 j=2 w=(0, 0)"),
+        },
+    ),
+    (
+        "symbols.smd",
+        "dp", "symbol_match_smd",
+        lambda spec, i, j, k, l, *rest: (i, j, k, l) == (1, 2, 2, 1),
+        _false,
+        dict(suite="symbols", omega="C", max_len=2),
+        {("symbols.smd", "omega=C lx=1 ly=1 N=4 d=2"): ("fail", "x=(0,) y=(0,) idx=(1, 2, 2, 1)")},
+    ),
+    (
+        "symbols.stc",
+        "dp", "symbol_match_stc",
+        lambda spec, x, y, n: y == (1,),
+        _false,
+        dict(suite="symbols", omega="mat(2)", max_len=1),
+        {("symbols.stc", "omega=mat(2) lx=1 ly=1"): ("fail", "x=(0,) y=(1,)")},
+    ),
+    (
+        "degeneration.grid",
+        "cur", "degeneration_check",
+        lambda spec, i, j, k, l, x, y, d, s: x == (1,) and (i, j, k, l) == (1, 2, 2, 1),
+        _false,
+        dict(suite="degeneration", omega="C^2", max_len=1),
+        {
+            # d = 1 has the one index tuple (1, 1, 1, 1)
+            ("degeneration.grid", "omega=C^2 d=1 lx=1 ly=1"): ("pass", ""),
+            ("degeneration.grid", "omega=C^2 d=2 lx=1 ly=1"): ("fail", "x=(1,) y=(0,) idx=(1, 2, 2, 1)"),
+        },
+    ),
+    (
+        "current.grade0",
+        "cur", "odot_words",
+        # e12 e21 = e11, so the empty product is wrong
+        lambda spec, x, y: (x, y) == ((1,), (2,)),
+        lambda out: {},
+        dict(suite="current", omega="mat(2)"),
+        {("current.grade0", "omega=mat(2)"): ("fail", "letters (1, 2)")},
+    ),
+    (
+        "current.graded_basis",
+        "cur", "graded_basis",
+        lambda spec, d, n: (d, n) == (2, 1),
+        lambda out: out[:-1],
+        dict(suite="current"),
+        {
+            **{("current.graded_dim", "omega=%s" % t): ("fail", "d=2 n=1") for t in ("C", "C^2", "null(2)", "mat(2)")},
+            **{
+                ("current.dim_formula", "L=%d d<=3 n<=3" % L): ("fail", "enumeration L=%d d=2 n=1" % L)
+                for L in (1, 2, 3)
+            },
+        },
+    ),
+    (
+        "current.graded_dim",
+        "cur", "graded_dim",
+        lambda spec, d, n: (d, n) == (2, 1),
+        lambda out: out + 1,
+        dict(suite="current"),
+        {
+            **{("current.graded_dim", "omega=%s" % t): ("fail", "d=2 n=1") for t in ("C", "C^2", "null(2)", "mat(2)")},
+            **{("current.dim_formula", "L=%d d<=3 n<=3" % L): ("fail", "L=%d d=2 n=1" % L) for L in (1, 2, 3)},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("owner, attr, bad, corrupt, kwargs, expected", [f[1:] for f in _FAULTS], ids=[f[0] for f in _FAULTS])
+def test_planted_fault_gives_the_first_counterexample(monkeypatch, owner, attr, bad, corrupt, kwargs, expected):
+    from glomega import Enveloping
+    from glomega import current as cur
+    from glomega import doublepoisson as dp
+
+    target = {"Enveloping": Enveloping, "cur": cur, "dp": dp}[owner]
+    monkeypatch.setattr(target, attr, _planted(getattr(target, attr), bad, corrupt))
+    rep = run_suite(SuiteConfig(**kwargs))
+    names = {name for name, _config in expected}
+    got = {r.key(): (r.status, r.witness) for r in rep.records if r.name in names}
+    assert got == expected
