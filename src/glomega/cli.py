@@ -1,7 +1,8 @@
 """Command-line front end: validate tables, run suites, print dimensions.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, raised an
-error or did not stabilize, 2 usage or load errors or a run with no checks.
+error or did not stabilize, 2 usage or load errors or a run that checked
+nothing (no checks, or only skipped ones).
 When ``--out`` is omitted but the ``OMEGA_OUT_DIR`` environment variable is
 set, the JSON report lands in that directory as ``report-<suite>.json``.
 """

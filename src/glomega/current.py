@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .enveloping import Enveloping, UElement
+from .enveloping import Enveloping, UElement, stable
 from .linalg import SpanSolver
 from .omega import (
     AlgebraSpec,
@@ -46,7 +46,6 @@ from .omega import (
     _acc,
     detect_unit,
     direct_sum_C,
-    stable,
     vec_add,
 )
 from .words import Label, Word, basis_words, words_up_to
@@ -391,9 +390,9 @@ def degeneration_check(
         raise StructureError("matrix indices must lie in 1..d")
     n = d + len(x) + len(y)
     bound = len(x) + len(y) - 3
-    by_n: Dict[int, bool] = {}
-    for size in (n, n + 1):
-        ctx = Enveloping.get(omega, size)
+
+    def verdict(ctx: Enveloping) -> bool:
         expansion = t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, s), d, s)
-        by_n[size] = expansion is not None and all(shifted_degree(m) <= bound for m, _c in expansion)
-    return stable(by_n, "degeneration verdicts differ at N=%d and N=%d" % (n, n + 1))
+        return expansion is not None and all(shifted_degree(m) <= bound for m, _c in expansion)
+
+    return stable(omega, (n, n + 1), verdict, lambda _: "degeneration verdicts differ at N=%d and N=%d" % (n, n + 1))

@@ -50,8 +50,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .enveloping import Enveloping, UElement
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, stable
+from .enveloping import Enveloping, UElement, stable
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity
 from .words import Label, Word, cyclic, words_up_to
 
 
@@ -345,15 +345,12 @@ def symbol_match_smd(
         raise StructureError("need d <= N-1 so the acting block is nontrivial")
     deg = len(x) + len(y) - 1
     p = poisson_pgen(omega, (i, j, x), (k, l, y))
-    by_n: Dict[int, bool] = {}
-    for size in (n, n + 1):
-        ctx = Enveloping.get(omega, size)
-        tx = ctx.t_elem(i, j, x, s)
-        ty = ctx.t_elem(k, l, y, s)
-        lhs = ctx.commutator(tx, ty).homogeneous(deg)
-        rhs = spoly_symbol_image(p, ctx).homogeneous(deg)
-        by_n[size] = lhs == rhs
-    return stable(by_n, "smd match differs across %r" % by_n)
+
+    def verdict(ctx: Enveloping) -> bool:
+        lhs = ctx.commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s)).homogeneous(deg)
+        return lhs == spoly_symbol_image(p, ctx).homogeneous(deg)
+
+    return stable(omega, (n, n + 1), verdict, lambda by_n: "smd match differs across %r" % by_n)
 
 
 def trace_elem(ctx: Enveloping, word: Word) -> UElement:
@@ -372,12 +369,12 @@ def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> bool:
     x, y = tuple(x), tuple(y)
     deg = len(x) + len(y) - 1
     classes = trace_bracket(omega, x, y)
-    by_n: Dict[int, bool] = {}
-    for size in (n, n + 1):
-        ctx = Enveloping.get(omega, size)
+
+    def verdict(ctx: Enveloping) -> bool:
         lhs = ctx.commutator(trace_elem(ctx, x), trace_elem(ctx, y)).homogeneous(deg)
         rhs = ctx.zero()
         for w, c in classes.items():
             rhs = rhs + trace_elem(ctx, w).scale(c)
-        by_n[size] = lhs == rhs.homogeneous(deg)
-    return stable(by_n, "stc match differs across %r" % by_n)
+        return lhs == rhs.homogeneous(deg)
+
+    return stable(omega, (n, n + 1), verdict, lambda by_n: "stc match differs across %r" % by_n)

@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
 from .omega import (
     AlgebraSpec,
     Scalar,
     ScalarLike,
+    StabilizationError,
     StructureError,
     _acc,
     as_scalar,
@@ -62,6 +63,20 @@ Gen = Tuple[int, int, int]
 Mono = Tuple[Gen, ...]
 
 _ONE = 1
+
+
+def stable(omega: AlgebraSpec, sizes: Iterable[int], verdict: Callable, witness: Callable[[Dict], str]):
+    """The verdict shared by the table's own contexts (:meth:`Enveloping.get`) at every size in ``sizes``.
+
+    A check at consecutive finite sizes stands in for the N -> infinity
+    limit, so verdicts that differ raise ``StabilizationError(witness(by_n))``,
+    with ``by_n`` the verdict at each size; they are never a failure.
+    """
+    by_n = {n: verdict(Enveloping.get(omega, n)) for n in sizes}
+    first, *rest = by_n.values()
+    if any(v != first for v in rest):
+        raise StabilizationError(witness(by_n))
+    return first
 
 
 class Enveloping:

@@ -78,19 +78,6 @@ class StabilizationError(StructureError):
     """
 
 
-def stable(by_n: Mapping[int, object], witness: str):
-    """The verdict shared by every size N in ``by_n``.
-
-    A check at consecutive finite sizes stands in for the N -> infinity
-    limit, so verdicts that differ across sizes raise
-    ``StabilizationError(witness)``; they are never a failure.
-    """
-    first, *rest = by_n.values()
-    if any(v != first for v in rest):
-        raise StabilizationError(witness)
-    return first
-
-
 def _acc(d: Dict, key, value: Scalar) -> None:
     """d[key] += value, dropping the key when the sum is zero."""
     s = d.get(key, 0) + value

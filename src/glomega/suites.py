@@ -4,8 +4,8 @@ Each suite walks a deterministic grid of checks over one or more coefficient
 tables and returns a :class:`Report`.  A check that would exceed the
 configured size caps is recorded as ``skipped`` rather than aborting the run.
 A certificate checked at several sizes N gets its verdict from
-:func:`glomega.omega.stable`, which raises :class:`StabilizationError` when
-two sizes disagree; the runner records that, and only that, as
+:func:`glomega.enveloping.stable`, which raises :class:`StabilizationError`
+when two sizes disagree; the runner records that, and only that, as
 ``not-stabilized`` (a headroom problem, never merged with ``fail``).
 A check that raises any other exception, a violated precondition included,
 is recorded as ``error`` with the exception's type and message, and the run
@@ -619,8 +619,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
     Each table token is resolved once per run, so every suite shares its
     table object, and with it the table's contexts and facts.  A
-    configuration that yields no check raises :class:`StructureError`: a
-    run that checked nothing must not pass.
+    configuration that yields no check, or only skipped ones, raises
+    :class:`StructureError`: a run that checked nothing must not pass.
     """
     names = tuple(_SUITES) if cfg.suite == "all" else (cfg.suite,)
     rosters = {name: (cfg.omega,) if cfg.omega else _SUITES[name][1] for name in names}
@@ -634,6 +634,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
             )
     suites = (_SUITES[name][0](cfg, [(tok, tables[tok]) for tok in rosters[name]]) for name in names)
     records = [_run(*check) for checks in suites for check in checks]
-    if not records:
+    if all(r.status == "skipped" for r in records):
         raise StructureError("suite %s has no checks for this configuration" % cfg.suite)
     return Report(cfg, records)

@@ -17,8 +17,8 @@ expansions.  One loop, ``_span``, row-reduces every span of monomial columns.
 Linear independence claims are certified by rank at a single N; a linear
 *dependence* found at N must also hold at N+1.  Shift checks, dependencies
 and splitting probes compare their per-size results through
-:func:`~glomega.omega.stable`, which raises ``StabilizationError`` when two
-sizes disagree.
+:func:`~glomega.enveloping.stable`, which raises ``StabilizationError`` when
+two sizes disagree.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from functools import reduce
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .enveloping import Enveloping, UElement
+from .enveloping import Enveloping, UElement, stable
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, stable
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar
 from .words import Label, Word, words_up_to
 
 
@@ -121,12 +121,11 @@ def _confirm(
     witness: str,
 ) -> None:
     """The dependency found at N must hold at N and N+1, compared through :func:`stable`."""
-    holds = {}
-    for size in (n, n + 1):
-        ctx = Enveloping.get(omega, size)
-        total = sum((evaluate(monomials[pos], ctx, s).scale(c) for pos, c in dep.items()), ctx.zero())
-        holds[size] = total.is_zero()
-    stable(holds, witness)
+
+    def verdict(ctx: Enveloping) -> bool:
+        return sum((evaluate(monomials[pos], ctx, s).scale(c) for pos, c in dep.items()), ctx.zero()).is_zero()
+
+    stable(omega, (n, n + 1), verdict, lambda _: witness)
 
 
 def independence_check(
@@ -202,10 +201,11 @@ def splitting_probe(omega: AlgebraSpec, d: int, deg: int, sizes: Sequence[int]) 
 
     Dimensions that differ across sizes raise ``StabilizationError``.
     """
-    dims = {n: Enveloping.get(omega, n).invariant_dim(d, deg) for n in sizes}
     expected = splitting_expected(omega.dim, d, deg)
-    dim = stable(dims, "expected=%d dims=%r" % (expected, dims))
-    return {"expected": expected, "dims": dims, "match": dim == expected}
+    dim = stable(
+        omega, sizes, lambda ctx: ctx.invariant_dim(d, deg), lambda dims: "expected=%d dims=%r" % (expected, dims)
+    )
+    return {"expected": expected, "dims": dict.fromkeys(sizes, dim), "match": dim == expected}
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,8 @@ def shift_automorphism_check(g: Label, h: Label, s: ScalarLike, c: ScalarLike, o
         prod = ctx.multiply(ctx.t_elem(*g, at), ctx.t_elem(*h, at))
         return t_expansion(ctx, prod, d, at)
 
-    matches = {}
-    for size in (n, n + 1):
-        ctx = Enveloping.get(omega, size)
+    def verdict(ctx: Enveloping) -> bool:
         at_s = expand(ctx, s)
-        matches[size] = at_s is not None and at_s == expand(ctx, s + c)
-    return stable(matches, "shift by %s differs at N=%d and N=%d" % (c, n, n + 1))
+        return at_s is not None and at_s == expand(ctx, s + c)
+
+    return stable(omega, (n, n + 1), verdict, lambda _: "shift by %s differs at N=%d and N=%d" % (c, n, n + 1))

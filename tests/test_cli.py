@@ -121,11 +121,20 @@ def test_run_other_suite_on_nonassociative_table_is_an_error(capsys):
 
 
 def test_run_with_no_checks_is_an_error(capsys):
-    # N=1 leaves the projection suite nothing to check; a run that checked nothing must not pass
-    assert main(["run", "projection", "--omega", "C", "--n-min", "1", "--n-max", "1", "--d", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "no checks" in captured.err
-    assert "checks=0" not in captured.out
+    # N=1 leaves the projection suite nothing to check, and the symbols suite
+    # only its skipped smd record; a run that checked nothing must not pass,
+    # also when its only records are skipped ones
+    tiny = ["--n-min", "1", "--n-max", "1", "--d", "1"]
+    for args in (
+        ["projection", "--omega", "C"],
+        ["projection", "--omega", "mat(2)"],
+        ["projection"],
+        ["symbols", "--omega", "C^2"],
+    ):
+        assert main(["run", *args, *tiny]) == 2, args
+        captured = capsys.readouterr()
+        assert "no checks" in captured.err
+        assert "checks=" not in captured.out
 
 
 def test_dims_output(capsys):

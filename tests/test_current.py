@@ -34,7 +34,8 @@ from glomega.current import (
     shifted_degree,
     t_expansion,
 )
-from glomega.omega import stable, vec_add
+from glomega.enveloping import stable
+from glomega.omega import vec_add
 from glomega.words import words_up_to
 from glomega.yangian import t_gen
 
@@ -224,9 +225,24 @@ def test_stabilization_error_is_distinct():
     assert issubclass(StabilizationError, StructureError)
 
 
+def _never(by_n):
+    raise AssertionError("witness called although the sizes agree: %r" % (by_n,))
+
+
 def test_stable_returns_the_shared_verdict_or_raises():
-    assert stable({3: True, 4: True}, "unused") is True
-    assert stable({3: 5, 4: 5, 5: 5}, "unused") == 5
+    spec = direct_sum_C(1)
+    seen = []
+
+    def verdict(ctx):
+        seen.append(ctx)
+        return True
+
+    assert stable(spec, (4, 3), verdict, _never) is True
+    # the verdict runs on the table's own context at each size, in the order given
+    assert [ctx.n for ctx in seen] == [4, 3]
+    assert all(ctx is Enveloping.get(spec, ctx.n) for ctx in seen)
+    assert stable(spec, (3, 4, 5), lambda ctx: 5, _never) == 5
+    dims = {3: 5, 4: 5, 5: 6}
     with pytest.raises(StabilizationError) as exc:
-        stable({3: 5, 4: 5, 5: 6}, "dims differ")
-    assert str(exc.value) == "dims differ"
+        stable(spec, (3, 4, 5), lambda ctx: dims[ctx.n], lambda by_n: "dims differ %r" % (by_n,))
+    assert str(exc.value) == "dims differ {3: 5, 4: 5, 5: 6}"

@@ -69,8 +69,9 @@ def _raised_names(tree):
 
 
 def test_one_stabilization_rule():
-    # a multi-size verdict goes through omega.stable, and a report gets
-    # not-stabilized only from the runner's except StabilizationError
+    # a multi-size verdict goes through enveloping.stable, the one function
+    # that raises StabilizationError, and a report gets not-stabilized only
+    # from the runner's except StabilizationError
     suites = ast.parse((SRC / "suites.py").read_text())
     defined = {n.name for n in ast.walk(suites) if isinstance(n, ast.FunctionDef)}
     assert "_stable" not in defined
@@ -82,13 +83,18 @@ def test_one_stabilization_rule():
         if isinstance(node, ast.Constant) and node.value == "not-stabilized"
     ]
     assert literal == []
-    raised = [
-        "%s:%d" % (name, line)
-        for name in ("doublepoisson.py", "current.py", "yangian.py")
-        for exc, line in _raised_names(ast.parse((SRC / name).read_text()))
-        if exc == "StabilizationError"
-    ]
-    assert raised == []
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = list(_definitions(path, tree))
+        for exc, line in _raised_names(tree):
+            if exc == "StabilizationError":
+                # the innermost function around the raise, or the line at module level
+                owners = [(first, qualified) for qualified, _name, first, last in defs if first <= line <= last]
+                raisers.append(max(owners)[1] if owners else "%s:%d" % (path.name, line))
+    assert raisers == ["enveloping.stable"]
+    omega = ast.parse((SRC / "omega.py").read_text())
+    assert "stable" not in {n.name for n in omega.body if isinstance(n, ast.FunctionDef)}
 
 
 def _fail_returns_in_loops(node, fn=None, in_loop=False):
@@ -113,7 +119,7 @@ def test_one_counterexample_search():
 
 
 def test_one_dependency_rule():
-    # a dependency is confirmed through omega.stable, and yangian row-reduces
+    # a dependency is confirmed through enveloping.stable, and yangian row-reduces
     # every span of monomial columns in one loop
     literals = [
         "%s:%d %s" % (path.name, node.lineno, node.value)
@@ -210,9 +216,9 @@ _CALLED_ONLY_BY_TESTS = {
     "Enveloping.invariant_basis": "the one check that computed invariants lie in the centralizer",
     "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
     "omega.save_algebra": "the README's file round-trip",
-    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 5)",
-    "current.check_current_jacobi": "waits on a suite record (ROADMAP item 5)",
-    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 5)",
+    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
+    "current.check_current_jacobi": "waits on a suite record (ROADMAP item 6)",
+    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 6)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
     "linalg.coordinate_intersection": "ideal_intersection_check intersects the two ideals with it",
     "linalg.rref": "ideal_intersection_check compares the two intersections by it",

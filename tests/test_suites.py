@@ -456,10 +456,12 @@ def _false(out):
 
 
 _C_PROJECTION = dict(suite="projection", omega="C", n_max=3, max_len=2, s_values=(0, 1))
+_C_ANCHOR = dict(suite="projection", omega="C", n_max=2, max_len=2, s_values=(0,))
 
 # (id, module or class, attribute, where the fault sits, what it does, config, the records of
-# the checks it reaches): each fault makes one grid predicate wrong at one case, and the record
-# names the first failing case of the grid, as the grid is scanned
+# the checks it reaches): each grid fault makes one grid predicate wrong at one case, and the
+# record names the first failing case of the grid, as the grid is scanned; the last four reach
+# the fail branches of the anchor, the planted dependency and the splitting probe
 _FAULTS = [
     (
         "projection.theorem",
@@ -549,6 +551,46 @@ _FAULTS = [
             **{("current.dim_formula", "L=%d d<=3 n<=3" % L): ("fail", "L=%d d=2 n=1" % L) for L in (1, 2, 3)},
         },
     ),
+    (
+        "projection.anchor.normal_form",
+        "Enveloping", "t_elem",
+        lambda ctx, i, j, w, s: ctx.n == 2 and (i, j, w) == (1, 1, (0, 0)),
+        lambda out: out + out.owner.gen(2, 2),
+        _C_ANCHOR,
+        {("projection.anchor", "omega=C s=0"): (
+            "fail",
+            "normal form: -1 * E(1,1,u1) + 1 * E(1,1,u1)E(1,1,u1) + 1 * E(2,1,u1)E(1,2,u1)",
+        )},
+    ),
+    (
+        "projection.anchor.projection",
+        "Enveloping", "project_down",
+        lambda ctx, u: ctx.n == 2,
+        # the result lives one size down, at N = 1
+        lambda out: out + out.owner.gen(1, 1),
+        _C_ANCHOR,
+        {("projection.anchor", "omega=C s=0"): ("fail", "projection: 1 * E(1,1,u1)E(1,1,u1)")},
+    ),
+    (
+        "pbw.planted_dependency",
+        "yg", "independence_check",
+        lambda *args: True,
+        lambda out: ("independent", None),
+        dict(suite="pbw", omega="C"),
+        {("pbw.planted_dependency", "omega=C N=4"): ("fail", "status=independent vec=None")},
+    ),
+    (
+        "splitting.invariants",
+        "yg", "splitting_expected",
+        lambda *args: True,
+        lambda out: out + 1,
+        dict(suite="splitting", omega="C"),
+        {
+            ("splitting.degree1", "omega=C d=0 N=[3, 4, 5]"): ("fail", "expected=3 dims={3: 2, 4: 2, 5: 2}"),
+            ("splitting.degree1", "omega=C d=1 N=[3, 4, 5]"): ("fail", "expected=4 dims={3: 3, 4: 3, 5: 3}"),
+            ("splitting.degree2", "omega=C d=0 N=[3, 4, 5]"): ("fail", "expected=5 dims={3: 4, 4: 4, 5: 4}"),
+        },
+    ),
 ]
 
 
@@ -557,8 +599,9 @@ def test_planted_fault_gives_the_first_counterexample(monkeypatch, owner, attr, 
     from glomega import Enveloping
     from glomega import current as cur
     from glomega import doublepoisson as dp
+    from glomega import yangian as yg
 
-    target = {"Enveloping": Enveloping, "cur": cur, "dp": dp}[owner]
+    target = {"Enveloping": Enveloping, "cur": cur, "dp": dp, "yg": yg}[owner]
     monkeypatch.setattr(target, attr, _planted(getattr(target, attr), bad, corrupt))
     rep = run_suite(SuiteConfig(**kwargs))
     names = {name for name, _config in expected}
