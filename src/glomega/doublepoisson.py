@@ -41,9 +41,11 @@ The bracket descends to two quotients, both realized here:
   :func:`~glomega.words.cyclic`, and :func:`poisson_stc` extends the bracket
   to polynomials whose monomials are sorted tuples of classes.
 
-Both are matched against top filtration parts of honest commutators in
+Both are matched against top filtration parts of commutators in
 U(gl(N, Omega)) by :func:`symbol_match_smd` and :func:`symbol_match_stc`,
-at two consecutive sizes N and N+1.
+at two consecutive sizes N and N+1.  Those top parts are read in
+gr U = S(gl(N, Omega)) by :meth:`~glomega.enveloping.Enveloping.top_commutator`,
+and the necklace side by :meth:`~glomega.enveloping.Enveloping.e_top`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .enveloping import Enveloping, UElement, stable
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, vec_add
 from .words import Label, Word, cyclic, words_up_to
 
 
@@ -310,15 +312,15 @@ def poisson_stc(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# symbol matches against honest commutators
+# symbol matches against top parts of commutators
 
 
 def spoly_symbol_image(p: Poly, ctx: Enveloping) -> UElement:
     """Evaluate p through p_ab(w) -> e_ab(w; N) products (symbol level)."""
-    out = ctx.zero()
+    out: Dict = {}
     for mono, c in p.items():
-        out = out + ctx.e_symbol(mono).scale(c)
-    return out
+        vec_add(out, ctx.e_symbol(mono).terms, c)
+    return UElement._trusted(ctx, out)
 
 
 def symbol_match_smd(
@@ -347,7 +349,7 @@ def symbol_match_smd(
     p = poisson_pgen(omega, (i, j, x), (k, l, y))
 
     def verdict(ctx: Enveloping) -> bool:
-        lhs = ctx.commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s)).homogeneous(deg)
+        lhs = ctx.top_commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s)).homogeneous(deg)
         return lhs == spoly_symbol_image(p, ctx).homogeneous(deg)
 
     return stable(omega, (n, n + 1), verdict, lambda by_n: "smd match differs across %r" % by_n)
@@ -355,26 +357,29 @@ def symbol_match_smd(
 
 def trace_elem(ctx: Enveloping, word: Word) -> UElement:
     """Sum of e_aa(word; N) over a = 1..N; invariant under all of gl(N, C)."""
-    out = ctx.zero()
+    out: Dict = {}
     for a in range(1, ctx.n + 1):
-        out = out + ctx.e_elem(a, a, tuple(word))
-    return out
+        vec_add(out, ctx.e_elem(a, a, tuple(word)).terms)
+    return UElement._trusted(ctx, out)
 
 
 def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> bool:
     """Top part of the full-trace commutator vs the necklace bracket, at N and N+1.
 
-    Verdicts that differ raise ``StabilizationError`` through :func:`stable`.
+    Every class of the necklace bracket has length len(x) + len(y) - 1, so
+    its side is the sum of c times the top part of its trace.  Verdicts that
+    differ raise ``StabilizationError`` through :func:`stable`.
     """
     x, y = tuple(x), tuple(y)
     deg = len(x) + len(y) - 1
     classes = trace_bracket(omega, x, y)
 
     def verdict(ctx: Enveloping) -> bool:
-        lhs = ctx.commutator(trace_elem(ctx, x), trace_elem(ctx, y)).homogeneous(deg)
-        rhs = ctx.zero()
+        lhs = ctx.top_commutator(trace_elem(ctx, x), trace_elem(ctx, y)).homogeneous(deg)
+        rhs: Dict = {}
         for w, c in classes.items():
-            rhs = rhs + trace_elem(ctx, w).scale(c)
-        return lhs == rhs.homogeneous(deg)
+            for a in range(1, ctx.n + 1):
+                vec_add(rhs, ctx.e_top(a, a, w), c)
+        return lhs == UElement._trusted(ctx, rhs)
 
     return stable(omega, (n, n + 1), verdict, lambda by_n: "stc match differs across %r" % by_n)

@@ -26,7 +26,12 @@ Commutators [u, v] do not expand u v - v u: since gr U(gl) is commutative,
 the degree deg u + deg v parts of the two products cancel.  The derivation
 rule expands [g_1...g_l, h_1...h_k] as a sum of words of length l + k - 1,
 each with one pair g_p, h_q replaced by their bracket, and normal-forms only
-those.
+those.  It is kept exact for callers that need the lower-degree remainder.
+When only the top part is wanted, :meth:`Enveloping.top_commutator` reads it
+in gr U = S(gl(N, Omega)) as the Poisson bracket of the top parts: the same
+words, sorted instead of normal-formed, from generator pairs whose indices
+meet.  :meth:`Enveloping.e_top` gives the top part of e_ij(w; N), its
+sorted chain words.
 
 :class:`UElement` is the package's one element class, with its arithmetic
 written once, in it, and one spelling per operation: build with
@@ -77,6 +82,17 @@ def stable(omega: AlgebraSpec, sizes: Iterable[int], verdict: Callable, witness:
     if any(v != first for v in rest):
         raise StabilizationError(witness(by_n))
     return first
+
+
+def _partials(u: "UElement") -> Dict[Gen, Dict[Mono, Scalar]]:
+    """g -> d sigma(u) / d g: each top-degree monomial of u with one factor g removed."""
+    top = u.degree()
+    out: Dict[Gen, Dict[Mono, Scalar]] = {}
+    for mono, c in u.terms.items():
+        if len(mono) == top:
+            for p, g in enumerate(mono):
+                _acc(out.setdefault(g, {}), mono[:p] + mono[p + 1 :], c)
+    return out
 
 
 class Enveloping:
@@ -273,6 +289,39 @@ class Enveloping:
                             vec_add(out, self.normal_form(word), cc * c3)
         return UElement._trusted(self, out)
 
+    def top_commutator(self, u: "UElement", v: "UElement") -> "UElement":
+        """The degree deg u + deg v - 1 part of [u, v], read in gr U = S(gl(N, Omega)).
+
+        By the PBW theorem it is the Poisson bracket in S of the top parts:
+        the sum over generator pairs g, h of
+        (d sigma(u) / d g) (d sigma(v) / d h) [g, h], each product a sorted
+        word, since a word and its sorted rearrangement differ by shorter
+        words.  [g, h] vanishes unless h's row is g's column or g's row is
+        h's column, so the generators of v are indexed by row and by column,
+        and only pairs whose indices meet are visited, each once.
+        """
+        u._compat(self)
+        v._compat(self)
+        self.gens()  # caches the key of every generator, so the sorts below never miss
+        key = self._keys.__getitem__
+        du, dv = _partials(u), _partials(v)
+        by_row: Dict[int, List[Gen]] = {}
+        by_col: Dict[int, List[Gen]] = {}
+        for h in dv:
+            by_row.setdefault(h[0], []).append(h)
+            by_col.setdefault(h[1], []).append(h)
+        out: Dict[Mono, Scalar] = {}
+        for g, fu in du.items():
+            i1, j1, _b1 = g
+            for h in by_row.get(j1, []) + [h for h in by_col.get(i1, ()) if h[0] != j1]:
+                for gen, c3 in self.commutator_terms(g, h):
+                    for r1, c1 in fu.items():
+                        head = r1 + (gen,)
+                        cc = c1 * c3
+                        for r2, c2 in dv[h].items():
+                            _acc(out, tuple(sorted(head + r2, key=key)), cc * c2)
+        return UElement._trusted(self, out)
+
     # -- gl(N, C) action ----------------------------------------------------
 
     def _ad_mono(self, i: int, j: int, mono: Mono) -> Dict[Mono, Scalar]:
@@ -331,6 +380,19 @@ class Enveloping:
         el = UElement._trusted(self, acc)
         self._e[key] = el
         return el
+
+    def e_top(self, i: int, j: int, word: Word) -> Dict[Mono, Scalar]:
+        """sigma(e_ij(word; N)), the degree len(word) part: each chain's word, sorted, with coefficient 1."""
+        word = tuple(word)
+        if not word:
+            raise StructureError("e_top needs a nonempty word")
+        out: Dict[Mono, Scalar] = {}
+        for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
+            idx = (i,) + chain + (j,)
+            # sorted calls sort_key on every generator, one-letter words too, so each is checked
+            mono = tuple(sorted(((idx[r], idx[r + 1], b) for r, b in enumerate(word)), key=self.sort_key))
+            _acc(out, mono, _ONE)
+        return out
 
     def e_symbol(self, mono: Sequence[Label]) -> "UElement":
         """The product of e_ij(x; N) over the labels (i, j, x) of a monomial; 1 if it is empty."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, UElement, direct_sum_C, matrix_algebra, null_algebra
-from glomega.doublepoisson import symbol_match_stc
+from glomega.doublepoisson import symbol_match_smd, symbol_match_stc
 from glomega.words import words_up_to
 from glomega.yangian import evaluate, t_gen
 
@@ -107,7 +107,13 @@ def test_commutator_matches_product_difference(seed, spec, n):
 
 
 def test_symbol_match_builds_no_cancelling_top_degree(monkeypatch):
-    # [t(x), t(y)] for words of length 2 needs normal forms of length 3 only
+    # the symbol verdicts read top parts in gr U, so they never call commutator,
+    # and the stc pair normal-forms no word longer than its inputs
+    def no_commutator(self, u, v):
+        raise AssertionError("commutator called")
+
+    monkeypatch.setattr(Enveloping, "commutator", no_commutator)
+    assert symbol_match_smd(matrix_algebra(2), 1, 2, 2, 1, (0, 1), (2,), 2, Fraction(1, 2), 3)
     longest = [0]
     normal_form = Enveloping.normal_form
 
@@ -121,7 +127,49 @@ def test_symbol_match_builds_no_cancelling_top_degree(monkeypatch):
     monkeypatch.setattr(Enveloping, "normal_form", spy)
     monkeypatch.setattr(Enveloping, "multiply", no_multiply)
     assert symbol_match_stc(matrix_algebra(2), (0, 1), (2, 3), 4)
-    assert longest[0] == 3
+    assert longest[0] == 2
+
+
+# index tuples (i, j, k, l) of the pairs [x_ij, y_kl] in the top-part grid
+_TOP_INDICES = ((1, 1, 1, 1), (1, 2, 2, 1), (1, 2, 1, 2), (2, 1, 1, 1))
+
+
+@pytest.mark.parametrize("spec", _COMM_SPECS, ids=lambda spec: spec.name)
+def test_top_commutator_is_the_top_part_of_commutator(spec):
+    # the commutator's normal form is the reference; t-elements and the unit
+    # plus a generator bring lower-degree monomials that must not count
+    s = Fraction(1, 2)
+    for n in (2, 3, 4):
+        ctx = Enveloping.get(spec, n)
+        words = list(words_up_to(spec, 2))
+        pairs = [
+            (make(i, j, x), make(k, l, y))
+            for make in (ctx.e_elem, lambda i, j, w: ctx.t_elem(i, j, w, s))
+            for i, j, k, l in _TOP_INDICES
+            for x in words
+            for y in words
+        ]
+        special = [ctx.zero(), ctx.one(), ctx.one().scale(-3), ctx.gen(2, 1) + ctx.one()]
+        probes = special + [ctx.e_elem(1, 2, words[-1]), ctx.t_elem(2, 1, words[0], s)]
+        pairs += [(a, b) for a in special for b in probes] + [(b, a) for a in special for b in probes]
+        for u, v in pairs:
+            deg = u.degree() + v.degree() - 1
+            assert ctx.top_commutator(u, v) == ctx.commutator(u, v).homogeneous(deg), (u, v)
+
+
+@pytest.mark.parametrize("spec", _COMM_SPECS, ids=lambda spec: spec.name)
+def test_e_top_is_the_top_part_of_e_elem(spec):
+    for n in (2, 3, 4):
+        ctx = Enveloping.get(spec, n)
+        for w in words_up_to(spec, 3 if spec.dim == 1 else 2):
+            for i in (1, 2):
+                for j in (1, 2):
+                    assert ctx.e_top(i, j, w) == ctx.e_elem(i, j, w).homogeneous(len(w)).terms
+        # bad input raises as in e_elem; an empty word must not reach itertools.product(repeat=-1)
+        bad = ((1, 1, ()), (n + 1, 1, (0,)), (0, 1, (0,)), (1, 1, (spec.dim,)), (1, n + 1, (0, 0)), (1, 1, (0, spec.dim)))
+        for i, j, word in bad:
+            with pytest.raises(StructureError):
+                ctx.e_top(i, j, word)
 
 
 def test_commutator_rejects_foreign_context():
