@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glomega import (
     AlgebraSpec,
+    StructureError,
     direct_sum_C,
     matrix_algebra,
     nonassoc_witness,
@@ -31,7 +33,7 @@ from glomega.doublepoisson import (
     trace_bracket,
     triple_jacobi_sum,
 )
-from glomega.omega import vec_add
+from glomega.omega import _acc, vec_add
 from glomega.suites import _random_table
 from glomega.words import cyclic, words_up_to
 
@@ -210,6 +212,87 @@ def _outer_right(t, w):
 _LETTERS = st.lists(st.integers(0, 2), min_size=1, max_size=2)
 
 
+def test_a_word_length_cap_below_one_raises():
+    # a cap below 1 scans no word, so every check would pass by default
+    spec = nonassoc_witness()
+    for cap in (0, -1):
+        for check in (check_skew, check_leibniz, check_double_jacobi, pvdw_equivalence):
+            with pytest.raises(StructureError):
+                check(spec, cap)
+
+
+def test_double_bracket_rejects_letters_outside_the_table():
+    spec = nonassoc_witness()
+    for x, y in (((0,), (5,)), ((2,), (0,)), ((0,), (-1,)), ((-1, 0), (1,)), ((), (2,)), ((0, 1), (0, 3))):
+        with pytest.raises(StructureError):
+            double_bracket(spec, x, y)
+
+
+def test_the_jacobi_memo_holds_each_scanned_pair_once(monkeypatch):
+    # one memo for the whole scan: a pair of scanned words (or the empty
+    # word) is bracketed once; longer right words are bracketed afresh.
+    # The scan made 6,079 brackets when the memo was dropped per first word.
+    honest = dp.double_bracket
+    calls = {}
+
+    def counted(spec, x, y):
+        calls[x, y] = calls.get((x, y), 0) + 1
+        return honest(spec, x, y)
+
+    monkeypatch.setattr(dp, "double_bracket", counted)
+    assert check_double_jacobi(matrix_algebra(2), 2) is None
+    assert [pair for pair, n in calls.items() if len(pair[1]) <= 2 and n > 1] == []
+    assert sum(calls.values()) <= 6079 // 2
+
+
+def _reference_double_bracket(spec, x, y):
+    """The defining double sum, slot by slot, one ``_acc`` per term."""
+    x = tuple(x)
+    y = tuple(y)
+    out = {}
+    for r in range(len(x)):
+        for s in range(len(y)):
+            for k, c in spec.product(x[r], y[s]).items():
+                _acc(out, (y[:s] + x[r + 1 :], x[:r] + (k,) + y[s + 1 :]), c)
+            for k, c in spec.product(y[s], x[r]).items():
+                _acc(out, (y[:s] + (k,) + x[r + 1 :], x[:r] + y[s + 1 :]), -c)
+    return out
+
+
+# tables with an empty, associative, non-associative and Fraction-valued product
+_REFERENCE_TABLES = (direct_sum_C(2), null_algebra(2), nonassoc_witness(), _FUZZ_FAILING, matrix_algebra(2))
+
+
+def test_double_bracket_matches_the_defining_sum():
+    for spec in _REFERENCE_TABLES:
+        heads = [()] + list(words_up_to(spec, 2 if spec.dim >= 4 else 3))
+        for x in heads:
+            for y in heads:
+                got = double_bracket(spec, x, y)
+                assert got == _reference_double_bracket(spec, x, y), (spec, x, y)
+                assert all(c != 0 for c in got.values())
+
+
+def _reference_jacobi_sum(spec, a, b, c):
+    """J(a, b, c) = <<a,<<b,c>>>>_L + rot <<b,<<c,a>>>>_L + rot^2 <<c,<<a,b>>>>_L, term by term."""
+    ref = _reference_double_bracket
+    return _sum(
+        _into_first(spec, a, ref(spec, b, c), ref),
+        _rot(_into_first(spec, b, ref(spec, c, a), ref)),
+        _rot(_rot(_into_first(spec, c, ref(spec, a, b), ref))),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_REFERENCE_TABLES), _LETTERS, _LETTERS, _LETTERS)
+@example(nonassoc_witness(), [0], [0, 0], [1])  # every rotation's term is nonzero
+def test_jacobi_sum_matches_the_reference_sum(spec, wa, wb, wc):
+    a, b, c = (tuple(x % spec.dim for x in w) for w in (wa, wb, wc))
+    got = triple_jacobi_sum(spec, a, b, c)
+    assert got == _reference_jacobi_sum(spec, a, b, c)
+    assert all(x != 0 for x in got.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.none(), st.integers(0, 2**32)), _LETTERS, _LETTERS, _LETTERS, _LETTERS)
 @example(None, [0], [0], [0], [0])  # nonassoc's witness: both sides nonzero
@@ -233,11 +316,11 @@ def _rot(t):
     return _moved(t, lambda u1, u2, u3: (u3, u1, u2))
 
 
-def _into_first(spec, a, t):
+def _into_first(spec, a, t, bracket=double_bracket):
     """<<a, ->>_L on a double tensor: bracket a into its first slot."""
     out = {}
     for (u, v), c in t.items():
-        vec_add(out, _moved(double_bracket(spec, a, u), lambda p, q: (p, q, v)), c)
+        vec_add(out, _moved(bracket(spec, a, u), lambda p, q: (p, q, v)), c)
     return out
 
 

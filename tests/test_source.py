@@ -156,8 +156,8 @@ def _cache_like(node):
 
 
 def test_double_bracket_memo_lives_in_one_check():
-    # check_double_jacobi memoizes double brackets for one first word only; a
-    # cache that outlives the check would hold every bracket of the run
+    # check_double_jacobi memoizes the double brackets of one scan in a local
+    # dict; a cache that outlives the check would hold every bracket of the run
     tree = ast.parse((SRC / "doublepoisson.py").read_text())
     held = []
     for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
