@@ -18,6 +18,9 @@ brackets two of them).
 
 Structural checks implemented here:
 
+* :func:`check_current_antisym` and :func:`check_current_jacobi` scan the
+  gl(d) current bracket on basis keys up to a grade bound, each unordered
+  pair and each triple i < j < k once (the current suite runs both),
 * :func:`path_algebra_iso_check` identifies the current algebra of C^(+)L
   with the path algebra of the complete quiver on L vertices,
 * :func:`bimodule_iso_check` identifies grade k with the k-fold balanced
@@ -154,9 +157,14 @@ def current_jacobi_sum(spec: AlgebraSpec, a: Current, b: Current, c: Current) ->
 
 
 def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[Label, Label]]:
+    """First basis pair (a, b), a not after b, with [a, b] != -[b, a].
+
+    The law is symmetric in the pair, so each unordered pair is visited once
+    and the witness is the first failing ordered pair.
+    """
     keys = current_basis_keys(spec, d, maxgrade)
-    for ka in keys:
-        for kb in keys:
+    for ia, ka in enumerate(keys):
+        for kb in keys[ia:]:
             ba = gl_current_bracket(spec, {kb: 1}, {ka: 1})
             if gl_current_bracket(spec, {ka: 1}, {kb: 1}) != {k: -c for k, c in ba.items()}:
                 return (ka, kb)
@@ -164,13 +172,15 @@ def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[
 
 
 def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[Label, Label, Label]]:
-    """Jacobi over all basis triples up to the grade bound; needs an associative table."""
-    keys = current_basis_keys(spec, d, maxgrade)
-    for ka in keys:
-        for kb in keys:
-            for kc in keys:
-                if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}):
-                    return (ka, kb, kc)
+    """First basis triple i < j < k up to the grade bound with a nonzero Jacobi sum.
+
+    The bracket is antisymmetric by its formula, so a triple with a repeated
+    key sums to zero and every permutation of a failing triple fails too:
+    the first i < j < k is the first failing ordered triple.
+    """
+    for ka, kb, kc in itertools.combinations(current_basis_keys(spec, d, maxgrade), 3):
+        if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}):
+            return (ka, kb, kc)
     return None
 
 

@@ -139,10 +139,14 @@ def _bracket_table(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Dict[Tup
 
 
 def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
-    """<<x, y>> must equal -flip(<<y, x>>), flip(u (x) v) = v (x) u; pairs with an empty word vanish."""
+    """<<x, y>> must equal -flip(<<y, x>>), flip(u (x) v) = v (x) u; pairs with an empty word vanish.
+
+    The law is symmetric in the pair, so each unordered pair is visited once
+    and the witness is the first failing ordered pair.
+    """
     heads, br = _bracket_table(spec, maxlen)
-    for a in heads:
-        for b in heads:
+    for ia, a in enumerate(heads):
+        for b in heads[ia:]:
             if br[a, b] != {(v, u): -c for (u, v), c in br[b, a].items()}:
                 return (a, b)
     return None
@@ -396,7 +400,7 @@ def symbol_match_smd(
     p = poisson_pgen(omega, (i, j, x), (k, l, y))
 
     def verdict(ctx: Enveloping) -> bool:
-        lhs = ctx.top_commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s)).homogeneous(deg)
+        lhs = ctx.top_commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s))
         return lhs == spoly_symbol_image(p, ctx).homogeneous(deg)
 
     return stable(omega, (n, n + 1), verdict, lambda by_n: "smd match differs across %r" % by_n)
@@ -418,11 +422,10 @@ def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> bool:
     differ raise ``StabilizationError`` through :func:`stable`.
     """
     x, y = tuple(x), tuple(y)
-    deg = len(x) + len(y) - 1
     classes = trace_bracket(omega, x, y)
 
     def verdict(ctx: Enveloping) -> bool:
-        lhs = ctx.top_commutator(trace_elem(ctx, x), trace_elem(ctx, y)).homogeneous(deg)
+        lhs = ctx.top_commutator(trace_elem(ctx, x), trace_elem(ctx, y))
         rhs: Dict = {}
         for w, c in classes.items():
             for a in range(1, ctx.n + 1):

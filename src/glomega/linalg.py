@@ -8,7 +8,7 @@ needs: incremental row reduction with dependency tracking
 (:class:`SpanSolver`), canonical reduced bases (:func:`rref`), kernels of
 sparse constraint systems (:func:`kernel_basis`), and intersections with
 coordinate subspaces.  Everything is deterministic: pivots are always the
-smallest key under the configured ordering.
+smallest key.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ class SpanSolver:
     appears.
     """
 
-    def __init__(self, key_order: Optional[Callable] = None):
+    def __init__(self):
         # pivot key -> (reduced vector with 1 at pivot, combination over column ids)
         self.rows: Dict[Hashable, Tuple[Vec, Vec]] = {}
-        self._order = key_order if key_order is not None else (lambda k: k)
         self._count = 0
 
     @property
@@ -72,7 +71,7 @@ class SpanSolver:
         residual, combo = self._reduce(vec)
         if not residual:
             return combo
-        pivot = min(residual, key=self._order)
+        pivot = min(residual)
         inv = Fraction(1) / residual[pivot]
         row = {k: v * inv for k, v in residual.items()}
         row_combo: Vec = {c: -v * inv for c, v in combo.items() if v}
@@ -105,29 +104,28 @@ def rank(vectors: Iterable[Vec]) -> int:
     return solver.rank
 
 
-def rref(vectors: Iterable[Vec], key_order: Optional[Callable] = None) -> List[Vec]:
+def rref(vectors: Iterable[Vec]) -> List[Vec]:
     """Canonical fully-reduced basis of the span, sorted by pivot key.
 
     Two spanning sets generate the same subspace iff their rref lists are
     equal.
     """
-    solver = SpanSolver(key_order=key_order)
+    solver = SpanSolver()
     for v in vectors:
         solver.add(v)
-    order = solver._order
-    return [dict(solver.rows[k][0]) for k in sorted(solver.rows, key=order)]
+    return [dict(solver.rows[k][0]) for k in sorted(solver.rows)]
 
 
 def coordinate_intersection(vectors: Iterable[Vec], inside: Callable) -> List[Vec]:
     """Basis of span(vectors) intersected with {v : support(v) in inside}.
 
-    Works by eliminating on the outside coordinates first; the reduced rows
-    supported entirely inside the coordinate subspace then span the
-    intersection.
+    Works by eliminating on the outside coordinates first: each key k is
+    re-keyed as (inside(k), k), so outside keys sort first and become the
+    pivots; the reduced rows supported entirely inside the coordinate
+    subspace then span the intersection.
     """
-    key_order = lambda k: (1 if inside(k) else 0, k)
-    rows = rref(vectors, key_order=key_order)
-    return [r for r in rows if all(inside(k) for k in r)]
+    rows = rref({(bool(inside(k)), k): c for k, c in v.items()} for v in vectors)
+    return [{k: c for (_in, k), c in r.items()} for r in rows if all(flag for flag, _k in r)]
 
 
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:

@@ -1,5 +1,6 @@
 """Current algebra over a table: products, gradings, isomorphism checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from glomega import (
     nonassoc_witness,
     null_algebra,
 )
+from glomega import current as cur
 from glomega.current import (
     bimodule_iso_check,
     check_current_antisym,
     check_current_jacobi,
     check_odot_assoc,
+    current_basis_keys,
     current_jacobi_sum,
     current_unit_check,
     degeneration_check,
@@ -36,6 +39,7 @@ from glomega.current import (
 )
 from glomega.enveloping import stable
 from glomega.omega import vec_add
+from glomega.suites import _random_table
 from glomega.words import words_up_to
 from glomega.yangian import t_gen
 
@@ -152,6 +156,66 @@ def test_current_bracket_axioms():
         assert check_current_antisym(spec, 2, 1) is None
         assert check_current_jacobi(spec, 2, 1) is None
     assert check_current_jacobi(direct_sum_C(1), 2, 2) is None
+
+
+def _reference_antisym(spec, d, maxgrade):
+    """The first failing pair of the plain loop over all ordered pairs."""
+    keys = current_basis_keys(spec, d, maxgrade)
+    for ka in keys:
+        for kb in keys:
+            ba = cur.gl_current_bracket(spec, {kb: 1}, {ka: 1})
+            if cur.gl_current_bracket(spec, {ka: 1}, {kb: 1}) != {k: -c for k, c in ba.items()}:
+                return (ka, kb)
+    return None
+
+
+def _reference_jacobi(spec, d, maxgrade):
+    """The first failing triple of the plain loop over all ordered triples."""
+    keys = current_basis_keys(spec, d, maxgrade)
+    for ka in keys:
+        for kb in keys:
+            for kc in keys:
+                if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}):
+                    return (ka, kb, kc)
+    return None
+
+
+# (d, grade cap) per table dimension, small enough for the full ordered loops
+_SCAN_SIZES = {1: ((1, 2), (2, 1)), 2: ((1, 1), (2, 0))}
+
+
+def test_current_jacobi_scan_agrees_with_the_ordered_loop():
+    # non-associative draws fail Jacobi, so the witnesses are compared as well as the verdicts
+    failing = 0
+    tables = [nonassoc_witness()] + [_random_table(dim, random.Random(seed)) for seed in range(40) for dim in (1, 2)]
+    for spec in tables:
+        for d, cap in _SCAN_SIZES[spec.dim]:
+            want = _reference_jacobi(spec, d, cap)
+            assert check_current_jacobi(spec, d, cap) == want, (spec.table, d, cap)
+            failing += want is not None
+    assert failing >= 20
+
+
+def test_current_antisym_scan_agrees_with_the_ordered_loop(monkeypatch):
+    # the bracket is antisymmetric by its formula, so planted faults make the pairs that fail
+    bracket = cur.gl_current_bracket
+    failing = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        spec = _random_table(rng.randint(1, 2), rng)
+        d, cap = _SCAN_SIZES[spec.dim][seed % 2]
+        keys = current_basis_keys(spec, d, cap)
+        bad = {(ka, kb) for ka in keys for kb in keys if rng.random() < 0.02}
+
+        def planted(spec, a, b):
+            out = bracket(spec, a, b)
+            return {**out, (9, 9, (0,)): 1} if (*a, *b) in bad and len(a) == len(b) == 1 else out
+
+        monkeypatch.setattr(cur, "gl_current_bracket", planted)
+        want = _reference_antisym(spec, d, cap)
+        assert check_current_antisym(spec, d, cap) == want, (seed, sorted(bad))
+        failing += want is not None
+    assert failing >= 10
 
 
 def test_graded_dim_formula():

@@ -118,6 +118,19 @@ def test_one_counterexample_search():
     assert [fn for fn, _line in found] == ["_search"], found
 
 
+def test_current_suite_draws_nothing_at_random():
+    # current.jacobi_sampled scans every triple, so no current record depends on the seed
+    tree = ast.parse((SRC / "suites.py").read_text())
+    (suite,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_suite_current"]
+    reads = [
+        "%d %s" % (node.lineno, name)
+        for node in ast.walk(suite)
+        for name in [getattr(node, "id", getattr(node, "attr", None))]
+        if name in ("random", "Random", "seed")
+    ]
+    assert reads == []
+
+
 def test_one_dependency_rule():
     # a dependency is confirmed through enveloping.stable, and yangian row-reduces
     # every span of monomial columns in one loop
@@ -217,7 +230,6 @@ _CALLED_ONLY_BY_TESTS = {
     "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
     "omega.save_algebra": "the README's file round-trip",
     "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
-    "current.check_current_jacobi": "waits on a suite record (ROADMAP item 6)",
     "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 6)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
     "linalg.coordinate_intersection": "ideal_intersection_check intersects the two ideals with it",

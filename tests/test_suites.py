@@ -457,11 +457,16 @@ def _false(out):
 
 _C_PROJECTION = dict(suite="projection", omega="C", n_max=3, max_len=2, s_values=(0, 1))
 _C_ANCHOR = dict(suite="projection", omega="C", n_max=2, max_len=2, s_values=(0,))
+# a grade-1 triple a < b < c of gl(2) currents over C^2, and [a, b]: a two-term
+# bracket, so no antisym call brackets it, and only the Jacobi sum of a, b, c does
+_JACOBI_TRIPLE = ((1, 2, (0, 1)), (2, 1, (1, 0)), (2, 2, (1, 0)))
+_JACOBI_INNER = {(1, 1, (0, 1, 0)): 1, (2, 2, (1, 0, 1)): -1}
 
 # (id, module or class, attribute, where the fault sits, what it does, config, the records of
 # the checks it reaches): each grid fault makes one grid predicate wrong at one case, and the
 # record names the first failing case of the grid, as the grid is scanned; the last four reach
-# the fail branches of the anchor, the planted dependency and the splitting probe
+# the fail branches of the anchor, the planted dependency and the splitting probe; the
+# current Jacobi fault gives the same record whatever the seed
 _FAULTS = [
     (
         "projection.theorem",
@@ -591,6 +596,17 @@ _FAULTS = [
             ("splitting.degree2", "omega=C d=0 N=[3, 4, 5]"): ("fail", "expected=5 dims={3: 4, 4: 4, 5: 4}"),
         },
     ),
+    *[
+        (
+            "current.jacobi seed=%d" % seed,
+            "cur", "gl_current_bracket",
+            lambda spec, a, b: (a, b) == (_JACOBI_INNER, {_JACOBI_TRIPLE[2]: 1}),
+            lambda out: {k: 2 * c for k, c in out.items()},
+            dict(suite="current", omega="C^2", seed=seed),
+            {("current.jacobi_sampled", "omega=C^2 d=2"): ("fail", repr(_JACOBI_TRIPLE))},
+        )
+        for seed in (20240, 1)
+    ],
 ]
 
 
