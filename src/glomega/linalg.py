@@ -3,12 +3,14 @@
 Vectors are dicts mapping hashable, mutually comparable keys to nonzero exact
 scalars, ``int`` or ``fractions.Fraction`` mixed freely (see
 :mod:`glomega.omega`).  Pivots are inverted through ``Fraction``, never with
-``/`` between two ints, so every result stays exact.  This is all the package
-needs: incremental row reduction with dependency tracking
-(:class:`SpanSolver`), canonical reduced bases (:func:`rref`), kernels of
-sparse constraint systems (:func:`kernel_basis`), and intersections with
-coordinate subspaces.  Everything is deterministic: pivots are always the
-smallest key.
+``/`` between two ints, so every result stays exact; ``as_scalar`` turns the
+inverse of a +-1 pivot back into an ``int``, so integral columns keep
+integral rows and combinations, and their elimination is ``int`` arithmetic.
+This is all the package needs: incremental row reduction with dependency
+tracking (:class:`SpanSolver`), canonical reduced bases (:func:`rref`),
+kernels of sparse constraint systems (:func:`kernel_basis`), and
+intersections with coordinate subspaces.  Everything is deterministic:
+pivots are always the smallest key.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .omega import Scalar, vec_add
+from .omega import Scalar, StructureError, as_scalar, vec_add
 
 Vec = Dict[Hashable, Scalar]
 
@@ -28,13 +30,15 @@ class SpanSolver:
     Columns are added one at a time; the solver keeps a row-reduced basis of
     their span.  ``solve(rhs)`` expresses rhs in the added columns when
     possible, and ``add`` reports an exact linear dependency the moment one
-    appears.
+    appears.  Each column has its own id, given or by default the number of
+    columns added before it; an id used twice raises ``StructureError``, as
+    the two columns would merge into one in every combination.
     """
 
     def __init__(self):
         # pivot key -> (reduced vector with 1 at pivot, combination over column ids)
         self.rows: Dict[Hashable, Tuple[Vec, Vec]] = {}
-        self._count = 0
+        self._ids: set = set()
 
     @property
     def rank(self) -> int:
@@ -66,13 +70,15 @@ class SpanSolver:
         independent and has been incorporated.
         """
         if col_id is None:
-            col_id = self._count
-        self._count += 1
+            col_id = len(self._ids)
+        if col_id in self._ids:
+            raise StructureError("column id %r is already used" % (col_id,))
+        self._ids.add(col_id)
         residual, combo = self._reduce(vec)
         if not residual:
             return combo
         pivot = min(residual)
-        inv = Fraction(1) / residual[pivot]
+        inv = as_scalar(Fraction(1) / residual[pivot])
         row = {k: v * inv for k, v in residual.items()}
         row_combo: Vec = {c: -v * inv for c, v in combo.items() if v}
         row_combo[col_id] = inv

@@ -24,8 +24,9 @@ Values that live inside one computation are plain ``{key: scalar}`` dicts
 with no zero coefficient: a table element is ``{k: c}`` over basis indices
 and is multiplied by :func:`multiply`, and words, double brackets,
 coagulations, current-algebra elements, gl(d) currents, symbol and necklace
-polynomials are dicts too.  The unit that :func:`detect_unit` returns is kept
-in ``spec.facts`` and shared by every caller, so it must not be mutated.
+polynomials are dicts too.  The unit that :func:`detect_unit` returns and the
+coagulations of basis words (``words.coagulate_word``) are kept in
+``spec.facts`` and shared by every caller, so they must not be mutated.
 Two tables with equal content are still two tables, each holding its own
 enveloping contexts and computed facts (see :class:`AlgebraSpec`).
 All accumulation goes through :func:`vec_add` (a whole dict) and
@@ -111,7 +112,9 @@ class AlgebraSpec:
     from it, for exactly its own lifetime: ``contexts`` (size n -> enveloping
     context, filled by ``Enveloping.get``) and ``facts`` (the associator
     witness and the unit, kept by :func:`check_associativity` and
-    :func:`detect_unit`).
+    :func:`detect_unit`, and the memo of ``words.coagulate_word``).  The
+    dicts kept in ``facts`` are shared by every caller and must not be
+    mutated.
     """
 
     __slots__ = ("dim", "basis", "table", "name", "contexts", "facts")

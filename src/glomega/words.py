@@ -11,7 +11,8 @@ lexicographically, e.g. for m = 3:
 
 Coagulation contracts a word along a composition by multiplying each block
 inside the coefficient algebra; blocks of length >= 3 associate to the left
-(immaterial for the associative algebras fed to the enveloping layer).
+(immaterial for the associative algebras fed to the enveloping layer).  The
+coagulations of basis words are kept per table, in ``spec.facts``.
 """
 
 from __future__ import annotations
@@ -81,17 +82,25 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
     """Coagulate a basis word, expanding block products through the table.
 
     Returns ``{word: coefficient}`` over words of length len(nu), with no
-    zero coefficients; it is ``{}`` when some block multiplies to zero.
+    zero coefficients; it is ``{}`` when some block multiplies to zero.  Each
+    (word, nu) is computed once per table: the result is kept in the table's
+    ``spec.facts`` and shared by every caller, so callers must not mutate it.
     """
+    memo = spec.facts.setdefault("coagulations", {})
+    key = (tuple(word), tuple(nu))
+    if key in memo:
+        return memo[key]
     out: Dict[Word, Scalar] = {(): 1}
     for block in coagulate(spec, [{i: 1} for i in word], nu):
         if not block:
-            return {}
+            out = {}
+            break
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
             for k, ck in block.items():
                 _acc(nxt, w + (k,), c * ck)
         out = nxt
+    memo[key] = out
     return out
 
 

@@ -20,7 +20,7 @@ from glomega.linalg import (
     rref,
     vec_add,
 )
-from glomega.omega import AlgebraSpec, direct_sum_C
+from glomega.omega import AlgebraSpec, StructureError, direct_sum_C
 
 
 def _combine(cols, combo):
@@ -132,6 +132,63 @@ def test_primitive_is_exact_on_large_ints():
     assert all(type(v) is Fraction for v in got.values())
 
 
+def _solver_values(solver):
+    return [c for row, combo in solver.rows.values() for c in (*row.values(), *combo.values())]
+
+
+def test_unit_pivots_keep_integer_columns_integral():
+    # every pivot is +-1, so no row, combination or solution leaves int; each
+    # new pivot is eliminated from the rows before it
+    cols = [{0: 1, 1: 2, 2: -3}, {1: -1, 2: 4, 3: 2}, {2: 1, 3: -5}, {3: -1}]
+    solver = SpanSolver()
+    for ci, v in enumerate(cols):
+        assert solver.add(dict(v), ci) is None
+    assert solver.rank == 4
+    values = _solver_values(solver)
+    assert values and all(type(v) is int for v in values)
+    assert any(v not in (0, 1, -1) for v in values)
+    combo = solver.add(_combine(cols, {0: 3, 1: -2, 3: 4}), 4)
+    assert combo == {0: 3, 1: -2, 3: 4} and all(type(v) is int for v in combo.values())
+    rhs = _combine(cols, {0: 1, 1: 2, 2: -1, 3: 7})
+    sol = solver.solve(rhs)
+    assert sol == {0: 1, 1: 2, 2: -1, 3: 7} and all(type(v) is int for v in sol.values())
+    assert all(type(v) is int for r in rref(cols) for v in r.values())
+
+
+def test_pivot_of_two_gives_exact_halves():
+    solver = SpanSolver()
+    assert solver.add({0: 2, 1: 1}, "a") is None
+    assert solver.rows[0] == ({0: 1, 1: Fraction(1, 2)}, {"a": Fraction(1, 2)})
+    assert type(solver.rows[0][0][1]) is Fraction
+    assert solver.add({1: -2}, "b") is None
+    assert solver.rows == {
+        0: ({0: 1}, {"a": Fraction(1, 2), "b": Fraction(1, 4)}),
+        1: ({1: 1}, {"b": Fraction(-1, 2)}),
+    }
+    assert solver.solve({0: 1, 1: 1}) == {"a": Fraction(1, 2), "b": Fraction(-1, 4)}
+
+
+def test_repeated_column_id_raises():
+    # two columns under one id would merge: {0: 1, 1: 1} would solve as {'a': 2}
+    solver = SpanSolver()
+    solver.add({0: 1}, "a")
+    with pytest.raises(StructureError, match="already used"):
+        solver.add({1: 1}, "a")
+    # a default id is the number of columns added before it, and may meet an explicit one
+    solver = SpanSolver()
+    solver.add({0: 1}, 1)
+    with pytest.raises(StructureError, match="already used"):
+        solver.add({1: 1})
+    # a dependent column's id is used too
+    solver = SpanSolver()
+    solver.add({0: 1}, "a")
+    assert solver.add({0: 2}, "b") == {"a": 2}
+    with pytest.raises(StructureError):
+        solver.add({1: 1}, "b")
+    assert solver.add({1: 1}, "c") is None
+    assert solver.solve({0: 1, 1: 1}) == {"a": 1, "c": 1}
+
+
 def _sparse_system(rng, nkeys):
     # a drawn zero is kept as an explicit entry, as public input may hold one
     vecs = []
@@ -140,6 +197,18 @@ def _sparse_system(rng, nkeys):
         for k in range(nkeys):
             if rng.random() < 0.4:
                 v[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        vecs.append(v)
+    return vecs
+
+
+def _int_system(rng, nkeys):
+    # plain ints: pivots of +-1 keep a row integral, pivots of +-2 make it a Fraction row
+    vecs = []
+    for _ in range(rng.randint(1, 8)):
+        v = {}
+        for k in range(nkeys):
+            if rng.random() < 0.4:
+                v[k] = rng.choice((-2, -1, 0, 1, 2, 3))
         vecs.append(v)
     return vecs
 
@@ -157,31 +226,37 @@ def test_span_solver_agrees_with_sympy_domain_matrix():
         rows = [[QQ(v.get(k, 0).numerator, v.get(k, 0).denominator) for k in keys] for v in vecs]
         return matrices.DomainMatrix(rows, (len(rows), len(keys)), QQ)
 
-    rng = random.Random(20240)
+    # Fraction draws, and plain int draws from their own generator, so that
+    # int rows and Fraction rows mix in one solver
+    rng, ints = random.Random(20240), random.Random(20241)
+    mixed = 0
     for _ in range(150):
         nkeys = rng.randint(1, 7)
-        vecs = _sparse_system(rng, nkeys)
-        keys = list(range(nkeys))
-        assert rank(vecs) == dm(vecs, keys).rank()
-        # pivots in key order, and in reversed order through the keys k -> -k
-        for sign, cols in ((1, keys), (-1, keys[::-1])):
-            reduced, _pivots = dm(vecs, cols).rref()
-            want = [
-                {sign * k: Fraction(int(x.numerator), int(x.denominator)) for k, x in zip(cols, row) if x}
-                for row in reduced.to_list()
-            ]
-            assert rref([{sign * k: c for k, c in v.items()} for v in vecs]) == [r for r in want if r]
-        solver = SpanSolver()
-        for ci, v in enumerate(vecs):
-            dep = solver.add(dict(v), ci)
-            if dep is not None:
-                assert _combine(vecs, dep) == _nonzero(v)
-        for rhs in (_sparse_system(rng, nkeys)[0], _combine(vecs, {0: Fraction(3, 2), len(vecs) - 1: -1})):
-            sol = solver.solve(dict(rhs))
-            solvable = dm(vecs + [rhs], keys).rank() == dm(vecs, keys).rank()
-            assert (sol is not None) == solvable
-            if sol is not None:
-                assert _combine(vecs, sol) == _nonzero(rhs)
+        for draws, draw in ((rng, _sparse_system), (ints, _int_system)):
+            vecs = draw(draws, nkeys)
+            keys = list(range(nkeys))
+            assert rank(vecs) == dm(vecs, keys).rank()
+            # pivots in key order, and in reversed order through the keys k -> -k
+            for sign, cols in ((1, keys), (-1, keys[::-1])):
+                reduced, _pivots = dm(vecs, cols).rref()
+                want = [
+                    {sign * k: Fraction(int(x.numerator), int(x.denominator)) for k, x in zip(cols, row) if x}
+                    for row in reduced.to_list()
+                ]
+                assert rref([{sign * k: c for k, c in v.items()} for v in vecs]) == [r for r in want if r]
+            solver = SpanSolver()
+            for ci, v in enumerate(vecs):
+                dep = solver.add(dict(v), ci)
+                if dep is not None:
+                    assert _combine(vecs, dep) == _nonzero(v)
+            mixed += set(map(type, _solver_values(solver))) == {int, Fraction}
+            for rhs in (draw(draws, nkeys)[0], _combine(vecs, {0: Fraction(3, 2), len(vecs) - 1: -1})):
+                sol = solver.solve(dict(rhs))
+                solvable = dm(vecs + [rhs], keys).rank() == dm(vecs, keys).rank()
+                assert (sol is not None) == solvable
+                if sol is not None:
+                    assert _combine(vecs, sol) == _nonzero(rhs)
+    assert mixed >= 20
 
 
 # explicit zeros in public input; at a fault these loop forever or divide by zero

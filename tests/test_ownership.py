@@ -1,4 +1,8 @@
-"""A table owns what is derived from it: its enveloping contexts and its facts."""
+"""A table owns what is derived from it: its enveloping contexts and its facts.
+
+Its facts are the associator witness, the unit and the memo of coagulated
+words.
+"""
 
 import ast
 import gc
@@ -17,9 +21,10 @@ from glomega import (
     matrix_algebra,
     save_algebra,
 )
-from glomega import cli, omega, suites
+from glomega import cli, omega, suites, words
 from glomega.current import current_unit_check
 from glomega.suites import SuiteConfig, run_suite
+from glomega.words import coagulate_word
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
 
@@ -84,6 +89,54 @@ def test_table_facts_are_computed_once_per_table_object(monkeypatch):
     # an equal table is a different owner with facts of its own
     assert detect_unit(twin) is not detect_unit(spec)
     assert calls == ["assoc", "unit", "unit"]
+
+
+def test_coagulations_are_computed_once_per_table_object(monkeypatch):
+    calls = []
+    coagulate = words.coagulate
+    monkeypatch.setattr(words, "coagulate", lambda spec, factors, nu: calls.append(nu) or coagulate(spec, factors, nu))
+    spec, twin = direct_sum_C(2), direct_sum_C(2)
+    first = coagulate_word(spec, (0, 0, 1), (2, 1))
+    for _ in range(3):
+        assert coagulate_word(spec, (0, 0, 1), (2, 1)) is first
+        assert coagulate_word(spec, (0, 1), (2,)) == {}
+    assert first == {(0, 1): 1}
+    assert calls == [(2, 1), (2,)]
+    # an equal table is a different owner with a memo of its own
+    again = coagulate_word(twin, (0, 0, 1), (2, 1))
+    assert again == first and again is not first
+    assert calls == [(2, 1), (2,), (2, 1)]
+
+
+def test_shared_coagulations_are_left_as_they_were(monkeypatch):
+    # every coagulation a projection run kept equals a fresh one on a twin table
+    tables = []
+    resolve = suites.resolve_omega
+    monkeypatch.setattr(suites, "resolve_omega", lambda token: tables.append((token, resolve(token))) or tables[-1][1])
+    assert run_suite(SuiteConfig("projection")).exit_code() == 0
+    kept = 0
+    for token, spec in tables:
+        twin = resolve(token)
+        for (word, nu), out in spec.facts.get("coagulations", {}).items():
+            assert out == coagulate_word(twin, word, nu), (token, word, nu)
+            kept += 1
+    assert kept >= 100
+
+
+def test_coagulation_memo_belongs_to_its_table_and_dies_with_it():
+    spec = matrix_algebra(2)
+    out = coagulate_word(spec, (1, 2), (2,))
+    assert out == {(0,): 1}
+    memo = spec.facts["coagulations"]
+    # the memo and what it holds are reached only through the table ...
+    assert gc.get_referrers(out) == [memo]
+    assert gc.get_referrers(memo) == [spec.facts]
+    assert gc.get_referrers(spec.facts) == [spec]
+    # ... and nothing keeps the table alive: its context dies with it
+    ref = weakref.ref(Enveloping.get(spec, 2))
+    del spec, memo, out
+    gc.collect()
+    assert ref() is None
 
 
 def test_shared_unit_is_left_as_it_was(tmp_path, monkeypatch, capsys):
