@@ -12,7 +12,13 @@ the right end of every sorted monomial, which is what makes deleting
 index-N monomials implement the projection U(gl(N))^{E_NN} ->
 U(gl(N-1)): an E_NN-invariant monomial touching index N always ends in an
 E(*, N) factor, hence lies in the two-sided piece L(N) that the projection
-kills.
+kills.  A context keys all n^2 dim generators once, when it is built, and
+lists them in key order in ``gens``.  :meth:`Enveloping.sort_key` looks a
+key up, and it alone raises :class:`StructureError` for a generator out of
+range.  :meth:`Enveloping.normal_form` calls it on each generator of a word
+it has not met before, and every element, e_ij(w; N) and t_ij(w; N; s)
+among them, is built through that call; :meth:`Enveloping.e_top` sorts its
+words by the key.
 
 A normal form rewrites the leftmost out-of-order adjacent pair g h as
 h g + [g, h].  The swaps of one word form a chain of words of the same
@@ -48,7 +54,7 @@ import itertools
 from functools import reduce
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank, rref
+from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank
 from .omega import (
     AlgebraSpec,
     Scalar,
@@ -108,9 +114,17 @@ class Enveloping:
             )
         self.omega = omega
         self.n = n
+        # the PBW order, fixed here for every generator: the keys, and the
+        # generators sorted by them
+        self._keys: Dict[Gen, Tuple[int, int, int, int]] = {
+            (i, j, b): (2 if j == n else (1 if i == n else 0), i, j, b)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for b in range(omega.dim)
+        }
+        self.gens: List[Gen] = sorted(self._keys, key=self._keys.__getitem__)
         self._nf: Dict[Mono, Dict[Mono, Scalar]] = {}
         self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Scalar], ...]] = {}
-        self._keys: Dict[Gen, Tuple[int, int, int, int]] = {}
         self._e: Dict = {}
         self._t: Dict = {}
         # ordered t-monomials evaluated by yangian.evaluate, by (monomial, s)
@@ -119,7 +133,6 @@ class Enveloping:
         # e-symbols carry no s, so every s shares them, and the t-monomials
         # the expansion subtracts are evaluated into _y_eval_cache
         self._symbol_solvers: Dict = {}
-        self._gens: Optional[List[Gen]] = None
 
     @classmethod
     def get(cls, omega: AlgebraSpec, n: int) -> "Enveloping":
@@ -136,28 +149,11 @@ class Enveloping:
     # -- generator order ----------------------------------------------------
 
     def sort_key(self, g: Gen) -> Tuple[int, int, int, int]:
-        key = self._keys.get(g)
-        if key is None:
-            i, j, b = g
-            if not (1 <= i <= self.n and 1 <= j <= self.n and 0 <= b < self.omega.dim):
-                raise StructureError("generator %r out of range for n=%d" % (g, self.n))
-            cls = 2 if j == self.n else (1 if i == self.n else 0)
-            key = (cls, i, j, b)
-            self._keys[g] = key
-        return key
-
-    def gens(self) -> List[Gen]:
-        if self._gens is None:
-            self._gens = sorted(
-                (
-                    (i, j, b)
-                    for i in range(1, self.n + 1)
-                    for j in range(1, self.n + 1)
-                    for b in range(self.omega.dim)
-                ),
-                key=self.sort_key,
-            )
-        return self._gens
+        """The key of a generator; one that is not a generator of this context raises."""
+        try:
+            return self._keys[g]
+        except KeyError:
+            raise StructureError("generator %r out of range for n=%d" % (g, self.n)) from None
 
     def commutator_terms(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Scalar], ...]:
         """[E_g, E_h] as a tuple of (generator, coefficient) pairs."""
@@ -189,13 +185,20 @@ class Enveloping:
         back adds each bracket correction, the normal form of a word one
         generator shorter, and memoizes every word on the chain.  Only those
         shorter words recurse, so the recursion depth is at most len(seq).
+
+        This is where the generators of a word are checked, once, on a memo
+        miss: a memoized word was checked when it was first met, the chain
+        words are permutations of a checked word, and the bracket words are
+        built from checked generators.
         """
         seq = tuple(seq)
         memo = self._nf
         res = memo.get(seq)
         if res is not None:
             return res
-        key = self.sort_key
+        for g in seq:
+            self.sort_key(g)
+        key = self._keys.__getitem__
         chain: List[Tuple[Mono, int]] = []
         cur = seq
         start = 0
@@ -302,7 +305,6 @@ class Enveloping:
         """
         u._compat(self)
         v._compat(self)
-        self.gens()  # caches the key of every generator, so the sorts below never miss
         key = self._keys.__getitem__
         du, dv = _partials(u), _partials(v)
         by_row: Dict[int, List[Gen]] = {}
@@ -361,37 +363,33 @@ class Enveloping:
 
     # -- special elements ---------------------------------------------------
 
+    def _chain_words(self, i: int, j: int, word: Word) -> Iterator[Mono]:
+        """The words E_{i a_1}(x_1) E_{a_1 a_2}(x_2) ... E_{a_{m-1} j}(x_m), one per index chain a."""
+        if not word:
+            raise StructureError("e_ij(w; N) needs a nonempty word")
+        for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
+            idx = (i,) + chain + (j,)
+            yield tuple((idx[r], idx[r + 1], b) for r, b in enumerate(word))
+
     def e_elem(self, i: int, j: int, word: Word) -> "UElement":
-        """Sum over index chains of E_{i a_1}(x_1) ... E_{a_{m-1} j}(x_m)."""
+        """e_ij(word; N), the sum of the chain words, each in normal form."""
         word = tuple(word)
         key = (i, j, word)
         cached = self._e.get(key)
         if cached is not None:
             return cached
-        m = len(word)
-        if m < 1:
-            raise StructureError("e_elem needs a nonempty word")
-        for b in word:  # normal_form never sorts a one-letter word, so it would not validate it
-            self.sort_key((i, j, b))
         acc: Dict[Mono, Scalar] = {}
-        for chain in itertools.product(range(1, self.n + 1), repeat=m - 1):
-            idx = (i,) + chain + (j,)
-            vec_add(acc, self.normal_form(tuple((idx[r], idx[r + 1], word[r]) for r in range(m))))
+        for w in self._chain_words(i, j, word):
+            vec_add(acc, self.normal_form(w))
         el = UElement._trusted(self, acc)
         self._e[key] = el
         return el
 
     def e_top(self, i: int, j: int, word: Word) -> Dict[Mono, Scalar]:
-        """sigma(e_ij(word; N)), the degree len(word) part: each chain's word, sorted, with coefficient 1."""
-        word = tuple(word)
-        if not word:
-            raise StructureError("e_top needs a nonempty word")
+        """sigma(e_ij(word; N)), the degree len(word) part: each chain word, sorted, with coefficient 1."""
         out: Dict[Mono, Scalar] = {}
-        for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
-            idx = (i,) + chain + (j,)
-            # sorted calls sort_key on every generator, one-letter words too, so each is checked
-            mono = tuple(sorted(((idx[r], idx[r + 1], b) for r, b in enumerate(word)), key=self.sort_key))
-            _acc(out, mono, _ONE)
+        for w in self._chain_words(i, j, tuple(word)):
+            _acc(out, tuple(sorted(w, key=self.sort_key)), _ONE)
         return out
 
     def e_symbol(self, mono: Sequence[Label]) -> "UElement":
@@ -472,7 +470,7 @@ class Enveloping:
 
     def monomials(self, maxdeg: int) -> Iterator[Mono]:
         """All PBW monomials of degree <= maxdeg, degree by degree."""
-        pool = self.gens()
+        pool = self.gens
         for deg in range(maxdeg + 1):
             for mono in itertools.combinations_with_replacement(pool, deg):
                 yield mono
@@ -531,25 +529,11 @@ class Enveloping:
         right_gens = [(i, n, b) for i in range(1, n + 1) for b in range(self.omega.dim)]
         left_gens = [(n, j, b) for j in range(1, n + 1) for b in range(self.omega.dim)]
         lower = list(self.monomials(maxdeg - 1))
-
-        def span_plus() -> List[Dict]:
-            vecs = []
-            for mono in lower:
-                for g in right_gens:
-                    vecs.append(self.normal_form(mono + (g,)))
-            return vecs
-
-        def span_minus() -> List[Dict]:
-            vecs = []
-            for mono in lower:
-                for g in left_gens:
-                    vecs.append(self.normal_form((g,) + mono))
-            return vecs
-
         inside = lambda mono: self.mono_weight(mono) == 0
-        plus = coordinate_intersection(span_plus(), inside)
-        minus = coordinate_intersection(span_minus(), inside)
-        equal = rref(plus) == rref(minus)
+        # both are reduced bases, so the two spans agree exactly when the lists do
+        plus = coordinate_intersection((self.normal_form(mono + (g,)) for mono in lower for g in right_gens), inside)
+        minus = coordinate_intersection((self.normal_form((g,) + mono) for mono in lower for g in left_gens), inside)
+        equal = plus == minus
 
         # direct sum with the index-N free monomials inside the invariants
         wz = self._torus_zero_monomials(n - 1, maxdeg)  # E_NN-invariant monomials
@@ -566,7 +550,7 @@ class Enveloping:
         membership = SpanSolver()
         for row in plus:
             membership.add(row)
-        wz_gens = [g for g in self.gens() if self.mono_weight((g,)) == 0]
+        wz_gens = [g for g in self.gens if self.mono_weight((g,)) == 0]
         two_sided = True
         small = [UElement(self, r) for r in plus if all(len(m) < maxdeg for m in r)]
         for v in small:
@@ -610,9 +594,6 @@ class UElement:
         self.owner = owner
         out: Dict[Mono, Scalar] = {}
         for mono, c in terms.items():
-            mono = tuple(mono)
-            for g in mono:  # normal_form never sorts a one-letter word, so it would not validate it
-                owner.sort_key(g)
             vec_add(out, owner.normal_form(mono), as_scalar(c))
         self.terms = out
 

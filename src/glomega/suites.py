@@ -287,23 +287,24 @@ def _suite_projection(cfg: SuiteConfig, specs: Tables) -> Checks:
         yield from _budget("projection.theorem", token, spec, cap, cfg)
         for n in range(max(cfg.n_min, 2), cfg.n_max + 1):
             dd = min(cfg.d, n - 1)
-            ctx = Enveloping.get(spec, n)
-            low = Enveloping.get(spec, n - 1)
-
             cells = list(itertools.product(range(1, dd + 1), range(1, dd + 1), words_up_to(spec, cap)))
             for s in cfg.s_values:
                 yield "projection.theorem", "omega=%s N=%d s=%s" % (token, n, s), lambda: _search(
-                    cells,
-                    lambda i, j, w: ctx.project_down(ctx.t_elem(i, j, w, s)) == low.t_elem(i, j, w, s),
-                    "i=%d j=%d w=%r",
+                    cells, _projection_commutes(spec, n, s), "i=%d j=%d w=%r"
                 )
             for s_a, s_b in _s_pairs(cfg.s_values):
                 yield "projection.reparametrize", "omega=%s N=%d s=%s s2=%s" % (token, n, s_a, s_b), lambda: _search(
-                    cells, lambda i, j, w: ctx.reparametrize_check(i, j, w, s_a, s_b), "i=%d j=%d w=%r"
+                    cells, lambda i, j, w: Enveloping.get(spec, n).reparametrize_check(i, j, w, s_a, s_b), "i=%d j=%d w=%r"
                 )
         if spec.dim == 1 and cfg.n_max >= 2 and cap >= 2:
             for s in cfg.s_values:
                 yield "projection.anchor", "omega=%s s=%s" % (token, s), lambda: _anchor_check(spec, s)
+
+
+def _projection_commutes(spec: AlgebraSpec, n: int, s: Fraction) -> Callable[..., bool]:
+    """The projection theorem at one cell: pi(t_ij(w; n; s)) == t_ij(w; n - 1; s)."""
+    ctx, low = Enveloping.get(spec, n), Enveloping.get(spec, n - 1)
+    return lambda i, j, w: ctx.project_down(ctx.t_elem(i, j, w, s)) == low.t_elem(i, j, w, s)
 
 
 def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:

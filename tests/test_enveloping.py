@@ -60,7 +60,7 @@ def test_normal_form_confluence(seed, length, spec):
     # deterministic leftmost strategy; Mat(2) brings noncommuting letters
     rng = random.Random(seed)
     ctx = Enveloping.get(spec, 3)
-    gens = ctx.gens()
+    gens = ctx.gens
     seq = tuple(rng.choice(gens) for _ in range(length))
     assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)
 
@@ -70,7 +70,7 @@ def test_normal_form_confluence(seed, length, spec):
 def test_normal_form_matches_random_rewriting_at_n2(seed, length, spec):
     rng = random.Random(seed)
     ctx = Enveloping.get(spec, 2)
-    seq = tuple(rng.choice(ctx.gens()) for _ in range(length))
+    seq = tuple(rng.choice(ctx.gens) for _ in range(length))
     assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)
 
 
@@ -86,7 +86,7 @@ _COMM_SPECS = (C1, C2, null_algebra(2), matrix_algebra(2))
 
 
 def _random_element(ctx, rng):
-    gens = ctx.gens()
+    gens = ctx.gens
     terms = {}
     for _ in range(rng.randint(0, 3)):
         mono = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
@@ -207,7 +207,7 @@ def test_e_elem_chain_sum():
 
 
 def test_special_elements_reject_out_of_range_input():
-    # a one-letter word is never sorted, so its letter is checked on its own
+    # one-letter words too: normal_form checks a word it has not met before, sorted or not
     for spec in (C1, C2):
         ctx = Enveloping.get(spec, 2)
         for i, j, word in (
@@ -221,6 +221,53 @@ def test_special_elements_reject_out_of_range_input():
             if i >= 1:  # t_gen itself rejects index 0
                 with pytest.raises(StructureError):
                     evaluate((t_gen(i, j, word),), ctx, 0)
+
+
+@pytest.mark.parametrize("spec", (C1, C2), ids=lambda spec: spec.name)
+def test_one_range_check_memoizes_nothing(spec):
+    # an out-of-range generator at each position of words of length 1-3, in
+    # key order and out of it, raises before any word is memoized
+    ctx = Enveloping(spec, 2)
+    ctx.e_elem(1, 2, (0, 0))  # a memo with words in it
+    n, dim = ctx.n, spec.dim
+    bad_gens = ((0, 1, 0), (n + 1, 1, 0), (1, 0, 0), (1, n + 1, 0), (1, 1, dim), (1, 1, -1))
+    fillers = (tuple(ctx.gens[:3]), tuple(reversed(ctx.gens[-3:])))
+    before = len(ctx._nf)
+
+    def raises(call, *args):
+        with pytest.raises(StructureError):
+            call(*args)
+        assert len(ctx._nf) == before, (call, args)
+
+    for length in (1, 2, 3):
+        for filler in fillers:
+            for pos in range(length):
+                for bad in bad_gens:
+                    word = filler[:pos] + (bad,) + filler[pos + 1 : length]
+                    raises(ctx.normal_form, word)
+                    raises(UElement, ctx, {word: 1})
+    # e_ij(w; N): i, j and each letter of w out of range in turn, and the empty word
+    cases = [(1, 1, ())]
+    for length in (1, 2, 3):
+        cases += [(i, j, (0,) * length) for i, j in ((0, 1), (n + 1, 1), (1, 0), (1, n + 1))]
+        cases += [(1, 2, (0,) * pos + (b,) + (0,) * (length - pos - 1)) for pos in range(length) for b in (dim, -1)]
+    for i, j, word in cases:
+        raises(ctx.e_elem, i, j, word)
+        raises(ctx.e_top, i, j, word)
+        for s in (0, -n):
+            raises(ctx.t_elem, i, j, word, s)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("spec", _COMM_SPECS, ids=lambda spec: spec.name)
+def test_gens_are_every_generator_in_key_order(spec, n):
+    # monomials builds sorted monomials as multisets of gens, so gens must be in key order
+    ctx = Enveloping(spec, n)
+    every = {(i, j, b) for i in range(1, n + 1) for j in range(1, n + 1) for b in range(spec.dim)}
+    assert len(ctx.gens) == n * n * spec.dim == len(every) and set(ctx.gens) == every
+    assert ctx.gens == sorted(ctx.gens, key=ctx.sort_key)
+    for mono in ctx.monomials(2):
+        assert ctx.normal_form(mono) == {mono: 1}
 
 
 def test_t_elem_reduces_to_e_elem_at_minus_n():

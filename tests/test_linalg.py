@@ -119,6 +119,30 @@ def test_coordinate_intersection():
     assert coordinate_intersection(vecs, inside) == [{1: Fraction(1)}, {2: Fraction(1)}]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_coordinate_intersection_is_a_reduced_basis(seed):
+    # ideal_intersection_check compares two intersections as lists, so each
+    # must be the canonical basis of its span, whatever spanning set it came from
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    vecs = [
+        {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in range(n) if rng.random() < 0.6}
+        for _ in range(rng.randint(1, 6))
+    ]
+    outside = set(rng.sample(range(n), rng.randint(0, n - 1)))
+    inside = lambda k: k not in outside
+    got = coordinate_intersection(vecs, inside)
+    assert got == rref(got)
+    solver = SpanSolver()
+    for v in vecs:
+        solver.add(v)
+    assert all(inside(k) for row in got for k in row)
+    assert all(solver.contains(row) for row in got)
+    shuffled = [{k: 3 * c for k, c in v.items()} for v in rng.sample(vecs, len(vecs))]
+    assert coordinate_intersection(shuffled + vecs[:1], inside) == got
+
+
 def test_primitive_normalization():
     v = {0: Fraction(-2, 3), 1: Fraction(4, 3)}
     assert primitive(v) == {0: Fraction(1), 1: Fraction(-2)}

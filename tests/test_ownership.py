@@ -34,14 +34,24 @@ ALL_FINGERPRINT = "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1
 @pytest.fixture(scope="module")
 def all_run():
     """One default ``all`` run, counting contexts built and table facts computed."""
-    seen = {"contexts": [], "alive": [], "associators": 0, "units": 0}
-    init = Enveloping.__init__
+    seen = {"contexts": [], "alive": [], "outside_records": [], "associators": 0, "units": 0}
+    init, run = Enveloping.__init__, suites._run
     first_associator, solve_unit = omega._first_associator, omega._solve_unit
+    current = []  # the record being run, if any
 
     def counted_init(self, spec, n):
         seen["contexts"].append((spec.name, n))  # the name only: no reference to the table
         seen["alive"].append(weakref.ref(self))
+        if not current:
+            seen["outside_records"].append((spec.name, n))
         init(self, spec, n)
+
+    def recorded_run(name, config, thunk):
+        current.append(name)
+        try:
+            return run(name, config, thunk)
+        finally:
+            current.pop()
 
     def counted_associator(spec):
         seen["associators"] += 1
@@ -53,6 +63,7 @@ def all_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Enveloping, "__init__", counted_init)
+        mp.setattr(suites, "_run", recorded_run)
         mp.setattr(omega, "_first_associator", counted_associator)
         mp.setattr(omega, "_solve_unit", counted_unit)
         seen["fingerprint"] = run_suite(SuiteConfig("all")).fingerprint()
@@ -63,6 +74,11 @@ def all_run():
 def test_all_run_builds_one_context_per_table_and_size(all_run):
     assert all_run["fingerprint"] == ALL_FINGERPRINT
     assert len(all_run["contexts"]) == len(set(all_run["contexts"])) == 23
+
+
+def test_all_run_builds_every_context_inside_a_record(all_run):
+    # a context's cost, its key table included, lands in the time of the record that needs it
+    assert all_run["outside_records"] == []
 
 
 def test_all_run_computes_each_table_fact_once(all_run):

@@ -87,14 +87,54 @@ def test_one_stabilization_rule():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         defs = list(_definitions(path, tree))
-        for exc, line in _raised_names(tree):
-            if exc == "StabilizationError":
-                # the innermost function around the raise, or the line at module level
-                owners = [(first, qualified) for qualified, _name, first, last in defs if first <= line <= last]
-                raisers.append(max(owners)[1] if owners else "%s:%d" % (path.name, line))
+        raisers += [_owner(path, defs, line) for exc, line in _raised_names(tree) if exc == "StabilizationError"]
     assert raisers == ["enveloping.stable"]
     omega = ast.parse((SRC / "omega.py").read_text())
     assert "stable" not in {n.name for n in omega.body if isinstance(n, ast.FunctionDef)}
+
+
+def _owner(path, defs, line):
+    """The innermost function around a line, or the line itself at module level."""
+    owners = [(first, qualified) for qualified, _name, first, last in defs if first <= line <= last]
+    return max(owners)[1] if owners else "%s:%d" % (path.name, line)
+
+
+_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _keys_writes(tree):
+    """Lines that assign, mutate or delete ``x._keys`` or one of its entries."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_keys" and not isinstance(node.ctx, ast.Load):
+            yield node.lineno
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            if getattr(node.value, "attr", None) == "_keys":
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in _MUTATORS:
+            if getattr(node.value, "attr", None) == "_keys":
+                yield node.lineno
+
+
+def test_one_generator_table():
+    # a context keys its generators once, when it is built; sort_key alone
+    # rejects a generator out of range, and normal_form alone calls it only to
+    # check a word, so neither a lazy key cache nor the checks around it return
+    raisers, writers, checkers = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = list(_definitions(path, tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                if any("generator" in t and "out of range" in t for t in texts):
+                    raisers.append(_owner(path, defs, node.lineno))
+            elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                if getattr(node.value.func, "attr", None) == "sort_key":  # a lookup whose key is thrown away
+                    checkers.append(_owner(path, defs, node.lineno))
+        writers += [_owner(path, defs, line) for line in _keys_writes(tree)]
+    assert raisers == ["Enveloping.sort_key"]
+    assert sorted(set(writers)) == ["Enveloping.__init__"]
+    assert checkers == ["Enveloping.normal_form"]
 
 
 def _fail_returns_in_loops(node, fn=None, in_loop=False):
@@ -229,11 +269,11 @@ _CALLED_ONLY_BY_TESTS = {
     "Enveloping.invariant_basis": "the one check that computed invariants lie in the centralizer",
     "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
     "omega.save_algebra": "the README's file round-trip",
-    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
-    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 6)",
+    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 5)",
+    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 5)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
     "linalg.coordinate_intersection": "ideal_intersection_check intersects the two ideals with it",
-    "linalg.rref": "ideal_intersection_check compares the two intersections by it",
+    "linalg.rref": "coordinate_intersection reduces its rows with it; tests compare spans by it",
 }
 
 
