@@ -229,16 +229,15 @@ class Enveloping:
         """Normal form resolving a *random* inversion each step (no cache).
 
         Used to test confluence of the rewriting: any swap schedule must
-        produce the same expansion as the leftmost-first strategy.
+        produce the same expansion as the leftmost-first strategy.  Each
+        generator of a popped word is looked up, so a bad one always raises.
         """
-        key = self.sort_key
         out: Dict[Mono, Scalar] = {}
         stack: List[Tuple[Mono, Scalar]] = [(tuple(seq), _ONE)]
         while stack:
             cur, coeff = stack.pop()
-            inversions = [
-                a for a in range(len(cur) - 1) if key(cur[a]) > key(cur[a + 1])
-            ]
+            keys = [self.sort_key(g) for g in cur]
+            inversions = [a for a in range(len(cur) - 1) if keys[a] > keys[a + 1]]
             if not inversions:
                 _acc(out, cur, coeff)
                 continue

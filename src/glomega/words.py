@@ -84,12 +84,15 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
     Returns ``{word: coefficient}`` over words of length len(nu), with no
     zero coefficients; it is ``{}`` when some block multiplies to zero.  Each
     (word, nu) is computed once per table: the result is kept in the table's
-    ``spec.facts`` and shared by every caller, so callers must not mutate it.
+    ``spec.facts`` and shared by every caller, so callers must not mutate it;
+    a word with a letter outside 0..dim-1 raises before anything is kept.
     """
     memo = spec.facts.setdefault("coagulations", {})
     key = (tuple(word), tuple(nu))
     if key in memo:
         return memo[key]
+    if not all(0 <= b < spec.dim for b in key[0]):
+        raise StructureError("word %r has letters outside 0..%d" % (key[0], spec.dim - 1))
     out: Dict[Word, Scalar] = {(): 1}
     for block in coagulate(spec, [{i: 1} for i in word], nu):
         if not block:

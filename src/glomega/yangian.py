@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement, stable
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, vec_add
 from .words import Label, Word, words_up_to
 
 
@@ -247,23 +247,23 @@ def t_expansion(
     """
     s = as_scalar(s)
     out: List[Tuple[OrderedMonomial, Scalar]] = []
-    cur = u
-    while not cur.is_zero():
-        deg = cur.degree()
+    rem = dict(u.terms)
+    deg = u.degree()
+    while rem:
         if deg == 0:
-            out.append(((), cur.terms[()]))
+            out.append(((), rem[()]))
             break
         solver, monos = _symbol_solver(ctx, d, deg)
-        combo = solver.solve(cur.homogeneous(deg).terms)
+        combo = solver.solve({m: c for m, c in rem.items() if len(m) == deg})
         if combo is None:
             return None
-        removed = ctx.zero()
         for idx, c in sorted(combo.items()):
             out.append((monos[idx], c))
-            removed = removed + evaluate(monos[idx], ctx, s).scale(c)
-        cur = cur - removed
-        if not cur.is_zero() and cur.degree() >= deg:
+            vec_add(rem, evaluate(monos[idx], ctx, s).terms, -c)
+        top = max(map(len, rem), default=-1)
+        if top >= deg:
             return None
+        deg = top
     return out
 
 

@@ -1,5 +1,6 @@
 """Current algebra over a table: products, gradings, isomorphism checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -247,6 +248,30 @@ def test_generator_bracket_display():
     assert generator_bracket_display_check(direct_sum_C(1), 2, Fraction(0), 4)
     assert generator_bracket_display_check(direct_sum_C(2), 2, Fraction(0), 4)
     assert generator_bracket_display_check(direct_sum_C(2), 1, Fraction(1), 3)
+
+
+def _inline_remainder(ctx, i, j, k, l, x, y, s):
+    """The bracket remainder with the current bracket written out by its two deltas."""
+    rem = ctx.commutator(ctx.t_elem(i, j, x, s), ctx.t_elem(k, l, y, s))
+    if k == j:
+        for w, c in odot_words(ctx.omega, x, y).items():
+            rem = rem - ctx.t_elem(i, l, w, s).scale(c)
+    if i == l:
+        for w, c in odot_words(ctx.omega, y, x).items():
+            rem = rem + ctx.t_elem(k, j, w, s).scale(c)
+    return rem
+
+
+@pytest.mark.parametrize("spec, max_total", [(direct_sum_C(2), 4), (matrix_algebra(2), 3)], ids=["C^2", "mat(2)"])
+def test_bracket_remainder_subtracts_the_written_out_bracket(spec, max_total):
+    # every index tuple with d <= 2, words of one and two letters (on mat(2) only
+    # pairs of total length <= 3), at s = 0 and s = 5/2
+    ctx = Enveloping.get(spec, 2)
+    words = list(words_up_to(spec, 2))
+    pairs = [(x, y) for x in words for y in words if len(x) + len(y) <= max_total]
+    for s in (Fraction(0), Fraction(5, 2)):
+        for (x, y), idx in itertools.product(pairs, itertools.product((1, 2), repeat=4)):
+            assert cur._bracket_remainder(ctx, *idx, x, y, s) == _inline_remainder(ctx, *idx, x, y, s), (x, y, idx, s)
 
 
 def test_t_expansion_recovers_single_generator():

@@ -74,6 +74,16 @@ def test_normal_form_matches_random_rewriting_at_n2(seed, length, spec):
     assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)
 
 
+@pytest.mark.parametrize("seq", [((9, 9, 9),), ((1, 1, 0), (9, 9, 9)), ((9, 9, 9), (1, 1, 0)), ((1, 1, 1),)])
+def test_random_rewriting_rejects_a_bad_generator(seq):
+    # every generator of a word is looked up, so a word of one bad generator raises too
+    ctx = Enveloping(C1, 2)
+    with pytest.raises(StructureError):
+        ctx.normal_form(seq)
+    with pytest.raises(StructureError):
+        ctx.normal_form_random(seq, random.Random(0))
+
+
 def test_normal_form_long_word_has_no_recursion_limit():
     # E22^40 E11^40 needs 1600 swaps; a Python frame per swap overflowed
     ctx = Enveloping(C1, 2)

@@ -18,6 +18,7 @@ import pytest
 
 from glomega import Enveloping, direct_sum_C, matrix_algebra, null_algebra
 from glomega.words import words_up_to
+from glomega.yangian import evaluate, tgen_key
 
 SPECS = (direct_sum_C(1), direct_sum_C(2), null_algebra(2), matrix_algebra(2))
 CELLS = [(spec, n) for spec in SPECS for n in (2, 3)]
@@ -122,3 +123,22 @@ def test_t_elements_commute_with_the_acting_matrix_units(spec, n):
                 for s in (Fraction(0), Fraction(5, 2)):
                     assert commutes(ctx.t_elem(i, j, w, s).terms), (d, i, j, w, s)
         assert not commutes(ctx.gen(1, n).terms)
+
+
+@pytest.mark.parametrize("spec,n", CELLS, ids=_IDS)
+def test_evaluated_monomials_act_as_their_factors_in_order(spec, n):
+    # every ordered monomial of 1 to 3 factors over the labels with i, j <= 2 and
+    # three words: its evaluation acts as its t-factors applied one after
+    # another, the last factor first; (0, 0) coagulates to a nonzero letter on
+    # every unital table, so its t-elements move with s
+    ctx = Enveloping.get(spec, n)
+    probes = _basis(ctx, 1)
+    words = {(0,), (spec.dim - 1,), (0, 0)}
+    labels = sorted(((i, j, w) for i, j in itertools.product((1, 2), repeat=2) for w in words), key=tgen_key)
+    monomials = [m for k in (1, 2, 3) for m in itertools.combinations_with_replacement(labels, k)]
+    for s in (Fraction(0), Fraction(5, 2)):
+        for mono in monomials:
+            want = probes
+            for i, j, w in reversed(mono):
+                want = act(spec, ctx.t_elem(i, j, w, s).terms, want)
+            assert act(spec, evaluate(mono, ctx, s).terms, probes) == want, (mono, s)

@@ -455,6 +455,11 @@ def _false(out):
     return False
 
 
+def _doubled(out):
+    return {k: 2 * c for k, c in out.items()}
+
+
+_LENGTHS = ((1, 1), (1, 2), (2, 1), (2, 2))
 _C_PROJECTION = dict(suite="projection", omega="C", n_max=3, max_len=2, s_values=(0, 1))
 _C_ANCHOR = dict(suite="projection", omega="C", n_max=2, max_len=2, s_values=(0,))
 # a grade-1 triple a < b < c of gl(2) currents over C^2, and [a, b]: a two-term
@@ -601,12 +606,38 @@ _FAULTS = [
             "current.jacobi seed=%d" % seed,
             "cur", "gl_current_bracket",
             lambda spec, a, b: (a, b) == (_JACOBI_INNER, {_JACOBI_TRIPLE[2]: 1}),
-            lambda out: {k: 2 * c for k, c in out.items()},
+            _doubled,
             dict(suite="current", omega="C^2", seed=seed),
             {("current.jacobi_sampled", "omega=C^2 d=2"): ("fail", repr(_JACOBI_TRIPLE))},
         )
         for seed in (20240, 1)
     ],
+    (
+        # 2 [,] is antisymmetric and satisfies Jacobi, so only the degeneration
+        # certificate, which subtracts gl_current_bracket itself, sees it
+        "degeneration.doubled_bracket",
+        "cur", "gl_current_bracket",
+        lambda *args: True,
+        _doubled,
+        dict(suite="degeneration"),
+        {
+            ("degeneration.letters", "omega=C d=2 N=4"): ("fail", ""),
+            ("degeneration.letters", "omega=C^2 d=2 N=4"): ("fail", ""),
+            # over C, d = 1 brackets commuting letters, and 2 * 0 = 0
+            **{("degeneration.grid", "omega=C d=1 lx=%d ly=%d" % lens): ("pass", "") for lens in _LENGTHS},
+            ("degeneration.grid", "omega=C^2 d=1 lx=1 ly=1"): ("pass", ""),
+            ("degeneration.grid", "omega=C^2 d=1 lx=1 ly=2"): ("fail", "x=(0,) y=(0, 1) idx=(1, 1, 1, 1)"),
+            ("degeneration.grid", "omega=C^2 d=1 lx=2 ly=1"): ("fail", "x=(0, 1) y=(0,) idx=(1, 1, 1, 1)"),
+            ("degeneration.grid", "omega=C^2 d=1 lx=2 ly=2"): ("fail", "x=(0, 0) y=(0, 1) idx=(1, 1, 1, 1)"),
+            **{
+                ("degeneration.grid", "omega=%s d=2 lx=%d ly=%d" % (token, lx, ly)): (
+                    "fail", "x=%r y=%r idx=(1, 2, 2, 1)" % ((0,) * lx, (0,) * ly)
+                )
+                for token in ("C", "C^2")
+                for lx, ly in _LENGTHS
+            },
+        },
+    ),
 ]
 
 
@@ -623,3 +654,14 @@ def test_planted_fault_gives_the_first_counterexample(monkeypatch, owner, attr, 
     names = {name for name, _config in expected}
     got = {r.key(): (r.status, r.witness) for r in rep.records if r.name in names}
     assert got == expected
+
+
+def test_doubled_current_bracket_passes_the_current_suite(monkeypatch):
+    # the gap the degeneration.doubled_bracket fault closes: the current suite
+    # checks gl_current_bracket through antisymmetry and Jacobi alone
+    from glomega import current as cur
+
+    monkeypatch.setattr(cur, "gl_current_bracket", _planted(cur.gl_current_bracket, lambda *args: True, _doubled))
+    rep = run_suite(SuiteConfig(suite="current"))
+    assert {r.status for r in rep.records} == {"pass", "skipped"}
+    assert [r.key() for r in rep.records if r.status == "skipped"] == [("current.bimodule", "omega=null(2)")]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glomega import StructureError, direct_sum_C, matrix_algebra
+from glomega import Enveloping, StructureError, direct_sum_C, matrix_algebra
 from glomega.words import (
     basis_words,
     coagulate_word,
@@ -51,6 +51,21 @@ def test_coagulate_word_matrix_blocks():
     spec = matrix_algebra(2)
     # e12 * e21 = e11 under the (2,) merge
     assert coagulate_word(spec, (1, 2), (2,)) == {(0,): Fraction(1)}
+
+
+def test_coagulate_word_rejects_bad_letters_and_keeps_nothing():
+    # the letters are checked on a memo miss, before the result is stored
+    spec = direct_sum_C(1)
+    ctx = Enveloping.get(spec, 2)
+    ctx.t_elem(1, 1, (0, 0), 1)
+    before = dict(spec.facts["coagulations"])
+    with pytest.raises(StructureError):
+        ctx.t_elem(1, 1, (0, 5), 1)
+    assert spec.facts["coagulations"] == before
+    for word in ((0, 5), (-1,)):
+        with pytest.raises(StructureError, match="letters"):
+            coagulate_word(spec, word, (1,) * len(word))
+    assert spec.facts["coagulations"] == before
 
 
 def test_cyclic_word_canonical_rotation():
