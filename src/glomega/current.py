@@ -350,19 +350,22 @@ def _bracket_remainder(
     return UElement._trusted(ctx, rem)
 
 
-def generator_bracket_display_check(omega: AlgebraSpec, d: int, s: ScalarLike, n: int) -> bool:
+def generator_bracket_display_check(
+    omega: AlgebraSpec, d: int, s: ScalarLike, n: int
+) -> Optional[Tuple[int, int, int, int, int, int]]:
     """On single letters the commutator IS the current bracket, exactly.
 
     The bracket remainder of two letters a, b is zero on the nose in
     U(gl(N, Omega)), since length-1 t-elements are plain generators:
     [t_ij(a; s), t_kl(b; s)] = delta_kj t_il(ab) - delta_il t_kj(ba).
+    Returns the first (i, j, k, l, a, b) whose remainder is nonzero, or None.
     """
     ctx = Enveloping.get(omega, n)
     for i, j, k, l in itertools.product(range(1, d + 1), repeat=4):
         for a, b in itertools.product(range(omega.dim), repeat=2):
             if not _bracket_remainder(ctx, i, j, k, l, (a,), (b,), s).is_zero():
-                return False
-    return True
+                return i, j, k, l, a, b
+    return None
 
 
 def shifted_degree(mono: Sequence[Label]) -> int:

@@ -407,11 +407,19 @@ def symbol_match_smd(
 
 
 def trace_elem(ctx: Enveloping, word: Word) -> UElement:
-    """Sum of e_aa(word; N) over a = 1..N; invariant under all of gl(N, C)."""
-    out: Dict = {}
-    for a in range(1, ctx.n + 1):
-        vec_add(out, ctx.e_elem(a, a, tuple(word)).terms)
-    return UElement._trusted(ctx, out)
+    """Sum of e_aa(word; N) over a = 1..N; invariant under all of gl(N, C).
+
+    Memoized per word in the context and shared by every caller, so its
+    terms must not be mutated, as for ``Enveloping.normal_form``.
+    """
+    word = tuple(word)
+    el = ctx._trace.get(word)
+    if el is None:
+        out: Dict = {}
+        for a in range(1, ctx.n + 1):
+            vec_add(out, ctx.e_elem(a, a, word).terms)
+        el = ctx._trace[word] = UElement._trusted(ctx, out)
+    return el
 
 
 def symbol_match_stc(omega: AlgebraSpec, x: Word, y: Word, n: int) -> bool:

@@ -13,7 +13,11 @@ index-N monomials implement the projection U(gl(N))^{E_NN} ->
 U(gl(N-1)): an E_NN-invariant monomial touching index N always ends in an
 E(*, N) factor, hence lies in the two-sided piece L(N) that the projection
 kills.  A context keys all n^2 dim generators once, when it is built, and
-lists them in key order in ``gens``.  :meth:`Enveloping.sort_key` looks a
+lists them in key order in ``gens``.  It holds one tuple object per
+generator, and a context's words use its own generator objects: the chain
+words of e_ij(w; N) and the brackets of :meth:`Enveloping.commutator_terms`
+are built from them, so every word its memos hold shares them instead of
+carrying copies.  :meth:`Enveloping.sort_key` looks a
 key up, and it alone raises :class:`StructureError` for a generator out of
 range.  :meth:`Enveloping.normal_form` calls it on each generator of a word
 it has not met before, and every element, e_ij(w; N) and t_ij(w; N; s)
@@ -37,7 +41,7 @@ When only the top part is wanted, :meth:`Enveloping.top_commutator` reads it
 in gr U = S(gl(N, Omega)) as the Poisson bracket of the top parts: the same
 words, sorted instead of normal-formed, from generator pairs whose indices
 meet.  :meth:`Enveloping.e_top` gives the top part of e_ij(w; N), its
-sorted chain words.
+sorted chain words, memoized per (i, j, w).
 
 :class:`UElement` is the package's one element class, with its arithmetic
 written once, in it, and one spelling per operation: build with
@@ -123,9 +127,16 @@ class Enveloping:
             for b in range(omega.dim)
         }
         self.gens: List[Gen] = sorted(self._keys, key=self._keys.__getitem__)
+        # the one tuple object of each generator: the words this context
+        # builds are made of these, so the memoized words share them
+        self._gen: Dict[Gen, Gen] = {g: g for g in self.gens}
         self._nf: Dict[Mono, Dict[Mono, Scalar]] = {}
         self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Scalar], ...]] = {}
         self._e: Dict = {}
+        # sorted chain words of e_top, by (i, j, word)
+        self._e_top: Dict[Tuple[int, int, Word], Dict[Mono, Scalar]] = {}
+        # doublepoisson.trace_elem, by word
+        self._trace: Dict[Word, "UElement"] = {}
         self._t: Dict = {}
         # ordered t-monomials evaluated by yangian.evaluate, by (monomial, s)
         self._y_eval_cache: Dict = {}
@@ -162,13 +173,14 @@ class Enveloping:
         if terms is None:
             i1, j1, b1 = g
             i2, j2, b2 = h
+            gen = self._gen
             out: Dict[Gen, Scalar] = {}
             if i2 == j1:
                 for k, c in self.omega.product(b1, b2).items():
-                    _acc(out, (i1, j2, k), c)
+                    _acc(out, gen[i1, j2, k], c)
             if i1 == j2:
                 for k, c in self.omega.product(b2, b1).items():
-                    _acc(out, (i2, j1, k), -c)
+                    _acc(out, gen[i2, j1, k], -c)
             terms = tuple(out.items())
             self._comm[key] = terms
         return terms
@@ -311,15 +323,22 @@ class Enveloping:
         for h in dv:
             by_row.setdefault(h[0], []).append(h)
             by_col.setdefault(h[1], []).append(h)
+        comm = self._comm
         out: Dict[Mono, Scalar] = {}
         for g, fu in du.items():
             i1, j1, _b1 = g
             for h in by_row.get(j1, []) + [h for h in by_col.get(i1, ()) if h[0] != j1]:
-                for gen, c3 in self.commutator_terms(g, h):
+                bracket = comm.get((g, h))
+                if bracket is None:
+                    bracket = self.commutator_terms(g, h)
+                if not bracket:
+                    continue
+                fv = dv[h]
+                for gen, c3 in bracket:
                     for r1, c1 in fu.items():
                         head = r1 + (gen,)
                         cc = c1 * c3
-                        for r2, c2 in dv[h].items():
+                        for r2, c2 in fv.items():
                             _acc(out, tuple(sorted(head + r2, key=key)), cc * c2)
         return UElement._trusted(self, out)
 
@@ -366,9 +385,11 @@ class Enveloping:
         """The words E_{i a_1}(x_1) E_{a_1 a_2}(x_2) ... E_{a_{m-1} j}(x_m), one per index chain a."""
         if not word:
             raise StructureError("e_ij(w; N) needs a nonempty word")
+        gen = self._gen.get
         for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
             idx = (i,) + chain + (j,)
-            yield tuple((idx[r], idx[r + 1], b) for r, b in enumerate(word))
+            # a generator out of range is passed on as it is, for sort_key to reject
+            yield tuple(gen(g, g) for g in zip(idx, idx[1:], word))
 
     def e_elem(self, i: int, j: int, word: Word) -> "UElement":
         """e_ij(word; N), the sum of the chain words, each in normal form."""
@@ -385,10 +406,19 @@ class Enveloping:
         return el
 
     def e_top(self, i: int, j: int, word: Word) -> Dict[Mono, Scalar]:
-        """sigma(e_ij(word; N)), the degree len(word) part: each chain word, sorted, with coefficient 1."""
-        out: Dict[Mono, Scalar] = {}
-        for w in self._chain_words(i, j, tuple(word)):
-            _acc(out, tuple(sorted(w, key=self.sort_key)), _ONE)
+        """sigma(e_ij(word; N)), the degree len(word) part: each chain word, sorted, with coefficient 1.
+
+        Memoized per (i, j, word) and shared by every caller, so it must not
+        be mutated, as for :meth:`normal_form`.
+        """
+        word = tuple(word)
+        key = (i, j, word)
+        out = self._e_top.get(key)
+        if out is None:
+            out = {}
+            for w in self._chain_words(i, j, word):
+                _acc(out, tuple(sorted(w, key=self.sort_key)), _ONE)
+            self._e_top[key] = out
         return out
 
     def e_symbol(self, mono: Sequence[Label]) -> "UElement":

@@ -499,7 +499,7 @@ def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> Checks:
     d_letters = min(cfg.d, 2)
     cap = min(cfg.max_len, 2)
     for token, spec in specs:
-        yield "degeneration.letters", "omega=%s d=%d N=%d" % (token, d_letters, d_letters + 2), lambda: _ok(
+        yield "degeneration.letters", "omega=%s d=%d N=%d" % (token, d_letters, d_letters + 2), lambda: _none_ok(
             cur.generator_bracket_display_check(spec, d_letters, s0, d_letters + 2)
         )
         for d, lx, ly in itertools.product(range(1, cfg.d + 1), range(1, cap + 1), range(1, cap + 1)):

@@ -172,7 +172,7 @@ def test_criterion_07_symbol_match_trace_bracket():
 def test_criterion_08_degeneration_to_current_bracket():
     s = Fraction(0)
     for spec in (direct_sum_C(1), direct_sum_C(2)):
-        assert generator_bracket_display_check(spec, 2, s, 4)
+        assert generator_bracket_display_check(spec, 2, s, 4) is None
         for lx in (1, 2):
             for ly in (1, 2):
                 for x in basis_words(spec, lx):

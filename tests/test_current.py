@@ -245,9 +245,9 @@ def test_bimodule_iso():
 
 
 def test_generator_bracket_display():
-    assert generator_bracket_display_check(direct_sum_C(1), 2, Fraction(0), 4)
-    assert generator_bracket_display_check(direct_sum_C(2), 2, Fraction(0), 4)
-    assert generator_bracket_display_check(direct_sum_C(2), 1, Fraction(1), 3)
+    assert generator_bracket_display_check(direct_sum_C(1), 2, Fraction(0), 4) is None
+    assert generator_bracket_display_check(direct_sum_C(2), 2, Fraction(0), 4) is None
+    assert generator_bracket_display_check(direct_sum_C(2), 1, Fraction(1), 3) is None
 
 
 def _inline_remainder(ctx, i, j, k, l, x, y, s):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, UElement, direct_sum_C, matrix_algebra, null_algebra
-from glomega.doublepoisson import symbol_match_smd, symbol_match_stc
+from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_elem
 from glomega.words import words_up_to
 from glomega.yangian import evaluate, t_gen
 
@@ -182,6 +182,53 @@ def test_e_top_is_the_top_part_of_e_elem(spec):
                 ctx.e_top(i, j, word)
 
 
+_SHARED_SPECS = (C2, matrix_algebra(2))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_context_words_share_its_generator_objects(spec, n):
+    # chain words, e_top keys, brackets and every memoized normal-form word are
+    # built from the context's own generator objects, not from equal copies
+    ctx = Enveloping(spec, n)
+    own = {g: g for g in ctx.gens}
+
+    def shared(word):
+        return all(g is own[g] for g in word)
+
+    for g in ctx.gens:
+        for h in ctx.gens:
+            assert all(gen is own[gen] for gen, _c in ctx.commutator_terms(g, h)), (g, h)
+    for w in words_up_to(spec, 3 if spec.dim <= 2 else 2):
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            assert all(shared(word) for word in ctx._chain_words(i, j, w)), (i, j, w)
+            assert all(shared(word) for word in ctx.e_top(i, j, w)), (i, j, w)
+            ctx.e_elem(i, j, w)
+    assert all(shared(word) and all(shared(m) for m in nf) for word, nf in ctx._nf.items())
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_memoized_top_parts_and_traces(spec, n):
+    # a memo hit hands back the first result, which matches the top part of
+    # e_elem and what a context that met the words in the other order gives
+    ctx, fresh = Enveloping(spec, n), Enveloping(spec, n)
+    words = list(words_up_to(spec, 2))
+    cases = [(i, j, w) for w in words for i, j in ((1, 1), (1, 2), (2, 1), (n, 1))]
+    expected = {case: fresh.e_top(*case) for case in reversed(cases)}
+    for i, j, w in cases:
+        top = ctx.e_top(i, j, w)
+        assert ctx.e_top(i, j, list(w)) is top
+        assert top == ctx.e_elem(i, j, w).homogeneous(len(w)).terms == expected[i, j, w]
+    for w in words:
+        trace = trace_elem(ctx, w)
+        assert trace_elem(ctx, list(w)) is trace
+        plain = ctx.zero()
+        for a in range(1, n + 1):
+            plain = plain + ctx.e_elem(a, a, w)
+        assert trace == plain
+
+
 def test_commutator_rejects_foreign_context():
     a = Enveloping.get(C1, 2)
     b = Enveloping.get(C1, 3)
@@ -238,16 +285,18 @@ def test_one_range_check_memoizes_nothing(spec):
     # an out-of-range generator at each position of words of length 1-3, in
     # key order and out of it, raises before any word is memoized
     ctx = Enveloping(spec, 2)
-    ctx.e_elem(1, 2, (0, 0))  # a memo with words in it
+    ctx.e_elem(1, 2, (0, 0))  # memos with words in them
+    ctx.e_top(1, 2, (0, 0))
+    trace_elem(ctx, (0, 0))
     n, dim = ctx.n, spec.dim
     bad_gens = ((0, 1, 0), (n + 1, 1, 0), (1, 0, 0), (1, n + 1, 0), (1, 1, dim), (1, 1, -1))
     fillers = (tuple(ctx.gens[:3]), tuple(reversed(ctx.gens[-3:])))
-    before = len(ctx._nf)
+    before = (len(ctx._nf), dict(ctx._e_top), dict(ctx._trace))
 
     def raises(call, *args):
         with pytest.raises(StructureError):
             call(*args)
-        assert len(ctx._nf) == before, (call, args)
+        assert (len(ctx._nf), ctx._e_top, ctx._trace) == before, (call, args)
 
     for length in (1, 2, 3):
         for filler in fillers:
@@ -264,6 +313,8 @@ def test_one_range_check_memoizes_nothing(spec):
     for i, j, word in cases:
         raises(ctx.e_elem, i, j, word)
         raises(ctx.e_top, i, j, word)
+        if (i, j) == (1, 2):  # the bad letters and the empty word
+            raises(trace_elem, ctx, word)
         for s in (0, -n):
             raises(ctx.t_elem, i, j, word, s)
 

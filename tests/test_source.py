@@ -102,24 +102,26 @@ def _owner(path, defs, line):
 _MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
 
-def _keys_writes(tree):
-    """Lines that assign, mutate or delete ``x._keys`` or one of its entries."""
+def _attribute_writes(tree, attr):
+    """Lines that assign, mutate or delete ``x.<attr>`` or one of its entries."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_keys" and not isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and node.attr == attr and not isinstance(node.ctx, ast.Load):
             yield node.lineno
         elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
-            if getattr(node.value, "attr", None) == "_keys":
+            if getattr(node.value, "attr", None) == attr:
                 yield node.lineno
         elif isinstance(node, ast.Attribute) and node.attr in _MUTATORS:
-            if getattr(node.value, "attr", None) == "_keys":
+            if getattr(node.value, "attr", None) == attr:
                 yield node.lineno
 
 
 def test_one_generator_table():
-    # a context keys its generators once, when it is built; sort_key alone
-    # rejects a generator out of range, and normal_form alone calls it only to
-    # check a word, so neither a lazy key cache nor the checks around it return
+    # a context keys its generators once, when it is built, and holds one
+    # object per generator from then on; sort_key alone rejects a generator
+    # out of range, and normal_form alone calls it only to check a word, so
+    # neither a lazy key cache nor the checks around it return
     raisers, writers, checkers = [], [], []
+    gen_writers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         defs = list(_definitions(path, tree))
@@ -131,10 +133,37 @@ def test_one_generator_table():
             elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 if getattr(node.value.func, "attr", None) == "sort_key":  # a lookup whose key is thrown away
                     checkers.append(_owner(path, defs, node.lineno))
-        writers += [_owner(path, defs, line) for line in _keys_writes(tree)]
+        writers += [_owner(path, defs, line) for line in _attribute_writes(tree, "_keys")]
+        gen_writers += [_owner(path, defs, line) for line in _attribute_writes(tree, "_gen")]
     assert raisers == ["Enveloping.sort_key"]
     assert sorted(set(writers)) == ["Enveloping.__init__"]
+    assert sorted(set(gen_writers)) == ["Enveloping.__init__"]
     assert checkers == ["Enveloping.normal_form"]
+
+
+def test_context_caches_are_declared_on_enveloping():
+    # a module that keeps a cache on a context reads it as ctx._name; every
+    # such name is declared in Enveloping.__init__, so a context's state is
+    # listed in one place and none is added to it lazily from outside
+    tree = ast.parse((SRC / "enveloping.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Enveloping"]
+    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    declared = {
+        t.attr
+        for node in ast.walk(init)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
+    }
+    read = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "enveloping.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ctx" and node.attr.startswith("_"):
+                read.setdefault(node.attr, []).append("%s:%d" % (path.name, node.lineno))
+    assert {"_y_eval_cache", "_symbol_solvers", "_trace"} <= set(read)
+    assert {name: lines for name, lines in read.items() if name not in declared} == {}
 
 
 def _fail_returns_in_loops(node, fn=None, in_loop=False):

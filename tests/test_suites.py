@@ -621,8 +621,9 @@ _FAULTS = [
         _doubled,
         dict(suite="degeneration"),
         {
-            ("degeneration.letters", "omega=C d=2 N=4"): ("fail", ""),
-            ("degeneration.letters", "omega=C^2 d=2 N=4"): ("fail", ""),
+            # [E_11, E_12] = E_12 is the first nonzero bracket, (i, j, k, l, a, b)
+            ("degeneration.letters", "omega=C d=2 N=4"): ("fail", "(1, 1, 1, 2, 0, 0)"),
+            ("degeneration.letters", "omega=C^2 d=2 N=4"): ("fail", "(1, 1, 1, 2, 0, 0)"),
             # over C, d = 1 brackets commuting letters, and 2 * 0 = 0
             **{("degeneration.grid", "omega=C d=1 lx=%d ly=%d" % lens): ("pass", "") for lens in _LENGTHS},
             ("degeneration.grid", "omega=C^2 d=1 lx=1 ly=1"): ("pass", ""),
