@@ -40,7 +40,12 @@ those.  It is kept exact for callers that need the lower-degree remainder.
 When only the top part is wanted, :meth:`Enveloping.top_commutator` reads it
 in gr U = S(gl(N, Omega)) as the Poisson bracket of the top parts: the same
 words, sorted instead of normal-formed, from generator pairs whose indices
-meet.  :meth:`Enveloping.e_top` gives the top part of e_ij(w; N), its
+meet.  It applies the left argument's Hamiltonian field,
+h -> sum over g of (d sigma(u) / d g) [g, h], to the partials of the right
+one.  A context keeps the field of its last left argument in one slot, built
+lazily and reused while the next left argument is the same object, so a
+caller must not mutate an element it has bracketed, as for memoized
+results.  :meth:`Enveloping.e_top` gives the top part of e_ij(w; N), its
 sorted chain words, memoized per (i, j, w).
 
 :class:`UElement` is the package's one element class, with its arithmetic
@@ -144,6 +149,9 @@ class Enveloping:
         # e-symbols carry no s, so every s shares them, and the t-monomials
         # the expansion subtracts are evaluated into _y_eval_cache
         self._symbol_solvers: Dict = {}
+        # top_commutator's one slot: the last left argument and its
+        # Hamiltonian field, (u, partials, by_row, by_col, {h: X_u(h)})
+        self._field: Optional[Tuple] = None
 
     @classmethod
     def get(cls, omega: AlgebraSpec, n: int) -> "Enveloping":
@@ -306,40 +314,51 @@ class Enveloping:
     def top_commutator(self, u: "UElement", v: "UElement") -> "UElement":
         """The degree deg u + deg v - 1 part of [u, v], read in gr U = S(gl(N, Omega)).
 
-        By the PBW theorem it is the Poisson bracket in S of the top parts:
-        the sum over generator pairs g, h of
-        (d sigma(u) / d g) (d sigma(v) / d h) [g, h], each product a sorted
-        word, since a word and its sorted rearrangement differ by shorter
-        words.  [g, h] vanishes unless h's row is g's column or g's row is
-        h's column, so the generators of v are indexed by row and by column,
-        and only pairs whose indices meet are visited, each once.
+        By the PBW theorem it is the Poisson bracket in S of the top parts,
+        read as the sum over generators h of (d sigma(v) / d h) X_u(h), where
+        X_u(h), the sum over g of (d sigma(u) / d g) [g, h], is u's
+        Hamiltonian field; each product is a sorted word, since a word and
+        its sorted rearrangement differ by shorter words.  [g, h] vanishes
+        unless h's row is g's column or g's row is h's column, so u's
+        generators are indexed by row and by column, and only the g that
+        meet h are visited, each once.
+
+        The field of the last left argument is kept in the context's one
+        slot, ``(u, partials, by_row, by_col, {h: X_u(h)})``, each X_u(h)
+        built on first use.  It is reused only while the next left argument
+        is the same object, so a caller must not mutate an element it has
+        bracketed, as for memoized results.
         """
         u._compat(self)
         v._compat(self)
         key = self._keys.__getitem__
-        du, dv = _partials(u), _partials(v)
-        by_row: Dict[int, List[Gen]] = {}
-        by_col: Dict[int, List[Gen]] = {}
-        for h in dv:
-            by_row.setdefault(h[0], []).append(h)
-            by_col.setdefault(h[1], []).append(h)
+        field = self._field
+        if field is None or field[0] is not u:
+            du = _partials(u)
+            by_row: Dict[int, List[Gen]] = {}
+            by_col: Dict[int, List[Gen]] = {}
+            for g in du:
+                by_row.setdefault(g[0], []).append(g)
+                by_col.setdefault(g[1], []).append(g)
+            field = self._field = (u, du, by_row, by_col, {})
+        _u, du, by_row, by_col, xs = field
         comm = self._comm
         out: Dict[Mono, Scalar] = {}
-        for g, fu in du.items():
-            i1, j1, _b1 = g
-            for h in by_row.get(j1, []) + [h for h in by_col.get(i1, ()) if h[0] != j1]:
-                bracket = comm.get((g, h))
-                if bracket is None:
-                    bracket = self.commutator_terms(g, h)
-                if not bracket:
-                    continue
-                fv = dv[h]
-                for gen, c3 in bracket:
-                    for r1, c1 in fu.items():
-                        head = r1 + (gen,)
-                        cc = c1 * c3
-                        for r2, c2 in fv.items():
-                            _acc(out, tuple(sorted(head + r2, key=key)), cc * c2)
+        for h, fv in _partials(v).items():
+            xh = xs.get(h)
+            if xh is None:
+                xh = xs[h] = {}
+                i2, j2, _b2 = h
+                for g in by_col.get(i2, []) + [g for g in by_row.get(j2, ()) if g[1] != i2]:
+                    bracket = comm.get((g, h))
+                    if bracket is None:
+                        bracket = self.commutator_terms(g, h)
+                    for gen, c3 in bracket:
+                        for r1, c1 in du[g].items():
+                            _acc(xh, tuple(sorted(r1 + (gen,), key=key)), c1 * c3)
+            for m1, c1 in xh.items():
+                for r2, c2 in fv.items():
+                    _acc(out, tuple(sorted(m1 + r2, key=key)), c1 * c2)
         return UElement._trusted(self, out)
 
     # -- gl(N, C) action ----------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, UElement, direct_sum_C, matrix_algebra, null_algebra
 from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_elem
-from glomega.words import words_up_to
+from glomega.words import cyclic, words_up_to
 from glomega.yangian import evaluate, t_gen
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "anchor.txt")
@@ -227,6 +227,131 @@ def test_memoized_top_parts_and_traces(spec, n):
         for a in range(1, n + 1):
             plain = plain + ctx.e_elem(a, a, w)
         assert trace == plain
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_trace_top_commutator_is_the_top_part_of_commutator(spec, n):
+    # the sums over a that the stc check brackets, against the commutator's
+    # normal form; x runs outer, as in the check, so the slot is reused
+    ctx = Enveloping(spec, n)
+    reps = sorted({cyclic(w) for w in words_up_to(spec, 2)})
+    for x in reps:
+        u = trace_elem(ctx, x)
+        for y in reps:
+            v = trace_elem(ctx, y)
+            deg = u.degree() + v.degree() - 1
+            assert ctx.top_commutator(u, v) == ctx.commutator(u, v).homogeneous(deg), (x, y)
+            assert ctx._field[0] is u
+
+
+def _slot_elements(ctx):
+    """Left and right arguments of several degrees, with lower-degree terms."""
+    words = list(words_up_to(ctx.omega, 2))
+    return [
+        ctx.gen(1, 2),
+        ctx.e_elem(1, 2, words[-1]),
+        trace_elem(ctx, words[1]),
+        ctx.t_elem(2, 1, words[-1], Fraction(1, 2)) + ctx.gen(3, 3).scale(2),
+        ctx.multiply(ctx.gen(2, 1), ctx.gen(1, 3)) - ctx.one(),
+    ]
+
+
+def _top_reference(ctx, u, v):
+    return ctx.commutator(u, v).homogeneous(u.degree() + v.degree() - 1)
+
+
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_top_commutator_slot_follows_the_left_argument(spec):
+    # left arguments that alternate and that repeat; a repeat keeps the held field
+    ctx = Enveloping(spec, 3)
+    els = _slot_elements(ctx)
+    order = [0, 1, 0, 2, 2, 3, 1, 1, 4, 3, 0, 4]
+    for step, a in enumerate(order):
+        u = els[a]
+        held = ctx._field
+        for v in els:
+            assert ctx.top_commutator(u, v) == _top_reference(ctx, u, v), (a, v)
+        assert ctx._field[0] is u
+        if step and order[step - 1] == a:
+            assert ctx._field is held
+
+
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_top_commutator_slot_is_kept_by_identity(spec):
+    # an equal but distinct left argument gets a field of its own
+    ctx = Enveloping(spec, 3)
+    els = _slot_elements(ctx)
+    u = els[3]
+    twin = UElement._trusted(ctx, dict(u.terms))
+    assert twin == u and twin is not u
+    for v in els:
+        ctx.top_commutator(u, v)
+        held = ctx._field
+        assert ctx.top_commutator(twin, v) == _top_reference(ctx, u, v)
+        assert ctx._field is not held and ctx._field[0] is twin
+
+
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_top_commutator_is_antisymmetric_whichever_side_holds_the_slot(spec):
+    ctx = Enveloping(spec, 3)
+    els = _slot_elements(ctx)
+    for u in els:
+        for v in els:
+            for holder in (u, v):
+                ctx.top_commutator(holder, ctx.gen(2, 2))
+                assert ctx._field[0] is holder
+                assert ctx.top_commutator(u, v) == ctx.top_commutator(v, u).scale(-1), (u, v)
+
+
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_top_commutator_of_zero_and_constants(spec):
+    ctx = Enveloping(spec, 3)
+    els = _slot_elements(ctx)
+    for c in (ctx.zero(), ctx.one(), ctx.one().scale(-3)):
+        for v in els + [c]:
+            assert ctx.top_commutator(c, v).is_zero()
+            assert ctx._field[0] is c
+            assert ctx.top_commutator(v, c).is_zero()
+            assert ctx._field[0] is v
+
+
+@pytest.mark.parametrize("spec", _SHARED_SPECS, ids=lambda spec: spec.name)
+def test_top_commutator_holds_one_field_after_a_sweep(spec):
+    # the slot is the context's only tuple-valued state, and after a sweep it
+    # holds the last left argument with X_u(h) for each h it was asked for
+    ctx, fresh = Enveloping(spec, 3), Enveloping(spec, 3)
+    els = _slot_elements(ctx)
+    for u in els:
+        for v in els:
+            ctx.top_commutator(u, v)
+    assert [name for name, value in vars(ctx).items() if isinstance(value, tuple)] == ["_field"]
+    last, partials, by_row, by_col, xs = ctx._field
+    assert last is els[-1]
+    assert sorted(g for row in by_row.values() for g in row) == sorted(partials)
+    assert sorted(g for col in by_col.values() for g in col) == sorted(partials)
+    asked = set()
+    for v in els:
+        for mono in v.homogeneous(v.degree()).terms:
+            asked.update(mono)
+    assert set(xs) == asked
+    # each X_u(h) is the top part of [u, E_h]
+    twin = UElement._trusted(fresh, last.terms)
+    for h, xh in xs.items():
+        assert UElement._trusted(fresh, xh) == _top_reference(fresh, twin, UElement._trusted(fresh, {(h,): 1})), h
+
+
+def test_top_commutator_rejects_foreign_elements_and_keeps_its_slot():
+    ctx, other = Enveloping(C2, 3), Enveloping(C2, 3)
+    u, v = ctx.gen(1, 2), trace_elem(ctx, (0, 1))
+    ctx.top_commutator(v, u)
+    other.top_commutator(other.gen(2, 1), other.gen(1, 2))
+    held, held_other = ctx._field, other._field
+    for foreign in (other.gen(1, 2), trace_elem(other, (0, 1)), Enveloping(C2, 4).gen(1, 2), Enveloping(C1, 3).gen(1, 2)):
+        for pair in ((foreign, u), (u, foreign), (foreign, v), (v, foreign)):
+            with pytest.raises(StructureError):
+                ctx.top_commutator(*pair)
+            assert ctx._field is held and other._field is held_other
 
 
 def test_commutator_rejects_foreign_context():

@@ -92,6 +92,25 @@ def test_finished_run_leaves_no_context_alive(all_run):
     assert [ref for ref in all_run["alive"] if ref() is not None] == []
 
 
+def test_finished_symbols_run_leaves_no_context_alive(monkeypatch):
+    # each context's top_commutator slot holds an element whose owner is the
+    # context, a cycle that gc still reclaims once the run's tables are gone
+    holding = []
+    top = Enveloping.top_commutator
+
+    def recorded_top(self, u, v):
+        out = top(self, u, v)
+        assert self._field[0] is u and u.owner is self
+        holding.append(weakref.ref(self))
+        return out
+
+    monkeypatch.setattr(Enveloping, "top_commutator", recorded_top)
+    assert run_suite(SuiteConfig("symbols")).exit_code() == 0
+    gc.collect()
+    assert len(holding) > 0
+    assert [ref for ref in holding if ref() is not None] == []
+
+
 def test_table_facts_are_computed_once_per_table_object(monkeypatch):
     calls = []
     first_associator, solve_unit = omega._first_associator, omega._solve_unit

@@ -141,20 +141,32 @@ def test_one_generator_table():
     assert checkers == ["Enveloping.normal_form"]
 
 
+def _self_stores(fn):
+    """The attribute names ``fn`` assigns on ``self``, in any target form."""
+    return {
+        node.attr
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"
+    }
+
+
 def test_context_caches_are_declared_on_enveloping():
-    # a module that keeps a cache on a context reads it as ctx._name; every
-    # such name is declared in Enveloping.__init__, so a context's state is
-    # listed in one place and none is added to it lazily from outside
+    # a context's state is listed in one place, Enveloping.__init__: no
+    # Enveloping method assigns a self attribute that is not declared there,
+    # and a module that keeps a cache on a context reads it as ctx._name,
+    # a declared name, so none is added to it lazily from outside
     tree = ast.parse((SRC / "enveloping.py").read_text())
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Enveloping"]
-    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
-    declared = {
-        t.attr
-        for node in ast.walk(init)
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
-    }
+    methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    (init,) = [fn for fn in methods if fn.name == "__init__"]
+    declared = _self_stores(init)
+    stored = {}
+    for fn in methods:
+        if fn is not init:
+            for name in _self_stores(fn):
+                stored.setdefault(name, []).append(fn.name)
+    assert stored["_field"] == ["top_commutator"]
+    assert {name: fns for name, fns in stored.items() if name not in declared} == {}
     read = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "enveloping.py":
