@@ -41,7 +41,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement, stable
-from .linalg import SpanSolver
+from .linalg import SpanSolver, rank
 from .omega import (
     AlgebraSpec,
     Scalar,
@@ -79,6 +79,8 @@ def odot(spec: AlgebraSpec, a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dic
 
 def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Word, Word, Word]]:
     """First basis-word triple where (x(.)y)(.)z differs from x(.)(y(.)z)."""
+    if max_total_len < 3:
+        raise StructureError("an associativity scan needs a total length of at least 3")
     words = list(words_up_to(spec, max_total_len - 2))
     for wx in words:
         for wy in words:
@@ -186,6 +188,8 @@ def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[T
 
 def current_basis_keys(spec: AlgebraSpec, d: int, maxgrade: int) -> List[Label]:
     """The graded bases of grades 0..maxgrade, concatenated in grade order."""
+    if d < 1 or maxgrade < 0:
+        raise StructureError("current scans need d >= 1 and maxgrade >= 0")
     return [key for n in range(maxgrade + 1) for key in graded_basis(spec, d, n)]
 
 
@@ -218,8 +222,8 @@ def path_algebra_iso_check(L: int, maxgrade: int) -> bool:
     vertices agree and give zero otherwise, which is exactly what the
     junction product of orthogonal idempotents does.
     """
-    if L < 1:
-        raise StructureError("need at least one vertex")
+    if L < 1 or maxgrade < 0:
+        raise StructureError("need at least one vertex and maxgrade >= 0")
     spec = direct_sum_C(L)
     for n in range(maxgrade + 1):
         paths = set(itertools.product(range(L), repeat=n + 1))
@@ -298,23 +302,19 @@ def bimodule_iso_check(spec: AlgebraSpec, maxgrade: int) -> bool:
     product into concatenation of balanced factors, again modulo relations.
     Requires a unital table: the embedding pads interior slots with the unit.
     """
+    if maxgrade < 1:
+        raise StructureError("balanced tensor comparison needs maxgrade >= 1")
     unit = detect_unit(spec)
     if unit is None:
         raise StructureError("balanced tensor comparison needs a unital table")
     solvers: Dict[int, SpanSolver] = {}
     for k in range(1, maxgrade + 1):
-        solver = _balancing_solver(spec, k)
-        solvers[k] = solver
-        quotient_dim = spec.dim ** (2 * k) - solver.rank
-        if quotient_dim != spec.dim ** (k + 1):
+        solver = solvers[k] = _balancing_solver(spec, k)
+        if spec.dim ** (2 * k) - solver.rank != spec.dim ** (k + 1):
             return False
-        probe = SpanSolver()
-        for row in (r for r, _c in solvers[k].rows.values()):
-            probe.add(dict(row))
-        base_rank = probe.rank
-        for word in basis_words(spec, k + 1):
-            probe.add(_phi(spec, unit, word))
-        if probe.rank != base_rank + spec.dim ** (k + 1):
+        relations = [row for row, _combo in solver.rows.values()]
+        images = [_phi(spec, unit, word) for word in basis_words(spec, k + 1)]
+        if rank(relations + images) != solver.rank + spec.dim ** (k + 1):
             return False
     for ka in range(1, maxgrade):
         for kb in range(1, maxgrade + 1 - ka):

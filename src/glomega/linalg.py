@@ -7,19 +7,19 @@ scalars, ``int`` or ``fractions.Fraction`` mixed freely (see
 inverse of a +-1 pivot back into an ``int``, so integral columns keep
 integral rows and combinations, and their elimination is ``int`` arithmetic.
 This is all the package needs: incremental row reduction with dependency
-tracking (:class:`SpanSolver`), canonical reduced bases (:func:`rref`),
-kernels of sparse constraint systems (:func:`kernel_basis`), and
-intersections with coordinate subspaces.  Everything is deterministic:
-pivots are always the smallest key.
+tracking over numbered columns (:class:`SpanSolver`), canonical reduced
+bases (:func:`rref`), kernels of sparse constraint systems
+(:func:`kernel_basis`), and intersections with coordinate subspaces.
+Everything is deterministic: pivots are always the smallest key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .omega import Scalar, StructureError, as_scalar, vec_add
+from .omega import Scalar, as_scalar, vec_add
 
 Vec = Dict[Hashable, Scalar]
 
@@ -30,15 +30,15 @@ class SpanSolver:
     Columns are added one at a time; the solver keeps a row-reduced basis of
     their span.  ``solve(rhs)`` expresses rhs in the added columns when
     possible, and ``add`` reports an exact linear dependency the moment one
-    appears.  Each column has its own id, given or by default the number of
-    columns added before it; an id used twice raises ``StructureError``, as
-    the two columns would merge into one in every combination.
+    appears.  Columns are numbered 0, 1, ... in the order they are added,
+    dependent columns included, and every combination is keyed by these
+    numbers.
     """
 
     def __init__(self):
-        # pivot key -> (reduced vector with 1 at pivot, combination over column ids)
+        # pivot key -> (reduced vector with 1 at pivot, combination over column numbers)
         self.rows: Dict[Hashable, Tuple[Vec, Vec]] = {}
-        self._ids: set = set()
+        self._columns = 0
 
     @property
     def rank(self) -> int:
@@ -62,18 +62,16 @@ class SpanSolver:
             vec_add(combo, row_combo, c)
         return residual, combo
 
-    def add(self, vec: Vec, col_id: Hashable = None) -> Optional[Vec]:
-        """Add a column; return a dependency combo if it is already spanned.
+    def add(self, vec: Vec) -> Optional[Vec]:
+        """Add the next column; return a dependency combo if it is already spanned.
 
-        The returned dict gives coefficients over previously added column ids
-        such that ``vec == sum combo[c] * col_c``; None means the column was
-        independent and has been incorporated.
+        The column takes the next number whatever the outcome.  The returned
+        dict gives coefficients over the numbers of earlier columns such that
+        ``vec == sum combo[c] * col_c``; None means the column was independent
+        and has been incorporated.
         """
-        if col_id is None:
-            col_id = len(self._ids)
-        if col_id in self._ids:
-            raise StructureError("column id %r is already used" % (col_id,))
-        self._ids.add(col_id)
+        col = self._columns
+        self._columns += 1
         residual, combo = self._reduce(vec)
         if not residual:
             return combo
@@ -81,7 +79,7 @@ class SpanSolver:
         inv = as_scalar(Fraction(1) / residual[pivot])
         row = {k: v * inv for k, v in residual.items()}
         row_combo: Vec = {c: -v * inv for c, v in combo.items() if v}
-        row_combo[col_id] = inv
+        row_combo[col] = inv
         # keep fully reduced form: eliminate the new pivot from existing rows
         for k, (other, other_combo) in list(self.rows.items()):
             c = other.get(pivot)
@@ -96,7 +94,7 @@ class SpanSolver:
         return not residual
 
     def solve(self, rhs: Vec) -> Optional[Vec]:
-        """Coefficients over column ids reproducing rhs, or None."""
+        """Coefficients over column numbers reproducing rhs, or None."""
         residual, combo = self._reduce(rhs)
         if residual:
             return None
@@ -169,17 +167,11 @@ def primitive(vec: Vec) -> Vec:
     if not vec:
         return {}
     keys = sorted(vec)
-    denom = 1
-    for k in keys:
-        denom = denom * vec[k].denominator // gcd(denom, vec[k].denominator)
-    ints = {k: vec[k] * denom for k in keys}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, int(v))
-    if g:
-        # g divides every entry; ``/`` on two ints would round through a float
-        ints = {k: v // g for k, v in ints.items()}
-    lead = ints[keys[0]]
-    if lead < 0:
-        ints = {k: -v for k, v in ints.items()}
-    return {k: Fraction(v) for k, v in ints.items()}
+    denom = lcm(*(vec[k].denominator for k in keys))
+    ints = {k: int(vec[k] * denom) for k in keys}
+    # g divides every entry, and its sign makes the leading entry positive;
+    # ``/`` on two ints would round through a float
+    g = gcd(*ints.values())
+    if ints[keys[0]] < 0:
+        g = -g
+    return {k: Fraction(v // g) for k, v in ints.items()}

@@ -219,7 +219,7 @@ def _solve_unit(spec: AlgebraSpec) -> Optional[Dict[int, Scalar]]:
                 _acc(col, ("L", j, k), c)
             for k, c in spec.product(j, i).items():
                 _acc(col, ("R", j, k), c)
-        solver.add(col, i)
+        solver.add(col)
     rhs: dict = {}
     for j in range(spec.dim):
         rhs[("L", j, j)] = 1

@@ -97,7 +97,7 @@ def pbw_monomials(omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int) -> List[
 
 
 def _span(columns: Iterable[Mapping]) -> Tuple[SpanSolver, Optional[Dict[int, Scalar]]]:
-    """Row-reduce the columns in order, with ids 0, 1, ...
+    """Row-reduce the columns in order; the solver numbers them 0, 1, ...
 
     Returns the solver and the first dependency as a primitive integer
     vector over column positions, or None when the columns are independent.
@@ -105,7 +105,7 @@ def _span(columns: Iterable[Mapping]) -> Tuple[SpanSolver, Optional[Dict[int, Sc
     solver = SpanSolver()
     dep = None
     for idx, col in enumerate(columns):
-        combo = solver.add(col, idx)
+        combo = solver.add(col)
         if combo is not None and dep is None:
             combo[idx] = -1
             dep = primitive(combo)

@@ -19,6 +19,7 @@ from glomega import (
 )
 from glomega import current as cur
 from glomega.current import (
+    _phi,
     bimodule_iso_check,
     check_current_antisym,
     check_current_jacobi,
@@ -39,9 +40,10 @@ from glomega.current import (
     t_expansion,
 )
 from glomega.enveloping import stable
-from glomega.omega import vec_add
+from glomega.linalg import SpanSolver
+from glomega.omega import _acc, vec_add
 from glomega.suites import _random_table
-from glomega.words import words_up_to
+from glomega.words import basis_words, words_up_to
 from glomega.yangian import t_gen
 
 
@@ -242,6 +244,69 @@ def test_bimodule_iso():
     assert bimodule_iso_check(matrix_algebra(2), 1)
     with pytest.raises(StructureError):
         bimodule_iso_check(null_algebra(2), 2)
+
+
+def _phi_with_unit_head(spec, unit, word):
+    """A planted fault: phi pads with the first basis term of the unit only."""
+    return _phi(spec, dict([min(unit.items())]), word)
+
+
+def _balancing_without_last_junction(spec, k):
+    """A planted fault: the balancing relations of every junction but the last."""
+    solver = SpanSolver()
+    for t in range(k - 2):
+        for left in basis_words(spec, 2 * t + 1):
+            for y, w, z in itertools.product(range(spec.dim), repeat=3):
+                for right in basis_words(spec, 2 * k - 2 * t - 3):
+                    vec = {}
+                    for c, coeff in spec.product(y, w).items():
+                        _acc(vec, left + (c, z) + right, coeff)
+                    for c, coeff in spec.product(w, z).items():
+                        _acc(vec, left + (y, c) + right, -coeff)
+                    if vec:
+                        solver.add(vec)
+    return solver
+
+
+@pytest.mark.parametrize(
+    "name, planted",
+    [("_phi", _phi_with_unit_head), ("_balancing_solver", _balancing_without_last_junction)],
+    ids=["unit-head", "last-junction"],
+)
+def test_bimodule_iso_fails_on_planted_faults(monkeypatch, name, planted):
+    monkeypatch.setattr(cur, name, planted)
+    assert not bimodule_iso_check(matrix_algebra(2), 2)
+    assert not bimodule_iso_check(direct_sum_C(2), 2)
+    # dim 1 cannot see either fault: its unit has one term and every relation is zero
+    assert bimodule_iso_check(direct_sum_C(1), 3)
+
+
+def test_bimodule_iso_refuses_grades_below_one():
+    for maxgrade in (0, -1):
+        with pytest.raises(StructureError, match="maxgrade"):
+            bimodule_iso_check(matrix_algebra(2), maxgrade)
+
+
+def test_path_algebra_iso_refuses_negative_grades():
+    with pytest.raises(StructureError, match="maxgrade"):
+        path_algebra_iso_check(2, -1)
+    assert path_algebra_iso_check(2, 0)
+
+
+def test_odot_assoc_refuses_total_length_below_three():
+    for total in (2, 1, 0):
+        with pytest.raises(StructureError, match="total length"):
+            check_odot_assoc(matrix_algebra(2), total)
+    assert check_odot_assoc(matrix_algebra(2), 3) is None
+
+
+def test_current_scans_refuse_caps_that_scan_nothing():
+    spec = matrix_algebra(2)
+    for d, maxgrade in ((2, -1), (0, 1), (-1, 0)):
+        for scan in (current_basis_keys, check_current_antisym, check_current_jacobi):
+            with pytest.raises(StructureError, match="d >= 1 and maxgrade >= 0"):
+                scan(spec, d, maxgrade)
+    assert len(current_basis_keys(spec, 1, 0)) == graded_dim(spec, 1, 0)
 
 
 def test_generator_bracket_display():

@@ -20,7 +20,7 @@ from glomega.linalg import (
     rref,
     vec_add,
 )
-from glomega.omega import AlgebraSpec, StructureError, direct_sum_C
+from glomega.omega import AlgebraSpec, direct_sum_C
 
 
 def _combine(cols, combo):
@@ -32,10 +32,10 @@ def _combine(cols, combo):
 
 def test_solver_solve_small_system():
     solver = SpanSolver()
-    solver.add({0: Fraction(1), 1: Fraction(1)}, "a")
-    solver.add({1: Fraction(1)}, "b")
+    solver.add({0: Fraction(1), 1: Fraction(1)})
+    solver.add({1: Fraction(1)})
     sol = solver.solve({0: Fraction(2), 1: Fraction(3)})
-    assert sol == {"a": Fraction(2), "b": Fraction(1)}
+    assert sol == {0: Fraction(2), 1: Fraction(1)}
     assert solver.solve({2: Fraction(1)}) is None
     assert solver.rank == 2
 
@@ -44,9 +44,9 @@ def test_solver_reports_dependency_combination():
     solver = SpanSolver()
     v0 = {0: Fraction(1), 1: Fraction(2)}
     v1 = {1: Fraction(1)}
-    assert solver.add(dict(v0), 0) is None
-    assert solver.add(dict(v1), 1) is None
-    dep = solver.add({0: Fraction(3), 1: Fraction(4)}, 2)
+    assert solver.add(dict(v0)) is None
+    assert solver.add(dict(v1)) is None
+    dep = solver.add({0: Fraction(3), 1: Fraction(4)})
     assert dep is not None
     assert _combine([v0, v1], dep) == {0: Fraction(3), 1: Fraction(4)}
 
@@ -60,8 +60,8 @@ def test_solver_combination_survives_back_substitution():
         {0: Fraction(1), 2: Fraction(2)},
     ]
     solver = SpanSolver()
-    for ci, v in enumerate(cols):
-        solver.add(dict(v), ci)
+    for v in cols:
+        solver.add(dict(v))
     rhs = {0: Fraction(4), 1: Fraction(1), 2: Fraction(3)}
     sol = solver.solve(dict(rhs))
     assert sol is not None
@@ -75,10 +75,10 @@ def test_solver_randomized_consistency(seed):
     n = rng.randint(2, 6)
     cols = []
     solver = SpanSolver()
-    for ci in range(rng.randint(2, 7)):
+    for _ in range(rng.randint(2, 7)):
         v = {k: Fraction(rng.randint(-3, 3)) for k in range(n)}
         v = {k: c for k, c in v.items() if c}
-        dep = solver.add(dict(v), ci)
+        dep = solver.add(dict(v))
         cols.append(v)
         if dep is not None:
             assert _combine(cols, dep) == v
@@ -165,13 +165,13 @@ def test_unit_pivots_keep_integer_columns_integral():
     # new pivot is eliminated from the rows before it
     cols = [{0: 1, 1: 2, 2: -3}, {1: -1, 2: 4, 3: 2}, {2: 1, 3: -5}, {3: -1}]
     solver = SpanSolver()
-    for ci, v in enumerate(cols):
-        assert solver.add(dict(v), ci) is None
+    for v in cols:
+        assert solver.add(dict(v)) is None
     assert solver.rank == 4
     values = _solver_values(solver)
     assert values and all(type(v) is int for v in values)
     assert any(v not in (0, 1, -1) for v in values)
-    combo = solver.add(_combine(cols, {0: 3, 1: -2, 3: 4}), 4)
+    combo = solver.add(_combine(cols, {0: 3, 1: -2, 3: 4}))
     assert combo == {0: 3, 1: -2, 3: 4} and all(type(v) is int for v in combo.values())
     rhs = _combine(cols, {0: 1, 1: 2, 2: -1, 3: 7})
     sol = solver.solve(rhs)
@@ -181,36 +181,25 @@ def test_unit_pivots_keep_integer_columns_integral():
 
 def test_pivot_of_two_gives_exact_halves():
     solver = SpanSolver()
-    assert solver.add({0: 2, 1: 1}, "a") is None
-    assert solver.rows[0] == ({0: 1, 1: Fraction(1, 2)}, {"a": Fraction(1, 2)})
+    assert solver.add({0: 2, 1: 1}) is None
+    assert solver.rows[0] == ({0: 1, 1: Fraction(1, 2)}, {0: Fraction(1, 2)})
     assert type(solver.rows[0][0][1]) is Fraction
-    assert solver.add({1: -2}, "b") is None
+    assert solver.add({1: -2}) is None
     assert solver.rows == {
-        0: ({0: 1}, {"a": Fraction(1, 2), "b": Fraction(1, 4)}),
-        1: ({1: 1}, {"b": Fraction(-1, 2)}),
+        0: ({0: 1}, {0: Fraction(1, 2), 1: Fraction(1, 4)}),
+        1: ({1: 1}, {1: Fraction(-1, 2)}),
     }
-    assert solver.solve({0: 1, 1: 1}) == {"a": Fraction(1, 2), "b": Fraction(-1, 4)}
+    assert solver.solve({0: 1, 1: 1}) == {0: Fraction(1, 2), 1: Fraction(-1, 4)}
 
 
-def test_repeated_column_id_raises():
-    # two columns under one id would merge: {0: 1, 1: 1} would solve as {'a': 2}
+def test_dependent_column_takes_a_number():
+    # numbering by rank would give the third column the dependent column's 1,
+    # and {0: 1, 1: 1} would solve as {0: 1, 1: 1}
     solver = SpanSolver()
-    solver.add({0: 1}, "a")
-    with pytest.raises(StructureError, match="already used"):
-        solver.add({1: 1}, "a")
-    # a default id is the number of columns added before it, and may meet an explicit one
-    solver = SpanSolver()
-    solver.add({0: 1}, 1)
-    with pytest.raises(StructureError, match="already used"):
-        solver.add({1: 1})
-    # a dependent column's id is used too
-    solver = SpanSolver()
-    solver.add({0: 1}, "a")
-    assert solver.add({0: 2}, "b") == {"a": 2}
-    with pytest.raises(StructureError):
-        solver.add({1: 1}, "b")
-    assert solver.add({1: 1}, "c") is None
-    assert solver.solve({0: 1, 1: 1}) == {"a": 1, "c": 1}
+    assert solver.add({0: 1}) is None
+    assert solver.add({0: 2}) == {0: 2}
+    assert solver.add({1: 1}) is None
+    assert solver.solve({0: 1, 1: 1}) == {0: 1, 2: 1}
 
 
 def _sparse_system(rng, nkeys):
@@ -269,8 +258,8 @@ def test_span_solver_agrees_with_sympy_domain_matrix():
                 ]
                 assert rref([{sign * k: c for k, c in v.items()} for v in vecs]) == [r for r in want if r]
             solver = SpanSolver()
-            for ci, v in enumerate(vecs):
-                dep = solver.add(dict(v), ci)
+            for v in vecs:
+                dep = solver.add(dict(v))
                 if dep is not None:
                     assert _combine(vecs, dep) == _nonzero(v)
             mixed += set(map(type, _solver_values(solver))) == {int, Fraction}
@@ -288,7 +277,7 @@ _ZERO_CASES = [
     ("add-after-pivot", "s = SpanSolver(); s.add({0: 1}); r = (s.add({0: 0, 1: 1}), sorted(s.rows))", (None, [0, 1])),
     ("add-to-empty", "s = SpanSolver(); r = (s.add({0: 0, 1: 1}), sorted(s.rows))", (None, [1])),
     ("contains", "s = SpanSolver(); s.add({0: 1}); r = (s.contains({0: 0}), s.contains({0: 0, 1: 1}))", (True, False)),
-    ("solve", "s = SpanSolver(); s.add({0: 1}, 'a'); s.add({1: 1}, 'b'); r = s.solve({0: 0, 1: 2})", {"b": 2}),
+    ("solve", "s = SpanSolver(); s.add({0: 1}); s.add({1: 1}); r = s.solve({0: 0, 1: 2})", {1: 2}),
     ("rank", "r = rank([{0: 1}, {0: 0, 1: 1}])", 2),
     ("rref", "r = rref([{0: 1}, {0: 0, 1: 1}])", [{0: 1}, {1: 1}]),
     ("kernel_basis", "r = kernel_basis([{0: 1}, {0: 0, 1: 1}], 3)", [{2: 1}]),
