@@ -29,8 +29,12 @@ h g + [g, h].  The swaps of one word form a chain of words of the same
 length, walked in a loop; walking it back adds the bracket corrections,
 which are normal forms of words one generator shorter, so the recursion
 depth is bounded by the word length, not by the number of swaps.  Every
-word met is memoized per context.  Confluence of this strategy against
-randomized swap schedules is exercised in the tests rather than assumed.
+word met is memoized per context: a word that is already sorted, its own
+normal form, keeps only the shared marker ``_SORTED``, and the other words
+their expansion.  :meth:`Enveloping.commutator_terms` memoizes only the
+generator pairs whose indices meet; any other pair brackets to zero.
+Confluence of this strategy against randomized swap schedules is exercised
+in the tests rather than assumed.
 
 Commutators [u, v] do not expand u v - v u: since gr U(gl) is commutative,
 the degree deg u + deg v parts of the two products cancel.  The derivation
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank
@@ -83,6 +88,10 @@ Gen = Tuple[int, int, int]
 Mono = Tuple[Gen, ...]
 
 _ONE = 1
+
+# the normal-form memo's entry for a word that is already sorted: the word
+# itself, with coefficient 1, is built afresh on each hit
+_SORTED: Mapping = MappingProxyType({})
 
 
 def stable(omega: AlgebraSpec, sizes: Iterable[int], verdict: Callable, witness: Callable[[Dict], str]):
@@ -135,7 +144,7 @@ class Enveloping:
         # the one tuple object of each generator: the words this context
         # builds are made of these, so the memoized words share them
         self._gen: Dict[Gen, Gen] = {g: g for g in self.gens}
-        self._nf: Dict[Mono, Dict[Mono, Scalar]] = {}
+        self._nf: Dict[Mono, Mapping[Mono, Scalar]] = {}
         self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Scalar], ...]] = {}
         self._e: Dict = {}
         # sorted chain words of e_top, by (i, j, word)
@@ -175,7 +184,13 @@ class Enveloping:
             raise StructureError("generator %r out of range for n=%d" % (g, self.n)) from None
 
     def commutator_terms(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Scalar], ...]:
-        """[E_g, E_h] as a tuple of (generator, coefficient) pairs."""
+        """[E_g, E_h] as a tuple of (generator, coefficient) pairs.
+
+        Memoized only for pairs whose indices meet (h's row is g's column or
+        g's row is h's column); any other pair gives ``()`` with no memo entry.
+        """
+        if g[1] != h[0] and g[0] != h[1]:
+            return ()
         key = (g, h)
         terms = self._comm.get(key)
         if terms is None:
@@ -198,7 +213,9 @@ class Enveloping:
     def normal_form(self, seq: Sequence[Gen]) -> Dict[Mono, Scalar]:
         """PBW expansion of a product of generators (memoized; do not mutate).
 
-        The leftmost inversion g h at position p is rewritten as
+        A sorted word is memoized as the shared marker ``_SORTED`` and gets
+        a fresh ``{word: 1}`` on every call; any other word's stored
+        expansion is handed back as it is.  The leftmost inversion g h at position p is rewritten as
         h g + [g, h].  The swaps form a chain of words of the same length,
         walked in a loop until a sorted or memoized word; each later scan
         starts at p - 1, since nothing left of it changed.  Walking the chain
@@ -214,6 +231,8 @@ class Enveloping:
         seq = tuple(seq)
         memo = self._nf
         res = memo.get(seq)
+        if res is _SORTED:
+            return {seq: _ONE}
         if res is not None:
             return res
         for g in seq:
@@ -230,11 +249,13 @@ class Enveloping:
                     break
             if p < 0:
                 res = {cur: _ONE}
-                memo[cur] = res
+                memo[cur] = _SORTED
                 break
             chain.append((cur, p))
             cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2 :]
             res = memo.get(cur)
+            if res is _SORTED:
+                res = {cur: _ONE}
             if res is not None:
                 break
             start = max(p - 1, 0)

@@ -27,9 +27,9 @@ from functools import reduce
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .enveloping import Enveloping, UElement, stable
+from .enveloping import Enveloping, Mono, UElement, stable
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, as_scalar, vec_add
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, as_scalar, vec_add
 from .words import Label, Word, words_up_to
 
 
@@ -212,21 +212,38 @@ def splitting_probe(omega: AlgebraSpec, d: int, deg: int, sizes: Sequence[int]) 
 # expansion in ordered t-monomials
 
 
+def _symbol_column(ctx: Enveloping, mono: OrderedMonomial) -> Dict[Mono, Scalar]:
+    """The top part of ``ctx.e_symbol(mono)``, read in gr U = S(gl(N, Omega)).
+
+    There it is the product of the labels' :meth:`~Enveloping.e_top`: each
+    concatenation of their words, sorted by the PBW key.
+    """
+    col: Dict[Mono, Scalar] = {(): 1}
+    for i, j, word in mono:
+        top = ctx.e_top(i, j, word)
+        prod = {}
+        for m1, c1 in col.items():
+            for m2, c2 in top.items():
+                _acc(prod, tuple(sorted(m1 + m2, key=ctx.sort_key)), c1 * c2)
+        col = prod
+    return col
+
+
 def _symbol_solver(ctx: Enveloping, d: int, total: int) -> Tuple[SpanSolver, List[OrderedMonomial]]:
     """Solver matching top-degree parts against the e-symbols of ordered t-monomials.
 
     The columns are the monomials of :func:`pbw_monomials` whose total word
-    length is exactly ``total``, in its order.  The e-symbols do not depend
-    on s, so the solver is cached per (d, total) and shared by every s.
-    Symbols that are dependent at the context's N would make the expansion
-    non-canonical, so they raise ``StructureError``.
+    length is exactly ``total``, in its order, each read in S by
+    :func:`_symbol_column`, so no e-element is multiplied in U.  The
+    e-symbols do not depend on s, so the solver is cached per (d, total) and
+    shared by every s.  Symbols that are dependent at the context's N would
+    make the expansion non-canonical, so they raise ``StructureError``.
     """
     cache = ctx._symbol_solvers
     key = (d, total)
     if key not in cache:
         monos = [m for m in pbw_monomials(ctx.omega, d, total, total) if sum(len(w) for _i, _j, w in m) == total]
-        symbols = (ctx.e_symbol(m) for m in monos)
-        solver, dep = _span(sym.homogeneous(total).terms for sym in symbols)
+        solver, dep = _span(_symbol_column(ctx, m) for m in monos)
         if dep is not None:
             raise StructureError("t-monomial symbols of word length %d are dependent at N=%d" % (total, ctx.n))
         cache[key] = (solver, monos)

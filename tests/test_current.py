@@ -362,6 +362,15 @@ def test_degeneration_check_basic_cases():
     assert degeneration_check(C2, 1, 2, 2, 1, (0,), (1,), 2, s)
 
 
+def test_degeneration_check_rejects_the_raw_commutator(monkeypatch):
+    # with no current bracket subtracted, the remainder is [t_12(0 0), t_21(0)]
+    # itself, of shifted degree 1 > len(x) + len(y) - 3 = 0, so the
+    # certificate must reject it; a bound one too loose would accept it
+    assert degeneration_check(direct_sum_C(1), 1, 2, 2, 1, (0, 0), (0,), 2, 0)
+    monkeypatch.setattr(cur, "gl_current_bracket", lambda omega, a, b: {})
+    assert not degeneration_check(direct_sum_C(1), 1, 2, 2, 1, (0, 0), (0,), 2, 0)
+
+
 def test_degeneration_check_length_two_words():
     # both deltas fire and the quadratic remainder must be peeled exactly
     C2 = direct_sum_C(2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, UElement, direct_sum_C, matrix_algebra, null_algebra
 from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_elem
+from glomega.omega import _acc
 from glomega.words import cyclic, words_up_to
 from glomega.yangian import evaluate, t_gen
 
@@ -36,6 +37,45 @@ def test_generator_commutator_respects_table():
     m = Enveloping.get(matrix_algebra(2), 1)
     got = m.commutator(m.gen(1, 1, 1), m.gen(1, 1, 2))
     assert got == m.gen(1, 1, 0) - m.gen(1, 1, 3)
+
+
+@pytest.mark.parametrize("spec", (C1, C2, null_algebra(2), matrix_algebra(2)), ids=lambda spec: spec.name)
+def test_commutator_terms_is_the_defining_bracket(spec):
+    # [E_i1j1(x), E_i2j2(y)] = delta(j1, i2) E_i1j2(x y) - delta(i1, j2) E_i2j1(y x)
+    # on every generator pair, and only pairs whose indices meet are memoized
+    ctx = Enveloping(spec, 3)
+    for g in ctx.gens:
+        for h in ctx.gens:
+            (i1, j1, x), (i2, j2, y) = g, h
+            want = {}
+            if j1 == i2:
+                for k, c in spec.product(x, y).items():
+                    _acc(want, (i1, j2, k), c)
+            if i1 == j2:
+                for k, c in spec.product(y, x).items():
+                    _acc(want, (i2, j1, k), -c)
+            assert dict(ctx.commutator_terms(g, h)) == want, (g, h)
+    assert ctx._comm
+    assert all(g[1] == h[0] or g[0] == h[1] for g, h in ctx._comm)
+
+
+def test_sorted_words_get_a_fresh_normal_form():
+    # a sorted word is its own normal form, handed out afresh on each call, so
+    # a caller that mutates it changes nothing; the memo still holds one
+    # entry per word met.  E_22 E_11 has a zero bracket, so its chain ends at
+    # the sorted E_11 E_22 and memoizes the two words.
+    ctx = Enveloping(C2, 3)
+    g, h = (1, 1, 0), (2, 2, 0)
+    assert ctx.normal_form((h, g)) == {(g, h): 1}
+    assert len(ctx._nf) == 2
+    for word in ((g, h), (g, h, (3, 3, 1)), ()):
+        first = ctx.normal_form(word)
+        assert first == {word: 1}
+        first[word] = 5
+        first[(g,)] = 1
+        assert ctx.normal_form(word) == {word: 1}
+    assert len(ctx._nf) == 4
+    assert ctx.normal_form((h, g)) == {(g, h): 1}
 
 
 def test_normal_form_sorts_and_is_idempotent():

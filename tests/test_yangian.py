@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C
+from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C, matrix_algebra
+from glomega import yangian
 from glomega.yangian import (
+    _symbol_column,
+    _symbol_solver,
     euler_phi,
     evaluate,
     independence_check,
@@ -85,6 +88,50 @@ def test_t_expansion_rejects_dependent_symbols():
     ctx = Enveloping.get(direct_sum_C(1), 1)
     with pytest.raises(StructureError):
         t_expansion(ctx, ctx.t_elem(1, 1, (0, 0), S0), 1, S0)
+
+
+@pytest.mark.parametrize(
+    "spec, ds, totals, sizes",
+    (
+        (direct_sum_C(1), (1, 2), (1, 2, 3), (4, 5)),
+        (direct_sum_C(2), (1, 2), (1, 2, 3), (4, 5, 6)),
+        (matrix_algebra(2), (1,), (1, 2), (3,)),
+    ),
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_symbol_columns_read_in_s_are_the_top_parts_in_u(spec, ds, totals, sizes):
+    # each column, a product of e_top in S, equals the top part of the
+    # e-symbol multiplied out in U, and the solver solves that top part to
+    # its own column alone
+    for n in sizes:
+        ctx = Enveloping(spec, n)
+        for d in ds:
+            for total in totals:
+                solver, monos = _symbol_solver(ctx, d, total)
+                assert monos
+                for idx, mono in enumerate(monos):
+                    top = ctx.e_symbol(mono).homogeneous(total).terms
+                    assert _symbol_column(ctx, mono) == top, (n, d, mono)
+                    assert solver.solve(top) == {idx: 1}, (n, d, mono)
+
+
+def test_t_expansion_rejects_a_layer_whose_top_does_not_drop(monkeypatch):
+    # the solve is exact, so subtracting a peeled layer always clears its
+    # degree; an evaluate whose first result carries one extra top-degree
+    # monomial (E_12) leaves the degree where it was, and the expansion is None
+    ctx = Enveloping(direct_sum_C(1), 2)
+    u = ctx.t_elem(1, 1, (0,), S0)
+    assert t_expansion(ctx, u, 2, S0) == [((t_gen(1, 1, (0,)),), 1)]
+    real, calls = yangian.evaluate, []
+
+    def faulty(mono, ctx, s):
+        got = real(mono, ctx, s)
+        calls.append(mono)
+        return got + ctx.gen(1, 2) if len(calls) == 1 else got
+
+    monkeypatch.setattr(yangian, "evaluate", faulty)
+    assert t_expansion(ctx, u, 2, S0) is None
+    assert calls == [(t_gen(1, 1, (0,)),)]
 
 
 def test_necklace_and_phi():
