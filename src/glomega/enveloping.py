@@ -545,6 +545,8 @@ class Enveloping:
                 yield mono
 
     def _torus_zero_monomials(self, d: int, maxdeg: int) -> List[Mono]:
+        if not (0 <= d <= self.n):
+            raise StructureError("need 0 <= d <= n")
         out = []
         acting = range(d + 1, self.n + 1)
         for mono in self.monomials(maxdeg):
@@ -553,30 +555,28 @@ class Enveloping:
         return out
 
     def _invariant_constraints(self, d: int, cols: Sequence[Mono]) -> List[Dict]:
-        """Rows of the ad-constraint system on the weight-zero monomial span."""
+        """Rows of the ad-constraint system on the weight-zero monomial span.
+
+        ad is a Lie algebra map, so what a generating set kills, all of
+        gl_d(N, C) kills.  The column filter imposes the torus E_aa, d < a <= N;
+        with it the simple root vectors E_{a,a+1} and E_{a+1,a}, d < a < N,
+        generate, so the rows come from these 2(N - d - 1) operators alone.
+        """
         rows: Dict = {}
         for ci, mono in enumerate(cols):
-            for i in range(d + 1, self.n + 1):
-                for j in range(d + 1, self.n + 1):
-                    if i == j:
-                        continue  # torus already accounted for by the column filter
+            for a in range(d + 1, self.n):
+                for i, j in ((a, a + 1), (a + 1, a)):
                     for m2, c in self._ad_mono(i, j, mono).items():
                         _acc(rows.setdefault((i, j, m2), {}), ci, c)
         return [row for row in rows.values() if row]
 
     def invariant_dim(self, d: int, maxdeg: int) -> int:
         """Dimension of the gl_d(N, C)-invariants of filtration degree <= maxdeg."""
-        if not (0 <= d <= self.n):
-            raise StructureError("need 0 <= d <= n")
         cols = self._torus_zero_monomials(d, maxdeg)
-        if not cols:
-            return 0
         return len(cols) - rank(self._invariant_constraints(d, cols))
 
     def invariant_basis(self, d: int, maxdeg: int) -> List["UElement"]:
         cols = self._torus_zero_monomials(d, maxdeg)
-        if not cols:
-            return []
         kern = kernel_basis(self._invariant_constraints(d, cols), len(cols))
         return [
             UElement._trusted(self, {cols[ci]: c for ci, c in vec.items()}) for vec in kern

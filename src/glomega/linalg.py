@@ -7,10 +7,11 @@ scalars, ``int`` or ``fractions.Fraction`` mixed freely (see
 inverse of a +-1 pivot back into an ``int``, so integral columns keep
 integral rows and combinations, and their elimination is ``int`` arithmetic.
 This is all the package needs: incremental row reduction with dependency
-tracking over numbered columns (:class:`SpanSolver`), canonical reduced
-bases (:func:`rref`), kernels of sparse constraint systems
-(:func:`kernel_basis`), and intersections with coordinate subspaces.
-Everything is deterministic: pivots are always the smallest key.
+tracking over numbered columns (:class:`SpanSolver`, the one elimination
+loop), and, read off its reduced rows, ranks, canonical reduced bases
+(:func:`rref`), kernels of sparse constraint systems (:func:`kernel_basis`)
+and intersections with coordinate subspaces.  Everything is deterministic:
+pivots are always the smallest key.
 """
 
 from __future__ import annotations
@@ -101,11 +102,16 @@ class SpanSolver:
         return {c: v for c, v in combo.items() if v}
 
 
-def rank(vectors: Iterable[Vec]) -> int:
+def _reduced_rows(vectors: Iterable[Vec]) -> Dict[Hashable, Vec]:
+    """The fully reduced rows of span(vectors), keyed by pivot, from one ``SpanSolver``."""
     solver = SpanSolver()
     for v in vectors:
         solver.add(v)
-    return solver.rank
+    return {k: row for k, (row, _combo) in solver.rows.items()}
+
+
+def rank(vectors: Iterable[Vec]) -> int:
+    return len(_reduced_rows(vectors))
 
 
 def rref(vectors: Iterable[Vec]) -> List[Vec]:
@@ -114,10 +120,8 @@ def rref(vectors: Iterable[Vec]) -> List[Vec]:
     Two spanning sets generate the same subspace iff their rref lists are
     equal.
     """
-    solver = SpanSolver()
-    for v in vectors:
-        solver.add(v)
-    return [dict(solver.rows[k][0]) for k in sorted(solver.rows)]
+    rows = _reduced_rows(vectors)
+    return [rows[k] for k in sorted(rows)]
 
 
 def coordinate_intersection(vectors: Iterable[Vec], inside: Callable) -> List[Vec]:
@@ -138,22 +142,12 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:
     Each row is a sparse linear functional on the unknowns; the result is a
     list of sparse kernel vectors (free-variable form, deterministic order).
     """
-    solver = SpanSolver()
-    for r in rows:
-        solver.add(r)
-    pivots = {}
-    for k, (row, _) in solver.rows.items():
-        pivots[k] = row
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v: Vec = {f: 1}
-        for p, row in pivots.items():
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    pivots = _reduced_rows(rows)
+    return [
+        {f: 1, **{p: -row[f] for p, row in pivots.items() if f in row}}
+        for f in range(ncols)
+        if f not in pivots
+    ]
 
 
 def primitive(vec: Vec) -> Vec:

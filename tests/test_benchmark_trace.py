@@ -24,6 +24,7 @@ SEED = 20240
 UNTRACED_FINGERPRINTS = {
     "double-fuzz": "975cd4e8131fc9ee92c509111e0b3579aeadb7dc63e8647cd91663642139e95c",
     "full-run": "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959",
+    "splitting-tower": "f8cd38f360dfc74f92a4ef287cc453d3f94b3c97eb6aba96cdd156ed60ae88d4",
     "symbols": "9be0f2685b1e43ffca328200798f60ca01c9604e97a8f48d7d6999a2d21dd6b4",
 }
 

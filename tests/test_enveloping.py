@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, UElement, direct_sum_C, matrix_algebra, null_algebra
 from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_elem
+from glomega.linalg import rank
 from glomega.omega import _acc
 from glomega.words import cyclic, words_up_to
 from glomega.yangian import evaluate, t_gen
@@ -587,6 +588,33 @@ def test_invariant_dim_degree_one():
 def test_invariant_dim_null_table():
     ctx = Enveloping.get(null_algebra(2), 3)
     assert ctx.invariant_dim(1, 1) == 1 + 2 + 2
+
+
+@pytest.mark.parametrize("d", [-1, 4])
+def test_invariants_reject_d_out_of_range(d):
+    ctx = Enveloping.get(C1, 3)
+    for compute in (ctx.invariant_dim, ctx.invariant_basis):
+        with pytest.raises(StructureError, match="need 0 <= d <= n"):
+            compute(d, 1)
+
+
+@pytest.mark.parametrize("spec", _COMM_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("n", [3, 4])
+def test_generator_constraints_cut_out_the_centralizer(spec, n):
+    # the reference system: ad E_ij for every i != j of the acting block
+    ctx = Enveloping.get(spec, n)
+    for d in (0, 1, 2):
+        cols = ctx._torus_zero_monomials(d, 2)
+        rows = {}
+        for ci, mono in enumerate(cols):
+            for i in range(d + 1, n + 1):
+                for j in range(d + 1, n + 1):
+                    if i != j:
+                        for m2, c in ctx._ad_mono(i, j, mono).items():
+                            rows.setdefault((i, j, m2), {})[ci] = c
+        assert ctx.invariant_dim(d, 2) == len(cols) - rank(rows.values())
+        for u in ctx.invariant_basis(d, 2):
+            assert ctx.is_in_centralizer(u, d)
 
 
 def test_ideal_intersection_check():

@@ -248,7 +248,15 @@ def test_span_solver_agrees_with_sympy_domain_matrix():
         for draws, draw in ((rng, _sparse_system), (ints, _int_system)):
             vecs = draw(draws, nkeys)
             keys = list(range(nkeys))
-            assert rank(vecs) == dm(vecs, keys).rank()
+            assert rank(vecs) == dm(vecs, keys).rank() == len(rref(vecs))
+            # one kernel vector per free column: 1 there, 0 at every other free column
+            _reduced, pivots = dm(vecs, keys).rref()
+            free = [k for k in keys if k not in pivots]
+            kernel = kernel_basis(vecs, nkeys)
+            assert len(kernel) == nkeys - dm(vecs, keys).rank() == len(free)
+            for f, z in zip(free, kernel):
+                assert {g: z.get(g, 0) for g in free} == {g: int(g == f) for g in free}
+                assert all(sum(c * z.get(k, 0) for k, c in v.items()) == 0 for v in vecs)
             # pivots in key order, and in reversed order through the keys k -> -k
             for sign, cols in ((1, keys), (-1, keys[::-1])):
                 reduced, _pivots = dm(vecs, cols).rref()
