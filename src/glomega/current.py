@@ -202,6 +202,8 @@ def graded_dim(spec: AlgebraSpec, d: int, n: int) -> int:
 
 def graded_basis(spec: AlgebraSpec, d: int, n: int) -> List[Label]:
     """Explicit basis of the grade-n piece; its length realizes graded_dim."""
+    if n < 0:
+        raise StructureError("grade must be nonnegative")
     return [
         (i, j, w)
         for i in range(1, d + 1)

@@ -185,19 +185,14 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
 Bracket = Callable[[Word, Word], Double]
 
 
-def triple_jacobi_sum(
-    spec: AlgebraSpec, a: Word, b: Word, c: Word, *, bracket: Optional[Bracket] = None
-) -> Triple:
+def triple_jacobi_sum(bracket: Bracket, a: Word, b: Word, c: Word) -> Triple:
     """Cyclic sum <<a,<<b,c>>>>_L + rot <<b,<<c,a>>>>_L + rot^2 <<c,<<a,b>>>>_L.
 
     <<a, u (x) v>>_L = <<a, u>> (x) v brackets ``a`` into the first slot,
     and rot(u1 (x) u2 (x) u3) = u3 (x) u1 (x) u2.  All three terms are added
     into one dict.  ``bracket(x, y)`` computes the double bracket of two
-    words; it defaults to :func:`double_bracket` on ``spec``, and
-    :func:`check_double_jacobi` passes its memo of it.
+    words: :func:`check_double_jacobi` passes its memo of :func:`double_bracket`.
     """
-    if bracket is None:
-        bracket = lambda x, y: double_bracket(spec, x, y)
     out: Triple = {}
     get = out.get
     for turns, (x, y, z) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
@@ -257,7 +252,7 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
             for k in range(i, n):
                 if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
                     continue
-                if triple_jacobi_sum(spec, words[i], words[j], words[k], bracket=bracket):
+                if triple_jacobi_sum(bracket, words[i], words[j], words[k]):
                     return (words[i], words[j], words[k])
     return None
 

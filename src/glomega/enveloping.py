@@ -68,7 +68,7 @@ from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import SpanSolver, coordinate_intersection, kernel_basis, rank
+from .linalg import SpanSolver, kernel_basis, rank, rref
 from .omega import (
     AlgebraSpec,
     Scalar,
@@ -547,6 +547,8 @@ class Enveloping:
     def _torus_zero_monomials(self, d: int, maxdeg: int) -> List[Mono]:
         if not (0 <= d <= self.n):
             raise StructureError("need 0 <= d <= n")
+        if maxdeg < 0:
+            raise StructureError("need maxdeg >= 0")
         out = []
         acting = range(d + 1, self.n + 1)
         for mono in self.monomials(maxdeg):
@@ -587,21 +589,24 @@ class Enveloping:
     def ideal_intersection_check(self, maxdeg: int) -> Dict[str, object]:
         """Desk verification that the left and right ideal intersections agree.
 
-        Computes span{u E(i,N)(x)} and span{E(N,j)(x) u} up to filtration
-        degree maxdeg, intersects each with the E_NN-invariant coordinate
-        subspace, and reports whether the two agree, whether the invariant
-        space splits as (index-N free part) + (intersection), and whether the
-        intersection is stable under invariant degree-1 multipliers on both
-        sides.
+        Spans u E(i,N)(x) and E(N,j)(x) u up to filtration degree maxdeg,
+        keeps each ideal's E_NN-invariant part (the span of its weight-zero
+        spanning vectors), and reports whether the two agree, whether the
+        invariant space splits as (index-N free part) + (intersection), and
+        whether the intersection is stable under invariant degree-1
+        multipliers on both sides.
         """
         n = self.n
         right_gens = [(i, n, b) for i in range(1, n + 1) for b in range(self.omega.dim)]
         left_gens = [(n, j, b) for j in range(1, n + 1) for b in range(self.omega.dim)]
         lower = list(self.monomials(maxdeg - 1))
-        inside = lambda mono: self.mono_weight(mono) == 0
-        # both are reduced bases, so the two spans agree exactly when the lists do
-        plus = coordinate_intersection((self.normal_form(mono + (g,)) for mono in lower for g in right_gens), inside)
-        minus = coordinate_intersection((self.normal_form((g,) + mono) for mono in lower for g in left_gens), inside)
+        # [E_ij(x), E_kl(y)] has the weight of E_ij plus that of E_kl, so a normal
+        # form has its word's weight, and a span of weight vectors meets weight 0
+        # in the span of its weight-0 members; rref gives both a canonical basis
+        right = (m + (g,) for m in lower for g in right_gens)
+        left = ((g,) + m for m in lower for g in left_gens)
+        plus = rref(self.normal_form(w) for w in right if self.mono_weight(w) == 0)
+        minus = rref(self.normal_form(w) for w in left if self.mono_weight(w) == 0)
         equal = plus == minus
 
         # direct sum with the index-N free monomials inside the invariants

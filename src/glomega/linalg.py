@@ -9,16 +9,15 @@ integral rows and combinations, and their elimination is ``int`` arithmetic.
 This is all the package needs: incremental row reduction with dependency
 tracking over numbered columns (:class:`SpanSolver`, the one elimination
 loop), and, read off its reduced rows, ranks, canonical reduced bases
-(:func:`rref`), kernels of sparse constraint systems (:func:`kernel_basis`)
-and intersections with coordinate subspaces.  Everything is deterministic:
-pivots are always the smallest key.
+(:func:`rref`) and kernels of sparse constraint systems (:func:`kernel_basis`).
+Everything is deterministic: pivots are always the smallest key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .omega import Scalar, as_scalar, vec_add
 
@@ -122,18 +121,6 @@ def rref(vectors: Iterable[Vec]) -> List[Vec]:
     """
     rows = _reduced_rows(vectors)
     return [rows[k] for k in sorted(rows)]
-
-
-def coordinate_intersection(vectors: Iterable[Vec], inside: Callable) -> List[Vec]:
-    """Basis of span(vectors) intersected with {v : support(v) in inside}.
-
-    Works by eliminating on the outside coordinates first: each key k is
-    re-keyed as (inside(k), k), so outside keys sort first and become the
-    pivots; the reduced rows supported entirely inside the coordinate
-    subspace then span the intersection.
-    """
-    rows = rref({(bool(inside(k)), k): c for k, c in v.items()} for v in vectors)
-    return [{k: c for (_in, k), c in r.items()} for r in rows if all(flag for flag, _k in r)]
 
 
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:

@@ -76,6 +76,8 @@ def evaluate(mono: Sequence[Label], ctx: Enveloping, s: ScalarLike) -> UElement:
 
 def pbw_monomials(omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int) -> List[OrderedMonomial]:
     """All ordered monomials with total word length <= maxlen, <= maxdeg factors."""
+    if maxlen < 0 or maxdeg < 0:
+        raise StructureError("pbw monomials need maxlen >= 0 and maxdeg >= 0")
     gens = [(i, j, w) for i in range(1, d + 1) for j in range(1, d + 1) for w in words_up_to(omega, maxlen)]
     gens.sort(key=tgen_key)
     out: List[OrderedMonomial] = []
@@ -175,6 +177,8 @@ def euler_phi(k: int) -> int:
 
 def necklace_count(dim: int, m: int) -> int:
     """Words of length m over dim letters, up to rotation."""
+    if m < 1:
+        raise StructureError("necklace counts need m >= 1")
     total = sum(euler_phi(r) * dim ** (m // r) for r in range(1, m + 1) if m % r == 0)
     return total // m
 
@@ -186,6 +190,8 @@ def splitting_expected(dim_omega: int, d: int, deg: int) -> int:
     matrix part d^2 dim^m; symmetric-algebra dimensions come from the usual
     multiset generating series.
     """
+    if deg < 0:
+        raise StructureError("the splitting count needs deg >= 0")
     coeffs = [0] * (deg + 1)
     coeffs[0] = 1
     for m in range(1, deg + 1):

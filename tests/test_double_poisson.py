@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -168,11 +169,11 @@ def test_double_jacobi_on_associative_tables():
 
 def _full_jacobi_scan(spec, maxlen):
     """The first triple of the whole W^3 scan, in index order, with a nonzero sum."""
-    words = list(words_up_to(spec, maxlen))
+    words, bracket = list(words_up_to(spec, maxlen)), partial(double_bracket, spec)
     for a in words:
         for b in words:
             for c in words:
-                if triple_jacobi_sum(spec, a, b, c):
+                if triple_jacobi_sum(bracket, a, b, c):
                     return (a, b, c)
     return None
 
@@ -288,7 +289,7 @@ def _reference_jacobi_sum(spec, a, b, c):
 @example(nonassoc_witness(), [0], [0, 0], [1])  # every rotation's term is nonzero
 def test_jacobi_sum_matches_the_reference_sum(spec, wa, wb, wc):
     a, b, c = (tuple(x % spec.dim for x in w) for w in (wa, wb, wc))
-    got = triple_jacobi_sum(spec, a, b, c)
+    got = triple_jacobi_sum(partial(double_bracket, spec), a, b, c)
     assert got == _reference_jacobi_sum(spec, a, b, c)
     assert all(x != 0 for x in got.values())
 
@@ -306,8 +307,9 @@ def test_jacobi_sum_is_a_derivation_in_its_last_argument(seed, wa, wb, wc, wd):
         rng = random.Random(seed)
         spec = _random_table(rng.randint(1, 3), rng)
     a, b, c, d = (tuple(x % spec.dim for x in w) for w in (wa, wb, wc, wd))
-    lhs = triple_jacobi_sum(spec, a, b, c + d)
-    rhs = _sum(_outer_left(c, triple_jacobi_sum(spec, a, b, d)), _outer_right(triple_jacobi_sum(spec, a, b, c), d))
+    bracket = partial(double_bracket, spec)
+    lhs = triple_jacobi_sum(bracket, a, b, c + d)
+    rhs = _sum(_outer_left(c, triple_jacobi_sum(bracket, a, b, d)), _outer_right(triple_jacobi_sum(bracket, a, b, c), d))
     assert lhs == rhs
 
 
@@ -337,7 +339,7 @@ def test_brackets_are_zero_free_and_the_jacobi_sum_keeps_its_rotations(seed, wa,
     a, b, c = (tuple(x % spec.dim for x in w) for w in (wa, wb, wc))
     results = [double_bracket(spec, x, y) for x in (a, b, c) for y in (a, b, c)]
     results += [letter_bracket_expected(spec, i, j) for i in range(spec.dim) for j in range(spec.dim)]
-    jacobi = triple_jacobi_sum(spec, a, b, c)
+    jacobi = triple_jacobi_sum(partial(double_bracket, spec), a, b, c)
     results.append(jacobi)
     assert all(x != 0 for t in results for x in t.values())
     expected = _sum(

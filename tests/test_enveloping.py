@@ -115,6 +115,19 @@ def test_normal_form_matches_random_rewriting_at_n2(seed, length, spec):
     assert ctx.normal_form_random(seq, rng) == ctx.normal_form(seq)
 
 
+@pytest.mark.parametrize("spec", (C2, null_algebra(2), matrix_algebra(2)), ids=lambda spec: spec.name)
+def test_normal_form_keeps_every_torus_weight(spec):
+    # [E_ij(x), E_kl(y)] has the weight of E_ij plus that of E_kl, so every
+    # monomial of a normal form has its word's ad E_aa weight, for each a
+    rng = random.Random(20240)
+    ctx = Enveloping.get(spec, 3)
+    for _ in range(300):
+        word = tuple(rng.choice(ctx.gens) for _ in range(rng.randint(0, 5)))
+        for a in (1, 2, 3):
+            weight = ctx.mono_weight(word, a)
+            assert all(ctx.mono_weight(mono, a) == weight for mono in ctx.normal_form(word)), (word, a)
+
+
 @pytest.mark.parametrize("seq", [((9, 9, 9),), ((1, 1, 0), (9, 9, 9)), ((9, 9, 9), (1, 1, 0)), ((1, 1, 1),)])
 def test_random_rewriting_rejects_a_bad_generator(seq):
     # every generator of a word is looked up, so a word of one bad generator raises too
@@ -618,8 +631,19 @@ def test_generator_constraints_cut_out_the_centralizer(spec, n):
 
 
 def test_ideal_intersection_check():
-    rep = Enveloping.get(C1, 3).ideal_intersection_check(2)
-    assert rep["passed"]
-    assert rep["intersections_equal"]
-    assert rep["direct_sum"]
-    assert rep["two_sided"]
+    # the dimensions agree with intersecting each ideal's whole span with the
+    # weight-zero coordinate subspace, so keeping weight-zero words misses none
+    cases = (
+        (C1, 2, 4), (C1, 3, 10), (C2, 2, 13), (C2, 3, 37),
+        (null_algebra(2), 2, 13), (null_algebra(2), 3, 37),
+        (matrix_algebra(2), 2, 46), (matrix_algebra(2), 3, 142),
+    )
+    for spec, n, dim in cases:
+        rep = Enveloping.get(spec, n).ideal_intersection_check(2)
+        assert rep == {
+            "intersections_equal": True,
+            "dim": dim,
+            "direct_sum": True,
+            "two_sided": True,
+            "passed": True,
+        }, (spec.name, n)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from glomega.enveloping import Enveloping, UElement
 from glomega.linalg import (
     SpanSolver,
-    coordinate_intersection,
     kernel_basis,
     primitive,
     rank,
@@ -104,43 +103,6 @@ def test_kernel_basis_simple_relation():
     assert len(kern) == 1
     (v,) = kern
     assert v == {1: Fraction(1), 0: Fraction(-1)}
-
-
-def test_coordinate_intersection():
-    vecs = [
-        {0: Fraction(1), 2: Fraction(1)},
-        {1: Fraction(1), 2: Fraction(1)},
-    ]
-    inside = lambda k: k != 0
-    # coordinate 0 must vanish, leaving the single direction e1 + e2
-    assert coordinate_intersection(vecs, inside) == [{1: Fraction(1), 2: Fraction(1)}]
-    vecs.append({0: Fraction(1)})
-    # now the span is everything, so the intersection is the full inside plane
-    assert coordinate_intersection(vecs, inside) == [{1: Fraction(1)}, {2: Fraction(1)}]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_coordinate_intersection_is_a_reduced_basis(seed):
-    # ideal_intersection_check compares two intersections as lists, so each
-    # must be the canonical basis of its span, whatever spanning set it came from
-    rng = random.Random(seed)
-    n = rng.randint(2, 7)
-    vecs = [
-        {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in range(n) if rng.random() < 0.6}
-        for _ in range(rng.randint(1, 6))
-    ]
-    outside = set(rng.sample(range(n), rng.randint(0, n - 1)))
-    inside = lambda k: k not in outside
-    got = coordinate_intersection(vecs, inside)
-    assert got == rref(got)
-    solver = SpanSolver()
-    for v in vecs:
-        solver.add(v)
-    assert all(inside(k) for row in got for k in row)
-    assert all(solver.contains(row) for row in got)
-    shuffled = [{k: 3 * c for k, c in v.items()} for v in rng.sample(vecs, len(vecs))]
-    assert coordinate_intersection(shuffled + vecs[:1], inside) == got
 
 
 def test_primitive_normalization():
@@ -316,7 +278,6 @@ _ABSENT_CASES = [
     ("rank", lambda z: rank([{**z, 1: 1}, {0: 1}])),
     ("rref", lambda z: rref([{**z, 1: 1}, {0: 1, 1: 1}])),
     ("kernel_basis", lambda z: kernel_basis([{**z, 1: 1}], 3)),
-    ("coordinate_intersection", lambda z: coordinate_intersection([{**z, 1: 1, 2: 1}, {2: 1}], lambda k: k >= 1)),
     ("table-entry", lambda z: AlgebraSpec(2, table={(0, 0): {**z, 1: 1}}).table),
     ("sparse-vector", lambda z: _element_terms({**z, 1: 3})),
 ]

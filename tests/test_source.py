@@ -310,11 +310,10 @@ _CALLED_ONLY_BY_TESTS = {
     "Enveloping.invariant_basis": "the one check that computed invariants lie in the centralizer",
     "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
     "omega.save_algebra": "the README's file round-trip",
-    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 5)",
-    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 5)",
+    "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
+    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 6)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
-    "linalg.coordinate_intersection": "ideal_intersection_check intersects the two ideals with it",
-    "linalg.rref": "coordinate_intersection reduces its rows with it; tests compare spans by it",
+    "linalg.rref": "ideal_intersection_check reduces each ideal's invariant part with it; tests compare spans by it",
 }
 
 

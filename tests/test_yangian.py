@@ -6,6 +6,7 @@ import pytest
 
 from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C, matrix_algebra
 from glomega import yangian
+from glomega.current import graded_basis
 from glomega.yangian import (
     _symbol_column,
     _symbol_solver,
@@ -157,6 +158,31 @@ def test_splitting_probe_matches():
     assert rep["expected"] == 4
     rep2 = splitting_probe(direct_sum_C(2), 1, 1, (3, 4))
     assert rep2["match"] and rep2["expected"] == 5
+
+
+_C = direct_sum_C(1)
+
+# every exported count or enumeration refuses a cap below its range with
+# StructureError, as compositions and current_basis_keys do
+_NEGATIVE_CAPS = [
+    ("splitting_expected", lambda: splitting_expected(1, 1, -1)),
+    ("splitting_probe", lambda: splitting_probe(_C, 0, -1, (3, 4))),
+    ("necklace_count-0", lambda: necklace_count(2, 0)),
+    ("necklace_count-neg", lambda: necklace_count(2, -1)),
+    ("pbw_monomials-maxdeg", lambda: pbw_monomials(_C, 1, 2, -1)),
+    ("pbw_monomials-maxlen", lambda: pbw_monomials(_C, 1, -1, 2)),
+    ("pbw_suite", lambda: pbw_suite(_C, 1, 2, -1, 3, 0)),
+    ("invariant_dim", lambda: Enveloping.get(_C, 3).invariant_dim(0, -1)),
+    ("invariant_basis", lambda: Enveloping.get(_C, 3).invariant_basis(0, -1)),
+    ("graded_basis-1", lambda: graded_basis(direct_sum_C(2), 1, -1)),
+    ("graded_basis-2", lambda: graded_basis(direct_sum_C(2), 1, -2)),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in _NEGATIVE_CAPS], ids=[c[0] for c in _NEGATIVE_CAPS])
+def test_negative_caps_raise_structure_error(call):
+    with pytest.raises(StructureError):
+        call()
 
 
 def _expand_product(ctx, a, b, d):
