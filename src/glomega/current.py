@@ -195,15 +195,15 @@ def current_basis_keys(spec: AlgebraSpec, d: int, maxgrade: int) -> List[Label]:
 
 def graded_dim(spec: AlgebraSpec, d: int, n: int) -> int:
     """Dimension d^2 * (dim Omega)^(n+1) of the grade-n piece of gl(d) currents."""
-    if n < 0:
-        raise StructureError("grade must be nonnegative")
+    if d < 1 or n < 0:
+        raise StructureError("graded dimensions need d >= 1 and a nonnegative grade")
     return d * d * spec.dim ** (n + 1)
 
 
 def graded_basis(spec: AlgebraSpec, d: int, n: int) -> List[Label]:
     """Explicit basis of the grade-n piece; its length realizes graded_dim."""
-    if n < 0:
-        raise StructureError("grade must be nonnegative")
+    if d < 1 or n < 0:
+        raise StructureError("graded bases need d >= 1 and a nonnegative grade")
     return [
         (i, j, w)
         for i in range(1, d + 1)

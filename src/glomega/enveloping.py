@@ -40,7 +40,8 @@ Commutators [u, v] do not expand u v - v u: since gr U(gl) is commutative,
 the degree deg u + deg v parts of the two products cancel.  The derivation
 rule expands [g_1...g_l, h_1...h_k] as a sum of words of length l + k - 1,
 each with one pair g_p, h_q replaced by their bracket, and normal-forms only
-those.  It is kept exact for callers that need the lower-degree remainder.
+those; it visits only the pairs whose indices meet.  It is kept exact for
+callers that need the lower-degree remainder.
 When only the top part is wanted, :meth:`Enveloping.top_commutator` reads it
 in gr U = S(gl(N, Omega)) as the Poisson bracket of the top parts: the same
 words, sorted instead of normal-formed, from generator pairs whose indices
@@ -154,9 +155,12 @@ class Enveloping:
         self._t: Dict = {}
         # ordered t-monomials evaluated by yangian.evaluate, by (monomial, s)
         self._y_eval_cache: Dict = {}
-        # symbol solvers of yangian.t_expansion, by (d, total word length);
-        # e-symbols carry no s, so every s shares them, and the t-monomials
-        # the expansion subtracts are evaluated into _y_eval_cache
+        # yangian.t_expansion's symbol columns: the ordered t-monomials of
+        # each (d, total word length) split by torus weight, and the solver
+        # of each class, by (d, total, weight), built on first use; e-symbols
+        # carry no s, so every s shares them, and the t-monomials the
+        # expansion subtracts are evaluated into _y_eval_cache
+        self._symbol_classes: Dict = {}
         self._symbol_solvers: Dict = {}
         # top_commutator's one slot: the last left argument and its
         # Hamiltonian field, (u, partials, by_row, by_col, {h: X_u(h)})
@@ -316,20 +320,32 @@ class Enveloping:
         [m1, m2] = sum over q, p of
         h_1...h_{q-1} g_1...g_{p-1} [g_p, h_q] g_{p+1}...g_l h_{q+1}...h_k,
         so only words of length l + k - 1 are normal-formed; the degree
-        l + k part of u v - v u, which cancels, is never built.
+        l + k part of u v - v u, which cancels, is never built.  [g, h]
+        vanishes unless h's row is g's column or g's row is h's column, so
+        u's factors are indexed by column and by row, as in
+        :meth:`top_commutator`, and only the pairs that meet are visited,
+        each once: a pair E_ab, E_ba (a diagonal pair among them) meets
+        both ways, and is taken from the column index alone.
         """
         u._compat(self)
         v._compat(self)
-        out: Dict[Mono, Scalar] = {}
+        by_row: Dict[int, List[Tuple[Mono, Scalar, int, Gen]]] = {}
+        by_col: Dict[int, List[Tuple[Mono, Scalar, int, Gen]]] = {}
         for m1, c1 in u.terms.items():
-            for m2, c2 in v.terms.items():
-                cc = c1 * c2
-                for q, h in enumerate(m2):
-                    left, right = m2[:q], m2[q + 1 :]
-                    for p, g in enumerate(m1):
-                        for gen, c3 in self.commutator_terms(g, h):
-                            word = left + m1[:p] + (gen,) + m1[p + 1 :] + right
-                            vec_add(out, self.normal_form(word), cc * c3)
+            for p, g in enumerate(m1):
+                entry = (m1, c1, p, g)
+                by_row.setdefault(g[0], []).append(entry)
+                by_col.setdefault(g[1], []).append(entry)
+        out: Dict[Mono, Scalar] = {}
+        for m2, c2 in v.terms.items():
+            for q, h in enumerate(m2):
+                left, right = m2[:q], m2[q + 1 :]
+                i2 = h[0]
+                for m1, c1, p, g in by_col.get(i2, []) + [e for e in by_row.get(h[1], ()) if e[3][1] != i2]:
+                    cc = c1 * c2
+                    for gen, c3 in self.commutator_terms(g, h):
+                        word = left + m1[:p] + (gen,) + m1[p + 1 :] + right
+                        vec_add(out, self.normal_form(word), cc * c3)
         return UElement._trusted(self, out)
 
     def top_commutator(self, u: "UElement", v: "UElement") -> "UElement":
@@ -511,27 +527,32 @@ class Enveloping:
     def project_down(self, u: "UElement") -> "UElement":
         """Delete index-N monomials and re-express in U(gl(N-1, Omega)).
 
-        Requires ad E_NN u = 0.  Deletion is justified monomial by monomial:
-        a weight-zero monomial containing index N must contain an E(*, N)
-        factor (checked at runtime), so it lies in L(N) = ker of the
-        projection.  Surviving monomials are re-sorted in the table's own
-        context one size down (:meth:`get`), whose PBW order differs.
+        Requires ad E_NN u = 0.  One pass per monomial counts its factors
+        with row N and with column N; they must be equal, as weight zero
+        says, and every monomial is checked before any is re-sorted.
+        Deletion is justified monomial by monomial: a weight-zero monomial
+        containing index N has an E(*, N) factor, so it lies in L(N) = ker
+        of the projection.  Surviving monomials, those with no factor in
+        row or column N, are re-sorted in the table's own context one size
+        down (:meth:`get`), whose PBW order differs.
         """
         u._compat(self)
-        if self.n < 2:
+        n = self.n
+        if n < 2:
             raise StructureError("cannot project below n = 1")
-        if any(self.mono_weight(m) for m in u.terms):
-            raise StructureError("project_down needs an E_NN-invariant element")
-        target = Enveloping.get(self.omega, self.n - 1)
-        acc: Dict[Mono, Scalar] = {}
+        kept = []
         for mono, c in u.terms.items():
-            if any(i == self.n or j == self.n for (i, j, _b) in mono):
-                if not any(j == self.n for (_i, j, _b) in mono):
-                    # cannot happen for weight-zero monomials
-                    raise StructureError(
-                        "monomial %r touches index N without an E(*,N) factor" % (mono,)
-                    )
-                continue
+            rows = cols = 0
+            for i, j, _b in mono:
+                rows += i == n
+                cols += j == n
+            if rows != cols:
+                raise StructureError("project_down needs an E_NN-invariant element")
+            if not cols:
+                kept.append((mono, c))
+        target = Enveloping.get(self.omega, n - 1)
+        acc: Dict[Mono, Scalar] = {}
+        for mono, c in kept:
             vec_add(acc, target.normal_form(mono), c)
         return UElement._trusted(target, acc)
 

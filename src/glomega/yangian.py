@@ -12,8 +12,9 @@ increasing tuples of labels under the order
 These are formal objects; all actual multiplication happens through
 evaluation into U(gl(N, Omega)) at finite N.  :func:`t_expansion` is the one
 way back: it expands an element of U(gl(N, Omega)) in ordered t-monomials by
-peeling top symbols, and :func:`shift_automorphism_check` compares two such
-expansions.  One loop, ``_span``, row-reduces every span of monomial columns.
+peeling top symbols, each torus weight against the symbols of its own weight,
+and :func:`shift_automorphism_check` compares two such expansions.  One loop,
+``_span``, row-reduces every span of monomial columns.
 Linear independence claims are certified by rank at a single N; a linear
 *dependence* found at N must also hold at N+1.  Shift checks, dependencies
 and splitting probes compare their per-size results through
@@ -76,8 +77,8 @@ def evaluate(mono: Sequence[Label], ctx: Enveloping, s: ScalarLike) -> UElement:
 
 def pbw_monomials(omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int) -> List[OrderedMonomial]:
     """All ordered monomials with total word length <= maxlen, <= maxdeg factors."""
-    if maxlen < 0 or maxdeg < 0:
-        raise StructureError("pbw monomials need maxlen >= 0 and maxdeg >= 0")
+    if d < 1 or maxlen < 0 or maxdeg < 0:
+        raise StructureError("pbw monomials need d >= 1, maxlen >= 0 and maxdeg >= 0")
     gens = [(i, j, w) for i in range(1, d + 1) for j in range(1, d + 1) for w in words_up_to(omega, maxlen)]
     gens.sort(key=tgen_key)
     out: List[OrderedMonomial] = []
@@ -190,8 +191,8 @@ def splitting_expected(dim_omega: int, d: int, deg: int) -> int:
     matrix part d^2 dim^m; symmetric-algebra dimensions come from the usual
     multiset generating series.
     """
-    if deg < 0:
-        raise StructureError("the splitting count needs deg >= 0")
+    if d < 0 or deg < 0:
+        raise StructureError("the splitting count needs d >= 0 and deg >= 0")
     coeffs = [0] * (deg + 1)
     coeffs[0] = 1
     for m in range(1, deg + 1):
@@ -235,25 +236,45 @@ def _symbol_column(ctx: Enveloping, mono: OrderedMonomial) -> Dict[Mono, Scalar]
     return col
 
 
-def _symbol_solver(ctx: Enveloping, d: int, total: int) -> Tuple[SpanSolver, List[OrderedMonomial]]:
-    """Solver matching top-degree parts against the e-symbols of ordered t-monomials.
+def _weight(ctx: Enveloping, mono: Sequence, d: int) -> Tuple[int, ...]:
+    """The eigenvalues of ad E_aa, a = 1..d, on a monomial of generators or of labels."""
+    return tuple(ctx.mono_weight(mono, a) for a in range(1, d + 1))
 
-    The columns are the monomials of :func:`pbw_monomials` whose total word
-    length is exactly ``total``, in its order, each read in S by
-    :func:`_symbol_column`, so no e-element is multiplied in U.  The
-    e-symbols do not depend on s, so the solver is cached per (d, total) and
-    shared by every s.  Symbols that are dependent at the context's N would
-    make the expansion non-canonical, so they raise ``StructureError``.
+
+def _symbol_solver(
+    ctx: Enveloping, d: int, total: int, weight: Tuple[int, ...]
+) -> Tuple[SpanSolver, List[Tuple[int, OrderedMonomial]]]:
+    """Solver matching one torus weight of a top-degree part against the e-symbols of that weight.
+
+    The e-symbol of an ordered t-monomial prod (i_r, j_r, w_r) has the torus
+    weight sum(e_{i_r} - e_{j_r}), since the interior chain indices cancel,
+    and normal forms keep torus weights, so each weight part of a top degree
+    is solved against the columns of its weight alone (``weight`` is
+    :func:`_weight`).  The monomials of :func:`pbw_monomials` whose total
+    word length is exactly ``total`` are enumerated once per (d, total) and
+    split by weight; a class is built the first time a part of its weight
+    is solved, each column read in S by :func:`_symbol_column`, so no
+    e-element is multiplied in U.  Returns the solver and the class's
+    (position in the (d, total) list, monomial) pairs, in list order.  The
+    e-symbols do not depend on s, so every s shares the classes.  Symbols
+    that are dependent at the context's N would make the expansion
+    non-canonical, so they raise ``StructureError``.
     """
-    cache = ctx._symbol_solvers
-    key = (d, total)
-    if key not in cache:
-        monos = [m for m in pbw_monomials(ctx.omega, d, total, total) if sum(len(w) for _i, _j, w in m) == total]
-        solver, dep = _span(_symbol_column(ctx, m) for m in monos)
+    key = (d, total, weight)
+    got = ctx._symbol_solvers.get(key)
+    if got is None:
+        classes = ctx._symbol_classes.get((d, total))
+        if classes is None:
+            classes = ctx._symbol_classes[d, total] = {}
+            monos = [m for m in pbw_monomials(ctx.omega, d, total, total) if sum(len(w) for _i, _j, w in m) == total]
+            for pos, m in enumerate(monos):
+                classes.setdefault(_weight(ctx, m, d), []).append((pos, m))
+        members = classes.get(weight, [])
+        solver, dep = _span(_symbol_column(ctx, m) for _pos, m in members)
         if dep is not None:
             raise StructureError("t-monomial symbols of word length %d are dependent at N=%d" % (total, ctx.n))
-        cache[key] = (solver, monos)
-    return cache[key]
+        got = ctx._symbol_solvers[key] = (solver, members)
+    return got
 
 
 def t_expansion(
@@ -263,10 +284,12 @@ def t_expansion(
 
     Returns (monomial, coefficient) pairs, where each monomial is an ordered
     tuple of labels (i, j, word) with indices in 1..d, to be evaluated at
-    parameter s, top filtration degree first.  Peels the top filtration
-    degree: the top part is matched against the e-symbols of ordered
-    monomials (checked independent), the solved combination of full
-    t-monomials at s is subtracted, and the degree strictly drops.
+    parameter s, top filtration degree first, and within a degree in
+    :func:`pbw_monomials` order.  Peels the top filtration degree: each
+    torus-weight part of the top is matched against the e-symbols of
+    ordered monomials of its weight (:func:`_symbol_solver`, checked
+    independent), the solved combination of full t-monomials at s is
+    subtracted, and the degree strictly drops.
     """
     s = as_scalar(s)
     out: List[Tuple[OrderedMonomial, Scalar]] = []
@@ -276,13 +299,20 @@ def t_expansion(
         if deg == 0:
             out.append(((), rem[()]))
             break
-        solver, monos = _symbol_solver(ctx, d, deg)
-        combo = solver.solve({m: c for m, c in rem.items() if len(m) == deg})
-        if combo is None:
-            return None
-        for idx, c in sorted(combo.items()):
-            out.append((monos[idx], c))
-            vec_add(rem, evaluate(monos[idx], ctx, s).terms, -c)
+        parts: Dict[Tuple[int, ...], Dict] = {}
+        for m, c in rem.items():
+            if len(m) == deg:
+                parts.setdefault(_weight(ctx, m, d), {})[m] = c
+        layer = []
+        for weight, part in parts.items():
+            solver, members = _symbol_solver(ctx, d, deg, weight)
+            combo = solver.solve(part)
+            if combo is None:
+                return None
+            layer.extend((*members[idx], c) for idx, c in combo.items())
+        for _pos, mono, c in sorted(layer, key=lambda entry: entry[0]):
+            out.append((mono, c))
+            vec_add(rem, evaluate(mono, ctx, s).terms, -c)
         top = max(map(len, rem), default=-1)
         if top >= deg:
             return None

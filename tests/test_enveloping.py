@@ -1,5 +1,6 @@
 """PBW normal forms, special elements, projection, invariants."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from glomega import Enveloping, StructureError, UElement, direct_sum_C, matrix_a
 from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_elem
 from glomega.linalg import rank
 from glomega.omega import _acc
+from glomega.suites import DEFAULT_S
 from glomega.words import cyclic, words_up_to
 from glomega.yangian import evaluate, t_gen
 
@@ -168,6 +170,22 @@ def test_commutator_matches_product_difference(seed, spec, n):
     v = _random_element(ctx, rng)
     for a, b in ((u, v), (u, ctx.zero()), (ctx.one(), v), (u + ctx.one(), v.scale(Fraction(1, 2)))):
         assert ctx.commutator(a, b) == ctx.multiply(a, b) - ctx.multiply(b, a)
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("spec", (C2, matrix_algebra(2)), ids=lambda spec: spec.name)
+def test_commutator_of_t_elements_with_diagonal_factors(spec, n):
+    # a diagonal factor E_aa meets h by its row and by its column, and a pair
+    # E_ab, E_ba meets both ways; each pair is bracketed once, so the
+    # commutator is the product difference
+    ctx = Enveloping.get(spec, n)
+    words = list(words_up_to(spec, 2))
+    elems = [ctx.t_elem(i, j, w, Fraction(1, 2)) for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)) for w in (words[0], words[-1])]
+    elems.append(ctx.gen(1, 1) + ctx.gen(3, 3).scale(2) - ctx.gen(3, 1))
+    assert any(i == j for u in elems for m in u.terms for i, j, _b in m)
+    for u in elems:
+        for v in elems:
+            assert ctx.commutator(u, v) == ctx.multiply(u, v) - ctx.multiply(v, u), (u, v)
 
 
 def test_symbol_match_builds_no_cancelling_top_degree(monkeypatch):
@@ -555,10 +573,52 @@ def test_projection_theorem_slice():
                     assert ctx.project_down(ctx.t_elem(i, j, w, s)) == low.t_elem(i, j, w, s)
 
 
+def _project_down_three_passes(ctx, u):
+    # the projection read off by three scans: weights, index N, an E(*, N) factor
+    n = ctx.n
+    if any(ctx.mono_weight(m) for m in u.terms):
+        raise StructureError("project_down needs an E_NN-invariant element")
+    target = Enveloping.get(ctx.omega, n - 1)
+    acc = {}
+    for mono, c in u.terms.items():
+        if any(i == n or j == n for i, j, _b in mono):
+            assert any(j == n for _i, j, _b in mono), mono
+            continue
+        _acc(acc, mono, c)
+    return UElement(target, acc)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_project_down_matches_three_passes(n):
+    # every projection.theorem cell of C^2 (d = 2, words up to length 3, the
+    # configured s values) on a fresh table
+    spec = direct_sum_C(2)
+    ctx = Enveloping.get(spec, n)
+    for s in DEFAULT_S:
+        for i, j, w in itertools.product((1, 2), (1, 2), words_up_to(spec, 3)):
+            t = ctx.t_elem(i, j, w, s)
+            assert ctx.project_down(t) == _project_down_three_passes(ctx, t), (i, j, w, s)
+
+
 def test_project_down_rejects_unbalanced_elements():
     ctx = Enveloping.get(C1, 3)
     with pytest.raises(StructureError):
         ctx.project_down(ctx.gen(1, 3))
+
+
+@pytest.mark.parametrize("bad", [((1, 3, 0),), ((3, 1, 0), (3, 3, 0)), ((1, 3, 0), (2, 3, 0), (3, 2, 0))])
+def test_project_down_checks_every_monomial_before_projecting(bad):
+    # invariant monomials come first in the element, the unbalanced one last;
+    # nothing is normal-formed in the target context before the raise
+    spec = direct_sum_C(1)
+    ctx, target = Enveloping.get(spec, 3), Enveloping.get(spec, 2)
+    u = UElement._trusted(ctx, {((1, 1, 0), (2, 1, 0)): 1, ((2, 3, 0), (3, 1, 0)): 2, bad: 3})
+    assert list(u.terms)[-1] == bad
+    before = dict(target._nf)
+    with pytest.raises(StructureError) as exc:
+        ctx.project_down(u)
+    assert str(exc.value) == "project_down needs an E_NN-invariant element"
+    assert target._nf == before
 
 
 def test_reparametrize_identity():

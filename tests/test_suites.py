@@ -666,3 +666,34 @@ def test_doubled_current_bracket_passes_the_current_suite(monkeypatch):
     rep = run_suite(SuiteConfig(suite="current"))
     assert {r.status for r in rep.records} == {"pass", "skipped"}
     assert [r.key() for r in rep.records if r.status == "skipped"] == [("current.bimodule", "omega=null(2)")]
+
+
+def test_degeneration_work_stays_within_its_counts(monkeypatch):
+    # a cold degeneration run solves each weight part against the symbol
+    # columns of its own weight (372 columns; 798 with one solver over every
+    # column of a degree), and commutator brackets only generator pairs
+    # whose indices meet; a regression fails here rather than as noise
+    import sys
+
+    from glomega.enveloping import Enveloping
+    from glomega.linalg import SpanSolver
+
+    add, terms = SpanSolver.add, Enveloping.commutator_terms
+    commutator_code = Enveloping.commutator.__code__
+    columns, met = [0], []
+
+    def counted_add(self, vec):
+        columns[0] += 1
+        return add(self, vec)
+
+    def watched_terms(self, g, h):
+        if sys._getframe(1).f_code is commutator_code:
+            met.append(g[1] == h[0] or g[0] == h[1])
+        return terms(self, g, h)
+
+    monkeypatch.setattr(SpanSolver, "add", counted_add)
+    monkeypatch.setattr(Enveloping, "commutator_terms", watched_terms)
+    report = run_suite(SuiteConfig("degeneration"))
+    assert {r.status for r in report.records} == {"pass"}
+    assert 0 < columns[0] <= 400, columns[0]
+    assert met and all(met), (len(met), met.count(False))

@@ -1,12 +1,17 @@
 """Ordered-monomial bases: ranks, dependencies, dimension probes."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C, matrix_algebra
 from glomega import yangian
-from glomega.current import graded_basis
+from glomega.current import _bracket_remainder, graded_basis, graded_dim
+from glomega.linalg import SpanSolver
+from glomega.omega import vec_add
+from glomega.suites import _degeneration_tuples
+from glomega.words import basis_words
 from glomega.yangian import (
     _symbol_column,
     _symbol_solver,
@@ -101,19 +106,79 @@ def test_t_expansion_rejects_dependent_symbols():
     ids=lambda v: getattr(v, "name", None),
 )
 def test_symbol_columns_read_in_s_are_the_top_parts_in_u(spec, ds, totals, sizes):
-    # each column, a product of e_top in S, equals the top part of the
-    # e-symbol multiplied out in U, and the solver solves that top part to
-    # its own column alone
+    # the weight classes partition the (d, total) column list, in list
+    # order; each column, a product of e_top in S, equals the top part of
+    # the e-symbol multiplied out in U, has its class's weight, and its
+    # class's solver solves that top part to the column alone
     for n in sizes:
         ctx = Enveloping(spec, n)
         for d in ds:
             for total in totals:
-                solver, monos = _symbol_solver(ctx, d, total)
-                assert monos
-                for idx, mono in enumerate(monos):
-                    top = ctx.e_symbol(mono).homogeneous(total).terms
-                    assert _symbol_column(ctx, mono) == top, (n, d, mono)
-                    assert solver.solve(top) == {idx: 1}, (n, d, mono)
+                monos = _exact_length(spec, d, total)
+                classes = {}
+                for pos, mono in enumerate(monos):
+                    weight = tuple(sum((i == a) - (j == a) for i, j, _w in mono) for a in range(1, d + 1))
+                    classes.setdefault(weight, []).append(pos)
+                seen = []
+                for weight, want in classes.items():
+                    solver, members = _symbol_solver(ctx, d, total, weight)
+                    assert members == [(pos, monos[pos]) for pos in want], (n, d, total, weight)
+                    seen += want
+                    for idx, (_pos, mono) in enumerate(members):
+                        top = ctx.e_symbol(mono).homogeneous(total).terms
+                        assert _symbol_column(ctx, mono) == top, (n, d, mono)
+                        assert all(ctx.mono_weight(m, a) == weight[a - 1] for m in top for a in range(1, d + 1))
+                        assert solver.solve(top) == {idx: 1}, (n, d, mono)
+                assert sorted(seen) == list(range(len(monos)))
+
+
+def _exact_length(spec, d, total):
+    return [m for m in pbw_monomials(spec, d, total, total) if sum(len(w) for _i, _j, w in m) == total]
+
+
+def _reference_expansion(ctx, u, d, s, solvers):
+    # the expansion solved against every column of a degree at once, with
+    # one SpanSolver per (d, total), kept in ``solvers`` across calls
+    out, rem, deg = [], dict(u.terms), u.degree()
+    while rem:
+        if deg == 0:
+            out.append(((), rem[()]))
+            break
+        if (d, deg) not in solvers:
+            monos = _exact_length(ctx.omega, d, deg)
+            solver = SpanSolver()
+            assert all(solver.add(_symbol_column(ctx, m)) is None for m in monos)
+            solvers[d, deg] = (solver, monos)
+        solver, monos = solvers[d, deg]
+        combo = solver.solve({m: c for m, c in rem.items() if len(m) == deg})
+        if combo is None:
+            return None
+        for idx, c in sorted(combo.items()):
+            out.append((monos[idx], c))
+            vec_add(rem, evaluate(monos[idx], ctx, s).terms, -c)
+        top = max(map(len, rem), default=-1)
+        if top >= deg:
+            return None
+        deg = top
+    return out
+
+
+@pytest.mark.parametrize("spec", (direct_sum_C(1), direct_sum_C(2)), ids=lambda spec: spec.name)
+def test_t_expansion_matches_one_solver_over_every_column(spec):
+    # every remainder of the degeneration grid (d <= 2, word lengths <= 2,
+    # at N = d + lx + ly and N + 1) expands to the same list, in the same
+    # order, as with one solver over all columns of each degree
+    count = 0
+    for d in (1, 2):
+        for lx, ly in itertools.product((1, 2), repeat=2):
+            for n in (d + lx + ly, d + lx + ly + 1):
+                ctx, solvers = Enveloping(spec, n), {}
+                for x, y, tup in itertools.product(basis_words(spec, lx), basis_words(spec, ly), _degeneration_tuples(d)):
+                    rem = _bracket_remainder(ctx, *tup, x, y, S0)
+                    got = t_expansion(ctx, rem, d, S0)
+                    assert got is not None and got == _reference_expansion(ctx, rem, d, S0, solvers), (n, d, x, y, tup)
+                    count += 1
+    assert count == {1: 56, 2: 504}[spec.dim]
 
 
 def test_t_expansion_rejects_a_layer_whose_top_does_not_drop(monkeypatch):
@@ -162,8 +227,8 @@ def test_splitting_probe_matches():
 
 _C = direct_sum_C(1)
 
-# every exported count or enumeration refuses a cap below its range with
-# StructureError, as compositions and current_basis_keys do
+# every exported count or enumeration refuses a cap or a matrix size below
+# its range with StructureError, as compositions and current_basis_keys do
 _NEGATIVE_CAPS = [
     ("splitting_expected", lambda: splitting_expected(1, 1, -1)),
     ("splitting_probe", lambda: splitting_probe(_C, 0, -1, (3, 4))),
@@ -176,6 +241,16 @@ _NEGATIVE_CAPS = [
     ("invariant_basis", lambda: Enveloping.get(_C, 3).invariant_basis(0, -1)),
     ("graded_basis-1", lambda: graded_basis(direct_sum_C(2), 1, -1)),
     ("graded_basis-2", lambda: graded_basis(direct_sum_C(2), 1, -2)),
+    # a matrix size below its range: d >= 1 for t-monomials and currents,
+    # d >= 0 for the splitting count, where d = 0 is the whole gl(N)
+    ("pbw_monomials-d0", lambda: pbw_monomials(_C, 0, 2, 2)),
+    ("pbw_monomials-dneg", lambda: pbw_monomials(_C, -1, 2, 2)),
+    ("pbw_suite-d0", lambda: pbw_suite(_C, 0, 2, 2, 3, 0)),
+    ("graded_basis-d0", lambda: graded_basis(_C, 0, 1)),
+    ("graded_basis-dneg", lambda: graded_basis(_C, -2, 1)),
+    ("graded_dim-d0", lambda: graded_dim(_C, 0, 1)),
+    ("graded_dim-dneg", lambda: graded_dim(_C, -1, 1)),
+    ("splitting_expected-dneg", lambda: splitting_expected(1, -1, 1)),
 ]
 
 
@@ -204,7 +279,9 @@ def test_t_expansion_evaluates_to_the_product():
                 ctx = Enveloping.get(spec, n)
                 expansion = _expand_product(ctx, a, b, 2)
                 total = sum((evaluate(mono, ctx, S0).scale(c) for mono, c in expansion), ctx.zero())
-                assert total == ctx.multiply(evaluate((a,), ctx, S0), evaluate((b,), ctx, S0)), (a, b, n)
+                prod = ctx.multiply(evaluate((a,), ctx, S0), evaluate((b,), ctx, S0))
+                assert total == prod, (a, b, n)
+                assert expansion == _reference_expansion(ctx, prod, 2, S0, {}), (a, b, n)
 
 
 def test_t_expansion_of_scalars_and_zero():
