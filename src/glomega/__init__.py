@@ -57,5 +57,4 @@ from .current import (
     odot_words,
     path_algebra_iso_check,
 )
-
-__version__ = "0.1.0"
+from .suites import VERSION as __version__

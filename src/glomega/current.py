@@ -97,6 +97,8 @@ def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Wo
 
 def find_noncommutative_pair(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Word, Word]]:
     """First basis-word pair with x(.)y != y(.)x, or None for commutative tables."""
+    if max_total_len < 2:
+        raise StructureError("a commutativity scan needs a total length of at least 2")
     words = list(words_up_to(spec, max_total_len - 1))
     for wx in words:
         for wy in words:
@@ -362,6 +364,8 @@ def generator_bracket_display_check(
     [t_ij(a; s), t_kl(b; s)] = delta_kj t_il(ab) - delta_il t_kj(ba).
     Returns the first (i, j, k, l, a, b) whose remainder is nonzero, or None.
     """
+    if d < 1:
+        raise StructureError("the letter check needs d >= 1")
     ctx = Enveloping.get(omega, n)
     for i, j, k, l in itertools.product(range(1, d + 1), repeat=4):
         for a, b in itertools.product(range(omega.dim), repeat=2):

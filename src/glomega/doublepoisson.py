@@ -19,7 +19,8 @@ after the r-th letter.  The formula is defined for *any* bilinear
 :math:`\mu`; skew-symmetry and both Leibniz rules hold identically, while
 the double Jacobi identity holds precisely when :math:`\mu` is associative.
 That equivalence is checked, not assumed (:func:`pvdw_equivalence`), and the
-module deliberately accepts non-associative tables.
+module deliberately accepts non-associative tables.  Each law check reads
+its brackets through a memo of its own (:func:`_brackets`).
 
 A double bracket is a plain dict ``{(u, v): c}`` from pairs of words to
 scalars, a double Jacobi sum a dict ``{(u1, u2, u3): c}``, and a polynomial
@@ -119,41 +120,52 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _scanned_words(spec: AlgebraSpec, maxlen: int) -> List[Word]:
-    """``words_up_to(spec, maxlen)`` as a list; a cap below 1 would scan nothing."""
+Bracket = Callable[[Word, Word], Double]
+
+
+def _brackets(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Bracket]:
+    """The heads ``[()] + words_up_to(spec, maxlen)`` of a scan and its bracket.
+
+    ``bracket(x, y)`` is ``double_bracket(spec, x, y)``, memoized while
+    ``len(y) <= maxlen``.  The first argument of every bracket the three laws
+    read is a head, so the memo holds at most the brackets of pairs of heads,
+    each computed once per check, and is dropped with the check.  A longer
+    right word comes from the first slot of an inner Jacobi bracket; it is
+    bracketed each time and not stored: storing those too saved a further ~7%
+    of the double-fuzz benchmark workload's run time but raised its peak
+    memory by 1.1 to 1.3 MB (+5.5% to +6.4%, over that metric's 5% bound).
+    """
     if maxlen < 1:
         raise StructureError("the word-length cap must be >= 1, got %r" % (maxlen,))
-    return list(words_up_to(spec, maxlen))
+    memo: Dict[Tuple[Word, Word], Double] = {}
 
+    def bracket(x: Word, y: Word) -> Double:
+        if len(y) > maxlen:
+            return double_bracket(spec, x, y)
+        hit = memo.get((x, y))
+        if hit is None:
+            hit = memo[(x, y)] = double_bracket(spec, x, y)
+        return hit
 
-def _bracket_table(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Dict[Tuple[Word, Word], Double]]:
-    """The heads ``[()] + words_up_to(spec, maxlen)`` and their brackets.
-
-    Returns ``(heads, table)``, where ``table[x, y]`` is
-    ``double_bracket(spec, x, y)`` for every ordered pair of heads.
-    Skew-symmetry and both Leibniz rules up to ``maxlen`` relate only these
-    brackets.
-    """
-    heads: List[Word] = [()] + _scanned_words(spec, maxlen)
-    return heads, {(x, y): double_bracket(spec, x, y) for x in heads for y in heads}
+    return [()] + list(words_up_to(spec, maxlen)), bracket
 
 
 def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
     """<<x, y>> must equal -flip(<<y, x>>), flip(u (x) v) = v (x) u; pairs with an empty word vanish.
 
-    The law is symmetric in the pair, so each unordered pair is visited once
-    and the witness is the first failing ordered pair.
+    The law is symmetric in the pair, so each unordered pair of heads is
+    visited once and the witness is the first failing ordered pair.
     """
-    heads, br = _bracket_table(spec, maxlen)
+    heads, br = _brackets(spec, maxlen)
     for ia, a in enumerate(heads):
         for b in heads[ia:]:
-            if br[a, b] != {(v, u): -c for (u, v), c in br[b, a].items()}:
+            if br(a, b) != {(v, u): -c for (u, v), c in br(b, a).items()}:
                 return (a, b)
     return None
 
 
 def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, Word, Word]]:
-    """Both Leibniz rules, with concatenation products.
+    """Both Leibniz rules, with concatenation products, on the heads of :func:`_brackets`.
 
     Outer rule in the second argument, with the outer bimodule actions
     b . (u (x) v) = bu (x) v and (u (x) v) . c = u (x) vc:
@@ -163,26 +175,24 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
         <<bc, a>> = b * <<c, a>> + <<b, a>> * c.
     Returns ("outer"|"inner", a, b, c) for the first failure.
     """
-    heads, br = _bracket_table(spec, maxlen)
+    heads, br = _brackets(spec, maxlen)
     for a in heads:
         for b in heads:
+            ab, ba = br(a, b), br(b, a)
             for c in heads:
                 if len(b) + len(c) > maxlen:
                     continue
-                outer = {(u, v + c): x for (u, v), x in br[a, b].items()}
-                for (u, v), x in br[a, c].items():
+                outer = {(u, v + c): x for (u, v), x in ab.items()}
+                for (u, v), x in br(a, c).items():
                     _acc(outer, (b + u, v), x)
-                if br[a, b + c] != outer:
+                if br(a, b + c) != outer:
                     return ("outer", a, b, c)
-                inner = {(u, b + v): x for (u, v), x in br[c, a].items()}
-                for (u, v), x in br[b, a].items():
+                inner = {(u, b + v): x for (u, v), x in br(c, a).items()}
+                for (u, v), x in ba.items():
                     _acc(inner, (u + c, v), x)
-                if br[b + c, a] != inner:
+                if br(b + c, a) != inner:
                     return ("inner", b, c, a)
     return None
-
-
-Bracket = Callable[[Word, Word], Double]
 
 
 def triple_jacobi_sum(bracket: Bracket, a: Word, b: Word, c: Word) -> Triple:
@@ -191,7 +201,7 @@ def triple_jacobi_sum(bracket: Bracket, a: Word, b: Word, c: Word) -> Triple:
     <<a, u (x) v>>_L = <<a, u>> (x) v brackets ``a`` into the first slot,
     and rot(u1 (x) u2 (x) u3) = u3 (x) u1 (x) u2.  All three terms are added
     into one dict.  ``bracket(x, y)`` computes the double bracket of two
-    words: :func:`check_double_jacobi` passes its memo of :func:`double_bracket`.
+    words: :func:`check_double_jacobi` passes the memo of :func:`_brackets`.
     """
     out: Triple = {}
     get = out.get
@@ -222,30 +232,11 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
     rotations, and skipping each (i, j, k) that has a smaller rotation
     returns the same witness.
 
-    One memo serves the whole scan and is dropped when the check returns.
-    It holds ``double_bracket(spec, x, y)`` only for ``len(y) <= maxlen``:
-    the first argument is always a scanned word, so the memo holds at most
-    the brackets of pairs of scanned words and the empty word, the table
-    that :func:`check_skew` builds.  Those brackets recur for every first
-    word of the scan.  A longer right word comes from the first slot of an
-    inner bracket; its bracket is computed each time and not stored.
-    Storing those too (every pair the scan brackets) saved a further ~7% of
-    the double-fuzz benchmark workload's run time, but raised its peak
-    memory by 1.1 to 1.3 MB (+5.5% to +6.4%, more than that metric's 5%
-    bound).
+    The brackets come from one memo of the check (:func:`_brackets`).
     """
-    words = _scanned_words(spec, maxlen)
+    heads, bracket = _brackets(spec, maxlen)
+    words = heads[1:]
     n = len(words)
-    memo: Dict[Tuple[Word, Word], Double] = {}
-
-    def bracket(x: Word, y: Word) -> Double:
-        if len(y) > maxlen:
-            return double_bracket(spec, x, y)
-        hit = memo.get((x, y))
-        if hit is None:
-            hit = memo[(x, y)] = double_bracket(spec, x, y)
-        return hit
-
     for i in range(n):
         # a least rotation has its least index first
         for j in range(i, n):

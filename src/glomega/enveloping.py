@@ -103,6 +103,8 @@ def stable(omega: AlgebraSpec, sizes: Iterable[int], verdict: Callable, witness:
     with ``by_n`` the verdict at each size; they are never a failure.
     """
     by_n = {n: verdict(Enveloping.get(omega, n)) for n in sizes}
+    if not by_n:
+        raise StructureError("a stable verdict needs at least one size")
     first, *rest = by_n.values()
     if any(v != first for v in rest):
         raise StabilizationError(witness(by_n))

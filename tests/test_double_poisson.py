@@ -243,7 +243,43 @@ def test_the_jacobi_memo_holds_each_scanned_pair_once(monkeypatch):
     monkeypatch.setattr(dp, "double_bracket", counted)
     assert check_double_jacobi(matrix_algebra(2), 2) is None
     assert [pair for pair, n in calls.items() if len(pair[1]) <= 2 and n > 1] == []
-    assert sum(calls.values()) <= 6079 // 2
+    assert sum(calls.values()) == 2996
+
+
+# double_bracket calls of one check: each pair of heads at most once, as the
+# eager table of every ordered pair of heads had it for skew and Leibniz
+# (mat(2)'s Jacobi scan is pinned by the test above)
+_CHECK_CALLS = [
+    (check_skew, "C2", direct_sum_C(2), 3, 225),
+    (check_leibniz, "C2", direct_sum_C(2), 3, 225),
+    (check_double_jacobi, "C2", direct_sum_C(2), 2, 94),
+    (check_double_jacobi, "C2", direct_sum_C(2), 3, 1802),
+    (check_skew, "null2", null_algebra(2), 3, 225),
+    (check_leibniz, "null2", null_algebra(2), 3, 225),
+    (check_double_jacobi, "null2", null_algebra(2), 2, 36),
+    (check_double_jacobi, "null2", null_algebra(2), 3, 196),
+    (check_skew, "mat2", matrix_algebra(2), 2, 441),
+    (check_leibniz, "mat2", matrix_algebra(2), 2, 441),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, spec, cap, expected",
+    _CHECK_CALLS,
+    ids=["%s-%s-cap%d" % (c[0].__name__, c[1], c[3]) for c in _CHECK_CALLS],
+)
+def test_each_check_brackets_a_pair_of_heads_once(monkeypatch, check, name, spec, cap, expected):
+    honest = dp.double_bracket
+    calls = {}
+
+    def counted(spec, x, y):
+        calls[x, y] = calls.get((x, y), 0) + 1
+        return honest(spec, x, y)
+
+    monkeypatch.setattr(dp, "double_bracket", counted)
+    assert check(spec, cap) is None
+    assert sum(calls.values()) == expected
+    assert [pair for pair, n in calls.items() if len(pair[1]) <= cap and n > 1] == []
 
 
 def _reference_double_bracket(spec, x, y):

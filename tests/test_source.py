@@ -250,8 +250,9 @@ def _cache_like(node):
 
 
 def test_double_bracket_memo_lives_in_one_check():
-    # check_double_jacobi memoizes the double brackets of one scan in a local
-    # dict; a cache that outlives the check would hold every bracket of the run
+    # _brackets memoizes the double brackets of one law check in a local dict
+    # of its closure; a cache that outlives the check would hold every bracket
+    # of the run
     tree = ast.parse((SRC / "doublepoisson.py").read_text())
     held = []
     for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
@@ -272,6 +273,40 @@ def test_double_bracket_memo_lives_in_one_check():
     assert held == []
 
 
+def _calls_double_bracket(node):
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "double_bracket" for n in ast.walk(node))
+
+
+def _bracket_stores(fn):
+    """Lines of ``fn`` that keep a ``double_bracket`` result in a container."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            kept = any(isinstance(t, ast.Subscript) for t in node.targets) and _calls_double_bracket(node.value)
+        elif isinstance(node, ast.DictComp):
+            kept = _calls_double_bracket(node.key) or _calls_double_bracket(node.value)
+        elif isinstance(node, (ast.ListComp, ast.SetComp)):
+            kept = _calls_double_bracket(node.elt)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _MUTATORS | {"append", "add", "extend", "insert"}:
+            kept = any(_calls_double_bracket(a) for a in node.args)
+        else:
+            continue
+        if kept:
+            yield node.lineno
+
+
+def test_one_double_bracket_memo():
+    # skew, Leibniz and double Jacobi read their brackets through _brackets,
+    # the one function that keeps a double_bracket result; no eager table
+    # or second memo stands beside it
+    defined, storing = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {"%s.%s" % (path.stem, n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        storing |= {"%s.%s" % (path.stem, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef) and any(_bracket_stores(fn))}
+    assert defined.isdisjoint({"doublepoisson._bracket_table", "doublepoisson._scanned_words"})
+    assert storing == {"doublepoisson._brackets"}
+
+
 def _assigned(tree, name):
     """The literal value assigned to a module-level ``name``."""
     for node in tree.body:
@@ -279,6 +314,21 @@ def _assigned(tree, name):
         if any(isinstance(t, ast.Name) and t.id == name for t in targets):
             return ast.literal_eval(node.value)
     raise AssertionError("%s is not assigned" % name)
+
+
+def test_one_version_constant():
+    # suites.VERSION is hashed into every fingerprint; the package version is
+    # that constant, not a second literal that could drift from it
+    import glomega
+    from glomega import suites
+
+    literals = []
+    for node in ast.walk(ast.parse((SRC / "__init__.py").read_text())):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            literals += [node.lineno for t in targets if getattr(t, "id", None) == "__version__"]
+    assert literals == []
+    assert glomega.__version__ is suites.VERSION
 
 
 def test_every_benchmark_entry_point_resolves():

@@ -7,7 +7,14 @@ import pytest
 
 from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C, matrix_algebra
 from glomega import yangian
-from glomega.current import _bracket_remainder, graded_basis, graded_dim
+from glomega.current import (
+    _bracket_remainder,
+    find_noncommutative_pair,
+    generator_bracket_display_check,
+    graded_basis,
+    graded_dim,
+)
+from glomega.enveloping import stable
 from glomega.linalg import SpanSolver
 from glomega.omega import vec_add
 from glomega.suites import _degeneration_tuples
@@ -251,6 +258,11 @@ _NEGATIVE_CAPS = [
     ("graded_dim-d0", lambda: graded_dim(_C, 0, 1)),
     ("graded_dim-dneg", lambda: graded_dim(_C, -1, 1)),
     ("splitting_expected-dneg", lambda: splitting_expected(1, -1, 1)),
+    # a scan that visits nothing would read as a pass: no word pair to
+    # compare, no index tuple to bracket
+    ("find_noncommutative_pair-1", lambda: find_noncommutative_pair(matrix_algebra(2), 1)),
+    ("find_noncommutative_pair-0", lambda: find_noncommutative_pair(matrix_algebra(2), 0)),
+    ("generator_bracket_display_check-d0", lambda: generator_bracket_display_check(_C, 0, 0, 2)),
 ]
 
 
@@ -258,6 +270,14 @@ _NEGATIVE_CAPS = [
 def test_negative_caps_raise_structure_error(call):
     with pytest.raises(StructureError):
         call()
+
+
+def test_a_stable_verdict_needs_a_size():
+    # no size would leave no verdict to agree on
+    with pytest.raises(StructureError):
+        stable(_C, (), lambda ctx: True, repr)
+    with pytest.raises(StructureError):
+        splitting_probe(direct_sum_C(1), 1, 1, ())
 
 
 def _expand_product(ctx, a, b, d):
