@@ -27,15 +27,15 @@ def main() -> None:
 
     print()
     print("== graded dimensions ==")
-    # grade n slice has dimension d^2 * dim(Omega) * (dim Omega)^... ; the
-    # closed form is checked in the test suite, here we just print a table
+    # the grade-n slice has dimension d^2 * (dim Omega)^(n+1); the closed
+    # form is checked in the test suite, here we just print a table
     for spec, label in ((c2, "C+C"), (m2, "Mat2"), (null_algebra(2), "null2")):
         dims = [graded_dim(spec, 2, n) for n in range(4)]
         print("%-6s d=2 grades 0..3:" % label, dims)
 
     print()
     print("== structural identifications ==")
-    print("unital case embeds in a path algebra:", path_algebra_iso_check(3, 3))
+    print("currents of C^3 are the path algebra of the complete quiver on 3 vertices:", path_algebra_iso_check(3, 3))
     print("grade-2 slice is the balanced tensor square (C+C):", bimodule_iso_check(c2, 2))
 
     print()

@@ -53,6 +53,7 @@ and the necklace side by :meth:`~glomega.enveloping.Enveloping.e_top`.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .enveloping import Enveloping, UElement, stable
@@ -353,10 +354,11 @@ def poisson_stc(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
 
 
 def spoly_symbol_image(p: Poly, ctx: Enveloping) -> UElement:
-    """Evaluate p through p_ab(w) -> e_ab(w; N) products (symbol level)."""
+    """Evaluate p through p_ab(w) -> e_ab(w; N) products (symbol level); the empty monomial is 1."""
     out: Dict = {}
     for mono, c in p.items():
-        vec_add(out, ctx.e_symbol(mono).terms, c)
+        factors = [ctx.e_elem(i, j, word) for i, j, word in mono]
+        vec_add(out, (reduce(ctx.multiply, factors) if factors else ctx.one()).terms, c)
     return UElement._trusted(ctx, out)
 
 

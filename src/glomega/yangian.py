@@ -220,7 +220,7 @@ def splitting_probe(omega: AlgebraSpec, d: int, deg: int, sizes: Sequence[int]) 
 
 
 def _symbol_column(ctx: Enveloping, mono: OrderedMonomial) -> Dict[Mono, Scalar]:
-    """The top part of ``ctx.e_symbol(mono)``, read in gr U = S(gl(N, Omega)).
+    """The top part of the product of the labels' e_ij(w; N), read in gr U = S(gl(N, Omega)).
 
     There it is the product of the labels' :meth:`~Enveloping.e_top`: each
     concatenation of their words, sorted by the PBW key.

@@ -14,6 +14,7 @@ from glomega.current import (
     graded_basis,
     graded_dim,
 )
+from glomega.doublepoisson import spoly_symbol_image
 from glomega.enveloping import stable
 from glomega.linalg import SpanSolver
 from glomega.omega import vec_add
@@ -132,7 +133,7 @@ def test_symbol_columns_read_in_s_are_the_top_parts_in_u(spec, ds, totals, sizes
                     assert members == [(pos, monos[pos]) for pos in want], (n, d, total, weight)
                     seen += want
                     for idx, (_pos, mono) in enumerate(members):
-                        top = ctx.e_symbol(mono).homogeneous(total).terms
+                        top = spoly_symbol_image({mono: 1}, ctx).homogeneous(total).terms
                         assert _symbol_column(ctx, mono) == top, (n, d, mono)
                         assert all(ctx.mono_weight(m, a) == weight[a - 1] for m in top for a in range(1, d + 1))
                         assert solver.solve(top) == {idx: 1}, (n, d, mono)
@@ -246,6 +247,7 @@ _NEGATIVE_CAPS = [
     ("pbw_suite", lambda: pbw_suite(_C, 1, 2, -1, 3, 0)),
     ("invariant_dim", lambda: Enveloping.get(_C, 3).invariant_dim(0, -1)),
     ("invariant_basis", lambda: Enveloping.get(_C, 3).invariant_basis(0, -1)),
+    ("monomials", lambda: Enveloping.get(_C, 3).monomials(-1)),
     ("graded_basis-1", lambda: graded_basis(direct_sum_C(2), 1, -1)),
     ("graded_basis-2", lambda: graded_basis(direct_sum_C(2), 1, -2)),
     # a matrix size below its range: d >= 1 for t-monomials and currents,
@@ -259,10 +261,12 @@ _NEGATIVE_CAPS = [
     ("graded_dim-dneg", lambda: graded_dim(_C, -1, 1)),
     ("splitting_expected-dneg", lambda: splitting_expected(1, -1, 1)),
     # a scan that visits nothing would read as a pass: no word pair to
-    # compare, no index tuple to bracket
+    # compare, no index tuple to bracket, no ideal vector below degree 1
     ("find_noncommutative_pair-1", lambda: find_noncommutative_pair(matrix_algebra(2), 1)),
     ("find_noncommutative_pair-0", lambda: find_noncommutative_pair(matrix_algebra(2), 0)),
     ("generator_bracket_display_check-d0", lambda: generator_bracket_display_check(_C, 0, 0, 2)),
+    ("ideal_intersection_check-C", lambda: Enveloping.get(_C, 2).ideal_intersection_check(0)),
+    ("ideal_intersection_check-mat2", lambda: Enveloping.get(matrix_algebra(2), 2).ideal_intersection_check(0)),
 ]
 
 
