@@ -114,21 +114,12 @@ def _cmd_dims(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"check": _cmd_check, "run": _cmd_run, "dims": _cmd_dims}
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "dims":
-            return _cmd_dims(args)
-    except StructureError as exc:
+        return commands[args.command](args)
+    except (StructureError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

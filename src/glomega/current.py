@@ -57,10 +57,13 @@ from .yangian import t_expansion
 
 
 def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
-    """Merge two basis words at the junction; sparse result over basis words."""
+    """Merge two basis words at the junction, sparse over basis words; bad letters raise."""
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("current-algebra words must be nonempty")
+    letters = x + y
+    if min(letters) < 0 or max(letters) >= spec.dim:
+        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
     out: Dict[Word, Scalar] = {}
     for k, c in spec.product(x[-1], y[0]).items():
         _acc(out, x[:-1] + (k,) + y[1:], c)
@@ -72,8 +75,7 @@ def odot(spec: AlgebraSpec, a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dic
     out: Dict[Word, Scalar] = {}
     for wx, cx in a.items():
         for wy, cy in b.items():
-            for w, c in odot_words(spec, wx, wy).items():
-                _acc(out, w, cx * cy * c)
+            vec_add(out, odot_words(spec, wx, wy), cx * cy)
     return out
 
 
@@ -81,14 +83,9 @@ def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Wo
     """First basis-word triple where (x(.)y)(.)z differs from x(.)(y(.)z)."""
     if max_total_len < 3:
         raise StructureError("an associativity scan needs a total length of at least 3")
-    words = list(words_up_to(spec, max_total_len - 2))
-    for wx in words:
-        for wy in words:
-            if len(wx) + len(wy) >= max_total_len:
-                continue
-            for wz in words:
-                if len(wx) + len(wy) + len(wz) > max_total_len:
-                    continue
+    for wx in words_up_to(spec, max_total_len - 2):
+        for wy in words_up_to(spec, max_total_len - 1 - len(wx)):
+            for wz in words_up_to(spec, max_total_len - len(wx) - len(wy)):
                 x, y, z = {wx: 1}, {wy: 1}, {wz: 1}
                 if odot(spec, odot(spec, x, y), z) != odot(spec, x, odot(spec, y, z)):
                     return (wx, wy, wz)
@@ -99,11 +96,8 @@ def find_noncommutative_pair(spec: AlgebraSpec, max_total_len: int) -> Optional[
     """First basis-word pair with x(.)y != y(.)x, or None for commutative tables."""
     if max_total_len < 2:
         raise StructureError("a commutativity scan needs a total length of at least 2")
-    words = list(words_up_to(spec, max_total_len - 1))
-    for wx in words:
-        for wy in words:
-            if len(wx) + len(wy) > max_total_len:
-                continue
+    for wx in words_up_to(spec, max_total_len - 1):
+        for wy in words_up_to(spec, max_total_len - len(wx)):
             if odot_words(spec, wx, wy) != odot_words(spec, wy, wx):
                 return (wx, wy)
     return None
@@ -224,7 +218,9 @@ def path_algebra_iso_check(L: int, maxgrade: int) -> bool:
     A grade-n basis word (u_{v0}, ..., u_{vn}) is read as the path
     v0 -> v1 -> ... -> vn; paths compose by concatenation when the endpoint
     vertices agree and give zero otherwise, which is exactly what the
-    junction product of orthogonal idempotents does.
+    junction product of orthogonal idempotents does.  The product loop
+    enumerates paths itself, so the first loop stays to check that
+    :func:`~glomega.words.basis_words` yields exactly the vertex sequences.
     """
     if L < 1 or maxgrade < 0:
         raise StructureError("need at least one vertex and maxgrade >= 0")
@@ -235,9 +231,7 @@ def path_algebra_iso_check(L: int, maxgrade: int) -> bool:
         if paths != words:
             return False
     for la in range(1, maxgrade + 2):
-        for lb in range(1, maxgrade + 2):
-            if (la - 1) + (lb - 1) > maxgrade:
-                continue
+        for lb in range(1, maxgrade + 3 - la):
             for p in itertools.product(range(L), repeat=la):
                 for q in itertools.product(range(L), repeat=lb):
                     expected = {p + q[1:]: 1} if p[-1] == q[0] else {}
@@ -256,10 +250,9 @@ def _balancing_solver(spec: AlgebraSpec, k: int) -> SpanSolver:
     Slot pairs (x_t, y_t) carry the outer bimodule action a.(x(x)y).b =
     (ax)(x)(yb); at each junction t the relation moves a middle letter w
     across:  (x (x) y w) (x) (z (x) v)  =  (x (x) y) (x) (w z (x) v).
+    At k = 1 there is no junction, so the span is zero.
     """
     solver = SpanSolver()
-    if k < 2:
-        return solver
     letters = range(spec.dim)
     for t in range(k - 1):
         # positions: y_t at 2t+1, x_{t+1} at 2t+2 within the 2k-letter word
@@ -278,11 +271,11 @@ def _balancing_solver(spec: AlgebraSpec, k: int) -> SpanSolver:
     return solver
 
 
-def _phi(spec: AlgebraSpec, unit: Dict[int, Scalar], word: Word) -> Dict[Word, Scalar]:
+def _phi(unit: Dict[int, Scalar], word: Word) -> Dict[Word, Scalar]:
     """Embed a (k+1)-letter current word as a 2k-letter balanced representative.
 
     phi(x_0, ..., x_k) = (x_0 (x) x_1) (x) (1 (x) x_2) (x) ... (x) (1 (x) x_k),
-    with the unit expanded over the basis.
+    with the unit ``{k: c}`` expanded over the basis; nothing else of the table is read.
     """
     k = len(word) - 1
     if k == 0:
@@ -317,24 +310,22 @@ def bimodule_iso_check(spec: AlgebraSpec, maxgrade: int) -> bool:
         if spec.dim ** (2 * k) - solver.rank != spec.dim ** (k + 1):
             return False
         relations = [row for row, _combo in solver.rows.values()]
-        images = [_phi(spec, unit, word) for word in basis_words(spec, k + 1)]
+        images = [_phi(unit, word) for word in basis_words(spec, k + 1)]
         if rank(relations + images) != solver.rank + spec.dim ** (k + 1):
             return False
     for ka in range(1, maxgrade):
         for kb in range(1, maxgrade + 1 - ka):
             solver = solvers[ka + kb]
             for wa in basis_words(spec, ka + 1):
-                pa = _phi(spec, unit, wa)
+                pa = _phi(unit, wa)
                 for wb in basis_words(spec, kb + 1):
-                    pb = _phi(spec, unit, wb)
-                    concat: Dict[Word, Scalar] = {}
+                    pb = _phi(unit, wb)
+                    diff: Dict[Word, Scalar] = {}
                     for u, cu in pa.items():
                         for v, cv in pb.items():
-                            _acc(concat, u + v, cu * cv)
-                    diff = dict(concat)
+                            _acc(diff, u + v, cu * cv)
                     for w, c in odot_words(spec, wa, wb).items():
-                        for u, cu in _phi(spec, unit, w).items():
-                            _acc(diff, u, -c * cu)
+                        vec_add(diff, _phi(unit, w), -c)
                     if diff and not solver.contains(diff):
                         return False
     return True

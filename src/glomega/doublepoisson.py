@@ -104,6 +104,8 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> Double:
 
 def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> Double:
     """1 (x) mu(x_i, x_j) - mu(x_j, x_i) (x) 1, the defining formula on letters."""
+    if not (0 <= i < spec.dim and 0 <= j < spec.dim):
+        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
     out: Double = {}
     for k, c in spec.product(i, j).items():
         _acc(out, ((), (k,)), c)

@@ -597,14 +597,12 @@ class Enveloping:
 
         # direct sum with the index-N free monomials inside the invariants
         wz = self._torus_zero_monomials(n - 1, maxdeg)  # E_NN-invariant monomials
-        free = [
-            m for m in wz if not any(i == n or j == n for (i, j, _b) in m)
-        ]
-        solver = SpanSolver()
-        for m in free:
-            solver.add({m: _ONE})
-        direct = all(solver.add(row) is None for row in plus)
-        spans = solver.rank == len(wz)
+        free = {m for m in wz if not any(i == n or j == n for (i, j, _b) in m)}
+        # the free monomials are coordinates: plus meets their span only in zero
+        # iff its rows stay independent with those coordinates deleted, and then
+        # the two span the invariants iff their dimensions add up to len(wz)
+        direct = rank({m: c for m, c in row.items() if m not in free} for row in plus) == len(plus)
+        spans = len(free) + len(plus) == len(wz)
 
         # two-sidedness inside the truncation
         membership = SpanSolver()

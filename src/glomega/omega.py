@@ -166,6 +166,9 @@ class AlgebraSpec:
 
 def multiply(spec: AlgebraSpec, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
     """Bilinear product of two table elements ``{k: c}`` through the structure table."""
+    keys = (*a, *b)
+    if keys and (min(keys) < 0 or max(keys) >= spec.dim):
+        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
     out: Dict[int, Scalar] = {}
     for i, ca in a.items():
         for j, cb in b.items():

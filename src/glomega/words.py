@@ -95,9 +95,6 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
         raise StructureError("word %r has letters outside 0..%d" % (key[0], spec.dim - 1))
     out: Dict[Word, Scalar] = {(): 1}
     for block in coagulate(spec, [{i: 1} for i in word], nu):
-        if not block:
-            out = {}
-            break
         nxt: Dict[Word, Scalar] = {}
         for w, c in out.items():
             for k, ck in block.items():

@@ -289,16 +289,14 @@ def t_expansion(
     torus-weight part of the top is matched against the e-symbols of
     ordered monomials of its weight (:func:`_symbol_solver`, checked
     independent), the solved combination of full t-monomials at s is
-    subtracted, and the degree strictly drops.
+    subtracted, and the degree strictly drops.  Degree 0 takes the same
+    path: its one class holds the empty monomial, with symbol ``{(): 1}``.
     """
     s = as_scalar(s)
     out: List[Tuple[OrderedMonomial, Scalar]] = []
     rem = dict(u.terms)
     deg = u.degree()
     while rem:
-        if deg == 0:
-            out.append(((), rem[()]))
-            break
         parts: Dict[Tuple[int, ...], Dict] = {}
         for m, c in rem.items():
             if len(m) == deg:

@@ -94,6 +94,19 @@ def test_run_out_dir_env(tmp_path, capsys, monkeypatch):
     assert json.load(open(path))["suite"] == "pbw"
 
 
+def test_run_report_path_that_is_a_directory_exits_2(tmp_path):
+    # opening a directory for writing raises an OSError, which ends in exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "glomega", "run", "pbw", "--omega", "C", "--n-max", "2", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_bad_s_list_is_usage_error(capsys):
     assert main(["run", "pbw", "--omega", "C", "--s", "1/0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -60,6 +60,16 @@ def test_odot_words_junction_products():
         odot_words(spec, (), (0,))
 
 
+def test_letters_outside_the_table_raise():
+    # a letter away from the junction, one at it, a negative one, and one met through the bracket
+    spec = direct_sum_C(1)
+    for x, y in (((0,), (0, 7)), ((3,), (0,)), ((0,), (-1,))):
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
+            odot_words(spec, x, y)
+    with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
+        gl_current_bracket(spec, {(1, 1, (3,)): 1}, {(1, 1, (0,)): 1})
+
+
 def test_odot_grade_additivity():
     spec = direct_sum_C(2)
     assert odot(spec, {(0, 1): 1}, {(1,): 1}) == {(0, 1): 1}
@@ -111,6 +121,49 @@ def test_noncommutativity_witness():
     assert odot_words(spec, x, y) != odot_words(spec, y, x)
     # the null table collapses every product, so no witness exists
     assert find_noncommutative_pair(null_algebra(2), 3) is None
+
+
+def _reference_odot_assoc(spec, cap):
+    """The scan as a fixed word list filtered by total length."""
+    words = list(words_up_to(spec, cap - 2))
+    for wx in words:
+        for wy in words:
+            if len(wx) + len(wy) >= cap:
+                continue
+            for wz in words:
+                if len(wx) + len(wy) + len(wz) > cap:
+                    continue
+                x, y, z = {wx: 1}, {wy: 1}, {wz: 1}
+                if odot(spec, odot(spec, x, y), z) != odot(spec, x, odot(spec, y, z)):
+                    return (wx, wy, wz)
+    return None
+
+
+def _reference_noncommutative_pair(spec, cap):
+    words = list(words_up_to(spec, cap - 1))
+    for wx in words:
+        for wy in words:
+            if len(wx) + len(wy) <= cap and odot_words(spec, wx, wy) != odot_words(spec, wy, wx):
+                return (wx, wy)
+    return None
+
+
+def test_odot_scans_agree_with_the_filtered_word_lists():
+    # the scans cap each word by what the earlier ones leave of the total, so
+    # they visit the filtered lists' words in the same (length, word) order
+    tables = [nonassoc_witness(), matrix_algebra(2), null_algebra(2), direct_sum_C(2)]
+    tables += [_random_table(rng.randint(1, 2), rng) for rng in map(random.Random, range(30))]
+    found = 0
+    for spec in tables:
+        for cap in (3, 4, 5):
+            want = _reference_odot_assoc(spec, cap)
+            assert check_odot_assoc(spec, cap) == want, (spec.table, cap)
+            found += want is not None
+        for cap in (2, 3, 4):
+            want = _reference_noncommutative_pair(spec, cap)
+            assert find_noncommutative_pair(spec, cap) == want, (spec.table, cap)
+            found += want is not None
+    assert found == 82  # of the 204 scans
 
 
 def test_unit_transfer():
@@ -246,9 +299,9 @@ def test_bimodule_iso():
         bimodule_iso_check(null_algebra(2), 2)
 
 
-def _phi_with_unit_head(spec, unit, word):
+def _phi_with_unit_head(unit, word):
     """A planted fault: phi pads with the first basis term of the unit only."""
-    return _phi(spec, dict([min(unit.items())]), word)
+    return _phi(dict([min(unit.items())]), word)
 
 
 def _balancing_without_last_junction(spec, k):

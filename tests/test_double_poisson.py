@@ -229,6 +229,13 @@ def test_double_bracket_rejects_letters_outside_the_table():
             double_bracket(spec, x, y)
 
 
+def test_letter_formula_rejects_letters_outside_the_table():
+    spec = direct_sum_C(1)
+    for i, j in ((4, 4), (0, 1), (-1, 0)):
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
+            letter_bracket_expected(spec, i, j)
+
+
 def test_the_jacobi_memo_holds_each_scanned_pair_once(monkeypatch):
     # one memo for the whole scan: a pair of scanned words (or the empty
     # word) is bracketed once; longer right words are bracketed afresh.

@@ -89,6 +89,13 @@ def test_element_arithmetic():
     assert multiply(matrix_algebra(2), {1: 1, 0: -1}, {2: 1, 0: 1}) == {}
 
 
+def test_multiply_rejects_letters_outside_the_table():
+    spec = direct_sum_C(1)
+    for a, b in (({5: 1}, {0: 1}), ({0: 1}, {-1: 2}), ({}, {1: 1})):
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
+            multiply(spec, a, b)
+
+
 def test_table_validation():
     with pytest.raises(StructureError):
         AlgebraSpec(0)

@@ -46,6 +46,28 @@ def test_every_import_is_read():
     assert unused == []
 
 
+def test_every_parameter_is_read():
+    # a parameter no body reads is dead weight at every call site; self, cls
+    # and _-prefixed names are exempt, and a nested function's read counts
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                "%s:%d %s(%s)" % (path.name, node.lineno, getattr(node, "name", "lambda"), p)
+                for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")
+            ]
+    assert unread == []
+
+
 def test_suites_bind_no_closure_by_default_arguments():
     # a suite's thunk runs before the suite resumes, so it reads its loop variables late
     tree = ast.parse((SRC / "suites.py").read_text())
