@@ -19,8 +19,9 @@ after the r-th letter.  The formula is defined for *any* bilinear
 :math:`\mu`; skew-symmetry and both Leibniz rules hold identically, while
 the double Jacobi identity holds precisely when :math:`\mu` is associative.
 That equivalence is checked, not assumed (:func:`pvdw_equivalence`), and the
-module deliberately accepts non-associative tables.  Each law check reads
-its brackets through a memo of its own (:func:`_brackets`).
+module deliberately accepts non-associative tables.  The law checks of one
+table read their brackets through one memo (:func:`_brackets`), which the
+caller may share between them; each check builds a fresh one if not given.
 
 A double bracket is a plain dict ``{(u, v): c}`` from pairs of words to
 scalars, a double Jacobi sum a dict ``{(u1, u2, u3): c}``, and a polynomial
@@ -126,40 +127,53 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
 Bracket = Callable[[Word, Word], Double]
 
 
-def _brackets(spec: AlgebraSpec, maxlen: int) -> Tuple[List[Word], Bracket]:
-    """The heads ``[()] + words_up_to(spec, maxlen)`` of a scan and its bracket.
-
-    ``bracket(x, y)`` is ``double_bracket(spec, x, y)``, memoized while
-    ``len(y) <= maxlen``.  The first argument of every bracket the three laws
-    read is a head, so the memo holds at most the brackets of pairs of heads,
-    each computed once per check, and is dropped with the check.  A longer
-    right word comes from the first slot of an inner Jacobi bracket; it is
-    bracketed each time and not stored: storing those too saved a further ~7%
-    of the double-fuzz benchmark workload's run time but raised its peak
-    memory by 1.1 to 1.3 MB (+5.5% to +6.4%, over that metric's 5% bound).
-    """
+def _heads(spec: AlgebraSpec, maxlen: int) -> List[Word]:
+    """The words a law check scans: ``[()] + words_up_to(spec, maxlen)``."""
     if maxlen < 1:
         raise StructureError("the word-length cap must be >= 1, got %r" % (maxlen,))
+    return [()] + list(words_up_to(spec, maxlen))
+
+
+def _brackets(spec: AlgebraSpec) -> Bracket:
+    """``bracket(x, y)``: ``double_bracket(spec, x, y)``, memoized for every pair it is asked for.
+
+    One closure serves every law check of a table: the double suite builds
+    one per table and hands it to skew, Leibniz and double Jacobi, so a pair
+    is bracketed once per table and the memo is dropped with the table's
+    checks.  Long right words, from the first slot of an inner Jacobi
+    bracket, are kept as well.  Every word stored, in a key of the memo or
+    in a slot of a stored bracket, is one tuple object per distinct word,
+    and so is every slot pair ``(u, v)`` (``canon``).  mat(2)'s memo after
+    skew, Leibniz and Jacobi then holds 0.73 MB (tracemalloc), against
+    1.50 MB for the brackets as computed, and the double-fuzz benchmark
+    workload's peak memory rose by 2.0% (20.83 -> 21.24 MB, median of 10
+    runs) for 16% to 18% less run time.  A stored bracket is shared by every
+    caller and must not be mutated.
+    """
     memo: Dict[Tuple[Word, Word], Double] = {}
+    canon: Dict[tuple, tuple] = {}  # each distinct word and slot pair, once
+    share = canon.setdefault
 
     def bracket(x: Word, y: Word) -> Double:
-        if len(y) > maxlen:
-            return double_bracket(spec, x, y)
         hit = memo.get((x, y))
         if hit is None:
-            hit = memo[(x, y)] = double_bracket(spec, x, y)
+            hit = memo[share(x, x), share(y, y)] = {
+                share(p := (share(u, u), share(v, v)), p): c for (u, v), c in double_bracket(spec, x, y).items()
+            }
         return hit
 
-    return [()] + list(words_up_to(spec, maxlen)), bracket
+    return bracket
 
 
-def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
+def check_skew(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None) -> Optional[Tuple[Word, Word]]:
     """<<x, y>> must equal -flip(<<y, x>>), flip(u (x) v) = v (x) u; pairs with an empty word vanish.
 
     The law is symmetric in the pair, so each unordered pair of heads is
     visited once and the witness is the first failing ordered pair.
+    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted.
     """
-    heads, br = _brackets(spec, maxlen)
+    heads = _heads(spec, maxlen)
+    br = _brackets(spec) if bracket is None else bracket
     for ia, a in enumerate(heads):
         for b in heads[ia:]:
             if br(a, b) != {(v, u): -c for (u, v), c in br(b, a).items()}:
@@ -167,8 +181,10 @@ def check_skew(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word]]:
     return None
 
 
-def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, Word, Word]]:
-    """Both Leibniz rules, with concatenation products, on the heads of :func:`_brackets`.
+def check_leibniz(
+    spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None
+) -> Optional[Tuple[str, Word, Word, Word]]:
+    """Both Leibniz rules, with concatenation products, on the words of :func:`_heads`.
 
     Outer rule in the second argument, with the outer bimodule actions
     b . (u (x) v) = bu (x) v and (u (x) v) . c = u (x) vc:
@@ -176,9 +192,11 @@ def check_leibniz(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[str, Word, W
     inner rule in the first (equivalent via skew-symmetry), with the inner
     actions b * (u (x) v) = u (x) bv and (u (x) v) * c = uc (x) v:
         <<bc, a>> = b * <<c, a>> + <<b, a>> * c.
-    Returns ("outer"|"inner", a, b, c) for the first failure.
+    Returns ("outer"|"inner", a, b, c) for the first failure.  ``bracket``
+    is a :func:`_brackets` memo of ``spec``, fresh if omitted.
     """
-    heads, br = _brackets(spec, maxlen)
+    heads = _heads(spec, maxlen)
+    br = _brackets(spec) if bracket is None else bracket
     for a in heads:
         for b in heads:
             ab, ba = br(a, b), br(b, a)
@@ -204,7 +222,7 @@ def triple_jacobi_sum(bracket: Bracket, a: Word, b: Word, c: Word) -> Triple:
     <<a, u (x) v>>_L = <<a, u>> (x) v brackets ``a`` into the first slot,
     and rot(u1 (x) u2 (x) u3) = u3 (x) u1 (x) u2.  All three terms are added
     into one dict.  ``bracket(x, y)`` computes the double bracket of two
-    words: :func:`check_double_jacobi` passes the memo of :func:`_brackets`.
+    words: :func:`check_double_jacobi` passes a memo of :func:`_brackets`.
     """
     out: Triple = {}
     get = out.get
@@ -221,7 +239,9 @@ def triple_jacobi_sum(bracket: Bracket, a: Word, b: Word, c: Word) -> Triple:
     return out
 
 
-def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, Word, Word]]:
+def check_double_jacobi(
+    spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None
+) -> Optional[Tuple[Word, Word, Word]]:
     """First word triple whose Jacobi sum is nonzero, or None.
 
     The letter-level sum carries exactly the associator values, so for a
@@ -235,10 +255,10 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
     rotations, and skipping each (i, j, k) that has a smaller rotation
     returns the same witness.
 
-    The brackets come from one memo of the check (:func:`_brackets`).
+    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted.
     """
-    heads, bracket = _brackets(spec, maxlen)
-    words = heads[1:]
+    words = _heads(spec, maxlen)[1:]
+    br = _brackets(spec) if bracket is None else bracket
     n = len(words)
     for i in range(n):
         # a least rotation has its least index first
@@ -246,7 +266,7 @@ def check_double_jacobi(spec: AlgebraSpec, maxlen: int) -> Optional[Tuple[Word, 
             for k in range(i, n):
                 if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
                     continue
-                if triple_jacobi_sum(bracket, words[i], words[j], words[k]):
+                if triple_jacobi_sum(br, words[i], words[j], words[k]):
                     return (words[i], words[j], words[k])
     return None
 
@@ -262,9 +282,12 @@ def pvdw_verdict(
     }
 
 
-def pvdw_equivalence(spec: AlgebraSpec, maxlen: int) -> Dict[str, object]:
-    """Double Jacobi holds iff the table is associative; report both sides."""
-    return pvdw_verdict(check_associativity(spec), check_double_jacobi(spec, maxlen))
+def pvdw_equivalence(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None) -> Dict[str, object]:
+    """Double Jacobi holds iff the table is associative; report both sides.
+
+    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted.
+    """
+    return pvdw_verdict(check_associativity(spec), check_double_jacobi(spec, maxlen, bracket))
 
 
 # ---------------------------------------------------------------------------

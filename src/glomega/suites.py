@@ -414,23 +414,25 @@ def _suite_double(cfg: SuiteConfig, specs: Tables) -> Checks:
         maxlen = _word_cap(spec, cfg)
         yield from _budget("double.axioms", token, spec, maxlen, cfg)
         base = "omega=%s maxlen=%d" % (token, maxlen)
+        # one bracket memo for the table's law checks, dropped with the table
+        br = dp._brackets(spec)
         yield "double.letters", base, lambda: _none_ok(dp.check_letter_bracket(spec))
-        yield "double.skew", base, lambda: _none_ok(dp.check_skew(spec, maxlen))
-        yield "double.leibniz", base, lambda: _none_ok(dp.check_leibniz(spec, maxlen))
+        yield "double.skew", base, lambda: _none_ok(dp.check_skew(spec, maxlen, br))
+        yield "double.leibniz", base, lambda: _none_ok(dp.check_leibniz(spec, maxlen, br))
         assoc = check_associativity(spec)
         yield "double.assoc", "omega=%s" % token, lambda: _ok(assoc is None, "associator at %r" % (assoc,))
         jac_len = min(maxlen, 2)
         found: list = []  # the Jacobi witness, shared by double.jacobi and double.pvdw
 
         def jacobi():
-            found.append(dp.check_double_jacobi(spec, jac_len))
+            found.append(dp.check_double_jacobi(spec, jac_len, br))
             return _ok(found[0] is None, "jacobi witness %r" % (found[0],))
 
         yield "double.jacobi", "omega=%s maxlen=%d" % (token, jac_len), jacobi
 
         def pvdw():
             # a Jacobi check that raised is run again, so pvdw reports the same error
-            witness = found[0] if found else dp.check_double_jacobi(spec, jac_len)
+            witness = found[0] if found else dp.check_double_jacobi(spec, jac_len, br)
             return _pvdw_status(dp.pvdw_verdict(assoc, witness))
 
         yield "double.pvdw", "omega=%s" % token, pvdw

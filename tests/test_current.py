@@ -70,6 +70,29 @@ def test_letters_outside_the_table_raise():
         gl_current_bracket(spec, {(1, 1, (3,)): 1}, {(1, 1, (0,)): 1})
 
 
+def test_current_bracket_checks_keys_whose_pairs_do_not_meet():
+    # (1, 2) and (1, 2) do not meet in either order, so no junction product
+    # is formed; the keys are checked all the same
+    spec = direct_sum_C(1)
+    with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
+        gl_current_bracket(spec, {(1, 2, (3,)): 1}, {(1, 2, (0,)): 1})
+    with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
+        gl_current_bracket(spec, {(1, 2, (0,)): 1}, {(1, 2, (-1,)): 1})
+    with pytest.raises(StructureError, match="nonempty"):
+        gl_current_bracket(spec, {(1, 2, ()): 1}, {(1, 2, (0,)): 1})
+
+
+def test_current_bracket_rejects_matrix_indices_below_one():
+    spec = direct_sum_C(1)
+    for a, b in (
+        ({(0, 1, (0,)): 1}, {(1, 0, (0,)): 1}),  # these meet, and gave {(0, 0, (0,)): 1, (1, 1, (0,)): -1}
+        ({(0, -4, (0,)): 1}, {(1, 2, (0,)): 1}),
+        ({(1, 1, (0,)): 1}, {(1, -1, (0,)): 1}),
+    ):
+        with pytest.raises(StructureError, match="matrix indices must be >= 1"):
+            gl_current_bracket(spec, a, b)
+
+
 def test_odot_grade_additivity():
     spec = direct_sum_C(2)
     assert odot(spec, {(0, 1): 1}, {(1,): 1}) == {(0, 1): 1}

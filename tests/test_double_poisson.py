@@ -1,6 +1,7 @@
 """Double brackets on words, induced symbol brackets, symbol matches."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -35,7 +36,7 @@ from glomega.doublepoisson import (
     triple_jacobi_sum,
 )
 from glomega.omega import _acc, vec_add
-from glomega.suites import _random_table
+from glomega.suites import SuiteConfig, _random_table, run_suite
 from glomega.words import cyclic, words_up_to
 
 TABLES = (direct_sum_C(1), direct_sum_C(2), null_algebra(2), matrix_algebra(2))
@@ -237,9 +238,10 @@ def test_letter_formula_rejects_letters_outside_the_table():
 
 
 def test_the_jacobi_memo_holds_each_scanned_pair_once(monkeypatch):
-    # one memo for the whole scan: a pair of scanned words (or the empty
-    # word) is bracketed once; longer right words are bracketed afresh.
-    # The scan made 6,079 brackets when the memo was dropped per first word.
+    # one memo for the whole scan: every pair is bracketed once, longer right
+    # words from the first slot of an inner bracket included.  The scan made
+    # 6,079 brackets when the memo was dropped per first word, and 2,996 when
+    # those longer right words were bracketed afresh.
     honest = dp.double_bracket
     calls = {}
 
@@ -249,18 +251,20 @@ def test_the_jacobi_memo_holds_each_scanned_pair_once(monkeypatch):
 
     monkeypatch.setattr(dp, "double_bracket", counted)
     assert check_double_jacobi(matrix_algebra(2), 2) is None
-    assert [pair for pair, n in calls.items() if len(pair[1]) <= 2 and n > 1] == []
-    assert sum(calls.values()) == 2996
+    assert [pair for pair, n in calls.items() if n > 1] == []
+    assert sum(calls.values()) == 1700
 
 
-# double_bracket calls of one check: each pair of heads at most once, as the
-# eager table of every ordered pair of heads had it for skew and Leibniz
-# (mat(2)'s Jacobi scan is pinned by the test above)
+# double_bracket calls of one check: each pair at most once, as the eager
+# table of every ordered pair of heads had it for skew and Leibniz; the Jacobi
+# scans keep their longer right words too (C2 made 94 and 1,802 calls when
+# those were bracketed afresh; null(2) has none, since its brackets vanish).
+# mat(2)'s Jacobi scan is pinned by the test above.
 _CHECK_CALLS = [
     (check_skew, "C2", direct_sum_C(2), 3, 225),
     (check_leibniz, "C2", direct_sum_C(2), 3, 225),
-    (check_double_jacobi, "C2", direct_sum_C(2), 2, 94),
-    (check_double_jacobi, "C2", direct_sum_C(2), 3, 1802),
+    (check_double_jacobi, "C2", direct_sum_C(2), 2, 90),
+    (check_double_jacobi, "C2", direct_sum_C(2), 3, 882),
     (check_skew, "null2", null_algebra(2), 3, 225),
     (check_leibniz, "null2", null_algebra(2), 3, 225),
     (check_double_jacobi, "null2", null_algebra(2), 2, 36),
@@ -286,7 +290,66 @@ def test_each_check_brackets_a_pair_of_heads_once(monkeypatch, check, name, spec
     monkeypatch.setattr(dp, "double_bracket", counted)
     assert check(spec, cap) is None
     assert sum(calls.values()) == expected
-    assert [pair for pair, n in calls.items() if len(pair[1]) <= cap and n > 1] == []
+    assert [pair for pair, n in calls.items() if n > 1] == []
+
+
+def _stored(bracket):
+    """The memo dict held by a :func:`dp._brackets` closure."""
+    cells = dict(zip(bracket.__code__.co_freevars, bracket.__closure__))
+    return cells["memo"].cell_contents
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [nonassoc_witness(), _FUZZ_FAILING, _SHUFFLED_FAILING],
+    ids=["nonassoc", "fuzz_failing", "shuffled_failing"],
+)
+def test_a_shared_memo_gives_the_witnesses_of_fresh_ones(spec):
+    # the suite's order: skew and Leibniz fill the memo the Jacobi scan reads
+    shared = dp._brackets(spec)
+    for check, cap in ((check_skew, 3), (check_leibniz, 3), (check_double_jacobi, 2)):
+        assert check(spec, cap, shared) == check(spec, cap), check.__name__
+    assert pvdw_equivalence(spec, 2, shared) == pvdw_equivalence(spec, 2)
+    assert check_double_jacobi(spec, 2) is not None
+
+
+def test_shared_brackets_stay_as_computed_and_share_their_words():
+    spec = matrix_algebra(2)
+    shared = dp._brackets(spec)
+    assert check_skew(spec, 2, shared) is None
+    assert check_leibniz(spec, 2, shared) is None
+    assert check_double_jacobi(spec, 2, shared) is None
+    memo = _stored(shared)
+    assert len(memo) == 1721
+    objects = {}
+    for (x, y), stored in memo.items():
+        # no check mutated a bracket it was handed, and a hit hands it out again
+        assert stored == double_bracket(spec, x, y), (x, y)
+        assert shared(x, y) is stored
+        # equal words, and equal slot pairs, are one object across the memo
+        for t in (x, y) + tuple(stored) + tuple(w for pair in stored for w in pair):
+            assert objects.setdefault(t, t) is t, t
+
+
+def test_the_double_suite_brackets_each_pair_once_per_table(monkeypatch):
+    # skew, Leibniz, Jacobi and pvdw of a table read one memo; only the
+    # letters check, which tests double_bracket itself, calls it directly
+    honest = dp.double_bracket
+    calls = {}
+
+    def counted(spec, x, y):
+        by_caller = calls.setdefault(sys._getframe(1).f_code.co_name, {})
+        by_caller[x, y] = by_caller.get((x, y), 0) + 1
+        return honest(spec, x, y)
+
+    monkeypatch.setattr(dp, "double_bracket", counted)
+    rep = run_suite(SuiteConfig("double", omega="mat(2)"))
+    assert rep.exit_code() == 0
+    assert {r.name for r in rep.records} >= {"double.skew", "double.leibniz", "double.jacobi", "double.pvdw"}
+    assert sorted(calls) == ["bracket", "check_letter_bracket"]
+    assert [pair for pair, n in calls["bracket"].items() if n > 1] == []
+    assert sum(calls["bracket"].values()) == 1721
+    assert sum(calls["check_letter_bracket"].values()) == 16
 
 
 def _reference_double_bracket(spec, x, y):

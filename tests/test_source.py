@@ -272,9 +272,10 @@ def _cache_like(node):
 
 
 def test_double_bracket_memo_lives_in_one_check():
-    # _brackets memoizes the double brackets of one law check in a local dict
-    # of its closure; a cache that outlives the check would hold every bracket
-    # of the run
+    # _brackets memoizes the double brackets of one table in a local dict of
+    # its closure, shared by that table's law checks and dropped with them; a
+    # cache on the module, a class or the table would outlive the table and
+    # hold every bracket of the run
     tree = ast.parse((SRC / "doublepoisson.py").read_text())
     held = []
     for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
@@ -318,8 +319,9 @@ def _bracket_stores(fn):
 
 def test_one_double_bracket_memo():
     # skew, Leibniz and double Jacobi read their brackets through _brackets,
-    # the one function that keeps a double_bracket result; no eager table
-    # or second memo stands beside it
+    # the one function that keeps a double_bracket result (one memo per
+    # table, shared by the three); no eager table or second memo stands
+    # beside it
     defined, storing = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())

@@ -369,7 +369,7 @@ def test_check_that_raises_is_an_error_record(tmp_path, monkeypatch, capsys):
     from glomega import doublepoisson as dp
     from glomega.cli import main
 
-    def broken(spec, maxlen):
+    def broken(spec, maxlen, bracket=None):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(dp, "check_skew", broken)
