@@ -10,8 +10,9 @@ Grades add, grade 0 multiplies like the table itself, and the whole thing
 is associative exactly when the table is.  gl(d) valued currents carry the
 bracket [X(x)x, Y(x)y] = XY(x)(x(.)y) - YX(x)(y(.)x).
 
-Both live inside one computation, so they are plain dicts, built only
-through ``_acc`` and ``vec_add`` and never holding a zero: an element of
+Both live inside one computation, so they are plain dicts, built through
+``_acc`` and ``vec_add`` (the junction product copies the table's nonzero
+entries) and never holding a zero: an element of
 the current algebra is ``{word: c}`` (:func:`odot` multiplies two of them)
 and a gl(d) current is ``{(i, j, word): c}`` (:func:`gl_current_bracket`
 brackets two of them).
@@ -64,9 +65,17 @@ def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
     letters = x + y
     if min(letters) < 0 or max(letters) >= spec.dim:
         raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+    return _junction(spec, x, y)
+
+
+def _junction(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
+    """x(.)y for nonempty words whose letters the caller has checked.
+
+    The table stores no zero, and each merged letter gives its own word.
+    """
     out: Dict[Word, Scalar] = {}
     for k, c in spec.product(x[-1], y[0]).items():
-        _acc(out, x[:-1] + (k,) + y[1:], c)
+        out[x[:-1] + (k,) + y[1:]] = c
     return out
 
 
@@ -146,20 +155,18 @@ def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
                     "bad key %r: matrix indices must be >= 1, the word nonempty,"
                     " and letters must lie in 0..%d" % ((i, j, w), dim - 1)
                 )
-    # the junction products x(.)y and y(.)x of odot_words, formed inline:
-    # the letters are checked above, and odot_words would check them again
-    # for every meeting pair (7% of the current suite, measured in process)
-    product = spec.product
+    # the letters are checked above, so the junction products skip the
+    # check odot_words would repeat for every meeting pair
     out: Current = {}
     for (i, j, x), cx in a.items():
         for (k, l, y), cy in b.items():
             cc = cx * cy
             if j == k:
-                for m, c in product(x[-1], y[0]).items():
-                    _acc(out, (i, l, x[:-1] + (m,) + y[1:]), cc * c)
+                for w, c in _junction(spec, x, y).items():
+                    _acc(out, (i, l, w), cc * c)
             if l == i:
-                for m, c in product(y[-1], x[0]).items():
-                    _acc(out, (k, j, y[:-1] + (m,) + x[1:]), -cc * c)
+                for w, c in _junction(spec, y, x).items():
+                    _acc(out, (k, j, w), -cc * c)
     return out
 
 

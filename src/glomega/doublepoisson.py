@@ -145,10 +145,12 @@ def _brackets(spec: AlgebraSpec) -> Bracket:
     in a slot of a stored bracket, is one tuple object per distinct word,
     and so is every slot pair ``(u, v)`` (``canon``).  mat(2)'s memo after
     skew, Leibniz and Jacobi then holds 0.73 MB (tracemalloc), against
-    1.50 MB for the brackets as computed, and the double-fuzz benchmark
-    workload's peak memory rose by 2.0% (20.83 -> 21.24 MB, median of 10
-    runs) for 16% to 18% less run time.  A stored bracket is shared by every
-    caller and must not be mutated.
+    0.92 MB with the words alone shared and 1.50 MB for the brackets as
+    computed.  The double-fuzz benchmark workload's peak memory rose by
+    2.2% (20.87 -> 21.32 MB, median of 10 runs; 3.1% with the words alone
+    shared) for 14% to 19% less run time.  A stored bracket is shared by
+    every caller and must not be mutated.  The closure carries its table
+    as ``bracket.spec``.
     """
     memo: Dict[Tuple[Word, Word], Double] = {}
     canon: Dict[tuple, tuple] = {}  # each distinct word and slot pair, once
@@ -162,6 +164,19 @@ def _brackets(spec: AlgebraSpec) -> Bracket:
             }
         return hit
 
+    bracket.spec = spec  # type: ignore[attr-defined]
+    return bracket
+
+
+def _memo_of(spec: AlgebraSpec, bracket: Optional[Bracket]) -> Bracket:
+    """``bracket`` if it is a :func:`_brackets` memo of ``spec``, a fresh memo if it is None.
+
+    A memo of another table would hand out that table's brackets, so it raises.
+    """
+    if bracket is None:
+        return _brackets(spec)
+    if getattr(bracket, "spec", None) is not spec:
+        raise StructureError("a bracket memo serves only the table it was built for")
     return bracket
 
 
@@ -170,10 +185,11 @@ def check_skew(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None
 
     The law is symmetric in the pair, so each unordered pair of heads is
     visited once and the witness is the first failing ordered pair.
-    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted.
+    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted;
+    a memo of another table raises ``StructureError``.
     """
     heads = _heads(spec, maxlen)
-    br = _brackets(spec) if bracket is None else bracket
+    br = _memo_of(spec, bracket)
     for ia, a in enumerate(heads):
         for b in heads[ia:]:
             if br(a, b) != {(v, u): -c for (u, v), c in br(b, a).items()}:
@@ -193,10 +209,11 @@ def check_leibniz(
     actions b * (u (x) v) = u (x) bv and (u (x) v) * c = uc (x) v:
         <<bc, a>> = b * <<c, a>> + <<b, a>> * c.
     Returns ("outer"|"inner", a, b, c) for the first failure.  ``bracket``
-    is a :func:`_brackets` memo of ``spec``, fresh if omitted.
+    is a :func:`_brackets` memo of ``spec``, fresh if omitted; a memo of
+    another table raises ``StructureError``.
     """
     heads = _heads(spec, maxlen)
-    br = _brackets(spec) if bracket is None else bracket
+    br = _memo_of(spec, bracket)
     for a in heads:
         for b in heads:
             ab, ba = br(a, b), br(b, a)
@@ -255,10 +272,11 @@ def check_double_jacobi(
     rotations, and skipping each (i, j, k) that has a smaller rotation
     returns the same witness.
 
-    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted.
+    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted;
+    a memo of another table raises ``StructureError``.
     """
     words = _heads(spec, maxlen)[1:]
-    br = _brackets(spec) if bracket is None else bracket
+    br = _memo_of(spec, bracket)
     n = len(words)
     for i in range(n):
         # a least rotation has its least index first
@@ -282,12 +300,9 @@ def pvdw_verdict(
     }
 
 
-def pvdw_equivalence(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None) -> Dict[str, object]:
-    """Double Jacobi holds iff the table is associative; report both sides.
-
-    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted.
-    """
-    return pvdw_verdict(check_associativity(spec), check_double_jacobi(spec, maxlen, bracket))
+def pvdw_equivalence(spec: AlgebraSpec, maxlen: int) -> Dict[str, object]:
+    """Double Jacobi holds iff the table is associative; report both sides."""
+    return pvdw_verdict(check_associativity(spec), check_double_jacobi(spec, maxlen))
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,18 @@ def test_a_shared_memo_gives_the_witnesses_of_fresh_ones(spec):
     shared = dp._brackets(spec)
     for check, cap in ((check_skew, 3), (check_leibniz, 3), (check_double_jacobi, 2)):
         assert check(spec, cap, shared) == check(spec, cap), check.__name__
-    assert pvdw_equivalence(spec, 2, shared) == pvdw_equivalence(spec, 2)
     assert check_double_jacobi(spec, 2) is not None
+
+
+def test_a_memo_of_another_table_raises():
+    # a memo hands out the brackets of the table it was built for, which
+    # would give a check of another table a wrong verdict
+    spec, other = nonassoc_witness(), direct_sum_C(2)
+    for check in (check_skew, check_leibniz, check_double_jacobi):
+        with pytest.raises(StructureError, match="the table it was built for"):
+            check(spec, 2, dp._brackets(other))
+        with pytest.raises(StructureError, match="the table it was built for"):
+            check(spec, 2, partial(double_bracket, spec))
 
 
 def test_shared_brackets_stay_as_computed_and_share_their_words():
