@@ -49,6 +49,7 @@ from .omega import (
     ScalarLike,
     StructureError,
     _acc,
+    check_letters,
     detect_unit,
     direct_sum_C,
     vec_add,
@@ -62,9 +63,7 @@ def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("current-algebra words must be nonempty")
-    letters = x + y
-    if min(letters) < 0 or max(letters) >= spec.dim:
-        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+    check_letters(spec, x + y)
     return _junction(spec, x, y)
 
 
@@ -147,14 +146,11 @@ def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
     meet: a matrix index below 1, an empty word or a letter outside the
     table raises ``StructureError``.
     """
-    dim = spec.dim
     for keys in (a, b):
         for i, j, w in keys:
-            if i < 1 or j < 1 or not w or min(w) < 0 or max(w) >= dim:
-                raise StructureError(
-                    "bad key %r: matrix indices must be >= 1, the word nonempty,"
-                    " and letters must lie in 0..%d" % ((i, j, w), dim - 1)
-                )
+            if i < 1 or j < 1 or not w:
+                raise StructureError("bad key %r: matrix indices must be >= 1 and the word nonempty" % ((i, j, w),))
+            check_letters(spec, w)
     # the letters are checked above, so the junction products skip the
     # check odot_words would repeat for every meeting pair
     out: Current = {}

@@ -58,7 +58,7 @@ from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .enveloping import Enveloping, UElement, stable
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, vec_add
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, check_letters, vec_add
 from .words import Label, Word, cyclic, words_up_to
 
 
@@ -74,9 +74,7 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> Double:
     """
     x = tuple(x)
     y = tuple(y)
-    letters = x + y
-    if letters and (min(letters) < 0 or max(letters) >= spec.dim):
-        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+    check_letters(spec, x + y)
     product = spec.product
     out: Double = {}
     get = out.get
@@ -105,8 +103,7 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> Double:
 
 def letter_bracket_expected(spec: AlgebraSpec, i: int, j: int) -> Double:
     """1 (x) mu(x_i, x_j) - mu(x_j, x_i) (x) 1, the defining formula on letters."""
-    if not (0 <= i < spec.dim and 0 <= j < spec.dim):
-        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+    check_letters(spec, (i, j))
     out: Double = {}
     for k, c in spec.product(i, j).items():
         _acc(out, ((), (k,)), c)
@@ -125,13 +122,6 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
 
 
 Bracket = Callable[[Word, Word], Double]
-
-
-def _heads(spec: AlgebraSpec, maxlen: int) -> List[Word]:
-    """The words a law check scans: ``[()] + words_up_to(spec, maxlen)``."""
-    if maxlen < 1:
-        raise StructureError("the word-length cap must be >= 1, got %r" % (maxlen,))
-    return [()] + list(words_up_to(spec, maxlen))
 
 
 def _brackets(spec: AlgebraSpec) -> Bracket:
@@ -168,16 +158,20 @@ def _brackets(spec: AlgebraSpec) -> Bracket:
     return bracket
 
 
-def _memo_of(spec: AlgebraSpec, bracket: Optional[Bracket]) -> Bracket:
-    """``bracket`` if it is a :func:`_brackets` memo of ``spec``, a fresh memo if it is None.
+def _scan(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket]) -> Tuple[List[Word], Bracket]:
+    """The words a law check scans, ``[()] + words_up_to(spec, maxlen)``, and its memo.
 
-    A memo of another table would hand out that table's brackets, so it raises.
+    The memo is ``bracket`` if it is a :func:`_brackets` memo of ``spec``
+    and a fresh one if it is None; a memo of another table would hand out
+    that table's brackets, so it raises.
     """
+    if maxlen < 1:
+        raise StructureError("the word-length cap must be >= 1, got %r" % (maxlen,))
     if bracket is None:
-        return _brackets(spec)
-    if getattr(bracket, "spec", None) is not spec:
+        bracket = _brackets(spec)
+    elif getattr(bracket, "spec", None) is not spec:
         raise StructureError("a bracket memo serves only the table it was built for")
-    return bracket
+    return [()] + list(words_up_to(spec, maxlen)), bracket
 
 
 def check_skew(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None) -> Optional[Tuple[Word, Word]]:
@@ -185,11 +179,9 @@ def check_skew(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None
 
     The law is symmetric in the pair, so each unordered pair of heads is
     visited once and the witness is the first failing ordered pair.
-    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted;
-    a memo of another table raises ``StructureError``.
+    ``bracket`` is read through :func:`_scan`.
     """
-    heads = _heads(spec, maxlen)
-    br = _memo_of(spec, bracket)
+    heads, br = _scan(spec, maxlen, bracket)
     for ia, a in enumerate(heads):
         for b in heads[ia:]:
             if br(a, b) != {(v, u): -c for (u, v), c in br(b, a).items()}:
@@ -200,7 +192,7 @@ def check_skew(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None
 def check_leibniz(
     spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None
 ) -> Optional[Tuple[str, Word, Word, Word]]:
-    """Both Leibniz rules, with concatenation products, on the words of :func:`_heads`.
+    """Both Leibniz rules, with concatenation products, on the words of :func:`_scan`.
 
     Outer rule in the second argument, with the outer bimodule actions
     b . (u (x) v) = bu (x) v and (u (x) v) . c = u (x) vc:
@@ -209,11 +201,9 @@ def check_leibniz(
     actions b * (u (x) v) = u (x) bv and (u (x) v) * c = uc (x) v:
         <<bc, a>> = b * <<c, a>> + <<b, a>> * c.
     Returns ("outer"|"inner", a, b, c) for the first failure.  ``bracket``
-    is a :func:`_brackets` memo of ``spec``, fresh if omitted; a memo of
-    another table raises ``StructureError``.
+    is read through :func:`_scan`.
     """
-    heads = _heads(spec, maxlen)
-    br = _memo_of(spec, bracket)
+    heads, br = _scan(spec, maxlen, bracket)
     for a in heads:
         for b in heads:
             ab, ba = br(a, b), br(b, a)
@@ -270,13 +260,10 @@ def check_double_jacobi(
     rot^2 J(a, b, c): every rotation of a failing triple fails too.  The
     first failing triple of the full scan is therefore the least of its
     rotations, and skipping each (i, j, k) that has a smaller rotation
-    returns the same witness.
-
-    ``bracket`` is a :func:`_brackets` memo of ``spec``, fresh if omitted;
-    a memo of another table raises ``StructureError``.
+    returns the same witness.  ``bracket`` is read through :func:`_scan`.
     """
-    words = _heads(spec, maxlen)[1:]
-    br = _memo_of(spec, bracket)
+    heads, br = _scan(spec, maxlen, bracket)
+    words = heads[1:]
     n = len(words)
     for i in range(n):
         # a least rotation has its least index first
@@ -321,8 +308,11 @@ def poisson_pgen(spec: AlgebraSpec, p: Label, q: Label) -> Poly:
 
     Sweedler slots of the double bracket are contracted through the symbols;
     an empty slot contributes the scalar delta (p_ab of the empty word).
+    Matrix indices below 1 raise ``StructureError``.
     """
     (i, j, x), (k, l, y) = p, q
+    if min(i, j, k, l) < 1:
+        raise StructureError("matrix indices must be >= 1, got %r and %r" % (p, q))
     out: Poly = {}
     for (u, v), c in double_bracket(spec, x, y).items():
         factors: List[Label] = []
@@ -420,6 +410,8 @@ def symbol_match_smd(
     ``StabilizationError`` through :func:`stable`.
     """
     x, y = tuple(x), tuple(y)
+    if not x or not y:
+        raise StructureError("symbol matches need nonempty words")
     if max(i, j, k, l) > d:
         raise StructureError("generator indices must be <= d")
     if d > n - 1:

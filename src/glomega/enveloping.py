@@ -52,8 +52,6 @@ from .words import Word, compositions, coagulate_word
 Gen = Tuple[int, int, int]
 Mono = Tuple[Gen, ...]
 
-_ONE = 1
-
 # the normal-form memo's entry for a word that is already sorted: the word
 # itself, with coefficient 1, is built afresh on each hit
 _SORTED: Mapping = MappingProxyType({})
@@ -202,7 +200,7 @@ class Enveloping:
         memo = self._nf
         res = memo.get(seq)
         if res is _SORTED:
-            return {seq: _ONE}
+            return {seq: 1}
         if res is not None:
             return res
         for g in seq:
@@ -218,14 +216,14 @@ class Enveloping:
                     p = a
                     break
             if p < 0:
-                res = {cur: _ONE}
+                res = {cur: 1}
                 memo[cur] = _SORTED
                 break
             chain.append((cur, p))
             cur = cur[:p] + (cur[p + 1], cur[p]) + cur[p + 2 :]
             res = memo.get(cur)
             if res is _SORTED:
-                res = {cur: _ONE}
+                res = {cur: 1}
             if res is not None:
                 break
             start = max(p - 1, 0)
@@ -244,7 +242,7 @@ class Enveloping:
         generator of a popped word is looked up, so a bad one always raises.
         """
         out: Dict[Mono, Scalar] = {}
-        stack: List[Tuple[Mono, Scalar]] = [(tuple(seq), _ONE)]
+        stack: List[Tuple[Mono, Scalar]] = [(tuple(seq), 1)]
         while stack:
             cur, coeff = stack.pop()
             keys = [self.sort_key(g) for g in cur]
@@ -265,10 +263,10 @@ class Enveloping:
         return UElement(self, {})
 
     def one(self) -> "UElement":
-        return UElement(self, {(): _ONE})
+        return UElement(self, {(): 1})
 
     def gen(self, i: int, j: int, b: int = 0) -> "UElement":
-        return UElement(self, {((i, j, b),): _ONE})
+        return UElement(self, {((i, j, b),): 1})
 
     def multiply(self, u: "UElement", v: "UElement") -> "UElement":
         u._compat(self)
@@ -441,7 +439,7 @@ class Enveloping:
         if out is None:
             out = {}
             for w in self._chain_words(i, j, word):
-                _acc(out, tuple(sorted(w, key=self.sort_key)), _ONE)
+                _acc(out, tuple(sorted(w, key=self.sort_key)), 1)
             self._e_top[key] = out
         return out
 
@@ -613,7 +611,7 @@ class Enveloping:
         small = [UElement(self, r) for r in plus if all(len(m) < maxdeg for m in r)]
         for v in small:
             for g in wz_gens:
-                gu = UElement(self, {(g,): _ONE})
+                gu = UElement(self, {(g,): 1})
                 for prod in (self.multiply(gu, v), self.multiply(v, gu)):
                     if not membership.contains(prod.terms):
                         two_sided = False

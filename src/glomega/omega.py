@@ -4,8 +4,9 @@ An :class:`AlgebraSpec` fixes a basis ``x_0, ..., x_{dim-1}`` and structure
 constants ``c[i][j][k]`` so that ``x_i * x_j = sum_k c[i][j][k] x_k``.  Tables
 are stored sparsely: a pair ``(i, j)`` absent from the table multiplies to
 zero.  Nothing here assumes associativity or a unit; both are decidable
-properties of a finite table, computed on first demand and then kept on the
-table (:func:`check_associativity`, :func:`detect_unit`).
+properties of a finite table, computed on each call (:func:`check_associativity`,
+:func:`detect_unit`).  A letter is a basis index ``0..dim-1``, and
+:func:`check_letters` is the one place that checks it.
 
 Scalars are exact rationals in one of two types: an integral value is a
 Python ``int`` and any other value is a ``fractions.Fraction``.
@@ -24,11 +25,11 @@ Values that live inside one computation are plain ``{key: scalar}`` dicts
 with no zero coefficient: a table element is ``{k: c}`` over basis indices
 and is multiplied by :func:`multiply`, and words, double brackets,
 coagulations, current-algebra elements, gl(d) currents, symbol and necklace
-polynomials are dicts too.  The unit that :func:`detect_unit` returns and the
-coagulations of basis words (``words.coagulate_word``) are kept in
-``spec.facts`` and shared by every caller, so they must not be mutated.
-Two tables with equal content are still two tables, each holding its own
-enveloping contexts and computed facts (see :class:`AlgebraSpec`).
+polynomials are dicts too.  The coagulations of basis words
+(``words.coagulate_word``) are kept in ``spec.coagulations`` and shared by
+every caller, so they must not be mutated.  Two tables with equal content
+are still two tables, each holding its own enveloping contexts and
+coagulations (see :class:`AlgebraSpec`).
 All accumulation goes through :func:`vec_add` (a whole dict) and
 :func:`_acc` (one key), which drop a key as soon as its sum is zero.
 """
@@ -110,14 +111,11 @@ class AlgebraSpec:
 
     A spec is not modified after construction, so it owns what is derived
     from it, for exactly its own lifetime: ``contexts`` (size n -> enveloping
-    context, filled by ``Enveloping.get``) and ``facts`` (the associator
-    witness and the unit, kept by :func:`check_associativity` and
-    :func:`detect_unit`, and the memo of ``words.coagulate_word``).  The
-    dicts kept in ``facts`` are shared by every caller and must not be
-    mutated.
+    context, filled by ``Enveloping.get``) and ``coagulations`` (the memo of
+    ``words.coagulate_word``, whose shared dicts must not be mutated).
     """
 
-    __slots__ = ("dim", "basis", "table", "name", "contexts", "facts")
+    __slots__ = ("dim", "basis", "table", "name", "contexts", "coagulations")
 
     def __init__(
         self,
@@ -154,7 +152,7 @@ class AlgebraSpec:
         self.table = clean
         self.name = name or ("algebra(dim=%d)" % dim)
         self.contexts: dict = {}
-        self.facts: dict = {}
+        self.coagulations: dict = {}
 
     def product(self, i: int, j: int) -> Mapping[int, Scalar]:
         """Structure constants of x_i * x_j as a sparse dict."""
@@ -164,11 +162,15 @@ class AlgebraSpec:
         return "<AlgebraSpec %s>" % self.name
 
 
+def check_letters(spec: AlgebraSpec, letters: Sequence[int]) -> None:
+    """Raise ``StructureError`` unless every letter is a basis index ``0..dim-1``."""
+    if letters and (min(letters) < 0 or max(letters) >= spec.dim):
+        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+
+
 def multiply(spec: AlgebraSpec, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
     """Bilinear product of two table elements ``{k: c}`` through the structure table."""
-    keys = (*a, *b)
-    if keys and (min(keys) < 0 or max(keys) >= spec.dim):
-        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+    check_letters(spec, (*a, *b))
     out: Dict[int, Scalar] = {}
     for i, ca in a.items():
         for j, cb in b.items():
@@ -180,15 +182,8 @@ def check_associativity(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
     """Return None if the table is associative, else the first bad triple.
 
     Triples (i, j, k) of basis indices are scanned in lexicographic order and
-    the first one with (x_i x_j) x_k != x_i (x_j x_k) is returned.  The scan
-    runs once per table; its result is kept in ``spec.facts``.
+    the first one with (x_i x_j) x_k != x_i (x_j x_k) is returned.
     """
-    if "associator" not in spec.facts:
-        spec.facts["associator"] = _first_associator(spec)
-    return spec.facts["associator"]
-
-
-def _first_associator(spec: AlgebraSpec) -> Optional[Tuple[int, int, int]]:
     for i in range(spec.dim):
         for j in range(spec.dim):
             ij = spec.product(i, j)
@@ -202,16 +197,8 @@ def detect_unit(spec: AlgebraSpec) -> Optional[Dict[int, Scalar]]:
     """Solve for a two-sided unit ``{k: c}``; None when the linear system has no solution.
 
     A unit e = sum_i e_i x_i must satisfy e * x_j = x_j = x_j * e for every j,
-    which is a linear system in the e_i.  The system is solved once per table;
-    its result is kept in ``spec.facts`` and shared, so callers must not
-    mutate it.
+    which is a linear system in the e_i.
     """
-    if "unit" not in spec.facts:
-        spec.facts["unit"] = _solve_unit(spec)
-    return spec.facts["unit"]
-
-
-def _solve_unit(spec: AlgebraSpec) -> Optional[Dict[int, Scalar]]:
     from .linalg import SpanSolver
 
     solver = SpanSolver()

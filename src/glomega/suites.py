@@ -187,27 +187,22 @@ class Report:
 # table resolution
 
 
-_CPOW = re.compile(r"^[cC]\^?(\d+)$")
-_NULL = re.compile(r"^null\((\d+)\)$")
-_MAT = re.compile(r"^mat\((\d+)\)$")
+# builtin table names, each matched whole, and the builder of the table
+_BUILTINS = (
+    (r"[cC](?:\^?(\d+))?", lambda k: direct_sum_C(int(k or 1))),
+    (r"null\((\d+)\)", lambda k: null_algebra(int(k))),
+    (r"mat\((\d+)\)", lambda k: matrix_algebra(int(k))),
+    (r"nonassoc", nonassoc_witness),
+)
 
 
 def resolve_omega(token: str) -> AlgebraSpec:
     """Builtin table names (C, C^k, null(k), mat(k), nonassoc) or a JSON path."""
     t = token.strip()
-    if t in ("C", "c"):
-        return direct_sum_C(1)
-    m = _CPOW.match(t)
-    if m:
-        return direct_sum_C(int(m.group(1)))
-    m = _NULL.match(t)
-    if m:
-        return null_algebra(int(m.group(1)))
-    m = _MAT.match(t)
-    if m:
-        return matrix_algebra(int(m.group(1)))
-    if t == "nonassoc":
-        return nonassoc_witness()
+    for pattern, build in _BUILTINS:
+        m = re.fullmatch(pattern, t)
+        if m:
+            return build(*m.groups())
     return load_algebra(t)
 
 
@@ -602,7 +597,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """Execute one named suite (or all of them) and assemble the report.
 
     Each table token is resolved once per run, so every suite shares its
-    table object, and with it the table's contexts and facts.  A
+    table object, and with it the table's contexts and coagulations.  A
     configuration that yields no check, or only skipped ones, raises
     :class:`StructureError`: a run that checked nothing must not pass.
     """

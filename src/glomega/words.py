@@ -12,7 +12,7 @@ lexicographically, e.g. for m = 3:
 Coagulation contracts a word along a composition by multiplying each block
 inside the coefficient algebra; blocks of length >= 3 associate to the left
 (immaterial for the associative algebras fed to the enveloping layer).  The
-coagulations of basis words are kept per table, in ``spec.facts``.
+coagulations of basis words are kept per table, in ``spec.coagulations``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .omega import AlgebraSpec, Scalar, StructureError, _acc, multiply
+from .omega import AlgebraSpec, Scalar, StructureError, _acc, check_letters, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -83,16 +83,16 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
 
     Returns ``{word: coefficient}`` over words of length len(nu), with no
     zero coefficients; it is ``{}`` when some block multiplies to zero.  Each
-    (word, nu) is computed once per table: the result is kept in the table's
-    ``spec.facts`` and shared by every caller, so callers must not mutate it;
-    a word with a letter outside 0..dim-1 raises before anything is kept.
+    (word, nu) is computed once per table: the result is kept in
+    ``spec.coagulations`` and shared by every caller, so callers must not
+    mutate it; a word with a letter outside 0..dim-1 raises before anything
+    is kept.
     """
-    memo = spec.facts.setdefault("coagulations", {})
+    memo = spec.coagulations
     key = (tuple(word), tuple(nu))
     if key in memo:
         return memo[key]
-    if not all(0 <= b < spec.dim for b in key[0]):
-        raise StructureError("word %r has letters outside 0..%d" % (key[0], spec.dim - 1))
+    check_letters(spec, key[0])
     out: Dict[Word, Scalar] = {(): 1}
     for block in coagulate(spec, [{i: 1} for i in word], nu):
         nxt: Dict[Word, Scalar] = {}

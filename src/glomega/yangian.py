@@ -178,8 +178,8 @@ def euler_phi(k: int) -> int:
 
 def necklace_count(dim: int, m: int) -> int:
     """Words of length m over dim letters, up to rotation."""
-    if m < 1:
-        raise StructureError("necklace counts need m >= 1")
+    if dim < 1 or m < 1:
+        raise StructureError("necklace counts need dim >= 1 and m >= 1")
     total = sum(euler_phi(r) * dim ** (m // r) for r in range(1, m + 1) if m % r == 0)
     return total // m
 
@@ -191,8 +191,8 @@ def splitting_expected(dim_omega: int, d: int, deg: int) -> int:
     matrix part d^2 dim^m; symmetric-algebra dimensions come from the usual
     multiset generating series.
     """
-    if d < 0 or deg < 0:
-        raise StructureError("the splitting count needs d >= 0 and deg >= 0")
+    if dim_omega < 1 or d < 0 or deg < 0:
+        raise StructureError("the splitting count needs dim >= 1, d >= 0 and deg >= 0")
     coeffs = [0] * (deg + 1)
     coeffs[0] = 1
     for m in range(1, deg + 1):

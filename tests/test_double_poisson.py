@@ -548,6 +548,15 @@ def test_poisson_pgen_delta_gating():
     assert lin
 
 
+def test_poisson_pgen_rejects_matrix_indices_below_one():
+    # on C, index 0 once read as an ordinary matrix index and gave the
+    # bracket {((0, 0, (0,)),): 1, ((1, 1, (0,)),): -1}
+    spec = direct_sum_C(1)
+    for p, q in (((0, 1, (0,)), (1, 0, (0,))), ((-3, 1, (0,)), (1, -3, (0,))), ((1, 1, (0,)), (1, 0, (0,)))):
+        with pytest.raises(StructureError, match="matrix indices must be >= 1"):
+            poisson_pgen(spec, p, q)
+
+
 def test_poisson_antisymmetry():
     spec = direct_sum_C(2)
     pgens = [(1, 1, (0, 1)), (2, 1, (1,)), (1, 2, (0,)), (2, 2, (1, 0))]
@@ -623,6 +632,14 @@ def test_poisson_stc_leibniz():
 def test_symbol_match_smd_smoke():
     # the verdict holds at N=3 and N=4; one that differed would raise
     assert symbol_match_smd(direct_sum_C(2), 1, 1, 1, 1, (0,), (1,), 2, Fraction(0), 3) is True
+
+
+def test_symbol_match_smd_rejects_an_empty_word():
+    # an empty word has no t-generator; it used to fail inside t_elem with a
+    # message about compositions
+    for x, y in (((), (0,)), ((0,), ())):
+        with pytest.raises(StructureError, match="symbol matches need nonempty words"):
+            symbol_match_smd(direct_sum_C(1), 1, 1, 1, 1, x, y, 1, 0, 2)
 
 
 def test_symbol_match_stc_smoke():

@@ -1,8 +1,4 @@
-"""A table owns what is derived from it: its enveloping contexts and its facts.
-
-Its facts are the associator witness, the unit and the memo of coagulated
-words.
-"""
+"""A table owns what is derived from it: its enveloping contexts and its memo of coagulated words."""
 
 import ast
 import gc
@@ -15,13 +11,12 @@ from glomega import (
     AlgebraSpec,
     Enveloping,
     bimodule_iso_check,
-    check_associativity,
     detect_unit,
     direct_sum_C,
     matrix_algebra,
     save_algebra,
 )
-from glomega import cli, omega, suites, words
+from glomega import cli, suites, words
 from glomega.current import current_unit_check
 from glomega.suites import SuiteConfig, run_suite
 from glomega.words import coagulate_word
@@ -33,10 +28,9 @@ ALL_FINGERPRINT = "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1
 
 @pytest.fixture(scope="module")
 def all_run():
-    """One default ``all`` run, counting contexts built and table facts computed."""
-    seen = {"contexts": [], "alive": [], "outside_records": [], "associators": 0, "units": 0}
+    """One default ``all`` run, counting contexts built."""
+    seen = {"contexts": [], "alive": [], "outside_records": []}
     init, run = Enveloping.__init__, suites._run
-    first_associator, solve_unit = omega._first_associator, omega._solve_unit
     current = []  # the record being run, if any
 
     def counted_init(self, spec, n):
@@ -53,19 +47,9 @@ def all_run():
         finally:
             current.pop()
 
-    def counted_associator(spec):
-        seen["associators"] += 1
-        return first_associator(spec)
-
-    def counted_unit(spec):
-        seen["units"] += 1
-        return solve_unit(spec)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Enveloping, "__init__", counted_init)
         mp.setattr(suites, "_run", recorded_run)
-        mp.setattr(omega, "_first_associator", counted_associator)
-        mp.setattr(omega, "_solve_unit", counted_unit)
         seen["fingerprint"] = run_suite(SuiteConfig("all")).fingerprint()
     gc.collect()
     return seen
@@ -79,13 +63,6 @@ def test_all_run_builds_one_context_per_table_and_size(all_run):
 def test_all_run_builds_every_context_inside_a_record(all_run):
     # a context's cost, its key table included, lands in the time of the record that needs it
     assert all_run["outside_records"] == []
-
-
-def test_all_run_computes_each_table_fact_once(all_run):
-    # 4 builtin tables and the double suite's 50 fuzz tables; only the
-    # current suite's 4 tables need a unit
-    assert all_run["associators"] == 54
-    assert all_run["units"] == 4
 
 
 def test_finished_run_leaves_no_context_alive(all_run):
@@ -109,21 +86,6 @@ def test_finished_symbols_run_leaves_no_context_alive(monkeypatch):
     gc.collect()
     assert len(holding) > 0
     assert [ref for ref in holding if ref() is not None] == []
-
-
-def test_table_facts_are_computed_once_per_table_object(monkeypatch):
-    calls = []
-    first_associator, solve_unit = omega._first_associator, omega._solve_unit
-    monkeypatch.setattr(omega, "_first_associator", lambda spec: calls.append("assoc") or first_associator(spec))
-    monkeypatch.setattr(omega, "_solve_unit", lambda spec: calls.append("unit") or solve_unit(spec))
-    spec, twin = direct_sum_C(2), direct_sum_C(2)
-    for _ in range(3):
-        assert check_associativity(spec) is None
-        assert detect_unit(spec) == {0: 1, 1: 1}
-    assert calls == ["assoc", "unit"]
-    # an equal table is a different owner with facts of its own
-    assert detect_unit(twin) is not detect_unit(spec)
-    assert calls == ["assoc", "unit", "unit"]
 
 
 def test_coagulations_are_computed_once_per_table_object(monkeypatch):
@@ -152,7 +114,7 @@ def test_shared_coagulations_are_left_as_they_were(monkeypatch):
     kept = 0
     for token, spec in tables:
         twin = resolve(token)
-        for (word, nu), out in spec.facts.get("coagulations", {}).items():
+        for (word, nu), out in spec.coagulations.items():
             assert out == coagulate_word(twin, word, nu), (token, word, nu)
             kept += 1
     assert kept >= 100
@@ -162,11 +124,10 @@ def test_coagulation_memo_belongs_to_its_table_and_dies_with_it():
     spec = matrix_algebra(2)
     out = coagulate_word(spec, (1, 2), (2,))
     assert out == {(0,): 1}
-    memo = spec.facts["coagulations"]
+    memo = spec.coagulations
     # the memo and what it holds are reached only through the table ...
     assert gc.get_referrers(out) == [memo]
-    assert gc.get_referrers(memo) == [spec.facts]
-    assert gc.get_referrers(spec.facts) == [spec]
+    assert gc.get_referrers(memo) == [spec]
     # ... and nothing keeps the table alive: its context dies with it
     ref = weakref.ref(Enveloping.get(spec, 2))
     del spec, memo, out
@@ -175,9 +136,12 @@ def test_coagulation_memo_belongs_to_its_table_and_dies_with_it():
 
 
 def test_shared_unit_is_left_as_it_was(tmp_path, monkeypatch, capsys):
-    # detect_unit hands every caller the one dict kept in the table's facts
+    # detect_unit solves afresh on each call, so a caller that changes the
+    # unit it was handed changes nothing the next caller sees
     spec = matrix_algebra(2)
     unit = detect_unit(spec)
+    unit[1] = 5
+    del unit[0]
     path = str(tmp_path / "mat2.json")
     save_algebra(spec, path)
     monkeypatch.setattr(cli, "load_algebra", lambda p: spec)  # so the command reads the same table object
@@ -185,8 +149,8 @@ def test_shared_unit_is_left_as_it_was(tmp_path, monkeypatch, capsys):
     assert bimodule_iso_check(spec, 1)
     assert cli.main(["check", path]) == 0
     assert "unit: 1*e11 + 1*e22" in capsys.readouterr().out
-    assert detect_unit(spec) is unit
-    assert unit == {0: 1, 3: 1}
+    assert detect_unit(spec) == {0: 1, 3: 1}
+    assert detect_unit(matrix_algebra(2)) == {0: 1, 3: 1}
 
 
 def test_context_belongs_to_its_table_and_dies_with_it():

@@ -115,6 +115,29 @@ def test_one_stabilization_rule():
     assert "stable" not in {n.name for n in omega.body if isinstance(n, ast.FunctionDef)}
 
 
+def test_one_letter_rule():
+    # a letter is a basis index 0..dim-1: omega.check_letters is the one place
+    # that says so, and every layer that takes letters calls it
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = list(_definitions(path, tree))
+        raisers += [
+            _owner(path, defs, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for text in ast.walk(node.exc)
+            if isinstance(text, ast.Constant) and "letters must lie in" in str(text.value)
+        ]
+    assert raisers == ["omega.check_letters"]
+
+
+def test_a_table_owns_only_its_contexts_and_coagulations():
+    from glomega.omega import AlgebraSpec
+
+    assert AlgebraSpec.__slots__ == ("dim", "basis", "table", "name", "contexts", "coagulations")
+
+
 def _owner(path, defs, line):
     """The innermost function around a line, or the line itself at module level."""
     owners = [(first, qualified) for qualified, _name, first, last in defs if first <= line <= last]

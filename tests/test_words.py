@@ -58,14 +58,14 @@ def test_coagulate_word_rejects_bad_letters_and_keeps_nothing():
     spec = direct_sum_C(1)
     ctx = Enveloping.get(spec, 2)
     ctx.t_elem(1, 1, (0, 0), 1)
-    before = dict(spec.facts["coagulations"])
+    before = dict(spec.coagulations)
     with pytest.raises(StructureError):
         ctx.t_elem(1, 1, (0, 5), 1)
-    assert spec.facts["coagulations"] == before
+    assert spec.coagulations == before
     for word in ((0, 5), (-1,)):
         with pytest.raises(StructureError, match="letters"):
             coagulate_word(spec, word, (1,) * len(word))
-    assert spec.facts["coagulations"] == before
+    assert spec.coagulations == before
 
 
 def test_cyclic_word_canonical_rotation():

@@ -260,6 +260,12 @@ _NEGATIVE_CAPS = [
     ("graded_dim-d0", lambda: graded_dim(_C, 0, 1)),
     ("graded_dim-dneg", lambda: graded_dim(_C, -1, 1)),
     ("splitting_expected-dneg", lambda: splitting_expected(1, -1, 1)),
+    # a table has dimension >= 1, as AlgebraSpec demands
+    ("necklace_count-dim0", lambda: necklace_count(0, 2)),
+    ("necklace_count-dimneg", lambda: necklace_count(-1, 2)),
+    ("splitting_expected-dim0", lambda: splitting_expected(0, 1, 2)),
+    ("splitting_expected-dimneg", lambda: splitting_expected(-2, 1, 2)),
+    ("splitting_expected-dimneg-deg0", lambda: splitting_expected(-2, 0, 0)),
     # a scan that visits nothing would read as a pass: no word pair to
     # compare, no index tuple to bracket, no ideal vector below degree 1
     ("find_noncommutative_pair-1", lambda: find_noncommutative_pair(matrix_algebra(2), 1)),
