@@ -109,6 +109,9 @@ class Enveloping:
         # the one tuple object of each generator: the words this context
         # builds are made of these, so the memoized words share them
         self._gen: Dict[Gen, Gen] = {g: g for g in self.gens}
+        # the caches, from _nf to _field: each is filled on first use and
+        # emptied by empty_caches, which suites.run_suite calls between the
+        # suites of one run
         self._nf: Dict[Mono, Mapping[Mono, Scalar]] = {}
         self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Scalar], ...]] = {}
         self._e: Dict = {}
@@ -135,12 +138,38 @@ class Enveloping:
         """The table's own context for size n, built on first use.
 
         It is kept in ``omega.contexts``, so every caller with the same table
-        object shares its caches, and it is released with the table.
+        object shares it, and it is released with the table.  Its caches
+        live until :meth:`empty_caches`: in a run of several suites, that is
+        one suite.
         """
         ctx = omega.contexts.get(n)
         if ctx is None:
             ctx = omega.contexts[n] = cls(omega, n)
         return ctx
+
+    def empty_caches(self) -> None:
+        """Empty every cache declared in ``__init__``, in place, and the top_commutator slot.
+
+        The context stays usable and refills its caches on demand.  Emptying
+        in place drops the cycles through the context that cached elements
+        form (each names the context as its owner), so the memory is freed
+        without waiting for the cyclic garbage collector.  Only
+        :func:`glomega.suites.run_suite` calls it, between suites: emptied
+        mid-computation, the shared work of one suite would be done again.
+        """
+        for cache in (
+            self._nf,
+            self._comm,
+            self._e,
+            self._e_top,
+            self._trace,
+            self._t,
+            self._y_eval_cache,
+            self._symbol_classes,
+            self._symbol_solvers,
+        ):
+            cache.clear()
+        self._field = None
 
     # -- generator order ----------------------------------------------------
 

@@ -112,7 +112,9 @@ class AlgebraSpec:
     A spec is not modified after construction, so it owns what is derived
     from it, for exactly its own lifetime: ``contexts`` (size n -> enveloping
     context, filled by ``Enveloping.get``) and ``coagulations`` (the memo of
-    ``words.coagulate_word``, whose shared dicts must not be mutated).
+    ``words.coagulate_word``, whose shared dicts must not be mutated).  The
+    contexts live as long as the spec, but their caches may be emptied
+    sooner: a run of several suites empties them between suites.
     """
 
     __slots__ = ("dim", "basis", "table", "name", "contexts", "coagulations")

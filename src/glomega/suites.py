@@ -598,7 +598,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
     Each table token is resolved once per run, so every suite shares its
     table object, and with it the table's contexts and coagulations.  A
-    configuration that yields no check, or only skipped ones, raises
+    context's caches live for one suite: before each suite after the first,
+    every context of the run's tables is emptied in place
+    (:meth:`Enveloping.empty_caches`), so a run holds one suite's memos at a
+    time.  A configuration that yields no check, or only skipped ones, raises
     :class:`StructureError`: a run that checked nothing must not pass.
     """
     names = tuple(_SUITES) if cfg.suite == "all" else (cfg.suite,)
@@ -611,8 +614,14 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 "table %s is not associative (witness %r); only the double suite accepts it"
                 % (cfg.omega, witness)
             )
-    suites = (_SUITES[name][0](cfg, [(tok, tables[tok]) for tok in rosters[name]]) for name in names)
-    records = [_run(*check) for checks in suites for check in checks]
+    records: List[CheckRecord] = []
+    for k, name in enumerate(names):
+        if k:  # a suite reads almost nothing that an earlier one memoized
+            for spec in tables.values():
+                for ctx in spec.contexts.values():
+                    ctx.empty_caches()
+        suite = _SUITES[name][0]
+        records.extend(_run(*check) for check in suite(cfg, [(tok, tables[tok]) for tok in rosters[name]]))
     if all(r.status == "skipped" for r in records):
         raise StructureError("suite %s has no checks for this configuration" % cfg.suite)
     return Report(cfg, records)

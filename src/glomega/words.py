@@ -47,14 +47,19 @@ def compositions(m: int) -> List[Composition]:
 
 def basis_words(spec: AlgebraSpec, length: int) -> Iterator[Word]:
     """All words of exactly the given length, lexicographic order."""
+    if length < 0:
+        raise StructureError("word length must be >= 0, got %d" % length)
     return itertools.product(range(spec.dim), repeat=length)
 
 
 def words_up_to(spec: AlgebraSpec, maxlen: int) -> Iterator[Word]:
-    """All nonempty words of length <= maxlen, ordered by (length, word)."""
-    for n in range(1, maxlen + 1):
-        for w in basis_words(spec, n):
-            yield w
+    """All nonempty words of length <= maxlen, ordered by (length, word).
+
+    maxlen 0 gives no word; a negative maxlen raises when called.
+    """
+    if maxlen < 0:
+        raise StructureError("maximal word length must be >= 0, got %d" % maxlen)
+    return itertools.chain.from_iterable(basis_words(spec, n) for n in range(1, maxlen + 1))
 
 
 def coagulate(

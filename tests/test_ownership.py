@@ -3,6 +3,7 @@
 import ast
 import gc
 import pathlib
+import tracemalloc
 import weakref
 
 import pytest
@@ -26,12 +27,35 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
 ALL_FINGERPRINT = "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959"
 
 
+def _traced_peak(cfg):
+    """The tracemalloc peak of ``run_suite(cfg)``, in bytes, and its report."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run_suite(cfg)
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
+
+
+def _held(ctx):
+    """The names of a context's caches that hold something: its dicts other than the PBW order, and the slot."""
+    fixed = ("_keys", "_gen")
+    held = [name for name, value in vars(ctx).items() if isinstance(value, dict) and value and name not in fixed]
+    return held + ["_field"] * (ctx._field is not None)
+
+
 @pytest.fixture(scope="module")
 def all_run():
-    """One default ``all`` run, counting contexts built."""
-    seen = {"contexts": [], "alive": [], "outside_records": []}
-    init, run = Enveloping.__init__, suites._run
+    """One default ``all`` run, traced by tracemalloc, counting contexts built.
+
+    As each suite starts, it records what every context of the run's tables
+    still holds (names only: no reference to a table or context).
+    """
+    seen = {"contexts": [], "alive": [], "outside_records": [], "at_start": []}
+    init, run, resolve = Enveloping.__init__, suites._run, suites.resolve_omega
     current = []  # the record being run, if any
+    tables = []  # the run's tables, dropped before the run's end is checked
 
     def counted_init(self, spec, n):
         seen["contexts"].append((spec.name, n))  # the name only: no reference to the table
@@ -47,10 +71,27 @@ def all_run():
         finally:
             current.pop()
 
+    def resolved(token):
+        tables.append(resolve(token))
+        return tables[-1]
+
+    def starting(name, suite):
+        def started(cfg, specs):
+            held = [(spec.name, n, _held(ctx)) for spec in tables for n, ctx in spec.contexts.items()]
+            seen["at_start"].append((name, held))
+            return suite(cfg, specs)
+
+        return started
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Enveloping, "__init__", counted_init)
         mp.setattr(suites, "_run", recorded_run)
-        seen["fingerprint"] = run_suite(SuiteConfig("all")).fingerprint()
+        mp.setattr(suites, "resolve_omega", resolved)
+        for name, (suite, roster) in suites._SUITES.items():
+            mp.setitem(suites._SUITES, name, (starting(name, suite), roster))
+        seen["traced_peak"], report = _traced_peak(SuiteConfig("all"))
+        seen["fingerprint"] = report.fingerprint()
+    del tables[:], report
     gc.collect()
     return seen
 
@@ -58,6 +99,21 @@ def all_run():
 def test_all_run_builds_one_context_per_table_and_size(all_run):
     assert all_run["fingerprint"] == ALL_FINGERPRINT
     assert len(all_run["contexts"]) == len(set(all_run["contexts"])) == 23
+
+
+def test_each_later_suite_of_a_run_starts_with_empty_caches(all_run):
+    # a run holds one suite's memos at a time: between suites every context
+    # of the run's tables is emptied in place (and none is rebuilt, above)
+    at_start = dict(all_run["at_start"])
+    assert list(at_start) == list(suites._SUITES)
+    first, *later = at_start.values()
+    assert first == [] and all(later)
+    assert [(name, entry) for name, held in list(at_start.items())[1:] for entry in held if entry[2]] == []
+
+
+def test_all_run_peak_is_about_one_suite(all_run):
+    single = {name: _traced_peak(SuiteConfig(name))[0] for name in suites._SUITES}
+    assert all_run["traced_peak"] <= 1.25 * max(single.values()), (all_run["traced_peak"], single)
 
 
 def test_all_run_builds_every_context_inside_a_record(all_run):

@@ -210,7 +210,7 @@ def test_context_caches_are_declared_on_enveloping():
         if fn is not init:
             for name in _self_stores(fn):
                 stored.setdefault(name, []).append(fn.name)
-    assert stored["_field"] == ["top_commutator"]
+    assert stored["_field"] == ["empty_caches", "top_commutator"]
     assert {name: fns for name, fns in stored.items() if name not in declared} == {}
     read = {}
     for path in sorted(SRC.glob("*.py")):
@@ -221,6 +221,20 @@ def test_context_caches_are_declared_on_enveloping():
                 read.setdefault(node.attr, []).append("%s:%d" % (path.name, node.lineno))
     assert {"_y_eval_cache", "_symbol_solvers", "_trace"} <= set(read)
     assert {name: lines for name, lines in read.items() if name not in declared} == {}
+
+
+def test_only_run_suite_empties_context_caches():
+    # caches are emptied between suites only: emptied inside a suite, work
+    # its checks share would silently be done again
+    refs = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "empty_caches"
+    ]
+    tree = ast.parse((SRC / "suites.py").read_text())
+    (run_suite,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_suite"]
+    assert [(name, run_suite.lineno <= line <= run_suite.end_lineno) for name, line in refs] == [("suites.py", True)]
 
 
 def _fail_returns_in_loops(node, fn=None, in_loop=False):

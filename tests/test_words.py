@@ -36,6 +36,8 @@ def test_basis_words_enumeration():
     assert list(basis_words(spec, 0)) == [()]
     assert list(basis_words(spec, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert list(words_up_to(spec, 2)) == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    # pbw_monomials asks for maxlen 0, which scans no word
+    assert list(words_up_to(spec, 0)) == []
 
 
 def test_coagulate_word_merges_blocks():

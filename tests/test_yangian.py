@@ -19,7 +19,7 @@ from glomega.enveloping import stable
 from glomega.linalg import SpanSolver
 from glomega.omega import vec_add
 from glomega.suites import _degeneration_tuples
-from glomega.words import basis_words
+from glomega.words import basis_words, words_up_to
 from glomega.yangian import (
     _symbol_column,
     _symbol_solver,
@@ -250,6 +250,9 @@ _NEGATIVE_CAPS = [
     ("monomials", lambda: Enveloping.get(_C, 3).monomials(-1)),
     ("graded_basis-1", lambda: graded_basis(direct_sum_C(2), 1, -1)),
     ("graded_basis-2", lambda: graded_basis(direct_sum_C(2), 1, -2)),
+    # a negative word length, refused when called rather than scanning no word
+    ("basis_words", lambda: basis_words(_C, -1)),
+    ("words_up_to", lambda: words_up_to(_C, -1)),
     # a matrix size below its range: d >= 1 for t-monomials and currents,
     # d >= 0 for the splitting count, where d = 0 is the whole gl(N)
     ("pbw_monomials-d0", lambda: pbw_monomials(_C, 0, 2, 2)),
