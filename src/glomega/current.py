@@ -408,11 +408,12 @@ def degeneration_check(
     """Commutator of t-elements = current bracket + lower shifted degree.
 
     Computes R = [t_ij(x;N;s), t_kl(y;N;s)] minus their current bracket
-    read through t(s) (:func:`_bracket_remainder`), expands R over ordered
-    t-monomials and checks every surviving monomial has shifted degree at
-    most len(x)+len(y)-3 (for single letters that forces R = 0 on the nose).
-    Runs at N = d + len(x) + len(y), the least faithful size, and at N+1;
-    verdicts that differ raise through :func:`stable`.
+    read through t(s) (:func:`_bracket_remainder`) and expands R over
+    ordered t-monomials at N = d + len(x) + len(y), the least faithful size,
+    and at N+1.  Expansions that differ raise through :func:`stable`; the
+    common one passes when it exists and every monomial has shifted degree
+    at most len(x)+len(y)-3 (for single letters that forces R = 0 on the
+    nose).
     """
     x, y = tuple(x), tuple(y)
     if not x or not y:
@@ -421,9 +422,10 @@ def degeneration_check(
         raise StructureError("matrix indices must lie in 1..d")
     n = d + len(x) + len(y)
     bound = len(x) + len(y) - 3
-
-    def verdict(ctx: Enveloping) -> bool:
-        expansion = t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, s), d, s)
-        return expansion is not None and all(shifted_degree(m) <= bound for m, _c in expansion)
-
-    return stable(omega, (n, n + 1), verdict, lambda _: "degeneration verdicts differ at N=%d and N=%d" % (n, n + 1))
+    expansion = stable(
+        omega,
+        (n, n + 1),
+        lambda ctx: t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, s), d, s),
+        lambda _: "degeneration verdicts differ at N=%d and N=%d" % (n, n + 1),
+    )
+    return expansion is not None and all(shifted_degree(m) <= bound for m, _c in expansion)

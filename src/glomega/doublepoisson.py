@@ -361,10 +361,13 @@ def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict
 
     The result is keyed by least rotations (:func:`~glomega.words.cyclic`).
     It does not depend on the chosen lifts; the tests rotate the inputs to
-    confirm.
+    confirm.  An empty word is no necklace class and raises.
     """
+    a, b = tuple(a), tuple(b)
+    if not a or not b:
+        raise StructureError("the trace bracket needs nonempty words")
     out: Dict[Word, Scalar] = {}
-    for (u, v), c in double_bracket(spec, tuple(a), tuple(b)).items():
+    for (u, v), c in double_bracket(spec, a, b).items():
         _acc(out, cyclic(u + v), c)
     return out
 

@@ -60,9 +60,11 @@ _SORTED: Mapping = MappingProxyType({})
 def stable(omega: AlgebraSpec, sizes: Iterable[int], verdict: Callable, witness: Callable[[Dict], str]):
     """The verdict shared by the table's own contexts (:meth:`Enveloping.get`) at every size in ``sizes``.
 
-    A check at consecutive finite sizes stands in for the N -> infinity
-    limit, so verdicts that differ raise ``StabilizationError(witness(by_n))``,
-    with ``by_n`` the verdict at each size; they are never a failure.
+    A verdict is any value that compares with ``==``: a boolean, or an
+    expansion whose N-independence is the claim.  A check at consecutive
+    finite sizes stands in for the N -> infinity limit, so verdicts that
+    differ raise ``StabilizationError(witness(by_n))``, with ``by_n`` the
+    verdict at each size; they are never a failure.
     """
     by_n = {n: verdict(Enveloping.get(omega, n)) for n in sizes}
     if not by_n:

@@ -292,6 +292,7 @@ def t_expansion(
     subtracted, and the degree strictly drops.  Degree 0 takes the same
     path: its one class holds the empty monomial, with symbol ``{(): 1}``.
     """
+    u._compat(ctx)
     s = as_scalar(s)
     out: List[Tuple[OrderedMonomial, Scalar]] = []
     rem = dict(u.terms)

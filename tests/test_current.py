@@ -447,6 +447,17 @@ def test_degeneration_check_rejects_the_raw_commutator(monkeypatch):
     assert not degeneration_check(direct_sum_C(1), 1, 2, 2, 1, (0, 0), (0,), 2, 0)
 
 
+def test_degeneration_check_compares_the_expansions(monkeypatch):
+    # a term within the bound (shifted degree 0 <= 2 + 1 - 3) planted at
+    # N+1 = 6 only keeps both verdicts true, but the expansions differ
+    args = (direct_sum_C(1), 1, 2, 2, 1, (0, 0), (0,), 2, 0)
+    assert degeneration_check(*args)
+    expand = cur.t_expansion
+    monkeypatch.setattr(cur, "t_expansion", lambda ctx, r, d, s: expand(ctx, r, d, s) + [((), 1)] * (ctx.n == 6))
+    with pytest.raises(StabilizationError, match="degeneration verdicts differ at N=5 and N=6"):
+        degeneration_check(*args)
+
+
 def test_degeneration_check_length_two_words():
     # both deltas fire and the quadratic remainder must be peeled exactly
     C2 = direct_sum_C(2)

@@ -621,6 +621,16 @@ def test_trace_bracket_antisymmetry_and_grading():
                 assert len(w) == len(x) + len(y) - 1
 
 
+def test_trace_bracket_rejects_an_empty_word():
+    # an empty word is no necklace class: words.cyclic(()) raises too
+    spec = matrix_algebra(2)
+    for a, b in (((), (0,)), ((0,), ()), ((), ())):
+        with pytest.raises(StructureError, match="nonempty words"):
+            trace_bracket(spec, a, b)
+    with pytest.raises(StructureError, match="nonempty words"):
+        poisson_stc(spec, {((),): 1}, {((0,),): 1})
+
+
 def test_poisson_stc_leibniz():
     spec = matrix_algebra(2)
     f, g, h = ({(cyclic(w),): 1} for w in ((1,), (2,), (0,)))

@@ -27,17 +27,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
 ALL_FINGERPRINT = "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959"
 
 
-def _traced_peak(cfg):
-    """The tracemalloc peak of ``run_suite(cfg)``, in bytes, and its report."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        report = run_suite(cfg)
-        return tracemalloc.get_traced_memory()[1], report
-    finally:
-        tracemalloc.stop()
-
-
 def _held(ctx):
     """The names of a context's caches that hold something: its dicts other than the PBW order, and the slot."""
     fixed = ("_keys", "_gen")
@@ -49,10 +38,13 @@ def _held(ctx):
 def all_run():
     """One default ``all`` run, traced by tracemalloc, counting contexts built.
 
-    As each suite starts, it records what every context of the run's tables
-    still holds (names only: no reference to a table or context).
+    As each suite starts, it records the traced memory (current, peak) in
+    bytes and resets the peak, so each entry holds the peak of the stretch
+    before it; the run's end adds one more entry.  It also records what
+    every context of the run's tables still holds (names only: no reference
+    to a table or context).
     """
-    seen = {"contexts": [], "alive": [], "outside_records": [], "at_start": []}
+    seen = {"contexts": [], "alive": [], "outside_records": [], "at_start": [], "traced": []}
     init, run, resolve = Enveloping.__init__, suites._run, suites.resolve_omega
     current = []  # the record being run, if any
     tables = []  # the run's tables, dropped before the run's end is checked
@@ -77,6 +69,8 @@ def all_run():
 
     def starting(name, suite):
         def started(cfg, specs):
+            seen["traced"].append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
             held = [(spec.name, n, _held(ctx)) for spec in tables for n, ctx in spec.contexts.items()]
             seen["at_start"].append((name, held))
             return suite(cfg, specs)
@@ -89,7 +83,13 @@ def all_run():
         mp.setattr(suites, "resolve_omega", resolved)
         for name, (suite, roster) in suites._SUITES.items():
             mp.setitem(suites._SUITES, name, (starting(name, suite), roster))
-        seen["traced_peak"], report = _traced_peak(SuiteConfig("all"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run_suite(SuiteConfig("all"))
+            seen["traced"].append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
         seen["fingerprint"] = report.fingerprint()
     del tables[:], report
     gc.collect()
@@ -112,8 +112,12 @@ def test_each_later_suite_of_a_run_starts_with_empty_caches(all_run):
 
 
 def test_all_run_peak_is_about_one_suite(all_run):
-    single = {name: _traced_peak(SuiteConfig(name))[0] for name in suites._SUITES}
-    assert all_run["traced_peak"] <= 1.25 * max(single.values()), (all_run["traced_peak"], single)
+    # a suite's work is its peak above what the run held as it started; a run
+    # that kept earlier suites' memos would climb by their sum instead
+    starts, peaks = zip(*all_run["traced"])
+    work = [peak - start for start, peak in zip(starts, peaks[1:])]
+    assert len(work) == len(suites._SUITES)
+    assert max(peaks) <= 1.25 * (starts[0] + max(work)), (starts, peaks)
 
 
 def test_all_run_builds_every_context_inside_a_record(all_run):

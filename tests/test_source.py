@@ -422,7 +422,7 @@ _CALLED_ONLY_BY_TESTS = {
     "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
     "omega.save_algebra": "the README's file round-trip",
     "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
-    "yangian.shift_automorphism_check": "waits on a suite record (ROADMAP item 6)",
+    "yangian.shift_automorphism_check": "goes once degeneration_check compares a second s (ROADMAP item 11)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
     "linalg.rref": "ideal_intersection_check reduces each ideal's invariant part with it; tests compare spans by it",
 }

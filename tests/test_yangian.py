@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C, matrix_algebra
+from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C, matrix_algebra, null_algebra
 from glomega import yangian
 from glomega.current import (
     _bracket_remainder,
@@ -321,6 +321,14 @@ def test_t_expansion_of_scalars_and_zero():
     ctx = Enveloping.get(direct_sum_C(1), 3)
     assert t_expansion(ctx, ctx.one().scale(6), 1, S0) == [((), 6)]
     assert t_expansion(ctx, ctx.zero(), 1, S0) == []
+
+
+def test_t_expansion_rejects_an_element_of_another_context():
+    # another table at the same size, and the same table at another size
+    u = Enveloping.get(null_algebra(1), 3).t_elem(1, 2, (0, 0), S0)
+    for ctx in (Enveloping.get(direct_sum_C(1), 3), Enveloping.get(u.owner.omega, 4)):
+        with pytest.raises(StructureError, match="different enveloping context"):
+            t_expansion(ctx, u, 2, S0)
 
 
 def test_shift_check_not_stabilized(monkeypatch):
