@@ -21,7 +21,12 @@ Structural checks implemented here:
 
 * :func:`check_current_antisym` and :func:`check_current_jacobi` scan the
   gl(d) current bracket on basis keys up to a grade bound, each unordered
-  pair and each triple i < j < k once (the current suite runs both),
+  pair and each triple i < j < k once.  Both read their brackets through
+  one memo of basis-key brackets (:func:`_brackets`), which the current
+  suite builds once per table and shares between them, as the double suite
+  shares its double-bracket memo: each ordered pair is bracketed once per
+  table, the memo is dropped with the table's checks, and a stored bracket
+  is handed to every caller and must not be mutated,
 * :func:`path_algebra_iso_check` identifies the current algebra of C^(+)L
   with the path algebra of the complete quiver on L vertices,
 * :func:`bimodule_iso_check` identifies grade k with the k-fold balanced
@@ -39,7 +44,7 @@ Structural checks implemented here:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, UElement, stable
 from .linalg import SpanSolver, rank
@@ -166,43 +171,93 @@ def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
     return out
 
 
-def current_jacobi_sum(spec: AlgebraSpec, a: Current, b: Current, c: Current) -> Current:
+Bracket = Callable[[Label, Label], Current]
+
+
+def _brackets(spec: AlgebraSpec) -> Bracket:
+    """``bracket(a, b)``: the current bracket of the keys ``a`` and ``b``, memoized per ordered pair.
+
+    Each pair asked for goes through :func:`gl_current_bracket` once, looked
+    up at the miss, with no shortcut in front of it.  A stored bracket is
+    shared by every caller and must not be mutated.  The closure carries its
+    table as ``bracket.spec``.
+    """
+    memo: Dict[Tuple[Label, Label], Current] = {}
+
+    def bracket(a: Label, b: Label) -> Current:
+        hit = memo.get((a, b))
+        if hit is None:
+            hit = memo[a, b] = gl_current_bracket(spec, {a: 1}, {b: 1})
+        return hit
+
+    bracket.spec = spec  # type: ignore[attr-defined]
+    return bracket
+
+
+def _memo(spec: AlgebraSpec, bracket: Optional[Bracket]) -> Bracket:
+    """``bracket`` if it is a :func:`_brackets` memo of ``spec``, a fresh one if None.
+
+    A memo of another table would hand out that table's brackets, so it raises.
+    """
+    if bracket is None:
+        return _brackets(spec)
+    if getattr(bracket, "spec", None) is not spec:
+        raise StructureError("a bracket memo serves only the table it was built for")
+    return bracket
+
+
+def current_jacobi_sum(
+    spec: AlgebraSpec, a: Current, b: Current, c: Current, bracket: Optional[Bracket] = None
+) -> Current:
     """[[a, b], c] + [[b, c], a] + [[c, a], b], added into one dict.
 
-    A term whose inner bracket vanishes is skipped: the bracket is bilinear.
+    Each term is expanded bilinearly over the keys, [[a, b], c] =
+    sum_k [a, b]_k [k, c], and every bracket of two keys is read through
+    ``bracket`` (:func:`_memo`).
     """
+    br = _memo(spec, bracket)
     out: Current = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        inner = gl_current_bracket(spec, x, y)
-        if inner:
-            vec_add(out, gl_current_bracket(spec, inner, z))
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                for k, ck in br(kx, ky).items():
+                    for kz, cz in z.items():
+                        vec_add(out, br(k, kz), cx * cy * ck * cz)
     return out
 
 
-def check_current_antisym(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[Label, Label]]:
+def check_current_antisym(
+    spec: AlgebraSpec, d: int, maxgrade: int, bracket: Optional[Bracket] = None
+) -> Optional[Tuple[Label, Label]]:
     """First basis pair (a, b), a not after b, with [a, b] != -[b, a].
 
     The law is symmetric in the pair, so each unordered pair is visited once
-    and the witness is the first failing ordered pair.
+    and the witness is the first failing ordered pair.  ``bracket`` is read
+    through :func:`_memo`.
     """
     keys = current_basis_keys(spec, d, maxgrade)
+    br = _memo(spec, bracket)
     for ia, ka in enumerate(keys):
         for kb in keys[ia:]:
-            ba = gl_current_bracket(spec, {kb: 1}, {ka: 1})
-            if gl_current_bracket(spec, {ka: 1}, {kb: 1}) != {k: -c for k, c in ba.items()}:
+            if br(ka, kb) != {k: -c for k, c in br(kb, ka).items()}:
                 return (ka, kb)
     return None
 
 
-def check_current_jacobi(spec: AlgebraSpec, d: int, maxgrade: int) -> Optional[Tuple[Label, Label, Label]]:
+def check_current_jacobi(
+    spec: AlgebraSpec, d: int, maxgrade: int, bracket: Optional[Bracket] = None
+) -> Optional[Tuple[Label, Label, Label]]:
     """First basis triple i < j < k up to the grade bound with a nonzero Jacobi sum.
 
     The bracket is antisymmetric by its formula, so a triple with a repeated
     key sums to zero and every permutation of a failing triple fails too:
-    the first i < j < k is the first failing ordered triple.
+    the first i < j < k is the first failing ordered triple.  ``bracket`` is
+    read through :func:`_memo`.
     """
-    for ka, kb, kc in itertools.combinations(current_basis_keys(spec, d, maxgrade), 3):
-        if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}):
+    keys = current_basis_keys(spec, d, maxgrade)
+    br = _memo(spec, bracket)
+    for ka, kb, kc in itertools.combinations(keys, 3):
+        if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}, br):
             return (ka, kb, kc)
     return None
 

@@ -411,8 +411,10 @@ class Enveloping:
         return out
 
     def mono_weight(self, mono: Mono, a: Optional[int] = None) -> int:
-        """Eigenvalue of ad E_aa on a monomial (default a = N)."""
+        """Eigenvalue of ad E_aa on a monomial (default a = N); an ``a`` outside 1..N raises."""
         a = self.n if a is None else a
+        if not 1 <= a <= self.n:
+            raise StructureError("the weight index must lie in 1..%d, got %r" % (self.n, a))
         return sum((1 if i == a else 0) - (1 if j == a else 0) for (i, j, _b) in mono)
 
     def is_in_centralizer(self, u: "UElement", d: int) -> bool:

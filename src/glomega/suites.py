@@ -29,7 +29,6 @@ identical fingerprints across runs.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -58,6 +57,14 @@ from .omega import (
     null_algebra,
 )
 from .words import basis_words, cyclic, words_up_to
+
+try:  # CPython's builtin digest; Report.fingerprint says why
+    from _sha256 import sha256  # CPython <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 VERSION = "0.1.0"
 
@@ -160,8 +167,12 @@ class Report:
         return out
 
     def fingerprint(self) -> str:
+        # sha256 is CPython's builtin one, as random.py takes its sha512, and
+        # hashlib only its fallback: importing hashlib loads OpenSSL's
+        # _hashlib, about 3.5 MB resident, for this one digest.  Both give
+        # the same bytes, so every fingerprint is unchanged.
         blob = json.dumps(self._stable_payload(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return sha256(blob).hexdigest()
 
     def to_dict(self) -> dict:
         payload = self._stable_payload()
@@ -537,13 +548,15 @@ def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
                 cur.find_noncommutative_pair(spec, 3) is not None, "no witness found"
             )
         grade_cap = 1 if spec.dim > 1 else 2
+        # one bracket memo for the table's antisym and Jacobi scans, dropped with the table
+        br = cur._brackets(spec)
         yield "current.antisym", "omega=%s d=%d grade<=%d" % (token, d2, grade_cap), lambda: _none_ok(
-            cur.check_current_antisym(spec, d2, grade_cap)
+            cur.check_current_antisym(spec, d2, grade_cap, br)
         )
         # grade 0 from dim 4 on: mat(2) at grade <= 1 has 82,160 triples, about 1 s
         jacobi_cap = grade_cap if spec.dim < 4 else 0
         yield "current.jacobi_sampled", "omega=%s d=%d" % (token, d2), lambda: _none_ok(
-            cur.check_current_jacobi(spec, d2, jacobi_cap)
+            cur.check_current_jacobi(spec, d2, jacobi_cap, br)
         )
         yield "current.graded_dim", "omega=%s" % token, lambda: _search(
             itertools.product(range(1, min(cfg.d, 3) + 1), range(0, 3)),

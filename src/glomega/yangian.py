@@ -173,6 +173,9 @@ def pbw_suite(
 
 
 def euler_phi(k: int) -> int:
+    """Euler's totient; it is defined for k >= 1 only."""
+    if k < 1:
+        raise StructureError("euler_phi needs k >= 1, got %r" % (k,))
     return sum(1 for a in range(1, k + 1) if gcd(a, k) == 1)
 
 

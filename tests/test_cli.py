@@ -1,5 +1,7 @@
 """Command-line behavior: check, run, dims, exit codes, report files."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -105,6 +107,28 @@ def test_run_report_path_that_is_a_directory_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_run_fingerprints_without_loading_openssl(tmp_path):
+    # Report.fingerprint takes CPython's builtin SHA-256: hashlib would load
+    # OpenSSL's _hashlib, about 3.5 MB resident, for the one digest of a run
+    path = tmp_path / "report.json"
+    script = "import sys\nfrom glomega.cli import main\nmain(sys.argv[1:])\nprint('_hashlib' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "pbw", "--out", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+        assert proc.stdout.splitlines()[-1] == "False"
+    # the digest is hashlib's of the report without its fingerprint and times
+    report = json.loads(path.read_text())
+    fingerprint = report.pop("fingerprint")
+    for rec in report["records"]:
+        del rec["seconds"]
+    assert fingerprint == hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 def test_run_bad_s_list_is_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ from glomega.current import (
 from glomega.enveloping import stable
 from glomega.linalg import SpanSolver
 from glomega.omega import _acc, vec_add
-from glomega.suites import _random_table
+from glomega.suites import SuiteConfig, _random_table, run_suite
 from glomega.words import basis_words, words_up_to
 from glomega.yangian import t_gen
 
@@ -249,12 +250,20 @@ def _reference_antisym(spec, d, maxgrade):
 
 
 def _reference_jacobi(spec, d, maxgrade):
-    """The first failing triple of the plain loop over all ordered triples."""
+    """The first failing triple of the plain loop over all ordered triples.
+
+    Each sum is written out with ``gl_current_bracket``, so it reads no memo.
+    """
     keys = current_basis_keys(spec, d, maxgrade)
+    br = lambda x, y: cur.gl_current_bracket(spec, x, y)
     for ka in keys:
         for kb in keys:
             for kc in keys:
-                if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}):
+                a, b, c = {ka: 1}, {kb: 1}, {kc: 1}
+                total = {}
+                for term in (br(br(a, b), c), br(br(b, c), a), br(br(c, a), b)):
+                    vec_add(total, term)
+                if total:
                     return (ka, kb, kc)
     return None
 
@@ -295,6 +304,62 @@ def test_current_antisym_scan_agrees_with_the_ordered_loop(monkeypatch):
         assert check_current_antisym(spec, d, cap) == want, (seed, sorted(bad))
         failing += want is not None
     assert failing >= 10
+
+
+def _stored(bracket):
+    """The memo dict held by a :func:`cur._brackets` closure."""
+    cells = dict(zip(bracket.__code__.co_freevars, bracket.__closure__))
+    return cells["memo"].cell_contents
+
+
+@pytest.mark.parametrize("spec", [nonassoc_witness(), _random_table(2, random.Random(3))], ids=["nonassoc", "fuzz"])
+def test_a_shared_current_memo_gives_the_witnesses_of_fresh_ones(spec):
+    # the suite's order: antisym fills the memo the Jacobi scan reads
+    shared = cur._brackets(spec)
+    assert check_current_antisym(spec, 2, 1, shared) == check_current_antisym(spec, 2, 1) is None
+    assert check_current_jacobi(spec, 2, 1, shared) == check_current_jacobi(spec, 2, 1) is not None
+    for (a, b), stored in _stored(shared).items():
+        # no check mutated a bracket it was handed, and a hit hands it out again
+        assert stored == gl_current_bracket(spec, {a: 1}, {b: 1}), (a, b)
+        assert shared(a, b) is stored
+
+
+def test_a_current_memo_of_another_table_raises():
+    # a memo hands out the brackets of the table it was built for, which
+    # would give a scan of another table a wrong verdict
+    spec, other = nonassoc_witness(), direct_sum_C(2)
+    keys = [{k: 1} for k in current_basis_keys(spec, 2, 0)[:3]]
+    for memo in (cur._brackets(other), cur._brackets(nonassoc_witness())):
+        for call in (
+            lambda: check_current_antisym(spec, 2, 0, memo),
+            lambda: check_current_jacobi(spec, 2, 0, memo),
+            lambda: current_jacobi_sum(spec, *keys, memo),
+        ):
+            with pytest.raises(StructureError, match="the table it was built for"):
+                call()
+
+
+def test_the_current_suite_brackets_each_pair_once_per_table(monkeypatch):
+    # antisym and Jacobi of a table read one memo, which alone calls
+    # gl_current_bracket, once per ordered pair of keys
+    honest = cur.gl_current_bracket
+    calls = {}
+
+    def counted(spec, a, b):
+        by_caller = calls.setdefault(sys._getframe(1).f_code.co_name, {})
+        (ka, ca), (kb, cb) = *a.items(), *b.items()
+        assert ca == cb == 1
+        by_caller[id(spec), ka, kb] = by_caller.get((id(spec), ka, kb), 0) + 1
+        return honest(spec, a, b)
+
+    monkeypatch.setattr(cur, "gl_current_bracket", counted)
+    rep = run_suite(SuiteConfig("current"))
+    assert rep.exit_code() == 0
+    assert {r.name for r in rep.records} >= {"current.antisym", "current.jacobi_sampled"}
+    assert sorted(calls) == ["bracket"]
+    assert [pair for pair, n in calls["bracket"].items() if n > 1] == []
+    assert len({table for table, _ka, _kb in calls["bracket"]}) == 4
+    assert sum(calls["bracket"].values()) == 8542
 
 
 def test_graded_dim_formula():

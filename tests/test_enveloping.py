@@ -130,6 +130,20 @@ def test_normal_form_keeps_every_torus_weight(spec):
             assert all(ctx.mono_weight(mono, a) == weight for mono in ctx.normal_form(word)), (word, a)
 
 
+def test_mono_weight_refuses_an_index_outside_one_to_n():
+    # E_aa exists for a in 1..N only, so no other a gives a weight
+    ctx = Enveloping.get(direct_sum_C(1), 3)
+    mono = ((1, 2, 0),)
+    assert [ctx.mono_weight(mono, a) for a in (1, 2, 3)] == [1, -1, 0]
+    assert ctx.mono_weight(mono) == 0
+    for a in (0, 9, -1, 4):
+        with pytest.raises(StructureError, match="1..3"):
+            ctx.mono_weight(mono, a)
+    # the range is tested once per call, so a monomial with no generator raises too
+    with pytest.raises(StructureError, match="1..3"):
+        ctx.mono_weight((), 0)
+
+
 @pytest.mark.parametrize("seq", [((9, 9, 9),), ((1, 1, 0), (9, 9, 9)), ((9, 9, 9), (1, 1, 0)), ((1, 1, 1),)])
 def test_random_rewriting_rejects_a_bad_generator(seq):
     # every generator of a word is looked up, so a word of one bad generator raises too

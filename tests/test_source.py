@@ -312,8 +312,14 @@ def test_double_bracket_memo_lives_in_one_check():
     # _brackets memoizes the double brackets of one table in a local dict of
     # its closure, shared by that table's law checks and dropped with them; a
     # cache on the module, a class or the table would outlive the table and
-    # hold every bracket of the run
-    tree = ast.parse((SRC / "doublepoisson.py").read_text())
+    # hold every bracket of the run.  The current suite's memo of current
+    # brackets, current._brackets, is held the same way.
+    for module in ("doublepoisson.py", "current.py"):
+        assert _held_caches(ast.parse((SRC / module).read_text())) == [], module
+
+
+def _held_caches(tree):
+    """Lines of a module that keep a container beyond one call: attributes, globals, defaults."""
     held = []
     for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
         for node in scope.body:  # module and class attributes
@@ -330,7 +336,7 @@ def test_double_bracket_memo_lives_in_one_check():
             held += ["%d default" % node.lineno for d in defaults if _cache_like(d)]
             decorators = getattr(node, "decorator_list", [])
             held += ["%d decorator" % node.lineno for d in decorators if _cache_like(d)]
-    assert held == []
+    return held
 
 
 def _calls_double_bracket(node):

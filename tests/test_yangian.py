@@ -266,6 +266,9 @@ _NEGATIVE_CAPS = [
     # a table has dimension >= 1, as AlgebraSpec demands
     ("necklace_count-dim0", lambda: necklace_count(0, 2)),
     ("necklace_count-dimneg", lambda: necklace_count(-1, 2)),
+    # the totient is defined for k >= 1 only
+    ("euler_phi-0", lambda: euler_phi(0)),
+    ("euler_phi-neg", lambda: euler_phi(-3)),
     ("splitting_expected-dim0", lambda: splitting_expected(0, 1, 2)),
     ("splitting_expected-dimneg", lambda: splitting_expected(-2, 1, 2)),
     ("splitting_expected-dimneg-deg0", lambda: splitting_expected(-2, 0, 0)),
