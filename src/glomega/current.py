@@ -12,21 +12,18 @@ bracket [X(x)x, Y(x)y] = XY(x)(x(.)y) - YX(x)(y(.)x).
 
 Both live inside one computation, so they are plain dicts, built through
 ``_acc`` and ``vec_add`` (the junction product copies the table's nonzero
-entries) and never holding a zero: an element of
-the current algebra is ``{word: c}`` (:func:`odot` multiplies two of them)
-and a gl(d) current is ``{(i, j, word): c}`` (:func:`gl_current_bracket`
-brackets two of them).
+entries) and never holding a zero: an element of the current algebra is
+``{word: c}`` (:func:`odot` multiplies two of them) and a gl(d) current is
+``{(i, j, word): c}`` (:func:`gl_current_bracket` brackets two of them).
 
 Structural checks implemented here:
 
 * :func:`check_current_antisym` and :func:`check_current_jacobi` scan the
   gl(d) current bracket on basis keys up to a grade bound, each unordered
   pair and each triple i < j < k once.  Both read their brackets through
-  one memo of basis-key brackets (:func:`_brackets`), which the current
-  suite builds once per table and shares between them, as the double suite
-  shares its double-bracket memo: each ordered pair is bracketed once per
-  table, the memo is dropped with the table's checks, and a stored bracket
-  is handed to every caller and must not be mutated,
+  the memo of basis-key brackets (:func:`_brackets`) that the current suite
+  builds once per table through :func:`~glomega.omega.pair_memo`, as the
+  double suite builds its double-bracket memo,
 * :func:`path_algebra_iso_check` identifies the current algebra of C^(+)L
   with the path algebra of the complete quiver on L vertices,
 * :func:`bimodule_iso_check` identifies grade k with the k-fold balanced
@@ -57,6 +54,7 @@ from .omega import (
     check_letters,
     detect_unit,
     direct_sum_C,
+    pair_memo,
     vec_add,
 )
 from .words import Label, Word, basis_words, words_up_to
@@ -144,6 +142,15 @@ def current_unit_check(spec: AlgebraSpec) -> Dict[str, object]:
 Current = Dict[Label, Scalar]  # (i, j, word) -> coefficient, no zero stored
 
 
+def _check_keys(spec: AlgebraSpec, *currents: Current) -> None:
+    """Raise ``StructureError`` for a key with a matrix index below 1, an empty word or a letter outside the table."""
+    for keys in currents:
+        for i, j, w in keys:
+            if i < 1 or j < 1 or not w:
+                raise StructureError("bad key %r: matrix indices must be >= 1 and the word nonempty" % ((i, j, w),))
+            check_letters(spec, w)
+
+
 def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
     """[X(x)x, Y(x)y] = XY (x) (x(.)y) - YX (x) (y(.)x), bilinear in both slots.
 
@@ -151,11 +158,7 @@ def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
     meet: a matrix index below 1, an empty word or a letter outside the
     table raises ``StructureError``.
     """
-    for keys in (a, b):
-        for i, j, w in keys:
-            if i < 1 or j < 1 or not w:
-                raise StructureError("bad key %r: matrix indices must be >= 1 and the word nonempty" % ((i, j, w),))
-            check_letters(spec, w)
+    _check_keys(spec, a, b)
     # the letters are checked above, so the junction products skip the
     # check odot_words would repeat for every meeting pair
     out: Current = {}
@@ -174,36 +177,16 @@ def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
 Bracket = Callable[[Label, Label], Current]
 
 
-def _brackets(spec: AlgebraSpec) -> Bracket:
-    """``bracket(a, b)``: the current bracket of the keys ``a`` and ``b``, memoized per ordered pair.
+def _brackets(spec: AlgebraSpec, given: Optional[Bracket] = None) -> Bracket:
+    """``bracket(a, b)``: the current bracket of the keys ``a`` and ``b``, memoized by :func:`~glomega.omega.pair_memo`.
 
-    Each pair asked for goes through :func:`gl_current_bracket` once, looked
-    up at the miss, with no shortcut in front of it.  A stored bracket is
-    shared by every caller and must not be mutated.  The closure carries its
-    table as ``bracket.spec``.
+    ``given`` is returned if it is a memo of ``spec``.  A miss stores the result of
+    :func:`gl_current_bracket` as computed, looked up then, with no shortcut in front.
     """
-    memo: Dict[Tuple[Label, Label], Current] = {}
+    def compute(_share: Callable, a: Label, b: Label) -> Current:
+        return gl_current_bracket(spec, {a: 1}, {b: 1})
 
-    def bracket(a: Label, b: Label) -> Current:
-        hit = memo.get((a, b))
-        if hit is None:
-            hit = memo[a, b] = gl_current_bracket(spec, {a: 1}, {b: 1})
-        return hit
-
-    bracket.spec = spec  # type: ignore[attr-defined]
-    return bracket
-
-
-def _memo(spec: AlgebraSpec, bracket: Optional[Bracket]) -> Bracket:
-    """``bracket`` if it is a :func:`_brackets` memo of ``spec``, a fresh one if None.
-
-    A memo of another table would hand out that table's brackets, so it raises.
-    """
-    if bracket is None:
-        return _brackets(spec)
-    if getattr(bracket, "spec", None) is not spec:
-        raise StructureError("a bracket memo serves only the table it was built for")
-    return bracket
+    return pair_memo(spec, compute, given)
 
 
 def current_jacobi_sum(
@@ -213,9 +196,12 @@ def current_jacobi_sum(
 
     Each term is expanded bilinearly over the keys, [[a, b], c] =
     sum_k [a, b]_k [k, c], and every bracket of two keys is read through
-    ``bracket`` (:func:`_memo`).
+    ``_brackets(spec, bracket)``.  A sum with at most one empty argument
+    brackets every key, so only a sum with an empty one checks its keys first.
     """
-    br = _memo(spec, bracket)
+    if not (a and b and c):
+        _check_keys(spec, a, b, c)
+    br = _brackets(spec, bracket)
     out: Current = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         for kx, cx in x.items():
@@ -233,10 +219,10 @@ def check_current_antisym(
 
     The law is symmetric in the pair, so each unordered pair is visited once
     and the witness is the first failing ordered pair.  ``bracket`` is read
-    through :func:`_memo`.
+    through :func:`_brackets`.
     """
     keys = current_basis_keys(spec, d, maxgrade)
-    br = _memo(spec, bracket)
+    br = _brackets(spec, bracket)
     for ia, ka in enumerate(keys):
         for kb in keys[ia:]:
             if br(ka, kb) != {k: -c for k, c in br(kb, ka).items()}:
@@ -252,10 +238,10 @@ def check_current_jacobi(
     The bracket is antisymmetric by its formula, so a triple with a repeated
     key sums to zero and every permutation of a failing triple fails too:
     the first i < j < k is the first failing ordered triple.  ``bracket`` is
-    read through :func:`_memo`.
+    read through :func:`_brackets`.
     """
     keys = current_basis_keys(spec, d, maxgrade)
-    br = _memo(spec, bracket)
+    br = _brackets(spec, bracket)
     for ka, kb, kc in itertools.combinations(keys, 3):
         if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}, br):
             return (ka, kb, kc)

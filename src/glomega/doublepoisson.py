@@ -20,8 +20,9 @@ after the r-th letter.  The formula is defined for *any* bilinear
 the double Jacobi identity holds precisely when :math:`\mu` is associative.
 That equivalence is checked, not assumed (:func:`pvdw_equivalence`), and the
 module deliberately accepts non-associative tables.  The law checks of one
-table read their brackets through one memo (:func:`_brackets`), which the
-caller may share between them; each check builds a fresh one if not given.
+table read their brackets through one memo (:func:`_brackets`, built by
+:func:`~glomega.omega.pair_memo`), which the caller may share between them;
+each check builds a fresh one if not given.
 
 A double bracket is a plain dict ``{(u, v): c}`` from pairs of words to
 scalars, a double Jacobi sum a dict ``{(u1, u2, u3): c}``, and a polynomial
@@ -58,7 +59,17 @@ from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .enveloping import Enveloping, UElement, stable
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, check_associativity, check_letters, vec_add
+from .omega import (
+    AlgebraSpec,
+    Scalar,
+    ScalarLike,
+    StructureError,
+    _acc,
+    check_associativity,
+    check_letters,
+    pair_memo,
+    vec_add,
+)
 from .words import Label, Word, cyclic, words_up_to
 
 
@@ -124,54 +135,27 @@ def check_letter_bracket(spec: AlgebraSpec) -> Optional[Tuple[int, int]]:
 Bracket = Callable[[Word, Word], Double]
 
 
-def _brackets(spec: AlgebraSpec) -> Bracket:
-    """``bracket(x, y)``: ``double_bracket(spec, x, y)``, memoized for every pair it is asked for.
+def _brackets(spec: AlgebraSpec, given: Optional[Bracket] = None) -> Bracket:
+    """``bracket(x, y)``: ``double_bracket(spec, x, y)``, memoized per pair by :func:`~glomega.omega.pair_memo`.
 
-    One closure serves every law check of a table: the double suite builds
-    one per table and hands it to skew, Leibniz and double Jacobi, so a pair
-    is bracketed once per table and the memo is dropped with the table's
-    checks.  Long right words, from the first slot of an inner Jacobi
-    bracket, are kept as well.  Every word stored, in a key of the memo or
-    in a slot of a stored bracket, is one tuple object per distinct word,
-    and so is every slot pair ``(u, v)`` (``canon``).  mat(2)'s memo after
-    skew, Leibniz and Jacobi then holds 0.73 MB (tracemalloc), against
-    0.92 MB with the words alone shared and 1.50 MB for the brackets as
-    computed.  The double-fuzz benchmark workload's peak memory rose by
-    2.2% (20.87 -> 21.32 MB, median of 10 runs; 3.1% with the words alone
-    shared) for 14% to 19% less run time.  A stored bracket is shared by
-    every caller and must not be mutated.  The closure carries its table
-    as ``bracket.spec``.
+    ``given`` is returned if it is a memo of ``spec``.  The double suite
+    hands one memo per table to skew, Leibniz and double Jacobi, so a pair
+    is bracketed once per table.  Every word stored, in a key or a slot, and
+    every slot pair ``(u, v)`` is one object per distinct value (``share``):
+    mat(2)'s memo after the three checks holds 0.73 MB (tracemalloc), and
+    1.50 MB with the brackets as computed.
     """
-    memo: Dict[Tuple[Word, Word], Double] = {}
-    canon: Dict[tuple, tuple] = {}  # each distinct word and slot pair, once
-    share = canon.setdefault
+    def compute(share: Callable, x: Word, y: Word) -> Double:
+        return {share(p := (share(u, u), share(v, v)), p): c for (u, v), c in double_bracket(spec, x, y).items()}
 
-    def bracket(x: Word, y: Word) -> Double:
-        hit = memo.get((x, y))
-        if hit is None:
-            hit = memo[share(x, x), share(y, y)] = {
-                share(p := (share(u, u), share(v, v)), p): c for (u, v), c in double_bracket(spec, x, y).items()
-            }
-        return hit
-
-    bracket.spec = spec  # type: ignore[attr-defined]
-    return bracket
+    return pair_memo(spec, compute, given)
 
 
 def _scan(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket]) -> Tuple[List[Word], Bracket]:
-    """The words a law check scans, ``[()] + words_up_to(spec, maxlen)``, and its memo.
-
-    The memo is ``bracket`` if it is a :func:`_brackets` memo of ``spec``
-    and a fresh one if it is None; a memo of another table would hand out
-    that table's brackets, so it raises.
-    """
+    """The words a law check scans, ``[()] + words_up_to(spec, maxlen)``, and its memo ``_brackets(spec, bracket)``."""
     if maxlen < 1:
         raise StructureError("the word-length cap must be >= 1, got %r" % (maxlen,))
-    if bracket is None:
-        bracket = _brackets(spec)
-    elif getattr(bracket, "spec", None) is not spec:
-        raise StructureError("a bracket memo serves only the table it was built for")
-    return [()] + list(words_up_to(spec, maxlen)), bracket
+    return [()] + list(words_up_to(spec, maxlen)), _brackets(spec, bracket)
 
 
 def check_skew(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket] = None) -> Optional[Tuple[Word, Word]]:

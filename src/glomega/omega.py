@@ -5,8 +5,10 @@ constants ``c[i][j][k]`` so that ``x_i * x_j = sum_k c[i][j][k] x_k``.  Tables
 are stored sparsely: a pair ``(i, j)`` absent from the table multiplies to
 zero.  Nothing here assumes associativity or a unit; both are decidable
 properties of a finite table, computed on each call (:func:`check_associativity`,
-:func:`detect_unit`).  A letter is a basis index ``0..dim-1``, and
-:func:`check_letters` is the one place that checks it.
+:func:`detect_unit`).  A letter is an ``int`` basis index ``0..dim-1``, and
+:func:`check_letters` is the one place that checks it.  :func:`pair_memo`
+is the one builder of the per-table bracket memos of the double and the
+current suites, and the one place that refuses a memo of another table.
 
 Scalars are exact rationals in one of two types: an integral value is a
 Python ``int`` and any other value is a ``fractions.Fraction``.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -165,9 +167,36 @@ class AlgebraSpec:
 
 
 def check_letters(spec: AlgebraSpec, letters: Sequence[int]) -> None:
-    """Raise ``StructureError`` unless every letter is a basis index ``0..dim-1``."""
-    if letters and (min(letters) < 0 or max(letters) >= spec.dim):
-        raise StructureError("letters must lie in 0..%d" % (spec.dim - 1))
+    """Raise ``StructureError`` unless every letter is an ``int`` (not a ``bool``) in ``0..dim-1``."""
+    dim = spec.dim
+    for letter in letters:
+        if type(letter) is not int or not 0 <= letter < dim:
+            raise StructureError("letters must lie in 0..%d" % (dim - 1))
+
+
+def pair_memo(spec: AlgebraSpec, compute: Callable, given: Optional[Callable] = None) -> Callable:
+    """``bracket(x, y)``: ``compute(share, x, y)`` of the table ``spec``, memoized per ordered pair.
+
+    ``share``, the ``setdefault`` of one dict per memo, interns the keys of a
+    miss and whatever ``compute`` passes through it.  A stored result must not
+    be mutated.  The closure carries ``bracket.spec``; a ``given`` memo of
+    ``spec`` is returned as it is, and one of another table raises.
+    """
+    if given is not None:
+        if getattr(given, "spec", None) is not spec:
+            raise StructureError("a bracket memo serves only the table it was built for")
+        return given
+    memo: dict = {}
+    share = {}.setdefault
+
+    def bracket(x, y):
+        hit = memo.get((x, y))
+        if hit is None:
+            hit = memo[share(x, x), share(y, y)] = compute(share, x, y)
+        return hit
+
+    bracket.spec = spec  # type: ignore[attr-defined]
+    return bracket
 
 
 def multiply(spec: AlgebraSpec, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:

@@ -94,6 +94,32 @@ def test_current_bracket_rejects_matrix_indices_below_one():
             gl_current_bracket(spec, a, b)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, 1, (7,)), r"letters must lie in 0\.\.1"),
+        ((0, 1, (0,)), "matrix indices must be >= 1"),
+        ((1, 2, ()), "nonempty"),
+    ],
+    ids=["letter", "index", "empty-word"],
+)
+def test_current_jacobi_sum_checks_the_keys_of_two_empty_arguments(bad, message):
+    # with two arguments empty no pair is bracketed, and the keys of the
+    # third are checked all the same, as gl_current_bracket checks them
+    spec = direct_sum_C(2)
+    with pytest.raises(StructureError, match=message):
+        gl_current_bracket(spec, {}, {bad: 1})
+    for args in (({}, {}, {bad: 1}), ({}, {bad: 1}, {}), ({bad: 1}, {}, {})):
+        with pytest.raises(StructureError, match=message):
+            current_jacobi_sum(spec, *args)
+        # with one argument empty, the other two are bracketed pair by pair
+        one_empty = list(args)
+        one_empty[one_empty.index({})] = {(1, 1, (0,)): 1}
+        with pytest.raises(StructureError, match=message):
+            current_jacobi_sum(spec, *one_empty)
+    assert current_jacobi_sum(spec, {}, {}, {(1, 2, (1, 0)): 1}) == {}
+
+
 def test_odot_grade_additivity():
     spec = direct_sum_C(2)
     assert odot(spec, {(0, 1): 1}, {(1,): 1}) == {(0, 1): 1}
@@ -340,13 +366,14 @@ def test_a_current_memo_of_another_table_raises():
 
 
 def test_the_current_suite_brackets_each_pair_once_per_table(monkeypatch):
-    # antisym and Jacobi of a table read one memo, which alone calls
-    # gl_current_bracket, once per ordered pair of keys
+    # antisym and Jacobi of a table read one memo, whose misses alone call
+    # gl_current_bracket, through the compute of _brackets, once per ordered
+    # pair of keys
     honest = cur.gl_current_bracket
     calls = {}
 
     def counted(spec, a, b):
-        by_caller = calls.setdefault(sys._getframe(1).f_code.co_name, {})
+        by_caller = calls.setdefault(sys._getframe(1).f_code.co_qualname, {})
         (ka, ca), (kb, cb) = *a.items(), *b.items()
         assert ca == cb == 1
         by_caller[id(spec), ka, kb] = by_caller.get((id(spec), ka, kb), 0) + 1
@@ -356,10 +383,11 @@ def test_the_current_suite_brackets_each_pair_once_per_table(monkeypatch):
     rep = run_suite(SuiteConfig("current"))
     assert rep.exit_code() == 0
     assert {r.name for r in rep.records} >= {"current.antisym", "current.jacobi_sampled"}
-    assert sorted(calls) == ["bracket"]
-    assert [pair for pair, n in calls["bracket"].items() if n > 1] == []
-    assert len({table for table, _ka, _kb in calls["bracket"]}) == 4
-    assert sum(calls["bracket"].values()) == 8542
+    (caller,) = calls
+    assert caller == "_brackets.<locals>.compute"
+    assert [pair for pair, n in calls[caller].items() if n > 1] == []
+    assert len({table for table, _ka, _kb in calls[caller]}) == 4
+    assert sum(calls[caller].values()) == 8542
 
 
 def test_graded_dim_formula():

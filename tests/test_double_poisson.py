@@ -342,13 +342,14 @@ def test_shared_brackets_stay_as_computed_and_share_their_words():
 
 
 def test_the_double_suite_brackets_each_pair_once_per_table(monkeypatch):
-    # skew, Leibniz, Jacobi and pvdw of a table read one memo; only the
-    # letters check, which tests double_bracket itself, calls it directly
+    # skew, Leibniz, Jacobi and pvdw of a table read one memo, whose misses
+    # call the compute of _brackets; only the letters check, which tests
+    # double_bracket itself, calls it directly
     honest = dp.double_bracket
     calls = {}
 
     def counted(spec, x, y):
-        by_caller = calls.setdefault(sys._getframe(1).f_code.co_name, {})
+        by_caller = calls.setdefault(sys._getframe(1).f_code.co_qualname, {})
         by_caller[x, y] = by_caller.get((x, y), 0) + 1
         return honest(spec, x, y)
 
@@ -356,9 +357,9 @@ def test_the_double_suite_brackets_each_pair_once_per_table(monkeypatch):
     rep = run_suite(SuiteConfig("double", omega="mat(2)"))
     assert rep.exit_code() == 0
     assert {r.name for r in rep.records} >= {"double.skew", "double.leibniz", "double.jacobi", "double.pvdw"}
-    assert sorted(calls) == ["bracket", "check_letter_bracket"]
-    assert [pair for pair, n in calls["bracket"].items() if n > 1] == []
-    assert sum(calls["bracket"].values()) == 1721
+    assert sorted(calls) == ["_brackets.<locals>.compute", "check_letter_bracket"]
+    assert [pair for pair, n in calls["_brackets.<locals>.compute"].items() if n > 1] == []
+    assert sum(calls["_brackets.<locals>.compute"].values()) == 1721
     assert sum(calls["check_letter_bracket"].values()) == 16
 
 

@@ -23,6 +23,9 @@ from glomega import (
     save_algebra,
     to_dict,
 )
+from glomega.current import odot_words
+from glomega.doublepoisson import double_bracket
+from glomega.omega import check_letters, pair_memo
 
 
 def test_direct_sum_products():
@@ -234,3 +237,75 @@ def test_from_dict_any_json_gives_spec_or_structure_error(data):
         return
     assert isinstance(spec, AlgebraSpec)
     assert from_dict(to_dict(spec)).table == spec.table
+
+
+def test_letters_must_be_ints():
+    # a float, a Fraction or a bool is no basis index, even when it equals one
+    spec = direct_sum_C(2)
+    for bad in (0.5, 1.0, Fraction(1), True, False, "0", None):
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.1"):
+            check_letters(spec, (0, bad))
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.1"):
+            double_bracket(spec, (bad,), (0,))
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.1"):
+            odot_words(spec, (bad,), (0,))
+        with pytest.raises(StructureError, match=r"letters must lie in 0\.\.1"):
+            multiply(spec, {bad: 1}, {0: 1})
+    check_letters(spec, (0, 1, 1, 0))
+    check_letters(spec, ())
+
+
+def _counted_memo(spec):
+    """A ``pair_memo`` of ``spec`` whose compute records each pair and interns its result's key."""
+    calls = []
+
+    def compute(share, x, y):
+        calls.append((x, y))
+        return {share(x + y, x + y): 1}
+
+    return pair_memo(spec, compute), calls
+
+
+def _refused(share, x, y):
+    raise AssertionError("a given memo computes nothing")
+
+
+def test_pair_memo_computes_each_ordered_pair_once():
+    spec = direct_sum_C(2)
+    bracket, calls = _counted_memo(spec)
+    first = bracket((0,), (1,))
+    assert first == {(0, 1): 1}
+    # a hit hands out the stored object, and the reversed pair is its own miss
+    assert bracket((0,), (1,)) is first
+    assert bracket((1,), (0,)) == {(1, 0): 1}
+    assert bracket((1,), (0,)) is bracket((1,), (0,))
+    assert calls == [((0,), (1,)), ((1,), (0,))]
+    assert bracket.spec is spec
+
+
+def test_pair_memo_keeps_one_object_per_equal_key():
+    bracket, _calls = _counted_memo(direct_sum_C(2))
+    x, y = (0,), (1,)
+    bracket(x, y)
+    x2, y2 = tuple([0]), tuple([1])
+    assert x2 == x and x2 is not x and y2 == y and y2 is not y
+    bracket(y2, x2)
+    bracket(x + y, x2)  # its first key equals the stored result's key (0, 1)
+    memo = dict(zip(bracket.__code__.co_freevars, bracket.__closure__))["memo"].cell_contents
+    assert len(memo) == 3
+    (key,) = [pair for pair in memo if pair == (y, x)]
+    assert key[0] is y and key[1] is x
+    seen = {}
+    for pair, stored in memo.items():
+        for word in pair + tuple(stored):
+            assert seen.setdefault(word, word) is word, word
+
+
+def test_pair_memo_refuses_the_memo_of_another_table():
+    spec, other = direct_sum_C(2), direct_sum_C(2)  # equal content, another table
+    given, _calls = _counted_memo(spec)
+    assert pair_memo(spec, _refused, given) is given
+    # a memo of the other table, and plain functions with no .spec
+    for wrong in (_counted_memo(other)[0], lambda x, y: {}, len):
+        with pytest.raises(StructureError, match="a bracket memo serves only the table it was built for"):
+            pair_memo(spec, _refused, wrong)

@@ -115,9 +115,8 @@ def test_one_stabilization_rule():
     assert "stable" not in {n.name for n in omega.body if isinstance(n, ast.FunctionDef)}
 
 
-def test_one_letter_rule():
-    # a letter is a basis index 0..dim-1: omega.check_letters is the one place
-    # that says so, and every layer that takes letters calls it
+def _raisers(message):
+    """The owner of every ``raise`` whose exception holds a string with ``message`` in it."""
     raisers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -127,9 +126,33 @@ def test_one_letter_rule():
             for node in ast.walk(tree)
             if isinstance(node, ast.Raise) and node.exc is not None
             for text in ast.walk(node.exc)
-            if isinstance(text, ast.Constant) and "letters must lie in" in str(text.value)
+            if isinstance(text, ast.Constant) and message in str(text.value)
         ]
-    assert raisers == ["omega.check_letters"]
+    return raisers
+
+
+def test_one_letter_rule():
+    # a letter is a basis index 0..dim-1: omega.check_letters is the one place
+    # that says so, and every layer that takes letters calls it
+    assert _raisers("letters must lie in") == ["omega.check_letters"]
+
+
+def test_one_bracket_memo_owner_rule():
+    # a bracket memo serves one table: omega.pair_memo is the one place that
+    # builds one and refuses another table's, and only the double and the
+    # current suites' _brackets call it
+    assert _raisers("serves only the table it was built for") == ["omega.pair_memo"]
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = list(_definitions(path, tree))
+        callers += [
+            _owner(path, defs, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "pair_memo" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert sorted(callers) == ["current._brackets", "doublepoisson._brackets"]
 
 
 def test_a_table_owns_only_its_contexts_and_coagulations():
@@ -309,12 +332,12 @@ def _cache_like(node):
 
 
 def test_double_bracket_memo_lives_in_one_check():
-    # _brackets memoizes the double brackets of one table in a local dict of
-    # its closure, shared by that table's law checks and dropped with them; a
+    # omega.pair_memo keeps the brackets of one table in a local dict of its
+    # closure, shared by that table's law checks and dropped with them; a
     # cache on the module, a class or the table would outlive the table and
-    # hold every bracket of the run.  The current suite's memo of current
-    # brackets, current._brackets, is held the same way.
-    for module in ("doublepoisson.py", "current.py"):
+    # hold every bracket of the run.  Neither suite's _brackets holds one of
+    # its own.
+    for module in ("omega.py", "doublepoisson.py", "current.py"):
         assert _held_caches(ast.parse((SRC / module).read_text())) == [], module
 
 
@@ -339,12 +362,17 @@ def _held_caches(tree):
     return held
 
 
+# the two brackets the suites memoize, and the compute through which
+# omega.pair_memo reaches either of them
+_BRACKET_CALLS = {"double_bracket", "gl_current_bracket", "compute"}
+
+
 def _calls_double_bracket(node):
-    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "double_bracket" for n in ast.walk(node))
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in _BRACKET_CALLS for n in ast.walk(node))
 
 
 def _bracket_stores(fn):
-    """Lines of ``fn`` that keep a ``double_bracket`` result in a container."""
+    """Lines of ``fn`` that keep a result of one of ``_BRACKET_CALLS`` in a container."""
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign):
             kept = any(isinstance(t, ast.Subscript) for t in node.targets) and _calls_double_bracket(node.value)
@@ -360,18 +388,50 @@ def _bracket_stores(fn):
             yield node.lineno
 
 
+def _bracket_keepers(sources):
+    """The top-level functions of ``{module: source}`` that keep a bracket result."""
+    return {
+        "%s.%s" % (module, fn.name)
+        for module, text in sources.items()
+        for fn in ast.parse(text).body
+        if isinstance(fn, ast.FunctionDef) and any(_bracket_stores(fn))
+    }
+
+
+# a second memo of each bracket, written beside the one in omega.pair_memo
+_PLANTED_MEMOS = {
+    "doublepoisson": """
+def _table(spec, words):
+    return {(x, y): double_bracket(spec, x, y) for x in words for y in words}
+""",
+    "current": """
+def _table(spec, keys):
+    memo = {}
+    for a in keys:
+        for b in keys:
+            memo[a, b] = gl_current_bracket(spec, {a: 1}, {b: 1})
+    return memo
+""",
+}
+
+
 def test_one_double_bracket_memo():
-    # skew, Leibniz and double Jacobi read their brackets through _brackets,
-    # the one function that keeps a double_bracket result (one memo per
-    # table, shared by the three); no eager table or second memo stands
-    # beside it
-    defined, storing = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defined |= {"%s.%s" % (path.stem, n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-        storing |= {"%s.%s" % (path.stem, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef) and any(_bracket_stores(fn))}
-    assert defined.isdisjoint({"doublepoisson._bracket_table", "doublepoisson._scanned_words"})
-    assert storing == {"doublepoisson._brackets"}
+    # the double and the current suites read their brackets through the two
+    # _brackets, and omega.pair_memo, which both call, is the one function
+    # that keeps a double_bracket or gl_current_bracket result (one memo per
+    # table); no eager table or second memo stands beside it
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    defined = {
+        "%s.%s" % (module, n.name)
+        for module, text in sources.items()
+        for n in ast.walk(ast.parse(text))
+        if isinstance(n, ast.FunctionDef)
+    }
+    assert defined.isdisjoint({"doublepoisson._bracket_table", "doublepoisson._scanned_words", "current._memo"})
+    assert _bracket_keepers(sources) == {"omega.pair_memo"}
+    for module, planted in _PLANTED_MEMOS.items():
+        found = _bracket_keepers({**sources, module: sources[module] + planted})
+        assert found == {"omega.pair_memo", module + "._table"}, module
 
 
 def _assigned(tree, name):
