@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from typing import List, Optional
 
 from .current import graded_dim
@@ -39,16 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a named verification suite")
     p_run.add_argument("suite", choices=SUITES)
-    for f in fields(SuiteConfig)[1:]:  # one flag per field after the suite, with its default
+    for field in SuiteConfig._fields[1:]:  # one flag per field after the suite, with its default
+        default = SuiteConfig._field_defaults[field]
         # --s takes the s values as one comma-separated string, which _cmd_run splits
-        name, default = ("s", ",".join(map(str, f.default))) if f.name == "s_values" else (f.name, f.default)
+        name, default = ("s", ",".join(map(str, default))) if field == "s_values" else (field, default)
         p_run.add_argument(
             "--" + name.replace("_", "-"),
             type=type(default),
             default=default,
-            dest=f.name,
+            dest=field,
             metavar=name.upper(),
-            help=_RUN_HELP.get(f.name),
+            help=_RUN_HELP.get(field),
         )
     p_run.add_argument("--out", default=None, help="path for the JSON report")
 
@@ -85,7 +85,7 @@ def _report_path(args) -> Optional[str]:
 
 
 def _cmd_run(args) -> int:
-    values = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)}
+    values = {field: getattr(args, field) for field in SuiteConfig._fields}
     # SuiteConfig parses each value and refuses what is not an exact rational
     s_values = tuple(tok.strip() for tok in args.s_values.split(",") if tok.strip())
     cfg = SuiteConfig(**dict(values, s_values=s_values))

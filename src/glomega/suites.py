@@ -34,8 +34,7 @@ import json
 import random
 import re
 import time
-import traceback
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -47,6 +46,7 @@ from .omega import (
     AlgebraSpec,
     StabilizationError,
     StructureError,
+    _is_int,
     as_scalar,
     check_associativity,
     detect_unit,
@@ -83,19 +83,26 @@ Thunk = Callable[[], Tuple[str, str]]
 Checks = Iterator[Tuple[str, str, Thunk]]
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suite: str
-    omega: str = ""
-    n_min: int = 2
-    n_max: int = 4
-    d: int = 2
-    max_len: int = 3
-    max_deg: int = 2
-    s_values: Tuple[Fraction, ...] = DEFAULT_S
-    seed: int = 20240
+# SuiteConfig and CheckRecord are named tuples, not dataclasses: importing
+# dataclasses loads inspect, ast, dis and tokenize, about 8 ms of every cold run
+class SuiteConfig(
+    namedtuple(
+        "SuiteConfig",
+        ("suite", "omega", "n_min", "n_max", "d", "max_len", "max_deg", "s_values", "seed"),
+        defaults=("", 2, 4, 2, 3, 2, DEFAULT_S, 20240),
+    )
+):
+    """One run's configuration; ``omega run`` has one flag per field after the suite."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not (isinstance(self.suite, str) and isinstance(self.omega, str)):
+            raise StructureError("suite and omega must be strings")
+        for name in ("n_min", "n_max", "d", "max_len", "max_deg", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise StructureError("%s must be an integer, got %r" % (name, getattr(self, name)))
         if self.suite not in SUITES:
             raise StructureError("unknown suite %r; choose from %s" % (self.suite, ", ".join(SUITES)))
         if self.n_min < 1 or self.n_max < self.n_min:
@@ -106,6 +113,9 @@ class SuiteConfig:
             raise StructureError("need n_max >= d so the centralizer context exists")
         if self.max_len < 1 or self.max_deg < 1:
             raise StructureError("word length and degree caps must be positive")
+        if isinstance(self.s_values, str):
+            # a string would be read one character at a time
+            raise StructureError("s values must be a sequence of rationals, not the string %r" % self.s_values)
         if not self.s_values:
             raise StructureError("need at least one s value")
         try:
@@ -116,17 +126,19 @@ class SuiteConfig:
         if len(set(s_values)) != len(s_values):
             # a repeated value would repeat every record that names it
             raise StructureError("s values must be distinct, got %s" % ", ".join(map(str, s_values)))
-        object.__setattr__(self, "s_values", s_values)
+        return self._replace(s_values=s_values)
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    config: str
-    status: str  # pass | fail | skipped | not-stabilized | error
-    witness: str = ""
-    seconds: float = 0.0
-    traceback: str = ""  # error records only; kept out of the fingerprint
+# status is pass | fail | skipped | not-stabilized | error; traceback is set
+# on error records only and kept out of the fingerprint
+class CheckRecord(
+    namedtuple(
+        "CheckRecord",
+        ("name", "config", "status", "witness", "seconds", "traceback"),
+        defaults=("", 0.0, ""),
+    )
+):
+    __slots__ = ()
 
     def key(self) -> Tuple[str, str]:
         return (self.name, self.config)
@@ -161,7 +173,7 @@ class Report:
 
     def config_dict(self) -> dict:
         """Every SuiteConfig field but the suite, with s values as strings."""
-        out = asdict(self.cfg)
+        out = self.cfg._asdict()
         del out["suite"]
         out["s_values"] = [str(s) for s in self.cfg.s_values]
         return out
@@ -233,6 +245,10 @@ def _run(name: str, config: str, thunk: Thunk) -> CheckRecord:
     except Exception as exc:
         # one check that raised is not a counterexample and must not end the run
         status, witness = "error", "error: %s: %s" % (type(exc).__name__, exc)
+        # imported here, where a record is formatted: traceback loads textwrap
+        # and tokenize, which a run whose checks all return never needs
+        import traceback
+
         trace = traceback.format_exc()
     return CheckRecord(name, config, status, witness, time.perf_counter() - start, trace)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: check, run, dims, exit codes, report files."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -10,7 +11,8 @@ import sys
 import pytest
 
 from glomega import AlgebraSpec, direct_sum_C, nonassoc_witness, null_algebra, save_algebra
-from glomega.cli import main
+from glomega.cli import build_parser, main
+from glomega.suites import SuiteConfig
 
 
 def test_check_reports_table_properties(tmp_path, capsys):
@@ -111,9 +113,15 @@ def test_run_report_path_that_is_a_directory_exits_2(tmp_path):
 
 def test_a_run_fingerprints_without_loading_openssl(tmp_path):
     # Report.fingerprint takes CPython's builtin SHA-256: hashlib would load
-    # OpenSSL's _hashlib, about 3.5 MB resident, for the one digest of a run
+    # OpenSSL's _hashlib, about 3.5 MB resident, for the one digest of a run.
+    # Nor does a passing run load dataclasses (which loads inspect) or
+    # traceback: only an error record formats a traceback.
     path = tmp_path / "report.json"
-    script = "import sys\nfrom glomega.cli import main\nmain(sys.argv[1:])\nprint('_hashlib' in sys.modules)"
+    script = (
+        "import sys\nfrom glomega.cli import main\nmain(sys.argv[1:])\n"
+        "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))\n"
+        "print('_hashlib' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script, "run", "pbw", "--out", str(path)],
         capture_output=True,
@@ -121,6 +129,7 @@ def test_a_run_fingerprints_without_loading_openssl(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2] == "[]"
     if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
         assert proc.stdout.splitlines()[-1] == "False"
     # the digest is hashlib's of the report without its fingerprint and times
@@ -129,6 +138,33 @@ def test_a_run_fingerprints_without_loading_openssl(tmp_path):
     for rec in report["records"]:
         del rec["seconds"]
     assert fingerprint == hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_run_flags_follow_the_config_fields():
+    # one flag per SuiteConfig field after the suite, in field order, with its
+    # default and type; --s is the s values comma-joined, --out the one extra
+    parser = build_parser()
+    run = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    flags = [(a.option_strings[0], a.dest, a.default, a.type) for a in run._actions if a.dest not in ("help", "suite")]
+    assert flags == [
+        ("--omega", "omega", "", str),
+        ("--n-min", "n_min", 2, int),
+        ("--n-max", "n_max", 4, int),
+        ("--d", "d", 2, int),
+        ("--max-len", "max_len", 3, int),
+        ("--max-deg", "max_deg", 2, int),
+        ("--s", "s_values", "0,1,-1,5/2", str),
+        ("--seed", "seed", 20240, int),
+        ("--out", "out", None, None),
+    ]
+    defaults = SuiteConfig("pbw")
+    for _flag, dest, default, _type in flags[:-1]:
+        expected = getattr(defaults, dest)
+        assert default == (",".join(map(str, expected)) if dest == "s_values" else expected)
+    # the flags are in field order: their values, given positionally, are the config
+    values = {"omega": "C", "n_min": 1, "n_max": 3, "d": 1, "max_len": 2, "max_deg": 1, "s_values": (1, 2), "seed": 7}
+    assert [dest for _flag, dest, _default, _type in flags[:-1]] == list(values)
+    assert SuiteConfig("pbw", *values.values()) == SuiteConfig(suite="pbw", **values)
 
 
 def test_run_bad_s_list_is_usage_error(capsys):

@@ -57,6 +57,40 @@ def test_config_refuses_float_s_values():
     assert all(type(s) is Fraction for s in cfg.s_values)
 
 
+@pytest.mark.parametrize("s_values", ["12", "5", "1/2", ""])
+def test_config_refuses_a_string_of_s_values(s_values):
+    # a string would be read one character at a time: "12" as s in {1, 2}
+    with pytest.raises(StructureError, match="not the string"):
+        SuiteConfig(suite="pbw", s_values=s_values)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_max", 4.5),
+        ("max_len", 2.0),
+        ("n_max", "4"),
+        ("omega", 3),
+        ("d", True),
+        ("n_min", True),
+        ("max_deg", 2.0),
+        ("seed", 1.5),
+        ("seed", None),
+    ],
+)
+def test_config_refuses_fields_of_the_wrong_type(field, value):
+    # each would otherwise become error records, a traceback or a silent d = 1
+    with pytest.raises(StructureError, match="must be"):
+        SuiteConfig(suite="pbw", **{field: value})
+
+
+def test_config_is_immutable():
+    cfg = SuiteConfig(suite="pbw")
+    for name in ("suite", "n_max", "s_values"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, getattr(cfg, name))
+
+
 def test_config_refuses_repeated_s_values():
     # equal after normalisation: each would give the same records twice
     for bad in ((1, 1), (1, Fraction(1)), ("1", "2/2"), (0, "1/2", Fraction(1, 2))):
