@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .current import graded_dim
-from .omega import StructureError, check_associativity, detect_unit, load_algebra
+from .omega import StructureError, check_associativity, check_int, detect_unit, load_algebra
 from .suites import SUITES, SuiteConfig, resolve_omega, run_suite
 
 
@@ -103,8 +103,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_dims(args) -> int:
     spec = resolve_omega(args.omega)
-    if args.grade < 0 or args.d < 1:
-        raise StructureError("need grade >= 0 and d >= 1")
+    check_int("grade", 0, args.grade)
+    check_int("d", 1, args.d)
     print("omega=%s dim=%d d=%d" % (args.omega, spec.dim, args.d))
     for n in range(args.grade + 1):
         print("grade=%d dim=%d" % (n, graded_dim(spec, args.d, n)))

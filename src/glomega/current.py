@@ -51,6 +51,7 @@ from .omega import (
     ScalarLike,
     StructureError,
     _acc,
+    check_int,
     check_letters,
     detect_unit,
     direct_sum_C,
@@ -92,8 +93,7 @@ def odot(spec: AlgebraSpec, a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dic
 
 def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Word, Word, Word]]:
     """First basis-word triple where (x(.)y)(.)z differs from x(.)(y(.)z)."""
-    if max_total_len < 3:
-        raise StructureError("an associativity scan needs a total length of at least 3")
+    check_int("total length", 3, max_total_len)
     for wx in words_up_to(spec, max_total_len - 2):
         for wy in words_up_to(spec, max_total_len - 1 - len(wx)):
             for wz in words_up_to(spec, max_total_len - len(wx) - len(wy)):
@@ -105,8 +105,7 @@ def check_odot_assoc(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Wo
 
 def find_noncommutative_pair(spec: AlgebraSpec, max_total_len: int) -> Optional[Tuple[Word, Word]]:
     """First basis-word pair with x(.)y != y(.)x, or None for commutative tables."""
-    if max_total_len < 2:
-        raise StructureError("a commutativity scan needs a total length of at least 2")
+    check_int("total length", 2, max_total_len)
     for wx in words_up_to(spec, max_total_len - 1):
         for wy in words_up_to(spec, max_total_len - len(wx)):
             if odot_words(spec, wx, wy) != odot_words(spec, wy, wx):
@@ -143,11 +142,12 @@ Current = Dict[Label, Scalar]  # (i, j, word) -> coefficient, no zero stored
 
 
 def _check_keys(spec: AlgebraSpec, *currents: Current) -> None:
-    """Raise ``StructureError`` for a key with a matrix index below 1, an empty word or a letter outside the table."""
+    """Raise ``StructureError`` for a key with a bad matrix index, an empty word or a letter outside the table."""
     for keys in currents:
         for i, j, w in keys:
-            if i < 1 or j < 1 or not w:
-                raise StructureError("bad key %r: matrix indices must be >= 1 and the word nonempty" % ((i, j, w),))
+            check_int("matrix index", 1, i, j)
+            if not w:
+                raise StructureError("bad key %r: the word must be nonempty" % ((i, j, w),))
             check_letters(spec, w)
 
 
@@ -250,22 +250,21 @@ def check_current_jacobi(
 
 def current_basis_keys(spec: AlgebraSpec, d: int, maxgrade: int) -> List[Label]:
     """The graded bases of grades 0..maxgrade, concatenated in grade order."""
-    if d < 1 or maxgrade < 0:
-        raise StructureError("current scans need d >= 1 and maxgrade >= 0")
+    check_int("maxgrade", 0, maxgrade)  # graded_basis checks d
     return [key for n in range(maxgrade + 1) for key in graded_basis(spec, d, n)]
 
 
 def graded_dim(spec: AlgebraSpec, d: int, n: int) -> int:
     """Dimension d^2 * (dim Omega)^(n+1) of the grade-n piece of gl(d) currents."""
-    if d < 1 or n < 0:
-        raise StructureError("graded dimensions need d >= 1 and a nonnegative grade")
+    check_int("d", 1, d)
+    check_int("n", 0, n)
     return d * d * spec.dim ** (n + 1)
 
 
 def graded_basis(spec: AlgebraSpec, d: int, n: int) -> List[Label]:
     """Explicit basis of the grade-n piece; its length realizes graded_dim."""
-    if d < 1 or n < 0:
-        raise StructureError("graded bases need d >= 1 and a nonnegative grade")
+    check_int("d", 1, d)
+    check_int("n", 0, n)
     return [
         (i, j, w)
         for i in range(1, d + 1)
@@ -288,8 +287,8 @@ def path_algebra_iso_check(L: int, maxgrade: int) -> bool:
     enumerates paths itself, so the first loop stays to check that
     :func:`~glomega.words.basis_words` yields exactly the vertex sequences.
     """
-    if L < 1 or maxgrade < 0:
-        raise StructureError("need at least one vertex and maxgrade >= 0")
+    check_int("L", 1, L)
+    check_int("maxgrade", 0, maxgrade)
     spec = direct_sum_C(L)
     for n in range(maxgrade + 1):
         paths = set(itertools.product(range(L), repeat=n + 1))
@@ -365,8 +364,7 @@ def bimodule_iso_check(spec: AlgebraSpec, maxgrade: int) -> bool:
     product into concatenation of balanced factors, again modulo relations.
     Requires a unital table: the embedding pads interior slots with the unit.
     """
-    if maxgrade < 1:
-        raise StructureError("balanced tensor comparison needs maxgrade >= 1")
+    check_int("maxgrade", 1, maxgrade)
     unit = detect_unit(spec)
     if unit is None:
         raise StructureError("balanced tensor comparison needs a unital table")
@@ -421,8 +419,7 @@ def generator_bracket_display_check(
     [t_ij(a; s), t_kl(b; s)] = delta_kj t_il(ab) - delta_il t_kj(ba).
     Returns the first (i, j, k, l, a, b) whose remainder is nonzero, or None.
     """
-    if d < 1:
-        raise StructureError("the letter check needs d >= 1")
+    check_int("d", 1, d)
     ctx = Enveloping.get(omega, n)
     for i, j, k, l in itertools.product(range(1, d + 1), repeat=4):
         for a, b in itertools.product(range(omega.dim), repeat=2):
@@ -459,8 +456,8 @@ def degeneration_check(
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("words must be nonempty")
-    if d < 1 or max(i, j, k, l) > d or min(i, j, k, l) < 1:
-        raise StructureError("matrix indices must lie in 1..d")
+    check_int("d", 1, d)
+    check_int("matrix index", 1, i, j, k, l, most=d)
     n = d + len(x) + len(y)
     bound = len(x) + len(y) - 3
     expansion = stable(

@@ -66,6 +66,7 @@ from .omega import (
     StructureError,
     _acc,
     check_associativity,
+    check_int,
     check_letters,
     pair_memo,
     vec_add,
@@ -153,8 +154,7 @@ def _brackets(spec: AlgebraSpec, given: Optional[Bracket] = None) -> Bracket:
 
 def _scan(spec: AlgebraSpec, maxlen: int, bracket: Optional[Bracket]) -> Tuple[List[Word], Bracket]:
     """The words a law check scans, ``[()] + words_up_to(spec, maxlen)``, and its memo ``_brackets(spec, bracket)``."""
-    if maxlen < 1:
-        raise StructureError("the word-length cap must be >= 1, got %r" % (maxlen,))
+    check_int("maxlen", 1, maxlen)
     return [()] + list(words_up_to(spec, maxlen)), _brackets(spec, bracket)
 
 
@@ -292,11 +292,10 @@ def poisson_pgen(spec: AlgebraSpec, p: Label, q: Label) -> Poly:
 
     Sweedler slots of the double bracket are contracted through the symbols;
     an empty slot contributes the scalar delta (p_ab of the empty word).
-    Matrix indices below 1 raise ``StructureError``.
+    A matrix index below 1 or not an int raises ``StructureError``.
     """
     (i, j, x), (k, l, y) = p, q
-    if min(i, j, k, l) < 1:
-        raise StructureError("matrix indices must be >= 1, got %r and %r" % (p, q))
+    check_int("matrix index", 1, i, j, k, l)
     out: Poly = {}
     for (u, v), c in double_bracket(spec, x, y).items():
         factors: List[Label] = []
@@ -399,8 +398,8 @@ def symbol_match_smd(
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("symbol matches need nonempty words")
-    if max(i, j, k, l) > d:
-        raise StructureError("generator indices must be <= d")
+    check_int("d", 1, d)
+    check_int("generator index", 1, i, j, k, l, most=d)
     if d > n - 1:
         raise StructureError("need d <= N-1 so the acting block is nontrivial")
     deg = len(x) + len(y) - 1

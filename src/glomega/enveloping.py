@@ -43,6 +43,7 @@ from .omega import (
     _acc,
     as_scalar,
     check_associativity,
+    check_int,
     vec_add,
 )
 from .words import Word, compositions, coagulate_word
@@ -90,8 +91,7 @@ class Enveloping:
     """Computation context for U(gl(n, omega)) with a fixed PBW order."""
 
     def __init__(self, omega: AlgebraSpec, n: int):
-        if n < 1:
-            raise StructureError("n must be >= 1")
+        check_int("n", 1, n)
         witness = check_associativity(omega)
         if witness is not None:
             raise StructureError(
@@ -144,6 +144,7 @@ class Enveloping:
         live until :meth:`empty_caches`: in a run of several suites, that is
         one suite.
         """
+        check_int("n", 1, n)  # True would find the context of n = 1
         ctx = omega.contexts.get(n)
         if ctx is None:
             ctx = omega.contexts[n] = cls(omega, n)
@@ -423,8 +424,7 @@ class Enveloping:
         E_ij acts on U(gl(N, Omega)) by derivations, monomial by monomial.
         """
         u._compat(self)
-        if not (0 <= d <= self.n):
-            raise StructureError("need 0 <= d <= n")
+        check_int("d", 0, d, most=self.n)
         for i in range(d + 1, self.n + 1):
             for j in range(d + 1, self.n + 1):
                 out: Dict[Mono, Scalar] = {}
@@ -554,15 +554,13 @@ class Enveloping:
 
     def monomials(self, maxdeg: int) -> Iterator[Mono]:
         """All PBW monomials of degree <= maxdeg, degree by degree."""
-        if maxdeg < 0:
-            raise StructureError("need maxdeg >= 0")
+        check_int("maxdeg", 0, maxdeg)
         return itertools.chain.from_iterable(
             itertools.combinations_with_replacement(self.gens, deg) for deg in range(maxdeg + 1)
         )
 
     def _torus_zero_monomials(self, d: int, maxdeg: int) -> List[Mono]:
-        if not (0 <= d <= self.n):
-            raise StructureError("need 0 <= d <= n")
+        check_int("d", 0, d, most=self.n)
         out = []
         acting = range(d + 1, self.n + 1)
         for mono in self.monomials(maxdeg):
@@ -611,8 +609,7 @@ class Enveloping:
         multipliers on both sides.  maxdeg = 0 spans no ideal vector, so it
         raises rather than pass on empty spans.
         """
-        if maxdeg < 1:
-            raise StructureError("the ideals need maxdeg >= 1")
+        check_int("maxdeg", 1, maxdeg)
         n = self.n
         right_gens = [(i, n, b) for i in range(1, n + 1) for b in range(self.omega.dim)]
         left_gens = [(n, j, b) for j in range(1, n + 1) for b in range(self.omega.dim)]

@@ -6,7 +6,8 @@ are stored sparsely: a pair ``(i, j)`` absent from the table multiplies to
 zero.  Nothing here assumes associativity or a unit; both are decidable
 properties of a finite table, computed on each call (:func:`check_associativity`,
 :func:`detect_unit`).  A letter is an ``int`` basis index ``0..dim-1``, and
-:func:`check_letters` is the one place that checks it.  :func:`pair_memo`
+:func:`check_letters` is the one place that checks it, as :func:`check_int` is
+the one place that decides an integer argument (a size, cap, grade or index).  :func:`pair_memo`
 is the one builder of the per-table bracket memos of the double and the
 current suites, and the one place that refuses a memo of another table.
 
@@ -128,8 +129,7 @@ class AlgebraSpec:
         table: Optional[Mapping[Tuple[int, int], Mapping[int, ScalarLike]]] = None,
         name: str = "",
     ):
-        if not _is_int(dim) or dim < 1:
-            raise StructureError("dim must be a positive integer")
+        check_int("dim", 1, dim)
         if basis is None:
             basis = tuple("u%d" % (i + 1) for i in range(dim))
         basis = tuple(str(b) for b in basis)
@@ -141,11 +141,16 @@ class AlgebraSpec:
         for (i, j), terms in (table or {}).items():
             if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
                 raise StructureError("table index (%r, %r) out of range" % (i, j))
+            if not isinstance(terms, Mapping):
+                raise StructureError("table entry (%r, %r) must map target indices to scalars" % (i, j))
             entry = {}
             for k, c in terms.items():
                 if not (_is_int(k) and 0 <= k < dim):
                     raise StructureError("table target index %r out of range" % (k,))
-                exact = as_scalar(c)
+                try:
+                    exact = as_scalar(c)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise StructureError("structure constant %r of (%r, %r): %s" % (c, i, j, exc)) from None
                 if exact:
                     # a Fraction is kept as given, so the table reads back as it was built
                     entry[k] = c if type(c) is Fraction else exact
@@ -172,6 +177,15 @@ def check_letters(spec: AlgebraSpec, letters: Sequence[int]) -> None:
     for letter in letters:
         if type(letter) is not int or not 0 <= letter < dim:
             raise StructureError("letters must lie in 0..%d" % (dim - 1))
+
+
+def check_int(what: str, least: Optional[int], *values, most: Optional[int] = None) -> None:
+    """Raise ``StructureError`` unless each value is an int, not a bool, in ``least..most`` (``None``: no end)."""
+    for v in values:
+        # a plain int, the common case, is told without a call of _is_int
+        if type(v) is not int and not _is_int(v) or least is not None and v < least or most is not None and v > most:
+            bound = "" if least is None else " >= %d" % least if most is None else " in %d..%d" % (least, most)
+            raise StructureError("%s must be an integer%s, got %r" % (what, bound, v))
 
 
 def pair_memo(spec: AlgebraSpec, compute: Callable, given: Optional[Callable] = None) -> Callable:
@@ -263,23 +277,20 @@ def detect_unit(spec: AlgebraSpec) -> Optional[Dict[int, Scalar]]:
 
 def direct_sum_C(L: int) -> AlgebraSpec:
     """C^(+L): L orthogonal idempotents u1, ..., uL (ui*ui = ui, ui*uj = 0)."""
-    if L < 1:
-        raise StructureError("L must be >= 1")
+    check_int("L", 1, L)
     table = {(i, i): {i: 1} for i in range(L)}
     return AlgebraSpec(L, ["u%d" % (i + 1) for i in range(L)], table, name="C^+%d" % L)
 
 
 def null_algebra(n: int) -> AlgebraSpec:
     """Zero multiplication on an n-dimensional space."""
-    if n < 1:
-        raise StructureError("n must be >= 1")
+    check_int("n", 1, n)
     return AlgebraSpec(n, ["z%d" % (i + 1) for i in range(n)], {}, name="null(%d)" % n)
 
 
 def matrix_algebra(k: int) -> AlgebraSpec:
     """Full matrix algebra Mat(k) on matrix units e_{ab}, row-major order."""
-    if k < 1:
-        raise StructureError("k must be >= 1")
+    check_int("k", 1, k)
     labels = ["e%d%d" % (a + 1, b + 1) for a in range(k) for b in range(k)]
     idx = lambda a, b: a * k + b
     table = {}
@@ -328,8 +339,8 @@ def from_dict(data: Mapping, name: str = "") -> AlgebraSpec:
             raise StructureError("missing required field %r" % field)
     dim = data["dim"]
     basis = data["basis"]
-    if not isinstance(basis, list):
-        raise StructureError("'basis' must be a list of labels")
+    if not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):
+        raise StructureError("'basis' must be a list of string labels")
     table: dict = {}
     if not isinstance(data["table"], list):
         raise StructureError("'table' must be a list of {i, j, terms} rows")

@@ -46,9 +46,9 @@ from .omega import (
     AlgebraSpec,
     StabilizationError,
     StructureError,
-    _is_int,
     as_scalar,
     check_associativity,
+    check_int,
     detect_unit,
     direct_sum_C,
     load_algebra,
@@ -100,19 +100,15 @@ class SuiteConfig(
         self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.suite, str) and isinstance(self.omega, str)):
             raise StructureError("suite and omega must be strings")
-        for name in ("n_min", "n_max", "d", "max_len", "max_deg", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise StructureError("%s must be an integer, got %r" % (name, getattr(self, name)))
+        for name in ("n_min", "n_max", "d", "max_len", "max_deg"):
+            check_int(name, 1, getattr(self, name))
+        check_int("seed", None, self.seed)
         if self.suite not in SUITES:
             raise StructureError("unknown suite %r; choose from %s" % (self.suite, ", ".join(SUITES)))
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise StructureError("need 1 <= n_min <= n_max")
-        if self.d < 1:
-            raise StructureError("d must be positive")
+        if self.n_max < self.n_min:
+            raise StructureError("need n_min <= n_max")
         if self.n_max < self.d:
             raise StructureError("need n_max >= d so the centralizer context exists")
-        if self.max_len < 1 or self.max_deg < 1:
-            raise StructureError("word length and degree caps must be positive")
         if isinstance(self.s_values, str):
             # a string would be read one character at a time
             raise StructureError("s values must be a sequence of rationals, not the string %r" % self.s_values)

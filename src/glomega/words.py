@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .omega import AlgebraSpec, Scalar, StructureError, _acc, check_letters, multiply
+from .omega import AlgebraSpec, Scalar, StructureError, _acc, check_int, check_letters, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
@@ -30,8 +30,7 @@ Label = Tuple[int, int, Word]
 
 def compositions(m: int) -> List[Composition]:
     """All 2^(m-1) compositions of m in lexicographic order."""
-    if m < 1:
-        raise StructureError("compositions need m >= 1")
+    check_int("m", 1, m)
     out: List[Composition] = []
 
     def build(prefix: Tuple[int, ...], rest: int) -> None:
@@ -47,8 +46,7 @@ def compositions(m: int) -> List[Composition]:
 
 def basis_words(spec: AlgebraSpec, length: int) -> Iterator[Word]:
     """All words of exactly the given length, lexicographic order."""
-    if length < 0:
-        raise StructureError("word length must be >= 0, got %d" % length)
+    check_int("word length", 0, length)
     return itertools.product(range(spec.dim), repeat=length)
 
 
@@ -57,8 +55,7 @@ def words_up_to(spec: AlgebraSpec, maxlen: int) -> Iterator[Word]:
 
     maxlen 0 gives no word; a negative maxlen raises when called.
     """
-    if maxlen < 0:
-        raise StructureError("maximal word length must be >= 0, got %d" % maxlen)
+    check_int("maximal word length", 0, maxlen)
     return itertools.chain.from_iterable(basis_words(spec, n) for n in range(1, maxlen + 1))
 
 
@@ -70,7 +67,8 @@ def coagulate(
     The list has length m = sum(nu); block r collects nu[r] consecutive
     factors and multiplies them left to right inside the algebra.
     """
-    if sum(nu) != len(factors) or any(p < 1 for p in nu):
+    check_int("composition parts", 1, *nu)
+    if sum(nu) != len(factors):
         raise StructureError("composition %r does not fit %d factors" % (nu, len(factors)))
     out: List[Dict[int, Scalar]] = []
     pos = 0

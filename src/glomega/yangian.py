@@ -30,15 +30,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, Mono, UElement, stable
 from .linalg import SpanSolver, primitive
-from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, as_scalar, vec_add
+from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, as_scalar, check_int, vec_add
 from .words import Label, Word, words_up_to
 
 
 def t_gen(i: int, j: int, word: Iterable[int]) -> Label:
     """The label (i, j, word) of t_ij(word), validated."""
     word = tuple(word)
-    if i < 1 or j < 1:
-        raise StructureError("t-generator indices are 1-based")
+    check_int("t-generator index", 1, i, j)
     if not word:
         raise StructureError("t-generator words must be nonempty")
     return (i, j, word)
@@ -77,8 +76,9 @@ def evaluate(mono: Sequence[Label], ctx: Enveloping, s: ScalarLike) -> UElement:
 
 def pbw_monomials(omega: AlgebraSpec, d: int, maxlen: int, maxdeg: int) -> List[OrderedMonomial]:
     """All ordered monomials with total word length <= maxlen, <= maxdeg factors."""
-    if d < 1 or maxlen < 0 or maxdeg < 0:
-        raise StructureError("pbw monomials need d >= 1, maxlen >= 0 and maxdeg >= 0")
+    check_int("d", 1, d)
+    check_int("maxlen", 0, maxlen)
+    check_int("maxdeg", 0, maxdeg)
     gens = [(i, j, w) for i in range(1, d + 1) for j in range(1, d + 1) for w in words_up_to(omega, maxlen)]
     gens.sort(key=tgen_key)
     out: List[OrderedMonomial] = []
@@ -174,15 +174,14 @@ def pbw_suite(
 
 def euler_phi(k: int) -> int:
     """Euler's totient; it is defined for k >= 1 only."""
-    if k < 1:
-        raise StructureError("euler_phi needs k >= 1, got %r" % (k,))
+    check_int("k", 1, k)
     return sum(1 for a in range(1, k + 1) if gcd(a, k) == 1)
 
 
 def necklace_count(dim: int, m: int) -> int:
     """Words of length m over dim letters, up to rotation."""
-    if dim < 1 or m < 1:
-        raise StructureError("necklace counts need dim >= 1 and m >= 1")
+    check_int("dim", 1, dim)
+    check_int("m", 1, m)
     total = sum(euler_phi(r) * dim ** (m // r) for r in range(1, m + 1) if m % r == 0)
     return total // m
 
@@ -194,8 +193,9 @@ def splitting_expected(dim_omega: int, d: int, deg: int) -> int:
     matrix part d^2 dim^m; symmetric-algebra dimensions come from the usual
     multiset generating series.
     """
-    if dim_omega < 1 or d < 0 or deg < 0:
-        raise StructureError("the splitting count needs dim >= 1, d >= 0 and deg >= 0")
+    check_int("dim_omega", 1, dim_omega)
+    check_int("d", 0, d)
+    check_int("deg", 0, deg)
     coeffs = [0] * (deg + 1)
     coeffs[0] = 1
     for m in range(1, deg + 1):

@@ -52,6 +52,7 @@ _MALFORMED = {
     "num-string": {"dim": 1, "basis": ["a"], "table": [dict(_ROW, terms=[{"k": 0, "num": "1/2"}])]},
     "terms-int": {"dim": 1, "basis": ["a"], "table": [dict(_ROW, terms=5)]},
     "dim-bool": {"dim": True, "basis": ["a"], "table": [_ROW]},
+    "basis-not-strings": {"dim": 2, "basis": [1, None], "table": []},
 }
 
 
@@ -220,6 +221,10 @@ def test_dims_output(capsys):
 
 def test_dims_rejects_bad_arguments(capsys):
     assert main(["dims", "--omega", "C", "--d", "0"]) == 2
+    assert "d must be an integer >= 1, got 0" in capsys.readouterr().err
+    # a negative grade prints no grade, so it is refused rather than exit 0
+    assert main(["dims", "--omega", "C", "--grade", "-1"]) == 2
+    assert "grade must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -89,8 +89,12 @@ def test_current_bracket_rejects_matrix_indices_below_one():
         ({(0, 1, (0,)): 1}, {(1, 0, (0,)): 1}),  # these meet, and gave {(0, 0, (0,)): 1, (1, 1, (0,)): -1}
         ({(0, -4, (0,)): 1}, {(1, 2, (0,)): 1}),
         ({(1, 1, (0,)): 1}, {(1, -1, (0,)): 1}),
+        # a float index gave the key (1.5, 1.5, (0,)); True read as 1
+        ({(1.5, 1, (0,)): 1}, {(1, 1.5, (0,)): 1}),
+        ({(True, 1, (0,)): 1}, {(1, 1, (0,)): 1}),
+        ({(1, 1, (0,)): 1}, {(1, True, (0,)): 1}),
     ):
-        with pytest.raises(StructureError, match="matrix indices must be >= 1"):
+        with pytest.raises(StructureError, match="matrix index must be an integer >= 1"):
             gl_current_bracket(spec, a, b)
 
 
@@ -98,7 +102,7 @@ def test_current_bracket_rejects_matrix_indices_below_one():
     "bad, message",
     [
         ((1, 1, (7,)), r"letters must lie in 0\.\.1"),
-        ((0, 1, (0,)), "matrix indices must be >= 1"),
+        ((0, 1, (0,)), "matrix index must be an integer >= 1"),
         ((1, 2, ()), "nonempty"),
     ],
     ids=["letter", "index", "empty-word"],
@@ -471,9 +475,9 @@ def test_odot_assoc_refuses_total_length_below_three():
 
 def test_current_scans_refuse_caps_that_scan_nothing():
     spec = matrix_algebra(2)
-    for d, maxgrade in ((2, -1), (0, 1), (-1, 0)):
+    for d, maxgrade, named in ((2, -1, "maxgrade"), (0, 1, "d"), (-1, 0, "d")):
         for scan in (current_basis_keys, check_current_antisym, check_current_jacobi):
-            with pytest.raises(StructureError, match="d >= 1 and maxgrade >= 0"):
+            with pytest.raises(StructureError, match="^%s must be an integer >= " % named):
                 scan(spec, d, maxgrade)
     assert len(current_basis_keys(spec, 1, 0)) == graded_dim(spec, 1, 0)
 

@@ -553,8 +553,16 @@ def test_poisson_pgen_rejects_matrix_indices_below_one():
     # on C, index 0 once read as an ordinary matrix index and gave the
     # bracket {((0, 0, (0,)),): 1, ((1, 1, (0,)),): -1}
     spec = direct_sum_C(1)
-    for p, q in (((0, 1, (0,)), (1, 0, (0,))), ((-3, 1, (0,)), (1, -3, (0,))), ((1, 1, (0,)), (1, 0, (0,)))):
-        with pytest.raises(StructureError, match="matrix indices must be >= 1"):
+    for p, q in (
+        ((0, 1, (0,)), (1, 0, (0,))),
+        ((-3, 1, (0,)), (1, -3, (0,))),
+        ((1, 1, (0,)), (1, 0, (0,))),
+        # a float index gave the key (1.5, 1.5, (0,)); True read as 1
+        ((1.5, 1, (0,)), (1, 1.5, (0,))),
+        ((True, 1, (0,)), (1, 1, (0,))),
+        ((1, 1, (0,)), (1, True, (0,))),
+    ):
+        with pytest.raises(StructureError, match="matrix index must be an integer >= 1"):
             poisson_pgen(spec, p, q)
 
 

@@ -112,6 +112,12 @@ def test_table_validation():
         AlgebraSpec(True)  # a bool is not a dimension
     with pytest.raises(StructureError):
         AlgebraSpec(2, table={("0", 0): {0: 1}})
+    # a float constant raised TypeError from as_scalar, a bad string ValueError
+    # or ZeroDivisionError, and an entry that is not a mapping AttributeError
+    for table in ({(0, 0): {0: 0.5}}, {(0, 0): {0: "x"}}, {(0, 0): {0: "1/0"}}, {(0, 0): [1]}, {(0, 0): 1}):
+        with pytest.raises(StructureError):
+            AlgebraSpec(1, table=table)
+    assert AlgebraSpec(1, table={(0, 0): {0: "1/2"}}).table == {(0, 0): {0: Fraction(1, 2)}}
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -146,6 +152,10 @@ def test_from_dict_diagnostics():
     }
     with pytest.raises(StructureError):
         from_dict(dup)
+    # [1, null] loaded as the labels 1 and None, and omega check exited 0
+    for basis in ([1, None], ["a", 2], [["a"], "b"], [True, "b"]):
+        with pytest.raises(StructureError, match="string labels"):
+            from_dict({"dim": 2, "basis": basis, "table": []})
 
 
 def test_sparse_convention_missing_rows_are_zero():
@@ -236,6 +246,7 @@ def test_from_dict_any_json_gives_spec_or_structure_error(data):
     except StructureError:
         return
     assert isinstance(spec, AlgebraSpec)
+    assert spec.basis == tuple(data["basis"])
     assert from_dict(to_dict(spec)).table == spec.table
 
 

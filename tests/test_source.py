@@ -137,6 +137,14 @@ def test_one_letter_rule():
     assert _raisers("letters must lie in") == ["omega.check_letters"]
 
 
+def test_one_int_rule():
+    # a size, a cap, a grade or a 1-based matrix index is an int, not a bool,
+    # in its range: omega.check_int is the one place that says so, and no
+    # other module reads omega._is_int to make a rule of its own
+    assert _raisers("must be an integer") == ["omega.check_int"]
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if "_is_int" in path.read_text()] == ["omega"]
+
+
 def test_one_bracket_memo_owner_rule():
     # a bracket memo serves one table: omega.pair_memo is the one place that
     # builds one and refuses another table's, and only the double and the

@@ -9,17 +9,22 @@ from glomega import Enveloping, StabilizationError, StructureError, direct_sum_C
 from glomega import yangian
 from glomega.current import (
     _bracket_remainder,
+    bimodule_iso_check,
+    check_odot_assoc,
+    current_basis_keys,
+    degeneration_check,
     find_noncommutative_pair,
     generator_bracket_display_check,
     graded_basis,
     graded_dim,
+    path_algebra_iso_check,
 )
-from glomega.doublepoisson import spoly_symbol_image
+from glomega.doublepoisson import check_skew, spoly_symbol_image, symbol_match_smd
 from glomega.enveloping import stable
 from glomega.linalg import SpanSolver
-from glomega.omega import vec_add
-from glomega.suites import _degeneration_tuples
-from glomega.words import basis_words, words_up_to
+from glomega.omega import AlgebraSpec, vec_add
+from glomega.suites import SuiteConfig, _degeneration_tuples
+from glomega.words import basis_words, coagulate, compositions, words_up_to
 from glomega.yangian import (
     _symbol_column,
     _symbol_solver,
@@ -236,56 +241,94 @@ def test_splitting_probe_matches():
 _C = direct_sum_C(1)
 
 # every exported count or enumeration refuses a cap or a matrix size below
-# its range with StructureError, as compositions and current_basis_keys do
+# its range with StructureError, as compositions and current_basis_keys do;
+# each case is a call of the bad value and the value, which is below the
+# range (or above it, where the range has a top)
 _NEGATIVE_CAPS = [
-    ("splitting_expected", lambda: splitting_expected(1, 1, -1)),
-    ("splitting_probe", lambda: splitting_probe(_C, 0, -1, (3, 4))),
-    ("necklace_count-0", lambda: necklace_count(2, 0)),
-    ("necklace_count-neg", lambda: necklace_count(2, -1)),
-    ("pbw_monomials-maxdeg", lambda: pbw_monomials(_C, 1, 2, -1)),
-    ("pbw_monomials-maxlen", lambda: pbw_monomials(_C, 1, -1, 2)),
-    ("pbw_suite", lambda: pbw_suite(_C, 1, 2, -1, 3, 0)),
-    ("invariant_dim", lambda: Enveloping.get(_C, 3).invariant_dim(0, -1)),
-    ("invariant_basis", lambda: Enveloping.get(_C, 3).invariant_basis(0, -1)),
-    ("monomials", lambda: Enveloping.get(_C, 3).monomials(-1)),
-    ("graded_basis-1", lambda: graded_basis(direct_sum_C(2), 1, -1)),
-    ("graded_basis-2", lambda: graded_basis(direct_sum_C(2), 1, -2)),
+    ("splitting_expected", lambda v: splitting_expected(1, 1, v), -1),
+    ("splitting_probe", lambda v: splitting_probe(_C, 0, v, (3, 4)), -1),
+    ("necklace_count-0", lambda v: necklace_count(2, v), 0),
+    ("necklace_count-neg", lambda v: necklace_count(2, v), -1),
+    ("pbw_monomials-maxdeg", lambda v: pbw_monomials(_C, 1, 2, v), -1),
+    ("pbw_monomials-maxlen", lambda v: pbw_monomials(_C, 1, v, 2), -1),
+    ("pbw_suite", lambda v: pbw_suite(_C, 1, 2, v, 3, 0), -1),
+    ("invariant_dim", lambda v: Enveloping.get(_C, 3).invariant_dim(0, v), -1),
+    ("invariant_basis", lambda v: Enveloping.get(_C, 3).invariant_basis(0, v), -1),
+    ("monomials", lambda v: Enveloping.get(_C, 3).monomials(v), -1),
+    ("graded_basis-1", lambda v: graded_basis(direct_sum_C(2), 1, v), -1),
+    ("graded_basis-2", lambda v: graded_basis(direct_sum_C(2), 1, v), -2),
     # a negative word length, refused when called rather than scanning no word
-    ("basis_words", lambda: basis_words(_C, -1)),
-    ("words_up_to", lambda: words_up_to(_C, -1)),
+    ("basis_words", lambda v: basis_words(_C, v), -1),
+    ("words_up_to", lambda v: words_up_to(_C, v), -1),
     # a matrix size below its range: d >= 1 for t-monomials and currents,
     # d >= 0 for the splitting count, where d = 0 is the whole gl(N)
-    ("pbw_monomials-d0", lambda: pbw_monomials(_C, 0, 2, 2)),
-    ("pbw_monomials-dneg", lambda: pbw_monomials(_C, -1, 2, 2)),
-    ("pbw_suite-d0", lambda: pbw_suite(_C, 0, 2, 2, 3, 0)),
-    ("graded_basis-d0", lambda: graded_basis(_C, 0, 1)),
-    ("graded_basis-dneg", lambda: graded_basis(_C, -2, 1)),
-    ("graded_dim-d0", lambda: graded_dim(_C, 0, 1)),
-    ("graded_dim-dneg", lambda: graded_dim(_C, -1, 1)),
-    ("splitting_expected-dneg", lambda: splitting_expected(1, -1, 1)),
+    ("pbw_monomials-d0", lambda v: pbw_monomials(_C, v, 2, 2), 0),
+    ("pbw_monomials-dneg", lambda v: pbw_monomials(_C, v, 2, 2), -1),
+    ("pbw_suite-d0", lambda v: pbw_suite(_C, v, 2, 2, 3, 0), 0),
+    ("graded_basis-d0", lambda v: graded_basis(_C, v, 1), 0),
+    ("graded_basis-dneg", lambda v: graded_basis(_C, v, 1), -2),
+    ("graded_dim-d0", lambda v: graded_dim(_C, v, 1), 0),
+    ("graded_dim-dneg", lambda v: graded_dim(_C, v, 1), -1),
+    ("splitting_expected-dneg", lambda v: splitting_expected(1, v, 1), -1),
     # a table has dimension >= 1, as AlgebraSpec demands
-    ("necklace_count-dim0", lambda: necklace_count(0, 2)),
-    ("necklace_count-dimneg", lambda: necklace_count(-1, 2)),
+    ("necklace_count-dim0", lambda v: necklace_count(v, 2), 0),
+    ("necklace_count-dimneg", lambda v: necklace_count(v, 2), -1),
     # the totient is defined for k >= 1 only
-    ("euler_phi-0", lambda: euler_phi(0)),
-    ("euler_phi-neg", lambda: euler_phi(-3)),
-    ("splitting_expected-dim0", lambda: splitting_expected(0, 1, 2)),
-    ("splitting_expected-dimneg", lambda: splitting_expected(-2, 1, 2)),
-    ("splitting_expected-dimneg-deg0", lambda: splitting_expected(-2, 0, 0)),
+    ("euler_phi-0", lambda v: euler_phi(v), 0),
+    ("euler_phi-neg", lambda v: euler_phi(v), -3),
+    ("splitting_expected-dim0", lambda v: splitting_expected(v, 1, 2), 0),
+    ("splitting_expected-dimneg", lambda v: splitting_expected(v, 1, 2), -2),
+    ("splitting_expected-dimneg-deg0", lambda v: splitting_expected(v, 0, 0), -2),
     # a scan that visits nothing would read as a pass: no word pair to
     # compare, no index tuple to bracket, no ideal vector below degree 1
-    ("find_noncommutative_pair-1", lambda: find_noncommutative_pair(matrix_algebra(2), 1)),
-    ("find_noncommutative_pair-0", lambda: find_noncommutative_pair(matrix_algebra(2), 0)),
-    ("generator_bracket_display_check-d0", lambda: generator_bracket_display_check(_C, 0, 0, 2)),
-    ("ideal_intersection_check-C", lambda: Enveloping.get(_C, 2).ideal_intersection_check(0)),
-    ("ideal_intersection_check-mat2", lambda: Enveloping.get(matrix_algebra(2), 2).ideal_intersection_check(0)),
+    ("find_noncommutative_pair-1", lambda v: find_noncommutative_pair(matrix_algebra(2), v), 1),
+    ("find_noncommutative_pair-0", lambda v: find_noncommutative_pair(matrix_algebra(2), v), 0),
+    ("generator_bracket_display_check-d0", lambda v: generator_bracket_display_check(_C, v, 0, 2), 0),
+    ("ideal_intersection_check-C", lambda v: Enveloping.get(_C, 2).ideal_intersection_check(v), 0),
+    ("ideal_intersection_check-mat2", lambda v: Enveloping.get(matrix_algebra(2), 2).ideal_intersection_check(v), 0),
+    ("check_odot_assoc", lambda v: check_odot_assoc(_C, v), 2),
+    ("check_skew", lambda v: check_skew(_C, v), 0),
+    ("path_algebra_iso_check-L", lambda v: path_algebra_iso_check(v, 1), 0),
+    ("path_algebra_iso_check-maxgrade", lambda v: path_algebra_iso_check(1, v), -1),
+    ("bimodule_iso_check", lambda v: bimodule_iso_check(_C, v), 0),
+    ("current_basis_keys", lambda v: current_basis_keys(_C, 1, v), -1),
+    # sizes: of a table, of a composition, of gl(N)
+    ("AlgebraSpec", lambda v: AlgebraSpec(v), 0),
+    ("direct_sum_C", lambda v: direct_sum_C(v), 0),
+    ("null_algebra", lambda v: null_algebra(v), 0),
+    ("matrix_algebra", lambda v: matrix_algebra(v), 0),
+    ("compositions", lambda v: compositions(v), 0),
+    ("coagulate", lambda v: coagulate(_C, [{0: 1}, {0: 1}], (v, 2 - v)), 0),
+    ("Enveloping", lambda v: Enveloping(_C, v), 0),
+    # True once found the table's context of n = 1
+    ("Enveloping.get", lambda v: (Enveloping.get(_C, 1), Enveloping.get(_C, v)), 0),
+    ("is_in_centralizer-neg", lambda v: Enveloping.get(_C, 3).is_in_centralizer(Enveloping.get(_C, 3).one(), v), -1),
+    ("is_in_centralizer-above", lambda v: Enveloping.get(_C, 3).is_in_centralizer(Enveloping.get(_C, 3).one(), v), 4),
+    ("SuiteConfig-n_min", lambda v: SuiteConfig(suite="pbw", n_min=v), 0),
+    ("SuiteConfig-n_max", lambda v: SuiteConfig(suite="pbw", n_min=1, n_max=v, d=1), 0),
+    ("SuiteConfig-d", lambda v: SuiteConfig(suite="pbw", d=v), 0),
+    ("SuiteConfig-max_len", lambda v: SuiteConfig(suite="pbw", max_len=v), 0),
+    ("SuiteConfig-max_deg", lambda v: SuiteConfig(suite="pbw", max_deg=v), 0),
+    # 1-based matrix indices, and the block d they lie in
+    ("t_gen", lambda v: t_gen(v, 1, (0,)), 0),
+    ("degeneration_check-d", lambda v: degeneration_check(_C, 1, 1, 1, 1, (0,), (0,), v, 0), 0),
+    ("degeneration_check-index", lambda v: degeneration_check(_C, 1, v, 1, 1, (0,), (0,), 1, 0), 2),
+    ("symbol_match_smd-d", lambda v: symbol_match_smd(_C, 1, 1, 1, 1, (0,), (0,), v, 0, 3), 0),
+    ("symbol_match_smd-index", lambda v: symbol_match_smd(_C, 1, 1, v, 1, (0,), (0,), 1, 0, 3), 2),
 ]
 
+# beside each case's own value: a float, and a bool, which is an int to Python
+_NOT_INTS = (("float", 1.5), ("bool", True))
 
-@pytest.mark.parametrize("call", [c[1] for c in _NEGATIVE_CAPS], ids=[c[0] for c in _NEGATIVE_CAPS])
-def test_negative_caps_raise_structure_error(call):
-    with pytest.raises(StructureError):
-        call()
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(c[1], c[2]) for c in _NEGATIVE_CAPS] + [(c[1], v) for c in _NEGATIVE_CAPS for _kind, v in _NOT_INTS],
+    ids=[c[0] for c in _NEGATIVE_CAPS] + ["%s-%s" % (c[0], kind) for c in _NEGATIVE_CAPS for kind, _v in _NOT_INTS],
+)
+def test_negative_caps_raise_structure_error(call, value):
+    with pytest.raises(StructureError, match="must be an integer"):
+        call(value)
 
 
 def test_a_stable_verdict_needs_a_size():
