@@ -44,6 +44,7 @@ from .omega import (
     as_scalar,
     check_associativity,
     check_int,
+    check_letters,
     vec_add,
 )
 from .words import Word, compositions, coagulate_word
@@ -298,6 +299,9 @@ class Enveloping:
         return UElement(self, {(): 1})
 
     def gen(self, i: int, j: int, b: int = 0) -> "UElement":
+        # True and 1.0 would pass the generator lookup as 1
+        check_int("generator index", 1, i, j, most=self.n)
+        check_letters(self.omega, (b,))
         return UElement(self, {((i, j, b),): 1})
 
     def multiply(self, u: "UElement", v: "UElement") -> "UElement":
@@ -413,9 +417,10 @@ class Enveloping:
 
     def mono_weight(self, mono: Mono, a: Optional[int] = None) -> int:
         """Eigenvalue of ad E_aa on a monomial (default a = N); an ``a`` outside 1..N raises."""
-        a = self.n if a is None else a
-        if not 1 <= a <= self.n:
-            raise StructureError("the weight index must lie in 1..%d, got %r" % (self.n, a))
+        if a is None:
+            a = self.n
+        else:
+            check_int("the weight index", 1, a, most=self.n)
         return sum((1 if i == a else 0) - (1 if j == a else 0) for (i, j, _b) in mono)
 
     def is_in_centralizer(self, u: "UElement", d: int) -> bool:
@@ -443,11 +448,13 @@ class Enveloping:
         gen = self._gen.get
         for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
             idx = (i,) + chain + (j,)
-            # a generator out of range is passed on as it is, for sort_key to reject
+            # a letter out of range is passed on as it is, for sort_key to reject (the callers check i and j)
             yield tuple(gen(g, g) for g in zip(idx, idx[1:], word))
 
     def e_elem(self, i: int, j: int, word: Word) -> "UElement":
         """e_ij(word; N), the sum of the chain words, each in normal form."""
+        # checked on every call: True and 1.0 would hit the memo of 1
+        check_int("generator index", 1, i, j, most=self.n)
         word = tuple(word)
         key = (i, j, word)
         cached = self._e.get(key)
@@ -466,6 +473,7 @@ class Enveloping:
         Memoized per (i, j, word) and shared by every caller, so it must not
         be mutated, as for :meth:`normal_form`.
         """
+        check_int("generator index", 1, i, j, most=self.n)
         word = tuple(word)
         key = (i, j, word)
         out = self._e_top.get(key)
@@ -483,6 +491,7 @@ class Enveloping:
         (-N - s)^(len(x) - len(nu)) e_ij(x * nu; N), with 0^0 = 1, so the
         s = -N specialization keeps only the finest composition.
         """
+        check_int("generator index", 1, i, j, most=self.n)
         word = tuple(word)
         s = as_scalar(s)
         key = (i, j, word, s)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .omega import Scalar, as_scalar, vec_add
+from .omega import Scalar, as_scalar, check_int, vec_add
 
 Vec = Dict[Hashable, Scalar]
 
@@ -129,6 +129,7 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> List[Vec]:
     Each row is a sparse linear functional on the unknowns; the result is a
     list of sparse kernel vectors (free-variable form, deterministic order).
     """
+    check_int("ncols", 0, ncols)
     pivots = _reduced_rows(rows)
     return [
         {f: 1, **{p: -row[f] for p, row in pivots.items() if f in row}}

@@ -296,6 +296,7 @@ def t_expansion(
     path: its one class holds the empty monomial, with symbol ``{(): 1}``.
     """
     u._compat(ctx)
+    check_int("d", 1, d, most=ctx.n)
     s = as_scalar(s)
     out: List[Tuple[OrderedMonomial, Scalar]] = []
     rem = dict(u.terms)

@@ -5,7 +5,11 @@ point meant for a workload is called on it, a traced run gives the statuses
 and fingerprint of an untraced one, and every wrapper is removed afterwards.
 A traced run of ``perfbench/child.py`` is checked here the same way, with the
 self-test and verdict functions of ``perfbench/run.py``, against the
-fingerprints of the untraced runs at the benchmark's seed.
+fingerprints of the untraced runs at the benchmark's seed.  Those
+fingerprints are ``perfbench/run.py::BASELINE_FINGERPRINTS`` and the seed is
+``perfbench/workloads.py::BASELINE_SEED``, the one place each is written;
+``conftest.py`` reads the fingerprints, and runs the test once for each
+workload named there.
 """
 
 import importlib.util
@@ -19,14 +23,6 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-SEED = 20240
-
-UNTRACED_FINGERPRINTS = {
-    "double-fuzz": "975cd4e8131fc9ee92c509111e0b3579aeadb7dc63e8647cd91663642139e95c",
-    "full-run": "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959",
-    "splitting-tower": "f8cd38f360dfc74f92a4ef287cc453d3f94b3c97eb6aba96cdd156ed60ae88d4",
-    "symbols": "9be0f2685b1e43ffca328200798f60ca01c9604e97a8f48d7d6999a2d21dd6b4",
-}
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +41,12 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("workload", sorted(UNTRACED_FINGERPRINTS))
-def test_traced_run_is_covered_neutral_and_correct(bench, workload, tmp_path):
+def test_traced_run_is_covered_neutral_and_correct(bench, baseline_fingerprints, workload, tmp_path):
+    seed = bench.BASELINE_SEED
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)  # child.py loads glomega from src/ itself
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "trace", workload, str(SEED), str(tmp_path / "spans.json")],
+        [sys.executable, str(PERFBENCH / "child.py"), "trace", workload, str(seed), str(tmp_path / "spans.json")],
         capture_output=True,
         text=True,
         timeout=300,
@@ -61,5 +57,5 @@ def test_traced_run_is_covered_neutral_and_correct(bench, workload, tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert bench.selftest_coverage(workload, result["counts"]) == []
     assert result["left_wrapped"] == []
-    assert result["fingerprint"] == UNTRACED_FINGERPRINTS[workload]
-    assert bench.verdict_failures(workload, SEED, result["records"]) == 0
+    assert result["fingerprint"] == baseline_fingerprints[workload]
+    assert bench.verdict_failures(workload, seed, result["records"]) == 0

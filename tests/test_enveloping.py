@@ -42,6 +42,14 @@ def test_generator_commutator_respects_table():
     assert got == m.gen(1, 1, 0) - m.gen(1, 1, 3)
 
 
+def test_generator_letter_must_be_an_int():
+    # True and 1.0 equal the letter 1 as dict keys, so the lookup alone would take them
+    ctx = Enveloping.get(C2, 2)
+    for letter in (True, 1.0, 2):
+        with pytest.raises(StructureError, match="letters must lie in 0..1"):
+            ctx.gen(1, 1, letter)
+
+
 @pytest.mark.parametrize("spec", (C1, C2, null_algebra(2), matrix_algebra(2)), ids=lambda spec: spec.name)
 def test_commutator_terms_is_the_defining_bracket(spec):
     # [E_i1j1(x), E_i2j2(y)] = delta(j1, i2) E_i1j2(x y) - delta(i1, j2) E_i2j1(y x)

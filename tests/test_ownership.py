@@ -3,7 +3,6 @@
 import ast
 import gc
 import pathlib
-import tracemalloc
 import weakref
 
 import pytest
@@ -24,80 +23,10 @@ from glomega.words import coagulate_word
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glomega"
 
-ALL_FINGERPRINT = "78d6324ea6e60429e4568e2f3490dcb3bad168a7a69a136c856cefffe2cb1959"
 
-
-def _held(ctx):
-    """The names of a context's caches that hold something: its dicts other than the PBW order, and the slot."""
-    fixed = ("_keys", "_gen")
-    held = [name for name, value in vars(ctx).items() if isinstance(value, dict) and value and name not in fixed]
-    return held + ["_field"] * (ctx._field is not None)
-
-
-@pytest.fixture(scope="module")
-def all_run():
-    """One default ``all`` run, traced by tracemalloc, counting contexts built.
-
-    As each suite starts, it records the traced memory (current, peak) in
-    bytes and resets the peak, so each entry holds the peak of the stretch
-    before it; the run's end adds one more entry.  It also records what
-    every context of the run's tables still holds (names only: no reference
-    to a table or context).
-    """
-    seen = {"contexts": [], "alive": [], "outside_records": [], "at_start": [], "traced": []}
-    init, run, resolve = Enveloping.__init__, suites._run, suites.resolve_omega
-    current = []  # the record being run, if any
-    tables = []  # the run's tables, dropped before the run's end is checked
-
-    def counted_init(self, spec, n):
-        seen["contexts"].append((spec.name, n))  # the name only: no reference to the table
-        seen["alive"].append(weakref.ref(self))
-        if not current:
-            seen["outside_records"].append((spec.name, n))
-        init(self, spec, n)
-
-    def recorded_run(name, config, thunk):
-        current.append(name)
-        try:
-            return run(name, config, thunk)
-        finally:
-            current.pop()
-
-    def resolved(token):
-        tables.append(resolve(token))
-        return tables[-1]
-
-    def starting(name, suite):
-        def started(cfg, specs):
-            seen["traced"].append(tracemalloc.get_traced_memory())
-            tracemalloc.reset_peak()
-            held = [(spec.name, n, _held(ctx)) for spec in tables for n, ctx in spec.contexts.items()]
-            seen["at_start"].append((name, held))
-            return suite(cfg, specs)
-
-        return started
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Enveloping, "__init__", counted_init)
-        mp.setattr(suites, "_run", recorded_run)
-        mp.setattr(suites, "resolve_omega", resolved)
-        for name, (suite, roster) in suites._SUITES.items():
-            mp.setitem(suites._SUITES, name, (starting(name, suite), roster))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            report = run_suite(SuiteConfig("all"))
-            seen["traced"].append(tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        seen["fingerprint"] = report.fingerprint()
-    del tables[:], report
-    gc.collect()
-    return seen
-
-
-def test_all_run_builds_one_context_per_table_and_size(all_run):
-    assert all_run["fingerprint"] == ALL_FINGERPRINT
+def test_all_run_builds_one_context_per_table_and_size(all_run, baseline_fingerprints):
+    # all_run is the traced default run of conftest.py, shared with test_acceptance.py
+    assert all_run["fingerprint"] == baseline_fingerprints["full-run"]
     assert len(all_run["contexts"]) == len(set(all_run["contexts"])) == 23
 
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "glomega"
@@ -464,6 +465,38 @@ def test_one_version_constant():
             literals += [node.lineno for t in targets if getattr(t, "id", None) == "__version__"]
     assert literals == []
     assert glomega.__version__ is suites.VERSION
+
+
+_HEX64 = re.compile(r"(?<![0-9a-fA-F])[0-9a-f]{64}(?![0-9a-fA-F])")
+
+
+def _repeated_hex_literals(root):
+    """Each 64-hex literal written more than once in the ``*.py`` files of ``src/``, ``tests/`` and ``perfbench/``, with its places."""
+    places = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for literal in _HEX64.findall(line):
+                    places.setdefault(literal, []).append("%s:%d" % (path.relative_to(root).as_posix(), lineno))
+    return {literal: where for literal, where in places.items() if len(where) > 1}
+
+
+def test_each_fingerprint_is_written_once():
+    # a pin changed on purpose is edited in one place: the benchmark workloads'
+    # in perfbench/run.py::BASELINE_FINGERPRINTS, every other in test_suites._PINNED
+    assert _repeated_hex_literals(ROOT) == {}
+
+
+def test_a_second_copy_of_a_fingerprint_fails(tmp_path, baseline_fingerprints):
+    # the benchmark's pins, and a test that keeps its own copy of the anchor
+    anchor = baseline_fingerprints["full-run"]
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text((ROOT / "perfbench" / "run.py").read_text())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_planted.py").write_text("ANCHOR = %r\n" % anchor)
+    repeated = _repeated_hex_literals(tmp_path)
+    assert list(repeated) == [anchor]
+    assert [where.split(":")[0] for where in repeated[anchor]] == ["tests/test_planted.py", "perfbench/run.py"]
 
 
 def test_every_benchmark_entry_point_resolves():

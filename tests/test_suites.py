@@ -238,13 +238,12 @@ def test_current_suite_runs_each_check_once(monkeypatch):
 
 
 def test_nonassoc_double_report_is_pinned():
-    # the witnesses and the fingerprint of `omega run double --omega nonassoc`
+    # the witnesses of `omega run double --omega nonassoc`; its fingerprint is a row of _PINNED
     rep = run_suite(SuiteConfig(suite="double", omega="nonassoc"))
     got = {r.name: (r.status, r.witness) for r in rep.records}
     assert got["double.jacobi"] == ("fail", "jacobi witness ((0,), (0,), (0,))")
     assert got["double.pvdw"] == ("pass", "")
     assert got["double.assoc"] == ("fail", "associator at (0, 0, 0)")
-    assert rep.fingerprint() == "7cc8f7a032992de1579a99882e6d8db1b103fa07d2c63b2dd5cdacc33cc45c92"
 
 
 def test_pbw_dependency_witness_is_pinned():
@@ -443,8 +442,12 @@ def test_precondition_is_an_error_not_a_fail(monkeypatch):
 
 
 # `omega run` configs under 1.6 s each: exit code and fingerprint, unchanged
-# since these reports were first checked by hand
+# since these reports were first checked by hand.  Each fingerprint is written
+# here once; those of the benchmark workloads, the default `all` among them,
+# are perfbench/run.py::BASELINE_FINGERPRINTS (read through conftest.py)
 _PINNED = [
+    ("double --omega nonassoc", dict(suite="double", omega="nonassoc"), 1,
+     "7cc8f7a032992de1579a99882e6d8db1b103fa07d2c63b2dd5cdacc33cc45c92"),
     ("double --omega nonassoc --seed 7", dict(suite="double", omega="nonassoc", seed=7), 1,
      "1c23f8185fd1160df20b333d9de2355f9cb0430cc33111567cd94564bd8e095e"),
     ("degeneration --omega mat(2) --d 1", dict(suite="degeneration", omega="mat(2)", d=1), 0,
@@ -466,6 +469,10 @@ _PINNED = [
      "b24b2025d3242d80adf09f017caac7d141cdd5e85c81bb5943a9a37ec6a46a16"),
     ("double --seed 99", dict(suite="double", seed=99), 0,
      "cc529901853c1e6b8ffa5e4745babbedbad100e8085ce1aa77ac760be6e402ef"),
+    ("all --n-max 2", dict(suite="all", n_max=2), 1,
+     "f285cb4a18f2ddbdcfd57fd318b31805e1bd90f28447b8c8c2c5bc9cd8122990"),
+    ("current", dict(suite="current"), 0,
+     "0a6fa1d67af6e7ebd58b949c06caa9df8a00721c6fa1365b763fd4e2432e2625"),
 ]
 
 

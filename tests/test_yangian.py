@@ -21,7 +21,7 @@ from glomega.current import (
 )
 from glomega.doublepoisson import check_skew, spoly_symbol_image, symbol_match_smd
 from glomega.enveloping import stable
-from glomega.linalg import SpanSolver
+from glomega.linalg import SpanSolver, kernel_basis
 from glomega.omega import AlgebraSpec, vec_add
 from glomega.suites import SuiteConfig, _degeneration_tuples
 from glomega.words import basis_words, coagulate, compositions, words_up_to
@@ -315,6 +315,16 @@ _NEGATIVE_CAPS = [
     ("degeneration_check-index", lambda v: degeneration_check(_C, 1, v, 1, 1, (0,), (0,), 1, 0), 2),
     ("symbol_match_smd-d", lambda v: symbol_match_smd(_C, 1, 1, 1, 1, (0,), (0,), v, 0, 3), 0),
     ("symbol_match_smd-index", lambda v: symbol_match_smd(_C, 1, 1, v, 1, (0,), (0,), 1, 0, 3), 2),
+    # the indices of a context's own elements, checked on every call: after
+    # the memo of index 1 is filled, True and 1.0 would be read as 1
+    ("gen-i", lambda v: Enveloping.get(_C, 2).gen(v, 1), 0),
+    ("gen-j", lambda v: Enveloping.get(_C, 2).gen(1, v), 3),
+    ("e_elem", lambda v: (Enveloping.get(_C, 2).e_elem(1, 2, (0,)), Enveloping.get(_C, 2).e_elem(v, 2, (0,))), 0),
+    ("e_top", lambda v: (Enveloping.get(_C, 2).e_top(1, 2, (0,)), Enveloping.get(_C, 2).e_top(1, v, (0,))), 3),
+    ("t_elem", lambda v: (Enveloping.get(_C, 2).t_elem(1, 2, (0,), 0), Enveloping.get(_C, 2).t_elem(v, 2, (0,), 0)), 0),
+    ("mono_weight", lambda v: Enveloping.get(_C, 3).mono_weight(((1, 2, 0),), v), 0),
+    ("t_expansion", lambda v: t_expansion(Enveloping.get(_C, 2), Enveloping.get(_C, 2).one(), v, 0), 0),
+    ("kernel_basis", lambda v: kernel_basis([], v), -1),
 ]
 
 # beside each case's own value: a float, and a bool, which is an int to Python
