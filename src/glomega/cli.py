@@ -15,7 +15,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .current import graded_dim
 from .omega import StructureError, check_associativity, check_int, detect_unit, load_algebra
 from .suites import SUITES, SuiteConfig, resolve_omega, run_suite
 
@@ -102,6 +101,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .current import graded_dim
+
     spec = resolve_omega(args.omega)
     check_int("grade", 0, args.grade)
     check_int("d", 1, args.d)

@@ -14,11 +14,13 @@ current suites, and the one place that refuses a memo of another table.
 Scalars are exact rationals in one of two types: an integral value is a
 Python ``int`` and any other value is a ``fractions.Fraction``.
 :func:`as_scalar` is the one place that normalises a value to that form, and
-both constructors of the element class call it.  An ``int`` and the equal
-``Fraction`` compare and hash alike, so results do not depend on which type an
-intermediate sum happens to have.  A table keeps a ``Fraction`` structure
-constant as it was given, so it reads back unchanged; the builtin tables and
-tables loaded from JSON hold ``int`` constants wherever they are integral.
+the one rule for scalars from outside: anything that is not an exact rational
+raises :class:`StructureError` there.  Both constructors of the element class
+call it.  An ``int`` and the equal ``Fraction`` compare and hash alike, so
+results do not depend on which type an intermediate sum happens to have.  A
+table keeps a ``Fraction`` structure constant as it was given, so it reads
+back unchanged; the builtin tables and tables loaded from JSON hold ``int``
+constants wherever they are integral.
 Nothing divides two ints with ``/``, which would give a float: exact division
 goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
 
@@ -52,17 +54,21 @@ def as_scalar(value: ScalarLike) -> Scalar:
     """Coerce ints, strings like '-7/2', or Fractions to an exact Scalar.
 
     Integral values come back as ``int`` (``bool`` as plain ``0``/``1``), all
-    others as ``Fraction``.  The exact-type tests come first: this runs once
-    per stored coefficient, and ``isinstance`` against ``Fraction`` goes
-    through the ABC machinery.
+    others as ``Fraction``.  Anything else, a float, ``None``, a string that
+    is no rational or one with a zero denominator, raises ``StructureError``.
+    The exact-type tests come first: this runs once per stored coefficient,
+    and ``isinstance`` against ``Fraction`` goes through the ABC machinery.
     """
     kind = type(value)
     if kind is int:
         return value
     if kind is not Fraction:
         if not isinstance(value, (int, str, Fraction)):
-            raise TypeError("exact scalar expected, got %r (floats are not allowed)" % (value,))
-        value = Fraction(value)
+            raise StructureError("exact scalar expected, got %r (floats are not allowed)" % (value,))
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise StructureError("exact scalar expected, got %r (not a rational number)" % (value,)) from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -149,7 +155,7 @@ class AlgebraSpec:
                     raise StructureError("table target index %r out of range" % (k,))
                 try:
                     exact = as_scalar(c)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                except StructureError as exc:
                     raise StructureError("structure constant %r of (%r, %r): %s" % (c, i, j, exc)) from None
                 if exact:
                     # a Fraction is kept as given, so the table reads back as it was built

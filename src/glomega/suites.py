@@ -19,6 +19,9 @@ a suite never gets ahead of its checks: a thunk may read the suite's loop
 variables late, and checks that share state (the Jacobi witness that
 ``double.pvdw`` reuses) see it in order.  The seed reaches only the double
 suite's fuzz tables.
+The pbw and splitting suites import ``yangian``, and the degeneration and
+current suites ``current``, when they start: those two top layers are about a
+fifth of a cold run's compile time, and no other suite calls them.
 A grid check scans its cases through one loop, ``_search``, which fails at
 the first case its predicate refuses and names that case in the witness.
 
@@ -38,9 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from . import current as cur
 from . import doublepoisson as dp
-from . import yangian as yg
 from .enveloping import Enveloping, UElement
 from .omega import (
     AlgebraSpec,
@@ -117,7 +118,7 @@ class SuiteConfig(
         try:
             # as_scalar refuses floats, which Fraction would take as given
             s_values = tuple(Fraction(as_scalar(s)) for s in self.s_values)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except StructureError as exc:
             raise StructureError("s values must be exact rationals: %s" % exc)
         if len(set(s_values)) != len(s_values):
             # a repeated value would repeat every record that names it
@@ -359,6 +360,8 @@ def _anchor_check(spec: AlgebraSpec, s: Fraction) -> Tuple[str, str]:
 
 
 def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> Checks:
+    from . import yangian as yg
+
     s0 = cfg.s_values[0]
     for token, spec in specs:
         total_cap = cfg.max_len if spec.dim == 1 else min(cfg.max_len, 2)
@@ -391,6 +394,8 @@ def _suite_pbw(cfg: SuiteConfig, specs: Tables) -> Checks:
 
 
 def _suite_splitting(cfg: SuiteConfig, specs: Tables) -> Checks:
+    from . import yangian as yg
+
     sizes = tuple(range(max(cfg.n_min, cfg.n_max - 1), cfg.n_max + 2))
     for token, spec in specs:
         rows = [("splitting.degree1", d, 1) for d in range(0, min(cfg.d, 1) + 1)]
@@ -515,6 +520,8 @@ def _degeneration_tuples(d: int) -> List[Tuple[int, int, int, int]]:
 
 
 def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> Checks:
+    from . import current as cur
+
     s0 = cfg.s_values[0]
     d_letters = min(cfg.d, 2)
     cap = min(cfg.max_len, 2)
@@ -535,6 +542,8 @@ def _suite_degeneration(cfg: SuiteConfig, specs: Tables) -> Checks:
 
 
 def _suite_current(cfg: SuiteConfig, specs: Tables) -> Checks:
+    from . import current as cur
+
     d2 = min(cfg.d, 2)
     for token, spec in specs:
         total_len = 5 if spec.dim <= 2 else 4

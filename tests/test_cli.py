@@ -141,6 +141,34 @@ def test_a_run_fingerprints_without_loading_openssl(tmp_path):
     assert fingerprint == hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ((), []),
+        (("run", "double"), []),
+        (("run", "symbols"), []),
+        (("run", "pbw"), ["glomega.yangian"]),
+    ],
+    ids=["import", "double", "symbols", "pbw"],
+)
+def test_a_run_loads_the_top_layers_only_for_the_suites_that_call_them(argv, loaded):
+    # yangian and current are about a fifth of what a cold run compiles; a
+    # suite or command that calls neither must not load them
+    script = (
+        "import sys\nimport glomega\nfrom glomega.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, sorted({'glomega.yangian', 'glomega.current'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 %r" % (loaded,)
+
+
 def test_run_flags_follow_the_config_fields():
     # one flag per SuiteConfig field after the suite, in field order, with its
     # default and type; --s is the s values comma-joined, --out the one extra

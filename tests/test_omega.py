@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from glomega import (
     AlgebraSpec,
+    Enveloping,
     StructureError,
+    UElement,
     as_scalar,
     check_associativity,
+    degeneration_check,
     detect_unit,
     direct_sum_C,
     from_dict,
@@ -21,6 +24,7 @@ from glomega import (
     nonassoc_witness,
     null_algebra,
     save_algebra,
+    symbol_match_smd,
     to_dict,
 )
 from glomega.current import odot_words
@@ -191,10 +195,28 @@ def test_as_scalar_other_values_are_fractions(value):
     assert type(got) is Fraction and got == Fraction(value)
 
 
-@pytest.mark.parametrize("value", [0.5, 2.0, None, [1]])
+@pytest.mark.parametrize("value", [0.5, 2.0, None, [1], "abc", "1/0", "", "nan"])
 def test_as_scalar_rejects_floats_and_non_numbers(value):
-    with pytest.raises(TypeError):
+    with pytest.raises(StructureError, match="exact scalar expected"):
         as_scalar(value)
+
+
+# every scalar from outside passes through as_scalar, so a bad one is a
+# StructureError whichever public call it enters by
+_BAD_SCALAR_CALLS = {
+    "t_elem": lambda C, ctx: ctx.t_elem(1, 1, (0, 0), 0.5),
+    "scale": lambda C, ctx: ctx.gen(1, 1).scale("x"),
+    "UElement": lambda C, ctx: UElement(ctx, {((1, 1, 0),): "1/0"}),
+    "degeneration_check": lambda C, ctx: degeneration_check(C, 1, 1, 1, 1, (0,), (0,), 1, 0.5),
+    "symbol_match_smd": lambda C, ctx: symbol_match_smd(C, 1, 1, 1, 1, (0,), (0,), 1, "x", 3),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_SCALAR_CALLS.values()), ids=list(_BAD_SCALAR_CALLS))
+def test_a_bad_scalar_in_any_call_is_a_structure_error(call):
+    C = direct_sum_C(1)
+    with pytest.raises(StructureError, match="exact scalar expected"):
+        call(C, Enveloping.get(C, 3))
 
 
 def test_builtin_and_loaded_tables_hold_ints(tmp_path):

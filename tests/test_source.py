@@ -4,6 +4,9 @@ import ast
 import importlib
 import pathlib
 import re
+import types
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "glomega"
@@ -465,6 +468,91 @@ def test_one_version_constant():
             literals += [node.lineno for t in targets if getattr(t, "id", None) == "__version__"]
     assert literals == []
     assert glomega.__version__ is suites.VERSION
+
+
+# the package's names, by the layer that defines each; yangian and current
+# load on first use, so their names are read through the package's __getattr__
+_PUBLIC = {
+    "omega": (
+        "AlgebraSpec",
+        "StabilizationError",
+        "StructureError",
+        "as_scalar",
+        "check_associativity",
+        "detect_unit",
+        "direct_sum_C",
+        "from_dict",
+        "load_algebra",
+        "matrix_algebra",
+        "multiply",
+        "nonassoc_witness",
+        "null_algebra",
+        "save_algebra",
+        "to_dict",
+    ),
+    "enveloping": ("Enveloping", "UElement"),
+    "yangian": (
+        "independence_check",
+        "necklace_count",
+        "pbw_monomials",
+        "pbw_suite",
+        "splitting_expected",
+        "splitting_probe",
+        "t_gen",
+    ),
+    "doublepoisson": (
+        "check_double_jacobi",
+        "check_leibniz",
+        "check_letter_bracket",
+        "check_skew",
+        "double_bracket",
+        "poisson_pgen",
+        "poisson_stc",
+        "pvdw_equivalence",
+        "symbol_match_smd",
+        "symbol_match_stc",
+        "trace_bracket",
+    ),
+    "current": (
+        "bimodule_iso_check",
+        "degeneration_check",
+        "gl_current_bracket",
+        "graded_dim",
+        "odot_words",
+        "path_algebra_iso_check",
+    ),
+}
+
+
+def test_each_package_name_is_its_layers_object():
+    import glomega
+
+    public = {name for names in _PUBLIC.values() for name in names}
+    listed = {
+        name
+        for name in dir(glomega)
+        if not name.startswith("_") and not isinstance(getattr(glomega, name), types.ModuleType)
+    }
+    assert listed == public
+    for layer, names in _PUBLIC.items():
+        module = importlib.import_module("glomega." + layer)
+        for name in names:
+            assert getattr(glomega, name) is getattr(module, name), name
+    from glomega import suites, t_gen
+
+    assert t_gen is glomega.yangian.t_gen
+    assert suites is importlib.import_module("glomega.suites")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        glomega.no_such_name
+
+
+def test_a_name_patched_in_its_layer_shows_through_the_package(monkeypatch):
+    import glomega
+    from glomega import current, yangian
+
+    monkeypatch.setattr(yangian, "t_gen", lambda *args: "patched")
+    monkeypatch.setattr(current, "graded_dim", lambda *args: "patched")
+    assert glomega.t_gen() == glomega.graded_dim() == "patched"
 
 
 _HEX64 = re.compile(r"(?<![0-9a-fA-F])[0-9a-f]{64}(?![0-9a-fA-F])")
