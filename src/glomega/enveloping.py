@@ -112,9 +112,9 @@ class Enveloping:
         # the one tuple object of each generator: the words this context
         # builds are made of these, so the memoized words share them
         self._gen: Dict[Gen, Gen] = {g: g for g in self.gens}
-        # the caches, from _nf to _field: each is filled on first use and
-        # emptied by empty_caches, which suites.run_suite calls between the
-        # suites of one run
+        # the caches, from _nf to _field: every dict below and the _field
+        # slot; each is filled on first use and emptied by empty_caches,
+        # which suites.run_suite calls between the suites of one run
         self._nf: Dict[Mono, Mapping[Mono, Scalar]] = {}
         self._comm: Dict[Tuple[Gen, Gen], Tuple[Tuple[Gen, Scalar], ...]] = {}
         self._e: Dict = {}
@@ -122,14 +122,12 @@ class Enveloping:
         self._e_top: Dict[Tuple[int, int, Word], Dict[Mono, Scalar]] = {}
         # doublepoisson.trace_elem, by word
         self._trace: Dict[Word, "UElement"] = {}
+        # t_elem, by (i, j, word, s): the one memo keyed by s
         self._t: Dict = {}
-        # ordered t-monomials evaluated by yangian.evaluate, by (monomial, s)
-        self._y_eval_cache: Dict = {}
         # yangian.t_expansion's symbol columns: the ordered t-monomials of
         # each (d, total word length) split by torus weight, and the solver
         # of each class, by (d, total, weight), built on first use; e-symbols
-        # carry no s, so every s shares them, and the t-monomials the
-        # expansion subtracts are evaluated into _y_eval_cache
+        # carry no s, so every s shares them
         self._symbol_classes: Dict = {}
         self._symbol_solvers: Dict = {}
         # top_commutator's one slot: the last left argument and its
@@ -154,25 +152,18 @@ class Enveloping:
     def empty_caches(self) -> None:
         """Empty every cache declared in ``__init__``, in place, and the top_commutator slot.
 
-        The context stays usable and refills its caches on demand.  Emptying
-        in place drops the cycles through the context that cached elements
-        form (each names the context as its owner), so the memory is freed
-        without waiting for the cyclic garbage collector.  Only
+        The caches are the context's dicts but the PBW order ``_keys`` and
+        ``_gen``, so none is named here.  The context stays usable and
+        refills its caches on demand.  Emptying in place drops the cycles
+        through the context that cached elements form (each names the
+        context as its owner), so the memory is freed without waiting for
+        the cyclic garbage collector.  Only
         :func:`glomega.suites.run_suite` calls it, between suites: emptied
         mid-computation, the shared work of one suite would be done again.
         """
-        for cache in (
-            self._nf,
-            self._comm,
-            self._e,
-            self._e_top,
-            self._trace,
-            self._t,
-            self._y_eval_cache,
-            self._symbol_classes,
-            self._symbol_solvers,
-        ):
-            cache.clear()
+        for name, value in vars(self).items():
+            if isinstance(value, dict) and name not in ("_keys", "_gen"):
+                value.clear()
         self._field = None
 
     # -- generator order ----------------------------------------------------

@@ -56,6 +56,8 @@ def as_scalar(value: ScalarLike) -> Scalar:
     Integral values come back as ``int`` (``bool`` as plain ``0``/``1``), all
     others as ``Fraction``.  Anything else, a float, ``None``, a string that
     is no rational or one with a zero denominator, raises ``StructureError``.
+    So does a string with an exponent beyond +-4300, read before anything is
+    built, or a parsed value of more than 4300 digits, CPython's int-string limit.
     The exact-type tests come first: this runs once per stored coefficient,
     and ``isinstance`` against ``Fraction`` goes through the ABC machinery.
     """
@@ -65,10 +67,16 @@ def as_scalar(value: ScalarLike) -> Scalar:
     if kind is not Fraction:
         if not isinstance(value, (int, str, Fraction)):
             raise StructureError("exact scalar expected, got %r (floats are not allowed)" % (value,))
+        if isinstance(value, str):
+            exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+            if exponent.isdecimal() and int(exponent[:5]) > 4300:  # five digits exceed 4300
+                raise StructureError("exact scalar expected, got %r (exponent beyond 4300)" % (value,))
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise StructureError("exact scalar expected, got %r (not a rational number)" % (value,)) from None
+        if max(abs(value.numerator), value.denominator) >= 10**4300:
+            raise StructureError("exact scalar expected, got a value of more than 4300 digits")
     return value.numerator if value.denominator == 1 else value
 
 

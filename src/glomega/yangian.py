@@ -4,8 +4,8 @@ A t-generator t_ij(x) is the plain label ``(i, j, x)`` (:data:`~glomega.words.La
 with 1 <= i, j <= d and x a nonempty word over the coefficient algebra.  The
 algebra is generated by the t_ij(x; s) for one fixed rational parameter s,
 so s belongs to the evaluation, not to the factors: :func:`evaluate` and
-:func:`t_expansion` take it as an argument.  Ordered monomials are weakly
-increasing tuples of labels under the order
+:func:`t_expansion` take it as an argument, and only ``Enveloping.t_elem``
+memoizes by s.  Ordered monomials are weakly increasing tuples of labels under the order
 
     (i, j, len(word), word)  lexicographically.
 
@@ -60,14 +60,11 @@ def ordered_monomial(gens: Sequence[Label]) -> OrderedMonomial:
 
 
 def evaluate(mono: Sequence[Label], ctx: Enveloping, s: ScalarLike) -> UElement:
-    """Evaluate an ordered monomial at parameter s in U(gl(N, Omega))."""
-    cache = ctx._y_eval_cache
+    """Evaluate an ordered monomial at parameter s in U(gl(N, Omega)): the product of
+    its factors' :meth:`~Enveloping.t_elem` at s (the unit if empty), stored nowhere."""
     mono, s = ordered_monomial(mono), as_scalar(s)
-    got = cache.get((mono, s))
-    if got is None:
-        factors = [ctx.t_elem(i, j, word, s) for i, j, word in mono]
-        got = cache[mono, s] = reduce(ctx.multiply, factors) if factors else ctx.one()
-    return got
+    factors = [ctx.t_elem(i, j, word, s) for i, j, word in mono]
+    return reduce(ctx.multiply, factors) if factors else ctx.one()
 
 
 # ---------------------------------------------------------------------------

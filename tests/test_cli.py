@@ -201,6 +201,13 @@ def test_run_bad_s_list_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s_list", ["1e5000", "1e4300", "0,-3e-5000"])
+def test_run_s_beyond_the_digit_limit_is_usage_error(capsys, s_list):
+    # refused by as_scalar, before a huge int is built or a report prints it
+    assert main(["run", "pbw", "--omega", "C", "--s", s_list]) == 2
+    assert "4300" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s_list", ["1,1", "1,1/1"])
 def test_run_repeated_s_value_is_usage_error(capsys, s_list):
     assert main(["run", "projection", "--omega", "C", "--s", s_list, "--n-max", "2"]) == 2

@@ -201,6 +201,20 @@ def test_as_scalar_rejects_floats_and_non_numbers(value):
         as_scalar(value)
 
 
+@pytest.mark.parametrize("value", ["1e5000", "-3e-5000", "1E100000000", " 1e+0_4301 ", "0e5000", "1e4300", "1e-4300"])
+def test_as_scalar_refuses_strings_beyond_the_digit_limit(value):
+    # an exponent beyond 4300 is refused before its power of ten is built,
+    # so 1E100000000 costs no time, and so is a value with more than 4300
+    # digits, which str() of the scalar would refuse later
+    with pytest.raises(StructureError, match="exact scalar expected.*4300"):
+        as_scalar(value)
+
+
+@pytest.mark.parametrize("value", ["1e3", "2.5e-1", "1e4299", "-1e-4299"])
+def test_as_scalar_parses_strings_within_the_digit_limit(value):
+    assert as_scalar(value) == Fraction(value)
+
+
 # every scalar from outside passes through as_scalar, so a bad one is a
 # StructureError whichever public call it enters by
 _BAD_SCALAR_CALLS = {

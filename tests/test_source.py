@@ -254,8 +254,19 @@ def test_context_caches_are_declared_on_enveloping():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ctx" and node.attr.startswith("_"):
                 read.setdefault(node.attr, []).append("%s:%d" % (path.name, node.lineno))
-    assert {"_y_eval_cache", "_symbol_solvers", "_trace"} <= set(read)
+    assert {"_symbol_classes", "_symbol_solvers", "_trace"} <= set(read)
     assert {name: lines for name, lines in read.items() if name not in declared} == {}
+
+
+def test_evaluate_keeps_no_memo():
+    # s is given at evaluation, and t_elem's memo is the one keyed by it;
+    # a memo of evaluated monomials keyed without s passed omega run all
+    tree = ast.parse((SRC / "yangian.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "evaluate"]
+    stores = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)]
+    stores += [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr in _MUTATORS]
+    reads = [n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr.startswith("_")]
+    assert (stores, reads) == ([], [])
 
 
 def test_only_run_suite_empties_context_caches():

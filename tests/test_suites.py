@@ -700,6 +700,33 @@ def test_planted_fault_gives_the_first_counterexample(monkeypatch, owner, attr, 
     assert got == expected
 
 
+def test_an_s_blind_t_elem_memo_fails_the_projection_suite(monkeypatch):
+    # t_elem's memo is the one memo keyed by s: keyed without it, the second
+    # s reads the first s's element, and the anchor and reparametrize records
+    # fail (evaluate keeps no memo of its own; test_source guards that)
+    from glomega.enveloping import Enveloping
+
+    t_elem = Enveloping.t_elem
+
+    def s_blind(self, i, j, word, s):
+        key = (i, j, tuple(word))
+        got = self._t.get(key)
+        if got is None:
+            got = self._t[key] = t_elem(self, i, j, word, s)
+        return got
+
+    monkeypatch.setattr(Enveloping, "t_elem", s_blind)
+    rep = run_suite(SuiteConfig(**_C_PROJECTION))
+    got = {r.key(): r.witness for r in rep.records if r.status != "pass"}
+    assert {r.status for r in rep.records} == {"pass", "fail"}
+    assert sorted(got) == [
+        ("projection.anchor", "omega=C s=1"),
+        ("projection.reparametrize", "omega=C N=2 s=0 s2=1"),
+        ("projection.reparametrize", "omega=C N=3 s=0 s2=1"),
+    ]
+    assert got[("projection.reparametrize", "omega=C N=3 s=0 s2=1")] == "i=1 j=1 w=(0, 0)"
+
+
 def test_doubled_current_bracket_passes_the_current_suite(monkeypatch):
     # the gap the degeneration.doubled_bracket fault closes: the current suite
     # checks gl_current_bracket through antisymmetry and Jacobi alone
