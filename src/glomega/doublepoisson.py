@@ -28,8 +28,9 @@ A double bracket is a plain dict ``{(u, v): c}`` from pairs of words to
 scalars, a double Jacobi sum a dict ``{(u1, u2, u3): c}``, and a polynomial
 in symbols or necklaces a dict from sorted monomials to scalars.  Every
 term is added as ``_acc`` adds it, dropping a key whose sum is zero (the
-two hot loops, :func:`double_bracket` and :func:`triple_jacobi_sum`, write
-that step inline), so no zero is ever stored and two of them are equal
+two hot loops write that step inline: :func:`double_bracket` joins a slot
+only for a nonzero letter product, and :func:`triple_jacobi_sum` has one
+loop per rotation), so no zero is ever stored and two of them are equal
 exactly when they are equal as dicts.
 
 The bracket descends to two quotients, both realized here:
@@ -65,6 +66,7 @@ from .omega import (
     ScalarLike,
     StructureError,
     _acc,
+    as_scalar,
     check_associativity,
     check_int,
     check_letters,
@@ -96,20 +98,26 @@ def double_bracket(spec: AlgebraSpec, x: Word, y: Word) -> Double:
     for r, xr in enumerate(x):
         before, after = x[:r], x[r + 1 :]
         for ys, below, above in cuts:
-            for k, c in product(xr, ys).items():
-                key = (below + after, before + (k,) + above)
-                total = get(key, 0) + c
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-            for k, c in product(ys, xr).items():
-                key = (below + (k,) + after, before + above)
-                total = get(key, 0) - c
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+            terms = product(xr, ys)  # on mat(2) half the products are empty
+            if terms:
+                first = below + after
+                for k, c in terms.items():
+                    key = (first, before + (k,) + above)
+                    total = get(key, 0) + c
+                    if total:
+                        out[key] = total
+                    else:
+                        out.pop(key, None)
+            terms = product(ys, xr)
+            if terms:
+                second = before + above
+                for k, c in terms.items():
+                    key = (below + (k,) + after, second)
+                    total = get(key, 0) - c
+                    if total:
+                        out[key] = total
+                    else:
+                        out.pop(key, None)
     return out
 
 
@@ -144,10 +152,14 @@ def _brackets(spec: AlgebraSpec, given: Optional[Bracket] = None) -> Bracket:
     is bracketed once per table.  Every word stored, in a key or a slot, and
     every slot pair ``(u, v)`` is one object per distinct value (``share``):
     mat(2)'s memo after the three checks holds 0.73 MB (tracemalloc), and
-    1.50 MB with the brackets as computed.
+    1.50 MB with the brackets as computed.  A coefficient is stored as
+    :func:`~glomega.omega.as_scalar` gives it, as ``UElement._trusted`` does, so
+    a table of integral ``Fraction`` constants sums its laws in ``int`` arithmetic.
     """
     def compute(share: Callable, x: Word, y: Word) -> Double:
-        return {share(p := (share(u, u), share(v, v)), p): c for (u, v), c in double_bracket(spec, x, y).items()}
+        return {
+            share(p := (share(u, u), share(v, v)), p): as_scalar(c) for (u, v), c in double_bracket(spec, x, y).items()
+        }
 
     return pair_memo(spec, compute, given)
 
@@ -212,21 +224,36 @@ def triple_jacobi_sum(bracket: Bracket, a: Word, b: Word, c: Word) -> Triple:
 
     <<a, u (x) v>>_L = <<a, u>> (x) v brackets ``a`` into the first slot,
     and rot(u1 (x) u2 (x) u3) = u3 (x) u1 (x) u2.  All three terms are added
-    into one dict.  ``bracket(x, y)`` computes the double bracket of two
-    words: :func:`check_double_jacobi` passes a memo of :func:`_brackets`.
+    into one dict, each rotation by its own loop.  ``bracket(x, y)`` computes
+    the double bracket of two words: :func:`check_double_jacobi` passes a
+    memo of :func:`_brackets`.
     """
     out: Triple = {}
     get = out.get
-    for turns, (x, y, z) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-        for (u, v), c1 in bracket(y, z).items():
-            for (p, q), c2 in bracket(x, u).items():
-                # rot^turns of p (x) q (x) v
-                t = (p, q, v) if turns == 0 else (v, p, q) if turns == 1 else (q, v, p)
-                total = get(t, 0) + c1 * c2
-                if total:
-                    out[t] = total
-                else:
-                    out.pop(t, None)
+    for (u, v), c1 in bracket(b, c).items():
+        for (p, q), c2 in bracket(a, u).items():
+            t = (p, q, v)
+            total = get(t, 0) + c1 * c2
+            if total:
+                out[t] = total
+            else:
+                out.pop(t, None)
+    for (u, v), c1 in bracket(c, a).items():
+        for (p, q), c2 in bracket(b, u).items():
+            t = (v, p, q)
+            total = get(t, 0) + c1 * c2
+            if total:
+                out[t] = total
+            else:
+                out.pop(t, None)
+    for (u, v), c1 in bracket(a, b).items():
+        for (p, q), c2 in bracket(c, u).items():
+            t = (q, v, p)
+            total = get(t, 0) + c1 * c2
+            if total:
+                out[t] = total
+            else:
+                out.pop(t, None)
     return out
 
 
@@ -243,18 +270,16 @@ def check_double_jacobi(
     t1 + rot t2 + rot^2 t3 for any bilinear table, so J(b, c, a) is
     rot^2 J(a, b, c): every rotation of a failing triple fails too.  The
     first failing triple of the full scan is therefore the least of its
-    rotations, and skipping each (i, j, k) that has a smaller rotation
-    returns the same witness.  ``bracket`` is read through :func:`_scan`.
+    rotations, and the scan lists just the least rotations, in order: i <= j
+    and i <= k, but not (i, j, i) with j > i, whose rotation (i, i, j) is
+    smaller.  ``bracket`` is read through :func:`_scan`.
     """
     heads, br = _scan(spec, maxlen, bracket)
     words = heads[1:]
     n = len(words)
     for i in range(n):
-        # a least rotation has its least index first
         for j in range(i, n):
-            for k in range(i, n):
-                if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
-                    continue
+            for k in range(i if j == i else i + 1, n):
                 if triple_jacobi_sum(br, words[i], words[j], words[k]):
                     return (words[i], words[j], words[k])
     return None

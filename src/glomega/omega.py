@@ -49,6 +49,9 @@ Scalar = Union[int, Fraction]
 
 ScalarLike = Union[int, Fraction, str]
 
+# a scalar prints in at most 4300 digits, CPython's int-string limit
+_SCALAR_LIMIT = 10**4300
+
 
 def as_scalar(value: ScalarLike) -> Scalar:
     """Coerce ints, strings like '-7/2', or Fractions to an exact Scalar.
@@ -75,7 +78,7 @@ def as_scalar(value: ScalarLike) -> Scalar:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise StructureError("exact scalar expected, got %r (not a rational number)" % (value,)) from None
-        if max(abs(value.numerator), value.denominator) >= 10**4300:
+        if max(abs(value.numerator), value.denominator) >= _SCALAR_LIMIT:
             raise StructureError("exact scalar expected, got a value of more than 4300 digits")
     return value.numerator if value.denominator == 1 else value
 

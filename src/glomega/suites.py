@@ -47,6 +47,7 @@ from .omega import (
     AlgebraSpec,
     StabilizationError,
     StructureError,
+    _SCALAR_LIMIT,
     as_scalar,
     check_associativity,
     check_int,
@@ -120,6 +121,9 @@ class SuiteConfig(
             s_values = tuple(Fraction(as_scalar(s)) for s in self.s_values)
         except StructureError as exc:
             raise StructureError("s values must be exact rationals: %s" % exc)
+        if any(max(abs(s.numerator), s.denominator) >= _SCALAR_LIMIT for s in s_values):
+            # as_scalar passes an int or a Fraction of any size, which the report could not print
+            raise StructureError("s values must have at most 4300 digits, CPython's int-string limit")
         if len(set(s_values)) != len(s_values):
             # a repeated value would repeat every record that names it
             raise StructureError("s values must be distinct, got %s" % ", ".join(map(str, s_values)))

@@ -35,8 +35,8 @@ from glomega.doublepoisson import (
     trace_bracket,
     triple_jacobi_sum,
 )
-from glomega.omega import _acc, vec_add
-from glomega.suites import SuiteConfig, _random_table, run_suite
+from glomega.omega import _acc, as_scalar, check_associativity, vec_add
+from glomega.suites import _FUZZ_TABLES, SuiteConfig, _random_table, run_suite
 from glomega.words import cyclic, words_up_to
 
 TABLES = (direct_sum_C(1), direct_sum_C(2), null_algebra(2), matrix_algebra(2))
@@ -201,6 +201,20 @@ def test_orbit_scan_returns_the_full_scan_witness():
     for spec, witness in cases:
         assert _full_jacobi_scan(spec, 2) == witness
         assert check_double_jacobi(spec, 2) == witness
+    # every non-associative fuzz table of the default seed; the full scan
+    # stops at its first witness, so this stays cheap
+    failing = [spec for spec in _fuzz_draws(20240) if check_associativity(spec) is not None]
+    assert len(failing) == 27
+    for spec in failing:
+        witness = _full_jacobi_scan(spec, 2)
+        assert witness is not None, spec.table
+        assert check_double_jacobi(spec, 2) == witness, spec.table
+
+
+def _fuzz_draws(seed):
+    """The fuzz tables of ``omega run double --seed S``, drawn in the suite's order, without nonassoc."""
+    rng = random.Random(seed)
+    return [_random_table(rng.randint(1, 3), rng) for _ in range(_FUZZ_TABLES - 1)]
 
 
 def _outer_left(w, t):
@@ -339,6 +353,32 @@ def test_shared_brackets_stay_as_computed_and_share_their_words():
         # equal words, and equal slot pairs, are one object across the memo
         for t in (x, y) + tuple(stored) + tuple(w for pair in stored for w in pair):
             assert objects.setdefault(t, t) is t, t
+
+
+def test_the_memo_of_a_fraction_given_table_stores_exact_scalars():
+    # a fuzz draw given in Fraction constants, 2 and 1/2 among them: the memo
+    # stores as_scalar of each coefficient, an int where it is integral, and
+    # the table keeps the Fractions as given
+    spec = next(
+        t
+        for t in _fuzz_draws(20240)
+        if t.dim == 2 and {Fraction(2), Fraction(1, 2)} <= {c for e in t.table.values() for c in e.values()}
+    )
+    given = {ij: dict(e) for ij, e in spec.table.items()}
+    shared = dp._brackets(spec)
+    assert check_skew(spec, 2, shared) is None
+    assert check_leibniz(spec, 2, shared) is None
+    assert check_double_jacobi(spec, 2, shared) is not None
+    kinds = set()
+    for (x, y), stored in _stored(shared).items():
+        computed = double_bracket(spec, x, y)
+        assert stored == computed, (x, y)
+        for key, c in stored.items():
+            assert type(c) is type(as_scalar(computed[key])), (x, y, key)
+            kinds.add((type(computed[key]), type(c)))
+    assert kinds == {(Fraction, int), (Fraction, Fraction)}
+    assert spec.table == given
+    assert all(type(c) is Fraction for e in spec.table.values() for c in e.values())
 
 
 def test_the_double_suite_brackets_each_pair_once_per_table(monkeypatch):

@@ -57,6 +57,23 @@ def test_config_refuses_float_s_values():
     assert all(type(s) is Fraction for s in cfg.s_values)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [10**4300, -(10**4300), Fraction(1, 10**4300), Fraction(10**4301, 3)],
+    ids=["int", "negative", "denominator", "fraction"],
+)
+def test_config_refuses_s_values_of_more_than_4300_digits(bad):
+    # an int or Fraction passes as_scalar at any size; the report could not print it
+    with pytest.raises(StructureError, match="4300 digits"):
+        SuiteConfig(suite="pbw", omega="C", s_values=(0, bad))
+
+
+def test_the_largest_s_value_allowed_prints_in_the_report():
+    report = run_suite(SuiteConfig(suite="pbw", omega="C", s_values=(10**4300 - 1,)))
+    assert [r.status for r in report.records] == ["pass"] * 3
+    assert len(report.fingerprint()) == 64
+
+
 @pytest.mark.parametrize("s_values", ["12", "5", "1/2", ""])
 def test_config_refuses_a_string_of_s_values(s_values):
     # a string would be read one character at a time: "12" as s in {1, 2}
