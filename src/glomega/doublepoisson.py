@@ -444,6 +444,7 @@ def trace_elem(ctx: Enveloping, word: Word) -> UElement:
     terms must not be mutated, as for ``Enveloping.normal_form``.
     """
     word = tuple(word)
+    check_letters(ctx.omega, word)  # 1.0 and True would hit the memo of 1
     el = ctx._trace.get(word)
     if el is None:
         out: Dict = {}

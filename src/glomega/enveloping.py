@@ -124,11 +124,10 @@ class Enveloping:
         self._trace: Dict[Word, "UElement"] = {}
         # t_elem, by (i, j, word, s): the one memo keyed by s
         self._t: Dict = {}
-        # yangian.t_expansion's symbol columns: the ordered t-monomials of
-        # each (d, total word length) split by torus weight, and the solver
-        # of each class, by (d, total, weight), built on first use; e-symbols
-        # carry no s, so every s shares them
-        self._symbol_classes: Dict = {}
+        # yangian.t_expansion's one cache: the solver of each torus-weight
+        # class of ordered t-monomials, by (d, total word length, weight),
+        # the class listed on the solver's miss; e-symbols carry no s, so
+        # every s shares them
         self._symbol_solvers: Dict = {}
         # top_commutator's one slot: the last left argument and its
         # Hamiltonian field, (u, partials, by_row, by_col, {h: X_u(h)})
@@ -433,20 +432,20 @@ class Enveloping:
     # -- special elements ---------------------------------------------------
 
     def _chain_words(self, i: int, j: int, word: Word) -> Iterator[Mono]:
-        """The words E_{i a_1}(x_1) E_{a_1 a_2}(x_2) ... E_{a_{m-1} j}(x_m), one per index chain a."""
+        """The words E_{i a_1}(x_1) ... E_{a_{m-1} j}(x_m), one per index chain a (the callers check i, j and word)."""
         if not word:
             raise StructureError("e_ij(w; N) needs a nonempty word")
-        gen = self._gen.get
+        gen = self._gen
         for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
             idx = (i,) + chain + (j,)
-            # a letter out of range is passed on as it is, for sort_key to reject (the callers check i and j)
-            yield tuple(gen(g, g) for g in zip(idx, idx[1:], word))
+            yield tuple(gen[g] for g in zip(idx, idx[1:], word))
 
     def e_elem(self, i: int, j: int, word: Word) -> "UElement":
         """e_ij(word; N), the sum of the chain words, each in normal form."""
         # checked on every call: True and 1.0 would hit the memo of 1
         check_int("generator index", 1, i, j, most=self.n)
         word = tuple(word)
+        check_letters(self.omega, word)
         key = (i, j, word)
         cached = self._e.get(key)
         if cached is not None:
@@ -466,6 +465,7 @@ class Enveloping:
         """
         check_int("generator index", 1, i, j, most=self.n)
         word = tuple(word)
+        check_letters(self.omega, word)
         key = (i, j, word)
         out = self._e_top.get(key)
         if out is None:
@@ -484,6 +484,7 @@ class Enveloping:
         """
         check_int("generator index", 1, i, j, most=self.n)
         word = tuple(word)
+        check_letters(self.omega, word)
         s = as_scalar(s)
         key = (i, j, word, s)
         cached = self._t.get(key)

@@ -88,14 +88,14 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
     zero coefficients; it is ``{}`` when some block multiplies to zero.  Each
     (word, nu) is computed once per table: the result is kept in
     ``spec.coagulations`` and shared by every caller, so callers must not
-    mutate it; a word with a letter outside 0..dim-1 raises before anything
-    is kept.
+    mutate it; a word with a letter outside 0..dim-1 raises before the memo
+    is read, since 1.0 and True would hit the memo of 1.
     """
-    memo = spec.coagulations
     key = (tuple(word), tuple(nu))
+    check_letters(spec, key[0])
+    memo = spec.coagulations
     if key in memo:
         return memo[key]
-    check_letters(spec, key[0])
     out: Dict[Word, Scalar] = {(): 1}
     for block in coagulate(spec, [{i: 1} for i in word], nu):
         nxt: Dict[Word, Scalar] = {}

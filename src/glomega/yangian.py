@@ -12,8 +12,9 @@ memoizes by s.  Ordered monomials are weakly increasing tuples of labels under t
 These are formal objects; all actual multiplication happens through
 evaluation into U(gl(N, Omega)) at finite N.  :func:`t_expansion` is the one
 way back: it expands an element of U(gl(N, Omega)) in ordered t-monomials by
-peeling top symbols, each torus weight against the symbols of its own weight,
-and :func:`shift_automorphism_check` compares two such expansions.  One loop,
+peeling top symbols, each torus weight against the symbols of its own weight
+(one cached solver per weight, whose class is listed when it is first built).
+:func:`shift_automorphism_check` compares two such expansions.  One loop,
 ``_span``, row-reduces every span of monomial columns.
 Linear independence claims are certified by rank at a single N; a linear
 *dependence* found at N must also hold at N+1.  Shift checks, dependencies
@@ -250,26 +251,21 @@ def _symbol_solver(
     weight sum(e_{i_r} - e_{j_r}), since the interior chain indices cancel,
     and normal forms keep torus weights, so each weight part of a top degree
     is solved against the columns of its weight alone (``weight`` is
-    :func:`_weight`).  The monomials of :func:`pbw_monomials` whose total
-    word length is exactly ``total`` are enumerated once per (d, total) and
-    split by weight; a class is built the first time a part of its weight
-    is solved, each column read in S by :func:`_symbol_column`, so no
-    e-element is multiplied in U.  Returns the solver and the class's
-    (position in the (d, total) list, monomial) pairs, in list order.  The
-    e-symbols do not depend on s, so every s shares the classes.  Symbols
+    :func:`_weight`).  A class is listed on its solver's miss, in one pass
+    over :func:`pbw_monomials` that keeps the monomials of total word length
+    exactly ``total`` and weight ``weight``; each column is read in S by
+    :func:`_symbol_column`, so no e-element is multiplied in U.  Returns the
+    solver and the class's (position among the monomials of word length
+    ``total``, monomial) pairs, in :func:`pbw_monomials` order.  The
+    e-symbols do not depend on s, so every s shares the solvers.  Symbols
     that are dependent at the context's N would make the expansion
     non-canonical, so they raise ``StructureError``.
     """
     key = (d, total, weight)
     got = ctx._symbol_solvers.get(key)
     if got is None:
-        classes = ctx._symbol_classes.get((d, total))
-        if classes is None:
-            classes = ctx._symbol_classes[d, total] = {}
-            monos = [m for m in pbw_monomials(ctx.omega, d, total, total) if sum(len(w) for _i, _j, w in m) == total]
-            for pos, m in enumerate(monos):
-                classes.setdefault(_weight(ctx, m, d), []).append((pos, m))
-        members = classes.get(weight, [])
+        monos = (m for m in pbw_monomials(ctx.omega, d, total, total) if sum(len(w) for _i, _j, w in m) == total)
+        members = [(pos, m) for pos, m in enumerate(monos) if _weight(ctx, m, d) == weight]
         solver, dep = _span(_symbol_column(ctx, m) for _pos, m in members)
         if dep is not None:
             raise StructureError("t-monomial symbols of word length %d are dependent at N=%d" % (total, ctx.n))

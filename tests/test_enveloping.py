@@ -524,11 +524,13 @@ def test_one_range_check_memoizes_nothing(spec):
                     word = filler[:pos] + (bad,) + filler[pos + 1 : length]
                     raises(ctx.normal_form, word)
                     raises(UElement, ctx, {word: 1})
-    # e_ij(w; N): i, j and each letter of w out of range in turn, and the empty word
+    # e_ij(w; N): i, j and each letter of w out of range in turn, and the empty word;
+    # the letters 0.0 and False equal 0, so at length 2 they would hit the (0, 0) memos
     cases = [(1, 1, ())]
+    bad_letters = (dim, -1, 0.0, False)
     for length in (1, 2, 3):
         cases += [(i, j, (0,) * length) for i, j in ((0, 1), (n + 1, 1), (1, 0), (1, n + 1))]
-        cases += [(1, 2, (0,) * pos + (b,) + (0,) * (length - pos - 1)) for pos in range(length) for b in (dim, -1)]
+        cases += [(1, 2, (0,) * pos + (b,) + (0,) * (length - pos - 1)) for pos in range(length) for b in bad_letters]
     for i, j, word in cases:
         raises(ctx.e_elem, i, j, word)
         raises(ctx.e_top, i, j, word)

@@ -56,15 +56,17 @@ def test_coagulate_word_matrix_blocks():
 
 
 def test_coagulate_word_rejects_bad_letters_and_keeps_nothing():
-    # the letters are checked on a memo miss, before the result is stored
+    # the letters are checked before the memo is read: (0.0, 0) and
+    # (0, False) equal the memoized (0, 0), and would hit its result
     spec = direct_sum_C(1)
     ctx = Enveloping.get(spec, 2)
     ctx.t_elem(1, 1, (0, 0), 1)
     before = dict(spec.coagulations)
+    assert ((0, 0), (1, 1)) in before
     with pytest.raises(StructureError):
         ctx.t_elem(1, 1, (0, 5), 1)
     assert spec.coagulations == before
-    for word in ((0, 5), (-1,)):
+    for word in ((0, 5), (-1,), (0.0, 0), (0, False)):
         with pytest.raises(StructureError, match="letters"):
             coagulate_word(spec, word, (1,) * len(word))
     assert spec.coagulations == before
