@@ -35,7 +35,9 @@ Structural checks implemented here:
   the certificate expands the remainder in ordered
   t-monomials with :func:`glomega.yangian.t_expansion` (solve at the top
   symbol, subtract, repeat) and demands every extracted monomial stay
-  below the bound.
+  below the bound.  The expansion is read at two points, (N, s) and
+  (N+1, s+1): the stable algebra depends on neither N nor s, so a
+  difference in either is a ``not-stabilized`` record and exit 1.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .omega import (
     ScalarLike,
     StructureError,
     _acc,
+    as_scalar,
     check_int,
     check_letters,
     detect_unit,
@@ -196,11 +199,10 @@ def current_jacobi_sum(
 
     Each term is expanded bilinearly over the keys, [[a, b], c] =
     sum_k [a, b]_k [k, c], and every bracket of two keys is read through
-    ``_brackets(spec, bracket)``.  A sum with at most one empty argument
-    brackets every key, so only a sum with an empty one checks its keys first.
+    ``_brackets(spec, bracket)``.  Every key is checked first: a memo that
+    holds an equal key, ``(1, 1, (0,))`` for ``(True, 1, (0,))``, would answer for it.
     """
-    if not (a and b and c):
-        _check_keys(spec, a, b, c)
+    _check_keys(spec, a, b, c)
     br = _brackets(spec, bracket)
     out: Current = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
@@ -447,23 +449,30 @@ def degeneration_check(
 
     Computes R = [t_ij(x;N;s), t_kl(y;N;s)] minus their current bracket
     read through t(s) (:func:`_bracket_remainder`) and expands R over
-    ordered t-monomials at N = d + len(x) + len(y), the least faithful size,
-    and at N+1.  Expansions that differ raise through :func:`stable`; the
-    common one passes when it exists and every monomial has shifted degree
-    at most len(x)+len(y)-3 (for single letters that forces R = 0 on the
-    nose).
+    ordered t-monomials at (N, s), N = d + len(x) + len(y) the least faithful
+    size, and at (N+1, s+1).  The stable algebra depends on neither, so
+    expansions that differ, in N or in s, raise through :func:`stable` (a
+    ``not-stabilized`` record, exit 1); the common one passes when it exists
+    and every monomial has shifted degree at most len(x)+len(y)-3 (for
+    single letters that forces R = 0 on the nose).
     """
     x, y = tuple(x), tuple(y)
     if not x or not y:
         raise StructureError("words must be nonempty")
     check_int("d", 1, d)
     check_int("matrix index", 1, i, j, k, l, most=d)
+    s = as_scalar(s)
     n = d + len(x) + len(y)
     bound = len(x) + len(y) - 3
+
+    def verdict(ctx: Enveloping):
+        at = s + (ctx.n - n)
+        return t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, at), d, at)
+
     expansion = stable(
         omega,
         (n, n + 1),
-        lambda ctx: t_expansion(ctx, _bracket_remainder(ctx, i, j, k, l, x, y, s), d, s),
-        lambda _: "degeneration verdicts differ at N=%d and N=%d" % (n, n + 1),
+        verdict,
+        lambda _: "degeneration verdicts differ at N=%d (s=%s) and N=%d (s=%s)" % (n, s, n + 1, s + 1),
     )
     return expansion is not None and all(shifted_degree(m) <= bound for m, _c in expansion)

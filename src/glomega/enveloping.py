@@ -169,10 +169,11 @@ class Enveloping:
 
     def sort_key(self, g: Gen) -> Tuple[int, int, int, int]:
         """The key of a generator; one that is not a generator of this context raises."""
-        try:
-            return self._keys[g]
-        except KeyError:
-            raise StructureError("generator %r out of range for n=%d" % (g, self.n)) from None
+        key = self._keys.get(g)
+        # a float or bool part finds the key of the int generator it equals
+        if key is None or not type(g[0]) is type(g[1]) is type(g[2]) is int:
+            raise StructureError("generator %r out of range for n=%d, or not made of ints" % (g, self.n))
+        return key
 
     def commutator_terms(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Scalar], ...]:
         """[E_g, E_h] as a tuple of (generator, coefficient) pairs.
@@ -664,8 +665,8 @@ class UElement:
     and such elements are never equal.  There are two constructors:
 
     * the public one, ``UElement(ctx, terms)``, reads every key as a product
-      of generators: each generator is checked against the context (an
-      index or letter out of range raises :class:`StructureError`), and the
+      of generators: each generator is checked against the context (a part
+      out of range or not an ``int`` raises :class:`StructureError`), and the
       product is added in its PBW normal form, so keys in any order spell
       the element they name; coefficients pass through :func:`as_scalar`,
       and zeros are dropped;
@@ -681,6 +682,9 @@ class UElement:
         self.owner = owner
         out: Dict[Mono, Scalar] = {}
         for mono, c in terms.items():
+            # a memo hit in normal_form would pass a float or bool part unchecked
+            for g in mono:
+                owner.sort_key(g)
             vec_add(out, owner.normal_form(mono), as_scalar(c))
         self.terms = out
 

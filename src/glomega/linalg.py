@@ -78,7 +78,7 @@ class SpanSolver:
         pivot = min(residual)
         inv = as_scalar(Fraction(1) / residual[pivot])
         row = {k: v * inv for k, v in residual.items()}
-        row_combo: Vec = {c: -v * inv for c, v in combo.items() if v}
+        row_combo: Vec = {c: -v * inv for c, v in combo.items()}
         row_combo[col] = inv
         # keep fully reduced form: eliminate the new pivot from existing rows
         for k, (other, other_combo) in list(self.rows.items()):
@@ -98,7 +98,7 @@ class SpanSolver:
         residual, combo = self._reduce(rhs)
         if residual:
             return None
-        return {c: v for c, v in combo.items() if v}
+        return combo
 
 
 def _reduced_rows(vectors: Iterable[Vec]) -> Dict[Hashable, Vec]:

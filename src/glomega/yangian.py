@@ -14,11 +14,12 @@ evaluation into U(gl(N, Omega)) at finite N.  :func:`t_expansion` is the one
 way back: it expands an element of U(gl(N, Omega)) in ordered t-monomials by
 peeling top symbols, each torus weight against the symbols of its own weight
 (one cached solver per weight, whose class is listed when it is first built).
-:func:`shift_automorphism_check` compares two such expansions.  One loop,
-``_span``, row-reduces every span of monomial columns.
+``current.degeneration_check`` compares two such expansions, at (N, s) and
+(N+1, s+1), so that one certificate sees a dependence on N or on s.  One
+loop, ``_span``, row-reduces every span of monomial columns.
 Linear independence claims are certified by rank at a single N; a linear
-*dependence* found at N must also hold at N+1.  Shift checks, dependencies
-and splitting probes compare their per-size results through
+*dependence* found at N must also hold at N+1.  Dependencies and splitting
+probes compare their per-size results through
 :func:`~glomega.enveloping.stable`, which raises ``StabilizationError`` when
 two sizes disagree.
 """
@@ -315,24 +316,3 @@ def t_expansion(
         deg = top
     return out
 
-
-def shift_automorphism_check(g: Label, h: Label, s: ScalarLike, c: ScalarLike, omega: AlgebraSpec, n: int) -> bool:
-    """Whether s -> s + c carries the expansion of g h at s to the one at s + c.
-
-    At N and N+1, t(g) t(h) is expanded by :func:`t_expansion` at s and at
-    s + c; the verdict at each size is whether the two expansions are equal,
-    term by term.  Verdicts that differ raise ``StabilizationError`` through
-    :func:`stable`.
-    """
-    s, c = as_scalar(s), as_scalar(c)
-    d = max(g[0], g[1], h[0], h[1])
-
-    def expand(ctx: Enveloping, at: Scalar) -> Optional[List[Tuple[OrderedMonomial, Scalar]]]:
-        prod = ctx.multiply(ctx.t_elem(*g, at), ctx.t_elem(*h, at))
-        return t_expansion(ctx, prod, d, at)
-
-    def verdict(ctx: Enveloping) -> bool:
-        at_s = expand(ctx, s)
-        return at_s is not None and at_s == expand(ctx, s + c)
-
-    return stable(omega, (n, n + 1), verdict, lambda _: "shift by %s differs at N=%d and N=%d" % (c, n, n + 1))

@@ -124,6 +124,18 @@ def test_current_jacobi_sum_checks_the_keys_of_two_empty_arguments(bad, message)
     assert current_jacobi_sum(spec, {}, {}, {(1, 2, (1, 0)): 1}) == {}
 
 
+def test_current_jacobi_sum_checks_keys_a_memo_would_answer_for():
+    # True equals 1 as a dict key, so a memo that holds (1, 1, (0,)) would
+    # answer for (True, 1, (0,)) if the keys were not checked on every call
+    spec = direct_sum_C(1)
+    br = cur._brackets(spec)
+    a = {(1, 1, (0,)): 1}
+    assert current_jacobi_sum(spec, a, a, a, br) == {}
+    for bad in ({(True, 1, (0,)): 1}, {(1, 1, (0.0,)): 1}):
+        with pytest.raises(StructureError):
+            current_jacobi_sum(spec, bad, a, a, br)
+
+
 def test_odot_grade_additivity():
     spec = direct_sum_C(2)
     assert odot(spec, {(0, 1): 1}, {(1,): 1}) == {(0, 1): 1}
@@ -551,8 +563,27 @@ def test_degeneration_check_compares_the_expansions(monkeypatch):
     assert degeneration_check(*args)
     expand = cur.t_expansion
     monkeypatch.setattr(cur, "t_expansion", lambda ctx, r, d, s: expand(ctx, r, d, s) + [((), 1)] * (ctx.n == 6))
-    with pytest.raises(StabilizationError, match="degeneration verdicts differ at N=5 and N=6"):
+    with pytest.raises(StabilizationError) as exc:
         degeneration_check(*args)
+    assert str(exc.value) == "degeneration verdicts differ at N=5 (s=0) and N=6 (s=1)"
+
+
+def test_degeneration_check_compares_two_values_of_s(monkeypatch):
+    # expansions doubled at s = 1 alone: N + 1 is read at s + 1, so the
+    # certificate sees them; on (0, 0), (0,) the expansion is empty, so this
+    # cell, whose remainder has terms, is the one to plant in
+    args = (direct_sum_C(1), 1, 1, 1, 2, (0, 0), (0, 0), 2, 0)
+    assert degeneration_check(*args)
+    expand = cur.t_expansion
+
+    def doubled_at_one(ctx, r, d, s):
+        got = expand(ctx, r, d, s)
+        return [(mono, 2 * c) for mono, c in got] if s == 1 else got
+
+    monkeypatch.setattr(cur, "t_expansion", doubled_at_one)
+    with pytest.raises(StabilizationError) as exc:
+        degeneration_check(*args)
+    assert str(exc.value) == "degeneration verdicts differ at N=6 (s=0) and N=7 (s=1)"
 
 
 def test_degeneration_check_length_two_words():

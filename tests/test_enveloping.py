@@ -538,6 +538,12 @@ def test_one_range_check_memoizes_nothing(spec):
             raises(trace_elem, ctx, word)
         for s in (0, -n):
             raises(ctx.t_elem, i, j, word, s)
+    # a float or bool part equals an int one as a dict key, so the memo of
+    # normal_form would answer for it: the constructor checks each generator
+    for word in (((1, 1, 0.0),), ((1.0, 2, 0), (2, 1, 0)), ((True, 2, 0),)):
+        raises(UElement, ctx, {word: 1})
+    product = ctx.multiply(ctx.gen(1, 2), ctx.gen(2, 1))
+    assert {type(part) for mono in product.terms for g in mono for part in g} == {int}
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

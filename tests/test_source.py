@@ -198,8 +198,10 @@ def _attribute_writes(tree, attr):
 def test_one_generator_table():
     # a context keys its generators once, when it is built, and holds one
     # object per generator from then on; sort_key alone rejects a generator
-    # out of range, and normal_form alone calls it only to check a word, so
-    # neither a lazy key cache nor the checks around it return
+    # out of range, and only normal_form, on a memo miss, and the public
+    # UElement constructor, whose word a memo hit would pass unchecked, call
+    # it just to check a word, so neither a lazy key cache nor the checks
+    # around it return
     raisers, writers, checkers = [], [], []
     gen_writers = []
     for path in sorted(SRC.glob("*.py")):
@@ -218,7 +220,7 @@ def test_one_generator_table():
     assert raisers == ["Enveloping.sort_key"]
     assert sorted(set(writers)) == ["Enveloping.__init__"]
     assert sorted(set(gen_writers)) == ["Enveloping.__init__"]
-    assert checkers == ["Enveloping.normal_form"]
+    assert checkers == ["Enveloping.normal_form", "UElement.__init__"]
 
 
 def _self_stores(fn):
@@ -647,7 +649,6 @@ _CALLED_ONLY_BY_TESTS = {
     "doublepoisson.poisson_smd": "the Poisson-structure tests on matrix symbols",
     "omega.save_algebra": "the README's file round-trip",
     "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
-    "yangian.shift_automorphism_check": "goes once degeneration_check compares a second s (ROADMAP item 11)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
     "linalg.rref": "ideal_intersection_check reduces each ideal's invariant part with it; tests compare spans by it",
 }

@@ -348,7 +348,7 @@ def test_degeneration_not_stabilized_record(monkeypatch):
     got = {r.key(): (r.status, r.witness) for r in rep.records}
     assert got[("degeneration.grid", "omega=C d=1 lx=1 ly=1")] == (
         "not-stabilized",
-        "degeneration verdicts differ at N=3 and N=4",
+        "degeneration verdicts differ at N=3 (s=0) and N=4 (s=1)",
     )
     assert rep.summary == {"pass": 1, "fail": 0, "skipped": 0, "not-stabilized": 1}
 
@@ -490,6 +490,10 @@ _PINNED = [
      "f285cb4a18f2ddbdcfd57fd318b31805e1bd90f28447b8c8c2c5bc9cd8122990"),
     ("current", dict(suite="current"), 0,
      "0a6fa1d67af6e7ebd58b949c06caa9df8a00721c6fa1365b763fd4e2432e2625"),
+    ("degeneration", dict(suite="degeneration"), 0,
+     "8f5de524cb9f058b19a65dbfd4f3a6f900166b40e1fe18cbc3de3f1d59661ea3"),
+    ("degeneration --s 5/2,-7/3", dict(suite="degeneration", s_values=("5/2", "-7/3")), 0,
+     "5b9cf9636d5c9f65200f52f11bff9b520ea2769a7701f937f9766feffe563b9a"),
 ]
 
 
@@ -717,10 +721,10 @@ def test_planted_fault_gives_the_first_counterexample(monkeypatch, owner, attr, 
     assert got == expected
 
 
-def test_an_s_blind_t_elem_memo_fails_the_projection_suite(monkeypatch):
-    # t_elem's memo is the one memo keyed by s: keyed without it, the second
-    # s reads the first s's element, and the anchor and reparametrize records
-    # fail (evaluate keeps no memo of its own; test_source guards that)
+def _plant_an_s_blind_t_elem_memo(monkeypatch):
+    # t_elem's memo is the one memo keyed by s: keyed without it, a context
+    # hands every s the element of the first s it was asked for (evaluate
+    # keeps no memo of its own; test_source guards that)
     from glomega.enveloping import Enveloping
 
     t_elem = Enveloping.t_elem
@@ -733,6 +737,12 @@ def test_an_s_blind_t_elem_memo_fails_the_projection_suite(monkeypatch):
         return got
 
     monkeypatch.setattr(Enveloping, "t_elem", s_blind)
+
+
+def test_an_s_blind_t_elem_memo_fails_the_projection_suite(monkeypatch):
+    # the second s reads the first s's element, and the anchor and
+    # reparametrize records fail
+    _plant_an_s_blind_t_elem_memo(monkeypatch)
     rep = run_suite(SuiteConfig(**_C_PROJECTION))
     got = {r.key(): r.witness for r in rep.records if r.status != "pass"}
     assert {r.status for r in rep.records} == {"pass", "fail"}
@@ -742,6 +752,29 @@ def test_an_s_blind_t_elem_memo_fails_the_projection_suite(monkeypatch):
         ("projection.reparametrize", "omega=C N=3 s=0 s2=1"),
     ]
     assert got[("projection.reparametrize", "omega=C N=3 s=0 s2=1")] == "i=1 j=1 w=(0, 0)"
+
+
+def test_an_s_blind_t_elem_memo_fails_the_degeneration_suite(monkeypatch):
+    # the certificate reads N + 1 at s + 1, so a context that hands s + 1
+    # the element of s gives an expansion that differs from the one at (N, s)
+    _plant_an_s_blind_t_elem_memo(monkeypatch)
+    rep = run_suite(SuiteConfig(suite="degeneration"))
+    got = {r.key(): (r.status, r.witness) for r in rep.records if r.status != "pass"}
+    assert rep.exit_code() == 1
+    assert {status for status, _witness in got.values()} == {"not-stabilized"}
+    assert sorted(config for _name, config in got) == [
+        "omega=C d=2 lx=1 ly=2",
+        "omega=C d=2 lx=2 ly=1",
+        "omega=C d=2 lx=2 ly=2",
+        "omega=C^2 d=1 lx=2 ly=2",
+        "omega=C^2 d=2 lx=1 ly=2",
+        "omega=C^2 d=2 lx=2 ly=1",
+        "omega=C^2 d=2 lx=2 ly=2",
+    ]
+    assert got[("degeneration.grid", "omega=C d=2 lx=1 ly=2")] == (
+        "not-stabilized",
+        "degeneration verdicts differ at N=5 (s=0) and N=6 (s=1)",
+    )
 
 
 def test_doubled_current_bracket_passes_the_current_suite(monkeypatch):

@@ -34,7 +34,6 @@ from glomega.yangian import (
     necklace_count,
     pbw_monomials,
     pbw_suite,
-    shift_automorphism_check,
     splitting_expected,
     splitting_probe,
     t_expansion,
@@ -385,29 +384,3 @@ def test_t_expansion_rejects_an_element_of_another_context():
     for ctx in (Enveloping.get(direct_sum_C(1), 3), Enveloping.get(u.owner.omega, 4)):
         with pytest.raises(StructureError, match="different enveloping context"):
             t_expansion(ctx, u, 2, S0)
-
-
-def test_shift_check_not_stabilized(monkeypatch):
-    # the unshifted coordinates double at N+1 only, so the two verdicts disagree
-    import glomega.yangian as yg
-
-    t_expansion = yg.t_expansion
-
-    def planted(ctx, u, d, s):
-        got = t_expansion(ctx, u, d, s)
-        return [(mono, 2 * c) for mono, c in got] if ctx.n == 4 and s == 0 else got
-
-    monkeypatch.setattr(yg, "t_expansion", planted)
-    g, h = t_gen(1, 2, (0,)), t_gen(2, 1, (0,))
-    with pytest.raises(StabilizationError) as exc:
-        shift_automorphism_check(g, h, S0, Fraction(1), direct_sum_C(1), 3)
-    assert str(exc.value) == "shift by 1 differs at N=3 and N=4"
-
-
-def test_shift_automorphism():
-    g = t_gen(1, 2, (0,))
-    h = t_gen(2, 1, (0,))
-    assert shift_automorphism_check(g, h, S0, Fraction(1), direct_sum_C(1), 3) is True
-    assert shift_automorphism_check(g, h, S0, Fraction(-3, 2), direct_sum_C(1), 3) is True
-    g2, h2 = t_gen(1, 2, (0,)), t_gen(1, 1, (0, 1))
-    assert shift_automorphism_check(g2, h2, S0, Fraction(5, 2), direct_sum_C(2), 3) is True
