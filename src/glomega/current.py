@@ -61,15 +61,13 @@ from .omega import (
     pair_memo,
     vec_add,
 )
-from .words import Label, Word, basis_words, words_up_to
+from .words import Label, Word, basis_words, nonempty, words_up_to
 from .yangian import t_expansion
 
 
 def odot_words(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
     """Merge two basis words at the junction, sparse over basis words; bad letters raise."""
-    x, y = tuple(x), tuple(y)
-    if not x or not y:
-        raise StructureError("current-algebra words must be nonempty")
+    x, y = nonempty(x), nonempty(y)
     check_letters(spec, x + y)
     return _junction(spec, x, y)
 
@@ -149,9 +147,7 @@ def _check_keys(spec: AlgebraSpec, *currents: Current) -> None:
     for keys in currents:
         for i, j, w in keys:
             check_int("matrix index", 1, i, j)
-            if not w:
-                raise StructureError("bad key %r: the word must be nonempty" % ((i, j, w),))
-            check_letters(spec, w)
+            check_letters(spec, nonempty(w))
 
 
 def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
@@ -456,9 +452,7 @@ def degeneration_check(
     and every monomial has shifted degree at most len(x)+len(y)-3 (for
     single letters that forces R = 0 on the nose).
     """
-    x, y = tuple(x), tuple(y)
-    if not x or not y:
-        raise StructureError("words must be nonempty")
+    x, y = nonempty(x), nonempty(y)
     check_int("d", 1, d)
     check_int("matrix index", 1, i, j, k, l, most=d)
     s = as_scalar(s)

@@ -73,7 +73,7 @@ from .omega import (
     pair_memo,
     vec_add,
 )
-from .words import Label, Word, cyclic, words_up_to
+from .words import Label, Word, cyclic, nonempty, words_up_to
 
 
 Double = Dict[Tuple[Word, Word], Scalar]  # u (x) v -> coefficient, no zero stored
@@ -371,9 +371,7 @@ def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict
     It does not depend on the chosen lifts; the tests rotate the inputs to
     confirm.  An empty word is no necklace class and raises.
     """
-    a, b = tuple(a), tuple(b)
-    if not a or not b:
-        raise StructureError("the trace bracket needs nonempty words")
+    a, b = nonempty(a), nonempty(b)
     out: Dict[Word, Scalar] = {}
     for (u, v), c in double_bracket(spec, a, b).items():
         _acc(out, cyclic(u + v), c)
@@ -420,9 +418,7 @@ def symbol_match_smd(
     The top degree is len(x) + len(y) - 1.  Verdicts that differ raise
     ``StabilizationError`` through :func:`stable`.
     """
-    x, y = tuple(x), tuple(y)
-    if not x or not y:
-        raise StructureError("symbol matches need nonempty words")
+    x, y = nonempty(x), nonempty(y)
     check_int("d", 1, d)
     check_int("generator index", 1, i, j, k, l, most=d)
     if d > n - 1:

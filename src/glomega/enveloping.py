@@ -47,7 +47,7 @@ from .omega import (
     check_letters,
     vec_add,
 )
-from .words import Word, compositions, coagulate_word
+from .words import Word, compositions, coagulate_word, nonempty
 
 # generator E_ij(x_b) as a plain tuple (i, j, b); i, j are 1-based, b indexes
 # the Omega basis
@@ -169,7 +169,10 @@ class Enveloping:
 
     def sort_key(self, g: Gen) -> Tuple[int, int, int, int]:
         """The key of a generator; one that is not a generator of this context raises."""
-        key = self._keys.get(g)
+        try:
+            key = self._keys.get(g)
+        except TypeError:  # an unhashable generator, a list say, is none of this context's
+            key = None
         # a float or bool part finds the key of the int generator it equals
         if key is None or not type(g[0]) is type(g[1]) is type(g[2]) is int:
             raise StructureError("generator %r out of range for n=%d, or not made of ints" % (g, self.n))
@@ -222,7 +225,10 @@ class Enveloping:
         """
         seq = tuple(seq)
         memo = self._nf
-        res = memo.get(seq)
+        try:
+            res = memo.get(seq)
+        except TypeError:  # an unhashable generator misses, and sort_key below refuses it
+            res = None
         if res is _SORTED:
             return {seq: 1}
         if res is not None:
@@ -434,8 +440,6 @@ class Enveloping:
 
     def _chain_words(self, i: int, j: int, word: Word) -> Iterator[Mono]:
         """The words E_{i a_1}(x_1) ... E_{a_{m-1} j}(x_m), one per index chain a (the callers check i, j and word)."""
-        if not word:
-            raise StructureError("e_ij(w; N) needs a nonempty word")
         gen = self._gen
         for chain in itertools.product(range(1, self.n + 1), repeat=len(word) - 1):
             idx = (i,) + chain + (j,)
@@ -445,7 +449,7 @@ class Enveloping:
         """e_ij(word; N), the sum of the chain words, each in normal form."""
         # checked on every call: True and 1.0 would hit the memo of 1
         check_int("generator index", 1, i, j, most=self.n)
-        word = tuple(word)
+        word = nonempty(word)
         check_letters(self.omega, word)
         key = (i, j, word)
         cached = self._e.get(key)
@@ -465,7 +469,7 @@ class Enveloping:
         be mutated, as for :meth:`normal_form`.
         """
         check_int("generator index", 1, i, j, most=self.n)
-        word = tuple(word)
+        word = nonempty(word)
         check_letters(self.omega, word)
         key = (i, j, word)
         out = self._e_top.get(key)
@@ -484,7 +488,7 @@ class Enveloping:
         s = -N specialization keeps only the finest composition.
         """
         check_int("generator index", 1, i, j, most=self.n)
-        word = tuple(word)
+        word = nonempty(word)
         check_letters(self.omega, word)
         s = as_scalar(s)
         key = (i, j, word, s)
@@ -497,7 +501,7 @@ class Enveloping:
 
     def reparametrize_check(self, i: int, j: int, word: Word, s: ScalarLike, s2: ScalarLike) -> bool:
         """t_ij(x; N; s) == sum_nu (s2 - s)^(len(x)-len(nu)) t_ij(x*nu; N; s2)."""
-        word = tuple(word)
+        word = nonempty(word)
         s = as_scalar(s)
         s2 = as_scalar(s2)
         rhs = self._coagulation_sum(word, s2 - s, lambda w: self.t_elem(i, j, w, s2))

@@ -7,7 +7,8 @@ zero.  Nothing here assumes associativity or a unit; both are decidable
 properties of a finite table, computed on each call (:func:`check_associativity`,
 :func:`detect_unit`).  A letter is an ``int`` basis index ``0..dim-1``, and
 :func:`check_letters` is the one place that checks it, as :func:`check_int` is
-the one place that decides an integer argument (a size, cap, grade or index).  :func:`pair_memo`
+the one place that decides an integer argument (a size, cap, grade or index)
+and ``words.nonempty`` the one that refuses an empty word.  :func:`pair_memo`
 is the one builder of the per-table bracket memos of the double and the
 current suites, and the one place that refuses a memo of another table.
 
@@ -27,10 +28,10 @@ goes through ``Fraction``, or ``//`` when the quotient is known to be integral.
 The package has one element class, ``enveloping.UElement``: an element of
 U(gl(N, Omega)) that belongs to its enveloping context (its ``owner``).
 Values that live inside one computation are plain ``{key: scalar}`` dicts
-with no zero coefficient: a table element is ``{k: c}`` over basis indices
-and is multiplied by :func:`multiply`, and words, double brackets,
-coagulations, current-algebra elements, gl(d) currents, symbol and necklace
-polynomials are dicts too.  The coagulations of basis words
+with no zero coefficient: a table element is ``{k: c}`` over basis indices,
+multiplied by :func:`multiply` under the letter and the scalar rule, and words,
+double brackets, coagulations, current-algebra elements, gl(d) currents,
+symbol and necklace polynomials are dicts too.  The coagulations of basis words
 (``words.coagulate_word``) are kept in ``spec.coagulations`` and shared by
 every caller, so they must not be mutated.  Two tables with equal content
 are still two tables, each holding its own enveloping contexts and
@@ -231,8 +232,9 @@ def pair_memo(spec: AlgebraSpec, compute: Callable, given: Optional[Callable] = 
 
 
 def multiply(spec: AlgebraSpec, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> Dict[int, Scalar]:
-    """Bilinear product of two table elements ``{k: c}`` through the structure table."""
+    """Bilinear product of two table elements ``{k: c}`` through the structure table; bad letters or scalars raise."""
     check_letters(spec, (*a, *b))
+    a, b = {k: as_scalar(c) for k, c in a.items()}, {k: as_scalar(c) for k, c in b.items()}
     out: Dict[int, Scalar] = {}
     for i, ca in a.items():
         for j, cb in b.items():

@@ -1,11 +1,12 @@
 """Words, compositions, coagulation, and cyclic words.
 
 A word is a tuple of basis indices of some AlgebraSpec; the empty tuple is
-the unit of the tensor algebra.  A matrix-entry label ``(i, j, word)``,
-:data:`Label`, names both a t-generator t_ij(x) and a matrix symbol
-p_ij(x).  A cyclic word (a necklace class) is stored as its least rotation,
-a plain tuple built by :func:`cyclic`.  Compositions of m are enumerated
-lexicographically, e.g. for m = 3:
+the unit of the tensor algebra, and :func:`nonempty` is the one place that
+refuses it where a word indexes a generator, symbol, current or necklace.  A
+matrix-entry label ``(i, j, word)``, :data:`Label`, names both a t-generator
+t_ij(x) and a matrix symbol p_ij(x).  A cyclic word (a necklace class) is
+stored as its least rotation, a plain tuple built by :func:`cyclic`.
+Compositions of m are enumerated lexicographically, e.g. for m = 3:
 
     (1, 1, 1), (1, 2), (2, 1), (3)
 
@@ -18,14 +19,23 @@ coagulations of basis words are kept per table, in ``spec.coagulations``.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .omega import AlgebraSpec, Scalar, StructureError, _acc, check_int, check_letters, multiply
+from .omega import AlgebraSpec, Scalar, StructureError, _acc, as_scalar, check_int, check_letters, multiply
 
 Word = Tuple[int, ...]
 Composition = Tuple[int, ...]
 # (i, j, word): the label of t_ij(word) and of p_ij(word); i, j are 1-based
 Label = Tuple[int, int, Word]
+
+
+def nonempty(word: Iterable[int]) -> Word:
+    """The word as a tuple; the empty word raises, for it indexes no generator, symbol, current or necklace."""
+    word = tuple(word)
+    if not word:
+        raise StructureError("words must be nonempty, got ()")
+    return word
 
 
 def compositions(m: int) -> List[Composition]:
@@ -70,15 +80,11 @@ def coagulate(
     check_int("composition parts", 1, *nu)
     if sum(nu) != len(factors):
         raise StructureError("composition %r does not fit %d factors" % (nu, len(factors)))
-    out: List[Dict[int, Scalar]] = []
-    pos = 0
-    for part in nu:
-        block = factors[pos]
-        for q in range(pos + 1, pos + part):
-            block = multiply(spec, block, factors[q])
-        out.append(block)
-        pos += part
-    return out
+    # checked before any block: a one-factor block is never multiplied
+    check_letters(spec, [k for f in factors for k in f])
+    factors = [{k: as_scalar(c) for k, c in f.items()} for f in factors]
+    blocks = zip(nu, itertools.accumulate(nu))
+    return [reduce(lambda u, v: multiply(spec, u, v), factors[end - part : end]) for part, end in blocks]
 
 
 def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word, Scalar]:
@@ -109,7 +115,5 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
 
 def cyclic(word: Sequence[int]) -> Word:
     """A word up to rotation: its lexicographically least rotation."""
-    w = tuple(word)
-    if not w:
-        raise StructureError("cyclic words must be nonempty")
+    w = nonempty(word)
     return min(w[r:] + w[:r] for r in range(len(w)))

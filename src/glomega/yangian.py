@@ -33,16 +33,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .enveloping import Enveloping, Mono, UElement, stable
 from .linalg import SpanSolver, primitive
 from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, as_scalar, check_int, vec_add
-from .words import Label, Word, words_up_to
+from .words import Label, Word, nonempty, words_up_to
 
 
 def t_gen(i: int, j: int, word: Iterable[int]) -> Label:
     """The label (i, j, word) of t_ij(word), validated."""
-    word = tuple(word)
     check_int("t-generator index", 1, i, j)
-    if not word:
-        raise StructureError("t-generator words must be nonempty")
-    return (i, j, word)
+    return (i, j, nonempty(word))
 
 
 def tgen_key(g: Label) -> Tuple[int, int, int, Word]:

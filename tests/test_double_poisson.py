@@ -674,9 +674,9 @@ def test_trace_bracket_rejects_an_empty_word():
     # an empty word is no necklace class: words.cyclic(()) raises too
     spec = matrix_algebra(2)
     for a, b in (((), (0,)), ((0,), ()), ((), ())):
-        with pytest.raises(StructureError, match="nonempty words"):
+        with pytest.raises(StructureError, match="words must be nonempty"):
             trace_bracket(spec, a, b)
-    with pytest.raises(StructureError, match="nonempty words"):
+    with pytest.raises(StructureError, match="words must be nonempty"):
         poisson_stc(spec, {((),): 1}, {((0,),): 1})
 
 
@@ -697,7 +697,7 @@ def test_symbol_match_smd_rejects_an_empty_word():
     # an empty word has no t-generator; it used to fail inside t_elem with a
     # message about compositions
     for x, y in (((), (0,)), ((0,), ())):
-        with pytest.raises(StructureError, match="symbol matches need nonempty words"):
+        with pytest.raises(StructureError, match="words must be nonempty"):
             symbol_match_smd(direct_sum_C(1), 1, 1, 1, 1, x, y, 1, 0, 2)
 
 

@@ -162,6 +162,16 @@ def test_random_rewriting_rejects_a_bad_generator(seq):
         ctx.normal_form_random(seq, random.Random(0))
 
 
+def test_a_list_generator_is_refused_not_hashed():
+    # a list is unhashable: it finds no key and misses the memo, so sort_key
+    # refuses it as it refuses any generator not of this context
+    ctx = Enveloping(C1, 2)
+    with pytest.raises(StructureError, match="out of range"):
+        ctx.sort_key([1, 2, 0])
+    with pytest.raises(StructureError, match="out of range"):
+        ctx.normal_form([[1, 2, 0]])
+
+
 def test_normal_form_long_word_has_no_recursion_limit():
     # E22^40 E11^40 needs 1600 swaps; a Python frame per swap overflowed
     ctx = Enveloping(C1, 2)

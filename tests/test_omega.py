@@ -30,6 +30,7 @@ from glomega import (
 from glomega.current import odot_words
 from glomega.doublepoisson import double_bracket
 from glomega.omega import check_letters, pair_memo
+from glomega.words import coagulate
 
 
 def test_direct_sum_products():
@@ -101,6 +102,15 @@ def test_multiply_rejects_letters_outside_the_table():
     for a, b in (({5: 1}, {0: 1}), ({0: 1}, {-1: 2}), ({}, {1: 1})):
         with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
             multiply(spec, a, b)
+    # a table element's coefficients are exact scalars, and coagulate checks
+    # every factor, also one alone in its block, which is never multiplied
+    with pytest.raises(StructureError, match="exact scalar"):
+        multiply(spec, {0: 1.5}, {0: 1})
+    for factor, message in (({5: 1}, "letters"), ({0: 1.5}, "exact scalar"), ({True: 1}, "letters")):
+        with pytest.raises(StructureError, match=message):
+            coagulate(spec, [factor], (1,))
+    factor = {0: 1}
+    assert coagulate(spec, [factor], (1,)) == [factor] and coagulate(spec, [factor], (1,))[0] is not factor
 
 
 def test_table_validation():

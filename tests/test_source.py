@@ -141,6 +141,13 @@ def test_one_letter_rule():
     assert _raisers("letters must lie in") == ["omega.check_letters"]
 
 
+def test_one_word_rule():
+    # a generator, symbol, current or necklace is indexed by a nonempty word:
+    # words.nonempty is the one place that says so, and every layer that
+    # takes such a word calls it
+    assert _raisers("nonempty") == ["words.nonempty"]
+
+
 def test_one_int_rule():
     # a size, a cap, a grade or a 1-based matrix index is an int, not a bool,
     # in its range: omega.check_int is the one place that says so, and no
@@ -500,6 +507,11 @@ def test_one_version_constant():
             literals += [node.lineno for t in targets if getattr(t, "id", None) == "__version__"]
     assert literals == []
     assert glomega.__version__ is suites.VERSION
+    # the distribution's version is read from the same constant at build time
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = {attr = "glomega.suites.VERSION"}' in pyproject
+    assert not re.search(r'^version\s*=\s*"', pyproject, re.M)
 
 
 # the package's names, by the layer that defines each; yangian and current

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glomega import Enveloping, StructureError, direct_sum_C, matrix_algebra
+from glomega.current import current_jacobi_sum, degeneration_check, gl_current_bracket, odot_words
+from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_bracket, trace_elem
 from glomega.words import (
     basis_words,
     coagulate_word,
@@ -14,6 +16,7 @@ from glomega.words import (
     cyclic,
     words_up_to,
 )
+from glomega.yangian import t_gen
 
 
 def test_compositions_lex_order():
@@ -78,6 +81,45 @@ def test_cyclic_word_canonical_rotation():
     assert type(cyclic((0,))) is tuple and cyclic((0,)) == (0,)
     with pytest.raises(StructureError):
         cyclic(())
+
+
+_C = direct_sum_C(1)
+_E = (1, 1, ())  # a gl(d) current key with the empty word
+_K = (1, 1, (0,))
+
+# each entry point that takes a word naming a generator, symbol, current or
+# necklace, with the empty word in each of its word slots in turn
+_EMPTY_WORD_SLOTS = [
+    ("e_elem", lambda: Enveloping.get(_C, 2).e_elem(1, 1, ())),
+    ("e_top", lambda: Enveloping.get(_C, 2).e_top(1, 1, ())),
+    ("t_elem", lambda: Enveloping.get(_C, 2).t_elem(1, 1, (), 0)),
+    ("reparametrize_check", lambda: Enveloping.get(_C, 2).reparametrize_check(1, 1, (), 0, 1)),
+    ("trace_elem", lambda: trace_elem(Enveloping.get(_C, 2), ())),
+    ("odot_words-x", lambda: odot_words(_C, (), (0,))),
+    ("odot_words-y", lambda: odot_words(_C, (0,), ())),
+    ("gl_current_bracket-a", lambda: gl_current_bracket(_C, {_E: 1}, {_K: 1})),
+    ("gl_current_bracket-b", lambda: gl_current_bracket(_C, {_K: 1}, {_E: 1})),
+    ("current_jacobi_sum-a", lambda: current_jacobi_sum(_C, {_E: 1}, {_K: 1}, {_K: 1})),
+    ("current_jacobi_sum-b", lambda: current_jacobi_sum(_C, {_K: 1}, {_E: 1}, {_K: 1})),
+    ("current_jacobi_sum-c", lambda: current_jacobi_sum(_C, {_K: 1}, {_K: 1}, {_E: 1})),
+    ("degeneration_check-x", lambda: degeneration_check(_C, 1, 1, 1, 1, (), (0,), 1, 0)),
+    ("degeneration_check-y", lambda: degeneration_check(_C, 1, 1, 1, 1, (0,), (), 1, 0)),
+    ("trace_bracket-a", lambda: trace_bracket(_C, (), (0,))),
+    ("trace_bracket-b", lambda: trace_bracket(_C, (0,), ())),
+    ("symbol_match_smd-x", lambda: symbol_match_smd(_C, 1, 1, 1, 1, (), (0,), 1, 0, 2)),
+    ("symbol_match_smd-y", lambda: symbol_match_smd(_C, 1, 1, 1, 1, (0,), (), 1, 0, 2)),
+    ("symbol_match_stc-x", lambda: symbol_match_stc(_C, (), (0,), 2)),
+    ("symbol_match_stc-y", lambda: symbol_match_stc(_C, (0,), (), 2)),
+    ("cyclic", lambda: cyclic(())),
+    ("t_gen", lambda: t_gen(1, 1, ())),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in _EMPTY_WORD_SLOTS], ids=[c[0] for c in _EMPTY_WORD_SLOTS])
+def test_every_word_slot_refuses_the_empty_word(call):
+    # one rule, words.nonempty, and so one message wherever the word is read
+    with pytest.raises(StructureError, match=r"^words must be nonempty, got \(\)$"):
+        call()
 
 
 @settings(max_examples=50, deadline=None)
