@@ -61,7 +61,7 @@ from .omega import (
     pair_memo,
     vec_add,
 )
-from .words import Label, Word, basis_words, nonempty, words_up_to
+from .words import Label, Word, basis_words, check_label, nonempty, words_up_to
 from .yangian import t_expansion
 
 
@@ -143,11 +143,10 @@ Current = Dict[Label, Scalar]  # (i, j, word) -> coefficient, no zero stored
 
 
 def _check_keys(spec: AlgebraSpec, *currents: Current) -> None:
-    """Raise ``StructureError`` for a key with a bad matrix index, an empty word or a letter outside the table."""
+    """Raise ``StructureError`` for a key that breaks the label rule (:func:`~glomega.words.check_label`)."""
     for keys in currents:
         for i, j, w in keys:
-            check_int("matrix index", 1, i, j)
-            check_letters(spec, nonempty(w))
+            check_label(spec, i, j, w)
 
 
 def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
@@ -452,9 +451,8 @@ def degeneration_check(
     and every monomial has shifted degree at most len(x)+len(y)-3 (for
     single letters that forces R = 0 on the nose).
     """
-    x, y = nonempty(x), nonempty(y)
     check_int("d", 1, d)
-    check_int("matrix index", 1, i, j, k, l, most=d)
+    x, y = check_label(omega, i, j, x, most=d), check_label(omega, k, l, y, most=d)
     s = as_scalar(s)
     n = d + len(x) + len(y)
     bound = len(x) + len(y) - 3

@@ -73,7 +73,7 @@ from .omega import (
     pair_memo,
     vec_add,
 )
-from .words import Label, Word, cyclic, nonempty, words_up_to
+from .words import Label, Word, check_label, cyclic, nonempty, words_up_to
 
 
 Double = Dict[Tuple[Word, Word], Scalar]  # u (x) v -> coefficient, no zero stored
@@ -418,9 +418,9 @@ def symbol_match_smd(
     The top degree is len(x) + len(y) - 1.  Verdicts that differ raise
     ``StabilizationError`` through :func:`stable`.
     """
-    x, y = nonempty(x), nonempty(y)
     check_int("d", 1, d)
-    check_int("generator index", 1, i, j, k, l, most=d)
+    x, y = check_label(omega, i, j, x, most=d), check_label(omega, k, l, y, most=d)
+    check_int("n", 1, n)  # before n meets d in a comparison
     if d > n - 1:
         raise StructureError("need d <= N-1 so the acting block is nontrivial")
     deg = len(x) + len(y) - 1

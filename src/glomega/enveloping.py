@@ -44,10 +44,9 @@ from .omega import (
     as_scalar,
     check_associativity,
     check_int,
-    check_letters,
     vec_add,
 )
-from .words import Word, compositions, coagulate_word, nonempty
+from .words import Word, check_label, compositions, coagulate_word, nonempty
 
 # generator E_ij(x_b) as a plain tuple (i, j, b); i, j are 1-based, b indexes
 # the Omega basis
@@ -297,8 +296,7 @@ class Enveloping:
 
     def gen(self, i: int, j: int, b: int = 0) -> "UElement":
         # True and 1.0 would pass the generator lookup as 1
-        check_int("generator index", 1, i, j, most=self.n)
-        check_letters(self.omega, (b,))
+        check_label(self.omega, i, j, (b,), most=self.n)
         return UElement(self, {((i, j, b),): 1})
 
     def multiply(self, u: "UElement", v: "UElement") -> "UElement":
@@ -448,9 +446,7 @@ class Enveloping:
     def e_elem(self, i: int, j: int, word: Word) -> "UElement":
         """e_ij(word; N), the sum of the chain words, each in normal form."""
         # checked on every call: True and 1.0 would hit the memo of 1
-        check_int("generator index", 1, i, j, most=self.n)
-        word = nonempty(word)
-        check_letters(self.omega, word)
+        word = check_label(self.omega, i, j, word, most=self.n)
         key = (i, j, word)
         cached = self._e.get(key)
         if cached is not None:
@@ -468,9 +464,7 @@ class Enveloping:
         Memoized per (i, j, word) and shared by every caller, so it must not
         be mutated, as for :meth:`normal_form`.
         """
-        check_int("generator index", 1, i, j, most=self.n)
-        word = nonempty(word)
-        check_letters(self.omega, word)
+        word = check_label(self.omega, i, j, word, most=self.n)
         key = (i, j, word)
         out = self._e_top.get(key)
         if out is None:
@@ -487,9 +481,7 @@ class Enveloping:
         (-N - s)^(len(x) - len(nu)) e_ij(x * nu; N), with 0^0 = 1, so the
         s = -N specialization keeps only the finest composition.
         """
-        check_int("generator index", 1, i, j, most=self.n)
-        word = nonempty(word)
-        check_letters(self.omega, word)
+        word = check_label(self.omega, i, j, word, most=self.n)
         s = as_scalar(s)
         key = (i, j, word, s)
         cached = self._t.get(key)

@@ -7,8 +7,9 @@ zero.  Nothing here assumes associativity or a unit; both are decidable
 properties of a finite table, computed on each call (:func:`check_associativity`,
 :func:`detect_unit`).  A letter is an ``int`` basis index ``0..dim-1``, and
 :func:`check_letters` is the one place that checks it, as :func:`check_int` is
-the one place that decides an integer argument (a size, cap, grade or index)
-and ``words.nonempty`` the one that refuses an empty word.  :func:`pair_memo`
+the one place that decides an integer argument (a size, cap, grade or index),
+``words.nonempty`` the one that refuses an empty word and ``words.check_label``
+the one that checks a label ``(i, j, word)``.  :func:`pair_memo`
 is the one builder of the per-table bracket memos of the double and the
 current suites, and the one place that refuses a memo of another table.
 
@@ -84,11 +85,6 @@ def as_scalar(value: ScalarLike) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: the type of dimensions, indices, numerators, denominators."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class StructureError(ValueError):
     """A malformed table, or elements of distinct algebras being mixed."""
 
@@ -157,14 +153,12 @@ class AlgebraSpec:
             raise StructureError("basis labels must be distinct")
         clean: dict = {}
         for (i, j), terms in (table or {}).items():
-            if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
-                raise StructureError("table index (%r, %r) out of range" % (i, j))
+            check_int("table index", 0, i, j, most=dim - 1)
             if not isinstance(terms, Mapping):
                 raise StructureError("table entry (%r, %r) must map target indices to scalars" % (i, j))
             entry = {}
             for k, c in terms.items():
-                if not (_is_int(k) and 0 <= k < dim):
-                    raise StructureError("table target index %r out of range" % (k,))
+                check_int("table target index", 0, k, most=dim - 1)
                 try:
                     exact = as_scalar(c)
                 except StructureError as exc:
@@ -198,10 +192,9 @@ def check_letters(spec: AlgebraSpec, letters: Sequence[int]) -> None:
 
 
 def check_int(what: str, least: Optional[int], *values, most: Optional[int] = None) -> None:
-    """Raise ``StructureError`` unless each value is an int, not a bool, in ``least..most`` (``None``: no end)."""
+    """Raise ``StructureError`` unless each value is an ``int`` (a bool is none) in ``least..most`` (``None``: no end)."""
     for v in values:
-        # a plain int, the common case, is told without a call of _is_int
-        if type(v) is not int and not _is_int(v) or least is not None and v < least or most is not None and v > most:
+        if type(v) is not int or least is not None and v < least or most is not None and v > most:
             bound = "" if least is None else " >= %d" % least if most is None else " in %d..%d" % (least, most)
             raise StructureError("%s must be an integer%s, got %r" % (what, bound, v))
 
@@ -367,8 +360,7 @@ def from_dict(data: Mapping, name: str = "") -> AlgebraSpec:
         if not isinstance(row, Mapping) or not {"i", "j", "terms"} <= set(row):
             raise StructureError("table rows must have fields i, j, terms")
         i, j = row["i"], row["j"]
-        if not (_is_int(i) and _is_int(j)):
-            raise StructureError("table row indices must be integers, got (%r, %r)" % (i, j))
+        check_int("table row index", None, i, j)
         if (i, j) in table:
             raise StructureError("duplicate table entry for (%r, %r)" % (i, j))
         if not isinstance(row["terms"], list):
@@ -378,8 +370,7 @@ def from_dict(data: Mapping, name: str = "") -> AlgebraSpec:
             if not isinstance(term, Mapping) or "k" not in term or "num" not in term:
                 raise StructureError("terms must have fields k, num[, den]")
             k, num, den = term["k"], term["num"], term.get("den", 1)
-            if not (_is_int(k) and _is_int(num) and _is_int(den)):
-                raise StructureError("term fields k, num and den must be integers, got %r" % (term,))
+            check_int("term field k, num or den", None, k, num, den)
             if den == 0:
                 raise StructureError("zero denominator in table term")
             if k in entry:

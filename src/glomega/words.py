@@ -4,8 +4,9 @@ A word is a tuple of basis indices of some AlgebraSpec; the empty tuple is
 the unit of the tensor algebra, and :func:`nonempty` is the one place that
 refuses it where a word indexes a generator, symbol, current or necklace.  A
 matrix-entry label ``(i, j, word)``, :data:`Label`, names both a t-generator
-t_ij(x) and a matrix symbol p_ij(x).  A cyclic word (a necklace class) is
-stored as its least rotation, a plain tuple built by :func:`cyclic`.
+t_ij(x) and a matrix symbol p_ij(x), and :func:`check_label` is the one place
+that checks one.  A cyclic word (a necklace class) is stored as its least
+rotation, a plain tuple built by :func:`cyclic`.
 Compositions of m are enumerated lexicographically, e.g. for m = 3:
 
     (1, 1, 1), (1, 2), (2, 1), (3)
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .omega import AlgebraSpec, Scalar, StructureError, _acc, as_scalar, check_int, check_letters, multiply
 
@@ -36,6 +37,18 @@ def nonempty(word: Iterable[int]) -> Word:
     if not word:
         raise StructureError("words must be nonempty, got ()")
     return word
+
+
+def check_label(spec: Optional[AlgebraSpec], i: int, j: int, word: Iterable[int], most: Optional[int] = None) -> Word:
+    """The word of the label ``(i, j, word)`` as a tuple: i, j ints in 1..most, the word nonempty, its letters in ``spec``.
+
+    A label with no table yet (``spec`` None, as in ``yangian.t_gen``) has its letters checked where it meets one.
+    """
+    check_int("matrix index", 1, i, j, most=most)
+    word = tuple(word)
+    if spec is not None:
+        check_letters(spec, word)
+    return word or nonempty(word)  # called for the empty word alone, so the rule costs no more than its three checks
 
 
 def compositions(m: int) -> List[Composition]:
@@ -75,14 +88,15 @@ def coagulate(
     """Block products of a list of table elements ``{k: c}`` along a composition.
 
     The list has length m = sum(nu); block r collects nu[r] consecutive
-    factors and multiplies them left to right inside the algebra.
+    factors and multiplies them left to right inside the algebra.  A block
+    holds no zero coefficient, a one-factor block included.
     """
     check_int("composition parts", 1, *nu)
     if sum(nu) != len(factors):
         raise StructureError("composition %r does not fit %d factors" % (nu, len(factors)))
-    # checked before any block: a one-factor block is never multiplied
+    # checked and cleared of zeros before any block: a one-factor block is never multiplied
     check_letters(spec, [k for f in factors for k in f])
-    factors = [{k: as_scalar(c) for k, c in f.items()} for f in factors]
+    factors = [{k: exact for k, c in f.items() if (exact := as_scalar(c))} for f in factors]
     blocks = zip(nu, itertools.accumulate(nu))
     return [reduce(lambda u, v: multiply(spec, u, v), factors[end - part : end]) for part, end in blocks]
 
@@ -94,11 +108,13 @@ def coagulate_word(spec: AlgebraSpec, word: Word, nu: Composition) -> Dict[Word,
     zero coefficients; it is ``{}`` when some block multiplies to zero.  Each
     (word, nu) is computed once per table: the result is kept in
     ``spec.coagulations`` and shared by every caller, so callers must not
-    mutate it; a word with a letter outside 0..dim-1 raises before the memo
-    is read, since 1.0 and True would hit the memo of 1.
+    mutate it; a word with a letter outside 0..dim-1, or a composition with
+    a part that is no int >= 1, raises before the memo is read, since 1.0
+    and True would hit the memo of 1.
     """
     key = (tuple(word), tuple(nu))
     check_letters(spec, key[0])
+    check_int("composition parts", 1, *key[1])
     memo = spec.coagulations
     if key in memo:
         return memo[key]

@@ -18,7 +18,8 @@ peeling top symbols, each torus weight against the symbols of its own weight
 (N+1, s+1), so that one certificate sees a dependence on N or on s.  One
 loop, ``_span``, row-reduces every span of monomial columns.
 Linear independence claims are certified by rank at a single N; a linear
-*dependence* found at N must also hold at N+1.  Dependencies and splitting
+*dependence* found at N must also hold at N+1, which ``_certified_span``
+confirms for both checks that span evaluations.  Dependencies and splitting
 probes compare their per-size results through
 :func:`~glomega.enveloping.stable`, which raises ``StabilizationError`` when
 two sizes disagree.
@@ -28,18 +29,17 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .enveloping import Enveloping, Mono, UElement, stable
 from .linalg import SpanSolver, primitive
 from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, as_scalar, check_int, vec_add
-from .words import Label, Word, nonempty, words_up_to
+from .words import Label, Word, check_label, words_up_to
 
 
 def t_gen(i: int, j: int, word: Iterable[int]) -> Label:
-    """The label (i, j, word) of t_ij(word), validated."""
-    check_int("t-generator index", 1, i, j)
-    return (i, j, nonempty(word))
+    """The label (i, j, word) of t_ij(word), validated but for its letters, which need a table."""
+    return (i, j, check_label(None, i, j, word))
 
 
 def tgen_key(g: Label) -> Tuple[int, int, int, Word]:
@@ -111,20 +111,19 @@ def _span(columns: Iterable[Mapping]) -> Tuple[SpanSolver, Optional[Dict[int, Sc
     return solver, dep
 
 
-def _confirm(
-    monomials: Sequence[OrderedMonomial],
-    dep: Dict[int, Scalar],
-    omega: AlgebraSpec,
-    n: int,
-    s: ScalarLike,
-    witness: str,
-) -> None:
-    """The dependency found at N must hold at N and N+1, compared through :func:`stable`."""
+def _certified_span(
+    monomials: Sequence[OrderedMonomial], omega: AlgebraSpec, n: int, s: ScalarLike, witness: Callable
+) -> Tuple[SpanSolver, Optional[Dict[int, Scalar]]]:
+    """:func:`_span` of the evaluations at N and s; their first dependency must also hold at N+1, compared
+    through :func:`stable`, which raises ``StabilizationError(witness(rank at N, dependency))`` otherwise."""
+    ctx = Enveloping.get(omega, n)
+    solver, dep = _span(evaluate(mono, ctx, s).terms for mono in monomials)
+    if dep is not None:
+        def verdict(ctx: Enveloping) -> bool:
+            return sum((evaluate(monomials[pos], ctx, s).scale(c) for pos, c in dep.items()), ctx.zero()).is_zero()
 
-    def verdict(ctx: Enveloping) -> bool:
-        return sum((evaluate(monomials[pos], ctx, s).scale(c) for pos, c in dep.items()), ctx.zero()).is_zero()
-
-    stable(omega, (n, n + 1), verdict, lambda _: witness)
+        stable(omega, (n, n + 1), verdict, lambda _: witness(solver.rank, dep))
+    return solver, dep
 
 
 def independence_check(
@@ -138,12 +137,10 @@ def independence_check(
     integer vector over the input positions.  A dependency that fails at N+1
     raises ``StabilizationError``.
     """
-    ctx = Enveloping.get(omega, n)
-    _solver, dep = _span(evaluate(mono, ctx, s).terms for mono in monomials)
-    if dep is None:
-        return ("independent", None)
-    _confirm(monomials, dep, omega, n, s, "dependency %r at N=%d fails at N=%d" % (dep, n, n + 1))
-    return ("dependent", dep)
+    _solver, dep = _certified_span(
+        monomials, omega, n, s, lambda _rank, dep: "dependency %r at N=%d fails at N=%d" % (dep, n, n + 1)
+    )
+    return ("independent", None) if dep is None else ("dependent", dep)
 
 
 def pbw_suite(
@@ -155,11 +152,11 @@ def pbw_suite(
     one that does not raises ``StabilizationError``.
     """
     monos = pbw_monomials(omega, d, maxlen, maxdeg)
-    ctx = Enveloping.get(omega, n)
-    solver, dep = _span(evaluate(mono, ctx, s).terms for mono in monos)
+    solver, dep = _certified_span(
+        monos, omega, n, s, lambda rank, dep: "count=%d rank=%d dependency=%r" % (len(monos), rank, dep)
+    )
     report: Dict[str, object] = {"count": len(monos), "rank": solver.rank, "full_rank": dep is None}
     if dep is not None:
-        _confirm(monos, dep, omega, n, s, "count=%d rank=%d dependency=%r" % (len(monos), solver.rank, dep))
         report["dependency"] = dep
     return report
 

@@ -102,13 +102,7 @@ def test_multiply_rejects_letters_outside_the_table():
     for a, b in (({5: 1}, {0: 1}), ({0: 1}, {-1: 2}), ({}, {1: 1})):
         with pytest.raises(StructureError, match=r"letters must lie in 0\.\.0"):
             multiply(spec, a, b)
-    # a table element's coefficients are exact scalars, and coagulate checks
-    # every factor, also one alone in its block, which is never multiplied
-    with pytest.raises(StructureError, match="exact scalar"):
-        multiply(spec, {0: 1.5}, {0: 1})
-    for factor, message in (({5: 1}, "letters"), ({0: 1.5}, "exact scalar"), ({True: 1}, "letters")):
-        with pytest.raises(StructureError, match=message):
-            coagulate(spec, [factor], (1,))
+    # a one-factor block is never multiplied, and is still not the caller's dict
     factor = {0: 1}
     assert coagulate(spec, [factor], (1,)) == [factor] and coagulate(spec, [factor], (1,))[0] is not factor
 

@@ -151,9 +151,29 @@ def test_one_word_rule():
 def test_one_int_rule():
     # a size, a cap, a grade or a 1-based matrix index is an int, not a bool,
     # in its range: omega.check_int is the one place that says so, and no
-    # other module reads omega._is_int to make a rule of its own
+    # module keeps an _is_int of its own to make a second rule from
     assert _raisers("must be an integer") == ["omega.check_int"]
-    assert [path.stem for path in sorted(SRC.glob("*.py")) if "_is_int" in path.read_text()] == ["omega"]
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if "_is_int" in path.read_text()] == []
+
+
+def test_one_label_rule():
+    # a label (i, j, word) has 1-based int indices, a nonempty word and
+    # letters in the table: words.check_label is the one place that says so.
+    # poisson_pgen alone checks matrix indices itself, since a symbol label
+    # may hold the empty word (p_ab(()) is delta_ab)
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = list(_definitions(path, tree))
+        callers += [
+            _owner(path, defs, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "check_int"
+            and getattr(node.args[0], "value", None) == "matrix index"
+        ]
+    assert callers == ["doublepoisson.poisson_pgen", "words.check_label"]
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if "generator index" in path.read_text()] == []
 
 
 def test_one_bracket_memo_owner_rule():

@@ -11,6 +11,7 @@ from glomega.current import current_jacobi_sum, degeneration_check, gl_current_b
 from glomega.doublepoisson import symbol_match_smd, symbol_match_stc, trace_bracket, trace_elem
 from glomega.words import (
     basis_words,
+    coagulate,
     coagulate_word,
     compositions,
     cyclic,
@@ -56,6 +57,15 @@ def test_coagulate_word_matrix_blocks():
     spec = matrix_algebra(2)
     # e12 * e21 = e11 under the (2,) merge
     assert coagulate_word(spec, (1, 2), (2,)) == {(0,): Fraction(1)}
+
+
+def test_coagulate_keeps_no_zero_coefficient():
+    # a one-factor block is never multiplied, so it once kept the zeros of
+    # its factor while a longer block dropped them through multiply
+    spec = direct_sum_C(2)
+    assert coagulate(spec, [{0: 0}], (1,)) == [{}]
+    assert coagulate(spec, [{0: 0}, {0: 1}], (2,)) == [{}]
+    assert coagulate(spec, [{0: "0/3", 1: 2}, {1: 1}], (1, 1)) == [{1: 2}, {1: 1}]
 
 
 def test_coagulate_word_rejects_bad_letters_and_keeps_nothing():
