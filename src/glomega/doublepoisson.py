@@ -310,6 +310,7 @@ def pgen_key(p: Label) -> Tuple[int, int, int, Word]:
 
 
 Poly = Dict[tuple, Scalar]  # commutative monomial (a sorted tuple) -> coefficient, no zero stored
+NecklacePoly = Dict[Tuple[Word, ...], Scalar]  # the same, its monomials sorted tuples of least rotations
 
 
 def poisson_pgen(spec: AlgebraSpec, p: Label, q: Label) -> Poly:
@@ -342,7 +343,9 @@ def _leibniz(f: Poly, g: Poly, bracket: Callable, key: Optional[Callable]) -> Po
     For every factor of a monomial of ``f`` and every factor of a monomial of
     ``g``, the other factors of both are multiplied by ``bracket(p, q)`` of
     the two (a dict from monomials to scalars) and sorted again by ``key``.
+    Every coefficient passes through ``as_scalar`` first, met or not.
     """
+    f, g = ({m: as_scalar(c) for m, c in p.items()} for p in (f, g))
     out: Poly = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
@@ -378,7 +381,7 @@ def trace_bracket(spec: AlgebraSpec, a: Iterable[int], b: Iterable[int]) -> Dict
     return out
 
 
-def poisson_stc(spec: AlgebraSpec, f: Poly, g: Poly) -> Poly:
+def poisson_stc(spec: AlgebraSpec, f: NecklacePoly, g: NecklacePoly) -> NecklacePoly:
     """Leibniz extension of the trace bracket to necklace polynomials.
 
     A monomial of ``f``, ``g`` and the result is a sorted tuple of least

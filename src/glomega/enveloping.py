@@ -183,6 +183,8 @@ class Enveloping:
         Memoized only for pairs whose indices meet (h's row is g's column or
         g's row is h's column); any other pair gives ``()`` with no memo entry.
         """
+        self.sort_key(g)  # on every call: a bool part would hit the memo of the int it equals
+        self.sort_key(h)
         if g[1] != h[0] and g[0] != h[1]:
             return ()
         key = (g, h)
@@ -411,7 +413,9 @@ class Enveloping:
         return out
 
     def mono_weight(self, mono: Mono, a: Optional[int] = None) -> int:
-        """Eigenvalue of ad E_aa on a monomial (default a = N); an ``a`` outside 1..N raises."""
+        """Eigenvalue of ad E_aa on a monomial of generators or t-labels (default a = N); an index or ``a`` outside 1..N raises."""
+        for i, j, _x in mono:
+            check_int("monomial index", 1, i, j, most=self.n)
         if a is None:
             a = self.n
         else:

@@ -5,8 +5,8 @@ the unit of the tensor algebra, and :func:`nonempty` is the one place that
 refuses it where a word indexes a generator, symbol, current or necklace.  A
 matrix-entry label ``(i, j, word)``, :data:`Label`, names both a t-generator
 t_ij(x) and a matrix symbol p_ij(x), and :func:`check_label` is the one place
-that checks one.  A cyclic word (a necklace class) is stored as its least
-rotation, a plain tuple built by :func:`cyclic`.
+that checks one against a table.  A cyclic word (a necklace class) is stored
+as its least rotation, a plain tuple built by :func:`cyclic`.
 Compositions of m are enumerated lexicographically, e.g. for m = 3:
 
     (1, 1, 1), (1, 2), (2, 1), (3)
@@ -39,16 +39,12 @@ def nonempty(word: Iterable[int]) -> Word:
     return word
 
 
-def check_label(spec: Optional[AlgebraSpec], i: int, j: int, word: Iterable[int], most: Optional[int] = None) -> Word:
-    """The word of the label ``(i, j, word)`` as a tuple: i, j ints in 1..most, the word nonempty, its letters in ``spec``.
-
-    A label with no table yet (``spec`` None, as in ``yangian.t_gen``) has its letters checked where it meets one.
-    """
+def check_label(spec: AlgebraSpec, i: int, j: int, word: Iterable[int], most: Optional[int] = None) -> Word:
+    """The word of the label ``(i, j, word)`` as a tuple: i, j ints in 1..most, the word nonempty, its letters in ``spec``."""
     check_int("matrix index", 1, i, j, most=most)
-    word = tuple(word)
-    if spec is not None:
-        check_letters(spec, word)
-    return word or nonempty(word)  # called for the empty word alone, so the rule costs no more than its three checks
+    word = nonempty(word)
+    check_letters(spec, word)
+    return word
 
 
 def compositions(m: int) -> List[Composition]:

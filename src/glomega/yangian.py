@@ -34,12 +34,13 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .enveloping import Enveloping, Mono, UElement, stable
 from .linalg import SpanSolver, primitive
 from .omega import AlgebraSpec, Scalar, ScalarLike, StructureError, _acc, as_scalar, check_int, vec_add
-from .words import Label, Word, check_label, words_up_to
+from .words import Label, Word, nonempty, words_up_to
 
 
 def t_gen(i: int, j: int, word: Iterable[int]) -> Label:
     """The label (i, j, word) of t_ij(word), validated but for its letters, which need a table."""
-    return (i, j, check_label(None, i, j, word))
+    check_int("matrix index", 1, i, j)
+    return (i, j, nonempty(word))
 
 
 def tgen_key(g: Label) -> Tuple[int, int, int, Word]:

@@ -159,8 +159,9 @@ def test_one_int_rule():
 def test_one_label_rule():
     # a label (i, j, word) has 1-based int indices, a nonempty word and
     # letters in the table: words.check_label is the one place that says so.
-    # poisson_pgen alone checks matrix indices itself, since a symbol label
-    # may hold the empty word (p_ab(()) is delta_ab)
+    # Two places check matrix indices themselves: poisson_pgen, since a
+    # symbol label may hold the empty word (p_ab(()) is delta_ab), and t_gen,
+    # whose label meets no table until it is evaluated
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -172,7 +173,7 @@ def test_one_label_rule():
             and getattr(node.func, "id", None) == "check_int"
             and getattr(node.args[0], "value", None) == "matrix index"
         ]
-    assert callers == ["doublepoisson.poisson_pgen", "words.check_label"]
+    assert callers == ["doublepoisson.poisson_pgen", "words.check_label", "yangian.t_gen"]
     assert [path.stem for path in sorted(SRC.glob("*.py")) if "generator index" in path.read_text()] == []
 
 
@@ -225,10 +226,11 @@ def _attribute_writes(tree, attr):
 def test_one_generator_table():
     # a context keys its generators once, when it is built, and holds one
     # object per generator from then on; sort_key alone rejects a generator
-    # out of range, and only normal_form, on a memo miss, and the public
-    # UElement constructor, whose word a memo hit would pass unchecked, call
-    # it just to check a word, so neither a lazy key cache nor the checks
-    # around it return
+    # out of range, and only normal_form, on a memo miss, the public UElement
+    # constructor, whose word a memo hit would pass unchecked, and the public
+    # commutator_terms, whose memo a bool part would hit, call it just to
+    # check a generator, so neither a lazy key cache nor the checks around
+    # it return
     raisers, writers, checkers = [], [], []
     gen_writers = []
     for path in sorted(SRC.glob("*.py")):
@@ -247,7 +249,12 @@ def test_one_generator_table():
     assert raisers == ["Enveloping.sort_key"]
     assert sorted(set(writers)) == ["Enveloping.__init__"]
     assert sorted(set(gen_writers)) == ["Enveloping.__init__"]
-    assert checkers == ["Enveloping.normal_form", "UElement.__init__"]
+    assert checkers == [
+        "Enveloping.commutator_terms",
+        "Enveloping.commutator_terms",
+        "Enveloping.normal_form",
+        "UElement.__init__",
+    ]
 
 
 def _self_stores(fn):
