@@ -84,11 +84,13 @@ def _junction(spec: AlgebraSpec, x: Word, y: Word) -> Dict[Word, Scalar]:
 
 
 def odot(spec: AlgebraSpec, a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
-    """The junction product of two ``{word: c}`` dicts, bilinear in both slots."""
+    """The junction product of two ``{word: c}`` dicts, bilinear in both slots; each word is checked once."""
+    for word in (*a, *b):
+        check_letters(spec, nonempty(word))
     out: Dict[Word, Scalar] = {}
     for wx, cx in a.items():
         for wy, cy in b.items():
-            vec_add(out, odot_words(spec, wx, wy), cx * cy)
+            vec_add(out, _junction(spec, wx, wy), cx * cy)
     return out
 
 
@@ -153,12 +155,19 @@ def gl_current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
     """[X(x)x, Y(x)y] = XY (x) (x(.)y) - YX (x) (y(.)x), bilinear in both slots.
 
     Every key of ``a`` and ``b`` is checked once, whether or not its pairs
-    meet: a matrix index below 1, an empty word or a letter outside the
-    table raises ``StructureError``.
+    meet, before :func:`_current_bracket` computes: a matrix index below 1,
+    an empty word or a letter outside the table raises ``StructureError``.
     """
     _check_keys(spec, a, b)
-    # the letters are checked above, so the junction products skip the
-    # check odot_words would repeat for every meeting pair
+    return _current_bracket(spec, a, b)
+
+
+def _current_bracket(spec: AlgebraSpec, a: Current, b: Current) -> Current:
+    """:func:`gl_current_bracket` of currents whose keys the caller has checked or built, unchecked.
+
+    The junction products skip the check :func:`odot_words` would repeat for
+    every meeting pair.
+    """
     out: Current = {}
     for (i, j, x), cx in a.items():
         for (k, l, y), cy in b.items():
@@ -179,10 +188,12 @@ def _brackets(spec: AlgebraSpec, given: Optional[Bracket] = None) -> Bracket:
     """``bracket(a, b)``: the current bracket of the keys ``a`` and ``b``, memoized by :func:`~glomega.omega.pair_memo`.
 
     ``given`` is returned if it is a memo of ``spec``.  A miss stores the result of
-    :func:`gl_current_bracket` as computed, looked up then, with no shortcut in front.
+    :func:`_current_bracket` as computed, looked up then, with no shortcut in front.
+    The keys are not checked: the scans pass keys of :func:`current_basis_keys`,
+    and :func:`current_jacobi_sum` checks its own first.
     """
     def compute(_share: Callable, a: Label, b: Label) -> Current:
-        return gl_current_bracket(spec, {a: 1}, {b: 1})
+        return _current_bracket(spec, {a: 1}, {b: 1})
 
     return pair_memo(spec, compute, given)
 
@@ -190,15 +201,22 @@ def _brackets(spec: AlgebraSpec, given: Optional[Bracket] = None) -> Bracket:
 def current_jacobi_sum(
     spec: AlgebraSpec, a: Current, b: Current, c: Current, bracket: Optional[Bracket] = None
 ) -> Current:
-    """[[a, b], c] + [[b, c], a] + [[c, a], b], added into one dict.
+    """[[a, b], c] + [[b, c], a] + [[c, a], b], added into one dict by :func:`_jacobi_sum`.
+
+    Every key is checked first: a memo that holds an equal key,
+    ``(1, 1, (0,))`` for ``(True, 1, (0,))``, would answer for it.
+    """
+    _check_keys(spec, a, b, c)
+    return _jacobi_sum(a, b, c, _brackets(spec, bracket))
+
+
+def _jacobi_sum(a: Current, b: Current, c: Current, br: Bracket) -> Current:
+    """:func:`current_jacobi_sum` of currents whose keys the caller has checked or built, unchecked.
 
     Each term is expanded bilinearly over the keys, [[a, b], c] =
     sum_k [a, b]_k [k, c], and every bracket of two keys is read through
-    ``_brackets(spec, bracket)``.  Every key is checked first: a memo that
-    holds an equal key, ``(1, 1, (0,))`` for ``(True, 1, (0,))``, would answer for it.
+    the memo ``br``.
     """
-    _check_keys(spec, a, b, c)
-    br = _brackets(spec, bracket)
     out: Current = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         for kx, cx in x.items():
@@ -235,12 +253,13 @@ def check_current_jacobi(
     The bracket is antisymmetric by its formula, so a triple with a repeated
     key sums to zero and every permutation of a failing triple fails too:
     the first i < j < k is the first failing ordered triple.  ``bracket`` is
-    read through :func:`_brackets`.
+    read through :func:`_brackets`, and the triples of basis keys, built
+    here, are summed by the unchecked :func:`_jacobi_sum`.
     """
     keys = current_basis_keys(spec, d, maxgrade)
     br = _brackets(spec, bracket)
     for ka, kb, kc in itertools.combinations(keys, 3):
-        if current_jacobi_sum(spec, {ka: 1}, {kb: 1}, {kc: 1}, br):
+        if _jacobi_sum({ka: 1}, {kb: 1}, {kc: 1}, br):
             return (ka, kb, kc)
     return None
 

@@ -46,7 +46,7 @@ from .omega import (
     check_int,
     vec_add,
 )
-from .words import Word, check_label, compositions, coagulate_word, nonempty
+from .words import Word, check_label, compositions, coagulate_word
 
 # generator E_ij(x_b) as a plain tuple (i, j, b); i, j are 1-based, b indexes
 # the Omega basis
@@ -177,14 +177,25 @@ class Enveloping:
             raise StructureError("generator %r out of range for n=%d, or not made of ints" % (g, self.n))
         return key
 
+    def _sorted(self, word: Iterable[Gen]) -> Mono:
+        """The context's own generators in PBW order, unchecked: a word it built from generators it holds."""
+        return tuple(sorted(word, key=self._keys.__getitem__))
+
     def commutator_terms(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Scalar], ...]:
-        """[E_g, E_h] as a tuple of (generator, coefficient) pairs.
+        """[E_g, E_h] as a tuple of (generator, coefficient) pairs, read through :meth:`_bracket`.
+
+        Both generators are checked first: a bool part would hit the memo of the int it equals.
+        """
+        self.sort_key(g)
+        self.sort_key(h)
+        return self._bracket(g, h)
+
+    def _bracket(self, g: Gen, h: Gen) -> Tuple[Tuple[Gen, Scalar], ...]:
+        """:meth:`commutator_terms` of two generators the context holds, unchecked.
 
         Memoized only for pairs whose indices meet (h's row is g's column or
         g's row is h's column); any other pair gives ``()`` with no memo entry.
         """
-        self.sort_key(g)  # on every call: a bool part would hit the memo of the int it equals
-        self.sort_key(h)
         if g[1] != h[0] and g[0] != h[1]:
             return ()
         key = (g, h)
@@ -222,20 +233,26 @@ class Enveloping:
         This is where the generators of a word are checked, once, on a memo
         miss: a memoized word was checked when it was first met, the chain
         words are permutations of a checked word, and the bracket words are
-        built from checked generators.
+        built from checked generators, so the swaps read the unchecked
+        :meth:`_bracket`.  The context's own generator objects, of which the
+        words it builds are made, need no check; any other generator, an
+        equal copy or one with a bool part, goes through :meth:`sort_key`.
         """
         seq = tuple(seq)
         memo = self._nf
         try:
             res = memo.get(seq)
-        except TypeError:  # an unhashable generator misses, and sort_key below refuses it
-            res = None
+        except TypeError:  # an unhashable generator, which sort_key refuses
+            for g in seq:
+                self.sort_key(g)
         if res is _SORTED:
             return {seq: 1}
         if res is not None:
             return res
+        own = self._gen
         for g in seq:
-            self.sort_key(g)
+            if own.get(g) is not g:
+                self.sort_key(g)
         key = self._keys.__getitem__
         chain: List[Tuple[Mono, int]] = []
         cur = seq
@@ -260,7 +277,7 @@ class Enveloping:
             start = max(p - 1, 0)
         for word, p in reversed(chain):
             res = dict(res)
-            for gen, c2 in self.commutator_terms(word[p], word[p + 1]):
+            for gen, c2 in self._bracket(word[p], word[p + 1]):
                 vec_add(res, self.normal_form(word[:p] + (gen,) + word[p + 2 :]), c2)
             memo[word] = res
         return res
@@ -340,7 +357,7 @@ class Enveloping:
                 i2 = h[0]
                 for m1, c1, p, g in by_col.get(i2, []) + [e for e in by_row.get(h[1], ()) if e[3][1] != i2]:
                     cc = c1 * c2
-                    for gen, c3 in self.commutator_terms(g, h):
+                    for gen, c3 in self._bracket(g, h):
                         word = left + m1[:p] + (gen,) + m1[p + 1 :] + right
                         vec_add(out, self.normal_form(word), cc * c3)
         return UElement._trusted(self, out)
@@ -388,7 +405,7 @@ class Enveloping:
                 for g in by_col.get(i2, []) + [g for g in by_row.get(j2, ()) if g[1] != i2]:
                     bracket = comm.get((g, h))
                     if bracket is None:
-                        bracket = self.commutator_terms(g, h)
+                        bracket = self._bracket(g, h)
                     for gen, c3 in bracket:
                         for r1, c1 in du[g].items():
                             _acc(xh, tuple(sorted(r1 + (gen,), key=key)), c1 * c3)
@@ -420,6 +437,10 @@ class Enveloping:
             a = self.n
         else:
             check_int("the weight index", 1, a, most=self.n)
+        return self._mono_weight(mono, a)
+
+    def _mono_weight(self, mono: Mono, a: int) -> int:
+        """:meth:`mono_weight` of a monomial the package built, with indices and ``a`` in 1..N, unchecked."""
         return sum((1 if i == a else 0) - (1 if j == a else 0) for (i, j, _b) in mono)
 
     def is_in_centralizer(self, u: "UElement", d: int) -> bool:
@@ -448,9 +469,14 @@ class Enveloping:
             yield tuple(gen[g] for g in zip(idx, idx[1:], word))
 
     def e_elem(self, i: int, j: int, word: Word) -> "UElement":
-        """e_ij(word; N), the sum of the chain words, each in normal form."""
-        # checked on every call: True and 1.0 would hit the memo of 1
-        word = check_label(self.omega, i, j, word, most=self.n)
+        """e_ij(word; N), the sum of the chain words, each in normal form, read through :meth:`_e_elem`.
+
+        The label is checked first, since True and 1.0 would hit the memo of 1.
+        """
+        return self._e_elem(i, j, check_label(self.omega, i, j, word, most=self.n))
+
+    def _e_elem(self, i: int, j: int, word: Word) -> "UElement":
+        """:meth:`e_elem` of a label the package built or checked, its word a tuple, unchecked (memoized)."""
         key = (i, j, word)
         cached = self._e.get(key)
         if cached is not None:
@@ -474,34 +500,38 @@ class Enveloping:
         if out is None:
             out = {}
             for w in self._chain_words(i, j, word):
-                _acc(out, tuple(sorted(w, key=self.sort_key)), 1)
+                _acc(out, self._sorted(w), 1)
             self._e_top[key] = out
         return out
 
     def t_elem(self, i: int, j: int, word: Word, s: ScalarLike) -> "UElement":
-        """Coagulation-corrected element; reduces to e_elem at s = -N.
+        """Coagulation-corrected element, read through :meth:`_t_elem`; reduces to e_elem at s = -N.
 
         t_ij(x; N; s) = sum over compositions nu of len(x) of
         (-N - s)^(len(x) - len(nu)) e_ij(x * nu; N), with 0^0 = 1, so the
-        s = -N specialization keeps only the finest composition.
+        s = -N specialization keeps only the finest composition.  The label
+        and s are checked first, since True and 1.0 would hit the memo of 1.
         """
-        word = check_label(self.omega, i, j, word, most=self.n)
-        s = as_scalar(s)
+        return self._t_elem(i, j, check_label(self.omega, i, j, word, most=self.n), as_scalar(s))
+
+    def _t_elem(self, i: int, j: int, word: Word, s: Scalar) -> "UElement":
+        """:meth:`t_elem` of a label the package built or checked, its word a tuple, at ``as_scalar(s)``, unchecked (memoized)."""
         key = (i, j, word, s)
         cached = self._t.get(key)
         if cached is not None:
             return cached
-        el = self._coagulation_sum(word, -self.n - s, lambda w: self.e_elem(i, j, w))
+        # the coagulated words are the table's
+        el = self._coagulation_sum(word, -self.n - s, lambda w: self._e_elem(i, j, w))
         self._t[key] = el
         return el
 
     def reparametrize_check(self, i: int, j: int, word: Word, s: ScalarLike, s2: ScalarLike) -> bool:
-        """t_ij(x; N; s) == sum_nu (s2 - s)^(len(x)-len(nu)) t_ij(x*nu; N; s2)."""
-        word = nonempty(word)
+        """t_ij(x; N; s) == sum_nu (s2 - s)^(len(x)-len(nu)) t_ij(x*nu; N; s2), the label and both s checked once."""
+        word = check_label(self.omega, i, j, word, most=self.n)
         s = as_scalar(s)
         s2 = as_scalar(s2)
-        rhs = self._coagulation_sum(word, s2 - s, lambda w: self.t_elem(i, j, w, s2))
-        return self.t_elem(i, j, word, s) == rhs
+        rhs = self._coagulation_sum(word, s2 - s, lambda w: self._t_elem(i, j, w, s2))
+        return self._t_elem(i, j, word, s) == rhs
 
     def _coagulation_sum(self, word: Word, base: Scalar, image: Callable[[Word], "UElement"]) -> "UElement":
         """Sum over compositions nu of len(word) of base^(len(word) - len(nu)) image(word * nu).
@@ -566,7 +596,7 @@ class Enveloping:
         out = []
         acting = range(d + 1, self.n + 1)
         for mono in self.monomials(maxdeg):
-            if all(self.mono_weight(mono, a) == 0 for a in acting):
+            if all(self._mono_weight(mono, a) == 0 for a in acting):
                 out.append(mono)
         return out
 
@@ -621,8 +651,8 @@ class Enveloping:
         # in the span of its weight-0 members; rref gives both a canonical basis
         right = (m + (g,) for m in lower for g in right_gens)
         left = ((g,) + m for m in lower for g in left_gens)
-        plus = rref(self.normal_form(w) for w in right if self.mono_weight(w) == 0)
-        minus = rref(self.normal_form(w) for w in left if self.mono_weight(w) == 0)
+        plus = rref(self.normal_form(w) for w in right if self._mono_weight(w, n) == 0)
+        minus = rref(self.normal_form(w) for w in left if self._mono_weight(w, n) == 0)
         equal = plus == minus
 
         # direct sum with the index-N free monomials inside the invariants
@@ -638,7 +668,7 @@ class Enveloping:
         membership = SpanSolver()
         for row in plus:
             membership.add(row)
-        wz_gens = [g for g in self.gens if self.mono_weight((g,)) == 0]
+        wz_gens = [g for g in self.gens if self._mono_weight((g,), n) == 0]
         two_sided = True
         small = [UElement(self, r) for r in plus if all(len(m) < maxdeg for m in r)]
         for v in small:
@@ -672,8 +702,9 @@ class UElement:
       and zeros are dropped;
     * the trusted one, ``UElement._trusted(ctx, terms)``, is for dicts that
       the context's own arithmetic built: keys are sorted monomials already
-      and are taken as they are, but every coefficient still passes through
-      :func:`as_scalar` and zeros are dropped.
+      and are taken as they are, every coefficient that is no ``int`` still
+      passes through :func:`as_scalar`, which makes a whole ``Fraction`` an
+      ``int``, and zeros are dropped.
     """
 
     __slots__ = ("owner", "terms")
@@ -692,7 +723,8 @@ class UElement:
     def _trusted(cls, owner: Enveloping, terms: Mapping) -> "UElement":
         out = {}
         for mono, c in terms.items():
-            c = as_scalar(c)
+            if type(c) is not int:  # the package's arithmetic makes ints and Fractions
+                c = as_scalar(c)
             if c:
                 out[mono] = c
         new = cls.__new__(cls)
@@ -732,6 +764,8 @@ class UElement:
         return max((len(m) for m in self.terms), default=-1)
 
     def homogeneous(self, k: int) -> "UElement":
+        """The degree-k part; k is an int, and a negative k, the degree of zero among them, gives zero."""
+        check_int("degree", None, k)
         return UElement._trusted(self.owner, {m: c for m, c in self.terms.items() if len(m) == k})
 
     def canonical_str(self) -> str:

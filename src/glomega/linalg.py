@@ -10,7 +10,10 @@ This is all the package needs: incremental row reduction with dependency
 tracking over numbered columns (:class:`SpanSolver`, the one elimination
 loop), and, read off its reduced rows, ranks, canonical reduced bases
 (:func:`rref`) and kernels of sparse constraint systems (:func:`kernel_basis`).
-Everything is deterministic: pivots are always the smallest key.
+Everything is deterministic: pivots are always the smallest key.  The
+functions of this module pass each entry of their input vectors through
+``as_scalar`` once, as it enters; ``SpanSolver`` itself, the loop, takes
+the exact vectors the package builds unchecked.
 """
 
 from __future__ import annotations
@@ -102,10 +105,10 @@ class SpanSolver:
 
 
 def _reduced_rows(vectors: Iterable[Vec]) -> Dict[Hashable, Vec]:
-    """The fully reduced rows of span(vectors), keyed by pivot, from one ``SpanSolver``."""
+    """The fully reduced rows of span(vectors), keyed by pivot, from one ``SpanSolver``; a bad entry raises."""
     solver = SpanSolver()
     for v in vectors:
-        solver.add(v)
+        solver.add({k: as_scalar(c) for k, c in v.items()})
     return {k: row for k, (row, _combo) in solver.rows.items()}
 
 
@@ -143,9 +146,10 @@ def primitive(vec: Vec) -> Vec:
 
     The entries are returned as ``Fraction`` values: the pbw suite prints this
     vector with ``%r`` in its witnesses, and that text is part of a report's
-    fingerprint.  Explicit zeros are dropped first, so they never lead.
+    fingerprint.  Each entry passes through ``as_scalar`` and explicit
+    zeros are dropped first, so they never lead.
     """
-    vec = {k: v for k, v in vec.items() if v}
+    vec = {k: exact for k, v in vec.items() if (exact := as_scalar(v))}
     if not vec:
         return {}
     keys = sorted(vec)

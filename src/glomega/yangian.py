@@ -51,8 +51,8 @@ OrderedMonomial = Tuple[Label, ...]
 
 
 def ordered_monomial(gens: Sequence[Label]) -> OrderedMonomial:
-    """Validate weak increase; return the tuple."""
-    gens = tuple(gens)
+    """Each factor as :func:`t_gen` gives it, in weakly increasing order; return the tuple."""
+    gens = tuple(t_gen(*g) for g in gens)
     for a in range(len(gens) - 1):
         if tgen_key(gens[a]) > tgen_key(gens[a + 1]):
             raise StructureError("monomial factors must be weakly increasing")
@@ -228,14 +228,14 @@ def _symbol_column(ctx: Enveloping, mono: OrderedMonomial) -> Dict[Mono, Scalar]
         prod = {}
         for m1, c1 in col.items():
             for m2, c2 in top.items():
-                _acc(prod, tuple(sorted(m1 + m2, key=ctx.sort_key)), c1 * c2)
+                _acc(prod, ctx._sorted(m1 + m2), c1 * c2)
         col = prod
     return col
 
 
 def _weight(ctx: Enveloping, mono: Sequence, d: int) -> Tuple[int, ...]:
-    """The eigenvalues of ad E_aa, a = 1..d, on a monomial of generators or of labels."""
-    return tuple(ctx.mono_weight(mono, a) for a in range(1, d + 1))
+    """The eigenvalues of ad E_aa, a = 1..d <= N (``t_expansion`` checks d), on a monomial the package built."""
+    return tuple(ctx._mono_weight(mono, a) for a in range(1, d + 1))
 
 
 def _symbol_solver(

@@ -323,8 +323,10 @@ def test_current_jacobi_scan_agrees_with_the_ordered_loop():
 
 
 def test_current_antisym_scan_agrees_with_the_ordered_loop(monkeypatch):
-    # the bracket is antisymmetric by its formula, so planted faults make the pairs that fail
-    bracket = cur.gl_current_bracket
+    # the bracket is antisymmetric by its formula, so planted faults make the
+    # pairs that fail; they are planted in the unchecked path, which the scan's
+    # memo and the reference's gl_current_bracket both compute through
+    bracket = cur._current_bracket
     failing = 0
     for seed in range(30):
         rng = random.Random(seed)
@@ -337,7 +339,7 @@ def test_current_antisym_scan_agrees_with_the_ordered_loop(monkeypatch):
             out = bracket(spec, a, b)
             return {**out, (9, 9, (0,)): 1} if (*a, *b) in bad and len(a) == len(b) == 1 else out
 
-        monkeypatch.setattr(cur, "gl_current_bracket", planted)
+        monkeypatch.setattr(cur, "_current_bracket", planted)
         want = _reference_antisym(spec, d, cap)
         assert check_current_antisym(spec, d, cap) == want, (seed, sorted(bad))
         failing += want is not None
@@ -379,9 +381,9 @@ def test_a_current_memo_of_another_table_raises():
 
 def test_the_current_suite_brackets_each_pair_once_per_table(monkeypatch):
     # antisym and Jacobi of a table read one memo, whose misses alone call
-    # gl_current_bracket, through the compute of _brackets, once per ordered
-    # pair of keys
-    honest = cur.gl_current_bracket
+    # the bracket, through the compute of _brackets and the unchecked
+    # _current_bracket, once per ordered pair of keys
+    honest = cur._current_bracket
     calls = {}
 
     def counted(spec, a, b):
@@ -391,7 +393,7 @@ def test_the_current_suite_brackets_each_pair_once_per_table(monkeypatch):
         by_caller[id(spec), ka, kb] = by_caller.get((id(spec), ka, kb), 0) + 1
         return honest(spec, a, b)
 
-    monkeypatch.setattr(cur, "gl_current_bracket", counted)
+    monkeypatch.setattr(cur, "_current_bracket", counted)
     rep = run_suite(SuiteConfig("current"))
     assert rep.exit_code() == 0
     assert {r.name for r in rep.records} >= {"current.antisym", "current.jacobi_sampled"}

@@ -3,7 +3,7 @@
 The cases are built from the signatures, in the manner of QuickCheck
 (Claessen and Hughes, ICFP 2000): every public function and class of the
 walked modules, and every public method of one enveloping context (C^2 at
-N = 3), is read with ``typing.get_type_hints``.  ``_ROWS`` maps each
+N = 3) and of one of its elements, is read with ``typing.get_type_hints``.  ``_ROWS`` maps each
 annotation to one valid value and to its bad values, each with the message
 of the rule that refuses it; ``_BY_NAME`` overrides a row where the name of
 a parameter says more than its annotation.  Each function is first called
@@ -32,6 +32,7 @@ from glomega.words import Label, Word
 _MODULES = (omega, enveloping, words, yangian, doublepoisson, current, linalg)
 _SPEC = direct_sum_C(2)  # the letters 0 and 1
 _CTX = Enveloping.get(_SPEC, 3)
+_ELEM = _CTX.gen(1, 2) + _CTX.one()
 
 # an int is a size, a cap, a grade, an index or, in a few places, a letter
 _INT = "must be an integer|letters must lie in"
@@ -76,6 +77,7 @@ _ELEMENT = (
         "bool-letter": ({True: 1}, _LETTERS),
     },
 )
+_VECTOR = ({0: 1}, {"float-entry": ({0: 0.5}, _SCALAR), "str-entry": ({0: "x"}, _SCALAR)})
 # a bracket memo of another table
 _MEMO = (None, {"other-table": (pair_memo(direct_sum_C(1), lambda share, x, y: {}), "serves only the table")})
 
@@ -114,6 +116,9 @@ _ROWS = {
         },
     ),
     Optional[Sequence[str]]: (None, {"too-many": (["a", "b"], "expected 1 basis labels")}),
+    # a linalg vector: its entries pass through as_scalar where they enter
+    Dict[Hashable, Scalar]: _VECTOR,
+    Iterable[Dict[Hashable, Scalar]]: _each(_VECTOR, lambda vec: [vec]),
 }
 
 # parameters whose name says more than their annotation
@@ -142,10 +147,6 @@ _TRUSTED = {
     DoubleBracket: (lambda x, y: double_bracket(_SPEC, x, y), "a bracket with no table to hold it to"),
     Optional[Tuple[int, int, int]]: (None, "a witness that check_associativity returned"),
     Optional[Tuple[Word, Word, Word]]: (None, "a witness that check_double_jacobi returned"),
-    # linalg's vectors hold exact scalars (its module docstring): a check of
-    # every entry would tax the one elimination loop
-    Dict[Hashable, Scalar]: ({0: 1}, "a vector the package built"),
-    Iterable[Dict[Hashable, Scalar]]: ([{0: 1}], "vectors the package built"),
     "data": (to_dict(_SPEC), "any JSON value: test_omega draws them for from_dict"),
     "rng": (random.Random(0), "a random source: any random.Random is one"),
 }
@@ -162,12 +163,13 @@ _EXEMPT = {
     "doublepoisson.pgen_key": "a sort key of labels already checked",
     "omega.load_algebra": "reads a file: its path is no value of an algebra, and test_omega checks what it reads",
     "omega.save_algebra": "writes a file: its path is no value of an algebra",
-    "yangian.ordered_monomial": "orders labels only; each is checked when it is evaluated",
     "current.shifted_degree": "counts the word lengths of labels already checked",
     "words.cyclic-word-float-letter": _NO_TABLE,
     "words.cyclic-word-outside-letter": _NO_TABLE,
     "yangian.t_gen-word-float-letter": _NO_TABLE,
     "yangian.t_gen-word-outside-letter": _NO_TABLE,
+    "yangian.ordered_monomial-gens-outside-letter": _NO_TABLE,
+    "UElement.homogeneous-k-negative": "the degree of zero is -1, and the part of a negative degree is zero",
     "doublepoisson.double_bracket-x-empty": "the empty word is the unit of the tensor algebra; its bracket is 0",
     "doublepoisson.double_bracket-y-empty": "the empty word is the unit of the tensor algebra; its bracket is 0",
     "doublepoisson.triple_jacobi_sum-a-empty": "the empty word is the unit: its double brackets are 0",
@@ -183,16 +185,17 @@ _EXEMPT = {
 
 
 def _callables():
-    """(name, callable) of each public function and class of the walked modules, and each method of ``_CTX``."""
+    """(name, callable) of each public function and class of the walked modules, and each method of ``_CTX`` and ``_ELEM``."""
     for module in _MODULES:
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, Exception):
                 yield "%s.%s" % (module.__name__.rsplit(".", 1)[1], name), obj
-    for name in sorted(vars(Enveloping)):
-        if not name.startswith("_"):
-            yield "Enveloping." + name, getattr(_CTX, name)
+    for cls, instance in ((Enveloping, _CTX), (UElement, _ELEM)):
+        for name, attr in sorted(vars(cls).items()):
+            if not name.startswith("_") and inspect.isfunction(attr):
+                yield "%s.%s" % (cls.__name__, name), getattr(instance, name)
 
 
 def _walk():

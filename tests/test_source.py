@@ -230,7 +230,11 @@ def test_one_generator_table():
     # constructor, whose word a memo hit would pass unchecked, and the public
     # commutator_terms, whose memo a bool part would hit, call it just to
     # check a generator, so neither a lazy key cache nor the checks around
-    # it return
+    # it return.  normal_form calls it twice: for a word that is not
+    # hashable, and for a generator that is not the context's own object.
+    # The package's own words are sorted by Enveloping._sorted and bracketed
+    # by Enveloping._bracket, which check nothing (see _UNCHECKED), so no
+    # sort reads sort_key
     raisers, writers, checkers = [], [], []
     gen_writers = []
     for path in sorted(SRC.glob("*.py")):
@@ -244,14 +248,17 @@ def test_one_generator_table():
             elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 if getattr(node.value.func, "attr", None) == "sort_key":  # a lookup whose key is thrown away
                     checkers.append(_owner(path, defs, node.lineno))
+            elif isinstance(node, ast.keyword) and node.arg == "key" and getattr(node.value, "attr", None) == "sort_key":
+                checkers.append(_owner(path, defs, node.value.lineno))
         writers += [_owner(path, defs, line) for line in _attribute_writes(tree, "_keys")]
         gen_writers += [_owner(path, defs, line) for line in _attribute_writes(tree, "_gen")]
     assert raisers == ["Enveloping.sort_key"]
     assert sorted(set(writers)) == ["Enveloping.__init__"]
     assert sorted(set(gen_writers)) == ["Enveloping.__init__"]
-    assert checkers == [
+    assert sorted(checkers) == [
         "Enveloping.commutator_terms",
         "Enveloping.commutator_terms",
+        "Enveloping.normal_form",
         "Enveloping.normal_form",
         "UElement.__init__",
     ]
@@ -288,10 +295,13 @@ def test_context_caches_are_declared_on_enveloping():
     # every declared name but the table, the size and the PBW order is a
     # cache listed in _CONTEXT_CACHES, and a module that keeps a cache on a
     # context reads it as ctx._name, a declared name, so none is added to it
-    # lazily from outside
+    # lazily from outside.  A private method, one of the unchecked paths of
+    # _UNCHECKED, is no cache: test_unchecked_paths_have_only_their_callers
+    # lists who may read it
     tree = ast.parse((SRC / "enveloping.py").read_text())
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Enveloping"]
     methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    method_names = {fn.name for fn in methods}
     (init,) = [fn for fn in methods if fn.name == "__init__"]
     declared = _self_stores(init)
     stored = {}
@@ -308,9 +318,94 @@ def test_context_caches_are_declared_on_enveloping():
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ctx" and node.attr.startswith("_"):
+                if node.attr in method_names:
+                    continue
                 read.setdefault(node.attr, []).append("%s:%d" % (path.name, node.lineno))
     assert {name: lines for name, lines in read.items() if name not in declared} == {}
     assert set(read) == {"_symbol_solvers", "_trace"}
+
+
+# The unchecked private paths, each with the functions allowed to read it.
+# A public entry point checks its input and then calls its path; the hot
+# loops of the package call the path directly, with labels, generators and
+# keys that they built or have just checked.  Each path is read only by the
+# functions listed here, and no test or demo calls one: a test reaches it
+# through its public twin, or replaces it to plant a fault.
+_UNCHECKED = {
+    # the bracket of two generators: the public twin is commutator_terms
+    "Enveloping._bracket": [
+        "Enveloping.commutator",
+        "Enveloping.commutator_terms",
+        "Enveloping.normal_form",
+        "Enveloping.top_commutator",
+    ],
+    # the PBW sort of the context's own words; sort_key is the checked key
+    "Enveloping._sorted": ["Enveloping.e_top", "yangian._symbol_column"],
+    "Enveloping._mono_weight": [
+        "Enveloping._torus_zero_monomials",
+        "Enveloping.ideal_intersection_check",
+        "Enveloping.mono_weight",
+        "yangian._weight",
+    ],
+    # _t_elem passes its label's i, j and the table's coagulated words
+    "Enveloping._e_elem": ["Enveloping._t_elem", "Enveloping.e_elem"],
+    "Enveloping._t_elem": ["Enveloping.reparametrize_check", "Enveloping.t_elem"],
+    # compute is the miss of current._brackets, whose keys are basis keys
+    "current._current_bracket": ["current.compute", "current.gl_current_bracket"],
+    "current._jacobi_sum": ["current.check_current_jacobi", "current.current_jacobi_sum"],
+    "current._junction": ["current._current_bracket", "current.odot", "current.odot_words"],
+}
+
+
+def _unchecked_reads(text, path):
+    """(owner, name, called) of every read of an unchecked path's bare name; ``called`` if the read is a call's callee."""
+    bare = {qualified.split(".")[-1] for qualified in _UNCHECKED}
+    tree = ast.parse(text)
+    defs = list(_definitions(path, tree))
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in bare and isinstance(node.ctx, ast.Load):
+            yield _owner(path, defs, node.lineno), name, id(node) in callees
+
+
+def test_unchecked_paths_have_only_their_callers():
+    # each unchecked path exists, is read by exactly its listed functions,
+    # and is called by no test or demo
+    from glomega import current
+    from glomega.enveloping import Enveloping
+
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for owner, name, _called in _unchecked_reads(path.read_text(), path):
+            found.setdefault(name, set()).add(owner)
+    assert found == {qualified.split(".")[-1]: set(owners) for qualified, owners in _UNCHECKED.items()}
+    holders = {"Enveloping": Enveloping, "current": current}
+    for qualified in _UNCHECKED:
+        holder, name = qualified.split(".")
+        assert callable(getattr(holders[holder], name)), qualified
+    called = [
+        "%s %s" % (path.relative_to(ROOT).as_posix(), name)
+        for top in ("tests", "demos")
+        for path in sorted((ROOT / top).glob("*.py"))
+        for _who, name, is_call in _unchecked_reads(path.read_text(), path)
+        if is_call
+    ]
+    assert called == []
+
+
+def test_a_new_caller_of_an_unchecked_path_fails():
+    # a public function that bypasses its own check, and a test that calls
+    # a path directly, are both seen
+    text = (SRC / "current.py").read_text() + """
+def planted_scan(spec, a, b):
+    return _current_bracket(spec, a, b)
+"""
+    owners = {owner for owner, name, _called in _unchecked_reads(text, SRC / "current.py") if name == "_current_bracket"}
+    assert "current.planted_scan" in owners
+    planted_test = "def test_x(ctx):\n    assert ctx._bracket((1, 1, 0), (1, 1, 0)) == ()\n"
+    calls = [name for _who, name, called in _unchecked_reads(planted_test, ROOT / "tests" / "test_planted.py") if called]
+    assert calls == ["_bracket"]
 
 
 def test_evaluate_keeps_no_memo():
@@ -440,9 +535,9 @@ def _held_caches(tree):
     return held
 
 
-# the two brackets the suites memoize, and the compute through which
-# omega.pair_memo reaches either of them
-_BRACKET_CALLS = {"double_bracket", "gl_current_bracket", "compute"}
+# the two brackets the suites memoize, the unchecked path of the current
+# one, and the compute through which omega.pair_memo reaches either of them
+_BRACKET_CALLS = {"double_bracket", "gl_current_bracket", "_current_bracket", "compute"}
 
 
 def _calls_double_bracket(node):
@@ -690,6 +785,9 @@ _CALLED_ONLY_BY_TESTS = {
     "Enveloping.ideal_intersection_check": "waits on a suite record (ROADMAP item 6)",
     "linalg.kernel_basis": "invariant_basis solves its constraints with it",
     "linalg.rref": "ideal_intersection_check reduces each ideal's invariant part with it; tests compare spans by it",
+    "Enveloping.mono_weight": "the checked torus weight of any monomial; the package reads Enveloping._mono_weight",
+    "Enveloping.commutator_terms": "the checked bracket of two generators; the package reads Enveloping._bracket",
+    "current.current_jacobi_sum": "the checked Jacobi sum of any three currents; the scan sums basis keys by current._jacobi_sum",
 }
 
 

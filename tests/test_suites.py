@@ -308,14 +308,15 @@ def test_current_antisym_names_the_failing_pair(monkeypatch):
     from glomega import current as cur
 
     ka, kb = cur.current_basis_keys(direct_sum_C(1), 2, 2)[:2]
-    bracket = cur.gl_current_bracket
+    # the scan's memo computes through the unchecked path
+    bracket = cur._current_bracket
 
     def planted(spec, a, b):
         # no true bracket has index 9, so [ka, kb] and -[kb, ka] differ
         out = bracket(spec, a, b)
         return {**out, (9, 9, (0,)): 1} if (a, b) == ({ka: 1}, {kb: 1}) else out
 
-    monkeypatch.setattr(cur, "gl_current_bracket", planted)
+    monkeypatch.setattr(cur, "_current_bracket", planted)
     rep = run_suite(SuiteConfig(suite="current", omega="C"))
     got = {r.key(): (r.status, r.witness) for r in rep.records if r.name == "current.antisym"}
     assert got == {("current.antisym", "omega=C d=2 grade<=2"): ("fail", repr((ka, kb)))}
@@ -668,7 +669,8 @@ _FAULTS = [
     *[
         (
             "current.jacobi seed=%d" % seed,
-            "cur", "gl_current_bracket",
+            # the scan's memo computes through the unchecked path
+            "cur", "_current_bracket",
             lambda spec, a, b: (a, b) == _JACOBI_PAIR,
             _doubled,
             dict(suite="current", omega="C^2", seed=seed),
@@ -724,10 +726,11 @@ def test_planted_fault_gives_the_first_counterexample(monkeypatch, owner, attr, 
 def _plant_an_s_blind_t_elem_memo(monkeypatch):
     # t_elem's memo is the one memo keyed by s: keyed without it, a context
     # hands every s the element of the first s it was asked for (evaluate
-    # keeps no memo of its own; test_source guards that)
+    # keeps no memo of its own; test_source guards that).  It is planted in
+    # the unchecked _t_elem, which t_elem and reparametrize_check read
     from glomega.enveloping import Enveloping
 
-    t_elem = Enveloping.t_elem
+    t_elem = Enveloping._t_elem
 
     def s_blind(self, i, j, word, s):
         key = (i, j, tuple(word))
@@ -736,7 +739,7 @@ def _plant_an_s_blind_t_elem_memo(monkeypatch):
             got = self._t[key] = t_elem(self, i, j, word, s)
         return got
 
-    monkeypatch.setattr(Enveloping, "t_elem", s_blind)
+    monkeypatch.setattr(Enveloping, "_t_elem", s_blind)
 
 
 def test_an_s_blind_t_elem_memo_fails_the_projection_suite(monkeypatch):
@@ -779,10 +782,11 @@ def test_an_s_blind_t_elem_memo_fails_the_degeneration_suite(monkeypatch):
 
 def test_doubled_current_bracket_passes_the_current_suite(monkeypatch):
     # the gap the degeneration.doubled_bracket fault closes: the current suite
-    # checks gl_current_bracket through antisymmetry and Jacobi alone
+    # checks the bracket through antisymmetry and Jacobi alone, and its memo
+    # computes through the unchecked path
     from glomega import current as cur
 
-    monkeypatch.setattr(cur, "gl_current_bracket", _planted(cur.gl_current_bracket, lambda *args: True, _doubled))
+    monkeypatch.setattr(cur, "_current_bracket", _planted(cur._current_bracket, lambda *args: True, _doubled))
     rep = run_suite(SuiteConfig(suite="current"))
     assert {r.status for r in rep.records} == {"pass", "skipped"}
     assert [r.key() for r in rep.records if r.status == "skipped"] == [("current.bimodule", "omega=null(2)")]
@@ -792,13 +796,14 @@ def test_degeneration_work_stays_within_its_counts(monkeypatch):
     # a cold degeneration run solves each weight part against the symbol
     # columns of its own weight (372 columns; 798 with one solver over every
     # column of a degree), and commutator brackets only generator pairs
-    # whose indices meet; a regression fails here rather than as noise
+    # whose indices meet (through the unchecked bracket); a regression fails
+    # here rather than as noise
     import sys
 
     from glomega.enveloping import Enveloping
     from glomega.linalg import SpanSolver
 
-    add, terms = SpanSolver.add, Enveloping.commutator_terms
+    add, terms = SpanSolver.add, Enveloping._bracket
     commutator_code = Enveloping.commutator.__code__
     columns, met = [0], []
 
@@ -812,7 +817,7 @@ def test_degeneration_work_stays_within_its_counts(monkeypatch):
         return terms(self, g, h)
 
     monkeypatch.setattr(SpanSolver, "add", counted_add)
-    monkeypatch.setattr(Enveloping, "commutator_terms", watched_terms)
+    monkeypatch.setattr(Enveloping, "_bracket", watched_terms)
     report = run_suite(SuiteConfig("degeneration"))
     assert {r.status for r in report.records} == {"pass"}
     assert 0 < columns[0] <= 400, columns[0]
